@@ -76,21 +76,22 @@ func BenchmarkAblationModelReuse(b *testing.B)    { benchExperiment(b, "ablation
 
 // --- component micro-benchmarks ---------------------------------------------
 
-// BenchmarkSimulateRun measures one full simulated application run — the
-// unit of stress-testing cost every tuning policy pays per experiment.
-func BenchmarkSimulateRun(b *testing.B) {
+// BenchmarkSimRun measures one full simulated application run — the unit of
+// stress-testing cost every tuning policy pays per experiment — for each
+// Table 2 workload at its default configuration.
+func BenchmarkSimRun(b *testing.B) {
 	cl := relm.ClusterA()
-	wl, err := relm.WorkloadByName("K-means")
-	if err != nil {
-		b.Fatal(err)
-	}
-	cfg := relm.DefaultConfig()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		res, _ := relm.Simulate(cl, wl, cfg, uint64(i))
-		if res.RuntimeSec <= 0 {
-			b.Fatal("bad run")
-		}
+	for _, wl := range relm.Workloads() {
+		cfg := relm.NewSpace(cl, wl).Default()
+		b.Run(wl.Name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				res, _ := relm.Simulate(cl, wl, cfg, uint64(i))
+				if res.RuntimeSec <= 0 {
+					b.Fatal("bad run")
+				}
+			}
+		})
 	}
 }
 

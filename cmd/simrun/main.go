@@ -69,8 +69,9 @@ func main() {
 	}
 }
 
-// writeProfileJSON exports the full profiling artifact (timelines, GC and
-// task events) for external analysis.
+// writeProfileJSON exports the full profiling artifact for external
+// analysis: timelines, GC events, and the task log as run-length Waves
+// (profile.Profile.EachTask expands them).
 func writeProfileJSON(path string, prof *profile.Profile) error {
 	f, err := os.Create(path)
 	if err != nil {

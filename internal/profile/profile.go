@@ -72,6 +72,21 @@ func (tl Timeline) Mean() float64 {
 	return area / span
 }
 
+// seriesMax remembers the maximum of the last timeline it was asked about
+// (same samples, same memory), so a reader walking containers that share one
+// series scans it once.
+type seriesMax struct {
+	tl  Timeline
+	max float64
+}
+
+func (m *seriesMax) of(tl Timeline) float64 {
+	if len(tl) != len(m.tl) || (len(tl) > 0 && &tl[0] != &m.tl[0]) {
+		m.tl, m.max = tl, tl.Max()
+	}
+	return m.max
+}
+
 // GCEvent records one garbage collection observed in a container.
 type GCEvent struct {
 	T          float64 // start time, seconds
@@ -81,25 +96,39 @@ type GCEvent struct {
 	HeapAfter  float64 // MB used after the collection
 	OldAfter   float64 // MB in the Old pool after the collection
 	CacheAtGC  float64 // MB of cache storage live at the collection
-	Running    int     // tasks running in the container at the collection
+	// ShuffleAtGC is the MB of shuffle pool live at the collection. Zero also
+	// means "not recorded": readers then consult ShuffleUsed.At(T).
+	ShuffleAtGC float64
+	Running     int // tasks running in the container at the collection
 }
 
-// TaskEvent records one task attempt from the application event log.
+// TaskEvent records one task from the application event log.
 type TaskEvent struct {
 	Stage     int
 	Index     int
 	Container int
-	Attempt   int
 	Start     float64
 	End       float64
-	GCTime    float64 // seconds this attempt spent in GC pauses
+	GCTime    float64 // seconds this task spent in GC pauses
 	SpillMB   float64 // shuffle bytes spilled to disk
 	ShuffleMB float64 // shuffle bytes processed
-	Failed    bool
-	OOM       bool // failed with an out-of-memory error
+}
+
+// TaskWave is the run-length form of the task log: Tasks tasks of one stage
+// that were scheduled together and share every recorded quantity. Task k of
+// the wave has index First+k and ran on container k % Containers.
+type TaskWave struct {
+	Stage, First, Tasks, Containers int
+	Start, End                      float64
+	GCTime, SpillMB, ShuffleMB      float64 // per task, as in TaskEvent
 }
 
 // ContainerProfile is the per-container slice of the profile.
+//
+// The timelines are read-only once the profile is built: the simulator gives
+// every container of a run a capacity-clipped view of one shared series, so
+// Append copies, but overwriting a sample in place would change them all.
+// GCEvents and FirstTaskHeapMB are the container's own.
 type ContainerProfile struct {
 	ID        int
 	Node      int
@@ -117,10 +146,6 @@ type ContainerProfile struct {
 	// FirstTaskHeapMB is the heap occupancy at the first task submission,
 	// the paper's estimator for the Code Overhead pool Mi.
 	FirstTaskHeapMB float64
-
-	Killed     bool
-	KillReason string
-	KilledAt   float64
 }
 
 // Profile is the complete artifact of one profiled application run.
@@ -138,7 +163,7 @@ type Profile struct {
 	Aborted  bool    // the job failed permanently
 
 	Containers []*ContainerProfile
-	Tasks      []TaskEvent
+	Waves      []TaskWave
 
 	CPUUtil  Timeline // cluster-average CPU utilization, 0..1
 	DiskUtil Timeline // cluster-average disk utilization, 0..1
@@ -186,11 +211,12 @@ func (p *Profile) SpillFraction() float64 {
 // fraction of heap capacity — the metric plotted in Figures 4(b), 6(b), 7(b).
 func (p *Profile) MaxHeapUtilization() float64 {
 	var m float64
+	var peak seriesMax
 	for _, c := range p.Containers {
 		if c.HeapCapMB <= 0 {
 			continue
 		}
-		u := c.HeapUsed.Max() / c.HeapCapMB
+		u := peak.of(c.HeapUsed) / c.HeapCapMB
 		if u > m {
 			m = u
 		}
@@ -198,17 +224,41 @@ func (p *Profile) MaxHeapUtilization() float64 {
 	return m
 }
 
+// NumTasks returns the number of tasks the run executed.
+func (p *Profile) NumTasks() int {
+	n := 0
+	for _, w := range p.Waves {
+		n += w.Tasks
+	}
+	return n
+}
+
+// EachTask expands the waves into the per-task event log, in execution order.
+func (p *Profile) EachTask(fn func(TaskEvent)) {
+	for _, w := range p.Waves {
+		t := TaskEvent{Stage: w.Stage, Start: w.Start, End: w.End, GCTime: w.GCTime, SpillMB: w.SpillMB, ShuffleMB: w.ShuffleMB}
+		for k := 0; k < w.Tasks; k++ {
+			t.Index, t.Container = w.First+k, k%max(1, w.Containers)
+			fn(t)
+		}
+	}
+}
+
 // GCOverhead returns the average fraction of task time spent in GC pauses —
 // the per-task GC overhead metric of Figures 7(c), 8, 9, 10.
 func (p *Profile) GCOverhead() float64 {
 	var gc, total float64
-	for _, t := range p.Tasks {
-		dur := t.End - t.Start
+	for _, w := range p.Waves {
+		dur := w.End - w.Start
 		if dur <= 0 {
 			continue
 		}
-		gc += t.GCTime
-		total += dur
+		// One addition per task, not Tasks×: a float sum depends on its
+		// order, and the figures are pinned to the per-task one.
+		for k := 0; k < w.Tasks; k++ {
+			gc += w.GCTime
+			total += dur
+		}
 	}
 	if total == 0 {
 		return 0
@@ -227,6 +277,6 @@ func (p *Profile) String() string {
 		status = "ABORTED"
 	}
 	return fmt.Sprintf("%s [%s] %.1fmin %d containers %d tasks H=%.2f S=%.2f failures=%d",
-		p.Workload, status, p.Duration/60, len(p.Containers), len(p.Tasks),
+		p.Workload, status, p.Duration/60, len(p.Containers), p.NumTasks(),
 		p.HitRatio(), p.SpillFraction(), p.ContainerFailures)
 }

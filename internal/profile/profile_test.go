@@ -68,9 +68,9 @@ func TestMaxHeapUtilization(t *testing.T) {
 }
 
 func TestGCOverhead(t *testing.T) {
-	p := &Profile{Tasks: []TaskEvent{
-		{Start: 0, End: 10, GCTime: 2},
-		{Start: 0, End: 10, GCTime: 4},
+	p := &Profile{Waves: []TaskWave{
+		{Tasks: 1, Start: 0, End: 10, GCTime: 2},
+		{Tasks: 1, Start: 0, End: 10, GCTime: 4},
 	}}
 	if o := p.GCOverhead(); math.Abs(o-0.3) > 1e-9 {
 		t.Fatalf("GC overhead = %v", o)

@@ -61,30 +61,37 @@ func Generate(p *Profile) Stats {
 		CoresPerNode: p.CoresPerNode,
 	}
 
-	var mis, mcs, mss, mus, oldPeaks []float64
+	n := len(p.Containers)
+	mis, mcs, oldPeaks := make([]float64, 0, n), make([]float64, 0, n), make([]float64, 0, n)
+	var mss, mus []float64
+	var cachePeak, shufflePeak, oldPeak seriesMax
 	for _, c := range p.Containers {
 		mis = append(mis, c.FirstTaskHeapMB)
-		mcs = append(mcs, c.CacheUsed.Max())
-		if peak := c.ShuffleUsed.Max(); peak > 0 {
-			mss = append(mss, peak/float64(maxInt(1, s.P)))
+		mcs = append(mcs, cachePeak.of(c.CacheUsed))
+		if peak := shufflePeak.of(c.ShuffleUsed); peak > 0 {
+			mss = append(mss, peak/float64(max(1, s.P)))
 		}
 		for _, gc := range c.GCEvents {
 			if !gc.Full {
 				continue
 			}
 			s.HadFullGC = true
-			running := maxInt(1, gc.Running)
+			running := max(1, gc.Running)
 			perTask := (gc.HeapAfter - c.FirstTaskHeapMB - gc.CacheAtGC) / float64(running)
 			// Subtract the shuffle component: the instantaneous Task Shuffle
 			// value is available from instrumentation; the remainder is the
 			// unmanaged pool.
-			perTask -= c.ShuffleUsed.At(gc.T) / float64(running)
+			shuffle := gc.ShuffleAtGC
+			if shuffle == 0 {
+				shuffle = c.ShuffleUsed.At(gc.T)
+			}
+			perTask -= shuffle / float64(running)
 			if perTask < 0 {
 				perTask = 0
 			}
 			mus = append(mus, perTask)
 		}
-		oldPeaks = append(oldPeaks, c.OldUsed.Max())
+		oldPeaks = append(oldPeaks, oldPeak.of(c.OldUsed))
 	}
 
 	s.MiMB = stats.Percentile(mis, 90)
@@ -100,7 +107,7 @@ func Generate(p *Profile) Stats {
 		// beyond the code overhead is (over-)charged to the tasks — the up
 		// to two-orders-of-magnitude over-estimate of Figure 22.
 		old := stats.Percentile(oldPeaks, 90)
-		s.MuMB = (old - s.MiMB) / float64(maxInt(1, s.P))
+		s.MuMB = (old - s.MiMB) / float64(max(1, s.P))
 	}
 	if s.MuMB < 1 {
 		s.MuMB = 1
@@ -113,11 +120,4 @@ func (s Stats) String() string {
 	return fmt.Sprintf(
 		"N=%d Mh=%.0fMB CPUavg=%.0f%% Diskavg=%.0f%% Mi=%.0fMB Mc=%.0fMB Ms=%.0fMB Mu=%.0fMB P=%d H=%.2f S=%.2f fullGC=%v",
 		s.N, s.MhMB, s.CPUAvg*100, s.DiskAvg*100, s.MiMB, s.McMB, s.MsMB, s.MuMB, s.P, s.H, s.S, s.HadFullGC)
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

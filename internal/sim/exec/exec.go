@@ -59,7 +59,10 @@ type engine struct {
 	containers int
 	slotsNode  int // concurrently running task slots per node
 	prof       *profile.Profile
-	heaps      []*jvm.Heap
+	// Containers are homogeneous: one representative heap is simulated, and
+	// its timelines are recorded once and shared by every container.
+	heap                                           *jvm.Heap
+	heapUsed, oldUsed, rss, cacheUsed, shuffleUsed profile.Timeline
 
 	now           float64
 	aborted       bool
@@ -115,23 +118,39 @@ func (e *engine) setup() {
 		CoresPerNode: e.cl.CoresPerNode,
 	}
 	layout := jvm.Layout{HeapMB: e.heapMB, NewRatio: e.cfg.NewRatio, SurvivorRatio: e.cfg.SurvivorRatio}
-	cost := jvm.DefaultCostModel()
-	for i := 0; i < e.containers; i++ {
-		h := jvm.New(layout, cost)
-		h.Tenure(e.wl.CodeOverheadMB)
-		e.heaps = append(e.heaps, h)
-		cp := &profile.ContainerProfile{
+	e.heap = jvm.New(layout, jvm.DefaultCostModel())
+	e.heap.Tenure(e.wl.CodeOverheadMB)
+
+	// The stage plan fixes the wave count of a run that does not abort, and
+	// with it every record's size.
+	slots, waves := e.containers*e.cfg.TaskConcurrency, 0
+	for _, st := range e.wl.Stages {
+		waves += max(1, st.Repeat) * ((st.Tasks + slots - 1) / slots)
+	}
+	e.prof.Waves = make([]profile.TaskWave, 0, waves)
+	e.heapUsed = make(profile.Timeline, 0, 1+2*waves)
+	e.oldUsed = make(profile.Timeline, 0, 1+waves)
+	e.rss = make(profile.Timeline, 0, 1+2*waves)
+	e.cacheUsed = make(profile.Timeline, 0, waves)
+	e.shuffleUsed = make(profile.Timeline, 0, 2*waves)
+	e.heapUsed.Append(0, e.wl.CodeOverheadMB)
+	e.oldUsed.Append(0, e.wl.CodeOverheadMB)
+	e.rss.Append(0, e.heapMB*0.4+e.heap.Cost.NativeBaseMB)
+
+	cps := make([]profile.ContainerProfile, e.containers)
+	e.prof.Containers = make([]*profile.ContainerProfile, e.containers)
+	for i := range cps {
+		cps[i] = profile.ContainerProfile{
 			ID:              i,
 			Node:            i % e.cl.Nodes,
 			HeapCapMB:       e.heapMB,
 			PhysCapMB:       e.physCap,
 			FirstTaskHeapMB: e.wl.CodeOverheadMB * e.rng.Norm(1, 0.02),
 		}
-		cp.HeapUsed.Append(0, e.wl.CodeOverheadMB)
-		cp.OldUsed.Append(0, e.wl.CodeOverheadMB)
-		cp.RSS.Append(0, e.heapMB*0.4+cost.NativeBaseMB)
-		e.prof.Containers = append(e.prof.Containers, cp)
+		e.prof.Containers[i] = &cps[i]
 	}
+	// Container 0 also carries the one young-GC event a wave records.
+	cps[0].GCEvents = make([]profile.GCEvent, 0, waves)
 	e.planCache()
 }
 
@@ -275,7 +294,8 @@ func (e *engine) runStage(si, iter int, st workload.StageSpec) {
 			waveTasks = tasks
 		}
 		tasks -= waveTasks
-		_, taskDur, gc := e.runWave(si, st, l, waveTasks, &taskIdx)
+		_, taskDur, gc := e.runWave(si, st, l, waveTasks, taskIdx)
+		taskIdx += waveTasks
 		stageTaskDur = taskDur
 		waves++
 		if gc.Tasks() > 0 {
@@ -305,7 +325,7 @@ type waveGC struct {
 
 func (w waveGC) Tasks() int { return w.tasksPerC }
 
-func (e *engine) runWave(si int, st workload.StageSpec, l stageLoad, waveTasks int, taskIdx *int) (waveDur, taskDur float64, gcOut waveGC) {
+func (e *engine) runWave(si int, st workload.StageSpec, l stageLoad, waveTasks, firstTask int) (waveDur, taskDur float64, gcOut waveGC) {
 	p := e.cfg.TaskConcurrency
 	cores := float64(e.cl.CoresPerNode)
 
@@ -337,8 +357,7 @@ func (e *engine) runWave(si int, st workload.StageSpec, l stageLoad, waveTasks i
 		taskDur = 0.2
 	}
 
-	// --- Heap behaviour: containers are homogeneous, so one representative
-	// heap is simulated and mirrored. ---
+	// --- Heap behaviour of the representative container. ---
 	tasksPerC := p
 	if waveTasks < e.containers*p {
 		tasksPerC = (waveTasks + e.containers - 1) / e.containers
@@ -373,17 +392,14 @@ func (e *engine) runWave(si int, st workload.StageSpec, l stageLoad, waveTasks i
 		load.NativeRateMBps = float64(tasksPerC) * perTask
 	}
 
-	gc := e.heaps[0].SimulateWave(load)
-	for i := 1; i < len(e.heaps); i++ {
-		e.heaps[i].OldUsedMB = e.heaps[0].OldUsedMB
-	}
+	gc := e.heap.SimulateWave(load)
 
 	pause := gc.PauseSec
 	waveDur = taskDur + pause
 	start := e.now
 	e.now += waveDur
 
-	e.recordWave(si, st, l, gc, start, waveDur, taskDur, pause, waveTasks, tasksPerC, cacheLive, taskIdx)
+	e.recordWave(si, st, l, gc, start, waveDur, taskDur, pause, waveTasks, tasksPerC, cacheLive, firstTask)
 
 	e.cpuUtilSum += cpuUtil * waveDur
 	e.diskUtilSum += diskUtil * waveDur
@@ -475,35 +491,35 @@ func normCDF(z float64) float64 {
 	return 0.5 * math.Erfc(-z/math.Sqrt2)
 }
 
-// recordWave appends timeline samples, GC events and task events for a wave.
+// recordWave appends the wave's timeline samples (once, for all containers),
+// each container's GC events, and the wave's run-length task record.
 func (e *engine) recordWave(si int, st workload.StageSpec, l stageLoad, gc jvm.WaveResult,
-	start, waveDur, taskDur, pause float64, waveTasks, tasksPerC int, cacheLive float64, taskIdx *int) {
+	start, waveDur, taskDur, pause float64, waveTasks, tasksPerC int, cacheLive float64, firstTask int) {
 
 	end := start + waveDur
-	for ci, cp := range e.prof.Containers {
-		cp.HeapUsed.Append(start, gc.PeakHeap*0.8)
-		cp.HeapUsed.Append(end, gc.PeakHeap)
-		cp.OldUsed.Append(end, gc.OldAfter)
-		cp.RSS.Append(start, e.heapMB*0.9+e.heaps[0].Cost.NativeBaseMB)
-		cp.RSS.Append(end, gc.PeakRSS)
-		cp.CacheUsed.Append(end, cacheLive)
-		cp.ShuffleUsed.Append(start, float64(tasksPerC)*l.held)
-		cp.ShuffleUsed.Append(end, 0)
+	shuffleLive := float64(tasksPerC) * l.held
+	e.heapUsed.Append(start, gc.PeakHeap*0.8)
+	e.heapUsed.Append(end, gc.PeakHeap)
+	e.oldUsed.Append(end, gc.OldAfter)
+	e.rss.Append(start, e.heapMB*0.9+e.heap.Cost.NativeBaseMB)
+	e.rss.Append(end, gc.PeakRSS)
+	e.cacheUsed.Append(end, cacheLive)
+	e.shuffleUsed.Append(start, shuffleLive)
+	e.shuffleUsed.Append(end, 0)
 
-		// Representative GC events: one young event plus the full events
-		// (capped per wave) with the post-collection residency that the
-		// statistics generator reads Mu from.
+	// Representative GC events: one young event plus the full events
+	// (capped per wave) with the post-collection residency that the
+	// statistics generator reads Mu from. The residency noise is drawn per
+	// container, which is why these stay per container.
+	eventPause := pause / float64(gc.YoungGCs+gc.FullGCs+1)
+	fulls := min(gc.FullGCs, 3)
+	for ci, cp := range e.prof.Containers {
 		if gc.YoungGCs > 0 && ci == 0 {
 			cp.GCEvents = append(cp.GCEvents, profile.GCEvent{
-				T: start + waveDur*0.4, Full: false,
-				Pause:      pause / float64(gc.YoungGCs+gc.FullGCs+1),
+				T: start + waveDur*0.4, Full: false, Pause: eventPause,
 				HeapBefore: gc.PeakHeap, HeapAfter: gc.PeakHeap * 0.75,
-				OldAfter: gc.OldAfter, CacheAtGC: cacheLive, Running: tasksPerC,
+				OldAfter: gc.OldAfter, CacheAtGC: cacheLive, ShuffleAtGC: shuffleLive, Running: tasksPerC,
 			})
-		}
-		fulls := gc.FullGCs
-		if fulls > 3 {
-			fulls = 3
 		}
 		for f := 0; f < fulls; f++ {
 			frac := (float64(f) + 0.6) / (float64(fulls) + 0.6)
@@ -513,28 +529,24 @@ func (e *engine) recordWave(si int, st workload.StageSpec, l stageLoad, gc jvm.W
 				after = e.heapMB
 			}
 			cp.GCEvents = append(cp.GCEvents, profile.GCEvent{
-				T: start + waveDur*frac, Full: true,
-				Pause:      pause / float64(gc.YoungGCs+gc.FullGCs+1),
+				T: start + waveDur*frac, Full: true, Pause: eventPause,
 				HeapBefore: math.Min(e.heapMB, after*1.15), HeapAfter: after,
-				OldAfter: gc.OldAfter, CacheAtGC: cacheLive, Running: tasksPerC,
+				OldAfter: gc.OldAfter, CacheAtGC: cacheLive, ShuffleAtGC: shuffleLive, Running: tasksPerC,
 			})
 		}
 	}
 
-	// Task events, distributed across containers round-robin.
-	for t := 0; t < waveTasks; t++ {
-		e.prof.Tasks = append(e.prof.Tasks, profile.TaskEvent{
-			Stage:     si,
-			Index:     *taskIdx,
-			Container: t % e.containers,
-			Start:     start,
-			End:       start + taskDur + pause,
-			GCTime:    pause,
-			SpillMB:   l.spillMBPer,
-			ShuffleMB: st.ShuffleNeedMBPerTask,
-		})
-		*taskIdx++
-	}
+	e.prof.Waves = append(e.prof.Waves, profile.TaskWave{
+		Stage:      si,
+		First:      firstTask,
+		Tasks:      waveTasks,
+		Containers: e.containers,
+		Start:      start,
+		End:        start + taskDur + pause,
+		GCTime:     pause,
+		SpillMB:    l.spillMBPer,
+		ShuffleMB:  st.ShuffleNeedMBPerTask,
+	})
 }
 
 func (e *engine) finish() (Result, *profile.Profile) {
@@ -544,6 +556,13 @@ func (e *engine) finish() (Result, *profile.Profile) {
 	}
 	e.prof.Aborted = e.aborted
 	e.prof.ContainerFailures = e.failures
+	// Every container sees the one recorded series, capacity-clipped so an
+	// Append on one reallocates instead of writing into its siblings.
+	clip := func(tl profile.Timeline) profile.Timeline { return tl[:len(tl):len(tl)] }
+	for _, cp := range e.prof.Containers {
+		cp.HeapUsed, cp.OldUsed, cp.RSS = clip(e.heapUsed), clip(e.oldUsed), clip(e.rss)
+		cp.CacheUsed, cp.ShuffleUsed = clip(e.cacheUsed), clip(e.shuffleUsed)
+	}
 
 	res := Result{
 		RuntimeSec:        e.prof.Duration,

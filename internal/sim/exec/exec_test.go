@@ -6,6 +6,7 @@ import (
 	"testing/quick"
 
 	"relm/internal/conf"
+	"relm/internal/profile"
 	"relm/internal/sim/cluster"
 	"relm/internal/sim/workload"
 )
@@ -63,8 +64,8 @@ func TestResultRanges(t *testing.T) {
 		if len(prof.Containers) != cluster.A().Containers(cfg.ContainersPerNode) {
 			t.Errorf("%s: %d container profiles", wl.Name, len(prof.Containers))
 		}
-		if len(prof.Tasks) == 0 {
-			t.Errorf("%s: no task events", wl.Name)
+		if !r.Aborted && prof.NumTasks() != wl.TotalTasks() {
+			t.Errorf("%s: %d task events, want %d", wl.Name, prof.NumTasks(), wl.TotalTasks())
 		}
 	}
 }
@@ -246,5 +247,56 @@ func TestRunSanityProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Error(err)
+	}
+}
+
+// The containers of a run share one recorded series per timeline. They are
+// read-only views, capacity-clipped so that appending to one copies: without
+// the clip, two containers' appends would land in the same spare slot. An
+// aborted run is the case that has spare slots: it stops short of the waves
+// the series were sized for.
+func TestContainersShareReadOnlyTimelines(t *testing.T) {
+	cfg := conf.Default()
+	cfg.ContainersPerNode = 4
+	var prof *profile.Profile
+	for seed := uint64(0); prof == nil || !prof.Aborted; seed++ {
+		if seed == 6 {
+			t.Fatal("K-means at n=4 did not abort on any seed")
+		}
+		_, prof = Run(cluster.A(), workload.KMeans(), cfg, seed)
+	}
+	timelines := func(c *profile.ContainerProfile) []*profile.Timeline {
+		return []*profile.Timeline{&c.HeapUsed, &c.OldUsed, &c.RSS, &c.CacheUsed, &c.ShuffleUsed}
+	}
+	a, b, c := timelines(prof.Containers[0]), timelines(prof.Containers[1]), timelines(prof.Containers[2])
+	for i := range a {
+		ta, tb, tc := a[i], b[i], c[i]
+		n, peak := len(*tc), tc.Max()
+		if n == 0 || &(*ta)[0] != &(*tb)[0] || &(*ta)[0] != &(*tc)[0] {
+			t.Fatalf("timeline %d: containers do not share their samples", i)
+		}
+		ta.Append(1e9, 1e9)
+		tb.Append(2e9, 7)
+		if (*ta)[n] != (profile.Sample{T: 1e9, V: 1e9}) || (*tb)[n] != (profile.Sample{T: 2e9, V: 7}) {
+			t.Fatalf("timeline %d: appends on two containers collided: %v, %v", i, (*ta)[n], (*tb)[n])
+		}
+		if len(*tc) != n || tc.Max() != peak {
+			t.Fatalf("timeline %d: Append on containers 0 and 1 reached container 2", i)
+		}
+	}
+}
+
+// Generate reads the shuffle level at a full GC from the event; it must be
+// the value the shuffle timeline holds at that instant.
+func TestShuffleAtGCMatchesTimeline(t *testing.T) {
+	for _, wl := range workload.Benchmarks() {
+		_, prof := Run(cluster.A(), wl, conf.DefaultShuffle(), 3)
+		for _, c := range prof.Containers {
+			for _, g := range c.GCEvents {
+				if want := c.ShuffleUsed.At(g.T); g.ShuffleAtGC != want {
+					t.Fatalf("%s: ShuffleAtGC = %v at t=%v, timeline says %v", wl.Name, g.ShuffleAtGC, g.T, want)
+				}
+			}
+		}
 	}
 }
