@@ -14,7 +14,8 @@
 // rewriting the log; with -fsync, appends are group-committed — concurrent
 // observations share one fsync batch, optionally coalescing for an extra
 // -commit-interval (the latency cap).
-// A PR-2-format data directory (single wal.jsonl) is adopted transparently.
+// A pre-segmentation data directory (single wal.jsonl) is refused at
+// start-up with an error naming the file.
 // The model repository is bounded by -repo-cap with least-recently-matched
 // eviction and inspectable at GET /v1/repository.
 //

@@ -79,20 +79,6 @@ type Options struct {
 	SurrogateAppendHist *obs.Histogram
 	SurrogateRefitHist  *obs.Histogram
 	AcquisitionHist     *obs.Histogram
-
-	// Kernel is a deprecated alias for Surrogate.Kernel; the nested field
-	// wins when both are set.
-	Kernel string
-	// Fit is the deprecated func-valued surrogate override; it is wrapped
-	// onto the gp.Surrogate interface and retrains from the full matrix on
-	// every data change. Use Surrogate.Model instead.
-	Fit SurrogateFit
-	// RefitEvery is a deprecated alias for Surrogate.RefitEvery.
-	RefitEvery int
-	// RefitDrift is a deprecated alias for Surrogate.RefitDrift.
-	RefitDrift float64
-	// Prior is a deprecated alias for Surrogate.Prior.
-	Prior []PriorPoint
 }
 
 func (o *Options) fill() {
@@ -108,30 +94,9 @@ func (o *Options) fill() {
 	if o.MaxIterations == 0 {
 		o.MaxIterations = 25
 	}
-	// Merge the deprecated flat aliases into the nested config; a set
-	// nested field always wins.
-	s := &o.Surrogate
-	if s.Kernel == "" {
-		s.Kernel = o.Kernel
+	if o.Surrogate.Kernel == "" {
+		o.Surrogate.Kernel = "rbf"
 	}
-	if s.Kernel == "" {
-		s.Kernel = "rbf"
-	}
-	if s.Model == nil && o.Fit != nil {
-		s.Model = &fitSurrogate{fn: o.Fit}
-	}
-	if s.RefitEvery == 0 {
-		s.RefitEvery = o.RefitEvery
-	}
-	if s.RefitDrift == 0 {
-		s.RefitDrift = o.RefitDrift
-	}
-	if s.Prior == nil {
-		s.Prior = o.Prior
-	}
-	// Keep the aliases readable after fill so code holding an Options value
-	// sees one consistent story.
-	o.Kernel, o.RefitEvery, o.RefitDrift, o.Prior = s.Kernel, s.RefitEvery, s.RefitDrift, s.Prior
 }
 
 // Extra computes additional surrogate features for a candidate point.
@@ -146,17 +111,23 @@ type Extra func(x []float64, cfg conf.Config) []float64
 type Penalty func(x []float64, cfg conf.Config) float64
 
 // Surrogate is the minimal Predict-only view of a response-surface model,
-// kept for Result.FinalModel consumers and the deprecated SurrogateFit
-// override. The tuner itself drives the richer gp.Surrogate interface.
+// kept for Result.FinalModel consumers. The tuner itself drives the richer
+// gp.Surrogate interface.
 type Surrogate interface {
 	Predict(x []float64) (mean, variance float64)
 }
 
-// SurrogateFit trains a surrogate on the observations collected so far.
-//
-// Deprecated: implement gp.Surrogate and set SurrogateConfig.Model instead;
-// a func override forces a full retrain on every observation.
-type SurrogateFit func(xs [][]float64, ys []float64) (Surrogate, error)
+// surrogateModel exposes a gp.Surrogate through the Predict-only Surrogate
+// interface. Each Predict uses a fresh scratch, so the view is safe to
+// share across goroutines.
+type surrogateModel struct {
+	s gp.Surrogate
+}
+
+func (m surrogateModel) Predict(x []float64) (mean, variance float64) {
+	var sc gp.Scratch
+	return m.s.PredictInto(x, &sc)
+}
 
 // Result reports one optimization run.
 type Result struct {

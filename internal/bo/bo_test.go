@@ -6,6 +6,7 @@ import (
 	"testing/quick"
 
 	"relm/internal/conf"
+	"relm/internal/gp"
 	"relm/internal/sim/cluster"
 	"relm/internal/sim/workload"
 	"relm/internal/tune"
@@ -135,24 +136,58 @@ func TestPenaltyShapesAcquisition(t *testing.T) {
 	}
 }
 
+// TestRFSurrogateDropIn: a full-model override (the Random-Forest ablation
+// in internal/rf is the real one) plugs in through Surrogate.Model; here a
+// trivial constant surrogate is accepted and consulted.
 func TestRFSurrogateDropIn(t *testing.T) {
-	// Fit override is exercised in the rf package tests via Options.Fit;
-	// here verify a trivial constant surrogate is accepted.
 	ev := tune.NewEvaluator(cluster.A(), workload.WordCount(), 7)
+	model := &constSurrogate{}
 	res := Run(ev, Options{
 		Seed: 7, MaxIterations: 3, MinNewSamples: 1,
-		Fit: func(xs [][]float64, ys []float64) (Surrogate, error) {
-			return constSurrogate{mean: avg(ys)}, nil
-		},
+		Surrogate: SurrogateConfig{Model: model},
 	}, nil)
 	if !res.Found {
 		t.Fatal("custom surrogate run found nothing")
 	}
+	if model.stats.Fits == 0 || model.predicts == 0 {
+		t.Fatalf("override never trained or never predicted: %+v, %d predictions", model.stats, model.predicts)
+	}
 }
 
-type constSurrogate struct{ mean float64 }
+// constSurrogate is a gp.Surrogate test double predicting the mean of its
+// training targets everywhere.
+type constSurrogate struct {
+	ys       []float64
+	stats    gp.SurrogateStats
+	predicts int
+}
 
-func (c constSurrogate) Predict([]float64) (float64, float64) { return c.mean, 1 }
+func (c *constSurrogate) SetData(_ [][]float64, ys []float64) error {
+	c.ys = append(c.ys[:0], ys...)
+	c.stats.Fits++
+	return nil
+}
+
+func (c *constSurrogate) Append(_ []float64, y float64) error {
+	c.ys = append(c.ys, y)
+	c.stats.Appends++
+	return nil
+}
+
+func (c *constSurrogate) PredictInto([]float64, *gp.Scratch) (float64, float64) {
+	c.predicts++
+	return avg(c.ys), 1
+}
+
+func (c *constSurrogate) PredictBatch(xs [][]float64, means, vars []float64, _ *gp.Scratch) {
+	for i := range xs {
+		means[i], vars[i] = c.PredictInto(xs[i], nil)
+	}
+}
+
+func (c *constSurrogate) LogMarginalLikelihood() float64 { return math.NaN() }
+
+func (c *constSurrogate) Stats() gp.SurrogateStats { return c.stats }
 
 func avg(xs []float64) float64 {
 	var s float64

@@ -209,7 +209,7 @@ func RunWithReuse(ev *tune.Evaluator, opts Options, repo *Repository, maxDistanc
 
 	reused := false
 	if entry, _, ok := repo.Match(ev.Cluster.Name, fp, maxDistance); ok {
-		opts.Prior = entry.RescaledPoints(s.RuntimeSec)
+		opts.Surrogate.Prior = entry.RescaledPoints(s.RuntimeSec)
 		// The warm start replaces most of the bootstrap, and a trusted prior
 		// shortens the adaptive phase: the session only needs to confirm and
 		// locally refine the matched model's optimum.

@@ -131,7 +131,7 @@ func TestPriorPointsNeverBecomeIncumbent(t *testing.T) {
 		Cfg: ev.Space.Decode([]float64{0.5, 0.5, 0.5, 0.5}),
 		Y:   0.001,
 	}}
-	res := Run(ev, Options{Seed: 12, MaxIterations: 2, MinNewSamples: 1, Prior: prior}, nil)
+	res := Run(ev, Options{Seed: 12, MaxIterations: 2, MinNewSamples: 1, Surrogate: SurrogateConfig{Prior: prior}}, nil)
 	if !res.Found {
 		t.Fatal("no best")
 	}

@@ -133,7 +133,6 @@ func (t *Tuner) WarmStart(points []PriorPoint) {
 		return
 	}
 	t.opts.Surrogate.Prior = append([]PriorPoint(nil), points...)
-	t.opts.Prior = t.opts.Surrogate.Prior
 	best := points[0]
 	for _, p := range points {
 		t.seen[p.Cfg] = true

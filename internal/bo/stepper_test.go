@@ -181,38 +181,11 @@ func TestIncrementalSurrogateSchedule(t *testing.T) {
 		t.Fatalf("scheduled path: %d full fits vs %d appends — appends should dominate", fits, appends)
 	}
 
-	fits1, appends1 := drive(Options{Seed: 7, MaxIterations: 30, MinNewSamples: 30, EIFraction: -1, RefitEvery: 1}, 24)
+	fits1, appends1 := drive(Options{Seed: 7, MaxIterations: 30, MinNewSamples: 30, EIFraction: -1, Surrogate: SurrogateConfig{RefitEvery: 1}}, 24)
 	if appends1 != 0 {
 		t.Fatalf("RefitEvery=1 must re-select every observation, got %d appends (%d fits)", appends1, fits1)
 	}
 	if fits1 == 0 {
 		t.Fatal("RefitEvery=1 recorded no fits")
-	}
-}
-
-// A custom surrogate override (e.g. the Random-Forest ablation) bypasses
-// the incremental GP entirely: the deprecated func override retrains from
-// the full matrix on every data change, so the stats report one fit per
-// round and no incremental appends.
-func TestCustomFitBypassesIncrementalPath(t *testing.T) {
-	cl := cluster.A()
-	wl, _ := workload.ByName("K-means")
-	ev := tune.NewEvaluator(cl, wl, 4)
-	opts := Options{Seed: 9, MaxIterations: 2, MinNewSamples: 1,
-		Fit: func(xs [][]float64, ys []float64) (Surrogate, error) {
-			return constSurrogate{mean: 100}, nil
-		}}
-	tn := NewTuner(ev.Space, opts, nil, nil)
-	rounds := 0
-	for !tn.Done() {
-		tn.Observe(ev.Eval(tn.Suggest()))
-		rounds++
-	}
-	fits, appends := tn.SurrogateStats()
-	if appends != 0 {
-		t.Fatalf("func override has no incremental path, got %d appends", appends)
-	}
-	if fits == 0 || fits > rounds+1 {
-		t.Fatalf("func override should retrain once per round: fits=%d rounds=%d", fits, rounds)
 	}
 }

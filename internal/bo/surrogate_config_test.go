@@ -1,74 +1,12 @@
 package bo
 
 import (
-	"fmt"
 	"testing"
 
 	"relm/internal/sim/cluster"
 	"relm/internal/sim/workload"
 	"relm/internal/tune"
 )
-
-// Satellite acceptance: the deprecated flat Options fields are aliases of
-// the nested SurrogateConfig — both spellings must fill to the same config
-// and drive byte-identical sessions.
-func TestFlatOptionsAliasNestedConfig(t *testing.T) {
-	flat := Options{Seed: 3, Kernel: "matern52", RefitEvery: 5, RefitDrift: 0.1,
-		Prior: []PriorPoint{{X: []float64{0.1, 0.2, 0.3, 0.4}, Y: 120}}}
-	nested := Options{Seed: 3, Surrogate: SurrogateConfig{Kernel: "matern52", RefitEvery: 5, RefitDrift: 0.1,
-		Prior: []PriorPoint{{X: []float64{0.1, 0.2, 0.3, 0.4}, Y: 120}}}}
-	flat.fill()
-	nested.fill()
-	if flat.Surrogate.Kernel != nested.Surrogate.Kernel ||
-		flat.Surrogate.RefitEvery != nested.Surrogate.RefitEvery ||
-		flat.Surrogate.RefitDrift != nested.Surrogate.RefitDrift ||
-		len(flat.Surrogate.Prior) != len(nested.Surrogate.Prior) {
-		t.Fatalf("flat aliases filled differently:\nflat   %+v\nnested %+v", flat.Surrogate, nested.Surrogate)
-	}
-	// After fill the aliases read back the merged values.
-	if flat.Kernel != "matern52" || nested.Kernel != "matern52" {
-		t.Fatalf("aliases not synced back: flat=%q nested=%q", flat.Kernel, nested.Kernel)
-	}
-	// The nested field wins when both are set.
-	both := Options{Kernel: "matern52", Surrogate: SurrogateConfig{Kernel: "rbf"}}
-	both.fill()
-	if both.Surrogate.Kernel != "rbf" || both.Kernel != "rbf" {
-		t.Fatalf("nested kernel should win over the flat alias, got %q/%q", both.Surrogate.Kernel, both.Kernel)
-	}
-}
-
-// Both spellings of the same surrogate configuration must drive identical
-// sessions: same suggestions, same incumbent.
-func TestFlatAndNestedOptionsDriveIdenticalSessions(t *testing.T) {
-	cl := cluster.A()
-	wl, _ := workload.ByName("K-means")
-
-	run := func(opts Options) (best tune.Sample, trace []string) {
-		ev := tune.NewEvaluator(cl, wl, 21)
-		tn := NewTuner(ev.Space, opts, nil, nil)
-		for i := 0; !tn.Done() && i < 40; i++ {
-			cfg := tn.Suggest()
-			trace = append(trace, fmt.Sprintf("%+v", cfg))
-			tn.Observe(ev.Eval(cfg))
-		}
-		best, _ = tn.Best()
-		return best, trace
-	}
-
-	flatBest, flatTrace := run(Options{Seed: 13, Kernel: "matern52", RefitEvery: 3})
-	nestedBest, nestedTrace := run(Options{Seed: 13, Surrogate: SurrogateConfig{Kernel: "matern52", RefitEvery: 3}})
-	if len(flatTrace) != len(nestedTrace) {
-		t.Fatalf("session lengths diverged: %d vs %d", len(flatTrace), len(nestedTrace))
-	}
-	for i := range flatTrace {
-		if flatTrace[i] != nestedTrace[i] {
-			t.Fatalf("suggestion %d diverged:\nflat   %s\nnested %s", i, flatTrace[i], nestedTrace[i])
-		}
-	}
-	if flatBest.Config != nestedBest.Config {
-		t.Fatalf("best diverged: %+v vs %+v", flatBest.Config, nestedBest.Config)
-	}
-}
 
 // Tentpole acceptance (bounded degradation): a session whose surrogate is
 // compressed far below its observation count must still land an incumbent

@@ -94,7 +94,7 @@ func Followers(self string, peers []Peer, factor int) []Peer {
 		}
 	}
 	sort.Slice(out, func(i, j int) bool {
-		si, sj := rendezvous(out[i].Name, self), rendezvous(out[j].Name, self)
+		si, sj := Rendezvous(out[i].Name, self), Rendezvous(out[j].Name, self)
 		if si != sj {
 			return si > sj
 		}
@@ -106,11 +106,18 @@ func Followers(self string, peers []Peer, factor int) []Peer {
 	return out
 }
 
-// rendezvous scores placing key on the named node: FNV-1a over
-// "name\x00key" through a splitmix64 finalizer (shared recipe with
-// internal/router — the finalizer keeps short-string hashes from biasing
-// toward one node).
-func rendezvous(name, key string) uint64 {
+// Rendezvous is the highest-random-weight score of placing key on the named
+// node — the one placement function of the cluster: the router picks a
+// session's owner with it, Followers picks a primary's replicas. It is
+// FNV-1a over "name\x00key" pushed through a splitmix64 finalizer. The
+// finalizer matters: raw FNV of short strings leaves the name's contribution
+// parked in the high bits, so one node would outscore the rest for almost
+// every key. The winner of a key is the node with the highest score, so
+// every caller agrees statelessly and removing a node remaps only the keys
+// it owned.
+func Rendezvous(name, key string) uint64 {
+	// FNV-1a inlined: hash/fnv allocates its state on every New64a, and the
+	// router scores once per node per routed request.
 	const prime = 1099511628211
 	x := uint64(14695981039346656037)
 	for i := 0; i < len(name); i++ {

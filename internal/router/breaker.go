@@ -2,6 +2,7 @@ package router
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"net/http"
 	"time"
@@ -148,7 +149,7 @@ func (n *node) retried() {
 // breaker capacity, counts the transport outcome, and reports
 // errBreakerOpen when the node is not taking data-path traffic. HTTP
 // error statuses are successes to the breaker — the node answered.
-func (r *Router) sendTracked(client *http.Client, req *http.Request, n *node, method, path, query string, body []byte) (int, []byte, http.Header, error) {
+func (r *Router) sendTracked(ctx context.Context, client *http.Client, n *node, method, path, query string, body []byte) (int, []byte, http.Header, error) {
 	if !n.brAcquire(time.Now()) {
 		return 0, nil, nil, errBreakerOpen
 	}
@@ -166,9 +167,9 @@ func (r *Router) sendTracked(client *http.Client, req *http.Request, n *node, me
 		}
 	}
 	start := time.Now()
-	status, buf, hdr, err := r.send(client, req, n, method, path, query, body)
+	status, buf, hdr, err := r.send(ctx, client, n, method, path, query, body)
 	r.histProxy.Record(time.Since(start))
-	obs.TraceFrom(req.Context()).AddSpan("proxy "+n.name, start)
+	obs.TraceFrom(ctx).AddSpan("proxy "+n.name, start)
 	if err != nil {
 		if st := n.brFailure(r.opts.BreakerThreshold, r.opts.BreakerProbe, r.opts.BreakerProbeMax, time.Now()); st >= 0 {
 			r.logf("router: node %s breaker %s (%v)", n.name, breakerWord(st), err)

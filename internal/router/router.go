@@ -13,17 +13,16 @@
 // create (the backends honour them via Spec.ID) so the routing key exists
 // before the session does.
 //
-// Node drain/hand-off (POST /v1/cluster/drain/{node}) leans on the
-// service's durability: the draining node force-harvests its sessions into
-// the model repository and closes them (POST /v1/drain), the router imports
-// the exported repository into the surviving nodes, and re-creates each
-// non-terminal session — same ID, original spec — on its new rendezvous
-// owner with a warm-start request, so the successor seeds the rebuilt
-// session from the drained node's observations (§6.6 model re-use).
+// Sessions move between nodes one way (handoff.go): a draining node (POST
+// /v1/cluster/drain/{node}) and a promoted replica of a dead one both yield
+// a service.HandoffReport, and handOff posts each of its session snapshots
+// to the session's new rendezvous owner, which rebuilds the tuner from it
+// exactly as crash recovery would — same history, same next suggestion.
 package router
 
 import (
 	"bytes"
+	"context"
 	"crypto/rand"
 	"encoding/json"
 	"errors"
@@ -39,6 +38,7 @@ import (
 
 	"relm/internal/fault"
 	"relm/internal/obs"
+	"relm/internal/replica"
 )
 
 // Backend names one relm-serve node. Name is the node identity the backend
@@ -304,41 +304,12 @@ func (r *Router) logf(format string, args ...any) {
 
 // --- placement -------------------------------------------------------------
 
-// score is the rendezvous weight of placing key on the named node: FNV-1a
-// over "name\x00key" pushed through a splitmix64 finalizer. The finalizer
-// matters: raw FNV of short strings leaves the name's contribution parked
-// in the high bits, so one node would outscore the rest for almost every
-// key. The owner of a key is the eligible node with the highest score, so
-// every router replica agrees on placement statelessly and removing a node
-// remaps only the keys it owned.
-func score(name, key string) uint64 {
-	// FNV-1a inlined: hash/fnv allocates its state on every New64a, and
-	// score runs once per node per routed request.
-	const prime = 1099511628211
-	x := uint64(14695981039346656037)
-	for i := 0; i < len(name); i++ {
-		x ^= uint64(name[i])
-		x *= prime
-	}
-	x *= prime // the \x00 separator (XOR with 0 is identity)
-	for i := 0; i < len(key); i++ {
-		x ^= uint64(key[i])
-		x *= prime
-	}
-	x ^= x >> 30
-	x *= 0xbf58476d1ce4e5b9
-	x ^= x >> 27
-	x *= 0x94d049bb133111eb
-	x ^= x >> 31
-	return x
-}
-
 // candidates returns the given nodes ordered by descending rendezvous score
 // for key (ties broken by name, so ordering is total).
 func candidates(nodes []*node, key string) []*node {
 	out := append([]*node(nil), nodes...)
 	sort.Slice(out, func(i, j int) bool {
-		si, sj := score(out[i].name, key), score(out[j].name, key)
+		si, sj := replica.Rendezvous(out[i].name, key), replica.Rendezvous(out[j].name, key)
 		if si != sj {
 			return si > sj
 		}
@@ -370,7 +341,7 @@ func (r *Router) pick(key string) *node {
 		if !n.eligible() || !n.brAvailable(now) {
 			continue
 		}
-		s := score(n.name, key)
+		s := replica.Rendezvous(n.name, key)
 		if best == nil || s > bestScore || (s == bestScore && n.name < best.name) {
 			best, bestScore = n, s
 		}
@@ -497,8 +468,9 @@ func (r *Router) checkNode(n *node) error {
 
 // --- proxying --------------------------------------------------------------
 
-// send issues one backend request and returns status + body.
-func (r *Router) send(client *http.Client, req *http.Request, n *node, method, path, query string, body []byte) (int, []byte, http.Header, error) {
+// send issues one backend request and returns status + body. The trace in
+// ctx, if any, is propagated so the backend's spans join it.
+func (r *Router) send(ctx context.Context, client *http.Client, n *node, method, path, query string, body []byte) (int, []byte, http.Header, error) {
 	u := *n.base
 	u.Path = strings.TrimSuffix(u.Path, "/") + path
 	u.RawQuery = query
@@ -506,20 +478,14 @@ func (r *Router) send(client *http.Client, req *http.Request, n *node, method, p
 	if body != nil {
 		rd = bytes.NewReader(body)
 	}
-	out, err := http.NewRequestWithContext(req.Context(), method, u.String(), rd)
+	out, err := http.NewRequestWithContext(ctx, method, u.String(), rd)
 	if err != nil {
 		return 0, nil, nil, err
 	}
 	if body != nil {
 		out.Header.Set("Content-Type", "application/json")
 	}
-	// Propagate the trace ID so the backend's spans join this request's
-	// trace. The context trace is authoritative (the middleware minted or
-	// adopted it); the raw header is the fallback for internal callers that
-	// bypass the middleware.
-	if id := obs.TraceFrom(req.Context()).ID(); id != "" {
-		out.Header.Set(obs.TraceHeader, id)
-	} else if id := req.Header.Get(obs.TraceHeader); id != "" {
+	if id := obs.TraceFrom(ctx).ID(); id != "" {
 		out.Header.Set(obs.TraceHeader, id)
 	}
 	resp, err := client.Do(out)
@@ -596,7 +562,7 @@ func (r *Router) handleSession(w http.ResponseWriter, req *http.Request) {
 	var lastErr error
 	retries := 0
 	for _, n := range cands {
-		status, buf, hdr, err := r.sendTracked(r.client, req, n, req.Method, req.URL.Path, req.URL.RawQuery, body)
+		status, buf, hdr, err := r.sendTracked(req.Context(), r.client, n, req.Method, req.URL.Path, req.URL.RawQuery, body)
 		if err != nil {
 			if errors.Is(err, errBreakerOpen) {
 				continue // breaker race: skipping costs no budget
@@ -696,7 +662,7 @@ func (r *Router) handleCreate(w http.ResponseWriter, req *http.Request) {
 	var refused *miss
 	retries := 0
 	for _, n := range cands {
-		status, buf, hdr, err := r.sendTracked(r.client, req, n, http.MethodPost, "/v1/sessions", "", body)
+		status, buf, hdr, err := r.sendTracked(req.Context(), r.client, n, http.MethodPost, "/v1/sessions", "", body)
 		if err != nil {
 			if errors.Is(err, errBreakerOpen) {
 				continue

@@ -13,6 +13,7 @@ import (
 
 	"relm/internal/profile"
 	"relm/internal/service"
+	"relm/internal/store"
 )
 
 // fastCheck are health-check options quick enough for tests.
@@ -36,13 +37,20 @@ type testCluster struct {
 
 func newTestCluster(t *testing.T, names ...string) *testCluster {
 	t.Helper()
+	return newTestClusterStores(t, nil, names...)
+}
+
+// newTestClusterStores is newTestCluster with a journal under the nodes
+// stores names (the others run without one).
+func newTestClusterStores(t *testing.T, stores map[string]store.Store, names ...string) *testCluster {
+	t.Helper()
 	tc := &testCluster{
 		managers: make(map[string]*service.Manager),
 		servers:  make(map[string]*httptest.Server),
 	}
 	var backends []Backend
 	for _, name := range names {
-		m := service.NewManager(service.Options{NodeID: name, Workers: 1, TTL: time.Hour})
+		m := service.NewManager(service.Options{NodeID: name, Workers: 1, TTL: time.Hour, Store: stores[name]})
 		srv := httptest.NewServer(service.NewHandler(m))
 		tc.managers[name] = m
 		tc.servers[name] = srv
@@ -351,102 +359,6 @@ func TestMergePartialFailure(t *testing.T) {
 	}
 	if detail.Nodes["c"] == "" || !strings.Contains(detail.Nodes["c"], "500") {
 		t.Fatalf("502 body lacks per-node detail for c: %+v", detail)
-	}
-}
-
-// TestDrainHandoffWarmStart is the in-process acceptance scenario: a
-// session created through the router survives the drain of its home
-// backend, and its post-drain incarnation on the successor is warm-started
-// from the repository entries the drain exported.
-func TestDrainHandoffWarmStart(t *testing.T) {
-	tc := newTestCluster(t, "a", "b")
-
-	var created service.StatusResponse
-	code, _ := tc.do(t, http.MethodPost, "/v1/sessions", map[string]any{
-		"backend": "gbo", "workload": "K-means", "seed": 3, "max_iterations": 40,
-		"warm_start": true, "stats": testStats(), "default_runtime_sec": 240.0,
-	}, &created)
-	if code != http.StatusCreated {
-		t.Fatalf("create: status %d", code)
-	}
-	home := created.Node
-	successor := "b"
-	if home == "b" {
-		successor = "a"
-	}
-
-	// A few real observations so the drained model has something to carry.
-	for i := 0; i < 4; i++ {
-		var sug service.SuggestResponse
-		if code, _ := tc.do(t, http.MethodPost, "/v1/sessions/"+created.ID+"/suggest", nil, &sug); code != http.StatusOK {
-			t.Fatalf("suggest: status %d", code)
-		}
-		if code, _ := tc.do(t, http.MethodPost, "/v1/sessions/"+created.ID+"/observe",
-			map[string]any{"config": sug.Config, "runtime_sec": 200.0 - float64(i)*5}, nil); code != http.StatusOK {
-			t.Fatalf("observe: status %d", code)
-		}
-	}
-
-	var drained struct {
-		Node       string `json:"node"`
-		Closed     int    `json:"closed"`
-		Models     int    `json:"models"`
-		Reassigned []struct {
-			ID          string `json:"id"`
-			Node        string `json:"node"`
-			WarmStarted bool   `json:"warm_started"`
-		} `json:"reassigned"`
-	}
-	if code, _ := tc.do(t, http.MethodPost, "/v1/cluster/drain/"+home, nil, &drained); code != http.StatusOK {
-		t.Fatalf("drain: status %d (%+v)", code, drained)
-	}
-	if drained.Closed < 1 || drained.Models < 1 {
-		t.Fatalf("drain closed %d sessions, exported %d models", drained.Closed, drained.Models)
-	}
-	found := false
-	for _, ra := range drained.Reassigned {
-		if ra.ID == created.ID {
-			found = true
-			if ra.Node != successor {
-				t.Fatalf("session reassigned to %q, want successor %q", ra.Node, successor)
-			}
-			if !ra.WarmStarted {
-				t.Fatalf("reassigned session was not warm-started")
-			}
-		}
-	}
-	if !found {
-		t.Fatalf("session %s missing from reassignments: %+v", created.ID, drained.Reassigned)
-	}
-
-	// The same ID keeps working through the router, now on the successor,
-	// and its suggestions come from a repository-warm-started model.
-	var st service.StatusResponse
-	code, hdr := tc.do(t, http.MethodGet, "/v1/sessions/"+created.ID, nil, &st)
-	if code != http.StatusOK {
-		t.Fatalf("get after drain: status %d", code)
-	}
-	if got := hdr.Get("X-Relm-Node"); got != successor {
-		t.Fatalf("post-drain request served by %q, want %q", got, successor)
-	}
-	if !st.WarmStarted || st.State != service.StateActive {
-		t.Fatalf("post-drain session not warm-started/active: %+v", st)
-	}
-	var sug service.SuggestResponse
-	if code, _ := tc.do(t, http.MethodPost, "/v1/sessions/"+created.ID+"/suggest", nil, &sug); code != http.StatusOK {
-		t.Fatalf("post-drain suggest: status %d", code)
-	}
-
-	// The drained node takes no new sessions.
-	draining := tc.router.nodeByName(home)
-	if draining.eligible() {
-		t.Fatalf("drained node %s still eligible for placement", home)
-	}
-	if code, _ := tc.do(t, http.MethodPost, "/v1/sessions",
-		map[string]any{"backend": "bo", "workload": "PageRank"}, &st); code != http.StatusCreated {
-		t.Fatalf("create after drain: status %d", code)
-	} else if st.Node != successor {
-		t.Fatalf("post-drain create landed on %q, want %q", st.Node, successor)
 	}
 }
 

@@ -6,15 +6,14 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
-	"time"
 
 	"relm/internal/store"
 )
 
-// These tests are the promotion half of fail-over at the Manager level:
-// ExtractHandoff replays a (copied) replica directory exactly like crash
-// recovery, and a successor manager rebuilt from the hand-off package must
-// be bit-exact with the lost one.
+// These tests are the hand-over at the Manager level: ExtractHandoff
+// replays a (copied) replica directory exactly like crash recovery, Drain
+// cuts the live sessions loose, and a successor that Adopts either report
+// must be bit-exact with the manager that gave the sessions up.
 
 // copyDir clones a store directory — the stand-in for a fully caught-up
 // replica (the shipper is byte-exact, see internal/replica).
@@ -95,42 +94,44 @@ func driveSessions(t *testing.T, dir string) (ids []string, histories map[string
 	return ids, histories, nextSuggest
 }
 
-// recreateFromHandoff replays a hand-off package into a fresh in-memory
-// manager the way a promoting router does: create under the original ID
-// with the packaged prior, then re-drive the recorded suggest/observe
-// interleaving.
-func recreateFromHandoff(t *testing.T, rep HandoffReport) *Manager {
+// adoptAll installs every session of a hand-over report in m, the way a
+// router's handOff does: one Adopt per session.
+func adoptAll(t *testing.T, m *Manager, rep HandoffReport) {
 	t.Helper()
-	m := NewManager(Options{Workers: 1, NodeID: "b"})
-	for _, hs := range rep.Sessions {
-		spec := hs.Spec
-		spec.ID = hs.ID
-		if _, err := m.Create(spec); err != nil {
-			t.Fatalf("recreate %s: %v", hs.ID, err)
-		}
-		for i, h := range hs.History {
-			if h.Suggested {
-				if _, _, err := m.Suggest(hs.ID); err != nil {
-					t.Fatalf("replay %s suggest %d: %v", hs.ID, i, err)
-				}
-			}
-			if _, err := m.Observe(hs.ID, Observation{
-				Config:     h.Config,
-				RuntimeSec: h.RuntimeSec,
-				Aborted:    h.Aborted,
-				GCOverhead: h.GCOverhead,
-				Stats:      h.Stats,
-			}); err != nil {
-				t.Fatalf("replay %s observe %d: %v", hs.ID, i, err)
-			}
+	for _, ss := range rep.Sessions {
+		if _, err := m.Adopt(ss); err != nil {
+			t.Fatalf("adopt %s: %v", ss.ID, err)
 		}
 	}
-	return m
+}
+
+// requireSuccessor asserts m serves each session's exact history and the
+// exact suggestion the previous owner had outstanding.
+func requireSuccessor(t *testing.T, m *Manager, ids []string, histories map[string][]HistoryEntry, nextSuggest map[string]string) {
+	t.Helper()
+	for _, id := range ids {
+		hist, err := m.History(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !historiesEqual(hist, histories[id]) {
+			t.Fatalf("session %s: handed-over history differs", id)
+		}
+		cfg, _, err := m.Suggest(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := fmt.Sprintf("%+v", cfg); got != nextSuggest[id] {
+			t.Fatalf("session %s: successor suggests %s, previous owner would have suggested %s", id, got, nextSuggest[id])
+		}
+	}
 }
 
 // TestPromotionReplayBitMatch is the heart of fail-over correctness: a
-// successor rebuilt from the replica's hand-off package serves the same
-// histories AND the same next suggestion as the killed node would have.
+// successor that adopts the replica's hand-over report serves the same
+// histories AND the same next suggestion as the killed node would have —
+// and so does the successor's own crash recovery, because Adopt journaled
+// the sessions like any others.
 func TestPromotionReplayBitMatch(t *testing.T) {
 	dir := t.TempDir()
 	ids, histories, nextSuggest := driveSessions(t, dir)
@@ -142,25 +143,33 @@ func TestPromotionReplayBitMatch(t *testing.T) {
 	if len(rep.Sessions) != len(ids) {
 		t.Fatalf("hand-off recovered %d sessions, want %d", len(rep.Sessions), len(ids))
 	}
-	m2 := recreateFromHandoff(t, rep)
+	m2 := NewManager(Options{Workers: 1, NodeID: "b"})
 	defer m2.Close()
+	adoptAll(t, m2, rep)
+	requireSuccessor(t, m2, ids, histories, nextSuggest)
 
-	for _, id := range ids {
-		hist, err := m2.History(id)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !historiesEqual(hist, histories[id]) {
-			t.Fatalf("session %s: replayed history differs", id)
-		}
-		cfg, _, err := m2.Suggest(id)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := fmt.Sprintf("%+v", cfg); got != nextSuggest[id] {
-			t.Fatalf("session %s: successor suggests %s, dead node would have suggested %s", id, got, nextSuggest[id])
-		}
+	// adopt → crash → reopen: the successor's WAL alone rebuilds them.
+	succDir := t.TempDir()
+	fs, err := store.OpenFile(succDir, store.FileOptions{SegmentBytes: 512})
+	if err != nil {
+		t.Fatal(err)
 	}
+	m3, err := Open(Options{Workers: 1, NodeID: "c", Store: fs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	adoptAll(t, m3, rep)
+	crash(m3)
+	fs2, err := store.OpenFile(succDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m4, err := Open(Options{Workers: 1, NodeID: "c", Store: fs2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m4.Close()
+	requireSuccessor(t, m4, ids, histories, nextSuggest)
 }
 
 // TestPromotionTornTail: the primary was killed mid-append (or the
@@ -257,187 +266,4 @@ func TestPromotionSealedCorruptionIsLoud(t *testing.T) {
 	if _, err := ExtractHandoff(replica, "a"); err == nil || !strings.Contains(err.Error(), "corrupt") {
 		t.Fatalf("sealed corruption replayed silently: err=%v", err)
 	}
-}
-
-// TestCreateWithExplicitPrior covers the hand-off seeding path: Spec.Prior
-// bypasses repository matching, counts as a warm start, survives restarts
-// (journaled as a warm event), and two managers created from the same
-// prior+history suggest identically.
-func TestCreateWithExplicitPrior(t *testing.T) {
-	dir := t.TempDir()
-	fs, err := store.OpenFile(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m1, err := Open(Options{Workers: 1, Store: fs})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// Harvest a donor session's history into prior points.
-	donor, err := m1.Create(Spec{Backend: "bo", Workload: "K-means", Seed: 7, MaxIterations: 6})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for step := 0; step < 3; step++ {
-		cfg, _, err := m1.Suggest(donor.ID)
-		if err != nil {
-			t.Fatal(err)
-		}
-		obs := measure(t, "", "K-means", Observation{Config: cfg}, uint64(step))
-		if _, err := m1.Observe(donor.ID, obs); err != nil {
-			t.Fatal(err)
-		}
-	}
-	crashRep, err := ExtractHandoff(copyDir(t, dir), "a")
-	if err != nil {
-		t.Fatal(err)
-	}
-	// An active non-warm session must still ride its own auto path or, for
-	// remote mode, replay by history — the donor is remote, so Prior stays
-	// empty and History carries everything.
-	if len(crashRep.Sessions) != 1 || len(crashRep.Sessions[0].History) != 3 {
-		t.Fatalf("donor hand-off: %+v", crashRep.Sessions)
-	}
-
-	prior := historyPrior(mustSession(t, m1, donor.ID))
-	st, err := m1.Create(Spec{Backend: "gbo", Workload: "K-means", Seed: 8, MaxIterations: 6,
-		Prior: prior, PriorSource: "K-means", PriorDistance: 0.1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !st.WarmStarted {
-		t.Fatal("explicit prior did not count as a warm start")
-	}
-	cfg1, _, err := m1.Suggest(st.ID)
-	if err != nil {
-		t.Fatal(err)
-	}
-	crash(m1)
-
-	// Restart: the journaled warm event must restore the same seeding.
-	fs2, err := store.OpenFile(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m2, err := Open(Options{Workers: 1, Store: fs2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer m2.Close()
-	st2, err := m2.Get(st.ID)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !st2.WarmStarted {
-		t.Fatal("warm start lost across restart")
-	}
-	cfg2, _, err := m2.Suggest(st.ID)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fmt.Sprintf("%+v", cfg1) != fmt.Sprintf("%+v", cfg2) {
-		t.Fatalf("prior-seeded suggestion drifted across restart: %+v vs %+v", cfg1, cfg2)
-	}
-}
-
-// TestAutoSessionHandoffCarriesPrior: auto sessions are not replayed
-// observation by observation — their own history becomes the successor's
-// prior and a worker re-drives them. The crashed WAL is journaled by hand
-// (create + observes, no terminal event — exactly what a mid-flight worker
-// leaves behind) so the test never races a live worker to the stopping
-// rule.
-func TestAutoSessionHandoffCarriesPrior(t *testing.T) {
-	// Generate two measured configurations with a throwaway remote session
-	// of the same backend/workload/seed.
-	gen := NewManager(Options{Workers: 1})
-	gst, err := gen.Create(Spec{Backend: "bo", Workload: "SVM", Seed: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var obsns []Observation
-	for i := 0; i < 2; i++ {
-		cfg, _, err := gen.Suggest(gst.ID)
-		if err != nil {
-			t.Fatal(err)
-		}
-		o := measure(t, "", "SVM", Observation{Config: cfg}, uint64(i))
-		if _, err := gen.Observe(gst.ID, o); err != nil {
-			t.Fatal(err)
-		}
-		obsns = append(obsns, o)
-	}
-	crash(gen)
-
-	dir := t.TempDir()
-	fs, err := store.OpenFile(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	spec := Spec{Backend: "bo", Workload: "SVM", Mode: ModeAuto, Seed: 2, MaxIterations: 40}
-	now := time.Now()
-	if _, err := fs.Append(&store.Event{Type: store.EventCreate, ID: "a-sess-1", Time: now, Spec: specRecord(spec)}); err != nil {
-		t.Fatal(err)
-	}
-	for i, o := range obsns {
-		ev := &store.Event{Type: store.EventObserve, ID: "a-sess-1", Time: now, N: i, Obs: &store.Observation{
-			Config: o.Config, RuntimeSec: o.RuntimeSec, Aborted: o.Aborted, Stats: o.Stats,
-		}}
-		if _, err := fs.Append(ev); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := fs.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	rep, err := ExtractHandoff(dir, "a")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rep.Sessions) != 1 {
-		t.Fatalf("hand-off sessions: %+v", rep.Sessions)
-	}
-	hs := rep.Sessions[0]
-	if hs.Spec.Mode != ModeAuto || len(hs.Spec.Prior) == 0 {
-		t.Fatalf("auto hand-off must carry its history as a prior: mode=%q prior=%d", hs.Spec.Mode, len(hs.Spec.Prior))
-	}
-	if len(hs.Spec.Prior) != len(hs.History) {
-		t.Fatalf("prior has %d points, history %d entries", len(hs.Spec.Prior), len(hs.History))
-	}
-	if hs.Spec.WarmStart {
-		t.Fatal("explicit prior must disable repository re-matching")
-	}
-}
-
-// mustSession digs the live session struct out of a manager (test-only).
-func mustSession(t *testing.T, m *Manager, id string) *Session {
-	t.Helper()
-	for _, sh := range m.shards {
-		sh.mu.Lock()
-		if s, ok := sh.sessions[id]; ok {
-			sh.mu.Unlock()
-			return s
-		}
-		sh.mu.Unlock()
-	}
-	t.Fatalf("session %s not found", id)
-	return nil
-}
-
-// waitEvals blocks until a session has at least n recorded observations.
-func waitEvals(t *testing.T, m *Manager, id string, n int) {
-	t.Helper()
-	deadline := 2000
-	for i := 0; i < deadline; i++ {
-		st, err := m.Get(id)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if st.Evals >= n {
-			return
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	t.Fatalf("session %s never reached %d evals", id, n)
 }

@@ -8,40 +8,97 @@ import (
 	"relm/internal/store"
 )
 
-// This file is the promotion half of fail-over: turning a dead node's
-// replicated WAL into a hand-off package a router can re-create the lost
-// sessions from. It reuses the restore machinery verbatim — a replica
-// directory is a valid store directory, so replaying it is exactly the
-// crash recovery the node itself would have run — but into a detached
-// Manager shell that never starts goroutines or journals anything.
+// This file is the hand-over of sessions between nodes. There is one unit
+// (store.SessionSnapshot — what compaction already writes), one producer
+// (handOver, called by Drain on the live manager and by BuildHandoff on a
+// dead primary's replayed replica) and one consumer (Adopt, which rebuilds
+// the session with the same rebuildSession crash recovery uses). A session
+// therefore resumes on its next owner exactly as it would have on a
+// restarted node: same history, same next suggestion.
 
-// HandoffSession is one non-terminal session recovered from a replica:
-// everything a successor needs to continue it under its original ID.
-type HandoffSession struct {
-	ID    string
-	State string // state at the primary's death
-	Evals int
-	// Spec is the re-create spec: ID cleared, Prior seeded with the warm
-	// start the lost instance held (or, for auto sessions, its own
-	// history) so the successor resumes from equivalent optimizer state.
-	Spec Spec
-	// History is the full recorded experiment sequence, in order. Remote
-	// sessions are replayed into the successor observation by observation
-	// (each entry's Suggested bit says whether to re-arm a suggestion
-	// first), reproducing the lost tuner bit-exactly.
-	History []HistoryEntry
+// HandoffReport is what a node gives up when it leaves — planned (Drain) or
+// not (a promoted replica): its non-terminal sessions, sorted by ID, plus
+// its model repository. It is its own wire body for POST /v1/drain and
+// POST /v1/replica/promote; each session is POSTed as-is to its successor's
+// /v1/handoff/adopt.
+type HandoffReport struct {
+	Node     string                  `json:"node,omitempty"`
+	Sessions []store.SessionSnapshot `json:"sessions"`
+	Repo     []bo.RepoEntry          `json:"models"`
 }
 
-// HandoffReport is the product of promoting a replica: the dead node's
-// non-terminal sessions plus its model repository.
-type HandoffReport struct {
-	Node     string // the dead primary the replica belonged to
-	Sessions []HandoffSession
-	Repo     []bo.RepoEntry
+// resumable reports whether a session in this state still has work to do —
+// the sessions a hand-over moves; done, failed and closed ones stay behind.
+func resumable(state string) bool {
+	return state == StateActive || state == StateQueued || state == StateRunning
+}
+
+// handOver detaches every non-terminal session from the manager and
+// returns them with the model repository. Each session is cut under its own
+// lock — snapshotted, closed, tombstoned, the close journaled — so an
+// observation is either in the snapshot or refused with ErrClosed, never
+// acknowledged and left behind. Harvested is cleared so that finishing on
+// the successor still feeds the repository there. Terminal sessions stay:
+// they have nothing left to continue.
+func (m *Manager) handOver() HandoffReport {
+	rep := HandoffReport{Node: m.opts.NodeID, Sessions: []store.SessionSnapshot{}}
+	now := m.opts.Now()
+	for _, sh := range m.shards {
+		first := len(rep.Sessions)
+		sh.mu.Lock()
+		for id, s := range sh.sessions {
+			s.mu.Lock()
+			if resumable(s.state) {
+				ss := sessionSnapshot(s)
+				ss.Harvested = false
+				rep.Sessions = append(rep.Sessions, ss)
+				s.state = StateClosed
+				delete(sh.sessions, id)
+				sh.closed[id] = tombstoneKept
+				m.count.Add(-1)
+			}
+			s.mu.Unlock()
+		}
+		sh.mu.Unlock()
+		for _, ss := range rep.Sessions[first:] {
+			m.journalClose(ss.ID, now)
+		}
+	}
+	sort.Slice(rep.Sessions, func(i, j int) bool { return rep.Sessions[i].ID < rep.Sessions[j].ID })
+	rep.Repo = m.Repository().Entries
+	return rep
+}
+
+// Drain takes this node out of service: it stops accepting sessions (Create
+// and Adopt fail with ErrDraining), force-harvests every live session into
+// the model repository — a partial model still transfers (§6.6) — hands the
+// non-terminal sessions over, and closes the terminal rest with journaled
+// tombstones. The report carries everything the successors need; nothing
+// has to be replicated first. Draining is terminal for the process and
+// idempotent: a second Drain reports no sessions.
+func (m *Manager) Drain() HandoffReport {
+	m.draining.Store(true)
+	// Barrier: in-flight Creates registered under life.RLock before the
+	// flag flipped; wait them out so the passes below see every session.
+	m.life.Lock()
+	m.life.Unlock() //nolint:staticcheck // empty critical section is the barrier
+
+	for _, s := range m.sessionList() {
+		s.mu.Lock()
+		if s.state != StateFailed {
+			m.harvestLocked(s) // idempotent; done sessions already harvested
+		}
+		s.mu.Unlock()
+	}
+	rep := m.handOver()
+	for _, s := range m.sessionList() {
+		_ = m.CloseSession(s.id)
+	}
+	return rep
 }
 
 // ExtractHandoff replays the replica directory of a dead primary into a
-// hand-off package. The directory must be fenced against further ingest
+// hand-over report. The directory must be fenced against further ingest
 // first (replica.Set.Promote); opening recovers it exactly like a local
 // restart — a torn tail in the replicated active segment is truncated,
 // corruption in a sealed replica segment fails the promotion loudly.
@@ -60,65 +117,97 @@ func ExtractHandoff(dir, node string) (HandoffReport, error) {
 	return BuildHandoff(snap, events, node)
 }
 
-// BuildHandoff replays a snapshot + log into a detached Manager shell and
-// collects the hand-off package: every non-terminal session with its full
-// history and a prior to seed its successor, plus the repository.
+// BuildHandoff replays a snapshot + log — exactly the crash recovery the
+// node itself would have run — into a detached Manager shell that never
+// starts goroutines or journals anything, and hands its sessions over.
 func BuildHandoff(snap *store.Snapshot, events []store.Event, node string) (HandoffReport, error) {
-	m := newManager(Options{})
+	m := newManager(Options{NodeID: node})
 	if _, err := m.restore(snap, events); err != nil {
 		return HandoffReport{}, err
 	}
-	rep := HandoffReport{Node: node}
-	for _, sh := range m.shards {
-		for id, s := range sh.sessions {
-			if s.state != StateActive && s.state != StateQueued && s.state != StateRunning {
-				continue
-			}
-			hs := HandoffSession{
-				ID:      id,
-				State:   s.state,
-				Evals:   len(s.history),
-				Spec:    s.spec,
-				History: append([]HistoryEntry(nil), s.history...),
-			}
-			hs.Spec.ID = ""
-			switch {
-			case s.warm != nil:
-				// Seed the successor with the exact warm start the lost
-				// instance held; WarmStart is cleared so the successor does
-				// not re-match a repository that may have changed since.
-				hs.Spec.Prior = s.warm.Points
-				hs.Spec.PriorSource = s.warm.Source
-				hs.Spec.PriorCluster = s.warm.Cluster
-				hs.Spec.PriorDistance = s.warm.Distance
-				hs.Spec.WarmStart = false
-			case s.spec.Mode == ModeAuto && len(s.history) > 0:
-				// Auto sessions are not replayed observation by observation
-				// (a worker re-drives them on the simulator); their own
-				// history becomes the prior, so the re-driven session starts
-				// from what the lost one had learned.
-				hs.Spec.Prior = historyPrior(s)
-				hs.Spec.PriorSource = s.spec.Workload
-				hs.Spec.PriorCluster = s.spec.Cluster
-				hs.Spec.WarmStart = false
-			}
-			rep.Sessions = append(rep.Sessions, hs)
-		}
-	}
-	sort.Slice(rep.Sessions, func(i, j int) bool { return rep.Sessions[i].ID < rep.Sessions[j].ID })
-	rep.Repo = append([]bo.RepoEntry(nil), m.repo.Entries...)
-	return rep, nil
+	return m.handOver(), nil
 }
 
-// historyPrior renders a session's own history as prior points.
-func historyPrior(s *Session) []bo.PriorPoint {
-	pts := make([]bo.PriorPoint, 0, len(s.history))
-	for _, h := range s.history {
-		pts = append(pts, bo.PriorPoint{
-			X:   s.space.Encode(h.Config),
-			Cfg: h.Config,
-			Y:   h.Objective,
-		})
+// Adopt installs a session another node handed over (POST
+// /v1/handoff/adopt). The session is rebuilt by rebuildSession like a
+// crash-recovered one, registered through the same gates as a created one
+// (draining, closed, MaxSessions, duplicate or tombstoned ID → ErrExists),
+// and journaled with the ordinary event types — create, warm, one observe
+// per history entry with its ordinal, a trailing suggest — so this node's
+// followers and its own recovery replay it like any other session. Auto
+// sessions go back on the worker pool.
+func (m *Manager) Adopt(ss store.SessionSnapshot) (Status, error) {
+	if !resumable(ss.State) {
+		return Status{}, fmt.Errorf("service: cannot adopt session %q in state %q", ss.ID, ss.State)
 	}
-	return pts
+	if err := m.checkID(ss.ID); err != nil {
+		return Status{}, err
+	}
+	s, err := m.rebuildSession(ss)
+	if err != nil {
+		return Status{}, err
+	}
+
+	events := make([]store.Event, 0, 2+len(ss.History))
+	events = append(events, store.Event{Type: store.EventCreate, ID: ss.ID, Time: ss.Created, Spec: &ss.Spec})
+	if s.warm != nil {
+		events = append(events, store.Event{Type: store.EventWarm, ID: ss.ID, Time: ss.Created, Warm: s.warm})
+	}
+	for i, h := range ss.History {
+		rec := h.Observation()
+		events = append(events, store.Event{Type: store.EventObserve, ID: ss.ID, Time: ss.LastUsed, N: i, Obs: &rec})
+	}
+
+	m.life.RLock()
+	defer m.life.RUnlock()
+	// s.mu is held from before the session becomes visible until its log is
+	// complete: a client call that finds it waits, and journals after it.
+	// (Taking a shard lock under s.mu inverts the usual order, safely: until
+	// register returns nobody else can reach s to wait on it.)
+	s.mu.Lock()
+	if err := m.register(s); err != nil {
+		s.mu.Unlock()
+		return Status{}, err
+	}
+	logged := 0
+	for ; logged < len(events); logged++ {
+		if _, jerr := m.journal(&events[logged]); jerr != nil {
+			err = fmt.Errorf("%w: %w", ErrJournal, jerr)
+			break
+		}
+	}
+	if err == nil {
+		if s.suggested {
+			// Advisory, as in Suggest: rebuildSession re-armed the tuner.
+			m.journal(&store.Event{Type: store.EventSuggest, ID: s.id, Time: ss.LastUsed})
+		}
+		if m.settle(s) {
+			select {
+			case m.jobs <- s:
+			default:
+				err = ErrBusy
+			}
+		}
+	}
+	if err != nil {
+		s.state = StateClosed
+		s.mu.Unlock()
+		// Once the create event is in the log, backing out takes a
+		// tombstone: a partial history with no close would resurrect on
+		// recovery beside the copy the router places elsewhere. Before
+		// that, the ID stays free.
+		if logged == 0 {
+			m.unregister(s)
+		} else {
+			m.removeSession(s.id)
+			m.journalClose(s.id, m.opts.Now())
+		}
+		return Status{}, err
+	}
+	defer s.mu.Unlock()
+	if s.warm != nil {
+		m.warmStarts.Add(1)
+	}
+	m.observations.Add(int64(len(s.history)))
+	return m.statusLocked(s), nil
 }

@@ -75,38 +75,9 @@ type CreateRequest struct {
 	Stats             *profile.Stats `json:"stats,omitempty"`
 	DefaultRuntimeSec float64        `json:"default_runtime_sec,omitempty"`
 
-	// PriorPoints explicitly seeds the optimizer, bypassing repository
-	// matching — the fail-over hand-off path (Spec.Prior): a promoted
-	// session is re-created with the exact points its lost instance held.
-	PriorPoints   []bo.PriorPoint `json:"prior_points,omitempty"`
-	PriorSource   string          `json:"prior_source,omitempty"`
-	PriorCluster  string          `json:"prior_cluster,omitempty"`
-	PriorDistance float64         `json:"prior_distance,omitempty"`
-
 	// Surrogate configures the BO/GBO response-surface model (kernel,
 	// active-set budget, refit schedule).
 	Surrogate *SurrogateSpec `json:"surrogate,omitempty"`
-
-	// Deprecated: flat aliases of the Surrogate object's fields, kept so
-	// pre-object clients keep working. Ignored when surrogate is present.
-	Kernel          string  `json:"kernel,omitempty"`
-	SurrogateBudget int     `json:"surrogate_budget,omitempty"`
-	RefitEvery      int     `json:"refit_every,omitempty"`
-	RefitDrift      float64 `json:"refit_drift,omitempty"`
-}
-
-// surrogateSpec resolves the request's surrogate configuration: the nested
-// object when present, otherwise the deprecated flat aliases.
-func (req *CreateRequest) surrogateSpec() SurrogateSpec {
-	if req.Surrogate != nil {
-		return *req.Surrogate
-	}
-	return SurrogateSpec{
-		Kernel:     req.Kernel,
-		Budget:     req.SurrogateBudget,
-		RefitEvery: req.RefitEvery,
-		RefitDrift: req.RefitDrift,
-	}
 }
 
 // ObserveRequest is the body of POST /v1/sessions/{id}/observe.
@@ -246,25 +217,6 @@ func stageFields(stages map[string]obs.Snapshot) (map[string]obs.Summary, map[st
 	return sums, hists
 }
 
-// DrainSessionJSON is one drained session on the wire: the state it held,
-// and the body a router can POST to a successor node (with the id re-added)
-// to re-create it, warm-started from the exported repository when the
-// session's fingerprint is known.
-type DrainSessionJSON struct {
-	ID     string        `json:"id"`
-	State  string        `json:"state"`
-	Evals  int           `json:"evals"`
-	Create CreateRequest `json:"create"`
-}
-
-// DrainResponse is the body of POST /v1/drain: the hand-off package.
-type DrainResponse struct {
-	Node     string             `json:"node,omitempty"`
-	Closed   int                `json:"closed"`
-	Sessions []DrainSessionJSON `json:"sessions"`
-	Models   []bo.RepoEntry     `json:"models"`
-}
-
 // RepoExportResponse is the body of GET /v1/repository/export — the full
 // repository entries, prior points included, for another node to import.
 // RepoImportRequest is the same shape POSTed to /v1/repository/import.
@@ -280,83 +232,6 @@ type RepoImportRequest struct {
 // RepoImportResponse is the body returned by POST /v1/repository/import.
 type RepoImportResponse struct {
 	Imported int `json:"imported"`
-}
-
-// specToCreateRequest renders a Spec as the wire request that re-creates it.
-// The surrogate object is emitted only when set, keeping hand-off bodies for
-// default-surrogate sessions byte-identical to previous releases.
-func specToCreateRequest(spec Spec) CreateRequest {
-	var sur *SurrogateSpec
-	if spec.Surrogate != (SurrogateSpec{}) {
-		s := spec.Surrogate
-		sur = &s
-	}
-	return CreateRequest{
-		Surrogate:         sur,
-		Backend:           spec.Backend,
-		Workload:          spec.Workload,
-		Cluster:           spec.Cluster,
-		Mode:              spec.Mode,
-		Seed:              spec.Seed,
-		MaxIterations:     spec.MaxIterations,
-		MaxSteps:          spec.MaxSteps,
-		WarmStart:         spec.WarmStart,
-		WarmMaxDistance:   spec.WarmMaxDistance,
-		Stats:             spec.Stats,
-		DefaultRuntimeSec: spec.DefaultRuntimeSec,
-		PriorPoints:       spec.Prior,
-		PriorSource:       spec.PriorSource,
-		PriorCluster:      spec.PriorCluster,
-		PriorDistance:     spec.PriorDistance,
-	}
-}
-
-// HandoffSessionJSON is one recovered session on the wire: the create
-// body a router POSTs to the session's new owner (ID re-added) plus the
-// history to replay into it.
-type HandoffSessionJSON struct {
-	ID      string        `json:"id"`
-	State   string        `json:"state"`
-	Evals   int           `json:"evals"`
-	Create  CreateRequest `json:"create"`
-	History []HistoryJSON `json:"history,omitempty"`
-}
-
-// HandoffResponse is the body of POST /v1/replica/promote: the dead
-// node's recovered sessions and model repository.
-type HandoffResponse struct {
-	Node     string               `json:"node"`
-	Sessions []HandoffSessionJSON `json:"sessions"`
-	Models   []bo.RepoEntry       `json:"models"`
-}
-
-func toHandoffResponse(rep HandoffReport) HandoffResponse {
-	resp := HandoffResponse{
-		Node:     rep.Node,
-		Sessions: make([]HandoffSessionJSON, 0, len(rep.Sessions)),
-		Models:   rep.Repo,
-	}
-	for _, hs := range rep.Sessions {
-		hj := HandoffSessionJSON{
-			ID:     hs.ID,
-			State:  hs.State,
-			Evals:  hs.Evals,
-			Create: specToCreateRequest(hs.Spec),
-		}
-		for _, h := range hs.History {
-			hj.History = append(hj.History, HistoryJSON{
-				Config:     toConfigJSON(h.Config),
-				RuntimeSec: h.RuntimeSec,
-				Objective:  h.Objective,
-				Aborted:    h.Aborted,
-				GCOverhead: h.GCOverhead,
-				Stats:      h.Stats,
-				Suggested:  h.Suggested,
-			})
-		}
-		resp.Sessions = append(resp.Sessions, hj)
-	}
-	return resp
 }
 
 // RepoEntryJSON is the wire form of one repository entry's inspection view.
@@ -429,11 +304,12 @@ type errorJSON struct {
 //	GET    /v1/repository             model-repository inspection (entries, fingerprints, hit/evict counters)
 //	GET    /v1/repository/export      full repository entries, prior points included
 //	POST   /v1/repository/import      merge another node's exported entries (idempotent)
-//	POST   /v1/drain                  take the node out of service; returns the hand-off package
+//	POST   /v1/drain                  take the node out of service; returns the HandoffReport
+//	POST   /v1/handoff/adopt          install one handed-over session (a store.SessionSnapshot); node-internal
 //	GET    /v1/replica/status         replication status (shipper + ingest sides); ?primary= filters
 //	POST   /v1/replica/segments       ingest one segment chunk (?primary=&segment=&offset=&min=)
 //	POST   /v1/replica/snapshot       ingest a snapshot (?primary=&hash=)
-//	POST   /v1/replica/promote        fence + replay a dead primary's replica; returns the hand-off
+//	POST   /v1/replica/promote        fence + replay a dead primary's replica; returns the HandoffReport
 //	GET    /healthz                   liveness + node identity + draining flag
 func NewHandler(m *Manager) http.Handler {
 	mux := http.NewServeMux()
@@ -443,8 +319,7 @@ func NewHandler(m *Manager) http.Handler {
 		if !decodeJSON(w, r, &req) {
 			return
 		}
-		spanStart := time.Now()
-		st, err := m.Create(Spec{
+		spec := Spec{
 			ID:                req.ID,
 			Backend:           req.Backend,
 			Workload:          req.Workload,
@@ -457,12 +332,12 @@ func NewHandler(m *Manager) http.Handler {
 			WarmMaxDistance:   req.WarmMaxDistance,
 			Stats:             req.Stats,
 			DefaultRuntimeSec: req.DefaultRuntimeSec,
-			Prior:             req.PriorPoints,
-			PriorSource:       req.PriorSource,
-			PriorCluster:      req.PriorCluster,
-			PriorDistance:     req.PriorDistance,
-			Surrogate:         req.surrogateSpec(),
-		})
+		}
+		if req.Surrogate != nil {
+			spec.Surrogate = *req.Surrogate
+		}
+		spanStart := time.Now()
+		st, err := m.Create(spec)
 		obs.TraceFrom(r.Context()).AddSpan("service.create", spanStart)
 		if err != nil {
 			writeError(w, err)
@@ -648,22 +523,22 @@ func NewHandler(m *Manager) http.Handler {
 	})
 
 	mux.HandleFunc("POST /v1/drain", func(w http.ResponseWriter, r *http.Request) {
-		rep := m.Drain()
-		resp := DrainResponse{
-			Node:     rep.Node,
-			Closed:   rep.Closed,
-			Sessions: make([]DrainSessionJSON, 0, len(rep.Sessions)),
-			Models:   rep.Repo,
+		writeJSON(w, http.StatusOK, m.Drain())
+	})
+
+	mux.HandleFunc("POST /v1/handoff/adopt", func(w http.ResponseWriter, r *http.Request) {
+		var ss store.SessionSnapshot
+		// A snapshot carries a whole history and possibly a warm start's
+		// prior points; same allowance as a repository import.
+		if !decodeJSONLimit(w, r, &ss, 64<<20) {
+			return
 		}
-		for _, ds := range rep.Sessions {
-			resp.Sessions = append(resp.Sessions, DrainSessionJSON{
-				ID:     ds.ID,
-				State:  ds.State,
-				Evals:  ds.Evals,
-				Create: specToCreateRequest(ds.Spec),
-			})
+		st, err := m.Adopt(ss)
+		if err != nil {
+			writeError(w, err)
+			return
 		}
-		writeJSON(w, http.StatusOK, resp)
+		writeJSON(w, http.StatusCreated, toStatusResponse(st))
 	})
 
 	mux.HandleFunc("GET /v1/repository/export", func(w http.ResponseWriter, r *http.Request) {
@@ -792,7 +667,7 @@ func NewHandler(m *Manager) http.Handler {
 			http.Error(w, err.Error(), http.StatusInternalServerError)
 			return
 		}
-		writeJSON(w, http.StatusOK, toHandoffResponse(rep))
+		writeJSON(w, http.StatusOK, rep)
 	})
 
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {

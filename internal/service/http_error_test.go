@@ -178,19 +178,40 @@ func TestHTTPNodeIdentityAndDrain(t *testing.T) {
 		t.Fatalf("observe: status %d", code)
 	}
 
-	var drain DrainResponse
+	var drain HandoffReport
 	if code := doJSON(t, http.MethodPost, srv.URL+"/v1/drain", nil, &drain); code != http.StatusOK {
 		t.Fatalf("drain: status %d", code)
 	}
-	if drain.Node != "node-a" || drain.Closed != 1 || len(drain.Sessions) != 1 || len(drain.Models) != 1 {
+	if drain.Node != "node-a" || len(drain.Sessions) != 1 || len(drain.Repo) != 1 {
 		t.Fatalf("drain report: %+v", drain)
 	}
 	ds := drain.Sessions[0]
-	if ds.ID != created.ID || ds.State != StateActive || ds.Evals != 1 {
+	if ds.ID != created.ID || ds.State != StateActive || len(ds.History) != 1 || ds.Harvested {
 		t.Fatalf("drained session: %+v", ds)
 	}
-	if !ds.Create.WarmStart || ds.Create.Stats == nil || ds.Create.ID != "" {
-		t.Fatalf("drained re-create spec not warm-start-ready: %+v", ds.Create)
+	if m.Len() != 0 {
+		t.Fatalf("drain left %d sessions behind", m.Len())
+	}
+
+	// The snapshot is the adopt body, verbatim: a successor takes it over
+	// HTTP with its history, and refuses a second copy.
+	succ := NewManager(Options{NodeID: "node-b", Workers: 1, TTL: time.Hour})
+	t.Cleanup(succ.Close)
+	succSrv := httptest.NewServer(NewHandler(succ))
+	t.Cleanup(succSrv.Close)
+	var adopted StatusResponse
+	if code := doJSON(t, http.MethodPost, succSrv.URL+"/v1/handoff/adopt", ds, &adopted); code != http.StatusCreated {
+		t.Fatalf("adopt: status %d", code)
+	}
+	if adopted.ID != created.ID || adopted.Node != "node-b" || adopted.Evals != 1 || adopted.State != StateActive {
+		t.Fatalf("adopted session: %+v", adopted)
+	}
+	if code := doJSON(t, http.MethodPost, succSrv.URL+"/v1/handoff/adopt", ds, nil); code != http.StatusConflict {
+		t.Fatalf("second adopt of the same session: status %d, want 409", code)
+	}
+	ds.ID = "elsewhere-1" // its own counter namespace would be a 400
+	if code := doJSON(t, http.MethodPost, srv.URL+"/v1/handoff/adopt", ds, nil); code != http.StatusServiceUnavailable {
+		t.Fatalf("adopt on the draining node: status %d, want 503", code)
 	}
 
 	// Draining is terminal and visible.
@@ -202,9 +223,9 @@ func TestHTTPNodeIdentityAndDrain(t *testing.T) {
 	if health["draining"] != true {
 		t.Fatalf("healthz after drain: %+v", health)
 	}
-	var drain2 DrainResponse
+	var drain2 HandoffReport
 	doJSON(t, http.MethodPost, srv.URL+"/v1/drain", nil, &drain2)
-	if drain2.Closed != 0 || len(drain2.Sessions) != 0 {
+	if len(drain2.Sessions) != 0 {
 		t.Fatalf("second drain not empty: %+v", drain2)
 	}
 }

@@ -10,9 +10,8 @@ import (
 )
 
 // Satellite acceptance: the surrogate configuration round-trips through the
-// HTTP API in both spellings — the nested `surrogate` object and the
-// deprecated flat fields — and the session status reports the resolved
-// configuration plus live work counters.
+// HTTP API as the nested `surrogate` object, and the session status reports
+// the resolved configuration plus live work counters.
 func TestHTTPSurrogateRoundTrip(t *testing.T) {
 	srv := newTestServer(t)
 
@@ -45,34 +44,14 @@ func TestHTTPSurrogateRoundTrip(t *testing.T) {
 		}
 	})
 
+	// The pre-object spellings are gone, and an old client must hear about
+	// it: an unknown field is a 400, never a silently defaulted surrogate.
 	t.Run("deprecated flat fields", func(t *testing.T) {
-		final := driveHTTPSession(t, srv.URL, CreateRequest{
-			Backend:         "bo",
-			Workload:        "K-means",
-			Cluster:         "A",
-			Seed:            31,
-			Kernel:          "matern52",
-			SurrogateBudget: 8,
-			RefitEvery:      3,
-		}, 25)
-		if final.Surrogate == nil || final.Surrogate.Kind != "matern52" || final.Surrogate.Budget != 8 {
-			t.Fatalf("flat fields did not configure the surrogate: %+v", final.Surrogate)
-		}
-	})
-
-	t.Run("nested wins over flat", func(t *testing.T) {
-		var created StatusResponse
-		code := doJSON(t, http.MethodPost, srv.URL+"/v1/sessions", CreateRequest{
-			Backend:   "bo",
-			Workload:  "K-means",
-			Kernel:    "matern52",
-			Surrogate: &SurrogateSpec{Kernel: "rbf"},
-		}, &created)
-		if code != http.StatusCreated {
-			t.Fatalf("create: status %d", code)
-		}
-		if created.Surrogate == nil || created.Surrogate.Kind != "rbf" {
-			t.Fatalf("nested object should win over flat alias: %+v", created.Surrogate)
+		for _, field := range []string{`"kernel":"matern52"`, `"surrogate_budget":8`, `"refit_every":3`, `"refit_drift":0.1`, `"prior_points":[]`} {
+			body := `{"backend":"bo","workload":"K-means",` + field + `}`
+			if code := doRaw(t, http.MethodPost, srv.URL+"/v1/sessions", body); code != http.StatusBadRequest {
+				t.Fatalf("create with removed field %s: status %d, want 400", field, code)
+			}
 		}
 	})
 

@@ -216,7 +216,7 @@ func (m *Manager) Snapshot() error {
 
 // sessionSnapshot captures one session; callers hold s.mu.
 func sessionSnapshot(s *Session) store.SessionSnapshot {
-	ss := store.SessionSnapshot{
+	return store.SessionSnapshot{
 		ID:        s.id,
 		Spec:      *specRecord(s.spec),
 		State:     s.state,
@@ -224,19 +224,9 @@ func sessionSnapshot(s *Session) store.SessionSnapshot {
 		LastUsed:  s.lastUsed,
 		Warm:      s.warm,
 		Harvested: s.harvested,
+		History:   append([]HistoryEntry(nil), s.history...),
+		Suggested: s.suggested,
 	}
-	for _, h := range s.history {
-		ss.History = append(ss.History, store.HistoryRecord{
-			Config:     h.Config,
-			RuntimeSec: h.RuntimeSec,
-			Objective:  h.Objective,
-			Aborted:    h.Aborted,
-			GCOverhead: h.GCOverhead,
-			Stats:      h.Stats,
-			Suggested:  h.Suggested,
-		})
-	}
-	return ss
 }
 
 // restore rebuilds the Manager from a snapshot and the write-ahead log,
@@ -293,17 +283,10 @@ func (m *Manager) restore(snap *store.Snapshot, events []store.Event) ([]*Sessio
 	m.repo.EvictDown(m.opts.RepoCapacity)
 	m.repoMu.Unlock()
 
-	// Post-replay pass: align evaluator bookkeeping, recompute terminal
-	// states, and collect interrupted auto sessions for re-queueing.
 	var autos []*Session
 	for _, sh := range m.shards {
 		for _, s := range sh.sessions {
-			if s.ev != nil {
-				s.ev.Resume(len(s.history), worstRuntime(s.history))
-			}
-			m.refreshStateLocked(s)
-			if s.spec.Mode == ModeAuto && (s.state == StateQueued || s.state == StateRunning) {
-				s.state = StateQueued
+			if m.settle(s) {
 				autos = append(autos, s)
 			}
 		}
@@ -311,49 +294,71 @@ func (m *Manager) restore(snap *store.Snapshot, events []store.Event) ([]*Sessio
 	return autos, nil
 }
 
-// rebuildSession reconstructs one session from its snapshot: a fresh tuner
-// replays the recorded history observation by observation, arriving at the
-// same internal state (surrogate data, guide model, stopping rule) the
-// tuner held when the snapshot was taken.
+// settle finishes a rebuilt session once its history is complete (after
+// the log replayed on top of the snapshot, or after Adopt rebuilt a
+// hand-over): it aligns the evaluator's bookkeeping with the history,
+// recomputes a terminal state, and reports whether the session is an
+// interrupted auto session — the worker driving it did not come along — that
+// the caller must put back on the worker pool. Callers hold s.mu or own s
+// exclusively.
+func (m *Manager) settle(s *Session) (requeue bool) {
+	if s.ev != nil {
+		s.ev.Resume(len(s.history), worstRuntime(s.history))
+	}
+	m.refreshStateLocked(s)
+	if s.spec.Mode == ModeAuto && (s.state == StateQueued || s.state == StateRunning) {
+		s.state = StateQueued
+		return true
+	}
+	return false
+}
+
+// rebuildSession is the one way a tuner comes back: crash recovery, a
+// drained node's successor and a promoted replica's successor all hand it a
+// SessionSnapshot. A fresh tuner is warm-started as recorded, replays the
+// history observation by observation, and is re-armed if a suggestion was
+// outstanding — arriving at the same internal state (surrogate data, guide
+// model, RNG position, stopping rule) the tuner held when the snapshot was
+// taken. Callers settle the session once nothing more will be replayed
+// into it.
 func (m *Manager) rebuildSession(ss store.SessionSnapshot) (*Session, error) {
-	spec := specFromRecord(ss.Spec)
-	s, err := m.buildSession(ss.ID, spec, ss.Created)
+	s, err := m.buildSession(ss.ID, specFromRecord(ss.Spec), ss.Created)
 	if err != nil {
 		return nil, err
 	}
 	s.state = ss.State
-	if s.state == StateRunning {
-		s.state = StateQueued // the worker driving it did not survive
-	}
 	s.lastUsed = ss.LastUsed
 	s.harvested = ss.Harvested
-	// No counter bump: snapshot-restored warm starts are already in the
-	// snapshot's WarmStarts total.
+	// No warm-start counter bump: restore resumes the total from the
+	// snapshot, Adopt counts its own.
 	if ss.Warm != nil && applyWarm(s.tuner, ss.Warm) {
 		s.warm = ss.Warm
 	}
 	for _, h := range ss.History {
-		s.replayObservation(store.Observation{
-			Config:     h.Config,
-			RuntimeSec: h.RuntimeSec,
-			Aborted:    h.Aborted,
-			GCOverhead: h.GCOverhead,
-			Stats:      h.Stats,
-			Suggested:  h.Suggested,
-		})
+		s.replayObservation(h.Observation())
+	}
+	if ss.Suggested {
+		// Arming is idempotent: suggestions are cached until consumed.
+		s.tuner.Suggest()
+		s.suggested = true
 	}
 	return s, nil
 }
 
-// buildSession constructs an un-observed session shell for a known ID —
-// the replay-time twin of Create.
+// buildSession constructs an un-observed session shell: Create, replay of a
+// journaled create and rebuildSession all start from it. An empty id is
+// assigned at registration.
 func (m *Manager) buildSession(id string, spec Spec, created time.Time) (*Session, error) {
 	cl, wl, err := resolve(spec)
 	if err != nil {
 		return nil, err
 	}
-	if spec.Mode == "" {
+	switch spec.Mode {
+	case "":
 		spec.Mode = ModeRemote
+	case ModeRemote, ModeAuto:
+	default:
+		return nil, fmt.Errorf("service: unknown mode %q (want remote or auto)", spec.Mode)
 	}
 	sp := tune.NewSpace(cl, wl)
 	t, err := m.newTuner(spec, cl, sp)

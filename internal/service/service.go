@@ -245,21 +245,6 @@ type Spec struct {
 	// default runtimes before seeding the optimizer.
 	DefaultRuntimeSec float64
 
-	// Prior explicitly seeds the optimizer with these points, bypassing
-	// repository matching. This is the fail-over hand-off path: a session
-	// re-created after its node died is seeded with the exact points the
-	// lost instance held (its applied warm start, or its own history), so
-	// the successor continues from the same optimizer state instead of
-	// hoping for a repository match. The applied prior is journaled as a
-	// warm event, exactly like a repository warm start, so the re-created
-	// session restores identically from its new node's log.
-	// PriorSource/PriorCluster/PriorDistance carry its provenance into the
-	// session status.
-	Prior         []bo.PriorPoint
-	PriorSource   string
-	PriorCluster  string
-	PriorDistance float64
-
 	// Surrogate configures the BO/GBO response-surface model. The zero
 	// value selects the manager defaults (exact incremental GP, RBF
 	// kernel, Options.SurrogateBudget).
@@ -348,24 +333,9 @@ type Status struct {
 	Surrogate *SurrogateStatus
 }
 
-// HistoryEntry is one recorded experiment of a session.
-type HistoryEntry struct {
-	Config     conf.Config
-	RuntimeSec float64
-	Objective  float64
-	Aborted    bool
-	// GCOverhead is the run's average fraction of task time spent in GC
-	// (simulator-measured or client-reported); DDPG folds it into its
-	// state vector.
-	GCOverhead float64
-	// Stats are the Table 6 statistics attached to or derived from the
-	// observation, when available.
-	Stats *profile.Stats
-	// Suggested reports whether a suggestion was outstanding when the
-	// observation arrived; restore replays the suggest/observe
-	// interleaving from it.
-	Suggested bool
-}
+// HistoryEntry is one recorded experiment of a session — the store's
+// record, so history moves between memory, snapshot and hand-over uncopied.
+type HistoryEntry = store.HistoryRecord
 
 // Session is one live tuning session. All fields behind mu.
 type Session struct {
@@ -569,19 +539,24 @@ func (m *Manager) Close() {
 		_ = m.opts.Store.Close()
 	}
 
+	for _, s := range m.sessionList() {
+		s.mu.Lock()
+		s.state = StateClosed
+		s.mu.Unlock()
+	}
+}
+
+// sessionList snapshots the live sessions of every shard.
+func (m *Manager) sessionList() []*Session {
+	var sessions []*Session
 	for _, sh := range m.shards {
-		sh.mu.Lock()
-		sessions := make([]*Session, 0, len(sh.sessions))
+		sh.mu.RLock()
 		for _, s := range sh.sessions {
 			sessions = append(sessions, s)
 		}
-		sh.mu.Unlock()
-		for _, s := range sessions {
-			s.mu.Lock()
-			s.state = StateClosed
-			s.mu.Unlock()
-		}
+		sh.mu.RUnlock()
 	}
+	return sessions
 }
 
 // shardFor maps a session ID onto its lock stripe.
@@ -765,58 +740,24 @@ func (m *Manager) Create(spec Spec) (Status, error) {
 }
 
 func (m *Manager) create(spec Spec) (Status, error) {
-	cl, wl, err := resolve(spec)
-	if err != nil {
-		return Status{}, err
+	if spec.ID != "" {
+		if err := m.checkID(spec.ID); err != nil {
+			return Status{}, err
+		}
 	}
-	mode := spec.Mode
-	if mode == "" {
-		mode = ModeRemote
-	}
-	if mode != ModeRemote && mode != ModeAuto {
-		return Status{}, fmt.Errorf("service: unknown mode %q (want remote or auto)", spec.Mode)
-	}
-	spec.Mode = mode
-	sp := tune.NewSpace(cl, wl)
-	t, err := m.newTuner(spec, cl, sp)
-	if err != nil {
-		return Status{}, err
-	}
-
 	now := m.opts.Now()
-	s := &Session{
-		spec:     spec,
-		tuner:    t,
-		space:    sp,
-		state:    StateActive,
-		created:  now,
-		lastUsed: now,
-	}
-	if mode == ModeAuto {
-		s.ev = tune.NewEvaluator(cl, wl, spec.Seed)
-		s.state = StateQueued
+	s, err := m.buildSession(spec.ID, spec, now)
+	if err != nil {
+		return Status{}, err
 	}
 
 	// Warm start with a client-supplied fingerprint: match before the
 	// session becomes visible, so its first suggestion is already the
 	// transferred optimum. Auto sessions without a fingerprint profile the
-	// default configuration in the worker instead (drive). An explicit
-	// prior (fail-over hand-off) short-circuits the matching and seeds the
-	// given points directly.
-	if len(spec.Prior) > 0 {
-		w := &store.Warm{
-			Source:   spec.PriorSource,
-			Cluster:  spec.PriorCluster,
-			Distance: spec.PriorDistance,
-			Points:   spec.Prior,
-		}
-		if applyWarm(t, w) {
-			s.warm = w
-			m.warmStarts.Add(1)
-		}
-	} else if spec.WarmStart && spec.Stats != nil {
-		if w := m.matchWarm(cl.Name, *spec.Stats, spec.WarmMaxDistance, spec.DefaultRuntimeSec); w != nil {
-			if applyWarm(t, w) {
+	// default configuration in the worker instead (drive).
+	if spec.WarmStart && spec.Stats != nil {
+		if w := m.matchWarm(s.space.Cluster.Name, *spec.Stats, spec.WarmMaxDistance, spec.DefaultRuntimeSec); w != nil {
+			if applyWarm(s.tuner, w) {
 				s.warm = w
 				m.warmStarts.Add(1)
 			}
@@ -825,64 +766,15 @@ func (m *Manager) create(spec Spec) (Status, error) {
 
 	m.life.RLock()
 	defer m.life.RUnlock()
-	if m.closed.Load() {
-		return Status{}, ErrManagerDown
-	}
-	if m.draining.Load() {
-		return Status{}, ErrDraining
-	}
-	if m.count.Add(1) > int64(m.opts.MaxSessions) {
-		m.count.Add(-1)
-		return Status{}, ErrTooMany
-	}
-	if spec.ID != "" {
-		// Caller-assigned ID (a router placing sessions by consistent
-		// hash). Refuse IDs this manager has seen before — a duplicate
-		// would either shadow a live session or resurrect a closed one.
-		if !validIdent(spec.ID) {
-			m.count.Add(-1)
-			return Status{}, fmt.Errorf("service: bad session ID %q (want letters, digits, '.', '_', '-')", spec.ID)
-		}
-		s.id = spec.ID
-		if num, ok := m.sessionNum(s.id); ok && s.id == m.sessionID(num) {
-			// The counter namespace is reserved outright: an ID the counter
-			// already issued may have had its tombstone pruned by
-			// compaction, and an ID it has not issued yet would collide
-			// with a concurrent counter-assigned create the moment the
-			// counter catches up.
-			m.count.Add(-1)
-			return Status{}, fmt.Errorf("service: bad session ID %q (the counter namespace %q is reserved)", s.id, m.sessionID(0))
-		}
-		sh := m.shardFor(s.id)
-		sh.mu.Lock()
-		_, live := sh.sessions[s.id]
-		_, dead := sh.closed[s.id]
-		if live || dead {
-			sh.mu.Unlock()
-			m.count.Add(-1)
-			return Status{}, fmt.Errorf("%w: %s", ErrExists, s.id)
-		}
-		sh.sessions[s.id] = s
-		sh.mu.Unlock()
-	} else {
-		s.id = m.sessionID(m.nextID.Add(1))
-		sh := m.shardFor(s.id)
-		sh.mu.Lock()
-		sh.sessions[s.id] = s
-		sh.mu.Unlock()
+	if err := m.register(s); err != nil {
+		return Status{}, err
 	}
 
 	// Journal-before-ack: a created session must survive recovery, so a
 	// journal failure rolls the registration back and refuses the create
 	// with a retriable error instead of acking state that would vanish.
 	if _, err := m.journal(&store.Event{Type: store.EventCreate, ID: s.id, Time: now, Spec: specRecord(spec)}); err != nil {
-		// Roll the registration back WITHOUT a tombstone: nothing reached
-		// the log, so the ID must stay free for the client's retry.
-		sh := m.shardFor(s.id)
-		sh.mu.Lock()
-		delete(sh.sessions, s.id)
-		sh.mu.Unlock()
-		m.count.Add(-1)
+		m.unregister(s)
 		return Status{}, fmt.Errorf("%w: %w", ErrJournal, err)
 	}
 	if s.warm != nil {
@@ -891,7 +783,7 @@ func (m *Manager) create(spec Spec) (Status, error) {
 		m.journal(&store.Event{Type: store.EventWarm, ID: s.id, Time: now, Warm: s.warm})
 	}
 
-	if mode == ModeAuto {
+	if s.spec.Mode == ModeAuto {
 		select {
 		case m.jobs <- s:
 		default:
@@ -901,6 +793,66 @@ func (m *Manager) create(spec Spec) (Status, error) {
 		}
 	}
 	return m.statusOf(s), nil
+}
+
+// checkID vets a caller-assigned session ID (a router placing sessions by
+// consistent hash, or a hand-over from another node): the legal character
+// set, and outside this manager's own counter namespace. That namespace is
+// reserved outright: an ID the counter already issued may have had its
+// tombstone pruned by compaction, and an ID it has not issued yet would
+// collide with a concurrent counter-assigned create the moment the counter
+// catches up.
+func (m *Manager) checkID(id string) error {
+	if !validIdent(id) {
+		return fmt.Errorf("service: bad session ID %q (want letters, digits, '.', '_', '-')", id)
+	}
+	if num, ok := m.sessionNum(id); ok && id == m.sessionID(num) {
+		return fmt.Errorf("service: bad session ID %q (the counter namespace %q is reserved)", id, m.sessionID(0))
+	}
+	return nil
+}
+
+// register makes a built session visible, through the gates every new
+// session passes whichever way it arrives (Create, Adopt): manager open,
+// not draining, under MaxSessions, and an ID this manager has never seen —
+// a duplicate would either shadow a live session or resurrect a closed
+// one. A session without an ID takes the next counter value. Callers hold
+// m.life.RLock and, on success, journal the session or unregister it.
+func (m *Manager) register(s *Session) error {
+	if m.closed.Load() {
+		return ErrManagerDown
+	}
+	if m.draining.Load() {
+		return ErrDraining
+	}
+	if m.count.Add(1) > int64(m.opts.MaxSessions) {
+		m.count.Add(-1)
+		return ErrTooMany
+	}
+	if s.id == "" {
+		s.id = m.sessionID(m.nextID.Add(1))
+	}
+	sh := m.shardFor(s.id)
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	_, live := sh.sessions[s.id]
+	_, dead := sh.closed[s.id]
+	if live || dead {
+		m.count.Add(-1)
+		return fmt.Errorf("%w: %s", ErrExists, s.id)
+	}
+	sh.sessions[s.id] = s
+	return nil
+}
+
+// unregister rolls a registration back WITHOUT a tombstone: nothing about
+// the session reached the log, so the ID must stay free for a retry.
+func (m *Manager) unregister(s *Session) {
+	sh := m.shardFor(s.id)
+	sh.mu.Lock()
+	delete(sh.sessions, s.id)
+	sh.mu.Unlock()
+	m.count.Add(-1)
 }
 
 // removeSession drops a session from its shard, leaving a tombstone.
@@ -1088,14 +1040,7 @@ func (m *Manager) CloseSession(id string) error {
 
 // List returns a status snapshot of every live session.
 func (m *Manager) List() []Status {
-	var sessions []*Session
-	for _, sh := range m.shards {
-		sh.mu.RLock()
-		for _, s := range sh.sessions {
-			sessions = append(sessions, s)
-		}
-		sh.mu.RUnlock()
-	}
+	sessions := m.sessionList()
 	out := make([]Status, 0, len(sessions))
 	for _, s := range sessions {
 		out = append(out, m.statusOf(s))
@@ -1143,82 +1088,6 @@ func (m *Manager) Sweep() int {
 		m.journalClose(s.id, now)
 	}
 	return len(evict)
-}
-
-// DrainedSession is one session a Drain closed, carrying everything a
-// router needs to re-create it on a successor node: the original spec,
-// augmented into a warm-start request when the session's workload
-// fingerprint is known (the §6.6 hand-off — the successor matches the
-// fingerprint against the repository entries the drain exported and seeds
-// the rebuilt session with the drained one's observations).
-type DrainedSession struct {
-	ID    string
-	State string // state at drain time, before the close
-	Evals int
-	Spec  Spec // re-create spec; ID cleared, warm-start fields filled when possible
-}
-
-// DrainReport is the result of draining a node.
-type DrainReport struct {
-	Node     string
-	Sessions []DrainedSession // non-terminal sessions eligible for hand-off
-	Closed   int              // every session the drain closed, terminal ones included
-	Repo     []bo.RepoEntry   // full model repository, drained-session harvests included
-}
-
-// Drain takes this node out of service: it stops accepting new sessions
-// (Create fails with ErrDraining), force-harvests every live session into
-// the model repository — a partial model still transfers (§6.6) — closes
-// them all with journaled tombstones, and returns the hand-off report: the
-// re-create specs of the non-terminal sessions plus the full repository for
-// the successors to import. Draining is terminal for the process and
-// idempotent: a second Drain returns an empty report.
-func (m *Manager) Drain() DrainReport {
-	m.draining.Store(true)
-	// Barrier: in-flight Creates registered under life.RLock before the
-	// flag flipped; wait them out so the sweep below sees every session.
-	m.life.Lock()
-	m.life.Unlock() //nolint:staticcheck // empty critical section is the barrier
-
-	now := m.opts.Now()
-	rep := DrainReport{Node: m.opts.NodeID}
-	for _, sh := range m.shards {
-		sh.mu.Lock()
-		sessions := make([]*Session, 0, len(sh.sessions))
-		for id, s := range sh.sessions {
-			sessions = append(sessions, s)
-			delete(sh.sessions, id)
-			sh.closed[id] = tombstoneKept
-		}
-		sh.mu.Unlock()
-		for _, s := range sessions {
-			m.count.Add(-1)
-			s.mu.Lock()
-			state := s.state
-			if state != StateFailed {
-				m.harvestLocked(s) // idempotent; done sessions already harvested
-			}
-			if state == StateActive || state == StateQueued || state == StateRunning {
-				ds := DrainedSession{ID: s.id, State: state, Evals: len(s.history), Spec: s.spec}
-				ds.Spec.ID = ""
-				if fp, sec, ok := s.fingerprintLocked(); ok {
-					fpCopy := fp
-					ds.Spec.WarmStart = true
-					ds.Spec.Stats = &fpCopy
-					ds.Spec.DefaultRuntimeSec = sec
-				}
-				rep.Sessions = append(rep.Sessions, ds)
-			}
-			s.state = StateClosed
-			s.mu.Unlock()
-			rep.Closed++
-			m.journalClose(s.id, now)
-		}
-	}
-	m.repoMu.Lock()
-	rep.Repo = append([]bo.RepoEntry(nil), m.repo.Entries...)
-	m.repoMu.Unlock()
-	return rep
 }
 
 // Draining reports whether Drain has run.
@@ -1345,26 +1214,18 @@ func (m *Manager) Metrics() Metrics {
 		RepoHits:        m.repoHits.Load(),
 		RepoEvictions:   m.repoEvictions.Load(),
 	}
-	for _, sh := range m.shards {
-		sh.mu.RLock()
-		sessions := make([]*Session, 0, len(sh.sessions))
-		for _, s := range sh.sessions {
-			sessions = append(sessions, s)
+	for _, s := range m.sessionList() {
+		s.mu.Lock()
+		state := s.state
+		if ss, ok := s.tuner.(surrogateStatser); ok {
+			st := ss.SurrogateInfo()
+			mt.SurrogateFits += int64(st.Fits)
+			mt.SurrogateAppends += int64(st.Appends)
+			mt.SurrogateCompactions += int64(st.Compactions)
 		}
-		sh.mu.RUnlock()
-		for _, s := range sessions {
-			s.mu.Lock()
-			state := s.state
-			if ss, ok := s.tuner.(surrogateStatser); ok {
-				st := ss.SurrogateInfo()
-				mt.SurrogateFits += int64(st.Fits)
-				mt.SurrogateAppends += int64(st.Appends)
-				mt.SurrogateCompactions += int64(st.Compactions)
-			}
-			s.mu.Unlock()
-			mt.Sessions++
-			mt.SessionsByState[state]++
-		}
+		s.mu.Unlock()
+		mt.Sessions++
+		mt.SessionsByState[state]++
 	}
 	m.repoMu.Lock()
 	mt.RepoEntries = len(m.repo.Entries)
@@ -1484,20 +1345,22 @@ func (m *Manager) observeLocked(s *Session, smp tune.Sample) error {
 		g := profile.Generate(smp.Profile)
 		st = &g
 	}
-	n := len(s.history)
+	h := HistoryEntry{
+		Config:     smp.Config,
+		RuntimeSec: smp.RuntimeSec,
+		Objective:  smp.Objective,
+		Aborted:    smp.Result.Aborted,
+		GCOverhead: smp.Result.GCOverhead,
+		Stats:      st,
+		Suggested:  armed,
+	}
+	rec := h.Observation()
 	if _, err := m.journal(&store.Event{
 		Type: store.EventObserve,
 		ID:   s.id,
 		Time: m.opts.Now(),
-		N:    n,
-		Obs: &store.Observation{
-			Config:     smp.Config,
-			RuntimeSec: smp.RuntimeSec,
-			Aborted:    smp.Result.Aborted,
-			GCOverhead: smp.Result.GCOverhead,
-			Stats:      st,
-			Suggested:  armed,
-		},
+		N:    len(s.history),
+		Obs:  &rec,
 	}); err != nil {
 		return fmt.Errorf("%w: %w", ErrJournal, err)
 	}
@@ -1507,15 +1370,7 @@ func (m *Manager) observeLocked(s *Session, smp tune.Sample) error {
 		s.suggested = false
 	}
 	s.tuner.Observe(smp)
-	s.history = append(s.history, HistoryEntry{
-		Config:     smp.Config,
-		RuntimeSec: smp.RuntimeSec,
-		Objective:  smp.Objective,
-		Aborted:    smp.Result.Aborted,
-		GCOverhead: smp.Result.GCOverhead,
-		Stats:      st,
-		Suggested:  armed,
-	})
+	s.history = append(s.history, h)
 	m.observations.Add(1)
 	return nil
 }

@@ -123,12 +123,12 @@ type File struct {
 
 var _ Store = (*File)(nil)
 
-// OpenFile opens (creating if needed) a file-backed store rooted at dir,
-// transparently adopting a pre-segmentation single-file layout (wal.jsonl
-// becomes segment 1). The sequence counter resumes past every event
-// already on disk; a torn tail in the active segment — the signature of a
-// crash mid-write — is truncated, while an undecodable line in a sealed
-// segment fails the open (sealed segments are immutable and fsynced).
+// OpenFile opens (creating if needed) a file-backed store rooted at dir. A
+// directory still holding the pre-segmentation wal.jsonl is refused, naming
+// the file. The sequence counter resumes past every event already on disk;
+// a torn tail in the active segment — the signature of a crash mid-write —
+// is truncated, while an undecodable line in a sealed segment fails the
+// open (sealed segments are immutable and fsynced).
 func OpenFile(dir string, opts ...FileOptions) (*File, error) {
 	var o FileOptions
 	if len(opts) > 0 {
@@ -138,14 +138,11 @@ func OpenFile(dir string, opts ...FileOptions) (*File, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("store: create dir: %w", err)
 	}
+	if err := refuseLegacyWAL(dir); err != nil {
+		return nil, err
+	}
 	segs, err := listSegments(dir)
 	if err != nil {
-		return nil, err
-	}
-	if err := migrateLegacyWAL(dir, segs); err != nil {
-		return nil, err
-	}
-	if segs, err = listSegments(dir); err != nil {
 		return nil, err
 	}
 

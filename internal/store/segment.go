@@ -21,8 +21,8 @@ import (
 const (
 	segmentPrefix = "wal-"
 	segmentSuffix = ".jsonl"
-	// legacyWALFile is the PR-2 single-file log; OpenFile adopts it as the
-	// first segment.
+	// legacyWALFile is the pre-segmentation single-file log. No release
+	// since has written it; OpenFile refuses a directory that holds one.
 	legacyWALFile = "wal.jsonl"
 )
 
@@ -81,23 +81,15 @@ func listSegments(dir string) ([]uint64, error) {
 	return idxs, nil
 }
 
-// migrateLegacyWAL transparently adopts a PR-2 single-file data directory:
-// the old wal.jsonl becomes segment 1 via an atomic rename (a crash before
-// or after the rename leaves a layout OpenFile recovers from). A directory
-// holding both layouts is ambiguous — two logs with overlapping sequence
-// ranges — and is refused rather than guessed at.
-func migrateLegacyWAL(dir string, segments []uint64) error {
+// refuseLegacyWAL fails the open of a directory still holding the
+// pre-segmentation wal.jsonl: listSegments does not see that file, so
+// opening would present an apparently empty log over real history.
+func refuseLegacyWAL(dir string) error {
 	legacy := filepath.Join(dir, legacyWALFile)
 	if _, err := os.Stat(legacy); errors.Is(err, os.ErrNotExist) {
 		return nil
 	} else if err != nil {
 		return fmt.Errorf("store: stat legacy wal: %w", err)
 	}
-	if len(segments) > 0 {
-		return fmt.Errorf("store: %s holds both a legacy wal.jsonl and segmented wal files; remove one layout", dir)
-	}
-	if err := os.Rename(legacy, filepath.Join(dir, segmentName(1))); err != nil {
-		return fmt.Errorf("store: migrate legacy wal: %w", err)
-	}
-	return nil
+	return fmt.Errorf("store: %s is a pre-segmentation single-file log, no longer opened in place; rename it to %s to keep its history (or remove it) and reopen", legacy, segmentName(1))
 }

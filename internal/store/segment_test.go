@@ -86,9 +86,10 @@ func TestSegmentRotation(t *testing.T) {
 	}
 }
 
-// TestLegacyWALMigration: a PR-2 single-file data directory (wal.jsonl +
-// snapshot.json) is adopted transparently — the old log becomes segment 1
-// and everything replays.
+// TestLegacyWALMigration: a pre-segmentation data directory (wal.jsonl) is
+// refused by name — with or without segment files beside it — and never
+// opened as an apparently empty log; renaming the file to segment 1, as the
+// error says, makes everything replay.
 func TestLegacyWALMigration(t *testing.T) {
 	dir := t.TempDir()
 	var lines []string
@@ -101,30 +102,35 @@ func TestLegacyWALMigration(t *testing.T) {
 		}
 		lines = append(lines, string(buf))
 	}
-	if err := os.WriteFile(filepath.Join(dir, legacyWALFile), []byte(strings.Join(lines, "\n")+"\n"), 0o644); err != nil {
+	legacy := filepath.Join(dir, legacyWALFile)
+	if err := os.WriteFile(legacy, []byte(strings.Join(lines, "\n")+"\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 
+	if _, err := OpenFile(dir); err == nil || !strings.Contains(err.Error(), legacy) {
+		t.Fatalf("open over a legacy wal.jsonl: err=%v, want a refusal naming %s", err, legacy)
+	}
+	if files := walFiles(t, dir); len(files) != 0 {
+		t.Fatalf("refused open left segment files behind: %v", files)
+	}
+
+	if err := os.Rename(legacy, filepath.Join(dir, segmentName(1))); err != nil {
+		t.Fatal(err)
+	}
 	s, err := OpenFile(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	if _, err := os.Stat(filepath.Join(dir, legacyWALFile)); !os.IsNotExist(err) {
-		t.Fatalf("legacy wal.jsonl not migrated away: err=%v", err)
-	}
-	if files := walFiles(t, dir); len(files) != 1 || files[0] != segmentName(1) {
-		t.Fatalf("migrated layout = %v, want [%s]", files, segmentName(1))
-	}
 	_, events, err := s.Load()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(events) != 3 {
-		t.Fatalf("migrated log lost events: %d, want 3", len(events))
+		t.Fatalf("renamed log lost events: %d, want 3", len(events))
 	}
 	if seq, err := s.Append(testEvent("sess-1", 3)); err != nil || seq != 4 {
-		t.Fatalf("append after migration: seq=%d err=%v", seq, err)
+		t.Fatalf("append after rename: seq=%d err=%v", seq, err)
 	}
 }
 

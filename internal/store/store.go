@@ -114,7 +114,8 @@ type Event struct {
 	Repo *bo.RepoEntry `json:"repo,omitempty"` // harvest
 }
 
-// HistoryRecord is one experiment of a snapshotted session.
+// HistoryRecord is one recorded experiment of a session: its Observation
+// plus the objective the abort-penalty watermark assigned it.
 type HistoryRecord struct {
 	Config     conf.Config    `json:"config"`
 	RuntimeSec float64        `json:"runtime_sec"`
@@ -125,7 +126,23 @@ type HistoryRecord struct {
 	Suggested  bool           `json:"suggested,omitempty"`
 }
 
-// SessionSnapshot is the compacted state of one live session.
+// Observation is the record's replayable part — what an observe event
+// journals (the objective re-derives from the sequence).
+func (h HistoryRecord) Observation() Observation {
+	return Observation{
+		Config:     h.Config,
+		RuntimeSec: h.RuntimeSec,
+		Aborted:    h.Aborted,
+		GCOverhead: h.GCOverhead,
+		Stats:      h.Stats,
+		Suggested:  h.Suggested,
+	}
+}
+
+// SessionSnapshot is the complete state of one live session and the single
+// hand-over unit: compaction writes it to snapshot.json, a draining node and
+// a promoted replica send it to the session's next owner, and every one of
+// them rebuilds the tuner from it the same way (replaying History).
 type SessionSnapshot struct {
 	ID        string          `json:"id"`
 	Spec      SessionSpec     `json:"spec"`
@@ -135,6 +152,10 @@ type SessionSnapshot struct {
 	Warm      *Warm           `json:"warm,omitempty"`
 	Harvested bool            `json:"harvested,omitempty"`
 	History   []HistoryRecord `json:"history,omitempty"`
+	// Suggested reports a suggestion outstanding after the last history
+	// entry; the rebuilt tuner is re-armed so the next observation takes
+	// the solicited branch it would have taken live.
+	Suggested bool `json:"suggested,omitempty"`
 }
 
 // Snapshot is a compacted point-in-time image of the whole service: every

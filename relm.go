@@ -282,7 +282,7 @@ type SessionStoreOptions = store.FileOptions
 // OpenFileSessionStore opens (creating if needed) a directory-backed
 // session store: <dir>/snapshot.json plus a segmented log
 // (<dir>/wal-000001.jsonl, …). A pre-segmentation directory holding a
-// single wal.jsonl is adopted transparently.
+// single wal.jsonl is refused with an error naming the file.
 func OpenFileSessionStore(dir string) (SessionStore, error) { return store.OpenFile(dir) }
 
 // OpenFileSessionStoreOptions is OpenFileSessionStore with explicit store
@@ -318,11 +318,6 @@ func OpenServiceManager(opts ServiceOptions) (*ServiceManager, error) {
 func NewServiceHandler(m *ServiceManager) http.Handler {
 	return service.NewHandler(m)
 }
-
-// ServiceDrainReport is what ServiceManager.Drain returns: the re-create
-// specs of the closed sessions plus the full model repository, for a
-// router to hand off to surviving nodes.
-type ServiceDrainReport = service.DrainReport
 
 // ClusterRouter is the stateless front door of a multi-node deployment:
 // it partitions sessions across relm-serve backends by rendezvous hashing
@@ -366,9 +361,10 @@ func NewReplicaSet(opts ReplicaOptions) (*ReplicaSet, error) {
 	return replica.New(opts)
 }
 
-// ServiceHandoffReport is what promoting a replica yields: every
-// non-terminal session the dead node held (with full history and a prior
-// for its successor) plus its model repository.
+// ServiceHandoffReport is what a leaving node hands over — returned by
+// ServiceManager.Drain and by promoting a dead node's replica alike: a
+// snapshot of every non-terminal session it held, which a successor's
+// ServiceManager.Adopt rebuilds bit-exact, plus its model repository.
 type ServiceHandoffReport = service.HandoffReport
 
 // ExtractServiceHandoff replays a promoted (fenced) replica directory into

@@ -12,7 +12,7 @@
 #            dead node's WAL replica on a follower and resume its sessions
 #            under their original IDs — history intact, next suggestion
 #            identical, zero manual intervention
-#   phase 3  drain hand-off with repository warm start onto the survivor
+#   phase 3  bit-exact drain hand-off onto the survivor
 #   phase 4  corrupt a sealed WAL segment on a scratch node: restart must
 #            fail loudly ("corrupt"), never serve silently shortened data
 #   phase 5  loadgen soak: replay scripts/scenarios/soak.json (~35s of
@@ -305,40 +305,50 @@ log "  cluster of 2 survivors serving; replication/promotion counters merged in 
 # before rejoining).
 
 # ---------------------------------------------------------------- phase 3
-log "phase 3: drain hand-off with repository warm start"
+log "phase 3: bit-exact drain hand-off"
 STATS='{"N":1,"MhMB":8192,"CPUAvg":0.62,"DiskAvg":0.18,"MiMB":310,"McMB":2400,"MsMB":180,"MuMB":420,"P":2,"H":0.85,"S":0.04,"HadFullGC":true,"CoresPerNode":8}'
 CREATED=$(expect 201 POST "$R/v1/sessions" \
     "{\"backend\":\"gbo\",\"workload\":\"K-means\",\"seed\":3,\"max_iterations\":40,\"warm_start\":true,\"stats\":$STATS,\"default_runtime_sec\":240}")
 SID=$(jqget "$CREATED" .id)
 DHOME=$(jqget "$CREATED" .node)
+# Whether the repository on $DHOME happened to match is not the point; the
+# hand-over must carry the answer over unchanged.
+WAS_WARM=$(echo "$CREATED" | jq -r '.warm_started == true') # jqget would fail on false
 SUCC=""
 for n in a b c; do
     [ "$n" = "$DHOME" ] && continue
     [ "$n" = "$KNODE" ] && continue
     SUCC=$n
 done
-log "  session $SID homed on $DHOME; draining it, successor should be $SUCC"
+log "  session $SID homed on $DHOME (warm_started=$WAS_WARM); draining it, successor should be $SUCC"
 
 for i in 1 2 3 4; do
     SUG=$(expect 200 POST "$R/v1/sessions/$SID/suggest")
     CFG=$(jqget "$SUG" .config)
     expect 200 POST "$R/v1/sessions/$SID/observe" "{\"config\":$CFG,\"runtime_sec\":$((220 - 5 * i))}" >/dev/null
 done
+# Leave a suggestion outstanding: the drain interrupts mid-protocol.
+PRE_SUG=$(expect 200 POST "$R/v1/sessions/$SID/suggest" | jq -cS .config)
+PRE_HIST=$(expect 200 GET "$R/v1/sessions/$SID/history" | jq -cS .)
 
 DRAIN=$(expect 200 POST "$R/v1/cluster/drain/$DHOME")
 jqget "$DRAIN" ".reassigned[] | select(.id == \"$SID\")" >/dev/null \
     || fail "drain did not reassign $SID: $DRAIN"
 RNODE=$(jqget "$DRAIN" ".reassigned[] | select(.id == \"$SID\") | .node")
-RWARM=$(jqget "$DRAIN" ".reassigned[] | select(.id == \"$SID\") | .warm_started")
+RWARM=$(echo "$DRAIN" | jq -r ".reassigned[] | select(.id == \"$SID\") | .warm_started == true")
 [ "$RNODE" = "$SUCC" ] || fail "session reassigned to $RNODE, want $SUCC"
-[ "$RWARM" = "true" ] || fail "reassigned session not warm-started: $DRAIN"
+[ "$RWARM" = "$WAS_WARM" ] || fail "reassigned[].warm_started=$RWARM, the session had warm_started=$WAS_WARM: $DRAIN"
 
 ST=$(expect 200 GET "$R/v1/sessions/$SID")
 [ "$(jqget "$ST" .node)" = "$SUCC" ] || fail "post-drain session served by $(jqget "$ST" .node), want $SUCC"
 [ "$(jqget "$ST" .state)" = "active" ] || fail "post-drain session state $(jqget "$ST" .state), want active"
-[ "$(jqget "$ST" .warm_started)" = "true" ] || fail "post-drain session not repository-warm-started: $ST"
-expect 200 POST "$R/v1/sessions/$SID/suggest" >/dev/null
-log "  session $SID survived the drain of $DHOME: warm-started on $SUCC (source $(jqget "$ST" .warm_source))"
+[ "$(jqget "$ST" .evals)" = "4" ] || fail "post-drain session has $(jqget "$ST" .evals) evals, want the 4 it was drained with: $ST"
+[ "$(echo "$ST" | jq -r '.warm_started == true')" = "$WAS_WARM" ] || fail "post-drain warm_started changed (was $WAS_WARM): $ST"
+POST_HIST=$(expect 200 GET "$R/v1/sessions/$SID/history" | jq -cS .)
+[ "$POST_HIST" = "$PRE_HIST" ] || fail "history changed across the drain:\n pre: $PRE_HIST\npost: $POST_HIST"
+POST_SUG=$(expect 200 POST "$R/v1/sessions/$SID/suggest" | jq -cS .config)
+[ "$POST_SUG" = "$PRE_SUG" ] || fail "next suggestion changed across the drain: $POST_SUG, was $PRE_SUG"
+log "  session $SID survived the drain of $DHOME on $SUCC: 4 evals, identical history and next suggestion"
 
 # New sessions must land on the last live node only, and merged reads must
 # exclude the draining node.
