@@ -192,45 +192,6 @@ func BenchmarkServiceSuggestObserve(b *testing.B) {
 	}
 }
 
-// BenchmarkServiceSuggestObserveBare is the same round trip with
-// observability disabled (no stage histograms, no timestamps on the hot
-// path) — the uninstrumented reference CI holds the instrumented
-// benchmark above to within 5% of.
-func BenchmarkServiceSuggestObserveBare(b *testing.B) {
-	m := relm.NewServiceManager(relm.ServiceOptions{Workers: 1, NoObs: true})
-	defer m.Close()
-
-	var id string
-	newSession := func() {
-		st, err := m.Create(relm.SessionSpec{Backend: "bo", Workload: "SVM", Seed: 1, MaxIterations: 1 << 20})
-		if err != nil {
-			b.Fatal(err)
-		}
-		id = st.ID
-	}
-	newSession()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		cfg, done, err := m.Suggest(id)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if done {
-			_ = m.CloseSession(id)
-			newSession()
-			continue
-		}
-		rt := 100 + 10*math.Sin(float64(i))
-		if _, err := m.Observe(id, relm.SessionObservation{Config: cfg, RuntimeSec: rt}); err != nil {
-			b.Fatal(err)
-		}
-		if (i+1)%16 == 0 {
-			_ = m.CloseSession(id)
-			newSession()
-		}
-	}
-}
-
 // BenchmarkExhaustiveGrid measures the full 144-point grid search the paper
 // uses as its quality baseline.
 func BenchmarkExhaustiveGrid(b *testing.B) {

@@ -2,10 +2,10 @@
 // of named failpoints compiled into the hot paths of the store, replica,
 // router, and service layers. A disarmed failpoint is a single atomic
 // pointer load returning nil — zero allocations, no locks, cheap enough to
-// leave in production builds (CI gates it at 0 allocs and within 5% of the
-// uninstrumented service round trip). An armed failpoint applies actions —
-// return an injected error/ENOSPC, truncate a write (torn record), inject
-// latency, stall, corrupt or drop bytes — according to a seeded schedule:
+// leave in production builds (TestDisarmedAllocations holds it at 0
+// allocs). An armed failpoint applies actions — return an injected
+// error/ENOSPC, truncate a write (torn record), inject latency, stall,
+// corrupt or drop bytes — according to a seeded schedule:
 // each rule precomputes WHICH of its matched hits fire from a PCG stream
 // derived from (schedule seed, failpoint name, rule index), so the same
 // seed reproduces the same fault sequence, hit for hit, across runs and

@@ -315,8 +315,30 @@ func TestConcurrentEvalCountsExact(t *testing.T) {
 	}
 }
 
-// BenchmarkFaultDisarmed gates the zero-overhead contract: a disarmed
-// failpoint on a hot path must cost one atomic load and zero allocations.
+// TestDisarmedAllocations holds the zero-overhead contract: failpoints sit
+// on the WAL write, proxy and ship paths of every production request, so a
+// disarmed one must cost one atomic load and zero allocations — plain, and
+// tagged (the tag must not escape while nothing is armed).
+func TestDisarmedAllocations(t *testing.T) {
+	f := Register("alloc.disarmed")
+	if got := testing.AllocsPerRun(1000, func() {
+		if f.Eval() != nil {
+			t.Fatal("disarmed failpoint fired")
+		}
+	}); got != 0 {
+		t.Errorf("disarmed Eval: %v allocs/op, want 0", got)
+	}
+	if got := testing.AllocsPerRun(1000, func() {
+		if f.EvalTag("node-a") != nil {
+			t.Fatal("disarmed failpoint fired")
+		}
+	}); got != 0 {
+		t.Errorf("disarmed EvalTag: %v allocs/op, want 0", got)
+	}
+}
+
+// BenchmarkFaultDisarmed times what TestDisarmedAllocations counts: a
+// disarmed failpoint on a hot path (~2 ns, one atomic load).
 func BenchmarkFaultDisarmed(b *testing.B) {
 	f := Register("bench.disarmed")
 	b.ReportAllocs()

@@ -19,8 +19,9 @@ import (
 //   - predict=batch256: scoring a 256-candidate acquisition pool
 //     (PredictBatch) through one reused scratch.
 //
-// CI enforces observe=append ≤ 0.1× observe=refit at n=100 as a
-// hardware-independent ratio gate.
+// Nothing gates these timings: TestPredictAllocations holds the predict
+// paths at 0 allocs/op, and the append-vs-refit cost on real sessions is the
+// benchmark's gp.append_us_per_call beside gp.refit_us_per_call.
 func BenchmarkGPFitPredict(b *testing.B) {
 	const dim = 6
 	for _, n := range []int{25, 100} {
@@ -105,10 +106,9 @@ func BenchmarkGPFitPredict(b *testing.B) {
 //   - predict: one allocation-free posterior evaluation through the capped
 //     active set.
 //   - predict=exact/n=256: the exact model at the budget size — the floor
-//     the budgeted predict is gated against. CI enforces
-//     predict/n=10000 ≤ 1.5× predict=exact/n=256 as a hardware-independent
-//     ratio gate, plus 0 allocs/op on the budgeted predict: a 10k-point
-//     session must predict like a 256-point one.
+//     to read the budgeted predict against: a 10k-point session should
+//     predict like a 256-point one. Compared by hand, not gated;
+//     TestPredictAllocations holds the budgeted predict at 0 allocs/op.
 //
 // Re-selection is suppressed (huge RefitEvery, drift and ARD disabled) so
 // the timings isolate the steady-state paths from the scheduled O(m³)

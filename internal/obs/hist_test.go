@@ -173,6 +173,17 @@ func TestSummarize(t *testing.T) {
 	}
 }
 
+// TestHistogramRecordAllocations: Record sits on every instrumented hot
+// path (suggest, observe, WAL append, router pick), so it must never
+// allocate — shard choice, bucket lookup and the three atomic adds included.
+func TestHistogramRecordAllocations(t *testing.T) {
+	h := NewHistogram()
+	d := time.Microsecond
+	if got := testing.AllocsPerRun(1000, func() { h.Record(d); d += 37 }); got != 0 {
+		t.Errorf("Histogram.Record: %v allocs/op, want 0", got)
+	}
+}
+
 func BenchmarkObsHistogramRecord(b *testing.B) {
 	h := NewHistogram()
 	b.ReportAllocs()

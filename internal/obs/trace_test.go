@@ -119,15 +119,32 @@ func TestTraceSpanCapAndNilSafety(t *testing.T) {
 	}
 }
 
+// addSpanAndReset adds one span to a trace built at full capacity and
+// empties the slice again, so a measuring loop never reaches maxSpans.
+func addSpanAndReset(tr *Trace, start time.Time) {
+	tr.AddSpan("stage", start)
+	tr.mu.Lock()
+	tr.spans = tr.spans[:0]
+	tr.mu.Unlock()
+}
+
+// TestTraceSpanAllocations: a traced request adds a span per stage, so
+// AddSpan on a trace whose span slice has its capacity must not allocate —
+// the name is stored by reference and the Span by value.
+func TestTraceSpanAllocations(t *testing.T) {
+	tr := &Trace{id: "t-alloc", start: time.Now(), spans: make([]Span, 0, maxSpans)}
+	start := time.Now()
+	if got := testing.AllocsPerRun(1000, func() { addSpanAndReset(tr, start) }); got != 0 {
+		t.Errorf("Trace.AddSpan: %v allocs/op, want 0", got)
+	}
+}
+
 func BenchmarkTraceSpan(b *testing.B) {
 	tr := &Trace{id: "t-bench", start: time.Now(), spans: make([]Span, 0, maxSpans)}
 	start := time.Now()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		tr.AddSpan("stage", start)
-		tr.mu.Lock()
-		tr.spans = tr.spans[:0]
-		tr.mu.Unlock()
+		addSpanAndReset(tr, start)
 	}
 }

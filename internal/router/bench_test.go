@@ -47,6 +47,28 @@ func (t *stubTransport) RoundTrip(req *http.Request) (*http.Response, error) {
 	}, nil
 }
 
+// TestPickAllocations: every proxied request starts with a rendezvous pick,
+// so scoring the eligible nodes for a key must not allocate at any cluster
+// size — no candidate slice, no per-node hash state on the heap. The router
+// is assembled by hand rather than through New: AllocsPerRun counts the whole
+// process, and New's health checkers allocate while they dial.
+func TestPickAllocations(t *testing.T) {
+	key := mintID()
+	for _, nodes := range []int{3, 16} {
+		r := &Router{}
+		for i := 0; i < nodes; i++ {
+			r.nodes = append(r.nodes, &node{name: fmt.Sprintf("node-%02d", i), healthy: true})
+		}
+		if got := testing.AllocsPerRun(1000, func() {
+			if r.pick(key) == nil {
+				t.Fatal("no owner")
+			}
+		}); got != 0 {
+			t.Errorf("pick over %d nodes: %v allocs/op, want 0", nodes, got)
+		}
+	}
+}
+
 // BenchmarkRouterRoute measures the router hot path with no network:
 // rendezvous owner selection across cluster sizes, and one full proxied
 // session-request dispatch (mux match, owner pick, outbound request build,

@@ -263,20 +263,32 @@ func TestCreateWalksPastRetriable503(t *testing.T) {
 }
 
 // TestCreateAllRefusedReplaysRetriable503: when every candidate refuses
-// with a retriable 503, the router replays that 503 (still retriable for
-// the client) rather than inventing a generic 502.
+// with a retriable 503, the router answers with a 503 that is still
+// retriable for the client rather than inventing a generic 502. With two
+// backends both refusals fit RetryBudget (2) and the remembered one is
+// replayed; with three the budget is spent before the last candidate, whose
+// own 503 is the final answer — it must keep Retry-After too.
 func TestCreateAllRefusedReplaysRetriable503(t *testing.T) {
-	a := fakeBackend(t, "a", retriable503)
-	b := fakeBackend(t, "b", retriable503)
-	tc := newFakeCluster(t, a, b)
+	for _, n := range []int{2, 3} {
+		t.Run(fmt.Sprintf("backends=%d", n), func(t *testing.T) {
+			var backends []Backend
+			for i := 0; i < n; i++ {
+				backends = append(backends, fakeBackend(t, fmt.Sprintf("n%d", i), retriable503))
+			}
+			tc := newFakeCluster(t, backends...)
 
-	code, hdr := tc.do(t, http.MethodPost, "/v1/sessions",
-		map[string]any{"backend": "bo", "workload": "PageRank"}, nil)
-	if code != http.StatusServiceUnavailable {
-		t.Fatalf("all-refused create: status %d, want replayed 503", code)
-	}
-	if hdr.Get("Retry-After") == "" {
-		t.Fatal("replayed 503 lost Retry-After")
+			code, hdr := tc.do(t, http.MethodPost, "/v1/sessions",
+				map[string]any{"backend": "bo", "workload": "PageRank"}, nil)
+			if code != http.StatusServiceUnavailable {
+				t.Fatalf("all-refused create: status %d, want 503", code)
+			}
+			if hdr.Get("Retry-After") == "" {
+				t.Fatal("503 from an all-refusing cluster lost Retry-After")
+			}
+			if hdr.Get("X-Relm-Node") == "" {
+				t.Fatal("503 does not name the node that refused")
+			}
+		})
 	}
 }
 

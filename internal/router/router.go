@@ -690,12 +690,7 @@ func (r *Router) handleCreate(w http.ResponseWriter, req *http.Request) {
 			lastErr = fmt.Errorf("node %s: refused create (status %d)", n.name, status)
 			continue
 		}
-		if ct := hdr.Get("Content-Type"); ct != "" {
-			w.Header().Set("Content-Type", ct)
-		}
-		w.Header().Set("X-Relm-Node", n.name)
-		w.WriteHeader(status)
-		w.Write(buf)
+		writeProxied(w, n, status, buf, hdr)
 		return
 	}
 	if refused != nil {

@@ -192,7 +192,7 @@ type MetricsResponse struct {
 
 	// Stages carries the per-stage latency digests; StageHist the raw
 	// bucket arrays the router merges bucket-wise into cluster-exact
-	// percentiles. Both absent when the node runs with NoObs.
+	// percentiles.
 	Stages    map[string]obs.Summary   `json:"stages,omitempty"`
 	StageHist map[string]StageHistJSON `json:"stage_hist,omitempty"`
 }

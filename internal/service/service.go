@@ -144,15 +144,10 @@ type Options struct {
 	// ingest counters in. The Manager does not take ownership: the caller
 	// that wired the Set to the store closes it.
 	Replica *replica.Set
-	// Obs is the per-stage latency registry. When nil (and NoObs is
-	// unset) the manager creates one, so stage histograms are on by
-	// default; pass a shared registry to fold in WAL and replica stages
+	// Obs is the per-stage latency registry. When nil the manager creates
+	// one; pass a shared registry to fold in WAL and replica stages
 	// recorded outside the manager.
 	Obs *obs.Registry
-	// NoObs disables stage histograms and leaves Obs nil — the
-	// uninstrumented baseline the benchgate overhead ratio compares
-	// against.
-	NoObs bool
 	// SlowLog, when positive, logs any HTTP request slower than this
 	// span-by-span (through SlowLogf, defaulting to log.Printf).
 	SlowLog time.Duration
@@ -187,7 +182,7 @@ func (o *Options) fill() {
 	if o.RepoCapacity == 0 {
 		o.RepoCapacity = 1024
 	}
-	if o.Obs == nil && !o.NoObs {
+	if o.Obs == nil {
 		o.Obs = obs.NewRegistry()
 	}
 	if o.SlowLogf == nil {
@@ -412,7 +407,7 @@ type Manager struct {
 	replaying     bool // set during Open's replay; suppresses journaling
 
 	// Stage histograms, resolved once at construction so the hot path
-	// never takes the registry lock. All nil when Options.NoObs is set.
+	// never takes the registry lock.
 	obsSuggest *obs.Histogram
 	obsObserve *obs.Histogram
 	obsCreate  *obs.Histogram
@@ -1196,8 +1191,7 @@ type Metrics struct {
 	Replication bool
 	Replica     replica.Stats
 	// Stages holds the per-stage latency snapshots (service.suggest,
-	// wal.append, surrogate.refit, …). Nil when Options.NoObs disabled
-	// stage histograms.
+	// wal.append, surrogate.refit, …).
 	Stages map[string]obs.Snapshot
 }
 
@@ -1256,7 +1250,7 @@ func (m *Manager) StoreDegraded() (string, bool) {
 	return mt.DegradedReason, mt.Degraded
 }
 
-// Obs returns the manager's stage-histogram registry (nil under NoObs).
+// Obs returns the manager's stage-histogram registry.
 func (m *Manager) Obs() *obs.Registry { return m.opts.Obs }
 
 // Tracer returns the manager's request tracer; NewHandler wraps the API
