@@ -24,7 +24,7 @@
 //	relm-serve [-addr :8080] [-workers 4] [-ttl 30m] [-max-sessions 4096]
 //	           [-data-dir relm-data] [-snapshot-every 1024] [-fsync]
 //	           [-wal-segment-bytes 4194304] [-commit-interval 0]
-//	           [-warm-distance 0.25] [-repo-cap 1024] [-surrogate-budget 0]
+//	           [-warm-distance 0.25] [-repo-cap 1024]
 //	           [-node-id a] [-advertise http://10.0.0.1:8080]
 //	           [-replicate-to b=http://10.0.0.2:8080,c=http://10.0.0.3:8080]
 //	           [-replica-dir <data-dir>/replicas] [-replicate-every 500ms]
@@ -98,7 +98,6 @@ func main() {
 		segmentBytes = flag.Int64("wal-segment-bytes", 4<<20, "rotate write-ahead-log segments at this size")
 		commitIvl    = flag.Duration("commit-interval", 0, "group-commit latency cap: extra time an fsync batch coalesces (with -fsync; 0 = flush as soon as the committer is free)")
 		warmDistance = flag.Float64("warm-distance", 0.25, "default fingerprint-distance threshold for warm-start matching")
-		surBudget    = flag.Int("surrogate-budget", 0, "default GP active-set cap for BO/GBO sessions: >0 enables the budgeted sparse surrogate (sessions may override per spec; 0 = exact GP)")
 		repoCap      = flag.Int("repo-cap", 1024, "model-repository capacity; least-recently-matched entries are evicted past it (negative = unbounded)")
 		nodeID       = flag.String("node-id", "", "node identity in a multi-node cluster: prefixes session IDs, reported by /healthz for router verification")
 		advertise    = flag.String("advertise", "", "URL routers should reach this node at (informational, surfaced by /healthz)")
@@ -142,7 +141,6 @@ func main() {
 		MaxSessions:     *maxSessions,
 		SnapshotEvery:   *snapEvery,
 		WarmMaxDistance: *warmDistance,
-		SurrogateBudget: *surBudget,
 		RepoCapacity:    *repoCap,
 		NodeID:          *nodeID,
 		Advertise:       *advertise,

@@ -168,12 +168,6 @@ func (c *constSurrogate) SetData(_ [][]float64, ys []float64) error {
 	return nil
 }
 
-func (c *constSurrogate) Append(_ []float64, y float64) error {
-	c.ys = append(c.ys, y)
-	c.stats.Appends++
-	return nil
-}
-
 func (c *constSurrogate) PredictInto([]float64, *gp.Scratch) (float64, float64) {
 	c.predicts++
 	return avg(c.ys), 1

@@ -24,7 +24,7 @@ type Tuner struct {
 	extra Extra
 	pen   Penalty
 	rng   *simrand.Rand
-	sur   gp.Surrogate // the response-surface model (exact GP, sparse GP, or override)
+	sur   gp.Surrogate // the response-surface model (gp.Sparse, or the override)
 
 	queue []conf.Config // bootstrap configurations not yet suggested
 
@@ -81,31 +81,18 @@ func NewTuner(sp tune.Space, opts Options, extra Extra, penalty Penalty) *Tuner 
 	if t.sur == nil {
 		// Default surrogate: a hyperparameter-tuned GP (grid + ARD gradient
 		// ascent) absorbing new observations through O(n²) appends, with
-		// re-selection throttled to the RefitEvery/RefitDrift schedule. A
-		// positive Budget swaps in the budgeted sparse variant, which
-		// compresses the active set so long sessions keep m-point cost.
+		// re-selection throttled to the RefitEvery/RefitDrift schedule and
+		// the active set capped at Budget points.
 		sc := opts.Surrogate
-		if sc.Budget > 0 {
-			t.sur = &gp.Sparse{
-				Kind:       sc.Kernel,
-				BaseDims:   sp.Dim(),
-				Budget:     sc.Budget,
-				RefitEvery: sc.RefitEvery,
-				LMLDrift:   sc.RefitDrift,
-				ARDIters:   sc.ARDIters,
-				AppendHist: opts.SurrogateAppendHist,
-				RefitHist:  opts.SurrogateRefitHist,
-			}
-		} else {
-			t.sur = &gp.Incremental{
-				Kind:       sc.Kernel,
-				BaseDims:   sp.Dim(),
-				RefitEvery: sc.RefitEvery,
-				LMLDrift:   sc.RefitDrift,
-				ARDIters:   sc.ARDIters,
-				AppendHist: opts.SurrogateAppendHist,
-				RefitHist:  opts.SurrogateRefitHist,
-			}
+		t.sur = &gp.Sparse{
+			Kind:       sc.Kernel,
+			BaseDims:   sp.Dim(),
+			Budget:     sc.Budget,
+			RefitEvery: sc.RefitEvery,
+			LMLDrift:   sc.RefitDrift,
+			ARDIters:   sc.ARDIters,
+			AppendHist: opts.SurrogateAppendHist,
+			RefitHist:  opts.SurrogateRefitHist,
 		}
 	}
 
@@ -194,16 +181,8 @@ func (t *Tuner) buildFeatures() ([][]float64, []float64) {
 	return rows, ys
 }
 
-// SurrogateStats reports the surrogate's cumulative hyperparameter
-// selections and incremental appends — the observability hook for tests and
-// service metrics. SurrogateInfo carries the full counter set.
-func (t *Tuner) SurrogateStats() (fits, appends int) {
-	st := t.sur.Stats()
-	return st.Fits, st.Appends
-}
-
-// SurrogateInfo reports the surrogate's full work counters, including the
-// compactions a budgeted model performed to stay within its point cap.
+// SurrogateInfo reports the surrogate's cumulative work counters — the
+// observability hook for tests and service metrics.
 func (t *Tuner) SurrogateInfo() gp.SurrogateStats { return t.sur.Stats() }
 
 // advance computes the next suggestion or fires the stopping rule. It is
@@ -227,8 +206,8 @@ func (t *Tuner) advance() {
 
 	// Feature vectors are rebuilt each round so an Extra that matured
 	// after the first profile applies to the bootstrap samples too. The
-	// incremental surrogate reconciles: it appends only the new tail when
-	// the prefix is unchanged and refits when features shifted under it.
+	// surrogate reconciles: it appends only the new tail when the prefix
+	// is unchanged and refits when features shifted under it.
 	feats, fitYs := t.buildFeatures()
 	if err := t.sur.SetData(feats, fitYs); err != nil {
 		t.done = true

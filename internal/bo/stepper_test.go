@@ -170,7 +170,8 @@ func TestIncrementalSurrogateSchedule(t *testing.T) {
 		for i := 0; i < steps && !tn.Done(); i++ {
 			tn.Observe(ev.Eval(tn.Suggest()))
 		}
-		return tn.SurrogateStats()
+		st := tn.SurrogateInfo()
+		return st.Fits, st.Appends
 	}
 
 	fits, appends := drive(Options{Seed: 7, MaxIterations: 30, MinNewSamples: 30, EIFraction: -1}, 24)

@@ -68,14 +68,10 @@ func (t *Tuner) Done() bool { return t.inner.Done() }
 // Model returns the guide model Q, or nil before any profiled observation.
 func (t *Tuner) Model() *Model { return t.model }
 
-// SurrogateStats reports the inner surrogate's cumulative hyperparameter
-// grid selections and incremental appends. Guided BO exercises the
-// reconciling path: when Q matures it rewrites every feature row, which
-// the incremental surrogate answers with one full re-selection.
-func (t *Tuner) SurrogateStats() (fits, appends int) { return t.inner.SurrogateStats() }
-
-// SurrogateInfo reports the inner surrogate's full work counters, including
-// budget compactions.
+// SurrogateInfo reports the inner surrogate's cumulative work counters.
+// Guided BO exercises the reconciling path: when Q matures it rewrites
+// every feature row, which the surrogate answers with one full
+// re-selection.
 func (t *Tuner) SurrogateInfo() gp.SurrogateStats { return t.inner.SurrogateInfo() }
 
 // Result assembles the batch-style report from the steps taken so far.

@@ -81,9 +81,9 @@ func TestGuideMaturationForcesSurrogateReselection(t *testing.T) {
 	if st.Model() != nil {
 		t.Fatal("guide model built without statistics")
 	}
-	fitsBefore, appendsBefore := st.SurrogateStats()
-	if fitsBefore == 0 || appendsBefore == 0 {
-		t.Fatalf("degraded phase: fits=%d appends=%d — want both nonzero", fitsBefore, appendsBefore)
+	before := st.SurrogateInfo()
+	if before.Fits == 0 || before.Appends == 0 {
+		t.Fatalf("degraded phase: fits=%d appends=%d — want both nonzero", before.Fits, before.Appends)
 	}
 
 	// The first profiled observation matures Q.
@@ -92,8 +92,7 @@ func TestGuideMaturationForcesSurrogateReselection(t *testing.T) {
 	if st.Model() == nil {
 		t.Fatal("guide model not built from profiled sample")
 	}
-	fitsAfter, _ := st.SurrogateStats()
-	if fitsAfter <= fitsBefore {
-		t.Fatalf("guide maturation must force a full re-selection: fits %d -> %d", fitsBefore, fitsAfter)
+	if after := st.SurrogateInfo(); after.Fits <= before.Fits {
+		t.Fatalf("guide maturation must force a full re-selection: fits %d -> %d", before.Fits, after.Fits)
 	}
 }

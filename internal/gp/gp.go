@@ -11,9 +11,9 @@
 // the factor a batch refit would (falling back to a jittered batch refit
 // when the bordered pivot is not numerically positive). Prediction has
 // allocation-free variants (PredictInto, PredictBatch) that write into a
-// caller-owned Scratch, and Incremental schedules hyperparameter
-// re-selection so streaming observations pay the grid search only every few
-// appends instead of on every one.
+// caller-owned Scratch, and Sparse schedules hyperparameter re-selection so
+// streaming observations pay the grid search only every few appends instead
+// of on every one.
 package gp
 
 import (

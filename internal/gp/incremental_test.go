@@ -152,7 +152,7 @@ func TestPredictBatchMatchesPredict(t *testing.T) {
 func TestIncrementalSchedule(t *testing.T) {
 	rng := simrand.New(23)
 	xs, ys := synth(rng, 30, 3)
-	inc := &Incremental{Kind: "rbf", BaseDims: 3, RefitEvery: 4, LMLDrift: -1}
+	inc := &Sparse{Kind: "rbf", BaseDims: 3, RefitEvery: 4, LMLDrift: -1}
 
 	if err := inc.SetData(xs[:5], ys[:5]); err != nil {
 		t.Fatal(err)
@@ -168,12 +168,13 @@ func TestIncrementalSchedule(t *testing.T) {
 	if st := inc.Stats(); st.Fits != 1 || st.Appends != 3 {
 		t.Fatalf("after 3 streamed points: fits = %d appends = %d, want 1 and 3", st.Fits, st.Appends)
 	}
-	// The 4th append hits the schedule and triggers a re-selection.
+	// The 4th point lands on the schedule: it is re-selected on directly,
+	// not appended first.
 	if err := inc.SetData(xs[:9], ys[:9]); err != nil {
 		t.Fatal(err)
 	}
-	if st := inc.Stats(); st.Fits != 2 {
-		t.Fatalf("schedule did not trigger re-selection: fits = %d, want 2", st.Fits)
+	if st := inc.Stats(); st.Fits != 2 || st.Appends != 3 {
+		t.Fatalf("schedule: fits = %d appends = %d, want 2 and 3", st.Fits, st.Appends)
 	}
 
 	// Retroactive feature change: every row gains a dimension.
@@ -198,7 +199,7 @@ func TestIncrementalSchedule(t *testing.T) {
 func TestIncrementalRefitMatchesBatchSelection(t *testing.T) {
 	rng := simrand.New(31)
 	xs, ys := synth(rng, 24, 3)
-	inc := &Incremental{Kind: "rbf", BaseDims: 3, RefitEvery: 4, LMLDrift: -1}
+	inc := &Sparse{Kind: "rbf", BaseDims: 3, RefitEvery: 4, LMLDrift: -1}
 	for i := 4; i <= len(xs); i++ {
 		if err := inc.SetData(xs[:i], ys[:i]); err != nil {
 			t.Fatal(err)

@@ -8,34 +8,41 @@ import (
 	"relm/internal/obs"
 )
 
-// DefaultSparseBudget is the default active-set cap of the budgeted Sparse
-// surrogate: large enough that short sessions never compress (and therefore
-// match the exact model bit-for-bit), small enough that a 10k-observation
-// session appends and predicts at the cost of a 256-point model.
+// DefaultSparseBudget is the default active-set cap of the Sparse
+// surrogate: large enough that short sessions never compress (and are
+// therefore the exact GP over every observation), small enough that a
+// 10k-observation session appends and predicts at the cost of a 256-point
+// model.
 const DefaultSparseBudget = 256
 
-// Sparse is the budgeted Surrogate: a subset-of-data GP whose active set is
+// Sparse is the GP Surrogate: a hyperparameter-tuned GP whose active set is
 // capped at Budget points, so appends cost O(m²) and predictions cost the
 // same zero-alloc O(m) as an m-point exact model no matter how many
 // observations the session has streamed in.
 //
-// Compression is greedy and factor-driven. While the active set is under
-// budget every point is admitted and Sparse behaves exactly like
-// Incremental — same append path, same re-selection schedule, same
-// hyperparameter search — so short sessions lose nothing. At budget, each
-// arriving point is scored by its conditional variance given the active set
-// (the pivot a bordered Cholesky append would produce) and compared against
-// the smallest diagonal pivot in the cached factor, the greedy proxy for
-// the most redundant active point. The candidate either replaces that point
-// (row/column deletion plus bordered append, O(m²), no refactorization) or
-// is rejected as the most redundant of the m+1. The active point holding
-// the incumbent-best (minimum) target is never evicted: the EI incumbent
-// must keep its support. Every absorbed observation — admitted or not — is
-// recorded in a full-stream copy so SetData can reconcile against callers
-// that rewrite history (guide-feature maturation, warm-start prior swaps),
-// which triggers a rebuild: re-seed hyperparameters on the first Budget
-// points, restream the remainder through the compressor, re-select on the
-// compressed active set.
+// New observations are absorbed through O(n²) GP.Append and the O(n³)
+// hyperparameter selection (the coarse grid of FitBestGrouped refined by ARD
+// gradient ascent, FitBestARD) is throttled to a schedule: every RefitEvery
+// absorbed observations, or earlier when the per-point log marginal
+// likelihood drifts down by more than LMLDrift — the signal that the length
+// scales selected a few observations ago no longer explain the data.
+//
+// Compression is greedy and factor-driven. While the stream fits the budget
+// every point is admitted and the model is the exact GP over all of it:
+// each scheduled re-selection equals batch FitBestARD on the same rows. At
+// budget, each arriving point is scored by its conditional variance given
+// the active set (the pivot a bordered Cholesky append would produce) and
+// compared against the smallest diagonal pivot in the cached factor, the
+// greedy proxy for the most redundant active point. The candidate either
+// replaces that point (row/column deletion plus bordered append, O(m²), no
+// refactorization) or is rejected as the most redundant of the m+1. The
+// active point holding the incumbent-best (minimum) target is never
+// evicted: the EI incumbent must keep its support. Every absorbed
+// observation — admitted or not — is recorded in a full-stream copy so
+// SetData can reconcile against callers that rewrite history
+// (guide-feature maturation, warm-start prior swaps), which triggers a
+// rebuild: re-seed hyperparameters on the first Budget points, restream the
+// remainder through the compressor, re-select on the compressed active set.
 type Sparse struct {
 	// Kind selects the kernel family ("rbf" or "matern52").
 	Kind string
@@ -44,17 +51,18 @@ type Sparse struct {
 	// Budget caps the active set (default DefaultSparseBudget).
 	Budget int
 	// RefitEvery re-selects hyperparameters after this many absorbed
-	// observations (default 8), matching Incremental.
+	// observations (default 8; 1 re-selects on every observation).
 	RefitEvery int
 	// LMLDrift re-selects early when the per-point log marginal likelihood
 	// of the active set drops this much since the last selection
 	// (default 0.25; ≤0 disables).
 	LMLDrift float64
-	// ARDIters bounds the ARD gradient ascent per re-selection (default
+	// ARDIters bounds the ARD gradient ascent per re-selection (0 =
 	// DefaultARDIters; negative disables ARD).
 	ARDIters int
 	// AppendHist/RefitHist, when set, record absorb vs. re-selection
-	// latency, same split as Incremental.
+	// latency, so a slow observe can be attributed to the right half of
+	// the surrogate.
 	AppendHist *obs.Histogram
 	RefitHist  *obs.Histogram
 
@@ -82,9 +90,6 @@ func (s *Sparse) fill() {
 	if s.LMLDrift == 0 {
 		s.LMLDrift = 0.25
 	}
-	if s.ARDIters == 0 {
-		s.ARDIters = DefaultARDIters
-	}
 }
 
 // SetData reconciles the model with the full observation matrix: unchanged
@@ -95,13 +100,24 @@ func (s *Sparse) SetData(xs [][]float64, ys []float64) error {
 	if s.gp == nil || !s.prefixUnchanged(xs, ys) {
 		return s.rebuild(xs, ys)
 	}
+	tail := len(xs) - len(s.allXs)
+	// When the tail lands on the schedule and still fits the budget, the
+	// active set is the whole stream: re-select on it directly instead of
+	// appending work the refit discards (RefitEvery=1 therefore never
+	// appends).
+	if s.appends+tail >= s.RefitEvery && len(xs) <= s.Budget {
+		for i := len(s.allXs); i < len(xs); i++ {
+			s.record(xs[i], ys[i])
+		}
+		return s.reselect(s.allXs, s.allYs)
+	}
 	var appendStart time.Time
-	if s.AppendHist != nil && len(xs) > len(s.allXs) {
+	if s.AppendHist != nil && tail > 0 {
 		appendStart = time.Now()
 	}
 	for i := len(s.allXs); i < len(xs); i++ {
 		s.record(xs[i], ys[i])
-		if err := s.absorbOne(s.allXs[len(s.allXs)-1], s.allYs[len(s.allYs)-1]); err != nil {
+		if err := s.absorbOne(s.allXs[i], s.allYs[i]); err != nil {
 			return s.refitActive()
 		}
 		s.appends++
@@ -113,32 +129,9 @@ func (s *Sparse) SetData(xs [][]float64, ys []float64) error {
 	return s.maybeRefit()
 }
 
-// Append streams one observation through the compressor and the
-// re-selection schedule.
-func (s *Sparse) Append(x []float64, y float64) error {
-	s.fill()
-	if s.gp == nil {
-		return s.rebuild([][]float64{x}, []float64{y})
-	}
-	var appendStart time.Time
-	if s.AppendHist != nil {
-		appendStart = time.Now()
-	}
-	s.record(x, y)
-	if err := s.absorbOne(s.allXs[len(s.allXs)-1], s.allYs[len(s.allYs)-1]); err != nil {
-		return s.refitActive()
-	}
-	s.appends++
-	s.stats.Appends++
-	if !appendStart.IsZero() {
-		s.AppendHist.Record(time.Since(appendStart))
-	}
-	return s.maybeRefit()
-}
-
-// maybeRefit applies the shared re-selection schedule after an absorb:
-// refit when the append budget is spent or the per-point likelihood of the
-// active set has drifted below the level at the last selection.
+// maybeRefit applies the re-selection schedule after an absorb: refit when
+// the append budget is spent or the per-point likelihood of the active set
+// has drifted below the level at the last selection.
 func (s *Sparse) maybeRefit() error {
 	if s.appends >= s.RefitEvery {
 		return s.refitActive()
@@ -231,7 +224,7 @@ func (s *Sparse) LogMarginalLikelihood() float64 {
 }
 
 // Model returns the current GP over the active set (nil before the first
-// successful SetData or Append).
+// successful SetData).
 func (s *Sparse) Model() *GP { return s.gp }
 
 // N returns the number of observations absorbed (the stream length, not the
@@ -248,7 +241,9 @@ func (s *Sparse) record(x []float64, y float64) {
 }
 
 // prefixUnchanged reports whether the absorbed stream is exactly the
-// leading rows of (xs, ys), by the same exact-float test as Incremental.
+// leading rows of (xs, ys). Exact float equality is the right test:
+// unchanged feature pipelines reproduce identical bits, and any retroactive
+// change — however small — invalidates the cached factor.
 func (s *Sparse) prefixUnchanged(xs [][]float64, ys []float64) bool {
 	if len(xs) < len(s.allXs) || len(ys) != len(xs) {
 		return false
@@ -284,40 +279,28 @@ func (s *Sparse) rebuild(xs [][]float64, ys []float64) error {
 	if seed > s.Budget {
 		seed = s.Budget
 	}
-	var start time.Time
-	if s.RefitHist != nil {
-		start = time.Now()
-	}
-	g, err := FitBestARD(s.Kind, xs[:seed], ys[:seed], s.BaseDims, s.ARDIters)
-	if !start.IsZero() {
-		s.RefitHist.Record(time.Since(start))
-	}
-	if err != nil {
+	if err := s.reselect(s.allXs[:seed], s.allYs[:seed]); err != nil || seed == len(xs) {
 		return err
-	}
-	s.gp = g
-	s.stats.Fits++
-	s.appends = 0
-	s.selLML = g.LogMarginalLikelihood() / float64(g.N())
-	if seed == len(xs) {
-		return nil
 	}
 	for i := seed; i < len(xs); i++ {
 		if err := s.absorbOne(s.allXs[i], s.allYs[i]); err != nil {
-			return s.refitActive()
+			break
 		}
 	}
 	return s.refitActive()
 }
 
-// refitActive re-selects hyperparameters (grid + ARD) over the current
-// active set and resets the schedule.
-func (s *Sparse) refitActive() error {
+// refitActive re-selects hyperparameters over the current active set.
+func (s *Sparse) refitActive() error { return s.reselect(s.gp.xs, s.gp.ys) }
+
+// reselect replaces the model with the best grid + ARD fit of (xs, ys) and
+// resets the schedule.
+func (s *Sparse) reselect(xs [][]float64, ys []float64) error {
 	var start time.Time
 	if s.RefitHist != nil {
 		start = time.Now()
 	}
-	g, err := FitBestARD(s.Kind, s.gp.xs, s.gp.ys, s.BaseDims, s.ARDIters)
+	g, err := FitBestARD(s.Kind, xs, ys, s.BaseDims, s.ARDIters)
 	if !start.IsZero() {
 		s.RefitHist.Record(time.Since(start))
 	}

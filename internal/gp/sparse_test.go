@@ -7,10 +7,11 @@ import (
 	"relm/internal/simrand"
 )
 
-// Satellite acceptance: while the stream fits inside the budget, the Sparse
-// surrogate must be the exact model — same append path, same re-selection
-// schedule, same hyperparameter search — under randomized append orders,
-// to 1e-9.
+// While the stream fits inside the budget the Sparse surrogate is the exact
+// GP over every observation: fed growing prefixes in a randomized order, a
+// capped model tracks an uncapped one (budget ≥ the stream) to 1e-9 at
+// every step, and whenever a step lands on the re-selection schedule both
+// equal batch FitBestARD on the same rows.
 func TestSparseMatchesExactUnderBudget(t *testing.T) {
 	rng := simrand.New(101)
 	for trial := 0; trial < 8; trial++ {
@@ -25,22 +26,39 @@ func TestSparseMatchesExactUnderBudget(t *testing.T) {
 			pxs[i], pys[i] = xs[j], ys[j]
 		}
 
-		exact := &Incremental{Kind: "rbf", BaseDims: dim, RefitEvery: 4}
+		exact := &Sparse{Kind: "rbf", BaseDims: dim, Budget: n, RefitEvery: 4}
 		sparse := &Sparse{Kind: "rbf", BaseDims: dim, Budget: 64, RefitEvery: 4}
 
-		seed := 1 + rng.Intn(n)
-		if err := exact.SetData(pxs[:seed], pys[:seed]); err != nil {
-			t.Fatalf("trial %d: exact seed: %v", trial, err)
-		}
-		if err := sparse.SetData(pxs[:seed], pys[:seed]); err != nil {
-			t.Fatalf("trial %d: sparse seed: %v", trial, err)
-		}
-		for i := seed; i < n; i++ {
-			if err := exact.Append(pxs[i], pys[i]); err != nil {
-				t.Fatalf("trial %d: exact append %d: %v", trial, i, err)
+		for i := 1 + rng.Intn(n); i <= n; i++ {
+			if err := exact.SetData(pxs[:i], pys[:i]); err != nil {
+				t.Fatalf("trial %d: exact prefix %d: %v", trial, i, err)
 			}
-			if err := sparse.Append(pxs[i], pys[i]); err != nil {
-				t.Fatalf("trial %d: sparse append %d: %v", trial, i, err)
+			fits := sparse.Stats().Fits
+			if err := sparse.SetData(pxs[:i], pys[:i]); err != nil {
+				t.Fatalf("trial %d: sparse prefix %d: %v", trial, i, err)
+			}
+			ref := exact.Model()
+			if sparse.Stats().Fits > fits {
+				var err error
+				if ref, err = FitBestARD("rbf", pxs[:i], pys[:i], dim, 0); err != nil {
+					t.Fatalf("trial %d: batch fit of prefix %d: %v", trial, i, err)
+				}
+			}
+			var se, ss Scratch
+			for probe := 0; probe < 5; probe++ {
+				x := make([]float64, dim)
+				for d := range x {
+					x[d] = rng.Float64() * 1.2
+				}
+				em, ev := ref.PredictInto(x, &se)
+				sm, sv := sparse.PredictInto(x, &ss)
+				if math.Abs(em-sm) > 1e-9 || math.Abs(ev-sv) > 1e-9 {
+					t.Fatalf("trial %d prefix %d: sparse diverges from exact at %v: (%v, %v) vs (%v, %v)",
+						trial, i, x, sm, sv, em, ev)
+				}
+			}
+			if el, sl := ref.LogMarginalLikelihood(), sparse.LogMarginalLikelihood(); math.Abs(el-sl) > 1e-9 {
+				t.Fatalf("trial %d prefix %d: LML diverges: exact %v vs sparse %v", trial, i, el, sl)
 			}
 		}
 
@@ -49,22 +67,6 @@ func TestSparseMatchesExactUnderBudget(t *testing.T) {
 		}
 		if st := sparse.Stats(); st.Compactions != 0 {
 			t.Fatalf("trial %d: under-budget stream recorded %d compactions", trial, st.Compactions)
-		}
-		var se, ss Scratch
-		for probe := 0; probe < 20; probe++ {
-			x := make([]float64, dim)
-			for d := range x {
-				x[d] = rng.Float64() * 1.2
-			}
-			em, ev := exact.PredictInto(x, &se)
-			sm, sv := sparse.PredictInto(x, &ss)
-			if math.Abs(em-sm) > 1e-9 || math.Abs(ev-sv) > 1e-9 {
-				t.Fatalf("trial %d: sparse diverges from exact at %v: (%v, %v) vs (%v, %v)",
-					trial, x, sm, sv, em, ev)
-			}
-		}
-		if el, sl := exact.LogMarginalLikelihood(), sparse.LogMarginalLikelihood(); math.Abs(el-sl) > 1e-9 {
-			t.Fatalf("trial %d: LML diverges: exact %v vs sparse %v", trial, el, sl)
 		}
 	}
 }
@@ -93,9 +95,10 @@ func TestSparseCompressesOverBudget(t *testing.T) {
 
 	// Streaming more observations keeps the cap and keeps counting.
 	extra, extraYs := synth(rng, 20, 3)
-	for i := range extra {
-		if err := s.Append(extra[i], extraYs[i]); err != nil {
-			t.Fatalf("append %d: %v", i, err)
+	xs, ys = append(xs, extra...), append(ys, extraYs...)
+	for i := n + 1; i <= len(xs); i++ {
+		if err := s.SetData(xs[:i], ys[:i]); err != nil {
+			t.Fatalf("prefix %d: %v", i, err)
 		}
 	}
 	if got := s.Model().N(); got > budget {
@@ -116,15 +119,15 @@ func TestSparseCompressesOverBudget(t *testing.T) {
 }
 
 // The compressed model must still explain the surface it absorbed: its
-// predictions at the training inputs track the exact model's within a
-// loose tolerance (subset-of-data is an approximation, not a replica).
+// predictions track batch FitBestARD over the whole stream within a loose
+// tolerance (subset-of-data is an approximation, not a replica).
 func TestSparseTracksExactPosterior(t *testing.T) {
 	rng := simrand.New(303)
 	const n, budget = 200, 32
 	xs, ys := synth(rng, n, 2)
 
-	exact := &Incremental{Kind: "rbf", BaseDims: 2}
-	if err := exact.SetData(xs, ys); err != nil {
+	exact, err := FitBestARD("rbf", xs, ys, 2, 0)
+	if err != nil {
 		t.Fatal(err)
 	}
 	sparse := &Sparse{Kind: "rbf", BaseDims: 2, Budget: budget}
@@ -192,8 +195,9 @@ func TestSparseProtectsIncumbent(t *testing.T) {
 		t.Fatal(err)
 	}
 	flood, floodYs := synth(rng, 100, 2)
-	for i := range flood {
-		if err := s.Append(flood[i], floodYs[i]); err != nil {
+	xs, ys = append(xs, flood...), append(ys, floodYs...)
+	for i := budget + 1; i <= len(xs); i++ {
+		if err := s.SetData(xs[:i], ys[:i]); err != nil {
 			t.Fatal(err)
 		}
 	}

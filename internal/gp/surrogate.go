@@ -3,9 +3,9 @@ package gp
 // SurrogateStats are the cumulative work counters of a surrogate: full
 // hyperparameter selections (grid + ARD refinement, O(n³) each), cheap
 // incremental appends (O(n²) factor extensions), and budget compactions
-// (evictions or rejections a budgeted model performed to stay within its
-// point cap — always zero for exact models). A healthy steady state appends
-// far more than it fits.
+// (evictions or rejections the GP performed to stay within its point cap —
+// zero while the stream fits it). A healthy steady state appends far more
+// than it fits.
 type SurrogateStats struct {
 	Fits        int
 	Appends     int
@@ -13,12 +13,10 @@ type SurrogateStats struct {
 }
 
 // Surrogate is the response-surface model behind the Bayesian-optimization
-// tuners: the seam that lets the exact incremental GP, the budgeted sparse
-// GP, and non-GP models (the Random-Forest ablation) slot into the same
-// suggest/observe loop.
+// tuners: the seam that lets the GP (Sparse) and non-GP models (the
+// Random-Forest ablation) slot into the same suggest/observe loop.
 //
-// The two training entry points mirror the two ways observations arrive.
-// Append conditions on one new point. SetData reconciles with the full
+// SetData is the one training entry point. It reconciles with the full
 // (features, targets) matrix each round: implementations absorb only the
 // new tail when the leading rows are unchanged and rebuild when a caller
 // rewrote history under them (guide-feature maturation, warm-start prior
@@ -31,7 +29,6 @@ type SurrogateStats struct {
 // (NaN for models without a likelihood). Stats exposes the cumulative work
 // counters for metrics and tests.
 type Surrogate interface {
-	Append(x []float64, y float64) error
 	SetData(xs [][]float64, ys []float64) error
 	PredictInto(x []float64, s *Scratch) (mean, variance float64)
 	PredictBatch(xs [][]float64, means, vars []float64, s *Scratch)
@@ -39,7 +36,4 @@ type Surrogate interface {
 	Stats() SurrogateStats
 }
 
-var (
-	_ Surrogate = (*Incremental)(nil)
-	_ Surrogate = (*Sparse)(nil)
-)
+var _ Surrogate = (*Sparse)(nil)

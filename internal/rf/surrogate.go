@@ -17,38 +17,19 @@ type Surrogate struct {
 	Opts Options
 
 	forest *Forest
-	xs     [][]float64
-	ys     []float64
 	stats  gp.SurrogateStats
 }
 
 var _ gp.Surrogate = (*Surrogate)(nil)
 
-// SetData replaces the training matrix and retrains. Rows are copied;
-// callers may reuse their buffers.
+// SetData retrains on the given matrix. The trees keep thresholds and leaf
+// means, not rows, so callers may reuse their buffers.
 func (s *Surrogate) SetData(xs [][]float64, ys []float64) error {
-	s.xs = s.xs[:0]
-	for _, x := range xs {
-		s.xs = append(s.xs, append([]float64(nil), x...))
-	}
-	s.ys = append(s.ys[:0], ys...)
-	return s.retrain()
-}
-
-// Append adds one observation and retrains.
-func (s *Surrogate) Append(x []float64, y float64) error {
-	s.xs = append(s.xs, append([]float64(nil), x...))
-	s.ys = append(s.ys, y)
-	s.stats.Appends++
-	return s.retrain()
-}
-
-func (s *Surrogate) retrain() error {
-	if len(s.xs) == 0 {
+	if len(xs) == 0 {
 		s.forest = nil
 		return nil
 	}
-	s.forest = Train(s.xs, s.ys, s.Opts)
+	s.forest = Train(xs, ys, s.Opts)
 	s.stats.Fits++
 	return nil
 }

@@ -724,8 +724,8 @@ func writePromMetrics(w io.Writer, mt Metrics) {
 	p.Counter("relm_evictions_total", "TTL session evictions.", float64(mt.Evictions))
 	p.Counter("relm_warm_starts_total", "Repository-seeded sessions.", float64(mt.WarmStarts))
 	p.Counter("relm_surrogate_fits_total", "Full surrogate hyperparameter selections.", float64(mt.SurrogateFits))
-	p.Counter("relm_surrogate_appends_total", "Incremental surrogate appends.", float64(mt.SurrogateAppends))
-	p.Counter("relm_surrogate_compactions_total", "Budgeted surrogate active-set compactions.", float64(mt.SurrogateCompactions))
+	p.Counter("relm_surrogate_appends_total", "O(n²) surrogate appends between hyperparameter selections.", float64(mt.SurrogateAppends))
+	p.Counter("relm_surrogate_compactions_total", "Surrogate evict-or-reject decisions at the active-set cap.", float64(mt.SurrogateCompactions))
 	p.Gauge("relm_repo_entries", "Model repository entries.", float64(mt.RepoEntries))
 	p.Counter("relm_repo_hits_total", "Warm-start repository matches.", float64(mt.RepoHits))
 	p.Counter("relm_repo_evictions_total", "Repository capacity evictions.", float64(mt.RepoEvictions))

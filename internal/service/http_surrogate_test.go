@@ -3,9 +3,12 @@ package service
 import (
 	"io"
 	"net/http"
+	"reflect"
 	"strings"
 	"testing"
 
+	"relm/internal/conf"
+	"relm/internal/gp"
 	"relm/internal/store"
 )
 
@@ -63,8 +66,8 @@ func TestHTTPSurrogateRoundTrip(t *testing.T) {
 		if code != http.StatusCreated {
 			t.Fatalf("create: status %d", code)
 		}
-		if created.Surrogate == nil || created.Surrogate.Kind != "rbf" || created.Surrogate.Budget != 0 {
-			t.Fatalf("default surrogate should be exact rbf: %+v", created.Surrogate)
+		if created.Surrogate == nil || created.Surrogate.Kind != "rbf" || created.Surrogate.Budget != gp.DefaultSparseBudget {
+			t.Fatalf("default surrogate should be rbf, exact up to the default cap: %+v", created.Surrogate)
 		}
 	})
 
@@ -92,34 +95,24 @@ func TestHTTPSurrogateRoundTrip(t *testing.T) {
 	})
 }
 
-// Options.SurrogateBudget is the manager-wide default: spec budget 0
-// inherits it, a negative spec budget forces the exact model back.
-func TestManagerDefaultSurrogateBudget(t *testing.T) {
-	m := NewManager(Options{Workers: 1, SurrogateBudget: 32})
+// budget means one thing, a positive active-set cap: unset, 0 and negative
+// all resolve to the default, an explicit cap wins.
+func TestSurrogateSpecBudgetDefaults(t *testing.T) {
+	m := NewManager(Options{Workers: 1})
 	t.Cleanup(m.Close)
 
-	st, err := m.Create(Spec{Backend: "bo", Workload: "K-means"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Surrogate == nil || st.Surrogate.Budget != 32 {
-		t.Fatalf("spec budget 0 should inherit the manager default 32: %+v", st.Surrogate)
-	}
-
-	st, err = m.Create(Spec{Backend: "bo", Workload: "K-means", Surrogate: SurrogateSpec{Budget: -1}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Surrogate == nil || st.Surrogate.Budget != 0 {
-		t.Fatalf("negative spec budget should force the exact model: %+v", st.Surrogate)
-	}
-
-	st, err = m.Create(Spec{Backend: "bo", Workload: "K-means", Surrogate: SurrogateSpec{Budget: 16}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Surrogate == nil || st.Surrogate.Budget != 16 {
-		t.Fatalf("explicit spec budget should win: %+v", st.Surrogate)
+	for _, tc := range []struct{ budget, want int }{
+		{0, gp.DefaultSparseBudget},
+		{-1, gp.DefaultSparseBudget},
+		{16, 16},
+	} {
+		st, err := m.Create(Spec{Backend: "bo", Workload: "K-means", Surrogate: SurrogateSpec{Budget: tc.budget}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.Surrogate == nil || st.Surrogate.Budget != tc.want {
+			t.Fatalf("spec budget %d resolved to %+v, want %d", tc.budget, st.Surrogate, tc.want)
+		}
 	}
 }
 
@@ -191,5 +184,96 @@ func TestSurrogateSpecSurvivesRestart(t *testing.T) {
 	}
 	if st2.Surrogate == nil || st2.Surrogate.Kind != "matern52" || st2.Surrogate.Budget != 48 {
 		t.Fatalf("surrogate spec lost across restart: %+v", st2.Surrogate)
+	}
+}
+
+// A journaled budget of -1 (the old "force exact"), an absent block (the old
+// "inherit the node default") and an explicit cap all replay onto the one
+// model: crashed after 10 observations with a suggestion outstanding, the
+// restored session continues with exactly the suggestions an uninterrupted
+// manager makes — and, while the stream fits the cap, the three are the
+// same session.
+func TestJournaledBudgetsReplayOntoOneModel(t *testing.T) {
+	const crashAt = 10
+	// drive steps a session to completion (or to stop observations),
+	// returning every suggestion made, the outstanding one included.
+	drive := func(m *Manager, id string, from, stop int) (sugs []conf.Config) {
+		for step := from; ; step++ {
+			cfg, done, err := m.Suggest(id)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if done {
+				return sugs
+			}
+			sugs = append(sugs, cfg)
+			if step == stop {
+				return sugs
+			}
+			if _, err := m.Observe(id, measure(t, "A", "K-means", Observation{Config: cfg}, uint64(step))); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+
+	var first []conf.Config
+	for _, tc := range []struct {
+		name   string
+		budget int
+		want   *store.SurrogateSpec // the create event's journaled block
+	}{
+		{"budget -1", -1, &store.SurrogateSpec{Budget: -1}},
+		{"block absent", 0, nil},
+		{"budget 48", 48, &store.SurrogateSpec{Budget: 48}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			spec := Spec{Backend: "gbo", Workload: "K-means", Seed: 3, MaxIterations: 14,
+				Surrogate: SurrogateSpec{Budget: tc.budget}}
+
+			ref := newTestManager(t, Options{Workers: 1})
+			st, err := ref.Create(spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := drive(ref, st.ID, 0, -1)
+			if len(want) < crashAt+3 {
+				t.Fatalf("uninterrupted session made only %d suggestions; the crash point needs more", len(want))
+			}
+
+			mem := store.NewMem()
+			m1, err := Open(Options{Workers: 1, Store: mem})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if st, err = m1.Create(spec); err != nil {
+				t.Fatal(err)
+			}
+			got := drive(m1, st.ID, 0, crashAt)
+			crash(m1)
+
+			_, events, err := mem.Load()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if ev := events[0]; ev.Type != store.EventCreate || !reflect.DeepEqual(ev.Spec.Surrogate, tc.want) {
+				t.Fatalf("create event journaled surrogate %+v, want %+v", ev.Spec.Surrogate, tc.want)
+			}
+
+			m2, err := Open(Options{Workers: 1, Store: mem})
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(m2.Close)
+			// The outstanding suggestion is re-served, then the run goes on.
+			got = append(got[:crashAt], drive(m2, st.ID, crashAt, -1)...)
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("restored session diverged from the uninterrupted one:\n got %+v\nwant %+v", got, want)
+			}
+			if first == nil {
+				first = want
+			} else if !reflect.DeepEqual(want, first) {
+				t.Fatalf("budget %d tuned differently from budget -1 with the stream under both caps", tc.budget)
+			}
+		})
 	}
 }

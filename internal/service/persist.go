@@ -40,12 +40,7 @@ func specRecord(spec Spec) *store.SessionSpec {
 		DefaultSec:      spec.DefaultRuntimeSec,
 	}
 	if spec.Surrogate != (SurrogateSpec{}) {
-		rec.Surrogate = &store.SurrogateSpec{
-			Kernel:     spec.Surrogate.Kernel,
-			Budget:     spec.Surrogate.Budget,
-			RefitEvery: spec.Surrogate.RefitEvery,
-			RefitDrift: spec.Surrogate.RefitDrift,
-		}
+		rec.Surrogate = &spec.Surrogate
 	}
 	return rec
 }
@@ -66,12 +61,7 @@ func specFromRecord(rec store.SessionSpec) Spec {
 		DefaultRuntimeSec: rec.DefaultSec,
 	}
 	if rec.Surrogate != nil {
-		spec.Surrogate = SurrogateSpec{
-			Kernel:     rec.Surrogate.Kernel,
-			Budget:     rec.Surrogate.Budget,
-			RefitEvery: rec.Surrogate.RefitEvery,
-			RefitDrift: rec.Surrogate.RefitDrift,
-		}
+		spec.Surrogate = *rec.Surrogate
 	}
 	return spec
 }
@@ -360,8 +350,12 @@ func (m *Manager) buildSession(id string, spec Spec, created time.Time) (*Sessio
 	default:
 		return nil, fmt.Errorf("service: unknown mode %q (want remote or auto)", spec.Mode)
 	}
+	sur, err := resolveSurrogate(spec.Surrogate)
+	if err != nil {
+		return nil, err
+	}
 	sp := tune.NewSpace(cl, wl)
-	t, err := m.newTuner(spec, cl, sp)
+	t, err := m.newTuner(spec, sur, cl, sp)
 	if err != nil {
 		return nil, err
 	}
@@ -369,6 +363,7 @@ func (m *Manager) buildSession(id string, spec Spec, created time.Time) (*Sessio
 		id:       id,
 		spec:     spec,
 		tuner:    t,
+		sur:      sur,
 		space:    sp,
 		state:    StateActive,
 		created:  created,

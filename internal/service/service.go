@@ -122,13 +122,6 @@ type Options struct {
 	// grows. Harvested session IDs stay tombstoned, so an evicted entry is
 	// never resurrected by log replay.
 	RepoCapacity int
-	// SurrogateBudget is the default active-set cap applied to BO/GBO
-	// sessions whose Spec.Surrogate.Budget is 0: positive selects the
-	// budgeted sparse GP compressing to at most this many points, 0 (the
-	// default) keeps the exact incremental GP. Long-running auto sessions
-	// with thousands of observations should set this (256 is the paper's
-	// working point) so appends and predictions stay O(budget²).
-	SurrogateBudget int
 	// NodeID names this manager in a multi-node deployment. When set, it
 	// prefixes generated session IDs ("<node>-sess-N", cluster-unique
 	// without coordination) and is reported by /healthz, /v1/metrics, and
@@ -241,28 +234,13 @@ type Spec struct {
 	DefaultRuntimeSec float64
 
 	// Surrogate configures the BO/GBO response-surface model. The zero
-	// value selects the manager defaults (exact incremental GP, RBF
-	// kernel, Options.SurrogateBudget).
+	// value selects the defaults (RBF kernel, gp.DefaultSparseBudget cap).
 	Surrogate SurrogateSpec
 }
 
-// SurrogateSpec configures a session's surrogate model (BO and GBO
-// backends; ignored by relm and ddpg). Doubles as the `surrogate` JSON
-// object on the HTTP wire.
-type SurrogateSpec struct {
-	// Kernel selects the kernel family: "rbf" (default) or "matern52".
-	Kernel string `json:"kernel,omitempty"`
-	// Budget caps the GP's active set: >0 selects the budgeted sparse GP
-	// compressing to at most Budget points, 0 inherits the manager's
-	// Options.SurrogateBudget, negative forces the exact GP.
-	Budget int `json:"budget,omitempty"`
-	// RefitEvery throttles hyperparameter re-selection to once per this
-	// many observations (0 = paper default of 8).
-	RefitEvery int `json:"refit_every,omitempty"`
-	// RefitDrift re-selects early on per-point log-marginal-likelihood
-	// drift (0 = default 0.25; negative disables).
-	RefitDrift float64 `json:"refit_drift,omitempty"`
-}
+// SurrogateSpec configures a session's surrogate model — the store's
+// record, which doubles as the `surrogate` JSON object on the HTTP wire.
+type SurrogateSpec = store.SurrogateSpec
 
 // SurrogateStatus is the live surrogate picture of one BO/GBO session:
 // the resolved configuration plus the cumulative work counters. Doubles as
@@ -270,14 +248,14 @@ type SurrogateSpec struct {
 type SurrogateStatus struct {
 	// Kind is the resolved kernel family ("rbf" or "matern52").
 	Kind string `json:"kind"`
-	// Budget is the resolved active-set cap (0 = exact, unbudgeted).
+	// Budget is the resolved active-set cap; the GP is exact below it.
 	Budget int `json:"budget,omitempty"`
 	// Fits counts full hyperparameter selections (grid + ARD, O(n³)).
 	Fits int `json:"fits"`
 	// Appends counts O(n²) incremental absorptions.
 	Appends int `json:"appends"`
-	// Compactions counts evict-or-reject decisions a budgeted surrogate
-	// made to stay within its cap (always 0 for exact models).
+	// Compactions counts evict-or-reject decisions the surrogate made to
+	// stay within its cap (0 while the session fits it).
 	Compactions int `json:"compactions,omitempty"`
 }
 
@@ -339,6 +317,7 @@ type Session struct {
 	id    string
 	spec  Spec
 	tuner tune.Tuner
+	sur   bo.SurrogateConfig // resolved surrogate settings (BO/GBO status)
 	space tune.Space
 	ev    *tune.Evaluator // simulator harness (auto mode)
 
@@ -623,12 +602,11 @@ func resolve(spec Spec) (cluster.Spec, workload.Spec, error) {
 	return cl, wl, nil
 }
 
-// resolveSurrogate validates a session's surrogate spec against the
-// manager defaults and returns the bo-layer configuration: the kernel
-// family normalized to "rbf"/"matern52" and the active-set budget with
-// 0 meaning exact (spec 0 inherits Options.SurrogateBudget, negative
-// forces exact).
-func (m *Manager) resolveSurrogate(ss SurrogateSpec) (bo.SurrogateConfig, error) {
+// resolveSurrogate validates a session's surrogate spec and returns the
+// bo-layer configuration: the kernel family normalized to
+// "rbf"/"matern52" and the active-set budget, where anything but a
+// positive cap means gp.DefaultSparseBudget.
+func resolveSurrogate(ss SurrogateSpec) (bo.SurrogateConfig, error) {
 	kernel := strings.ToLower(ss.Kernel)
 	switch kernel {
 	case "":
@@ -638,11 +616,8 @@ func (m *Manager) resolveSurrogate(ss SurrogateSpec) (bo.SurrogateConfig, error)
 		return bo.SurrogateConfig{}, fmt.Errorf("service: unknown surrogate kernel %q (want rbf or matern52)", ss.Kernel)
 	}
 	budget := ss.Budget
-	if budget == 0 {
-		budget = m.opts.SurrogateBudget
-	}
-	if budget < 0 {
-		budget = 0
+	if budget <= 0 {
+		budget = gp.DefaultSparseBudget
 	}
 	return bo.SurrogateConfig{
 		Kernel:     kernel,
@@ -654,11 +629,7 @@ func (m *Manager) resolveSurrogate(ss SurrogateSpec) (bo.SurrogateConfig, error)
 
 // newTuner builds the incremental tuner for a session spec, wiring the
 // manager's surrogate/acquisition histograms into BO-family backends.
-func (m *Manager) newTuner(spec Spec, cl cluster.Spec, sp tune.Space) (tune.Tuner, error) {
-	sur, err := m.resolveSurrogate(spec.Surrogate)
-	if err != nil {
-		return nil, err
-	}
+func (m *Manager) newTuner(spec Spec, sur bo.SurrogateConfig, cl cluster.Spec, sp tune.Space) (tune.Tuner, error) {
 	boOpts := bo.Options{
 		Seed:                spec.Seed,
 		MaxIterations:       spec.MaxIterations,
@@ -1169,8 +1140,8 @@ type Metrics struct {
 	// far more than it fits.
 	SurrogateFits    int64
 	SurrogateAppends int64
-	// SurrogateCompactions counts evict-or-reject decisions budgeted
-	// surrogates made to stay within their active-set caps.
+	// SurrogateCompactions counts evict-or-reject decisions surrogates
+	// made to stay within their active-set caps.
 	SurrogateCompactions int64
 	// RepoEntries is the size of the shared model repository; RepoCapacity
 	// is its eviction bound (<= 0 unbounded). RepoHits counts warm-start
@@ -1500,13 +1471,10 @@ func (m *Manager) statusLocked(s *Session) Status {
 		st.WarmDistance = s.warm.Distance
 	}
 	if ss, ok := s.tuner.(surrogateStatser); ok {
-		// resolveSurrogate already validated the spec at create time, so it
-		// cannot fail here.
-		sur, _ := m.resolveSurrogate(s.spec.Surrogate)
 		info := ss.SurrogateInfo()
 		st.Surrogate = &SurrogateStatus{
-			Kind:        sur.Kernel,
-			Budget:      sur.Budget,
+			Kind:        s.sur.Kernel,
+			Budget:      s.sur.Budget,
 			Fits:        info.Fits,
 			Appends:     info.Appends,
 			Compactions: info.Compactions,

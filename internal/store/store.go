@@ -39,19 +39,27 @@ const (
 	EventHarvest = "harvest" // a completed session fed the model repository
 )
 
-// SessionSpec is the durable form of a session's creation request. It
-// mirrors service.Spec field for field; the store keeps its own copy so the
-// on-disk schema does not depend on the service package.
-// SurrogateSpec is the durable form of a session's surrogate configuration
-// (BO/GBO backends): kernel family, active-set budget, and the
-// hyperparameter re-selection schedule.
+// SurrogateSpec configures a session's surrogate model (BO and GBO
+// backends; ignored by relm and ddpg): the durable form, and — aliased as
+// service.SurrogateSpec — the `surrogate` JSON object on the HTTP wire.
 type SurrogateSpec struct {
-	Kernel     string  `json:"kernel,omitempty"`
-	Budget     int     `json:"budget,omitempty"`
-	RefitEvery int     `json:"refit_every,omitempty"`
+	// Kernel selects the kernel family: "rbf" (default) or "matern52".
+	Kernel string `json:"kernel,omitempty"`
+	// Budget caps the GP's active set at this many points; the GP is exact
+	// below the cap. Anything but a positive value means the default
+	// (gp.DefaultSparseBudget, 256).
+	Budget int `json:"budget,omitempty"`
+	// RefitEvery throttles hyperparameter re-selection to once per this
+	// many observations (0 = paper default of 8).
+	RefitEvery int `json:"refit_every,omitempty"`
+	// RefitDrift re-selects early on per-point log-marginal-likelihood
+	// drift (0 = default 0.25; negative disables).
 	RefitDrift float64 `json:"refit_drift,omitempty"`
 }
 
+// SessionSpec is the durable form of a session's creation request. It
+// mirrors service.Spec field for field; the store keeps its own copy so the
+// on-disk schema does not depend on the service package.
 type SessionSpec struct {
 	Backend         string         `json:"backend,omitempty"`
 	Workload        string         `json:"workload,omitempty"`
