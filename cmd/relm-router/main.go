@@ -73,11 +73,11 @@ func main() {
 		backoffMax = flag.Duration("check-backoff-max", 30*time.Second, "failing-backend poll backoff cap")
 		failAfter  = flag.Int("fail-after", 2, "consecutive health-check failures before a backend is routed around")
 		timeout    = flag.Duration("timeout", 15*time.Second, "per-request backend timeout")
-		retryBud   = flag.Int("retry-budget", 2, "extra candidates a routed request may be retried on after a transport failure or 503-draining answer")
+		retryBud   = flag.Int("retry-budget", 2, "extra candidates a routed request or hand-over adoption may be retried on after a transport failure, 503-draining or 503 + Retry-After answer")
 		brThresh   = flag.Int("breaker-threshold", 3, "consecutive transport failures that open a backend's circuit breaker")
 		brProbe    = flag.Duration("breaker-probe", time.Second, "initial open-breaker probe delay (doubles per failed probe)")
 		brProbeMax = flag.Duration("breaker-probe-max", 30*time.Second, "open-breaker probe delay cap")
-		promote    = flag.Bool("promote", false, "enable automatic fail-over: promote a dead backend's WAL replica and re-create its sessions on the survivors")
+		promote    = flag.Bool("promote", false, "enable automatic fail-over: promote a dead backend's WAL replica and have the survivors adopt its sessions")
 		logLevel   = flag.String("log-level", "info", "minimum log level: debug, info, warn, error")
 		slowLog    = flag.Duration("slow-log", 0, "log any request slower than this span-by-span (0 = off)")
 		pprofAddr  = flag.String("pprof-addr", "", "serve net/http/pprof on this address (empty = off)")

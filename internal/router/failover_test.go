@@ -458,7 +458,7 @@ func TestAutomaticFailover(t *testing.T) {
 	// The router must notice the death and promote — no operator action.
 	// Wait for last_promotion, not promotions_total: the counter ticks at
 	// the fence (point of no return) but the report is only stored once
-	// every session has been re-created and replayed on its successor.
+	// every session has been adopted and replayed on its successor.
 	deadline := time.Now().Add(10 * time.Second)
 	for {
 		var raw map[string]any

@@ -119,7 +119,7 @@ func TestBreakerHalfOpenProbeFailureReopens(t *testing.T) {
 		if st := n.snapshot(); st.Breaker != "open" {
 			t.Fatalf("round %d: breaker %q after failed probe, want open", round, st.Breaker)
 		}
-		wantDelay = minDur(wantDelay*2, 8*time.Second)
+		wantDelay = min(wantDelay*2, 8*time.Second)
 		if n.brAvailable(at.Add(wantDelay - time.Millisecond)) {
 			t.Fatalf("round %d: breaker available before doubled delay %v", round, wantDelay)
 		}

@@ -24,12 +24,14 @@ type reassignment struct {
 
 // handOff places a HandoffReport on the survivors: the leaving node's
 // models are imported into each of them (idempotent on the backend), then
-// every session snapshot is POSTed to /v1/handoff/adopt on its rendezvous
-// candidates in order — 201 places it, 409 means an earlier attempt already
-// did, a transport error marks the candidate suspect and moves on, any
-// other answer is that session's error. It returns where each session
-// went and, keyed "import <node>" / "adopt <id>", what failed; nothing is
-// rolled back, the caller reports the remainder.
+// every session snapshot is POSTed to /v1/handoff/adopt down the walk of
+// its rendezvous candidates — 201 places it, 409 means an earlier attempt
+// already did, an unreachable, draining or journal-degraded candidate
+// passes it on (the backend backs a refused adopt out with a tombstone so
+// that it can be placed elsewhere), any other answer is that session's
+// error. It returns where each session went and, keyed "import <node>" /
+// "adopt <id>", what failed; nothing is rolled back, the caller reports
+// the remainder.
 func (r *Router) handOff(ctx context.Context, survivors []*node, rep service.HandoffReport) ([]reassignment, map[string]string) {
 	errs := make(map[string]string)
 	if len(rep.Repo) > 0 {
@@ -38,11 +40,11 @@ func (r *Router) handOff(ctx context.Context, survivors []*node, rep service.Han
 			errs["import"] = "encode: " + err.Error()
 		} else {
 			for _, s := range survivors {
-				status, buf, _, err := r.send(ctx, r.drainClient, s, http.MethodPost, "/v1/repository/import", "", body)
+				ans, err := r.call(ctx, s, 4*r.opts.Timeout, http.MethodPost, "/v1/repository/import", "", body)
 				if err != nil {
 					errs["import "+s.name] = err.Error()
-				} else if status != http.StatusOK {
-					errs["import "+s.name] = fmt.Sprintf("status %d: %s", status, truncate(buf, 200))
+				} else if ans.status != http.StatusOK {
+					errs["import "+s.name] = ans.refusal()
 				}
 			}
 		}
@@ -54,23 +56,15 @@ func (r *Router) handOff(ctx context.Context, survivors []*node, rep service.Han
 			errs["adopt "+ss.ID] = "encode: " + err.Error()
 			continue
 		}
-		failure := "no reachable successor"
-		for _, succ := range candidates(survivors, ss.ID) {
-			status, buf, _, err := r.send(ctx, r.drainClient, succ, http.MethodPost, "/v1/handoff/adopt", "", body)
-			if err != nil {
-				succ.suspect(err, r.opts.FailAfter)
-				continue
-			}
-			if status == http.StatusCreated || status == http.StatusConflict {
-				reassigned = append(reassigned, reassignment{ID: ss.ID, Node: succ.name, WarmStarted: ss.Warm != nil})
-				failure = ""
-			} else {
-				failure = fmt.Sprintf("node %s: status %d: %s", succ.name, status, truncate(buf, 200))
-			}
-			break
-		}
-		if failure != "" {
-			errs["adopt "+ss.ID] = failure
+		ans, err := r.walk(ctx, survivors, ss.ID, 4*r.opts.Timeout,
+			http.MethodPost, "/v1/handoff/adopt", "", body, judgePlacement)
+		switch {
+		case err != nil:
+			errs["adopt "+ss.ID] = err.Error()
+		case ans.status == http.StatusCreated || ans.status == http.StatusConflict:
+			reassigned = append(reassigned, reassignment{ID: ss.ID, Node: ans.node.name, WarmStarted: ss.Warm != nil})
+		default:
+			errs["adopt "+ss.ID] = fmt.Sprintf("node %s: %s", ans.node.name, ans.refusal())
 		}
 	}
 	return reassigned, errs
@@ -104,7 +98,7 @@ func (r *Router) handleDrain(w http.ResponseWriter, req *http.Request) {
 	n.mu.Unlock()
 	r.logf("router: draining node %s", name)
 
-	status, body, _, err := r.send(req.Context(), r.drainClient, n, http.MethodPost, "/v1/drain", "", []byte("{}"))
+	ans, err := r.call(req.Context(), n, 4*r.opts.Timeout, http.MethodPost, "/v1/drain", "", []byte("{}"))
 	if err != nil {
 		n.suspect(err, r.opts.FailAfter)
 		writeJSON(w, http.StatusBadGateway, map[string]any{
@@ -112,14 +106,14 @@ func (r *Router) handleDrain(w http.ResponseWriter, req *http.Request) {
 		})
 		return
 	}
-	if status != http.StatusOK {
+	if ans.status != http.StatusOK {
 		writeJSON(w, http.StatusBadGateway, map[string]any{
-			"error": fmt.Sprintf("drain status %d: %s", status, truncate(body, 200)), "node": name,
+			"error": "drain " + ans.refusal(), "node": name,
 		})
 		return
 	}
 	var drained service.HandoffReport
-	if err := json.Unmarshal(body, &drained); err != nil {
+	if err := json.Unmarshal(ans.body, &drained); err != nil {
 		writeJSON(w, http.StatusBadGateway, map[string]any{
 			"error": "bad drain body: " + err.Error(), "node": name,
 		})

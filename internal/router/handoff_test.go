@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"relm/internal/fault"
 	"relm/internal/service"
 	"relm/internal/store"
 )
@@ -229,7 +230,9 @@ func (s *slowStore) Append(ev *store.Event) (uint64, error) {
 
 // TestHandOff covers the one placement routine behind drain and fail-over
 // against each kind of first candidate: adopting, already holding the
-// session, refusing, and unreachable.
+// session, refusing for good, refusing because it is itself on the way out
+// (draining, journal-degraded), unreachable, and cut off by a router.proxy
+// partition.
 func TestHandOff(t *testing.T) {
 	const id = "s-handoff"
 	rep := service.HandoffReport{Node: "gone", Sessions: []store.SessionSnapshot{{ID: id, State: service.StateActive}}}
@@ -241,15 +244,24 @@ func TestHandOff(t *testing.T) {
 			w.WriteHeader(code)
 		}
 	}
+	draining := func(w http.ResponseWriter, _ *http.Request) {
+		http.Error(w, `{"error":"service: node draining, not accepting sessions"}`, http.StatusServiceUnavailable)
+	}
 	for _, tt := range []struct {
-		name   string
-		first  http.HandlerFunc // nil: the first candidate is down
-		placed int              // which candidate ends up holding the session (-1: none)
+		name        string
+		first       http.HandlerFunc // nil: the first candidate is down
+		partitioned bool             // router.proxy cuts the first candidate off
+		placed      int              // which candidate ends up holding the session (-1: none)
 	}{
-		{"adopts", answer(http.StatusCreated), 0},
-		{"already holds it", answer(http.StatusConflict), 0},
-		{"refuses", answer(http.StatusServiceUnavailable), -1},
-		{"unreachable", nil, 1},
+		{"adopts", answer(http.StatusCreated), false, 0},
+		{"already holds it", answer(http.StatusConflict), false, 0},
+		{"refuses", answer(http.StatusServiceUnavailable), false, -1},
+		{"first successor draining", draining, false, 1},
+		{"first successor degraded (503 + Retry-After)", retriable503, false, 1},
+		{"unreachable", nil, false, 1},
+		{"partitioned by router.proxy", func(http.ResponseWriter, *http.Request) {
+			t.Error("the partitioned candidate saw a request")
+		}, true, 1},
 	} {
 		t.Run(tt.name, func(t *testing.T) {
 			// Two backends whose handlers are assigned once rendezvous order
@@ -267,6 +279,14 @@ func TestHandOff(t *testing.T) {
 				dead.Close()
 				cands[0].base, _ = cands[0].base.Parse(dead.URL)
 			}
+			if tt.partitioned {
+				t.Cleanup(fault.DisarmAll)
+				if err := fault.Apply(fault.Schedule{Seed: 1, Rules: []fault.Rule{
+					{Point: "router.proxy", Action: "error", Match: cands[0].name, Count: 100},
+				}}); err != nil {
+					t.Fatal(err)
+				}
+			}
 
 			reassigned, errs := tc.router.handOff(context.Background(), tc.router.nodes, rep)
 			if tt.placed < 0 {
@@ -278,7 +298,7 @@ func TestHandOff(t *testing.T) {
 			if len(errs) != 0 || len(reassigned) != 1 || reassigned[0].ID != id || reassigned[0].Node != cands[tt.placed].name {
 				t.Fatalf("reassigned %+v errs %v, want %s on %s", reassigned, errs, id, cands[tt.placed].name)
 			}
-			if tt.first == nil && cands[0].eligible() {
+			if (tt.first == nil || tt.partitioned) && cands[0].eligible() {
 				t.Fatal("unreachable candidate not marked suspect")
 			}
 		})

@@ -3,7 +3,6 @@ package router
 import (
 	"encoding/json"
 	"errors"
-	"fmt"
 	"io"
 	"net/http"
 	"sort"
@@ -24,21 +23,8 @@ import (
 
 // nodeResult is one backend's answer to a fan-out request.
 type nodeResult struct {
-	node   *node
-	status int
-	body   []byte
-	err    error
-}
-
-// emptyIs503 guards a fan-out with no eligible nodes: an empty merge must
-// read as "cluster unreachable", never as "cluster is empty" — monitoring
-// that trusts a 200 [] would report a dead cluster as a quiet one.
-func emptyIs503(w http.ResponseWriter, results []nodeResult) bool {
-	if len(results) == 0 {
-		writeJSON(w, http.StatusServiceUnavailable, map[string]any{"error": "no healthy backend"})
-		return true
-	}
-	return false
+	reply
+	err error
 }
 
 // fanout issues one request to every eligible node concurrently. It rides
@@ -56,8 +42,8 @@ func (r *Router) fanout(req *http.Request, method, path string, body []byte) []n
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			status, buf, _, err := r.sendTracked(req.Context(), r.client, n, method, path, "", body)
-			results[i] = nodeResult{node: n, status: status, body: buf, err: err}
+			rep, err := r.call(req.Context(), n, r.opts.Timeout, method, path, "", body)
+			results[i] = nodeResult{rep, err}
 		}()
 	}
 	wg.Wait()
@@ -70,34 +56,38 @@ func (r *Router) fanout(req *http.Request, method, path string, body []byte) []n
 	return kept
 }
 
-// gatherErrors collects per-node failures of a fan-out; nil when clean.
-func (r *Router) gatherErrors(results []nodeResult) map[string]string {
-	var errs map[string]string
-	for _, res := range results {
-		var detail string
-		switch {
-		case res.err != nil:
-			res.node.suspect(res.err, r.opts.FailAfter)
-			detail = res.err.Error()
-		case res.status != http.StatusOK:
-			detail = fmt.Sprintf("status %d: %s", res.status, truncate(res.body, 200))
-		default:
-			continue
-		}
-		if errs == nil {
-			errs = make(map[string]string)
-		}
-		errs[res.node.name] = detail
+// failure words what went wrong with one node's fan-out answer ("" when it
+// is a 200), marking the node suspect on a transport error.
+func (r *Router) failure(res nodeResult) string {
+	switch {
+	case res.err != nil:
+		res.node.suspect(res.err, r.opts.FailAfter)
+		return res.err.Error()
+	case res.status != http.StatusOK:
+		return res.refusal()
 	}
-	return errs
+	return ""
 }
 
-func truncate(b []byte, n int) string {
-	s := string(b)
-	if len(s) > n {
-		return s[:n] + "…"
+// mergeable guards an all-or-nothing merge: it answers 503 when no node was
+// there to ask and 502 with per-node detail when any failed, and reports
+// whether the results are all 200s for the caller to merge.
+func (r *Router) mergeable(w http.ResponseWriter, results []nodeResult) bool {
+	if len(results) == 0 {
+		writeNoBackend(w)
+		return false
 	}
-	return s
+	errs := make(map[string]string)
+	for _, res := range results {
+		if detail := r.failure(res); detail != "" {
+			errs[res.node.name] = detail
+		}
+	}
+	if len(errs) > 0 {
+		writePartialFailure(w, errs)
+		return false
+	}
+	return true
 }
 
 // writePartialFailure answers a failed merge: 502 with per-node detail.
@@ -112,11 +102,7 @@ func writePartialFailure(w http.ResponseWriter, errs map[string]string) {
 // its serving node, ordered by (node, id) for determinism.
 func (r *Router) handleList(w http.ResponseWriter, req *http.Request) {
 	results := r.fanout(req, http.MethodGet, "/v1/sessions", nil)
-	if emptyIs503(w, results) {
-		return
-	}
-	if errs := r.gatherErrors(results); errs != nil {
-		writePartialFailure(w, errs)
+	if !r.mergeable(w, results) {
 		return
 	}
 	merged := make([]map[string]any, 0, 16)
@@ -163,13 +149,8 @@ func (r *Router) handleMetrics(w http.ResponseWriter, req *http.Request) {
 	failed := make(map[string]string)
 	merged := 0
 	for _, res := range results {
-		switch {
-		case res.err != nil:
-			res.node.suspect(res.err, r.opts.FailAfter)
-			failed[res.node.name] = res.err.Error()
-			continue
-		case res.status != http.StatusOK:
-			failed[res.node.name] = fmt.Sprintf("status %d: %s", res.status, truncate(res.body, 200))
+		if detail := r.failure(res); detail != "" {
+			failed[res.node.name] = detail
 			continue
 		}
 		var mt map[string]any
@@ -225,7 +206,7 @@ func (r *Router) handleMetrics(w http.ResponseWriter, req *http.Request) {
 	}
 	if merged == 0 {
 		if len(failed) == 0 {
-			writeJSON(w, http.StatusServiceUnavailable, map[string]any{"error": "no healthy backend"})
+			writeNoBackend(w)
 			return
 		}
 		writePartialFailure(w, failed)
@@ -276,11 +257,7 @@ func (r *Router) handleMetrics(w http.ResponseWriter, req *http.Request) {
 // counters summed, model lists concatenated with their node stamped on.
 func (r *Router) handleRepository(w http.ResponseWriter, req *http.Request) {
 	results := r.fanout(req, http.MethodGet, "/v1/repository", nil)
-	if emptyIs503(w, results) {
-		return
-	}
-	if errs := r.gatherErrors(results); errs != nil {
-		writePartialFailure(w, errs)
+	if !r.mergeable(w, results) {
 		return
 	}
 	var entries, hits, evictions float64
@@ -316,11 +293,7 @@ func (r *Router) handleRepository(w http.ResponseWriter, req *http.Request) {
 // handleRepoExport concatenates every node's full repository export.
 func (r *Router) handleRepoExport(w http.ResponseWriter, req *http.Request) {
 	results := r.fanout(req, http.MethodGet, "/v1/repository/export", nil)
-	if emptyIs503(w, results) {
-		return
-	}
-	if errs := r.gatherErrors(results); errs != nil {
-		writePartialFailure(w, errs)
+	if !r.mergeable(w, results) {
 		return
 	}
 	merged := make([]json.RawMessage, 0, 16)
@@ -347,12 +320,7 @@ func (r *Router) handleRepoImport(w http.ResponseWriter, req *http.Request) {
 		return
 	}
 	results := r.fanout(req, http.MethodPost, "/v1/repository/import", body)
-	if len(results) == 0 {
-		writeJSON(w, http.StatusServiceUnavailable, map[string]any{"error": "no healthy backend"})
-		return
-	}
-	if errs := r.gatherErrors(results); errs != nil {
-		writePartialFailure(w, errs)
+	if !r.mergeable(w, results) {
 		return
 	}
 	imported := make(map[string]int, len(results))

@@ -3,6 +3,7 @@ package router
 import (
 	"bufio"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"strings"
@@ -89,6 +90,45 @@ func TestTracePropagation(t *testing.T) {
 	resp2.Body.Close()
 	if got := resp2.Header.Get(obs.TraceHeader); got != "t-cafecafecafecafecafecafe" {
 		t.Fatalf("router replaced the upstream trace ID: %q", got)
+	}
+}
+
+// TestDrainTraceShowsHops: the control plane is as visible as the data
+// path. The router's trace of a drain carries a proxy span for the
+// /v1/drain call on the leaving node and one for each session adopted by
+// the successor.
+func TestDrainTraceShowsHops(t *testing.T) {
+	tc := newTestCluster(t, "a", "b")
+	owned := 0
+	for i := 0; owned < 3; i++ {
+		id := fmt.Sprintf("traced-%d", i)
+		if tc.router.pick(id).name != "a" {
+			continue
+		}
+		if code, _ := tc.do(t, http.MethodPost, "/v1/sessions",
+			map[string]any{"id": id, "backend": "bo", "workload": "PageRank"}, nil); code != http.StatusCreated {
+			t.Fatalf("create %s: status %d", id, code)
+		}
+		owned++
+	}
+
+	var drained struct {
+		Reassigned []reassignment `json:"reassigned"`
+	}
+	code, hdr := tc.do(t, http.MethodPost, "/v1/cluster/drain/a", nil, &drained)
+	if code != http.StatusOK || len(drained.Reassigned) != owned {
+		t.Fatalf("drain: status %d, reassigned %+v, want %d sessions", code, drained.Reassigned, owned)
+	}
+	var rt service.TracesResponse
+	if code, _ := tc.do(t, http.MethodGet, "/v1/traces?id="+hdr.Get(obs.TraceHeader), nil, &rt); code != http.StatusOK || len(rt.Traces) != 1 {
+		t.Fatalf("router trace of the drain: status %d, %+v", code, rt)
+	}
+	hops := map[string]int{}
+	for _, sp := range rt.Traces[0].Spans {
+		hops[sp.Name]++
+	}
+	if hops["proxy a"] != 1 || hops["proxy b"] != owned {
+		t.Fatalf("drain trace hops %v, want 1 × proxy a (drain) and %d × proxy b (adopts)", hops, owned)
 	}
 }
 

@@ -87,18 +87,18 @@ func (r *Router) promote(n *node) bool {
 
 	body, _ := json.Marshal(map[string]string{"primary": n.name})
 	ctx := context.Background() // runs from the health loop, not a request
-	status, buf, _, err := r.send(ctx, r.drainClient, holder, http.MethodPost, "/v1/replica/promote", "", body)
+	ans, err := r.call(ctx, holder, 4*r.opts.Timeout, http.MethodPost, "/v1/replica/promote", "", body)
 	if err != nil {
 		holder.suspect(err, r.opts.FailAfter)
 		r.logf("router: promote %s on %s: %v", n.name, holder.name, err)
 		return false
 	}
-	if status != http.StatusOK {
-		r.logf("router: promote %s on %s: status %d: %s", n.name, holder.name, status, truncate(buf, 200))
+	if ans.status != http.StatusOK {
+		r.logf("router: promote %s on %s: %s", n.name, holder.name, ans.refusal())
 		return false
 	}
 	var handoff service.HandoffReport
-	if err := json.Unmarshal(buf, &handoff); err != nil {
+	if err := json.Unmarshal(ans.body, &handoff); err != nil {
 		r.logf("router: promote %s on %s: bad hand-off body: %v", n.name, holder.name, err)
 		return false
 	}
@@ -146,12 +146,12 @@ func (r *Router) findHolder(dead string, survivors []*node) (*node, int64) {
 	var cands []cand
 	q := url.Values{"primary": {dead}}.Encode()
 	for _, s := range survivors {
-		status, buf, _, err := r.send(context.Background(), r.client, s, http.MethodGet, "/v1/replica/status", q, nil)
-		if err != nil || status != http.StatusOK {
+		ans, err := r.call(context.Background(), s, r.opts.Timeout, http.MethodGet, "/v1/replica/status", q, nil)
+		if err != nil || ans.status != http.StatusOK {
 			continue
 		}
 		var st replica.StatusResponse
-		if err := json.Unmarshal(buf, &st); err != nil {
+		if err := json.Unmarshal(ans.body, &st); err != nil {
 			continue
 		}
 		for _, ps := range st.Primaries {

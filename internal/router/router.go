@@ -30,7 +30,6 @@ import (
 	"io"
 	"net/http"
 	"net/url"
-	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -62,21 +61,23 @@ type Options struct {
 	// FailAfter is how many consecutive health-check failures mark a node
 	// unhealthy (default 2). One successful check marks it healthy again.
 	FailAfter int
-	// Timeout bounds each proxied backend request (default 15s). Drain
-	// orchestration uses 4x this, since it closes every session.
+	// Timeout bounds each backend request (default 15s). Drain, adopt,
+	// import and promote calls get 4x this: they close, rebuild or replay
+	// whole sessions.
 	Timeout time.Duration
 	// Transport overrides the backend HTTP transport (tests, benchmarks).
 	Transport http.RoundTripper
 	// Logf, when non-nil, receives health-transition and drain log lines.
 	Logf func(format string, args ...any)
-	// RetryBudget is how many additional candidates a routed request may be
-	// retried on after its first choice fails at the transport level or
-	// answers 503-draining (default 2). The budget bounds worst-case
-	// latency: a request never waits on more than 1+RetryBudget backends.
+	// RetryBudget is how many additional candidates a routed request or a
+	// hand-over adoption may be retried on after its first choice fails at
+	// the transport level or refuses with 503 draining / 503 + Retry-After
+	// (default 2). The budget bounds worst-case latency: a request never
+	// waits on more than 1+RetryBudget backends.
 	RetryBudget int
-	// BreakerThreshold is how many consecutive data-path transport failures
-	// open a backend's circuit breaker (default 3). An open breaker admits
-	// no data-path traffic; after BreakerProbe (doubling up to
+	// BreakerThreshold is how many consecutive transport failures open a
+	// backend's circuit breaker (default 3). An open breaker admits nothing
+	// but the health probe; after BreakerProbe (doubling up to
 	// BreakerProbeMax on repeated failure, defaults 1s/30s) one half-open
 	// probe request is admitted, and its success closes the breaker.
 	BreakerThreshold int
@@ -84,8 +85,8 @@ type Options struct {
 	BreakerProbeMax  time.Duration
 	// Promote enables automatic fail-over: when a backend dies without
 	// draining, the router promotes its replica on a surviving follower and
-	// re-creates the lost sessions (requires -replicate-to on the
-	// backends).
+	// has the survivors adopt the lost sessions (requires -replicate-to on
+	// the backends).
 	Promote bool
 	// Obs is the stage-latency registry (router.pick / router.proxy /
 	// router.fanout). Created when nil, so instrumentation is always live.
@@ -138,7 +139,7 @@ type node struct {
 	lastErr   string
 	lastCheck time.Time
 
-	// Circuit breaker over the data path (see breaker.go).
+	// Circuit breaker (see breaker.go).
 	brState   int
 	brFails   int
 	brProbing bool
@@ -218,14 +219,13 @@ type NodeStatus struct {
 type Router struct {
 	opts  Options
 	nodes []*node
-	// client serves lifecycle proxying and fan-outs; drainClient allows
-	// drains the time to close and hand off every session.
-	client      *http.Client
-	drainClient *http.Client
-	mux         http.Handler
-	quit        chan struct{}
-	wg          sync.WaitGroup
-	closeOnce   sync.Once
+	// client carries every backend request. It has no Timeout of its own:
+	// call and the health probe bound each exchange with a context deadline.
+	client    *http.Client
+	mux       http.Handler
+	quit      chan struct{}
+	wg        sync.WaitGroup
+	closeOnce sync.Once
 
 	// Observability: request tracer plus the stage histograms, resolved
 	// once at construction so the data path never takes a registry lock.
@@ -248,16 +248,9 @@ func New(opts Options) (*Router, error) {
 		return nil, fmt.Errorf("router: no backends configured")
 	}
 	r := &Router{
-		opts: opts,
-		client: &http.Client{
-			Timeout:   opts.Timeout,
-			Transport: opts.Transport,
-		},
-		drainClient: &http.Client{
-			Timeout:   4 * opts.Timeout,
-			Transport: opts.Transport,
-		},
-		quit: make(chan struct{}),
+		opts:   opts,
+		client: &http.Client{Transport: opts.Transport},
+		quit:   make(chan struct{}),
 	}
 	seen := make(map[string]bool)
 	for _, b := range opts.Backends {
@@ -304,23 +297,38 @@ func (r *Router) logf(format string, args ...any) {
 
 // --- placement -------------------------------------------------------------
 
-// candidates returns the given nodes ordered by descending rendezvous score
-// for key (ties broken by name, so ordering is total).
-func candidates(nodes []*node, key string) []*node {
-	out := append([]*node(nil), nodes...)
-	sort.Slice(out, func(i, j int) bool {
-		si, sj := replica.Rendezvous(out[i].name, key), replica.Rendezvous(out[j].name, key)
-		if si != sj {
-			return si > sj
+// next returns the node that follows prev in key's rendezvous order among
+// the members of nodes currently accepting traffic — healthy, not draining,
+// and with breaker capacity (closed, or due a half-open probe) — or nil when
+// none is left; prev nil asks for the key's owner. The order is descending
+// score with ties broken by name, so it is total. This is the router's only
+// ranking routine: one pass, no candidate slice and no sort, so the request
+// that ends at its owner scores each node once and allocates nothing.
+func next(nodes []*node, key string, prev *node) *node {
+	now := time.Now()
+	var prevScore uint64
+	if prev != nil {
+		prevScore = replica.Rendezvous(prev.name, key)
+	}
+	var best *node
+	var bestScore uint64
+	for _, n := range nodes {
+		s := replica.Rendezvous(n.name, key)
+		if prev != nil && (s > prevScore || (s == prevScore && n.name <= prev.name)) {
+			continue // prev itself, or ranked before it
 		}
-		return out[i].name < out[j].name
-	})
-	return out
+		if best != nil && (s < bestScore || (s == bestScore && n.name > best.name)) {
+			continue
+		}
+		if n.eligible() && n.brAvailable(now) {
+			best, bestScore = n, s
+		}
+	}
+	return best
 }
 
-// eligibleNodes snapshots the nodes currently accepting data-path
-// traffic: healthy, not draining, and with breaker capacity (closed, or
-// due a half-open probe).
+// eligibleNodes snapshots the nodes currently accepting traffic, for the
+// fan-outs and hand-overs that address all of them at once.
 func (r *Router) eligibleNodes() []*node {
 	now := time.Now()
 	out := make([]*node, 0, len(r.nodes))
@@ -330,23 +338,6 @@ func (r *Router) eligibleNodes() []*node {
 		}
 	}
 	return out
-}
-
-// pick returns the owner of key among the eligible nodes (nil when none).
-func (r *Router) pick(key string) *node {
-	now := time.Now()
-	var best *node
-	var bestScore uint64
-	for _, n := range r.nodes {
-		if !n.eligible() || !n.brAvailable(now) {
-			continue
-		}
-		s := replica.Rendezvous(n.name, key)
-		if best == nil || s > bestScore || (s == bestScore && n.name < best.name) {
-			best, bestScore = n, s
-		}
-	}
-	return best
 }
 
 func (r *Router) nodeByName(name string) *node {
@@ -434,8 +425,18 @@ func healthWord(healthy bool) string {
 
 // checkNode performs one health probe, cross-verifying the node identity
 // and adopting a backend-initiated drain.
+//
+// The probe deliberately bypasses call: it must keep reaching a node whose
+// breaker is open or that a router.proxy schedule has partitioned, because
+// it reports whether the process is up, not whether it serves in time.
 func (r *Router) checkNode(n *node) error {
-	resp, err := r.client.Get(n.base.JoinPath("/healthz").String())
+	ctx, cancel := context.WithTimeout(context.Background(), r.opts.Timeout)
+	defer cancel()
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, n.base.JoinPath("/healthz").String(), nil)
+	if err != nil {
+		return err
+	}
+	resp, err := r.client.Do(req)
 	if err != nil {
 		return err
 	}
@@ -466,11 +467,77 @@ func (r *Router) checkNode(n *node) error {
 	return nil
 }
 
-// --- proxying --------------------------------------------------------------
+// --- reaching a backend ----------------------------------------------------
 
-// send issues one backend request and returns status + body. The trace in
-// ctx, if any, is propagated so the backend's spans join it.
-func (r *Router) send(ctx context.Context, client *http.Client, n *node, method, path, query string, body []byte) (int, []byte, http.Header, error) {
+// fpProxy is the failpoint on the router→backend hop, evaluated in call
+// with the backend's name as the tag — so a schedule can partition one
+// backend (match), delay it (latency/stall), or black-hole it (error/
+// drop), on the data path and the hand-over path alike. Injected failures
+// run through the same breaker bookkeeping as real transport errors.
+var fpProxy = fault.Register("router.proxy")
+
+// errBreakerOpen reports a call skipped because the node's breaker had no
+// capacity (open, or half-open with the probe slot taken).
+var errBreakerOpen = errors.New("router: breaker open")
+
+// errNoBackend reports a walk that found no node to send to.
+var errNoBackend = errors.New("no healthy backend")
+
+// reply is one backend's answer to one call.
+type reply struct {
+	node   *node
+	status int
+	body   []byte
+	hdr    http.Header
+}
+
+// refusal words a reply that is not the answer the caller needed.
+func (rep reply) refusal() string {
+	body, more := rep.body, ""
+	if len(body) > 200 {
+		body, more = body[:200], "…"
+	}
+	return fmt.Sprintf("status %d: %s%s", rep.status, body, more)
+}
+
+// call is the one way the router talks to a backend (the health probe
+// aside). It claims breaker capacity — errBreakerOpen when the node has
+// none — evaluates the router.proxy failpoint, bounds the exchange with
+// timeout, propagates the trace in ctx so the backend's spans join it,
+// records the "proxy <node>" span and the router.proxy histogram, and books
+// the transport outcome on the breaker. HTTP error statuses are successes
+// to the breaker: the node answered.
+func (r *Router) call(ctx context.Context, n *node, timeout time.Duration, method, path, query string, body []byte) (rep reply, err error) {
+	rep.node = n
+	if !n.brAcquire(time.Now()) {
+		return rep, errBreakerOpen
+	}
+	defer func() {
+		if err == nil {
+			if n.brSuccess() {
+				r.logf("router: node %s breaker closed", n.name)
+			}
+		} else if st := n.brFailure(r.opts.BreakerThreshold, r.opts.BreakerProbe, r.opts.BreakerProbeMax, time.Now()); st >= 0 {
+			r.logf("router: node %s breaker %s (%v)", n.name, breakerWord(st), err)
+		}
+	}()
+	if fp := fpProxy.EvalTag(n.name); fp != nil {
+		switch fp.Action {
+		case fault.Latency, fault.Stall:
+			fp.Sleep()
+		default:
+			// An injected partition: the request never reaches the node,
+			// and the breaker counts the failure like any transport error.
+			return rep, fp.Err
+		}
+	}
+	trace, start := obs.TraceFrom(ctx), time.Now()
+	defer func() {
+		r.histProxy.Record(time.Since(start))
+		trace.AddSpan("proxy "+n.name, start)
+	}()
+	ctx, cancel := context.WithTimeout(ctx, timeout)
+	defer cancel()
 	u := *n.base
 	u.Path = strings.TrimSuffix(u.Path, "/") + path
 	u.RawQuery = query
@@ -480,50 +547,165 @@ func (r *Router) send(ctx context.Context, client *http.Client, n *node, method,
 	}
 	out, err := http.NewRequestWithContext(ctx, method, u.String(), rd)
 	if err != nil {
-		return 0, nil, nil, err
+		return rep, err
 	}
 	if body != nil {
 		out.Header.Set("Content-Type", "application/json")
 	}
-	if id := obs.TraceFrom(ctx).ID(); id != "" {
+	if id := trace.ID(); id != "" {
 		out.Header.Set(obs.TraceHeader, id)
 	}
-	resp, err := client.Do(out)
+	resp, err := r.client.Do(out)
 	if err != nil {
-		return 0, nil, nil, err
+		return rep, err
 	}
 	defer resp.Body.Close()
-	buf, err := io.ReadAll(io.LimitReader(resp.Body, 64<<20))
+	rep.body, err = io.ReadAll(io.LimitReader(resp.Body, 64<<20))
 	if err != nil {
-		return 0, nil, nil, err
+		return rep, err
 	}
-	return resp.StatusCode, buf, resp.Header, nil
+	rep.status, rep.hdr = resp.StatusCode, resp.Header
+	return rep, nil
 }
 
-// writeProxied passes a backend response through, stamping the serving
-// node on the X-Relm-Node response header.
-func writeProxied(w http.ResponseWriter, n *node, status int, buf []byte, hdr http.Header) {
-	if ct := hdr.Get("Content-Type"); ct != "" {
-		w.Header().Set("Content-Type", ct)
-	}
-	// Keep the retriability marker: a replayed 503 without Retry-After
-	// would look terminal to the client.
-	if ra := hdr.Get("Retry-After"); ra != "" {
-		w.Header().Set("Retry-After", ra)
-	}
-	w.Header().Set("X-Relm-Node", n.name)
-	w.WriteHeader(status)
-	w.Write(buf)
+// isDraining503 recognises a backend refusing a request because it is
+// draining — worth spending retry budget on another candidate, unlike
+// other 4xx/5xx answers which would repeat anywhere.
+func isDraining503(rep reply) bool {
+	return rep.status == http.StatusServiceUnavailable && bytes.Contains(rep.body, []byte("draining"))
 }
 
-// miss remembers a non-final answer seen during a candidate walk (404,
-// draining 503, retriable 503) so the most truthful one can be replayed if
-// no candidate serves the request.
-type miss struct {
-	n      *node
-	status int
-	buf    []byte
-	hdr    http.Header
+// isRetriable503 recognises a backend that refused a request it could not
+// durably acknowledge — store append/fsync failures and injected faults
+// are mapped by the service to 503 + Retry-After. The identical request
+// may succeed on another candidate or later, so the router spends retry
+// budget walking on.
+func isRetriable503(rep reply) bool {
+	return rep.status == http.StatusServiceUnavailable && rep.hdr.Get("Retry-After") != ""
+}
+
+// judge classifies one backend answer for a walk. Rank 0 ends the walk:
+// the answer is the client's. Any other rank moves on to the next
+// candidate — for free when the node merely does not hold what was asked
+// for, spending retry budget when it refused — and orders the non-final
+// answers by how truthful each would be to replay should no candidate give
+// a final one.
+type judge func(reply) (rank int, free bool)
+
+// judgePlacement judges an answer to a request no node is bound to yet — a
+// create, a hand-over adoption: a draining or journal-degraded node's
+// refusal moves the placement on to the next candidate, anything else is
+// the answer.
+func judgePlacement(rep reply) (rank int, free bool) {
+	if isDraining503(rep) || isRetriable503(rep) {
+		return 1, false
+	}
+	return 0, false
+}
+
+// judgeSession judges an answer to a request for an existing session. A 404
+// is a free miss: the session may live on a lower candidate. A retriable
+// 503 outranks the 404s of the other candidates: it came from the node that
+// actually holds the session (one without it answers 404 even while
+// degraded), so replaying a 404 would misreport a live-but-unwritable
+// session as gone — and turn a retriable fault into a terminal answer.
+func judgeSession(rep reply) (rank int, free bool) {
+	switch {
+	case isDraining503(rep):
+		return 1, false
+	case rep.status == http.StatusNotFound:
+		return 2, true
+	case isRetriable503(rep):
+		return 3, false
+	}
+	return 0, false
+}
+
+// walk sends one request down key's rendezvous candidates among nodes until
+// one gives a final answer, and returns that answer. It is the only loop
+// over candidates, so every routed request is bounded the same way: a
+// transport error (the node is marked suspect) or a budget-spending refusal
+// moves on at most RetryBudget times, so a request never waits on more than
+// 1+RetryBudget slow backends; a free miss and a breaker that admits
+// nothing cost no budget — the node answered fast, or was never asked.
+//
+// With no final answer the highest-ranked non-final one is returned (the
+// first, among equals), for the caller to replay. The error is non-nil only
+// when no candidate answered at all: errNoBackend when there was none to
+// ask, the last transport error otherwise.
+func (r *Router) walk(ctx context.Context, nodes []*node, key string, timeout time.Duration, method, path, query string, body []byte, verdict judge) (reply, error) {
+	var kept reply
+	keptRank, spent := 0, 0
+	lastErr := errNoBackend
+	var n *node
+	for spent <= r.opts.RetryBudget {
+		pickStart := time.Now()
+		n = next(nodes, key, n)
+		r.histPick.Record(time.Since(pickStart))
+		if n == nil {
+			break
+		}
+		rep, err := r.call(ctx, n, timeout, method, path, query, body)
+		switch {
+		case errors.Is(err, errBreakerOpen):
+			continue // lost a race for the breaker's capacity
+		case err != nil:
+			n.suspect(err, r.opts.FailAfter)
+			lastErr = fmt.Errorf("all backends unreachable: node %s: %w", n.name, err)
+			r.logf("router: %s %s on %s failed, trying next candidate: %v", method, path, n.name, err)
+		default:
+			rank, free := verdict(rep)
+			if rank == 0 {
+				return rep, nil
+			}
+			if rank > keptRank {
+				kept, keptRank = rep, rank
+			}
+			if free {
+				continue
+			}
+		}
+		if spent++; spent <= r.opts.RetryBudget {
+			n.retried()
+		}
+	}
+	if keptRank > 0 {
+		return kept, nil
+	}
+	return kept, lastErr
+}
+
+// writeWalked writes a walk's outcome to the client: the backend's answer
+// passed through with the serving node stamped on X-Relm-Node, or, when no
+// backend answered, 503 (there was none to ask) or 502 (none could be
+// reached).
+func writeWalked(w http.ResponseWriter, rep reply, err error) {
+	switch {
+	case errors.Is(err, errNoBackend):
+		writeNoBackend(w)
+	case err != nil:
+		writeJSON(w, http.StatusBadGateway, map[string]any{"error": err.Error()})
+	default:
+		if ct := rep.hdr.Get("Content-Type"); ct != "" {
+			w.Header().Set("Content-Type", ct)
+		}
+		// Keep the retriability marker: a replayed 503 without Retry-After
+		// would look terminal to the client.
+		if ra := rep.hdr.Get("Retry-After"); ra != "" {
+			w.Header().Set("Retry-After", ra)
+		}
+		w.Header().Set("X-Relm-Node", rep.node.name)
+		w.WriteHeader(rep.status)
+		w.Write(rep.body)
+	}
+}
+
+// writeNoBackend answers a request that found no node to serve it. Fan-outs
+// use it too: an empty merge must read as "cluster unreachable", never as
+// "cluster is empty" — monitoring that trusts a 200 [] would report a dead
+// cluster as a quiet one.
+func writeNoBackend(w http.ResponseWriter) {
+	writeJSON(w, http.StatusServiceUnavailable, map[string]any{"error": errNoBackend.Error()})
 }
 
 // handleSession routes one /v1/sessions/{id}... request to the session's
@@ -534,21 +716,10 @@ type miss struct {
 // candidates are tried in rendezvous order and the session is served from
 // wherever it actually lives; only when every eligible node reports 404 is
 // the session truly gone (and the owner's 404 is what the client sees).
-// The walk costs extra hops only on 404s — the healthy path is one hop.
-//
-// Failures spend retry budget: a transport error or a 503-draining answer
-// moves on to the next candidate at most RetryBudget times, so a request
-// never waits on more than 1+RetryBudget slow backends. 404s don't spend
-// budget — the node answered fast, it just doesn't hold the session.
+// The walk costs extra hops only on 404s — the healthy path is one hop —
+// and 404s spend no budget: the node answered fast, it just doesn't hold
+// the session.
 func (r *Router) handleSession(w http.ResponseWriter, req *http.Request) {
-	id := req.PathValue("id")
-	pickStart := time.Now()
-	cands := candidates(r.eligibleNodes(), id)
-	r.histPick.Record(time.Since(pickStart))
-	if len(cands) == 0 {
-		writeJSON(w, http.StatusServiceUnavailable, map[string]any{"error": "no healthy backend"})
-		return
-	}
 	var body []byte
 	if req.Method == http.MethodPost {
 		var err error
@@ -558,76 +729,18 @@ func (r *Router) handleSession(w http.ResponseWriter, req *http.Request) {
 			return
 		}
 	}
-	var notFound, draining, retriable *miss
-	var lastErr error
-	retries := 0
-	for _, n := range cands {
-		status, buf, hdr, err := r.sendTracked(req.Context(), r.client, n, req.Method, req.URL.Path, req.URL.RawQuery, body)
-		if err != nil {
-			if errors.Is(err, errBreakerOpen) {
-				continue // breaker race: skipping costs no budget
-			}
-			n.suspect(err, r.opts.FailAfter)
-			lastErr = fmt.Errorf("node %s: %w", n.name, err)
-			retries++
-			if retries > r.opts.RetryBudget {
-				break
-			}
-			n.retried()
-			continue
-		}
-		if status == http.StatusNotFound {
-			if notFound == nil {
-				notFound = &miss{n: n, status: status, buf: buf, hdr: hdr}
-			}
-			continue
-		}
-		if isDraining503(status, buf) || isRetriable503(status, hdr) {
-			if isDraining503(status, buf) {
-				if draining == nil {
-					draining = &miss{n: n, status: status, buf: buf, hdr: hdr}
-				}
-			} else if retriable == nil {
-				retriable = &miss{n: n, status: status, buf: buf, hdr: hdr}
-			}
-			retries++
-			if retries > r.opts.RetryBudget {
-				break
-			}
-			n.retried()
-			continue
-		}
-		writeProxied(w, n, status, buf, hdr)
-		return
-	}
-	// A remembered retriable 503 wins over 404s from the other candidates:
-	// it came from the node that actually holds the session (a candidate
-	// without it answers 404 even while degraded), so replaying the 404
-	// would misreport a live-but-unwritable session as gone — and turn a
-	// retriable fault into a terminal answer.
-	if retriable != nil {
-		writeProxied(w, retriable.n, retriable.status, retriable.buf, retriable.hdr)
-		return
-	}
-	if notFound != nil {
-		writeProxied(w, notFound.n, notFound.status, notFound.buf, notFound.hdr)
-		return
-	}
-	if draining != nil {
-		writeProxied(w, draining.n, draining.status, draining.buf, draining.hdr)
-		return
-	}
-	if lastErr == nil {
-		lastErr = errors.New("no backend admitted the request")
-	}
-	writeJSON(w, http.StatusBadGateway, map[string]any{"error": "all backends unreachable: " + lastErr.Error()})
+	rep, err := r.walk(req.Context(), r.nodes, req.PathValue("id"), r.opts.Timeout,
+		req.Method, req.URL.Path, req.URL.RawQuery, body, judgeSession)
+	writeWalked(w, rep, err)
 }
 
 // handleCreate places a new session: it mints the session ID (honouring a
-// client-supplied one), picks the owner by rendezvous hash, and injects the
-// ID into the create body so the backend adopts it. A backend that fails at
-// the transport level is marked suspect and the next candidate tried — a
-// create is not bound to any node until it succeeds somewhere.
+// client-supplied one) and injects it into the create body so the backend
+// adopts it, then walks the ID's candidates — a create is not bound to any
+// node until it succeeds somewhere, so an unreachable, draining or
+// journal-degraded candidate simply passes it on. If every candidate
+// refuses, replaying the first refusal (a retriable 503) beats a generic
+// 502.
 func (r *Router) handleCreate(w http.ResponseWriter, req *http.Request) {
 	raw, err := io.ReadAll(io.LimitReader(req.Body, 4<<20))
 	if err != nil {
@@ -651,56 +764,9 @@ func (r *Router) handleCreate(w http.ResponseWriter, req *http.Request) {
 		writeJSON(w, http.StatusBadRequest, map[string]any{"error": "encode body: " + err.Error()})
 		return
 	}
-	pickStart := time.Now()
-	cands := candidates(r.eligibleNodes(), id)
-	r.histPick.Record(time.Since(pickStart))
-	if len(cands) == 0 {
-		writeJSON(w, http.StatusServiceUnavailable, map[string]any{"error": "no healthy backend"})
-		return
-	}
-	var lastErr error
-	var refused *miss
-	retries := 0
-	for _, n := range cands {
-		status, buf, hdr, err := r.sendTracked(req.Context(), r.client, n, http.MethodPost, "/v1/sessions", "", body)
-		if err != nil {
-			if errors.Is(err, errBreakerOpen) {
-				continue
-			}
-			n.suspect(err, r.opts.FailAfter)
-			lastErr = fmt.Errorf("node %s: %w", n.name, err)
-			r.logf("router: create %s on %s failed, trying next candidate: %v", id, n.name, err)
-			retries++
-			if retries > r.opts.RetryBudget {
-				break
-			}
-			n.retried()
-			continue
-		}
-		if (isDraining503(status, buf) || isRetriable503(status, hdr)) && retries < r.opts.RetryBudget {
-			// Draining or journal-degraded: a create is not bound to any
-			// node until it succeeds, so simply place it on the next
-			// candidate. The refusal is remembered in case every candidate
-			// refuses — replaying a retriable 503 beats a generic 502.
-			if refused == nil {
-				refused = &miss{n: n, status: status, buf: buf, hdr: hdr}
-			}
-			retries++
-			n.retried()
-			lastErr = fmt.Errorf("node %s: refused create (status %d)", n.name, status)
-			continue
-		}
-		writeProxied(w, n, status, buf, hdr)
-		return
-	}
-	if refused != nil {
-		writeProxied(w, refused.n, refused.status, refused.buf, refused.hdr)
-		return
-	}
-	if lastErr == nil {
-		lastErr = errors.New("no backend admitted the request")
-	}
-	writeJSON(w, http.StatusBadGateway, map[string]any{"error": "all backends unreachable: " + lastErr.Error()})
+	rep, err := r.walk(req.Context(), r.nodes, id, r.opts.Timeout,
+		http.MethodPost, "/v1/sessions", "", body, judgePlacement)
+	writeWalked(w, rep, err)
 }
 
 // buildMux wires the routes, wrapped in the tracing middleware so every

@@ -127,8 +127,21 @@ func testStats() *profile.Stats {
 	}
 }
 
+// candidates lists nodes in key's rendezvous order by asking next — the
+// router's one ranking routine — for each successor in turn; pick is its
+// head over the router's own nodes, the request's first stop.
+func candidates(nodes []*node, key string) []*node {
+	var out []*node
+	for n := next(nodes, key, nil); n != nil; n = next(nodes, key, n) {
+		out = append(out, n)
+	}
+	return out
+}
+
+func (r *Router) pick(key string) *node { return next(r.nodes, key, nil) }
+
 func TestRendezvousStability(t *testing.T) {
-	nodes := []*node{{name: "a"}, {name: "b"}, {name: "c"}}
+	nodes := []*node{{name: "a", healthy: true}, {name: "b", healthy: true}, {name: "c", healthy: true}}
 	keys := make([]string, 500)
 	for i := range keys {
 		keys[i] = fmt.Sprintf("s-%032x", i)

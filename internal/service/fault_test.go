@@ -214,7 +214,10 @@ func TestDegradedWALSurfacesInHealthzAndMetrics(t *testing.T) {
 		t.Fatalf("healthz missing degraded reason: %v", hz)
 	}
 
-	var mt MetricsResponse
+	var mt struct {
+		WALDegraded       bool   `json:"wal_degraded"`
+		WALDegradedReason string `json:"wal_degraded_reason"`
+	}
 	if code := doJSON(t, http.MethodGet, srv.URL+"/v1/metrics", nil, &mt); code != http.StatusOK {
 		t.Fatalf("metrics: status %d", code)
 	}

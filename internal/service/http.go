@@ -141,60 +141,128 @@ type HistoryJSON struct {
 	Suggested  bool           `json:"suggested,omitempty"`
 }
 
-// MetricsResponse is the body of GET /v1/metrics.
-type MetricsResponse struct {
-	Node             string         `json:"node,omitempty"`
-	Draining         bool           `json:"draining,omitempty"`
-	Sessions         int            `json:"sessions"`
-	SessionsByState  map[string]int `json:"sessions_by_state"`
-	Observations     int64          `json:"observations"`
-	Evictions        int64          `json:"evictions"`
-	WarmStarts       int64          `json:"warm_starts"`
-	SurrogateFits    int64          `json:"surrogate_fits,omitempty"`
-	SurrogateAppends int64          `json:"surrogate_appends,omitempty"`
-	// SurrogateCompactions stays a top-level numeric (like fits/appends) so
-	// the router's metrics fan-out sums it cluster-wide.
-	SurrogateCompactions int64      `json:"surrogate_compactions,omitempty"`
-	RepoEntries          int        `json:"repo_entries"`
-	RepoCapacity         int        `json:"repo_capacity,omitempty"`
-	RepoHits             int64      `json:"repo_hits,omitempty"`
-	RepoEvictions        int64      `json:"repo_evictions,omitempty"`
-	Persistence          bool       `json:"persistence"`
-	Replication          bool       `json:"replication,omitempty"`
-	WALBytes             int64      `json:"wal_bytes,omitempty"`
-	WALEvents            uint64     `json:"wal_events,omitempty"`
-	WALSegments          int        `json:"wal_segments,omitempty"`
-	PrunedSegments       uint64     `json:"pruned_segments,omitempty"`
-	CommitBatches        uint64     `json:"commit_batches,omitempty"`
-	BatchedEvents        uint64     `json:"batched_events,omitempty"`
-	Snapshots            uint64     `json:"snapshots,omitempty"`
-	SnapshotBytes        int64      `json:"snapshot_bytes,omitempty"`
-	LastCompaction       *time.Time `json:"last_compaction,omitempty"`
-	JournalError         string     `json:"journal_error,omitempty"`
-	// WALDegraded reports a write-ahead log that hit an unrecoverable
-	// write/fsync failure and flipped read-only; the node refuses writes
-	// with retriable 503s until it is restarted on healthy storage.
-	WALDegraded       bool   `json:"wal_degraded,omitempty"`
-	WALDegradedReason string `json:"wal_degraded_reason,omitempty"`
+// A scalar is one number (or flag) a node reports about itself, declared
+// here once: its key in the GET /v1/metrics body, its series on GET /metrics
+// ("" when it is not exported there), and how to read it off a Metrics
+// snapshot. Both endpoints render from this list, so a counter cannot be
+// added to one and forgotten on the other. Counters and gauges are
+// top-level numerics of the JSON body on purpose: the router's metrics
+// fan-out sums those cluster-wide (and must not sum a flag, so flags are
+// booleans there).
+type scalar struct {
+	key, prom, help string
+	kind            scalarKind
+	// always keeps the key in /v1/metrics when the value is zero; the rest
+	// are omitted until they have something to say.
+	always bool
+	// gate, when non-nil, reports whether the subsystem the scalar belongs
+	// to (the store, the replica set) is attached at all; while it is not,
+	// neither endpoint mentions the scalar.
+	gate func(*Metrics) bool
+	get  func(*Metrics) float64
+}
 
-	// Replication lag and ingest counters (internal/replica). Top-level
-	// numerics so the router's metrics fan-out sums them cluster-wide.
-	ReplicaFollowers     int     `json:"replica_followers,omitempty"`
-	ReplicaSegsBehind    int     `json:"replica_segments_behind,omitempty"`
-	ReplicaBytesBehind   int64   `json:"replica_bytes_behind,omitempty"`
-	ReplicaLastAckAgeSec float64 `json:"replica_last_ack_age_sec,omitempty"`
-	ReplicaShips         uint64  `json:"replica_ships,omitempty"`
-	ReplicaShipErrors    uint64  `json:"replica_ship_errors,omitempty"`
-	ReplicaPrimaries     int     `json:"replica_primaries,omitempty"`
-	ReplicaIngests       uint64  `json:"replica_ingests,omitempty"`
-	ReplicaIngestBytes   int64   `json:"replica_ingest_bytes,omitempty"`
-	ReplicaPromotions    uint64  `json:"replica_promotions,omitempty"`
+type scalarKind int
 
-	// Stages carries the per-stage latency digests; StageHist the raw
-	// bucket arrays the router merges bucket-wise into cluster-exact
-	// percentiles.
-	Stages    map[string]obs.Summary   `json:"stages,omitempty"`
-	StageHist map[string]StageHistJSON `json:"stage_hist,omitempty"`
+const (
+	counter scalarKind = iota // only ever grows
+	gauge
+	flag // gauge of 0 or 1; "true" in /v1/metrics
+)
+
+func persistent(mt *Metrics) bool  { return mt.Persistence }
+func replicating(mt *Metrics) bool { return mt.Replication }
+
+func b2f(b bool) float64 {
+	if b {
+		return 1
+	}
+	return 0
+}
+
+var scalars = []scalar{
+	{"sessions", "relm_sessions", "Live sessions.", gauge, true, nil, func(mt *Metrics) float64 { return float64(mt.Sessions) }},
+	{"observations", "relm_observations_total", "Recorded experiments (including replayed).", counter, true, nil, func(mt *Metrics) float64 { return float64(mt.Observations) }},
+	{"evictions", "relm_evictions_total", "TTL session evictions.", counter, true, nil, func(mt *Metrics) float64 { return float64(mt.Evictions) }},
+	{"warm_starts", "relm_warm_starts_total", "Repository-seeded sessions.", counter, true, nil, func(mt *Metrics) float64 { return float64(mt.WarmStarts) }},
+	{"surrogate_fits", "relm_surrogate_fits_total", "Full surrogate hyperparameter selections.", counter, false, nil, func(mt *Metrics) float64 { return float64(mt.SurrogateFits) }},
+	{"surrogate_appends", "relm_surrogate_appends_total", "O(n²) surrogate appends between hyperparameter selections.", counter, false, nil, func(mt *Metrics) float64 { return float64(mt.SurrogateAppends) }},
+	{"surrogate_compactions", "relm_surrogate_compactions_total", "Surrogate evict-or-reject decisions at the active-set cap.", counter, false, nil, func(mt *Metrics) float64 { return float64(mt.SurrogateCompactions) }},
+	{"repo_entries", "relm_repo_entries", "Model repository entries.", gauge, true, nil, func(mt *Metrics) float64 { return float64(mt.RepoEntries) }},
+	{"repo_capacity", "", "", gauge, false, nil, func(mt *Metrics) float64 { return float64(mt.RepoCapacity) }},
+	{"repo_hits", "relm_repo_hits_total", "Warm-start repository matches.", counter, false, nil, func(mt *Metrics) float64 { return float64(mt.RepoHits) }},
+	{"repo_evictions", "relm_repo_evictions_total", "Repository capacity evictions.", counter, false, nil, func(mt *Metrics) float64 { return float64(mt.RepoEvictions) }},
+	{"draining", "relm_draining", "1 while the node is draining.", flag, false, nil, func(mt *Metrics) float64 { return b2f(mt.Draining) }},
+
+	{"wal_bytes", "relm_wal_bytes", "WAL size across segments.", gauge, false, persistent, func(mt *Metrics) float64 { return float64(mt.Store.WALBytes) }},
+	{"wal_events", "relm_wal_events_total", "Events journaled to the WAL.", counter, false, persistent, func(mt *Metrics) float64 { return float64(mt.Store.WALEvents) }},
+	{"wal_segments", "relm_wal_segments", "Live WAL segments.", gauge, false, persistent, func(mt *Metrics) float64 { return float64(mt.Store.Segments) }},
+	{"pruned_segments", "relm_wal_pruned_segments_total", "Sealed segments deleted by compaction.", counter, false, persistent, func(mt *Metrics) float64 { return float64(mt.Store.PrunedSegments) }},
+	{"commit_batches", "relm_wal_commit_batches_total", "Group-commit batches flushed.", counter, false, persistent, func(mt *Metrics) float64 { return float64(mt.Store.Batches) }},
+	{"batched_events", "relm_wal_batched_events_total", "Records flushed through group commit.", counter, false, persistent, func(mt *Metrics) float64 { return float64(mt.Store.BatchedEvents) }},
+	{"snapshots", "relm_snapshots_total", "Compacted snapshots written.", counter, false, persistent, func(mt *Metrics) float64 { return float64(mt.Store.Snapshots) }},
+	{"snapshot_bytes", "relm_snapshot_bytes", "Latest snapshot size.", gauge, false, persistent, func(mt *Metrics) float64 { return float64(mt.Store.SnapshotBytes) }},
+	// A write-ahead log that hit an unrecoverable write/fsync failure and
+	// flipped read-only; the node refuses writes with retriable 503s until
+	// it is restarted on healthy storage.
+	{"wal_degraded", "relm_wal_degraded", "1 while the WAL is degraded (read-only).", flag, false, persistent, func(mt *Metrics) float64 { return b2f(mt.Store.Degraded) }},
+
+	{"replica_followers", "relm_replica_followers", "Configured ship targets.", gauge, false, replicating, func(mt *Metrics) float64 { return float64(mt.Replica.Followers) }},
+	{"replica_segments_behind", "relm_replica_segments_behind", "Segments with unshipped bytes across followers.", gauge, false, replicating, func(mt *Metrics) float64 { return float64(mt.Replica.SegmentsBehind) }},
+	{"replica_bytes_behind", "relm_replica_bytes_behind", "Unshipped WAL bytes across followers.", gauge, false, replicating, func(mt *Metrics) float64 { return float64(mt.Replica.BytesBehind) }},
+	{"replica_last_ack_age_sec", "", "", gauge, false, replicating, func(mt *Metrics) float64 { return mt.Replica.LastAckAgeSec }},
+	{"replica_ships", "relm_replica_ships_total", "Acknowledged ship requests.", counter, false, replicating, func(mt *Metrics) float64 { return float64(mt.Replica.Ships) }},
+	{"replica_ship_errors", "relm_replica_ship_errors_total", "Failed ship requests.", counter, false, replicating, func(mt *Metrics) float64 { return float64(mt.Replica.ShipErrors) }},
+	{"replica_primaries", "relm_replica_primaries", "Primaries this node holds replicas for.", gauge, false, replicating, func(mt *Metrics) float64 { return float64(mt.Replica.Primaries) }},
+	{"replica_ingests", "relm_replica_ingests_total", "Replica ingest appends.", counter, false, replicating, func(mt *Metrics) float64 { return float64(mt.Replica.Ingests) }},
+	{"replica_ingest_bytes", "relm_replica_ingest_bytes_total", "Replica bytes ingested.", counter, false, replicating, func(mt *Metrics) float64 { return float64(mt.Replica.IngestBytes) }},
+	{"replica_promotions", "relm_replica_promotions_total", "Replicas promoted on this node.", counter, false, replicating, func(mt *Metrics) float64 { return float64(mt.Replica.Promotions) }},
+}
+
+// metricsBody renders a Metrics snapshot as the body of GET /v1/metrics:
+// the scalars, then what is not a number — identity, the per-state session
+// counts, failure reasons, and the per-stage latency digests (stages) beside
+// the raw bucket arrays (stage_hist) the router merges bucket-wise into
+// cluster-exact percentiles.
+func metricsBody(mt *Metrics) map[string]any {
+	body := map[string]any{"sessions_by_state": mt.SessionsByState, "persistence": mt.Persistence}
+	for _, sc := range scalars {
+		if sc.gate != nil && !sc.gate(mt) {
+			continue
+		}
+		switch v := sc.get(mt); {
+		case v == 0 && !sc.always:
+		case sc.kind == flag:
+			body[sc.key] = true
+		default:
+			body[sc.key] = v
+		}
+	}
+	if mt.Node != "" {
+		body["node"] = mt.Node
+	}
+	if mt.Replication {
+		body["replication"] = true
+	}
+	if mt.JournalError != "" {
+		body["journal_error"] = mt.JournalError
+	}
+	if mt.Persistence && mt.Store.DegradedReason != "" {
+		body["wal_degraded_reason"] = mt.Store.DegradedReason
+	}
+	if mt.Persistence && !mt.Store.LastCompaction.IsZero() {
+		body["last_compaction"] = mt.Store.LastCompaction
+	}
+	if len(mt.Stages) > 0 {
+		sums := make(map[string]obs.Summary, len(mt.Stages))
+		hists := make(map[string]StageHistJSON, len(mt.Stages))
+		for name, snap := range mt.Stages {
+			sums[name] = snap.Summarize()
+			hists[name] = snap.JSON()
+		}
+		body["stages"], body["stage_hist"] = sums, hists
+	}
+	return body
 }
 
 // StageHistJSON is the mergeable wire form of one stage histogram: the
@@ -202,20 +270,6 @@ type MetricsResponse struct {
 // two of these bucket-wise is exact, so cluster-wide percentiles need no
 // approximation beyond the buckets themselves.
 type StageHistJSON = obs.HistJSON
-
-// stageFields renders a stage-snapshot map into the two wire maps.
-func stageFields(stages map[string]obs.Snapshot) (map[string]obs.Summary, map[string]StageHistJSON) {
-	if len(stages) == 0 {
-		return nil, nil
-	}
-	sums := make(map[string]obs.Summary, len(stages))
-	hists := make(map[string]StageHistJSON, len(stages))
-	for name, snap := range stages {
-		sums[name] = snap.Summarize()
-		hists[name] = snap.JSON()
-	}
-	return sums, hists
-}
 
 // RepoExportResponse is the body of GET /v1/repository/export — the full
 // repository entries, prior points included, for another node to import.
@@ -419,55 +473,7 @@ func NewHandler(m *Manager) http.Handler {
 
 	mux.HandleFunc("GET /v1/metrics", func(w http.ResponseWriter, r *http.Request) {
 		mt := m.Metrics()
-		resp := MetricsResponse{
-			Node:                 mt.Node,
-			Draining:             mt.Draining,
-			Sessions:             mt.Sessions,
-			SessionsByState:      mt.SessionsByState,
-			Observations:         mt.Observations,
-			Evictions:            mt.Evictions,
-			WarmStarts:           mt.WarmStarts,
-			SurrogateFits:        mt.SurrogateFits,
-			SurrogateAppends:     mt.SurrogateAppends,
-			SurrogateCompactions: mt.SurrogateCompactions,
-			RepoEntries:          mt.RepoEntries,
-			RepoCapacity:         mt.RepoCapacity,
-			RepoHits:             mt.RepoHits,
-			RepoEvictions:        mt.RepoEvictions,
-			Persistence:          mt.Persistence,
-			Replication:          mt.Replication,
-			JournalError:         mt.JournalError,
-		}
-		if mt.Replication {
-			resp.ReplicaFollowers = mt.Replica.Followers
-			resp.ReplicaSegsBehind = mt.Replica.SegmentsBehind
-			resp.ReplicaBytesBehind = mt.Replica.BytesBehind
-			resp.ReplicaLastAckAgeSec = mt.Replica.LastAckAgeSec
-			resp.ReplicaShips = mt.Replica.Ships
-			resp.ReplicaShipErrors = mt.Replica.ShipErrors
-			resp.ReplicaPrimaries = mt.Replica.Primaries
-			resp.ReplicaIngests = mt.Replica.Ingests
-			resp.ReplicaIngestBytes = mt.Replica.IngestBytes
-			resp.ReplicaPromotions = mt.Replica.Promotions
-		}
-		if mt.Persistence {
-			resp.WALBytes = mt.Store.WALBytes
-			resp.WALEvents = mt.Store.WALEvents
-			resp.WALSegments = mt.Store.Segments
-			resp.PrunedSegments = mt.Store.PrunedSegments
-			resp.CommitBatches = mt.Store.Batches
-			resp.BatchedEvents = mt.Store.BatchedEvents
-			resp.Snapshots = mt.Store.Snapshots
-			resp.SnapshotBytes = mt.Store.SnapshotBytes
-			resp.WALDegraded = mt.Store.Degraded
-			resp.WALDegradedReason = mt.Store.DegradedReason
-			if !mt.Store.LastCompaction.IsZero() {
-				t := mt.Store.LastCompaction
-				resp.LastCompaction = &t
-			}
-		}
-		resp.Stages, resp.StageHist = stageFields(mt.Stages)
-		writeJSON(w, http.StatusOK, resp)
+		writeJSON(w, http.StatusOK, metricsBody(&mt))
 	})
 
 	mux.HandleFunc("GET /metrics", func(w http.ResponseWriter, r *http.Request) {
@@ -712,53 +718,21 @@ type TracesResponse struct {
 }
 
 // writePromMetrics renders a Metrics snapshot in the Prometheus text
-// exposition format: lifetime counters, WAL/replica/repository gauges,
-// and every stage histogram as cumulative buckets.
+// exposition format: the scalars, the per-state session gauge, and every
+// stage histogram as cumulative buckets.
 func writePromMetrics(w io.Writer, mt Metrics) {
 	p := obs.NewPromWriter(w)
-	p.Gauge("relm_sessions", "Live sessions.", float64(mt.Sessions))
+	for _, sc := range scalars {
+		switch {
+		case sc.prom == "" || (sc.gate != nil && !sc.gate(&mt)):
+		case sc.kind == counter:
+			p.Counter(sc.prom, sc.help, sc.get(&mt))
+		default:
+			p.Gauge(sc.prom, sc.help, sc.get(&mt))
+		}
+	}
 	for state, n := range mt.SessionsByState {
 		p.Gauge("relm_sessions_by_state", "Live sessions by state.", float64(n), "state", state)
-	}
-	p.Counter("relm_observations_total", "Recorded experiments (including replayed).", float64(mt.Observations))
-	p.Counter("relm_evictions_total", "TTL session evictions.", float64(mt.Evictions))
-	p.Counter("relm_warm_starts_total", "Repository-seeded sessions.", float64(mt.WarmStarts))
-	p.Counter("relm_surrogate_fits_total", "Full surrogate hyperparameter selections.", float64(mt.SurrogateFits))
-	p.Counter("relm_surrogate_appends_total", "O(n²) surrogate appends between hyperparameter selections.", float64(mt.SurrogateAppends))
-	p.Counter("relm_surrogate_compactions_total", "Surrogate evict-or-reject decisions at the active-set cap.", float64(mt.SurrogateCompactions))
-	p.Gauge("relm_repo_entries", "Model repository entries.", float64(mt.RepoEntries))
-	p.Counter("relm_repo_hits_total", "Warm-start repository matches.", float64(mt.RepoHits))
-	p.Counter("relm_repo_evictions_total", "Repository capacity evictions.", float64(mt.RepoEvictions))
-	drain := 0.0
-	if mt.Draining {
-		drain = 1
-	}
-	p.Gauge("relm_draining", "1 while the node is draining.", drain)
-	if mt.Persistence {
-		p.Gauge("relm_wal_bytes", "WAL size across segments.", float64(mt.Store.WALBytes))
-		p.Counter("relm_wal_events_total", "Events journaled to the WAL.", float64(mt.Store.WALEvents))
-		p.Gauge("relm_wal_segments", "Live WAL segments.", float64(mt.Store.Segments))
-		p.Counter("relm_wal_pruned_segments_total", "Sealed segments deleted by compaction.", float64(mt.Store.PrunedSegments))
-		p.Counter("relm_wal_commit_batches_total", "Group-commit batches flushed.", float64(mt.Store.Batches))
-		p.Counter("relm_wal_batched_events_total", "Records flushed through group commit.", float64(mt.Store.BatchedEvents))
-		p.Counter("relm_snapshots_total", "Compacted snapshots written.", float64(mt.Store.Snapshots))
-		p.Gauge("relm_snapshot_bytes", "Latest snapshot size.", float64(mt.Store.SnapshotBytes))
-		degraded := 0.0
-		if mt.Store.Degraded {
-			degraded = 1
-		}
-		p.Gauge("relm_wal_degraded", "1 while the WAL is degraded (read-only).", degraded)
-	}
-	if mt.Replication {
-		p.Gauge("relm_replica_followers", "Configured ship targets.", float64(mt.Replica.Followers))
-		p.Gauge("relm_replica_segments_behind", "Segments with unshipped bytes across followers.", float64(mt.Replica.SegmentsBehind))
-		p.Gauge("relm_replica_bytes_behind", "Unshipped WAL bytes across followers.", float64(mt.Replica.BytesBehind))
-		p.Counter("relm_replica_ships_total", "Acknowledged ship requests.", float64(mt.Replica.Ships))
-		p.Counter("relm_replica_ship_errors_total", "Failed ship requests.", float64(mt.Replica.ShipErrors))
-		p.Gauge("relm_replica_primaries", "Primaries this node holds replicas for.", float64(mt.Replica.Primaries))
-		p.Counter("relm_replica_ingests_total", "Replica ingest appends.", float64(mt.Replica.Ingests))
-		p.Counter("relm_replica_ingest_bytes_total", "Replica bytes ingested.", float64(mt.Replica.IngestBytes))
-		p.Counter("relm_replica_promotions_total", "Replicas promoted on this node.", float64(mt.Replica.Promotions))
 	}
 	p.StageHistograms("relm_stage_latency_seconds", "Per-stage latency distribution.", mt.Stages)
 }

@@ -125,7 +125,10 @@ func TestHTTPMetricsSurrogateCounters(t *testing.T) {
 		Surrogate: &SurrogateSpec{Budget: 6},
 	}, 25)
 
-	var mt MetricsResponse
+	var mt struct {
+		SurrogateFits        int64 `json:"surrogate_fits"`
+		SurrogateCompactions int64 `json:"surrogate_compactions"`
+	}
 	if code := doJSON(t, http.MethodGet, srv.URL+"/v1/metrics", nil, &mt); code != http.StatusOK {
 		t.Fatalf("metrics: status %d", code)
 	}

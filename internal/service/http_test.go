@@ -198,7 +198,14 @@ func TestHTTPMetrics(t *testing.T) {
 	doJSON(t, http.MethodPost, srv.URL+"/v1/sessions/"+created.ID+"/observe",
 		ObserveRequest{Config: sug.Config, RuntimeSec: res.RuntimeSec, Aborted: res.Aborted, Stats: &st}, nil)
 
-	var mt MetricsResponse
+	var mt struct {
+		Sessions        int            `json:"sessions"`
+		SessionsByState map[string]int `json:"sessions_by_state"`
+		Observations    int64          `json:"observations"`
+		Persistence     bool           `json:"persistence"`
+		WALEvents       uint64         `json:"wal_events"`
+		WALBytes        int64          `json:"wal_bytes"`
+	}
 	if code := doJSON(t, http.MethodGet, srv.URL+"/v1/metrics", nil, &mt); code != http.StatusOK {
 		t.Fatalf("metrics: status %d", code)
 	}
@@ -257,7 +264,11 @@ func TestHTTPRepository(t *testing.T) {
 		t.Fatalf("harvested model mangled: %+v", mdl)
 	}
 
-	var mt MetricsResponse
+	var mt struct {
+		RepoEntries  int `json:"repo_entries"`
+		RepoCapacity int `json:"repo_capacity"`
+		WALSegments  int `json:"wal_segments"`
+	}
 	if code := doJSON(t, http.MethodGet, srv.URL+"/v1/metrics", nil, &mt); code != http.StatusOK {
 		t.Fatalf("metrics: status %d", code)
 	}

@@ -12,7 +12,8 @@
 #            dead node's WAL replica on a follower and resume its sessions
 #            under their original IDs — history intact, next suggestion
 #            identical, zero manual intervention
-#   phase 3  bit-exact drain hand-off onto the survivor
+#   phase 3  bit-exact drain hand-off onto the survivor, every hop of it in
+#            the router's trace of the drain
 #   phase 4  corrupt a sealed WAL segment on a scratch node: restart must
 #            fail loudly ("corrupt"), never serve silently shortened data
 #   phase 5  loadgen soak: replay scripts/scenarios/soak.json (~35s of
@@ -331,9 +332,24 @@ done
 PRE_SUG=$(expect 200 POST "$R/v1/sessions/$SID/suggest" | jq -cS .config)
 PRE_HIST=$(expect 200 GET "$R/v1/sessions/$SID/history" | jq -cS .)
 
-DRAIN=$(expect 200 POST "$R/v1/cluster/drain/$DHOME")
+DSTATUS=$(curl -sS -o "$WORK/drain.json" -D "$WORK/drain.hdr" -w '%{http_code}' -X POST "$R/v1/cluster/drain/$DHOME") \
+    || fail "curl POST $R/v1/cluster/drain/$DHOME"
+DRAIN=$(cat "$WORK/drain.json")
+[ "$DSTATUS" = 200 ] || fail "POST $R/v1/cluster/drain/$DHOME -> $DSTATUS (want 200): $DRAIN"
 jqget "$DRAIN" ".reassigned[] | select(.id == \"$SID\")" >/dev/null \
     || fail "drain did not reassign $SID: $DRAIN"
+# The control plane is as visible as the data path: the router's trace of
+# the drain shows the /v1/drain hop on the leaving node and at least one
+# proxy hop per handed-over session on the nodes that took them.
+DTRACE=$(awk 'tolower($1) == "x-relm-trace:" { print $2 }' "$WORK/drain.hdr" | tr -d '\r')
+[ -n "$DTRACE" ] || fail "drain response carries no X-Relm-Trace header"
+RTRACE=$(expect 200 GET "$R/v1/traces?id=$DTRACE")
+MOVED=$(echo "$DRAIN" | jq '.reassigned | length')
+HOPS_OUT=$(echo "$RTRACE" | jq '[.traces[0].spans[] | select(.name == "proxy '"$DHOME"'")] | length')
+HOPS_IN=$(echo "$RTRACE" | jq '[.traces[0].spans[] | select((.name | startswith("proxy ")) and .name != "proxy '"$DHOME"'")] | length')
+[ "$HOPS_OUT" -ge 1 ] && [ "$HOPS_IN" -ge "$MOVED" ] \
+    || fail "drain trace $DTRACE shows $HOPS_OUT hops to $DHOME and $HOPS_IN to its successors for $MOVED sessions: $RTRACE"
+log "  drain trace $DTRACE: $HOPS_OUT hop(s) to $DHOME, $HOPS_IN to the successors of $MOVED session(s)"
 RNODE=$(jqget "$DRAIN" ".reassigned[] | select(.id == \"$SID\") | .node")
 RWARM=$(echo "$DRAIN" | jq -r ".reassigned[] | select(.id == \"$SID\") | .warm_started == true")
 [ "$RNODE" = "$SUCC" ] || fail "session reassigned to $RNODE, want $SUCC"
