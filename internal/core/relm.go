@@ -156,6 +156,11 @@ func (t *Tuner) concurrencyFor(st profile.Stats, n int, mh float64) int {
 	return clampInt(p, 1, maxP)
 }
 
+// maxArbitrationSteps bounds Algorithm 1's repair loop: action II shrinks the
+// cache by one task's memory per round — thousands of rounds for a measured
+// profile, no bound for client-reported statistics with a vanishing MuMB.
+const maxArbitrationSteps = 1 << 16
+
 // Arbitrate is Algorithm 1: it repairs an initialized candidate for safety
 // (the long-term plus tenured task memory must fit in Old) by round-robin
 // application of three actions — decrease Task Concurrency, decrease Cache
@@ -177,6 +182,9 @@ func (t *Tuner) Arbitrate(st profile.Stats, pools Pools) (Candidate, bool) {
 	action := 0
 	blocked := 0
 	for demand() > pools.MoMB {
+		if action >= maxArbitrationSteps {
+			return cand, false
+		}
 		applied := false
 		switch action % 3 {
 		case 0: // I: decrease task concurrency

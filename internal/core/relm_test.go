@@ -266,6 +266,24 @@ func TestArbitrateProperty(t *testing.T) {
 	}
 }
 
+// TestArbitrateTerminatesOnVanishingTaskMemory: reported statistics are
+// outside input. A per-task memory of next to nothing makes action II shave
+// the cache by next to nothing per round; the repair loop must give up, not
+// spin for 10¹⁵ rounds under the session lock.
+func TestArbitrateTerminatesOnVanishingTaskMemory(t *testing.T) {
+	tuner := New(cluster.A())
+	st := profile.Stats{
+		N: 1, MhMB: 4404, CPUAvg: 0.3, DiskAvg: 0.05,
+		MiMB: 100, McMB: 4000, MuMB: 1e-12,
+		P: 2, H: 0.3, HadFullGC: true, CoresPerNode: 8,
+	}
+	pools := tuner.Initialize(st, 1)
+	pools.McMB, pools.MoMB = 4000, 2000 // unsafe by a long way, as a hostile profile can make it
+	if cand, ok := tuner.Arbitrate(st, pools); ok {
+		t.Fatalf("arbitration called an unrepairable candidate safe: %+v", cand.Pools)
+	}
+}
+
 func clamp01(v float64) float64 {
 	if math.IsNaN(v) || math.IsInf(v, 0) {
 		return 0.5

@@ -95,6 +95,66 @@ func TestObserveJournalFailureLeavesStateUntouched(t *testing.T) {
 	}
 }
 
+// TestRefusedObserveLeavesAbortWatermark: the §6.1 abort penalty is twice
+// the worst runtime *recorded* so far. An observation the journal refused
+// is not recorded, so it must not raise the watermark — live or after the
+// log is replayed, which never saw it.
+func TestRefusedObserveLeavesAbortWatermark(t *testing.T) {
+	m, dir := fileStoreManager(t, store.FileOptions{})
+	st, err := m.Create(Spec{Backend: "bo", Workload: "SVM", Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg, _, err := m.Suggest(st.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := m.Observe(st.ID, Observation{Config: cfg, RuntimeSec: 100}); err != nil {
+		t.Fatal(err)
+	}
+	if cfg, _, err = m.Suggest(st.ID); err != nil {
+		t.Fatal(err)
+	}
+	// Armed after the suggest: its advisory journal entry would otherwise
+	// spend the rule.
+	armServiceFault(t, "store.write", "error", 1)
+	if _, err := m.Observe(st.ID, Observation{Config: cfg, RuntimeSec: 900}); !errors.Is(err, ErrJournal) {
+		t.Fatalf("observe under journal fault: %v, want ErrJournal", err)
+	}
+	fault.DisarmAll()
+	if _, err := m.Observe(st.ID, Observation{Config: cfg, RuntimeSec: 50, Aborted: true}); err != nil {
+		t.Fatal(err)
+	}
+	live, err := m.History(st.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(live) != 2 {
+		t.Fatalf("history has %d entries, want 2", len(live))
+	}
+	if live[1].Objective != 200 {
+		t.Errorf("live abort penalty %v, want 200 (2 × the worst recorded runtime, 100 s)", live[1].Objective)
+	}
+	m.Close()
+
+	fs2, err := store.OpenFile(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m2, err := Open(Options{Workers: 1, Store: fs2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m2.Close()
+	replayed, err := m2.History(st.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(replayed) != 2 || replayed[1].Objective != live[1].Objective {
+		t.Fatalf("replayed objective %v differs from live %v", replayed[1].Objective, live[1].Objective)
+	}
+}
+
 func TestCreateJournalFailureRollsBackWithoutTombstone(t *testing.T) {
 	m, _ := fileStoreManager(t, store.FileOptions{})
 	armServiceFault(t, "store.write", "error", 1)

@@ -1,10 +1,12 @@
 package service
 
 import (
+	"encoding/json"
 	"errors"
 	"fmt"
 	"testing"
 
+	"relm/internal/bo"
 	"relm/internal/conf"
 	"relm/internal/fault"
 	"relm/internal/store"
@@ -12,10 +14,12 @@ import (
 
 // donorSnapshot drives a remote session for n suggest/observe rounds on a
 // throwaway manager, drains it, and returns the session's hand-over
-// snapshot.
-func donorSnapshot(t *testing.T, spec Spec, n int) store.SessionSnapshot {
+// snapshot. models are imported into the donor's repository first, for a
+// spec that asks to be warm-started from them.
+func donorSnapshot(t *testing.T, spec Spec, n int, models ...bo.RepoEntry) store.SessionSnapshot {
 	t.Helper()
 	donor := newTestManager(t, Options{Workers: 1, NodeID: "donor"})
+	donor.ImportRepository(models)
 	st, err := donor.Create(spec)
 	if err != nil {
 		t.Fatal(err)
@@ -242,5 +246,41 @@ func TestAdoptJournalFailureRollsBack(t *testing.T) {
 	defer m2.Close()
 	if m2.Len() != 0 {
 		t.Fatalf("recovery resurrected %d half-adopted sessions", m2.Len())
+	}
+}
+
+// TestAdoptJournalsTheSnapshotItWasGiven ties hand-over to recovery: the
+// events Adopt writes for a SessionSnapshot are that snapshot spelled as a
+// log, so folding them gives it back — warm start, every history record
+// with its objective and Suggested bit, the outstanding suggestion. Only
+// State is the rebuild's to fill in.
+func TestAdoptJournalsTheSnapshotItWasGiven(t *testing.T) {
+	armed := donorSnapshot(t, Spec{ID: "s-ddpg", Backend: "ddpg", Workload: "SortByKey", Seed: 5, MaxSteps: 8}, 3)
+	armed.Suggested = true
+	// A warm-started donor: its fingerprint matches a model imported first.
+	fp := measure(t, "", "K-means", Observation{Config: conf.Default()}, 1)
+	warm := donorSnapshot(t,
+		Spec{ID: "s-gbo", Backend: "gbo", Workload: "K-means", Seed: 6, MaxIterations: 8, WarmStart: true, Stats: fp.Stats, DefaultRuntimeSec: fp.RuntimeSec},
+		2, bo.RepoEntry{Workload: "K-means", ClusterName: "A", Fingerprint: *fp.Stats, DefaultSec: fp.RuntimeSec,
+			Points: []bo.PriorPoint{{X: []float64{0.25, 0.5, 0.5, 0.25}, Cfg: conf.Default(), Y: fp.RuntimeSec}}})
+	if warm.Warm == nil {
+		t.Fatalf("donor was not warm-started: %+v", warm)
+	}
+	for _, ss := range []store.SessionSnapshot{armed, warm} {
+		tp := &tape{Store: store.NewMem()}
+		m := newTestManager(t, Options{Workers: 1, Store: tp})
+		if _, err := m.Adopt(ss); err != nil {
+			t.Fatal(err)
+		}
+		folded := newManager(Options{}).fold(nil, tp.events)[ss.ID]
+		if folded == nil {
+			t.Fatalf("%s: the adopted session's events fold to nothing: %+v", ss.ID, tp.events)
+		}
+		folded.State = ss.State
+		got, _ := json.Marshal(folded)
+		want, _ := json.Marshal(ss)
+		if string(got) != string(want) {
+			t.Fatalf("%s: Adopt's events fold to a different snapshot:\n got %s\nwant %s", ss.ID, got, want)
+		}
 	}
 }

@@ -12,15 +12,18 @@ import (
 )
 
 // This file is the persistence layer of the Manager: journaling session
-// events to the write-ahead log, replaying snapshot + log into a fresh
-// Manager (crash recovery), and compacting the log into snapshots.
+// events to the write-ahead log, recovering a fresh Manager from snapshot +
+// log, and compacting the log into snapshots.
 //
-// Replay is idempotent: observe events carry a per-session ordinal and are
-// applied only when they extend the session's history, create/warm/close
-// events are no-ops when already reflected, and harvest events are keyed
-// by session ID. The snapshot and the log may therefore overlap — the
-// snapshotter never stops the world, and a crash between the snapshot
-// rename and the log rewrite loses nothing.
+// Recovery is a fold over data followed by one rebuild: foldEvent folds the
+// log into the snapshot's sessions without touching a tuner, then
+// rebuildSession builds a tuner for each session still alive at the end of
+// the log. The fold is idempotent: observe events carry a per-session
+// ordinal and are applied only when they extend the session's history,
+// create/warm/close events are no-ops when already reflected, and harvest
+// events are keyed by session ID. The snapshot and the log may therefore
+// overlap — the snapshotter never stops the world, and a crash between the
+// snapshot rename and the log rewrite loses nothing.
 
 // specRecord converts a Spec to its durable form. The surrogate block is
 // journaled only when set, so sessions on the default surrogate produce
@@ -67,13 +70,13 @@ func specFromRecord(rec store.SessionSpec) Spec {
 }
 
 // journal appends one event to the store, returning its sequence number
-// (0 without a store or during replay) and the append error. Callers on
-// the durability path — Create and Observe, whose acks promise the event
-// survives recovery — fail the operation on error (journal-before-apply);
-// advisory events (suggest, harvest, close tombstones) ignore it. Either
-// way the last failure is surfaced through Metrics.
+// (0 without a store) and the append error. Callers on the durability path
+// — Create and Observe, whose acks promise the event survives recovery —
+// fail the operation on error (journal-before-apply); advisory events
+// (suggest, harvest, close tombstones) ignore it. Either way the last
+// failure is surfaced through Metrics.
 func (m *Manager) journal(ev *store.Event) (uint64, error) {
-	if m.opts.Store == nil || m.replaying {
+	if m.opts.Store == nil {
 		return 0, nil
 	}
 	seq, err := m.opts.Store.Append(ev)
@@ -221,23 +224,46 @@ func sessionSnapshot(s *Session) store.SessionSnapshot {
 
 // restore rebuilds the Manager from a snapshot and the write-ahead log,
 // returning the auto sessions that must be re-queued on the worker pool.
-// It runs before the Manager's goroutines start, with journaling
-// suppressed.
+// It runs before the Manager's goroutines start. The log is first folded
+// into the snapshot as plain data; only the sessions still alive at its end
+// get a tuner, built once by rebuildSession from their final folded state.
 func (m *Manager) restore(snap *store.Snapshot, events []store.Event) ([]*Session, error) {
-	m.replaying = true
-	defer func() { m.replaying = false }()
+	var autos []*Session
+	for _, ss := range m.fold(snap, events) {
+		s, err := m.rebuildSession(*ss)
+		if err != nil {
+			// A session this build can no longer rebuild (e.g. a removed
+			// workload) must not brick recovery of the rest.
+			msg := fmt.Sprintf("restore session %s: %v", ss.ID, err)
+			m.journalErr.Store(&msg)
+			continue
+		}
+		m.shardFor(s.id).sessions[s.id] = s
+		m.count.Add(1)
+		if m.settle(s) {
+			autos = append(autos, s)
+		}
+	}
+	return autos, nil
+}
 
+// fold is the data half of restore: it loads the snapshot's counters,
+// tombstones and model repository into the Manager, folds the log on top,
+// and returns the sessions alive at the end of it — the snapshot's, brought
+// up to date, and those the log created.
+func (m *Manager) fold(snap *store.Snapshot, events []store.Event) map[string]*store.SessionSnapshot {
+	live := make(map[string]*store.SessionSnapshot)
 	if snap != nil {
 		m.nextID.Store(snap.NextID)
 		m.evictions.Store(snap.Evictions)
-		// The counters resume from the snapshot; events the log replays on
+		// The counters resume from the snapshot; events the log folds on
 		// top (only those not already reflected) add to them.
 		m.observations.Store(snap.Observations)
 		m.warmStarts.Store(snap.WarmStarts)
 		m.repoHits.Store(snap.RepoHits)
 		m.repoEvictions.Store(snap.RepoEvictions)
 		// Snapshotted tombstones outlived their compaction fence, so their
-		// close events are still in the log; replay rebinds the real seq.
+		// close events are still in the log; the fold rebinds the real seq.
 		for _, id := range snap.Closed {
 			m.shardFor(id).closed[id] = tombstoneKept
 		}
@@ -248,45 +274,28 @@ func (m *Manager) restore(snap *store.Snapshot, events []store.Event) ([]*Sessio
 			m.harvested[id] = struct{}{}
 		}
 		for _, ss := range snap.Sessions {
-			s, err := m.rebuildSession(ss)
-			if err != nil {
-				// A session this build can no longer rebuild (e.g. a
-				// removed workload) must not brick recovery of the rest —
-				// same degradation as the EventCreate replay path.
-				msg := fmt.Sprintf("restore session %s: %v", ss.ID, err)
-				m.journalErr.Store(&msg)
-				continue
-			}
-			sh := m.shardFor(s.id)
-			sh.sessions[s.id] = s
-			m.count.Add(1)
+			live[ss.ID] = &ss
 		}
 	}
+	armed := make(map[string]time.Time)
 	for i := range events {
-		m.applyEvent(&events[i])
+		m.foldEvent(live, armed, &events[i])
 	}
-	// Replayed harvest events may have refilled the repository past its
+	for id, at := range armed {
+		if ss := live[id]; ss != nil {
+			ss.Suggested, ss.LastUsed = true, at
+		}
+	}
+	// Folded harvest events may have refilled the repository past its
 	// bound (an eviction is durable only once the next snapshot lands);
 	// re-converge on the capacity. These re-evictions are not new lifetime
 	// evictions — the counter was restored above.
-	m.repoMu.Lock()
 	m.repo.EvictDown(m.opts.RepoCapacity)
-	m.repoMu.Unlock()
-
-	var autos []*Session
-	for _, sh := range m.shards {
-		for _, s := range sh.sessions {
-			if m.settle(s) {
-				autos = append(autos, s)
-			}
-		}
-	}
-	return autos, nil
+	return live
 }
 
-// settle finishes a rebuilt session once its history is complete (after
-// the log replayed on top of the snapshot, or after Adopt rebuilt a
-// hand-over): it aligns the evaluator's bookkeeping with the history,
+// settle finishes a rebuilt session (restore's, or the hand-over Adopt
+// rebuilt): it aligns the evaluator's bookkeeping with the history,
 // recomputes a terminal state, and reports whether the session is an
 // interrupted auto session — the worker driving it did not come along — that
 // the caller must put back on the worker pool. Callers hold s.mu or own s
@@ -309,14 +318,21 @@ func (m *Manager) settle(s *Session) (requeue bool) {
 // history observation by observation, and is re-armed if a suggestion was
 // outstanding — arriving at the same internal state (surrogate data, guide
 // model, RNG position, stopping rule) the tuner held when the snapshot was
-// taken. Callers settle the session once nothing more will be replayed
-// into it.
-func (m *Manager) rebuildSession(ss store.SessionSnapshot) (*Session, error) {
-	s, err := m.buildSession(ss.ID, specFromRecord(ss.Spec), ss.Created)
-	if err != nil {
+// taken. Callers settle the session afterwards. The snapshot comes from
+// disk or from another node: records a tuner cannot digest (say, prior
+// points of the wrong dimension) fail this one session, not the process.
+func (m *Manager) rebuildSession(ss store.SessionSnapshot) (s *Session, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			s, err = nil, fmt.Errorf("service: session %q does not replay: %v", ss.ID, r)
+		}
+	}()
+	if s, err = m.buildSession(ss.ID, specFromRecord(ss.Spec), ss.Created); err != nil {
 		return nil, err
 	}
-	s.state = ss.State
+	if ss.State != "" { // a session folded from its create event carries none
+		s.state = ss.State
+	}
 	s.lastUsed = ss.LastUsed
 	s.harvested = ss.Harvested
 	// No warm-start counter bump: restore resumes the total from the
@@ -325,7 +341,7 @@ func (m *Manager) rebuildSession(ss store.SessionSnapshot) (*Session, error) {
 		s.warm = ss.Warm
 	}
 	for _, h := range ss.History {
-		s.replayObservation(h.Observation())
+		s.observe(h.Observation())
 	}
 	if ss.Suggested {
 		// Arming is idempotent: suggestions are cached until consumed.
@@ -335,9 +351,8 @@ func (m *Manager) rebuildSession(ss store.SessionSnapshot) (*Session, error) {
 	return s, nil
 }
 
-// buildSession constructs an un-observed session shell: Create, replay of a
-// journaled create and rebuildSession all start from it. An empty id is
-// assigned at registration.
+// buildSession constructs an un-observed session shell: Create and
+// rebuildSession start from it. An empty id is assigned at registration.
 func (m *Manager) buildSession(id string, spec Spec, created time.Time) (*Session, error) {
 	cl, wl, err := resolve(spec)
 	if err != nil {
@@ -376,116 +391,114 @@ func (m *Manager) buildSession(id string, spec Spec, created time.Time) (*Sessio
 	return s, nil
 }
 
-// replayObservation re-observes one recorded experiment into the session's
-// tuner and history. The objective is re-derived through the session's
-// abort-penalty watermark, reproducing the original assignment exactly
-// (the watermark is a deterministic function of the observation sequence).
+// observe is the one function that hands a tuner an observation — live
+// (observeLocked, after the journal accepted the record) and rebuilt
+// (rebuildSession) alike — and appends it to the history. The objective is
+// derived through the session's abort-penalty watermark, which is a
+// deterministic function of the observation sequence, so a rebuild
+// reproduces the live assignment exactly.
 //
-// The recorded Suggested bit replays the suggest/observe interleaving: a
-// suggestion is re-armed via Suggest exactly when one was outstanding
+// The recorded Suggested bit carries the suggest/observe interleaving: a
+// rebuild re-arms a suggestion via Suggest exactly when one was outstanding
 // live. DDPG's solicited/unsolicited/no-pending branches (replay buffer,
 // training, state folding) all depend on that distinction; BO/GBO/RelM
 // suggestions are cached between observations, so arming is state-neutral
-// for them.
-func (s *Session) replayObservation(obs store.Observation) {
-	if obs.Suggested && !s.suggested {
+// for them. Callers hold s.mu or own s exclusively.
+func (s *Session) observe(rec store.Observation) {
+	if rec.Suggested && !s.suggested {
 		s.tuner.Suggest()
 		s.suggested = true
 	}
 	smp := tune.Sample{
-		Config:     obs.Config,
-		X:          s.space.Encode(obs.Config),
-		RuntimeSec: obs.RuntimeSec,
-		Objective:  s.obj.Assign(obs.RuntimeSec, obs.Aborted),
-		Stats:      obs.Stats,
+		Config:     rec.Config,
+		X:          s.space.Encode(rec.Config),
+		RuntimeSec: rec.RuntimeSec,
+		Objective:  s.obj.Assign(rec.RuntimeSec, rec.Aborted),
+		Stats:      rec.Stats,
 	}
-	smp.Result.RuntimeSec = obs.RuntimeSec
-	smp.Result.Aborted = obs.Aborted
-	smp.Result.GCOverhead = obs.GCOverhead
+	smp.Result.RuntimeSec = rec.RuntimeSec
+	smp.Result.Aborted = rec.Aborted
+	smp.Result.GCOverhead = rec.GCOverhead
 	if s.suggested && s.tuner.Suggest() == smp.Config {
-		s.suggested = false // consumed, as live
+		// Suggest is pure while a suggestion is outstanding; the tuner is
+		// about to consume it.
+		s.suggested = false
 	}
 	s.tuner.Observe(smp)
-	s.history = append(s.history, HistoryEntry{
-		Config:     smp.Config,
-		RuntimeSec: smp.RuntimeSec,
-		Objective:  smp.Objective,
-		Aborted:    obs.Aborted,
-		GCOverhead: obs.GCOverhead,
-		Stats:      obs.Stats,
-		Suggested:  obs.Suggested,
-	})
+	s.history = append(s.history, historyRecord(rec, smp.Objective))
 }
 
-// applyEvent folds one journaled event into the Manager during replay.
-// Events already reflected by the snapshot (or by an earlier duplicate)
-// are skipped.
-func (m *Manager) applyEvent(ev *store.Event) {
-	sh := m.shardFor(ev.ID)
+// historyRecord is an observation plus the objective the abort-penalty
+// watermark assigned it.
+func historyRecord(rec store.Observation, objective float64) HistoryEntry {
+	return HistoryEntry{
+		Config:     rec.Config,
+		RuntimeSec: rec.RuntimeSec,
+		Objective:  objective,
+		Aborted:    rec.Aborted,
+		GCOverhead: rec.GCOverhead,
+		Stats:      rec.Stats,
+		Suggested:  rec.Suggested,
+	}
+}
+
+// foldEvent folds one journaled event into the sessions of the snapshot as
+// plain data: no tuner is touched, so a session closed later in the log
+// costs a map delete. Events already reflected by the snapshot (or by an
+// earlier duplicate) are skipped. armed collects the trailing suggests: a
+// suggest event takes effect only if no observe event of its session follows
+// it. One that does either stamps its record Suggested, which is how
+// rebuildSession re-arms, or is itself a duplicate — and then the snapshot,
+// which already holds that observation, is later than the suggest.
+func (m *Manager) foldEvent(live map[string]*store.SessionSnapshot, armed map[string]time.Time, ev *store.Event) {
+	ss := live[ev.ID]
 	switch ev.Type {
 	case store.EventCreate:
-		m.bumpNextID(ev.ID)
-		if _, ok := sh.sessions[ev.ID]; ok {
+		if num, ok := m.sessionNum(ev.ID); ok && num > m.nextID.Load() {
+			m.nextID.Store(num) // new sessions never collide with journaled ones
+		}
+		if ss != nil {
 			return // already in the snapshot
 		}
-		if _, ok := sh.closed[ev.ID]; ok {
-			return // tombstoned later in the log or by the snapshot
+		if _, ok := m.shardFor(ev.ID).closed[ev.ID]; ok {
+			return // tombstoned earlier in the log or by the snapshot
 		}
 		if ev.Spec == nil {
 			return
 		}
-		spec := specFromRecord(*ev.Spec)
-		s, err := m.buildSession(ev.ID, spec, ev.Time)
-		if err != nil {
-			// An undecodable spec (e.g. a workload this build no longer
-			// ships) must not block recovery of every other session.
-			msg := fmt.Sprintf("replay create %s: %v", ev.ID, err)
-			m.journalErr.Store(&msg)
-			return
-		}
-		sh.sessions[ev.ID] = s
-		m.count.Add(1)
+		live[ev.ID] = &store.SessionSnapshot{ID: ev.ID, Spec: *ev.Spec, Created: ev.Time, LastUsed: ev.Time}
 
 	case store.EventWarm:
-		s := sh.sessions[ev.ID]
-		if s == nil || s.warm != nil || ev.Warm == nil {
+		if ss == nil || ss.Warm != nil || ev.Warm == nil {
 			return
 		}
-		if applyWarm(s.tuner, ev.Warm) {
-			s.warm = ev.Warm
-			m.warmStarts.Add(1)
-		}
+		ss.Warm = ev.Warm
+		m.warmStarts.Add(1)
 
 	case store.EventSuggest:
-		if s := sh.sessions[ev.ID]; s != nil {
-			s.lastUsed = ev.Time
-			// Re-arm the suggestion as live did: trailing suggests (after
-			// the last observation) leave the same pending action and RNG
-			// position the pre-crash tuner held. Arming is idempotent —
-			// suggestions are cached until consumed.
-			s.tuner.Suggest()
-			s.suggested = true
-		}
+		armed[ev.ID] = ev.Time
 
 	case store.EventObserve:
-		s := sh.sessions[ev.ID]
-		if s == nil || ev.Obs == nil {
+		delete(armed, ev.ID)
+		if ss == nil || ev.Obs == nil {
 			return
 		}
-		if ev.N != len(s.history) {
+		if ev.N != len(ss.History) {
 			return // duplicate of a snapshotted observation
 		}
-		s.replayObservation(*ev.Obs)
-		s.lastUsed = ev.Time
+		var obj tune.Objectives
+		obj.Restore(worstRuntime(ss.History))
+		ss.History = append(ss.History, historyRecord(*ev.Obs, obj.Assign(ev.Obs.RuntimeSec, ev.Obs.Aborted)))
+		// Whether the observation consumed an outstanding suggestion only
+		// the tuner knows; rebuildSession finds out as it replays the
+		// records' Suggested bits.
+		ss.Suggested = false
+		ss.LastUsed = ev.Time
 		m.observations.Add(1)
 
 	case store.EventClose:
-		if s, ok := sh.sessions[ev.ID]; ok {
-			delete(sh.sessions, ev.ID)
-			m.count.Add(-1)
-			s.state = StateClosed
-		}
-		sh.closed[ev.ID] = ev.Seq
+		delete(live, ev.ID)
+		m.shardFor(ev.ID).closed[ev.ID] = ev.Seq
 
 	case store.EventHarvest:
 		if ev.Repo == nil {
@@ -496,8 +509,8 @@ func (m *Manager) applyEvent(ev *store.Event) {
 		}
 		m.repo.Entries = append(m.repo.Entries, *ev.Repo)
 		m.harvested[ev.ID] = struct{}{}
-		if s := sh.sessions[ev.ID]; s != nil {
-			s.harvested = true
+		if ss != nil {
+			ss.Harvested = true
 		}
 	}
 }
@@ -510,21 +523,6 @@ func sessionNum(id string) (uint64, bool) {
 	}
 	num, err := strconv.ParseUint(rest, 10, 64)
 	return num, err == nil
-}
-
-// bumpNextID advances the session-ID counter past a replayed ID so new
-// sessions never collide with journaled ones.
-func (m *Manager) bumpNextID(id string) {
-	num, ok := m.sessionNum(id)
-	if !ok {
-		return
-	}
-	for {
-		cur := m.nextID.Load()
-		if cur >= num || m.nextID.CompareAndSwap(cur, num) {
-			return
-		}
-	}
 }
 
 // worstRuntime returns the abort-penalty watermark implied by a history.

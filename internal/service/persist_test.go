@@ -1,6 +1,8 @@
 package service
 
 import (
+	"encoding/json"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -11,6 +13,7 @@ import (
 	"time"
 
 	"relm/internal/conf"
+	"relm/internal/obs"
 	"relm/internal/store"
 )
 
@@ -983,5 +986,107 @@ func TestRepositoryLifecyclePersists(t *testing.T) {
 	mt2 := m2.Metrics()
 	if mt2.RepoEntries != 2 || mt2.RepoHits != 1 || mt2.RepoEvictions != 1 {
 		t.Fatalf("lifecycle state lost across restart: %+v", mt2)
+	}
+}
+
+// TestClosedSessionsCostRecoveryNoTunerWork: recovery folds the log as data
+// and builds a tuner only for a session still open at its end. Eight
+// sessions that ran to completion and were closed before the crash must
+// cost the restart no surrogate or acquisition work at all, while everything
+// they left behind — counters, tombstones, harvested models — comes back.
+func TestClosedSessionsCostRecoveryNoTunerWork(t *testing.T) {
+	dir := t.TempDir()
+	fs, err := store.OpenFile(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m1, err := Open(Options{Workers: 1, Store: fs, SnapshotEvery: 1 << 30})
+	if err != nil {
+		t.Fatal(err)
+	}
+	step := func(id, workload string, seed uint64) {
+		t.Helper()
+		cfg, _, err := m1.Suggest(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := m1.Observe(id, measure(t, "", workload, Observation{Config: cfg}, seed)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var closed []string
+	journaled := int64(0)
+	for i := 0; i < 8; i++ {
+		// Caller-assigned IDs: the counter namespace is refused outright, so
+		// only these can show that the tombstones came back.
+		spec := Spec{ID: fmt.Sprintf("finished-%d", i), Backend: []string{"bo", "gbo"}[i%2], Workload: "K-means", Seed: uint64(i + 1), MaxIterations: 3}
+		st, err := m1.Create(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for !st.Done {
+			step(st.ID, spec.Workload, uint64(100*i)+uint64(st.Evals))
+			journaled++
+			if st, err = m1.Get(st.ID); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := m1.CloseSession(st.ID); err != nil {
+			t.Fatal(err)
+		}
+		closed = append(closed, st.ID)
+	}
+	harvested := m1.Repository().Entries
+	if len(harvested) != len(closed) {
+		t.Fatalf("%d of %d completed sessions were harvested", len(harvested), len(closed))
+	}
+	open, err := m1.Create(Spec{Backend: "bo", Workload: "SVM", Seed: 42})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 2; i++ {
+		step(open.ID, "SVM", uint64(900+i))
+		journaled++
+	}
+	held, _, err := m1.Suggest(open.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	crash(m1)
+
+	reg := obs.NewRegistry()
+	fs2, err := store.OpenFile(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m2, err := Open(Options{Workers: 1, Store: fs2, Obs: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m2.Close()
+	for _, stage := range []string{"surrogate.refit", "surrogate.append", "acquisition"} {
+		if n := reg.Histogram(stage).Snapshot().Count; n != 0 {
+			t.Errorf("recovery recorded %d %s calls, want 0: a closed session must never get a tuner", n, stage)
+		}
+	}
+	if m2.Len() != 1 {
+		t.Fatalf("restored %d sessions, want only the open one", m2.Len())
+	}
+	if got := m2.Metrics().Observations; got != journaled {
+		t.Fatalf("restored observation counter %d, want the %d journaled", got, journaled)
+	}
+	// Compared as the JSON the log carries: time.Time's monotonic reading
+	// does not survive a round trip.
+	want, _ := json.Marshal(harvested)
+	if got, _ := json.Marshal(m2.Repository().Entries); string(got) != string(want) {
+		t.Fatalf("restored repository differs from the %d entries harvested before the crash:\n got %s\nwant %s", len(harvested), got, want)
+	}
+	for _, id := range closed {
+		if _, err := m2.Create(Spec{ID: id, Backend: "bo", Workload: "SVM"}); !errors.Is(err, ErrExists) {
+			t.Fatalf("create with closed session's ID %s: %v, want ErrExists", id, err)
+		}
+	}
+	if next, _, err := m2.Suggest(open.ID); err != nil || next != held {
+		t.Fatalf("restored session suggests %+v (err %v), want the outstanding %+v", next, err, held)
 	}
 }

@@ -14,9 +14,10 @@
 // Two durable layers ride on an optional store.Store (persist.go):
 //
 //   - Session persistence: every state transition is journaled to a
-//     write-ahead log with periodic compacted snapshots, and Open replays
-//     the log so a restarted server resumes every open session with full
-//     history and a tuner rebuilt to its exact replayed state.
+//     write-ahead log with periodic compacted snapshots. Open folds the log
+//     into the snapshot as data and rebuilds one tuner per session still
+//     open at its end, so a restarted server resumes each with full history
+//     and a tuner in its exact pre-crash state.
 //   - Cross-session warm starts: completed sessions feed a shared
 //     bo.Repository keyed by workload fingerprint (§6.6 model re-use), and
 //     Create consults it to warm-start new BO/GBO sessions whose
@@ -99,11 +100,6 @@ type Options struct {
 	Workers int
 	// MaxSessions bounds the number of live sessions (default 4096).
 	MaxSessions int
-	// MaxAutoEvals caps the experiments one auto session may run
-	// (default 200) as a guard against non-terminating tuners.
-	MaxAutoEvals int
-	// Shards is the number of lock stripes of the session map (default 16).
-	Shards int
 	// Store, when non-nil, journals every session event to a write-ahead
 	// log and persists the shared model repository. Open replays it on
 	// startup; the Manager takes ownership and closes it on Close.
@@ -159,12 +155,6 @@ func (o *Options) fill() {
 	}
 	if o.MaxSessions == 0 {
 		o.MaxSessions = 4096
-	}
-	if o.MaxAutoEvals == 0 {
-		o.MaxAutoEvals = 200
-	}
-	if o.Shards == 0 {
-		o.Shards = 16
 	}
 	if o.SnapshotEvery == 0 {
 		o.SnapshotEvery = 1024
@@ -355,6 +345,11 @@ type shard struct {
 // its close event is not (yet) known to be folded into a snapshot.
 const tombstoneKept = ^uint64(0)
 
+const (
+	numShards    = 16  // lock stripes of the session map
+	maxAutoEvals = 200 // experiments one auto session may run: a guard against non-terminating tuners
+)
+
 // Manager multiplexes concurrent tuning sessions.
 type Manager struct {
 	opts Options
@@ -383,7 +378,6 @@ type Manager struct {
 	sinceSnap     atomic.Int64 // events journaled since the last compaction signal
 	snapMu        sync.Mutex   // serializes whole Snapshot calls
 	journalErr    atomic.Pointer[string]
-	replaying     bool // set during Open's replay; suppresses journaling
 
 	// Stage histograms, resolved once at construction so the hot path
 	// never takes the registry lock.
@@ -410,8 +404,8 @@ func NewManager(opts Options) *Manager {
 }
 
 // Open starts a manager, restoring every session journaled in opts.Store:
-// it loads the latest snapshot, replays the write-ahead log on top (see
-// persist.go), rebuilds each open session's tuner by re-observing its
+// it loads the latest snapshot, folds the write-ahead log on top (see
+// persist.go), rebuilds each still-open session's tuner by re-observing its
 // history, and re-queues interrupted auto sessions on the worker pool. The
 // Manager takes ownership of the Store and closes it on Close.
 func Open(opts Options) (*Manager, error) {
@@ -446,7 +440,7 @@ func newManager(opts Options) *Manager {
 	opts.fill()
 	m := &Manager{
 		opts:      opts,
-		shards:    make([]*shard, opts.Shards),
+		shards:    make([]*shard, numShards),
 		repo:      &bo.Repository{},
 		harvested: make(map[string]struct{}),
 		quit:      make(chan struct{}),
@@ -906,18 +900,13 @@ func (m *Manager) Observe(id string, obs Observation) (Status, error) {
 		return Status{}, fmt.Errorf("service: runtime_sec must be a positive finite number, got %v", obs.RuntimeSec)
 	}
 
-	smp := tune.Sample{
+	if err := m.observeLocked(s, store.Observation{
 		Config:     obs.Config,
-		X:          s.space.Encode(obs.Config),
 		RuntimeSec: obs.RuntimeSec,
-		Objective:  s.obj.Assign(obs.RuntimeSec, obs.Aborted),
+		Aborted:    obs.Aborted,
+		GCOverhead: obs.GCOverhead,
 		Stats:      obs.Stats,
-	}
-	smp.Result.RuntimeSec = obs.RuntimeSec
-	smp.Result.Aborted = obs.Aborted
-	smp.Result.GCOverhead = obs.GCOverhead
-
-	if err := m.observeLocked(s, smp); err != nil {
+	}); err != nil {
 		return Status{}, err
 	}
 	s.lastUsed = m.opts.Now()
@@ -1290,36 +1279,17 @@ func (m *Manager) RepositoryReport() RepositoryReport {
 
 // --- internals -------------------------------------------------------------
 
-// observeLocked journals one sample and then feeds it to the session's
-// tuner and history, tracking the suggest/observe interleaving (whether a
-// suggestion was outstanding, and whether this observation consumed it) so
-// restore can replay it faithfully. Journal-before-apply: the observe
-// event must be durable before any state the ack exposes is mutated, so on
-// an append failure the tuner, history, and suggest arming are untouched
-// and the caller surfaces a retriable ErrJournal — the client retries the
-// identical observation (here once the fault clears, or on the promoted
-// replica via the router) without the tuner ever double-counting it.
-// Table 6 statistics are derived from the profile when the sample carries
-// one. Callers hold s.mu.
-func (m *Manager) observeLocked(s *Session, smp tune.Sample) error {
-	armed := s.suggested
-	var st *profile.Stats
-	if smp.Stats != nil {
-		st = smp.Stats
-	} else if smp.Profile != nil {
-		g := profile.Generate(smp.Profile)
-		st = &g
-	}
-	h := HistoryEntry{
-		Config:     smp.Config,
-		RuntimeSec: smp.RuntimeSec,
-		Objective:  smp.Objective,
-		Aborted:    smp.Result.Aborted,
-		GCOverhead: smp.Result.GCOverhead,
-		Stats:      st,
-		Suggested:  armed,
-	}
-	rec := h.Observation()
+// observeLocked journals one observation and then feeds it to the session,
+// stamping it with whether a suggestion was outstanding so a rebuild
+// replays the suggest/observe interleaving faithfully. Journal-before-apply:
+// the observe event must be durable before any state the ack exposes is
+// mutated, so on an append failure the tuner, history, abort-penalty
+// watermark and suggest arming are untouched and the caller surfaces a
+// retriable ErrJournal — the client retries the identical observation (here
+// once the fault clears, or on the promoted replica via the router) without
+// the tuner ever double-counting it. Callers hold s.mu.
+func (m *Manager) observeLocked(s *Session, rec store.Observation) error {
+	rec.Suggested = s.suggested
 	if _, err := m.journal(&store.Event{
 		Type: store.EventObserve,
 		ID:   s.id,
@@ -1329,15 +1299,24 @@ func (m *Manager) observeLocked(s *Session, smp tune.Sample) error {
 	}); err != nil {
 		return fmt.Errorf("%w: %w", ErrJournal, err)
 	}
-	if armed && s.tuner.Suggest() == smp.Config {
-		// Suggest is pure while a suggestion is outstanding; the tuner is
-		// about to consume it.
-		s.suggested = false
-	}
-	s.tuner.Observe(smp)
-	s.history = append(s.history, h)
+	s.observe(rec)
 	m.observations.Add(1)
 	return nil
+}
+
+// simObservation is the record of one simulator run of an auto session, its
+// Table 6 statistics derived from the run's profile.
+func simObservation(smp tune.Sample) store.Observation {
+	rec := store.Observation{
+		Config:     smp.Config,
+		RuntimeSec: smp.RuntimeSec,
+		Aborted:    smp.Result.Aborted,
+		GCOverhead: smp.Result.GCOverhead,
+	}
+	if st, ok := smp.DeriveStats(); ok {
+		rec.Stats = &st
+	}
+	return rec
 }
 
 // refreshStateLocked moves a non-terminal session to done/failed once its
@@ -1514,13 +1493,13 @@ func (m *Manager) drive(s *Session) {
 
 	if needWarm {
 		def := ev.Space.Default()
-		smp := ev.Eval(def)
+		rec := simObservation(ev.Eval(def))
 		var w *store.Warm
 		// An aborted default run still fingerprints the workload (its
 		// profile covers the portion that ran); RunWithReuse matches on it
 		// the same way.
-		if fp, ok := smp.DeriveStats(); ok {
-			w = m.matchWarm(ev.Cluster.Name, fp, s.spec.WarmMaxDistance, smp.RuntimeSec)
+		if rec.Stats != nil {
+			w = m.matchWarm(ev.Cluster.Name, *rec.Stats, s.spec.WarmMaxDistance, rec.RuntimeSec)
 		}
 		s.mu.Lock()
 		if s.state == StateClosed {
@@ -1534,7 +1513,7 @@ func (m *Manager) drive(s *Session) {
 		}
 		// The fingerprinting run is a real experiment: feed it to the
 		// tuner (unsolicited observations are incorporated) and the log.
-		if err := m.observeLocked(s, smp); err != nil {
+		if err := m.observeLocked(s, rec); err != nil {
 			// The journal refused the observation; the auto session cannot
 			// make durable progress, so it fails rather than silently
 			// diverging from its log.
@@ -1558,7 +1537,7 @@ func (m *Manager) drive(s *Session) {
 			s.mu.Unlock()
 			return
 		}
-		if s.tuner.Done() || len(s.history) >= m.opts.MaxAutoEvals {
+		if s.tuner.Done() || len(s.history) >= maxAutoEvals {
 			m.refreshStateLocked(s)
 			if s.state == StateRunning { // eval cap hit before the tuner stopped
 				s.state = StateDone
@@ -1571,14 +1550,14 @@ func (m *Manager) drive(s *Session) {
 		s.suggested = true
 		s.mu.Unlock()
 
-		smp := ev.Eval(cfg)
+		rec := simObservation(ev.Eval(cfg))
 
 		s.mu.Lock()
 		if s.state == StateClosed {
 			s.mu.Unlock()
 			return
 		}
-		if err := m.observeLocked(s, smp); err != nil {
+		if err := m.observeLocked(s, rec); err != nil {
 			s.state, s.err = StateFailed, err
 			s.mu.Unlock()
 			return
