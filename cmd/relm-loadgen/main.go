@@ -15,7 +15,7 @@
 //	# replay a captured trace byte-for-byte
 //	relm-loadgen -replay soak.trace -target http://localhost:8080
 //
-// The report is written as JSON to -out (default LOAD_pr8.json) and
+// The report is written as JSON to -out (default LOAD.json) and
 // printed as a human table on stdout. Exit status is non-zero when the
 // run saw any unexpected error, so CI can gate on it directly.
 // docs/LOADGEN.md documents the scenario schema and the trace format.
@@ -40,7 +40,7 @@ func main() {
 		replayPath   = flag.String("replay", "", "replay an existing trace file instead of generating")
 		tracePath    = flag.String("trace", "", "write the generated trace to this path")
 		target       = flag.String("target", "", "base URL of the router or node under test")
-		out          = flag.String("out", "LOAD_pr8.json", "report JSON output path")
+		out          = flag.String("out", "LOAD.json", "report JSON output path")
 		runID        = flag.String("run-id", "", "session-ID namespace for this run (default: random)")
 		concurrency  = flag.Int("concurrency", 0, "override the scenario's worker-pool size")
 		timeout      = flag.Duration("timeout", 0, "override the scenario's per-request deadline")

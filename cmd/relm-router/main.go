@@ -52,6 +52,7 @@ import (
 	"flag"
 	"fmt"
 	"log"
+	"log/slog"
 	"net/http"
 	_ "net/http/pprof"
 	"os"
@@ -78,14 +79,15 @@ func main() {
 		brProbe    = flag.Duration("breaker-probe", time.Second, "initial open-breaker probe delay (doubles per failed probe)")
 		brProbeMax = flag.Duration("breaker-probe-max", 30*time.Second, "open-breaker probe delay cap")
 		promote    = flag.Bool("promote", false, "enable automatic fail-over: promote a dead backend's WAL replica and have the survivors adopt its sessions")
-		logLevel   = flag.String("log-level", "info", "minimum log level: debug, info, warn, error")
 		slowLog    = flag.Duration("slow-log", 0, "log any request slower than this span-by-span (0 = off)")
 		pprofAddr  = flag.String("pprof-addr", "", "serve net/http/pprof on this address (empty = off)")
 		faultsPath = flag.String("faults", "", "JSON fault-injection schedule armed at startup (testing; see docs/OPERATIONS.md)")
 	)
+	var logLevel slog.Level
+	flag.TextVar(&logLevel, "log-level", slog.LevelInfo, "minimum log level: debug, info, warn, error")
 	flag.Parse()
 
-	logger := obs.NewLogger("router", obs.ParseLevel(*logLevel))
+	logger := slog.New(slog.NewTextHandler(os.Stderr, &slog.HandlerOptions{Level: logLevel})).With("node", "router")
 
 	if *faultsPath != "" {
 		if err := fault.ApplyFile(*faultsPath); err != nil {
@@ -118,7 +120,7 @@ func main() {
 		BreakerProbe:     *brProbe,
 		BreakerProbeMax:  *brProbeMax,
 		Promote:          *promote,
-		Logf:             logger.Logf(obs.LevelInfo),
+		Logf:             obs.Logf(logger, slog.LevelInfo),
 		SlowLog:          *slowLog,
 	})
 	if err != nil {

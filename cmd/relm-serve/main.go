@@ -39,8 +39,8 @@
 // (X-Relm-Trace, minted here or adopted from the router) whose timed
 // spans land in the GET /v1/traces ring; -slow-log logs any request
 // slower than the threshold span-by-span, and -pprof-addr serves
-// net/http/pprof on a side port. Logs are leveled key=value lines
-// filtered by -log-level.
+// net/http/pprof on a side port. Logs are log/slog text lines filtered
+// by -log-level.
 //
 // In a multi-node cluster each node runs with a unique -node-id (session
 // IDs become "<node>-sess-N", unique without coordination) and a
@@ -70,6 +70,7 @@ import (
 	"flag"
 	"fmt"
 	"log"
+	"log/slog"
 	"net/http"
 	_ "net/http/pprof"
 	"os"
@@ -105,18 +106,19 @@ func main() {
 		replicaDir   = flag.String("replica-dir", "", "directory for ingesting other primaries' replicas (default <data-dir>/replicas)")
 		replicateIvl = flag.Duration("replicate-every", 500*time.Millisecond, "log-shipping interval: how often the active segment tail and new sealed segments are shipped to followers")
 		replicaN     = flag.Int("replica-factor", 1, "followers per primary (1 or 2): how many rendezvous-chosen peers receive this node's log")
-		logLevel     = flag.String("log-level", "info", "minimum log level: debug, info, warn, error")
 		slowLog      = flag.Duration("slow-log", 0, "log any request slower than this span-by-span (0 = off)")
 		pprofAddr    = flag.String("pprof-addr", "", "serve net/http/pprof on this address (empty = off)")
 		faultsPath   = flag.String("faults", "", "JSON fault-injection schedule armed at startup (testing; see docs/OPERATIONS.md)")
 	)
+	var logLevel slog.Level
+	flag.TextVar(&logLevel, "log-level", slog.LevelInfo, "minimum log level: debug, info, warn, error")
 	flag.Parse()
 
 	logNode := *nodeID
 	if logNode == "" {
 		logNode = "serve"
 	}
-	logger := obs.NewLogger(logNode, obs.ParseLevel(*logLevel))
+	logger := slog.New(slog.NewTextHandler(os.Stderr, &slog.HandlerOptions{Level: logLevel})).With("node", logNode)
 	reg := obs.NewRegistry()
 
 	if *faultsPath != "" {
@@ -146,7 +148,7 @@ func main() {
 		Advertise:       *advertise,
 		Obs:             reg,
 		SlowLog:         *slowLog,
-		SlowLogf:        logger.Logf(obs.LevelWarn),
+		SlowLogf:        obs.Logf(logger, slog.LevelWarn),
 	}
 	var st *store.File
 	if *dataDir != "" {
@@ -183,7 +185,7 @@ func main() {
 			Dir:        dir,
 			Source:     st,
 			Interval:   *replicateIvl,
-			Logf:       logger.Logf(obs.LevelInfo),
+			Logf:       obs.Logf(logger, slog.LevelInfo),
 			ShipHist:   reg.Histogram("replica.ship"),
 			IngestHist: reg.Histogram("replica.ingest"),
 		})

@@ -36,9 +36,10 @@ func main() {
 		fmt.Fprintf(os.Stderr, "unknown workload %q\n", *wlName)
 		os.Exit(2)
 	}
-	cl := cluster.A()
-	if *clName == "B" {
-		cl = cluster.B()
+	cl, ok := cluster.ByName(*clName)
+	if !ok {
+		fmt.Fprintf(os.Stderr, "unknown cluster %q\n", *clName)
+		os.Exit(2)
 	}
 
 	ev := tune.NewEvaluator(cl, wl, *seed)

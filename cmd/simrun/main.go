@@ -41,9 +41,10 @@ func main() {
 		fmt.Fprintf(os.Stderr, "unknown workload %q\n", *wlName)
 		os.Exit(2)
 	}
-	cl := cluster.A()
-	if *clName == "B" {
-		cl = cluster.B()
+	cl, ok := cluster.ByName(*clName)
+	if !ok {
+		fmt.Fprintf(os.Stderr, "unknown cluster %q\n", *clName)
+		os.Exit(2)
 	}
 	cfg := conf.Config{
 		ContainersPerNode: *n, TaskConcurrency: *p,

@@ -20,10 +20,9 @@ import (
 )
 
 // SurrogateConfig groups everything that shapes the response-surface model:
-// the kernel family, the active-set cap, the re-selection schedule,
-// warm-start priors, and the full-model override. The zero value selects
-// the paper's settings (RBF-kernel GP, exact over every observation up to
-// the default cap).
+// the kernel family, the active-set cap, the re-selection schedule, and the
+// full-model override. The zero value selects the paper's settings
+// (RBF-kernel GP, exact over every observation up to the default cap).
 type SurrogateConfig struct {
 	// Kernel selects the kernel family: "rbf" (default) or "matern52".
 	Kernel string
@@ -48,17 +47,14 @@ type SurrogateConfig struct {
 	// top of the grid at each re-selection (default gp.DefaultARDIters;
 	// negative disables ARD and restores the pure grid).
 	ARDIters int
-	// Prior warm-starts the surrogate with observations from a previous
-	// session (OtterTune-style model re-use, §6.6). Prior points join every
-	// surrogate fit but cost no experiments and never become the incumbent.
-	Prior []PriorPoint
 }
+
+// bootstrapSamples is the LHS bootstrap size: the space's dimensionality,
+// as in §6.1.
+const bootstrapSamples = 4
 
 // Options tunes the optimizer. Zero values select the paper's settings.
 type Options struct {
-	// InitSamples is the LHS bootstrap size (default 4 — the space's
-	// dimensionality, as in §6.1).
-	InitSamples int
 	// MinNewSamples must be observed after bootstrap before the EI stopping
 	// rule may fire (default 6, from CherryPick).
 	MinNewSamples int
@@ -83,9 +79,6 @@ type Options struct {
 }
 
 func (o *Options) fill() {
-	if o.InitSamples == 0 {
-		o.InitSamples = 4
-	}
 	if o.MinNewSamples == 0 {
 		o.MinNewSamples = 6
 	}
@@ -111,23 +104,11 @@ type Extra func(x []float64, cfg conf.Config) []float64
 // wasteful.
 type Penalty func(x []float64, cfg conf.Config) float64
 
-// Surrogate is the minimal Predict-only view of a response-surface model,
-// kept for Result.FinalModel consumers. The tuner itself drives the richer
-// gp.Surrogate interface.
+// Surrogate is the minimal Predict-only view of a response-surface model
+// (the model-quality study in internal/experiments compares several). The
+// tuner itself drives the richer gp.Surrogate interface.
 type Surrogate interface {
 	Predict(x []float64) (mean, variance float64)
-}
-
-// surrogateModel exposes a gp.Surrogate through the Predict-only Surrogate
-// interface. Each Predict uses a fresh scratch, so the view is safe to
-// share across goroutines.
-type surrogateModel struct {
-	s gp.Surrogate
-}
-
-func (m surrogateModel) Predict(x []float64) (mean, variance float64) {
-	var sc gp.Scratch
-	return m.s.PredictInto(x, &sc)
 }
 
 // Result reports one optimization run.
@@ -136,7 +117,6 @@ type Result struct {
 	Found      bool
 	Iterations int       // adaptive samples taken after bootstrap
 	Curve      []float64 // best objective so far, one entry per evaluation
-	FinalModel Surrogate
 }
 
 // Run optimizes the evaluator's workload by driving the incremental Tuner

@@ -1,9 +1,6 @@
 package bo
 
 import (
-	"encoding/gob"
-	"fmt"
-	"io"
 	"math"
 	"time"
 
@@ -115,7 +112,7 @@ func (r *Repository) EvictDown(capacity int) []RepoEntry {
 // ~0.05 of each other; different workload classes differ by 0.5 or more
 // (a cache-heavy app and a shuffle-only app disagree on whole dimensions).
 func FingerprintDistance(a, b profile.Stats) float64 {
-	av, bv := fingerprintVector(a), fingerprintVector(b)
+	av, bv := FingerprintVector(a), FingerprintVector(b)
 	var s float64
 	for i := range av {
 		d := av[i] - bv[i]
@@ -127,9 +124,7 @@ func FingerprintDistance(a, b profile.Stats) float64 {
 // FingerprintVector returns the scale-free fingerprint coordinates of a
 // Table 6 statistics record (the space FingerprintDistance measures in);
 // the repository inspection endpoint exposes it.
-func FingerprintVector(st profile.Stats) []float64 { return fingerprintVector(st) }
-
-func fingerprintVector(st profile.Stats) []float64 {
+func FingerprintVector(st profile.Stats) []float64 {
 	mh := st.MhMB
 	if mh <= 0 {
 		mh = 1
@@ -183,51 +178,27 @@ func (r *Repository) Match(clusterName string, fp profile.Stats, maxDistance flo
 	return best, bestD, true
 }
 
-// Save serializes the repository.
-func (r *Repository) Save(w io.Writer) error {
-	return gob.NewEncoder(w).Encode(r)
-}
-
-// LoadRepository reads a repository written by Save.
-func LoadRepository(rd io.Reader) (*Repository, error) {
-	var r Repository
-	if err := gob.NewDecoder(rd).Decode(&r); err != nil {
-		return nil, fmt.Errorf("bo: load repository: %w", err)
-	}
-	return &r, nil
-}
-
-// RunWithReuse profiles the workload once on the default configuration,
-// matches it against the repository, and — on a hit — warm-starts the
-// optimizer with the matched session's observations rescaled by the ratio
-// of default runtimes. On a miss it falls back to a cold-start Run. The
-// completed session is added to the repository either way.
+// RunWithReuse is an auto session of the tuning service run offline, step
+// for step: profile the workload once on the default configuration, match
+// the fingerprint against the repository, warm-start the optimizer from a
+// hit (Tuner.WarmStart, with the entry's observations rescaled by the ratio
+// of default runtimes), show it the fingerprinting run — a real experiment
+// — and drive it to its stopping rule. The completed session is added to
+// the repository either way; the flag reports whether a model was re-used.
 func RunWithReuse(ev *tune.Evaluator, opts Options, repo *Repository, maxDistance float64) (Result, bool) {
-	def := ev.Space.Default()
-	s := ev.Eval(def)
+	s := ev.Eval(ev.Space.Default())
+	// An aborted default run still fingerprints the workload: its profile
+	// covers the portion that ran.
 	fp := profile.Generate(s.Profile)
 
-	reused := false
-	if entry, _, ok := repo.Match(ev.Cluster.Name, fp, maxDistance); ok {
-		opts.Surrogate.Prior = entry.RescaledPoints(s.RuntimeSec)
-		// The warm start replaces most of the bootstrap, and a trusted prior
-		// shortens the adaptive phase: the session only needs to confirm and
-		// locally refine the matched model's optimum.
-		opts.InitSamples = 1
-		opts.UsePaperLHS = false
-		if opts.MaxIterations == 0 || opts.MaxIterations > 6 {
-			opts.MaxIterations = 6
-		}
-		if opts.MinNewSamples == 0 || opts.MinNewSamples > 3 {
-			opts.MinNewSamples = 3
-		}
-		reused = true
+	t := NewTuner(ev.Space, opts, nil, nil)
+	entry, _, reused := repo.Match(ev.Cluster.Name, fp, maxDistance)
+	if reused {
+		t.WarmStart(entry.RescaledPoints(s.RuntimeSec))
 	}
+	t.Observe(s)
+	tune.Drive(t, ev, 0)
 
-	res := Run(ev, opts, nil)
-	if !s.Result.Aborted && (!res.Found || s.Objective < res.Best.Objective) {
-		res.Best, res.Found = s, true
-	}
 	repo.Add(ev.Workload.Name, ev.Cluster.Name, fp, s.RuntimeSec, ev.History())
-	return res, reused
+	return t.Result(), reused
 }

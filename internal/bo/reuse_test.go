@@ -1,7 +1,6 @@
 package bo
 
 import (
-	"bytes"
 	"testing"
 	"time"
 
@@ -59,33 +58,6 @@ func TestRepositoryMatch(t *testing.T) {
 	}
 }
 
-func TestRepositorySaveLoad(t *testing.T) {
-	repo := &Repository{}
-	svm, ev := fingerprint(t, "SVM", 4)
-	repo.Add("SVM", "A", svm, 480, ev.History())
-
-	var buf bytes.Buffer
-	if err := repo.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	loaded, err := LoadRepository(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(loaded.Entries) != 1 || loaded.Entries[0].Workload != "SVM" {
-		t.Fatalf("loaded %+v", loaded.Entries)
-	}
-	if len(loaded.Entries[0].Points) != len(ev.History()) {
-		t.Fatal("points lost in round trip")
-	}
-}
-
-func TestLoadRepositoryRejectsGarbage(t *testing.T) {
-	if _, err := LoadRepository(bytes.NewReader([]byte("junk"))); err == nil {
-		t.Fatal("expected error")
-	}
-}
-
 func TestRunWithReuseWarmStart(t *testing.T) {
 	wl, _ := workload.ByName("SVM")
 	repo := &Repository{}
@@ -110,9 +82,8 @@ func TestRunWithReuseWarmStart(t *testing.T) {
 	if !res2.Found {
 		t.Fatal("warm-started session found nothing")
 	}
-	// Warm start replaces the 4-sample bootstrap with a single probe, so the
-	// second session must use fewer experiments than the first's bootstrap
-	// would imply.
+	// Warm start replaces the 4-sample bootstrap with a single confirmation
+	// run, so the second session must use no more experiments than the first.
 	if ev2.Evals() > coldEvals {
 		t.Fatalf("warm session used %d evals vs cold %d", ev2.Evals(), coldEvals)
 	}
@@ -131,7 +102,10 @@ func TestPriorPointsNeverBecomeIncumbent(t *testing.T) {
 		Cfg: ev.Space.Decode([]float64{0.5, 0.5, 0.5, 0.5}),
 		Y:   0.001,
 	}}
-	res := Run(ev, Options{Seed: 12, MaxIterations: 2, MinNewSamples: 1, Surrogate: SurrogateConfig{Prior: prior}}, nil)
+	tn := NewTuner(ev.Space, Options{Seed: 12, MaxIterations: 2, MinNewSamples: 1}, nil, nil)
+	tn.WarmStart(prior)
+	tune.Drive(tn, ev, 0)
+	res := tn.Result()
 	if !res.Found {
 		t.Fatal("no best")
 	}

@@ -27,6 +27,7 @@ type Tuner struct {
 	sur   gp.Surrogate // the response-surface model (gp.Sparse, or the override)
 
 	queue []conf.Config // bootstrap configurations not yet suggested
+	prior []PriorPoint  // transferred observations; only WarmStart sets it
 
 	seen  map[conf.Config]bool
 	rawXs [][]float64
@@ -36,7 +37,6 @@ type Tuner struct {
 	best  tune.Sample
 	found bool
 	curve []float64
-	model Surrogate
 
 	// Reusable per-session buffers: the feature matrix rebuilt each round
 	// and the acquisition scratch. Sessions own their Tuner exclusively, so
@@ -72,7 +72,7 @@ func NewTuner(sp tune.Space, opts Options, extra Extra, penalty Penalty) *Tuner 
 	if opts.UsePaperLHS {
 		t.queue = append(t.queue, tune.PaperLHS(sp)...)
 	} else {
-		for _, x := range tune.LatinHypercube(t.rng, opts.InitSamples, sp.Dim()) {
+		for _, x := range tune.LatinHypercube(t.rng, bootstrapSamples, sp.Dim()) {
 			t.queue = append(t.queue, sp.Decode(x))
 		}
 	}
@@ -96,30 +96,26 @@ func NewTuner(sp tune.Space, opts Options, extra Extra, penalty Penalty) *Tuner 
 		}
 	}
 
-	// Prior observations (model re-use) mark their configurations as seen
-	// so the acquisition proposes genuinely new points.
-	for _, p := range opts.Surrogate.Prior {
-		t.seen[p.Cfg] = true
-	}
-
 	t.advance()
 	return t
 }
 
 // WarmStart seeds the optimizer with prior observations transferred from a
-// matched repository entry (§6.6 model re-use), replacing any prior set at
-// construction. The trusted prior replaces the bootstrap: the next
-// suggestion becomes a single confirmation run of the prior's best
-// configuration, the rest of the bootstrap queue is dropped, and the
-// adaptive phase is tightened the same way RunWithReuse tightens a batch
-// session (at most 6 new iterations, stopping rule armed after 3). Call it
-// before the first observation; the service applies it at session creation
-// or, for auto sessions, right after the fingerprinting run.
+// matched repository entry (§6.6 model re-use) — the one way a prior gets
+// in, offline (RunWithReuse) and served alike. Prior points join every
+// surrogate fit but cost no experiments, never become the incumbent, and
+// mark their configurations as seen so the acquisition proposes genuinely
+// new points. The trusted prior replaces the bootstrap: the next suggestion
+// becomes a single confirmation run of the prior's best configuration, the
+// rest of the bootstrap queue is dropped, and the adaptive phase only has
+// to confirm and locally refine the transferred optimum (at most 6 new
+// iterations, stopping rule armed after 3). Call it before the first
+// observation.
 func (t *Tuner) WarmStart(points []PriorPoint) {
 	if len(points) == 0 {
 		return
 	}
-	t.opts.Surrogate.Prior = append([]PriorPoint(nil), points...)
+	t.prior = append([]PriorPoint(nil), points...)
 	best := points[0]
 	for _, p := range points {
 		t.seen[p.Cfg] = true
@@ -148,11 +144,10 @@ func (t *Tuner) WarmStart(points []PriorPoint) {
 func (t *Tuner) buildFeatures() ([][]float64, []float64) {
 	rows := t.featRows[:0]
 	ys := t.featYs[:0]
-	prior := t.opts.Surrogate.Prior
 	if t.extra == nil {
-		for i := range prior {
-			rows = append(rows, prior[i].X)
-			ys = append(ys, prior[i].Y)
+		for _, p := range t.prior {
+			rows = append(rows, p.X)
+			ys = append(ys, p.Y)
 		}
 		rows = append(rows, t.rawXs...)
 		ys = append(ys, t.ys...)
@@ -165,7 +160,7 @@ func (t *Tuner) buildFeatures() ([][]float64, []float64) {
 			flat = append(flat, t.extra(x, cfg)...)
 			ys = append(ys, y)
 		}
-		for _, p := range prior {
+		for _, p := range t.prior {
 			add(p.X, p.Cfg, p.Y)
 		}
 		for i := range t.rawXs {
@@ -213,13 +208,12 @@ func (t *Tuner) advance() {
 		t.done = true
 		return
 	}
-	t.model = surrogateModel{s: t.sur}
 
 	// The incumbent for the EI criterion includes (rescaled) prior
 	// observations: with a trusted warm start, marginal improvements over
 	// what the prior already located are not worth new experiments.
 	tau := bestObjective(t.ys)
-	for _, p := range t.opts.Surrogate.Prior {
+	for _, p := range t.prior {
 		if p.Y < tau {
 			tau = p.Y
 		}
@@ -308,6 +302,5 @@ func (t *Tuner) Result() Result {
 		Found:      t.found,
 		Iterations: t.newSamples,
 		Curve:      append([]float64(nil), t.curve...),
-		FinalModel: t.model,
 	}
 }

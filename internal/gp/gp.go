@@ -370,19 +370,10 @@ func (g *GP) LogMarginalLikelihood() float64 {
 	return fit + det - 0.5*float64(n)*math.Log(2*math.Pi)
 }
 
-// FitBest grid-searches isotropic length scales and noise levels, keeping
-// the model with the highest marginal likelihood. The kind selects RBF
-// ("rbf") or Matérn-5/2 ("matern52").
-func FitBest(kind string, xs [][]float64, ys []float64) (*GP, error) {
-	if len(xs) == 0 {
-		return nil, ErrNoData
-	}
-	return FitBestGrouped(kind, xs, ys, len(xs[0]))
-}
-
 // FitBestGrouped grid-searches two length-scale groups — the first baseDims
 // dimensions (the configuration knobs) and the remainder (guide features) —
-// keeping the model with the highest marginal likelihood.
+// keeping the model with the highest marginal likelihood. The kind selects
+// RBF ("rbf") or Matérn-5/2 ("matern52").
 func FitBestGrouped(kind string, xs [][]float64, ys []float64, baseDims int) (*GP, error) {
 	if len(xs) == 0 {
 		return nil, ErrNoData

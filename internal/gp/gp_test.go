@@ -69,8 +69,8 @@ func TestFitEmptyFails(t *testing.T) {
 	if err := g.Fit(nil, nil); err == nil {
 		t.Fatal("empty fit should fail")
 	}
-	if _, err := FitBest("rbf", nil, nil); err == nil {
-		t.Fatal("empty FitBest should fail")
+	if _, err := FitBestGrouped("rbf", nil, nil, 0); err == nil {
+		t.Fatal("empty FitBestGrouped should fail")
 	}
 }
 
@@ -126,7 +126,7 @@ func TestFitBestLearnsSmoothFunction(t *testing.T) {
 		xs = append(xs, x)
 		ys = append(ys, f(x))
 	}
-	g, err := FitBest("rbf", xs, ys)
+	g, err := FitBestGrouped("rbf", xs, ys, len(xs[0]))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,7 +138,7 @@ func TestFitBestLearnsSmoothFunction(t *testing.T) {
 		pred = append(pred, m)
 	}
 	if r2 := stats.RSquared(obs, pred); r2 < 0.9 {
-		t.Fatalf("FitBest R² = %v on a smooth function", r2)
+		t.Fatalf("FitBestGrouped R² = %v on a smooth function", r2)
 	}
 }
 

@@ -70,7 +70,7 @@ type SlowOp struct {
 	Trace   string  `json:"trace,omitempty"`
 }
 
-// Report is the run's result: JSON on disk (LOAD_pr8.json by default in
+// Report is the run's result: JSON on disk (LOAD.json by default in
 // the CLI), human table via Table.
 type Report struct {
 	Scenario  string    `json:"scenario"`

@@ -1,8 +1,8 @@
 // Package obs is the observability layer shared by the service, store,
 // replica, and router subsystems: zero-allocation latency histograms
 // recorded at every hot stage, a per-node request tracer propagating
-// X-Relm-Trace across router/backend/replica hops, a leveled key=value
-// logger, and Prometheus text exposition for all of it.
+// X-Relm-Trace across router/backend/replica hops, the printf-hook adapter
+// onto log/slog, and Prometheus text exposition for all of it.
 //
 // The histogram is built for the hottest paths in the repository (WAL
 // append, GP append, suggest/observe): Record is a few atomic adds on a

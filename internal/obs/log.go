@@ -1,120 +1,17 @@
 package obs
 
 import (
+	"context"
 	"fmt"
-	"log"
-	"strings"
-	"sync/atomic"
+	"log/slog"
 )
 
-// Level is a log severity.
-type Level int32
-
-const (
-	LevelDebug Level = iota
-	LevelInfo
-	LevelWarn
-	LevelError
-)
-
-func (l Level) String() string {
-	switch l {
-	case LevelDebug:
-		return "debug"
-	case LevelInfo:
-		return "info"
-	case LevelWarn:
-		return "warn"
-	default:
-		return "error"
-	}
-}
-
-// ParseLevel maps a -log-level flag value onto a Level; unknown strings
-// fall back to info.
-func ParseLevel(s string) Level {
-	switch strings.ToLower(strings.TrimSpace(s)) {
-	case "debug":
-		return LevelDebug
-	case "warn", "warning":
-		return LevelWarn
-	case "error":
-		return LevelError
-	default:
-		return LevelInfo
-	}
-}
-
-// Logger is a leveled key=value logger over the standard log package, so
-// output keeps the familiar timestamp prefix. A nil *Logger drops
-// everything.
-type Logger struct {
-	level atomic.Int32
-	node  string
-}
-
-// NewLogger builds a logger for node at the given minimum level.
-func NewLogger(node string, level Level) *Logger {
-	l := &Logger{node: node}
-	l.level.Store(int32(level))
-	return l
-}
-
-// SetLevel changes the minimum level at runtime.
-func (l *Logger) SetLevel(level Level) {
-	if l != nil {
-		l.level.Store(int32(level))
-	}
-}
-
-func (l *Logger) enabled(level Level) bool {
-	return l != nil && level >= Level(l.level.Load())
-}
-
-// kv renders alternating key, value pairs as " k=v k=v"; odd trailing
-// arguments are rendered under the key "arg".
-func kv(args []any) string {
-	if len(args) == 0 {
-		return ""
-	}
-	var b strings.Builder
-	for i := 0; i < len(args); i += 2 {
-		b.WriteByte(' ')
-		if i+1 < len(args) {
-			fmt.Fprintf(&b, "%v=%v", args[i], args[i+1])
-		} else {
-			fmt.Fprintf(&b, "arg=%v", args[i])
-		}
-	}
-	return b.String()
-}
-
-func (l *Logger) emit(level Level, msg string, args []any) {
-	if !l.enabled(level) {
-		return
-	}
-	log.Printf("level=%s node=%s msg=%q%s", level, l.node, msg, kv(args))
-}
-
-// Debug logs msg with key=value pairs at debug level.
-func (l *Logger) Debug(msg string, args ...any) { l.emit(LevelDebug, msg, args) }
-
-// Info logs msg with key=value pairs at info level.
-func (l *Logger) Info(msg string, args ...any) { l.emit(LevelInfo, msg, args) }
-
-// Warn logs msg with key=value pairs at warn level.
-func (l *Logger) Warn(msg string, args ...any) { l.emit(LevelWarn, msg, args) }
-
-// Error logs msg with key=value pairs at error level.
-func (l *Logger) Error(msg string, args ...any) { l.emit(LevelError, msg, args) }
-
-// Logf adapts the logger to the `func(format, ...any)` hooks used by the
-// store, replica, and router packages; lines land at the given level.
-func (l *Logger) Logf(level Level) func(format string, args ...any) {
+// Logf adapts a slog.Logger to the `func(format, ...any)` hooks of the
+// service, replica, and router packages; lines land at the given level.
+func Logf(l *slog.Logger, level slog.Level) func(format string, args ...any) {
 	return func(format string, args ...any) {
-		if !l.enabled(level) {
-			return
+		if l.Enabled(context.Background(), level) {
+			l.Log(context.Background(), level, fmt.Sprintf(format, args...))
 		}
-		log.Printf("level=%s node=%s msg=%q", level, l.node, fmt.Sprintf(format, args...))
 	}
 }

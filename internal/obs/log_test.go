@@ -2,82 +2,18 @@ package obs
 
 import (
 	"bytes"
-	"log"
+	"log/slog"
 	"strings"
 	"testing"
 )
 
-func captureLog(t *testing.T, fn func()) string {
-	t.Helper()
-	var buf bytes.Buffer
-	old := log.Writer()
-	log.SetOutput(&buf)
-	defer log.SetOutput(old)
-	fn()
-	return buf.String()
-}
-
-func TestParseLevel(t *testing.T) {
-	cases := map[string]Level{
-		"debug":   LevelDebug,
-		"INFO":    LevelInfo,
-		" warn ":  LevelWarn,
-		"warning": LevelWarn,
-		"error":   LevelError,
-		"bogus":   LevelInfo,
-		"":        LevelInfo,
-	}
-	for in, want := range cases {
-		if got := ParseLevel(in); got != want {
-			t.Errorf("ParseLevel(%q) = %v, want %v", in, got, want)
-		}
-	}
-}
-
-func TestLoggerLevelFiltering(t *testing.T) {
-	l := NewLogger("n1", LevelWarn)
-	out := captureLog(t, func() {
-		l.Debug("d")
-		l.Info("i")
-		l.Warn("w", "key", 7)
-		l.Error("e")
-	})
-	if strings.Contains(out, `msg="d"`) || strings.Contains(out, `msg="i"`) {
-		t.Fatalf("below-threshold lines emitted: %q", out)
-	}
-	if !strings.Contains(out, `level=warn node=n1 msg="w" key=7`) {
-		t.Fatalf("warn line missing/malformed: %q", out)
-	}
-	if !strings.Contains(out, `level=error`) {
-		t.Fatalf("error line missing: %q", out)
-	}
-}
-
-func TestLoggerSetLevelAndNil(t *testing.T) {
-	var nilLogger *Logger
-	nilLogger.Info("dropped") // must not panic
-	nilLogger.SetLevel(LevelDebug)
-
-	l := NewLogger("n", LevelError)
-	out := captureLog(t, func() {
-		l.Info("hidden")
-		l.SetLevel(LevelDebug)
-		l.Debug("shown")
-	})
-	if strings.Contains(out, "hidden") || !strings.Contains(out, "shown") {
-		t.Fatalf("SetLevel not respected: %q", out)
-	}
-}
-
 func TestLoggerLogfAdapter(t *testing.T) {
-	l := NewLogger("n2", LevelInfo)
-	infof := l.Logf(LevelInfo)
-	debugf := l.Logf(LevelDebug)
-	out := captureLog(t, func() {
-		infof("shipped %d segments to %s", 3, "b")
-		debugf("suppressed")
-	})
-	if !strings.Contains(out, `msg="shipped 3 segments to b"`) {
+	var buf bytes.Buffer
+	l := slog.New(slog.NewTextHandler(&buf, &slog.HandlerOptions{Level: slog.LevelInfo})).With("node", "n2")
+	Logf(l, slog.LevelInfo)("shipped %d segments to %s", 3, "b")
+	Logf(l, slog.LevelDebug)("suppressed")
+	out := buf.String()
+	if !strings.Contains(out, `level=INFO msg="shipped 3 segments to b" node=n2`) {
 		t.Fatalf("Logf line missing: %q", out)
 	}
 	if strings.Contains(out, "suppressed") {

@@ -35,7 +35,7 @@ type reassignment struct {
 func (r *Router) handOff(ctx context.Context, survivors []*node, rep service.HandoffReport) ([]reassignment, map[string]string) {
 	errs := make(map[string]string)
 	if len(rep.Repo) > 0 {
-		body, err := json.Marshal(service.RepoImportRequest{Models: rep.Repo})
+		body, err := json.Marshal(service.RepoExportResponse{Models: rep.Repo})
 		if err != nil {
 			errs["import"] = "encode: " + err.Error()
 		} else {

@@ -154,8 +154,7 @@ func (m *Manager) Adopt(ss store.SessionSnapshot) (Status, error) {
 		events = append(events, store.Event{Type: store.EventWarm, ID: ss.ID, Time: ss.Created, Warm: s.warm})
 	}
 	for i, h := range ss.History {
-		rec := h.Observation()
-		events = append(events, store.Event{Type: store.EventObserve, ID: ss.ID, Time: ss.LastUsed, N: i, Obs: &rec})
+		events = append(events, store.Event{Type: store.EventObserve, ID: ss.ID, Time: ss.LastUsed, N: i, Obs: &h.Observation})
 	}
 
 	m.life.RLock()

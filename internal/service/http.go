@@ -272,41 +272,15 @@ func metricsBody(mt *Metrics) map[string]any {
 type StageHistJSON = obs.HistJSON
 
 // RepoExportResponse is the body of GET /v1/repository/export — the full
-// repository entries, prior points included, for another node to import.
-// RepoImportRequest is the same shape POSTed to /v1/repository/import.
+// repository entries, prior points included — and, POSTed to
+// /v1/repository/import, the body another node merges.
 type RepoExportResponse struct {
-	Models []bo.RepoEntry `json:"models"`
-}
-
-// RepoImportRequest is the body of POST /v1/repository/import.
-type RepoImportRequest struct {
 	Models []bo.RepoEntry `json:"models"`
 }
 
 // RepoImportResponse is the body returned by POST /v1/repository/import.
 type RepoImportResponse struct {
 	Imported int `json:"imported"`
-}
-
-// RepoEntryJSON is the wire form of one repository entry's inspection view.
-type RepoEntryJSON struct {
-	Workload    string    `json:"workload"`
-	Cluster     string    `json:"cluster"`
-	Fingerprint []float64 `json:"fingerprint"`
-	DefaultSec  float64   `json:"default_sec,omitempty"`
-	Points      int       `json:"points"`
-	Hits        uint64    `json:"hits"`
-	AddedAt     time.Time `json:"added_at,omitzero"`
-	LastUsed    time.Time `json:"last_used,omitzero"`
-}
-
-// RepositoryResponse is the body of GET /v1/repository.
-type RepositoryResponse struct {
-	Entries   int             `json:"entries"`
-	Capacity  int             `json:"capacity,omitempty"`
-	Hits      int64           `json:"hits"`
-	Evictions int64           `json:"evictions"`
-	Models    []RepoEntryJSON `json:"models"`
 }
 
 func toStatusResponse(st Status) StatusResponse {
@@ -497,27 +471,7 @@ func NewHandler(m *Manager) http.Handler {
 	})
 
 	mux.HandleFunc("GET /v1/repository", func(w http.ResponseWriter, r *http.Request) {
-		rep := m.RepositoryReport()
-		resp := RepositoryResponse{
-			Entries:   len(rep.Entries),
-			Capacity:  rep.Capacity,
-			Hits:      rep.Hits,
-			Evictions: rep.Evictions,
-			Models:    make([]RepoEntryJSON, 0, len(rep.Entries)),
-		}
-		for _, e := range rep.Entries {
-			resp.Models = append(resp.Models, RepoEntryJSON{
-				Workload:    e.Workload,
-				Cluster:     e.Cluster,
-				Fingerprint: e.Fingerprint,
-				DefaultSec:  e.DefaultSec,
-				Points:      e.Points,
-				Hits:        e.Hits,
-				AddedAt:     e.AddedAt,
-				LastUsed:    e.LastUsed,
-			})
-		}
-		writeJSON(w, http.StatusOK, resp)
+		writeJSON(w, http.StatusOK, m.RepositoryReport())
 	})
 
 	mux.HandleFunc("DELETE /v1/sessions/{id}", func(w http.ResponseWriter, r *http.Request) {
@@ -553,7 +507,7 @@ func NewHandler(m *Manager) http.Handler {
 	})
 
 	mux.HandleFunc("POST /v1/repository/import", func(w http.ResponseWriter, r *http.Request) {
-		var req RepoImportRequest
+		var req RepoExportResponse
 		// Entries carry whole prior-point sets; allow a larger body than
 		// the per-session endpoints.
 		if !decodeJSONLimit(w, r, &req, 64<<20) {

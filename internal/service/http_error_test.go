@@ -268,12 +268,12 @@ func TestHTTPRepositoryTransfer(t *testing.T) {
 
 	var imported RepoImportResponse
 	if code := doJSON(t, http.MethodPost, srvB.URL+"/v1/repository/import",
-		RepoImportRequest{Models: exported.Models}, &imported); code != http.StatusOK || imported.Imported != 1 {
+		exported, &imported); code != http.StatusOK || imported.Imported != 1 {
 		t.Fatalf("import: status %d imported %d", code, imported.Imported)
 	}
 	// Idempotent: a replayed broadcast adds nothing.
 	doJSON(t, http.MethodPost, srvB.URL+"/v1/repository/import",
-		RepoImportRequest{Models: exported.Models}, &imported)
+		exported, &imported)
 	if imported.Imported != 0 {
 		t.Fatalf("re-import added %d entries, want 0", imported.Imported)
 	}

@@ -238,11 +238,11 @@ func TestHTTPRepository(t *testing.T) {
 	srv := httptest.NewServer(NewHandler(m))
 	t.Cleanup(srv.Close)
 
-	var rep RepositoryResponse
+	var rep RepositoryReport
 	if code := doJSON(t, http.MethodGet, srv.URL+"/v1/repository", nil, &rep); code != http.StatusOK {
 		t.Fatalf("repository: status %d", code)
 	}
-	if rep.Entries != 0 || rep.Capacity != 8 || len(rep.Models) != 0 {
+	if rep.Size != 0 || rep.Capacity != 8 || len(rep.Entries) != 0 {
 		t.Fatalf("empty repository report: %+v", rep)
 	}
 
@@ -256,10 +256,10 @@ func TestHTTPRepository(t *testing.T) {
 	if code := doJSON(t, http.MethodGet, srv.URL+"/v1/repository", nil, &rep); code != http.StatusOK {
 		t.Fatalf("repository: status %d", code)
 	}
-	if rep.Entries != 1 || len(rep.Models) != 1 {
+	if rep.Size != 1 || len(rep.Entries) != 1 {
 		t.Fatalf("repository after harvest: %+v", rep)
 	}
-	mdl := rep.Models[0]
+	mdl := rep.Entries[0]
 	if mdl.Workload != "K-means" || mdl.Cluster != "A" || mdl.Points == 0 || len(mdl.Fingerprint) == 0 {
 		t.Fatalf("harvested model mangled: %+v", mdl)
 	}

@@ -337,11 +337,12 @@ func (m *Manager) rebuildSession(ss store.SessionSnapshot) (s *Session, err erro
 	s.harvested = ss.Harvested
 	// No warm-start counter bump: restore resumes the total from the
 	// snapshot, Adopt counts its own.
-	if ss.Warm != nil && applyWarm(s.tuner, ss.Warm) {
+	if ws, ok := s.tuner.(warmStarter); ok && ss.Warm != nil {
+		ws.WarmStart(ss.Warm.Points)
 		s.warm = ss.Warm
 	}
 	for _, h := range ss.History {
-		s.observe(h.Observation())
+		s.observe(h.Observation)
 	}
 	if ss.Suggested {
 		// Arming is idempotent: suggestions are cached until consumed.
@@ -425,21 +426,7 @@ func (s *Session) observe(rec store.Observation) {
 		s.suggested = false
 	}
 	s.tuner.Observe(smp)
-	s.history = append(s.history, historyRecord(rec, smp.Objective))
-}
-
-// historyRecord is an observation plus the objective the abort-penalty
-// watermark assigned it.
-func historyRecord(rec store.Observation, objective float64) HistoryEntry {
-	return HistoryEntry{
-		Config:     rec.Config,
-		RuntimeSec: rec.RuntimeSec,
-		Objective:  objective,
-		Aborted:    rec.Aborted,
-		GCOverhead: rec.GCOverhead,
-		Stats:      rec.Stats,
-		Suggested:  rec.Suggested,
-	}
+	s.history = append(s.history, HistoryEntry{Observation: rec, Objective: smp.Objective})
 }
 
 // foldEvent folds one journaled event into the sessions of the snapshot as
@@ -488,7 +475,7 @@ func (m *Manager) foldEvent(live map[string]*store.SessionSnapshot, armed map[st
 		}
 		var obj tune.Objectives
 		obj.Restore(worstRuntime(ss.History))
-		ss.History = append(ss.History, historyRecord(*ev.Obs, obj.Assign(ev.Obs.RuntimeSec, ev.Obs.Aborted)))
+		ss.History = append(ss.History, HistoryEntry{Observation: *ev.Obs, Objective: obj.Assign(ev.Obs.RuntimeSec, ev.Obs.Aborted)})
 		// Whether the observation consumed an outstanding suggestion only
 		// the tuner knows; rebuildSession finds out as it replays the
 		// records' Suggested bits.

@@ -249,18 +249,13 @@ type SurrogateStatus struct {
 	Compactions int `json:"compactions,omitempty"`
 }
 
-// Observation is one measured experiment reported to a session.
-type Observation struct {
-	Config     conf.Config
-	RuntimeSec float64
-	Aborted    bool
-	// GCOverhead optionally reports the run's average fraction of task
-	// time spent in GC; DDPG folds it into its state vector.
-	GCOverhead float64
-	// Stats optionally carries the client's Table 6 profile statistics;
-	// RelM requires them, GBO and DDPG use them when present.
-	Stats *profile.Stats
-}
+// Observation is one measured experiment reported to a session — the
+// store's record, so it reaches the journal uncopied. Suggested is the
+// manager's to fill: whatever the caller put there is overwritten with
+// whether a suggestion was outstanding when the observation arrived.
+// GCOverhead and Stats are optional; RelM requires Stats, GBO and DDPG use
+// them when present.
+type Observation = store.Observation
 
 // BestReport is the incumbent of a session.
 type BestReport struct {
@@ -576,13 +571,8 @@ func validIdent(s string) bool {
 // resolve maps a Spec's symbolic names onto concrete cluster, workload, and
 // tuner instances.
 func resolve(spec Spec) (cluster.Spec, workload.Spec, error) {
-	var cl cluster.Spec
-	switch strings.ToUpper(spec.Cluster) {
-	case "", "A":
-		cl = cluster.A()
-	case "B":
-		cl = cluster.B()
-	default:
+	cl, ok := cluster.ByName(spec.Cluster)
+	if !ok {
 		return cluster.Spec{}, workload.Spec{}, fmt.Errorf("service: unknown cluster %q (want A or B)", spec.Cluster)
 	}
 	name := spec.Workload
@@ -652,37 +642,41 @@ type warmStarter interface {
 	WarmStart([]bo.PriorPoint)
 }
 
-// applyWarm seeds a tuner with a recorded warm start; false when the
-// backend does not support priors.
-func applyWarm(t tune.Tuner, w *store.Warm) bool {
-	ws, ok := t.(warmStarter)
+// warmStart is the served §6.6 protocol, written once for create (a
+// client-supplied fingerprint) and drive (an auto session's fingerprinting
+// run): match the repository for a same-cluster entry within the session's
+// distance threshold, seed the tuner with its observations rescaled to
+// defaultSec, and count the hit. It asks whether the backend takes priors
+// (relm and ddpg do not) before it touches the repository, so only a warm
+// start that happens bumps a hit counter or refreshes an entry's LRU stamp.
+// The caller journals s.warm. Callers hold s.mu or own s exclusively.
+func (m *Manager) warmStart(s *Session, fp profile.Stats, defaultSec float64) bool {
+	ws, ok := s.tuner.(warmStarter)
 	if !ok {
 		return false
 	}
-	ws.WarmStart(w.Points)
-	return true
-}
-
-// matchWarm consults the model repository for a same-cluster entry within
-// the distance threshold and returns the rescaled prior, or nil on a miss.
-func (m *Manager) matchWarm(clusterName string, fp profile.Stats, maxDistance, defaultSec float64) *store.Warm {
+	maxDistance := s.spec.WarmMaxDistance
 	if maxDistance <= 0 {
 		maxDistance = m.opts.WarmMaxDistance
 	}
 	m.repoMu.Lock()
-	defer m.repoMu.Unlock()
-	entry, d, ok := m.repo.Match(clusterName, fp, maxDistance)
+	entry, d, ok := m.repo.Match(s.space.Cluster.Name, fp, maxDistance)
 	if !ok {
-		return nil
+		m.repoMu.Unlock()
+		return false
 	}
 	entry.Touch(m.opts.Now())
-	m.repoHits.Add(1)
-	return &store.Warm{
+	s.warm = &store.Warm{
 		Source:   entry.Workload,
 		Cluster:  entry.ClusterName,
 		Distance: d,
 		Points:   entry.RescaledPoints(defaultSec),
 	}
+	m.repoMu.Unlock()
+	m.repoHits.Add(1)
+	m.warmStarts.Add(1)
+	ws.WarmStart(s.warm.Points)
+	return true
 }
 
 // Create opens a new session and, in auto mode, enqueues it on the worker
@@ -716,12 +710,7 @@ func (m *Manager) create(spec Spec) (Status, error) {
 	// transferred optimum. Auto sessions without a fingerprint profile the
 	// default configuration in the worker instead (drive).
 	if spec.WarmStart && spec.Stats != nil {
-		if w := m.matchWarm(s.space.Cluster.Name, *spec.Stats, spec.WarmMaxDistance, spec.DefaultRuntimeSec); w != nil {
-			if applyWarm(s.tuner, w) {
-				s.warm = w
-				m.warmStarts.Add(1)
-			}
-		}
+		m.warmStart(s, *spec.Stats, spec.DefaultRuntimeSec)
 	}
 
 	m.life.RLock()
@@ -900,13 +889,7 @@ func (m *Manager) Observe(id string, obs Observation) (Status, error) {
 		return Status{}, fmt.Errorf("service: runtime_sec must be a positive finite number, got %v", obs.RuntimeSec)
 	}
 
-	if err := m.observeLocked(s, store.Observation{
-		Config:     obs.Config,
-		RuntimeSec: obs.RuntimeSec,
-		Aborted:    obs.Aborted,
-		GCOverhead: obs.GCOverhead,
-		Stats:      obs.Stats,
-	}); err != nil {
+	if err := m.observeLocked(s, obs); err != nil {
 		return Status{}, err
 	}
 	s.lastUsed = m.opts.Now()
@@ -1232,23 +1215,25 @@ func (m *Manager) Repository() bo.Repository {
 // fingerprint coordinates, and lifecycle counters — everything except the
 // prior points themselves, which can be large.
 type RepoEntryInfo struct {
-	Workload    string
-	Cluster     string
-	Fingerprint []float64
-	DefaultSec  float64
-	Points      int
-	Hits        uint64
-	AddedAt     time.Time
-	LastUsed    time.Time
+	Workload    string    `json:"workload"`
+	Cluster     string    `json:"cluster"`
+	Fingerprint []float64 `json:"fingerprint"`
+	DefaultSec  float64   `json:"default_sec,omitempty"`
+	Points      int       `json:"points"`
+	Hits        uint64    `json:"hits"`
+	AddedAt     time.Time `json:"added_at,omitzero"`
+	LastUsed    time.Time `json:"last_used,omitzero"`
 }
 
 // RepositoryReport is the point-in-time inspection snapshot of the model
-// repository, served by GET /v1/repository.
+// repository and the body of GET /v1/repository. Size is len(Entries),
+// spelled out for the wire.
 type RepositoryReport struct {
-	Capacity  int
-	Hits      int64
-	Evictions int64
-	Entries   []RepoEntryInfo
+	Size      int             `json:"entries"`
+	Capacity  int             `json:"capacity,omitempty"`
+	Hits      int64           `json:"hits"`
+	Evictions int64           `json:"evictions"`
+	Entries   []RepoEntryInfo `json:"models"`
 }
 
 // RepositoryReport summarizes the shared model repository for inspection.
@@ -1260,7 +1245,8 @@ func (m *Manager) RepositoryReport() RepositoryReport {
 	}
 	m.repoMu.Lock()
 	defer m.repoMu.Unlock()
-	rep.Entries = make([]RepoEntryInfo, 0, len(m.repo.Entries))
+	rep.Size = len(m.repo.Entries)
+	rep.Entries = make([]RepoEntryInfo, 0, rep.Size)
 	for i := range m.repo.Entries {
 		e := &m.repo.Entries[i]
 		rep.Entries = append(rep.Entries, RepoEntryInfo{
@@ -1494,22 +1480,16 @@ func (m *Manager) drive(s *Session) {
 	if needWarm {
 		def := ev.Space.Default()
 		rec := simObservation(ev.Eval(def))
-		var w *store.Warm
-		// An aborted default run still fingerprints the workload (its
-		// profile covers the portion that ran); RunWithReuse matches on it
-		// the same way.
-		if rec.Stats != nil {
-			w = m.matchWarm(ev.Cluster.Name, *rec.Stats, s.spec.WarmMaxDistance, rec.RuntimeSec)
-		}
 		s.mu.Lock()
 		if s.state == StateClosed {
 			s.mu.Unlock()
 			return
 		}
-		if w != nil && applyWarm(s.tuner, w) {
-			s.warm = w
-			m.warmStarts.Add(1)
-			m.journal(&store.Event{Type: store.EventWarm, ID: s.id, Time: m.opts.Now(), Warm: w})
+		// An aborted default run still fingerprints the workload (its
+		// profile covers the portion that ran); RunWithReuse matches on it
+		// the same way.
+		if rec.Stats != nil && m.warmStart(s, *rec.Stats, rec.RuntimeSec) {
+			m.journal(&store.Event{Type: store.EventWarm, ID: s.id, Time: m.opts.Now(), Warm: s.warm})
 		}
 		// The fingerprinting run is a real experiment: feed it to the
 		// tuner (unsolicited observations are incorporated) and the log.

@@ -24,13 +24,10 @@ func newTestManager(t *testing.T, opts Options) *Manager {
 // measure simulates one real experiment for a remote session's observation.
 func measure(t *testing.T, clName, wlName string, o Observation, seed uint64) Observation {
 	t.Helper()
-	cl := cluster.A()
-	if clName == "B" {
-		cl = cluster.B()
-	}
+	cl, okCl := cluster.ByName(clName)
 	wl, ok := workload.ByName(wlName)
-	if !ok {
-		t.Fatalf("unknown workload %q", wlName)
+	if !ok || !okCl {
+		t.Fatalf("unknown cluster %q or workload %q", clName, wlName)
 	}
 	res, prof := sim.Run(cl, wl, o.Config, seed)
 	st := profile.Generate(prof)

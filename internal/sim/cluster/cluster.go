@@ -5,7 +5,10 @@
 // (Cluster A) and a 4-node virtual cluster with 32GB nodes (Cluster B).
 package cluster
 
-import "fmt"
+import (
+	"fmt"
+	"strings"
+)
 
 // Spec describes one cluster.
 type Spec struct {
@@ -26,6 +29,18 @@ type Spec struct {
 	DiskMBps float64
 	// NetworkMBps is the network bandwidth of one node.
 	NetworkMBps float64
+}
+
+// ByName looks up one of the paper's clusters by name, case-insensitively;
+// the empty name is Cluster A, the default everywhere.
+func ByName(name string) (Spec, bool) {
+	switch strings.ToUpper(name) {
+	case "", "A":
+		return A(), true
+	case "B":
+		return B(), true
+	}
+	return Spec{}, false
 }
 
 // A returns the paper's Cluster A: 8 physical nodes, 6GB memory and 8 cores

@@ -43,7 +43,7 @@ func (s *File) Segments() []SegmentInfo {
 // concurrent compaction surfaces as os.ErrNotExist and the caller simply
 // re-lists. Reading at or past the current end returns (0, io.EOF).
 func (s *File) ReadSegmentAt(index uint64, off int64, p []byte) (int, error) {
-	f, err := os.Open(filepath.Join(s.dir, segmentName(index)))
+	f, err := os.Open(filepath.Join(s.dir, SegmentFileName(index)))
 	if err != nil {
 		return 0, err
 	}
@@ -73,15 +73,6 @@ func (s *File) ReadSnapshotRaw() ([]byte, error) {
 // Dir returns the directory the store is rooted at.
 func (s *File) Dir() string { return s.dir }
 
-// SegmentFileName renders the file name of WAL segment index i
-// (wal-000001.jsonl, …). Exported for replica directories, which are
-// ordinary store directories maintained by ingest rather than Append.
-func SegmentFileName(i uint64) string { return segmentName(i) }
-
-// ParseSegmentFileName extracts the segment index from a WAL segment file
-// name, reporting whether the name is one.
-func ParseSegmentFileName(name string) (uint64, bool) { return parseSegmentName(name) }
-
 // ListSegmentFiles returns the WAL segments present in dir (any store or
 // replica directory) in index order with their current on-disk sizes. A
 // missing directory is an empty log, not an error.
@@ -95,7 +86,7 @@ func ListSegmentFiles(dir string) ([]SegmentInfo, error) {
 	}
 	out := make([]SegmentInfo, 0, len(idxs))
 	for i, idx := range idxs {
-		st, err := os.Stat(filepath.Join(dir, segmentName(idx)))
+		st, err := os.Stat(filepath.Join(dir, SegmentFileName(idx)))
 		if err != nil {
 			if errors.Is(err, os.ErrNotExist) {
 				continue // pruned between list and stat
@@ -106,8 +97,3 @@ func ListSegmentFiles(dir string) ([]SegmentInfo, error) {
 	}
 	return out, nil
 }
-
-// AtomicWriteFile writes data to path via temp file + fsync + rename, the
-// same recipe compaction uses for snapshot.json. Exported for replica
-// ingest, which installs shipped snapshots with identical crash semantics.
-func AtomicWriteFile(path string, data []byte) error { return atomicWrite(path, data) }

@@ -209,7 +209,7 @@ func sealedPlusActive(t *testing.T, events int) (dir string, activePath string) 
 	if err != nil || len(segs) < 2 {
 		t.Fatalf("layout needs >=2 segments, got %v (err %v)", segs, err)
 	}
-	return dir, filepath.Join(dir, segmentName(segs[len(segs)-1]))
+	return dir, filepath.Join(dir, SegmentFileName(segs[len(segs)-1]))
 }
 
 // reopenAndCheck opens dir, asserts the replayed event count, then proves
@@ -277,7 +277,7 @@ func TestRecoverTornHeadSingleSegment(t *testing.T) {
 	// The whole log is one active segment whose first record is torn — a
 	// crash during the very first append.
 	dir := t.TempDir()
-	if err := os.WriteFile(filepath.Join(dir, segmentName(1)), []byte(`{"seq":1,"ty`), 0o644); err != nil {
+	if err := os.WriteFile(filepath.Join(dir, SegmentFileName(1)), []byte(`{"seq":1,"ty`), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	reopenAndCheck(t, dir, 0)

@@ -159,7 +159,7 @@ func OpenFile(dir string, opts ...FileOptions) (*File, error) {
 	var maxSeq uint64
 	for i, idx := range segs {
 		active := i == len(segs)-1
-		path := filepath.Join(dir, segmentName(idx))
+		path := filepath.Join(dir, SegmentFileName(idx))
 		events, size, err := readWALFile(path, active)
 		if err != nil {
 			return nil, err
@@ -208,7 +208,7 @@ func OpenFile(dir string, opts ...FileOptions) (*File, error) {
 	return fs, nil
 }
 
-func (s *File) activePath() string { return filepath.Join(s.dir, segmentName(s.activeIndex)) }
+func (s *File) activePath() string { return filepath.Join(s.dir, SegmentFileName(s.activeIndex)) }
 func (s *File) snapPath() string   { return filepath.Join(s.dir, snapshotFile) }
 
 // Append journals one event. Without SyncEachAppend it is flushed to the
@@ -372,7 +372,7 @@ func (s *File) rotateLocked() error {
 		return fmt.Errorf("store: sync sealed segment: %w", err)
 	}
 	next := s.activeIndex + 1
-	nf, err := os.OpenFile(filepath.Join(s.dir, segmentName(next)), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+	nf, err := os.OpenFile(filepath.Join(s.dir, SegmentFileName(next)), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
 		// The old segment stays active and writable; rotation retries on
 		// the next append.
@@ -560,7 +560,7 @@ func (s *File) Compact(snap *Snapshot) error {
 	if err != nil {
 		return fmt.Errorf("store: encode snapshot: %w", err)
 	}
-	if err := atomicWrite(s.snapPath(), buf); err != nil {
+	if err := AtomicWriteFile(s.snapPath(), buf); err != nil {
 		return err
 	}
 	s.snapBytes = int64(len(buf))
@@ -600,8 +600,10 @@ func (s *File) Compact(snap *Snapshot) error {
 	return nil
 }
 
-// atomicWrite writes data to path via a temp file + fsync + rename.
-func atomicWrite(path string, data []byte) error {
+// AtomicWriteFile writes data to path via a temp file + fsync + rename.
+// Exported for replica ingest, which installs shipped snapshots with the
+// crash semantics compaction gives snapshot.json.
+func AtomicWriteFile(path string, data []byte) error {
 	dir := filepath.Dir(path)
 	tmp, err := os.CreateTemp(dir, ".store-*")
 	if err != nil {

@@ -26,13 +26,16 @@ const (
 	legacyWALFile = "wal.jsonl"
 )
 
-// segmentName renders the file name of segment index i.
-func segmentName(i uint64) string {
+// SegmentFileName renders the file name of WAL segment index i
+// (wal-000001.jsonl, …). Exported for replica directories, which are
+// ordinary store directories maintained by ingest rather than Append.
+func SegmentFileName(i uint64) string {
 	return fmt.Sprintf("%s%06d%s", segmentPrefix, i, segmentSuffix)
 }
 
-// parseSegmentName extracts the index from a segment file name.
-func parseSegmentName(name string) (uint64, bool) {
+// ParseSegmentFileName extracts the segment index from a WAL segment file
+// name, reporting whether the name is one.
+func ParseSegmentFileName(name string) (uint64, bool) {
 	if len(name) <= len(segmentPrefix)+len(segmentSuffix) {
 		return 0, false
 	}
@@ -73,7 +76,7 @@ func listSegments(dir string) ([]uint64, error) {
 		if e.IsDir() {
 			continue
 		}
-		if idx, ok := parseSegmentName(e.Name()); ok {
+		if idx, ok := ParseSegmentFileName(e.Name()); ok {
 			idxs = append(idxs, idx)
 		}
 	}
@@ -91,5 +94,5 @@ func refuseLegacyWAL(dir string) error {
 	} else if err != nil {
 		return fmt.Errorf("store: stat legacy wal: %w", err)
 	}
-	return fmt.Errorf("store: %s is a pre-segmentation single-file log, no longer opened in place; rename it to %s to keep its history (or remove it) and reopen", legacy, segmentName(1))
+	return fmt.Errorf("store: %s is a pre-segmentation single-file log, no longer opened in place; rename it to %s to keep its history (or remove it) and reopen", legacy, SegmentFileName(1))
 }

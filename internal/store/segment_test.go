@@ -20,7 +20,7 @@ func walFiles(t *testing.T, dir string) []string {
 	}
 	var names []string
 	for _, e := range entries {
-		if _, ok := parseSegmentName(e.Name()); ok {
+		if _, ok := ParseSegmentFileName(e.Name()); ok {
 			names = append(names, e.Name())
 		}
 	}
@@ -114,7 +114,7 @@ func TestLegacyWALMigration(t *testing.T) {
 		t.Fatalf("refused open left segment files behind: %v", files)
 	}
 
-	if err := os.Rename(legacy, filepath.Join(dir, segmentName(1))); err != nil {
+	if err := os.Rename(legacy, filepath.Join(dir, SegmentFileName(1))); err != nil {
 		t.Fatal(err)
 	}
 	s, err := OpenFile(dir)
@@ -136,7 +136,7 @@ func TestLegacyWALMigration(t *testing.T) {
 
 func TestMixedLayoutRefused(t *testing.T) {
 	dir := t.TempDir()
-	for _, name := range []string{legacyWALFile, segmentName(1)} {
+	for _, name := range []string{legacyWALFile, SegmentFileName(1)} {
 		if err := os.WriteFile(filepath.Join(dir, name), nil, 0o644); err != nil {
 			t.Fatal(err)
 		}
@@ -169,7 +169,7 @@ func TestCompactPrunesOnlySealedSegments(t *testing.T) {
 	if after.PrunedSegments != 1 || after.Segments != before.Segments-1 {
 		t.Fatalf("pruning after fence %d: before %+v after %+v", fence, before, after)
 	}
-	if _, err := os.Stat(filepath.Join(dir, segmentName(1))); !os.IsNotExist(err) {
+	if _, err := os.Stat(filepath.Join(dir, SegmentFileName(1))); !os.IsNotExist(err) {
 		t.Fatalf("pruned segment still on disk: err=%v", err)
 	}
 	_, events, err := s.Load()
@@ -451,7 +451,7 @@ func TestRecoveryMidRotation(t *testing.T) {
 		}
 		// Corruption in a sealed segment is not a torn tail: it means lost
 		// acknowledged events, and recovery must refuse to silently skip it.
-		if err := os.WriteFile(filepath.Join(dir, segmentName(1)), []byte("garbage\n"), 0o644); err != nil {
+		if err := os.WriteFile(filepath.Join(dir, SegmentFileName(1)), []byte("garbage\n"), 0o644); err != nil {
 			t.Fatal(err)
 		}
 		if _, err := OpenFile(dir, FileOptions{SegmentBytes: 256}); err == nil {

@@ -122,29 +122,12 @@ type Event struct {
 	Repo *bo.RepoEntry `json:"repo,omitempty"` // harvest
 }
 
-// HistoryRecord is one recorded experiment of a session: its Observation
-// plus the objective the abort-penalty watermark assigned it.
+// HistoryRecord is one recorded experiment of a session: its Observation —
+// the replayable part, what an observe event journals — plus the objective
+// the abort-penalty watermark assigned it.
 type HistoryRecord struct {
-	Config     conf.Config    `json:"config"`
-	RuntimeSec float64        `json:"runtime_sec"`
-	Objective  float64        `json:"objective"`
-	Aborted    bool           `json:"aborted,omitempty"`
-	GCOverhead float64        `json:"gc_overhead,omitempty"`
-	Stats      *profile.Stats `json:"stats,omitempty"`
-	Suggested  bool           `json:"suggested,omitempty"`
-}
-
-// Observation is the record's replayable part — what an observe event
-// journals (the objective re-derives from the sequence).
-func (h HistoryRecord) Observation() Observation {
-	return Observation{
-		Config:     h.Config,
-		RuntimeSec: h.RuntimeSec,
-		Aborted:    h.Aborted,
-		GCOverhead: h.GCOverhead,
-		Stats:      h.Stats,
-		Suggested:  h.Suggested,
-	}
+	Observation
+	Objective float64 `json:"objective"`
 }
 
 // SessionSnapshot is the complete state of one live session and the single

@@ -96,7 +96,7 @@ func TestCompactKeepsEventsPastFence(t *testing.T) {
 					ID:      "sess-1",
 					Spec:    SessionSpec{Backend: "bo"},
 					State:   "active",
-					History: []HistoryRecord{{Config: conf.Default(), RuntimeSec: 100, Objective: 100}},
+					History: []HistoryRecord{{Observation: Observation{Config: conf.Default(), RuntimeSec: 100}, Objective: 100}},
 				}},
 			}
 			if err := s.Compact(snap); err != nil {
@@ -152,7 +152,7 @@ func TestFileTornTailRecovered(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	wal := filepath.Join(dir, segmentName(1))
+	wal := filepath.Join(dir, SegmentFileName(1))
 	f, err := os.OpenFile(wal, os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
 		t.Fatal(err)

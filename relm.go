@@ -165,12 +165,17 @@ func ExhaustiveSearch(ev *Evaluator) (Sample, []Sample) {
 }
 
 // ModelRepository stores completed tuning sessions keyed by workload
-// fingerprints for OtterTune-style model re-use (§6.6).
+// fingerprints for OtterTune-style model re-use (§6.6). It is plain data:
+// the tuning service keeps it as JSON in its snapshots and moves it between
+// nodes through /v1/repository/export and /import.
 type ModelRepository = bo.Repository
 
-// RunBOWithReuse profiles the workload, matches it against the repository by
-// fingerprint distance, warm-starts the optimizer on a hit, and records the
-// session. It reports whether a previous model was re-used.
+// RunBOWithReuse profiles the workload on the default configuration, matches
+// it against the repository by fingerprint distance, warm-starts the
+// optimizer on a hit (a confirmation run of the transferred optimum replaces
+// the bootstrap), shows it the profiling run, and records the session — step
+// for step what a ServiceManager auto session with WarmStart does. It
+// reports whether a previous model was re-used.
 func RunBOWithReuse(ev *Evaluator, opts BOOptions, repo *ModelRepository, maxDistance float64) (BOResult, bool) {
 	return bo.RunWithReuse(ev, opts, repo, maxDistance)
 }

@@ -20,7 +20,7 @@
 #            Poisson arrivals, all four backends) through a fresh router +
 #            2-backend cluster with relm-loadgen; zero unexpected errors
 #            and a p99 ceiling on every request stage. The JSON report
-#            lands at $LOADGEN_OUT (default $WORK/LOAD_pr8.json) so CI can
+#            lands at $LOADGEN_OUT (default $WORK/LOAD.json) so CI can
 #            upload it as an artifact.
 #   phase 6  chaos soak: the same loadgen trace through a fresh 3-node
 #            replicating cluster armed with the seeded fault schedule
@@ -424,7 +424,7 @@ for i in $(seq 1 120); do
     sleep 0.25
 done
 
-SOAK_REPORT=${LOADGEN_OUT:-$WORK/LOAD_pr8.json}
+SOAK_REPORT=${LOADGEN_OUT:-$WORK/LOAD.json}
 "$WORK/bin/relm-loadgen" -scenario "$ROOT/scripts/scenarios/soak.json" \
     -target "$SR" -trace "$WORK/soak.trace" -out "$SOAK_REPORT" \
     || fail "loadgen soak run failed"
