@@ -8,7 +8,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"math/bits"
 	mrand "math/rand/v2"
 	"net/http"
@@ -21,6 +20,7 @@ import (
 	"relm/internal/obs"
 	"relm/internal/profile"
 	"relm/internal/service"
+	"relm/internal/wire"
 )
 
 // Options configures a Driver. Zero values select the documented
@@ -341,51 +341,36 @@ func (d *Driver) runSession(ctx context.Context, s TraceSession) {
 }
 
 // do issues one request under the per-request deadline, records its
-// latency into the stage histogram on success, and books any failure
-// into the error breakdown. It returns the response's X-Relm-Trace ID
-// and whether the request succeeded.
+// latency — the whole exchange, round trip and body read — into the stage
+// histogram on success, and books any failure into the error breakdown. It
+// returns the response's X-Relm-Trace ID and whether the request succeeded.
 func (d *Driver) do(ctx context.Context, stage, method, path, session string, in, out any, wantStatus int) (string, bool) {
 	d.ops.Add(1)
-	var body io.Reader
+	var body []byte
 	if in != nil {
-		buf, err := json.Marshal(in)
-		if err != nil {
+		var err error
+		if body, err = json.Marshal(in); err != nil {
 			d.recordError(stage, "encode", err.Error(), "")
 			return "", false
 		}
-		body = bytes.NewReader(buf)
 	}
 	rctx, cancel := context.WithTimeout(ctx, d.opts.RequestTimeout)
 	defer cancel()
-	req, err := http.NewRequestWithContext(rctx, method, d.opts.Target+path, body)
-	if err != nil {
-		d.recordError(stage, "transport", err.Error(), "")
-		return "", false
-	}
-	if in != nil {
-		req.Header.Set("Content-Type", "application/json")
-	}
 	t0 := time.Now()
-	resp, err := d.opts.Client.Do(req)
+	status, hdr, buf, err := wire.Do(rctx, d.opts.Client, method, d.opts.Target+path, "", "application/json", body, 8<<20)
 	elapsed := time.Since(t0)
+	traceID := hdr.Get(obs.TraceHeader)
 	if err != nil {
 		kind := "transport"
 		if errors.Is(err, context.DeadlineExceeded) || rctx.Err() == context.DeadlineExceeded {
 			kind = "timeout"
 			d.timeouts.Add(1)
 		}
-		d.recordError(stage, kind, err.Error(), "")
-		return "", false
-	}
-	defer resp.Body.Close()
-	traceID := resp.Header.Get(obs.TraceHeader)
-	buf, err := io.ReadAll(io.LimitReader(resp.Body, 8<<20))
-	if err != nil {
-		d.recordError(stage, "transport", "read body: "+err.Error(), traceID)
+		d.recordError(stage, kind, err.Error(), traceID)
 		return traceID, false
 	}
-	if resp.StatusCode != wantStatus {
-		d.recordError(stage, fmt.Sprintf("status_%d", resp.StatusCode), snippet(buf), traceID)
+	if status != wantStatus {
+		d.recordError(stage, fmt.Sprintf("status_%d", status), snippet(buf), traceID)
 		return traceID, false
 	}
 	if out != nil {

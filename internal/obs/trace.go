@@ -5,14 +5,17 @@ import (
 	"crypto/rand"
 	"encoding/hex"
 	"net/http"
+	"strconv"
 	"strings"
 	"sync"
 	"time"
+
+	"relm/internal/wire"
 )
 
-// TraceHeader carries the request trace ID across hops: router → backend
-// proxying and primary → follower replica shipping.
-const TraceHeader = "X-Relm-Trace"
+// TraceHeader carries the request trace ID across hops (see wire.TraceHeader,
+// which wire.Do sets).
+const TraceHeader = wire.TraceHeader
 
 // Span is one timed step inside a trace: a router hop, a service handler
 // stage, a replica ingest, etc.
@@ -221,5 +224,32 @@ func (tr *Tracer) Middleware(next http.Handler) http.Handler {
 		w.Header().Set(TraceHeader, t.ID())
 		next.ServeHTTP(w, r.WithContext(WithTrace(r.Context(), t)))
 		tr.Finish(t)
+	})
+}
+
+// TracesResponse is the body of GET /v1/traces.
+type TracesResponse struct {
+	Node   string        `json:"node,omitempty"`
+	Traces []TraceRecord `json:"traces"`
+}
+
+// Handler serves GET /v1/traces from the ring, for relm-serve and
+// relm-router alike so tooling reads both: ?id= finds one trace (404 once
+// it has left the ring), otherwise the most recent come newest first,
+// ?limit= capping them. node labels the body; "" omits the label.
+func (tr *Tracer) Handler(node string) http.Handler {
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		q := r.URL.Query()
+		if id := q.Get("id"); id != "" {
+			rec, ok := tr.Find(id)
+			if !ok {
+				wire.WriteJSON(w, http.StatusNotFound, map[string]string{"error": "trace not found: " + id})
+				return
+			}
+			wire.WriteJSON(w, http.StatusOK, TracesResponse{Node: node, Traces: []TraceRecord{rec}})
+			return
+		}
+		limit, _ := strconv.Atoi(q.Get("limit"))
+		wire.WriteJSON(w, http.StatusOK, TracesResponse{Node: node, Traces: tr.Recent(limit)})
 	})
 }

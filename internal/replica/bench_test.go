@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"relm/internal/replica"
-	"relm/internal/service"
 	"relm/internal/store"
 )
 
@@ -41,9 +40,7 @@ func BenchmarkReplicaShipTail(b *testing.B) {
 		b.Fatal(err)
 	}
 	defer follower.Close()
-	m := service.NewManager(service.Options{NodeID: "b", Workers: 1, TTL: time.Hour, Replica: follower})
-	defer m.Close()
-	srv := httptest.NewServer(service.NewHandler(m))
+	srv := httptest.NewServer(replica.Handler(follower, "b"))
 	defer srv.Close()
 
 	primary, err := store.OpenFile(b.TempDir(), store.FileOptions{SegmentBytes: 64 << 20})

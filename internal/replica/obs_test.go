@@ -6,7 +6,7 @@ import (
 	"strings"
 	"testing"
 
-	"relm/internal/service"
+	"relm/internal/obs"
 )
 
 // TestShipTracePropagation: every request of one ship cycle carries the
@@ -27,7 +27,7 @@ func TestShipTracePropagation(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("traces: status %d", resp.StatusCode)
 	}
-	var tr service.TracesResponse
+	var tr obs.TracesResponse
 	if err := json.NewDecoder(resp.Body).Decode(&tr); err != nil {
 		t.Fatalf("decode traces: %v", err)
 	}

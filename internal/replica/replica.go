@@ -27,9 +27,15 @@
 // uses, inheriting the store's crash-recovery semantics — a torn tail in
 // the replicated active segment is truncated, corruption in a sealed
 // replica fails loudly.
+//
+// Both halves of the wire protocol live here, to be read, tested and
+// changed together: ship.go's exchange sends what handler.go's Handler
+// serves (service.NewHandler mounts it). Only /v1/replica/promote is the
+// service's: it replays the fenced directory into a hand-over.
 package replica
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"net/http"
@@ -114,7 +120,7 @@ func (o *Options) fill() {
 		o.ChunkBytes = 1 << 20
 	}
 	if o.Client == nil {
-		o.Client = &http.Client{Timeout: 10 * time.Second}
+		o.Client = &http.Client{} // no Timeout: see exchangeTimeout
 	}
 }
 
@@ -147,9 +153,11 @@ type Set struct {
 	primaries map[string]*primaryState
 	promoted  uint64
 
-	quit      chan struct{}
-	wg        sync.WaitGroup
-	closeOnce sync.Once
+	// ctx is the shipper's lifetime: every ship cycle derives from it, so
+	// Close ends the loop and any exchange in flight at once.
+	ctx    context.Context
+	cancel context.CancelFunc
+	wg     sync.WaitGroup
 }
 
 // primaryState is the ingest-side state of one primary's replica.
@@ -170,11 +178,7 @@ type primaryState struct {
 // configured. Call Close to stop shipping.
 func New(opts Options) (*Set, error) {
 	opts.fill()
-	s := &Set{
-		opts:      opts,
-		primaries: make(map[string]*primaryState),
-		quit:      make(chan struct{}),
-	}
+	s := &Set{opts: opts, primaries: make(map[string]*primaryState)}
 	if opts.Dir != "" {
 		if err := os.MkdirAll(opts.Dir, 0o755); err != nil {
 			return nil, fmt.Errorf("replica: create dir: %w", err)
@@ -194,6 +198,7 @@ func New(opts Options) (*Set, error) {
 			s.primaries[e.Name()] = p
 		}
 	}
+	s.ctx, s.cancel = context.WithCancel(context.Background())
 	for _, peer := range Followers(opts.Self, opts.Peers, opts.Factor) {
 		s.followers = append(s.followers, &followerState{peer: peer})
 	}
@@ -204,9 +209,9 @@ func New(opts Options) (*Set, error) {
 	return s, nil
 }
 
-// Close stops the shipper loop.
+// Close stops the shipper loop, cutting short a ship cycle in flight.
 func (s *Set) Close() {
-	s.closeOnce.Do(func() { close(s.quit) })
+	s.cancel()
 	s.wg.Wait()
 }
 

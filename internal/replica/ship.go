@@ -2,10 +2,10 @@ package replica
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"net/url"
 	"os"
@@ -16,6 +16,7 @@ import (
 
 	"relm/internal/fault"
 	"relm/internal/obs"
+	"relm/internal/wire"
 )
 
 // fpShipChunk is the shipper's failpoint, evaluated per shipped segment
@@ -156,7 +157,7 @@ func (s *Set) shipLoop() {
 	defer t.Stop()
 	for {
 		select {
-		case <-s.quit:
+		case <-s.ctx.Done():
 			return
 		case <-t.C:
 		}
@@ -171,7 +172,7 @@ func (s *Set) shipLoop() {
 func (s *Set) SyncNow() error {
 	var first error
 	for _, f := range s.followers {
-		if err := s.shipOnce(f); err != nil && first == nil {
+		if err := s.shipOnce(s.ctx, f); err != nil && first == nil {
 			first = err
 		}
 	}
@@ -185,7 +186,7 @@ var errPromotedAway = errors.New("replica: follower promoted our replica")
 // shipOnce brings one follower up to date with the local log. Each cycle
 // carries one trace ID on its requests, so the follower's ingest traces
 // group a whole catch-up pass under one identifier.
-func (s *Set) shipOnce(f *followerState) error {
+func (s *Set) shipOnce(ctx context.Context, f *followerState) error {
 	f.mu.Lock()
 	fenced := f.fenced
 	f.mu.Unlock()
@@ -196,7 +197,7 @@ func (s *Set) shipOnce(f *followerState) error {
 	if s.opts.ShipHist != nil {
 		start = time.Now()
 	}
-	err := s.shipDelta(f, obs.MintTraceID())
+	err := s.shipDelta(ctx, f, obs.MintTraceID())
 	if !start.IsZero() {
 		s.opts.ShipHist.Record(time.Since(start))
 	}
@@ -209,9 +210,10 @@ func (s *Set) shipOnce(f *followerState) error {
 	return err
 }
 
-func (s *Set) shipDelta(f *followerState, trace string) error {
-	st, err := s.fetchStatus(f, trace)
-	if err != nil {
+func (s *Set) shipDelta(ctx context.Context, f *followerState, trace string) error {
+	self := "?primary=" + url.QueryEscape(s.opts.Self)
+	var st StatusResponse
+	if err := s.exchange(ctx, f, trace, http.MethodGet, "/v1/replica/status"+self, nil, &st); err != nil {
 		return err
 	}
 	var mine *PrimaryStatus
@@ -235,7 +237,7 @@ func (s *Set) shipDelta(f *followerState, trace string) error {
 	if len(snap) > 0 {
 		h := hashHex(snap)
 		if mine == nil || mine.SnapshotHash != h {
-			if err := s.shipSnapshot(f, trace, h, snap); err != nil {
+			if _, err := s.ingest(ctx, f, trace, "/v1/replica/snapshot"+self+"&hash="+h, snap); err != nil {
 				return err
 			}
 		}
@@ -268,7 +270,7 @@ func (s *Set) shipDelta(f *followerState, trace string) error {
 				}
 				return err
 			}
-			size, err := s.shipChunk(f, trace, seg.Index, off, min, buf[:read])
+			size, err := s.shipChunk(ctx, f, trace, seg.Index, off, min, buf[:read])
 			if err != nil {
 				var oe *OffsetError
 				if errors.As(err, &oe) && oe.Size != off {
@@ -324,39 +326,7 @@ func (s *Set) fence(f *followerState) {
 	}
 }
 
-func (s *Set) fetchStatus(f *followerState, trace string) (*StatusResponse, error) {
-	u := f.peer.URL + "/v1/replica/status?primary=" + url.QueryEscape(s.opts.Self)
-	req, err := http.NewRequest(http.MethodGet, u, nil)
-	if err != nil {
-		return nil, err
-	}
-	req.Header.Set(obs.TraceHeader, trace)
-	resp, err := s.opts.Client.Do(req)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	body, err := io.ReadAll(io.LimitReader(resp.Body, 16<<20))
-	if err != nil {
-		return nil, err
-	}
-	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("replica: status from %s: HTTP %d: %s", f.peer.Name, resp.StatusCode, firstLine(body))
-	}
-	var st StatusResponse
-	if err := json.Unmarshal(body, &st); err != nil {
-		return nil, fmt.Errorf("replica: status from %s: %w", f.peer.Name, err)
-	}
-	return &st, nil
-}
-
-func (s *Set) shipSnapshot(f *followerState, trace string, hash string, data []byte) error {
-	u := f.peer.URL + "/v1/replica/snapshot?primary=" + url.QueryEscape(s.opts.Self) + "&hash=" + hash
-	_, err := s.post(f, trace, u, data)
-	return err
-}
-
-func (s *Set) shipChunk(f *followerState, trace string, segment uint64, offset int64, min uint64, data []byte) (int64, error) {
+func (s *Set) shipChunk(ctx context.Context, f *followerState, trace string, segment uint64, offset int64, min uint64, data []byte) (int64, error) {
 	if fp := fpShipChunk.EvalTag(f.peer.Name); fp != nil {
 		switch fp.Action {
 		case fault.Latency, fault.Stall:
@@ -365,50 +335,55 @@ func (s *Set) shipChunk(f *followerState, trace string, segment uint64, offset i
 			return 0, fmt.Errorf("replica: ship to %s: %w", f.peer.Name, fp.Err)
 		}
 	}
-	u := f.peer.URL + "/v1/replica/segments?primary=" + url.QueryEscape(s.opts.Self) +
-		"&segment=" + strconv.FormatUint(segment, 10) +
-		"&offset=" + strconv.FormatInt(offset, 10) +
-		"&min=" + strconv.FormatUint(min, 10)
-	return s.post(f, trace, u, data)
+	return s.ingest(ctx, f, trace, "/v1/replica/segments?primary="+url.QueryEscape(s.opts.Self)+
+		"&segment="+strconv.FormatUint(segment, 10)+
+		"&offset="+strconv.FormatInt(offset, 10)+
+		"&min="+strconv.FormatUint(min, 10), data)
 }
 
-// post issues one ingest request and interprets the protocol statuses:
-// 200 acks with the new size, 409 is an offset mismatch carrying the size
-// to resume from, 410 means the replica was promoted out from under us.
-func (s *Set) post(f *followerState, trace string, u string, data []byte) (int64, error) {
-	req, err := http.NewRequest(http.MethodPost, u, bytes.NewReader(data))
-	if err != nil {
-		return 0, err
-	}
-	req.Header.Set("Content-Type", "application/octet-stream")
-	req.Header.Set(obs.TraceHeader, trace)
-	resp, err := s.opts.Client.Do(req)
-	if err != nil {
-		return 0, err
-	}
-	defer resp.Body.Close()
-	body, err := io.ReadAll(io.LimitReader(resp.Body, 1<<20))
-	if err != nil {
-		return 0, err
-	}
+// ingest posts one chunk or snapshot; an acked one counts as a ship and
+// returns the replica's new size.
+func (s *Set) ingest(ctx context.Context, f *followerState, trace, pathQuery string, data []byte) (int64, error) {
 	var ack IngestResponse
-	switch resp.StatusCode {
-	case http.StatusOK:
-		if err := json.Unmarshal(body, &ack); err != nil {
-			return 0, fmt.Errorf("replica: ack from %s: %w", f.peer.Name, err)
-		}
+	err := s.exchange(ctx, f, trace, http.MethodPost, pathQuery, data, &ack)
+	if err == nil {
 		f.ack()
-		return ack.Size, nil
-	case http.StatusConflict:
-		if err := json.Unmarshal(body, &ack); err != nil {
-			return 0, fmt.Errorf("replica: conflict from %s: %w", f.peer.Name, err)
+	}
+	return ack.Size, err
+}
+
+// exchangeTimeout bounds one request of a ship cycle. It is a context
+// deadline, not a Client.Timeout, so Close can cut an exchange short.
+const exchangeTimeout = 10 * time.Second
+
+// exchange sends one request of a ship cycle to the follower (Handler is
+// the other end) and reads the answer the way the protocol means it: 200
+// acks and decodes into out, 409 is an offset mismatch carrying the size to
+// resume from, 410 means the replica was promoted out from under us.
+func (s *Set) exchange(ctx context.Context, f *followerState, trace, method, pathQuery string, data []byte, out any) error {
+	ctx, cancel := context.WithTimeout(ctx, exchangeTimeout)
+	defer cancel()
+	status, _, body, err := wire.Do(ctx, s.opts.Client, method, f.peer.URL+pathQuery, trace, "application/octet-stream", data, 16<<20)
+	if err != nil {
+		return err
+	}
+	switch status {
+	case http.StatusOK:
+		if err := json.Unmarshal(body, out); err != nil {
+			return fmt.Errorf("replica: answer from %s: %w", f.peer.Name, err)
 		}
-		return ack.Size, &OffsetError{Size: ack.Size}
+		return nil
+	case http.StatusConflict:
+		var ack IngestResponse
+		if err := json.Unmarshal(body, &ack); err != nil {
+			return fmt.Errorf("replica: conflict from %s: %w", f.peer.Name, err)
+		}
+		return &OffsetError{Size: ack.Size}
 	case http.StatusGone:
 		s.fence(f)
-		return 0, errPromotedAway
+		return errPromotedAway
 	default:
-		return 0, fmt.Errorf("replica: ship to %s: HTTP %d: %s", f.peer.Name, resp.StatusCode, firstLine(body))
+		return fmt.Errorf("replica: %s %s on %s: HTTP %d: %s", method, pathQuery, f.peer.Name, status, firstLine(body))
 	}
 }
 

@@ -2,19 +2,21 @@ package replica_test
 
 import (
 	"bytes"
+	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"testing"
 	"time"
 
+	"relm/internal/obs"
 	"relm/internal/replica"
-	"relm/internal/service"
 	"relm/internal/store"
 )
 
 // shipRig is one primary (real segmented store) shipping to one follower
-// (real service handler with an ingest-role Set) over real HTTP.
+// (an ingest-role Set behind Handler, traced like a node's API) over real
+// HTTP.
 type shipRig struct {
 	primary     *store.File
 	primaryDir  string
@@ -22,6 +24,20 @@ type shipRig struct {
 	follower    *replica.Set
 	followerDir string
 	srv         *httptest.Server
+
+	// handler serves the follower's side; before, when set, runs ahead of
+	// it on every request, and log keeps every exchange in order. Tests
+	// drive cycles with SyncNow, so none of it is touched concurrently.
+	handler http.Handler
+	before  func(*http.Request)
+	log     []exchange
+}
+
+// exchange is one request the shipper made and the answer it got.
+type exchange struct {
+	method, url string
+	status      int
+	body        string
 }
 
 func newShipRig(t *testing.T, segmentBytes int64) *shipRig {
@@ -33,8 +49,24 @@ func newShipRig(t *testing.T, segmentBytes int64) *shipRig {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := service.NewManager(service.Options{NodeID: "b", Workers: 1, TTL: time.Hour, Replica: rig.follower})
-	rig.srv = httptest.NewServer(service.NewHandler(m))
+	rig.handler = replica.Handler(rig.follower, "b")
+	tracer := obs.NewTracer("b", 0, nil)
+	mux := http.NewServeMux()
+	mux.Handle("GET /v1/traces", tracer.Handler("b"))
+	mux.HandleFunc("/v1/replica/", func(w http.ResponseWriter, r *http.Request) {
+		if rig.before != nil {
+			rig.before(r)
+		}
+		rec := httptest.NewRecorder()
+		rig.handler.ServeHTTP(rec, r)
+		rig.log = append(rig.log, exchange{r.Method, r.URL.RequestURI(), rec.Code, rec.Body.String()})
+		for k, v := range rec.Header() {
+			w.Header()[k] = v
+		}
+		w.WriteHeader(rec.Code)
+		w.Write(rec.Body.Bytes())
+	})
+	rig.srv = httptest.NewServer(tracer.Middleware(mux))
 
 	rig.primary, err = store.OpenFile(rig.primaryDir, store.FileOptions{SegmentBytes: segmentBytes})
 	if err != nil {
@@ -54,7 +86,6 @@ func newShipRig(t *testing.T, segmentBytes int64) *shipRig {
 	t.Cleanup(func() {
 		rig.set.Close()
 		rig.srv.Close()
-		m.Close()
 		rig.follower.Close()
 		rig.primary.Close()
 	})

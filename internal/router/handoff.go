@@ -7,6 +7,7 @@ import (
 	"net/http"
 
 	"relm/internal/service"
+	"relm/internal/wire"
 )
 
 // Moving sessions between nodes. Whether a node leaves on purpose (drain)
@@ -90,7 +91,7 @@ func (r *Router) handleDrain(w http.ResponseWriter, req *http.Request) {
 	name := req.PathValue("node")
 	n := r.nodeByName(name)
 	if n == nil {
-		writeJSON(w, http.StatusNotFound, map[string]any{"error": fmt.Sprintf("unknown node %q", name)})
+		wire.WriteJSON(w, http.StatusNotFound, map[string]any{"error": fmt.Sprintf("unknown node %q", name)})
 		return
 	}
 	n.mu.Lock()
@@ -101,20 +102,20 @@ func (r *Router) handleDrain(w http.ResponseWriter, req *http.Request) {
 	ans, err := r.call(req.Context(), n, 4*r.opts.Timeout, http.MethodPost, "/v1/drain", "", []byte("{}"))
 	if err != nil {
 		n.suspect(err, r.opts.FailAfter)
-		writeJSON(w, http.StatusBadGateway, map[string]any{
+		wire.WriteJSON(w, http.StatusBadGateway, map[string]any{
 			"error": "drain request failed: " + err.Error(), "node": name,
 		})
 		return
 	}
 	if ans.status != http.StatusOK {
-		writeJSON(w, http.StatusBadGateway, map[string]any{
+		wire.WriteJSON(w, http.StatusBadGateway, map[string]any{
 			"error": "drain " + ans.refusal(), "node": name,
 		})
 		return
 	}
 	var drained service.HandoffReport
 	if err := json.Unmarshal(ans.body, &drained); err != nil {
-		writeJSON(w, http.StatusBadGateway, map[string]any{
+		wire.WriteJSON(w, http.StatusBadGateway, map[string]any{
 			"error": "bad drain body: " + err.Error(), "node": name,
 		})
 		return
@@ -142,10 +143,10 @@ func (r *Router) handleDrain(w http.ResponseWriter, req *http.Request) {
 		resp["nodes"] = errs
 		resp["unassigned"] = unassigned
 		resp["models_detail"] = drained.Repo
-		writeJSON(w, http.StatusBadGateway, resp)
+		wire.WriteJSON(w, http.StatusBadGateway, resp)
 		return
 	}
 	r.logf("router: drained %s: %d sessions handed over, %d models shared",
 		name, len(reassigned), len(drained.Repo))
-	writeJSON(w, http.StatusOK, resp)
+	wire.WriteJSON(w, http.StatusOK, resp)
 }

@@ -11,6 +11,7 @@ import (
 
 	"relm/internal/obs"
 	"relm/internal/service"
+	"relm/internal/wire"
 )
 
 // This file holds the cluster-wide read endpoints — fan out to every
@@ -92,7 +93,7 @@ func (r *Router) mergeable(w http.ResponseWriter, results []nodeResult) bool {
 
 // writePartialFailure answers a failed merge: 502 with per-node detail.
 func writePartialFailure(w http.ResponseWriter, errs map[string]string) {
-	writeJSON(w, http.StatusBadGateway, map[string]any{
+	wire.WriteJSON(w, http.StatusBadGateway, map[string]any{
 		"error": "partial backend failure",
 		"nodes": errs,
 	})
@@ -127,7 +128,7 @@ func (r *Router) handleList(w http.ResponseWriter, req *http.Request) {
 		ij, _ := merged[j]["id"].(string)
 		return ii < ij
 	})
-	writeJSON(w, http.StatusOK, merged)
+	wire.WriteJSON(w, http.StatusOK, merged)
 }
 
 // handleMetrics merges every node's /v1/metrics: numeric counters summed
@@ -179,11 +180,8 @@ func (r *Router) handleMetrics(w http.ResponseWriter, req *http.Request) {
 		}
 		if err := json.Unmarshal(res.body, &sh); err == nil {
 			for stage, h := range sh.StageHist {
-				var snap obs.Snapshot
-				snap.Count, snap.SumNs = h.Count, h.SumNs
-				copy(snap.Buckets[:], h.Buckets)
 				cur := stageSnaps[stage]
-				cur.Merge(snap)
+				cur.Merge(h.Snapshot())
 				stageSnaps[stage] = cur
 			}
 		}
@@ -250,7 +248,7 @@ func (r *Router) handleMetrics(w http.ResponseWriter, req *http.Request) {
 		resp["partial"] = true
 		resp["failed"] = failed
 	}
-	writeJSON(w, http.StatusOK, resp)
+	wire.WriteJSON(w, http.StatusOK, resp)
 }
 
 // handleRepository merges the repository inspection views: lifecycle
@@ -281,7 +279,7 @@ func (r *Router) handleRepository(w http.ResponseWriter, req *http.Request) {
 			models = append(models, mdl)
 		}
 	}
-	writeJSON(w, http.StatusOK, map[string]any{
+	wire.WriteJSON(w, http.StatusOK, map[string]any{
 		"nodes":     len(results),
 		"entries":   entries,
 		"hits":      hits,
@@ -307,7 +305,7 @@ func (r *Router) handleRepoExport(w http.ResponseWriter, req *http.Request) {
 		}
 		merged = append(merged, exp.Models...)
 	}
-	writeJSON(w, http.StatusOK, map[string]any{"models": merged})
+	wire.WriteJSON(w, http.StatusOK, map[string]any{"models": merged})
 }
 
 // handleRepoImport broadcasts an import to every eligible node (imports are
@@ -316,7 +314,7 @@ func (r *Router) handleRepoExport(w http.ResponseWriter, req *http.Request) {
 func (r *Router) handleRepoImport(w http.ResponseWriter, req *http.Request) {
 	body, err := io.ReadAll(io.LimitReader(req.Body, 64<<20))
 	if err != nil {
-		writeJSON(w, http.StatusBadRequest, map[string]any{"error": "read body: " + err.Error()})
+		wire.WriteJSON(w, http.StatusBadRequest, map[string]any{"error": "read body: " + err.Error()})
 		return
 	}
 	results := r.fanout(req, http.MethodPost, "/v1/repository/import", body)
@@ -332,5 +330,5 @@ func (r *Router) handleRepoImport(w http.ResponseWriter, req *http.Request) {
 		}
 		imported[res.node.name] = imp.Imported
 	}
-	writeJSON(w, http.StatusOK, map[string]any{"imported": imported})
+	wire.WriteJSON(w, http.StatusOK, map[string]any{"imported": imported})
 }

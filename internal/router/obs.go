@@ -2,10 +2,8 @@ package router
 
 import (
 	"net/http"
-	"strconv"
 
 	"relm/internal/obs"
-	"relm/internal/service"
 )
 
 // Router-local observability endpoints. The router's Prometheus scrape is
@@ -47,21 +45,4 @@ func b2f(b bool) float64 {
 		return 1
 	}
 	return 0
-}
-
-// handleTraces serves GET /v1/traces: the router's recent-trace ring,
-// same wire shape as the backend endpoint so tooling reads both.
-func (r *Router) handleTraces(w http.ResponseWriter, req *http.Request) {
-	q := req.URL.Query()
-	if id := q.Get("id"); id != "" {
-		rec, ok := r.tracer.Find(id)
-		if !ok {
-			writeJSON(w, http.StatusNotFound, map[string]any{"error": "trace not found: " + id})
-			return
-		}
-		writeJSON(w, http.StatusOK, service.TracesResponse{Node: "router", Traces: []obs.TraceRecord{rec}})
-		return
-	}
-	limit, _ := strconv.Atoi(q.Get("limit"))
-	writeJSON(w, http.StatusOK, service.TracesResponse{Node: "router", Traces: r.tracer.Recent(limit)})
 }

@@ -38,6 +38,7 @@ import (
 	"relm/internal/fault"
 	"relm/internal/obs"
 	"relm/internal/replica"
+	"relm/internal/wire"
 )
 
 // Backend names one relm-serve node. Name is the node identity the backend
@@ -426,27 +427,20 @@ func healthWord(healthy bool) string {
 // checkNode performs one health probe, cross-verifying the node identity
 // and adopting a backend-initiated drain.
 //
-// The probe deliberately bypasses call: it must keep reaching a node whose
-// breaker is open or that a router.proxy schedule has partitioned, because
-// it reports whether the process is up, not whether it serves in time.
+// The probe deliberately bypasses call — it is the other caller of wire.Do,
+// with no breaker claim and no router.proxy failpoint: it must keep
+// reaching a node whose breaker is open or that a router.proxy schedule has
+// partitioned, because it reports whether the process is up, not whether it
+// serves in time.
 func (r *Router) checkNode(n *node) error {
 	ctx, cancel := context.WithTimeout(context.Background(), r.opts.Timeout)
 	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, n.base.JoinPath("/healthz").String(), nil)
+	status, _, body, err := wire.Do(ctx, r.client, http.MethodGet, n.base.JoinPath("/healthz").String(), "", "", nil, 1<<16)
 	if err != nil {
 		return err
 	}
-	resp, err := r.client.Do(req)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	body, err := io.ReadAll(io.LimitReader(resp.Body, 1<<16))
-	if err != nil {
-		return err
-	}
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("healthz status %d", resp.StatusCode)
+	if status != http.StatusOK {
+		return fmt.Errorf("healthz status %d", status)
 	}
 	var h backendHealth
 	if err := json.Unmarshal(body, &h); err != nil {
@@ -505,8 +499,8 @@ func (rep reply) refusal() string {
 // none — evaluates the router.proxy failpoint, bounds the exchange with
 // timeout, propagates the trace in ctx so the backend's spans join it,
 // records the "proxy <node>" span and the router.proxy histogram, and books
-// the transport outcome on the breaker. HTTP error statuses are successes
-// to the breaker: the node answered.
+// the transport outcome on the breaker; the exchange itself is wire.Do's.
+// HTTP error statuses are successes to the breaker: the node answered.
 func (r *Router) call(ctx context.Context, n *node, timeout time.Duration, method, path, query string, body []byte) (rep reply, err error) {
 	rep.node = n
 	if !n.brAcquire(time.Now()) {
@@ -541,31 +535,8 @@ func (r *Router) call(ctx context.Context, n *node, timeout time.Duration, metho
 	u := *n.base
 	u.Path = strings.TrimSuffix(u.Path, "/") + path
 	u.RawQuery = query
-	var rd io.Reader
-	if body != nil {
-		rd = bytes.NewReader(body)
-	}
-	out, err := http.NewRequestWithContext(ctx, method, u.String(), rd)
-	if err != nil {
-		return rep, err
-	}
-	if body != nil {
-		out.Header.Set("Content-Type", "application/json")
-	}
-	if id := trace.ID(); id != "" {
-		out.Header.Set(obs.TraceHeader, id)
-	}
-	resp, err := r.client.Do(out)
-	if err != nil {
-		return rep, err
-	}
-	defer resp.Body.Close()
-	rep.body, err = io.ReadAll(io.LimitReader(resp.Body, 64<<20))
-	if err != nil {
-		return rep, err
-	}
-	rep.status, rep.hdr = resp.StatusCode, resp.Header
-	return rep, nil
+	rep.status, rep.hdr, rep.body, err = wire.Do(ctx, r.client, method, u.String(), trace.ID(), "application/json", body, 64<<20)
+	return rep, err
 }
 
 // isDraining503 recognises a backend refusing a request because it is
@@ -684,7 +655,7 @@ func writeWalked(w http.ResponseWriter, rep reply, err error) {
 	case errors.Is(err, errNoBackend):
 		writeNoBackend(w)
 	case err != nil:
-		writeJSON(w, http.StatusBadGateway, map[string]any{"error": err.Error()})
+		wire.WriteJSON(w, http.StatusBadGateway, map[string]any{"error": err.Error()})
 	default:
 		if ct := rep.hdr.Get("Content-Type"); ct != "" {
 			w.Header().Set("Content-Type", ct)
@@ -705,7 +676,7 @@ func writeWalked(w http.ResponseWriter, rep reply, err error) {
 // "cluster is empty" — monitoring that trusts a 200 [] would report a dead
 // cluster as a quiet one.
 func writeNoBackend(w http.ResponseWriter) {
-	writeJSON(w, http.StatusServiceUnavailable, map[string]any{"error": errNoBackend.Error()})
+	wire.WriteJSON(w, http.StatusServiceUnavailable, map[string]any{"error": errNoBackend.Error()})
 }
 
 // handleSession routes one /v1/sessions/{id}... request to the session's
@@ -725,7 +696,7 @@ func (r *Router) handleSession(w http.ResponseWriter, req *http.Request) {
 		var err error
 		body, err = io.ReadAll(io.LimitReader(req.Body, 4<<20))
 		if err != nil {
-			writeJSON(w, http.StatusBadRequest, map[string]any{"error": "read body: " + err.Error()})
+			wire.WriteJSON(w, http.StatusBadRequest, map[string]any{"error": "read body: " + err.Error()})
 			return
 		}
 	}
@@ -744,13 +715,13 @@ func (r *Router) handleSession(w http.ResponseWriter, req *http.Request) {
 func (r *Router) handleCreate(w http.ResponseWriter, req *http.Request) {
 	raw, err := io.ReadAll(io.LimitReader(req.Body, 4<<20))
 	if err != nil {
-		writeJSON(w, http.StatusBadRequest, map[string]any{"error": "read body: " + err.Error()})
+		wire.WriteJSON(w, http.StatusBadRequest, map[string]any{"error": "read body: " + err.Error()})
 		return
 	}
 	fields := make(map[string]any)
 	if len(bytes.TrimSpace(raw)) > 0 {
 		if err := json.Unmarshal(raw, &fields); err != nil {
-			writeJSON(w, http.StatusBadRequest, map[string]any{"error": "bad request body: " + err.Error()})
+			wire.WriteJSON(w, http.StatusBadRequest, map[string]any{"error": "bad request body: " + err.Error()})
 			return
 		}
 	}
@@ -761,7 +732,7 @@ func (r *Router) handleCreate(w http.ResponseWriter, req *http.Request) {
 	}
 	body, err := json.Marshal(fields)
 	if err != nil {
-		writeJSON(w, http.StatusBadRequest, map[string]any{"error": "encode body: " + err.Error()})
+		wire.WriteJSON(w, http.StatusBadRequest, map[string]any{"error": "encode body: " + err.Error()})
 		return
 	}
 	rep, err := r.walk(req.Context(), r.nodes, id, r.opts.Timeout,
@@ -781,7 +752,7 @@ func (r *Router) buildMux() http.Handler {
 	mux.HandleFunc("POST /v1/sessions/{id}/suggest", r.handleSession)
 	mux.HandleFunc("POST /v1/sessions/{id}/observe", r.handleSession)
 	mux.HandleFunc("GET /v1/metrics", r.handleMetrics)
-	mux.HandleFunc("GET /v1/traces", r.handleTraces)
+	mux.Handle("GET /v1/traces", r.tracer.Handler("router"))
 	mux.HandleFunc("GET /metrics", r.handleProm)
 	mux.HandleFunc("GET /v1/repository", r.handleRepository)
 	mux.HandleFunc("GET /v1/repository/export", r.handleRepoExport)
@@ -809,7 +780,7 @@ func (r *Router) handleCluster(w http.ResponseWriter, req *http.Request) {
 		resp["last_promotion"] = r.lastPromo
 	}
 	r.promoMu.Unlock()
-	writeJSON(w, http.StatusOK, resp)
+	wire.WriteJSON(w, http.StatusOK, resp)
 }
 
 // handleHealthz answers 200 while at least one backend can take traffic,
@@ -820,23 +791,9 @@ func (r *Router) handleHealthz(w http.ResponseWriter, req *http.Request) {
 	if healthy == 0 {
 		code = http.StatusServiceUnavailable
 	}
-	writeJSON(w, code, map[string]any{
+	wire.WriteJSON(w, code, map[string]any{
 		"ok":      healthy > 0,
 		"nodes":   len(r.nodes),
 		"healthy": healthy,
 	})
-}
-
-func writeJSON(w http.ResponseWriter, code int, v any) {
-	buf, err := json.Marshal(v)
-	if err != nil {
-		w.Header().Set("Content-Type", "application/json")
-		w.WriteHeader(http.StatusInternalServerError)
-		fmt.Fprintf(w, `{"error":%q}`, "encode response: "+err.Error())
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	w.Write(buf)
-	w.Write([]byte("\n"))
 }

@@ -3,10 +3,8 @@ package service
 import (
 	"encoding/json"
 	"errors"
-	"fmt"
 	"io"
 	"net/http"
-	"strconv"
 	"time"
 
 	"relm/internal/bo"
@@ -16,6 +14,7 @@ import (
 	"relm/internal/profile"
 	"relm/internal/replica"
 	"relm/internal/store"
+	"relm/internal/wire"
 )
 
 // ConfigJSON is the wire form of a configuration (Table 1 knobs).
@@ -339,6 +338,12 @@ type errorJSON struct {
 //	POST   /v1/replica/snapshot       ingest a snapshot (?primary=&hash=)
 //	POST   /v1/replica/promote        fence + replay a dead primary's replica; returns the HandoffReport
 //	GET    /healthz                   liveness + node identity + draining flag
+//
+// Three of these are mounted here but served by the package that owns their
+// protocol: /v1/traces by obs ((*Tracer).Handler, beside the ring it reads),
+// /v1/replica/{status,segments,snapshot} by replica (Handler, the other end
+// of its shipper) and /v1/faults by fault (Handler). /v1/replica/promote
+// stays here: it replays the fenced replica into a hand-over.
 func NewHandler(m *Manager) http.Handler {
 	mux := http.NewServeMux()
 
@@ -371,7 +376,7 @@ func NewHandler(m *Manager) http.Handler {
 			writeError(w, err)
 			return
 		}
-		writeJSON(w, http.StatusCreated, toStatusResponse(st))
+		wire.WriteJSON(w, http.StatusCreated, toStatusResponse(st))
 	})
 
 	mux.HandleFunc("GET /v1/sessions", func(w http.ResponseWriter, r *http.Request) {
@@ -380,7 +385,7 @@ func NewHandler(m *Manager) http.Handler {
 		for _, st := range all {
 			out = append(out, toStatusResponse(st))
 		}
-		writeJSON(w, http.StatusOK, out)
+		wire.WriteJSON(w, http.StatusOK, out)
 	})
 
 	mux.HandleFunc("GET /v1/sessions/{id}", func(w http.ResponseWriter, r *http.Request) {
@@ -389,7 +394,7 @@ func NewHandler(m *Manager) http.Handler {
 			writeError(w, err)
 			return
 		}
-		writeJSON(w, http.StatusOK, toStatusResponse(st))
+		wire.WriteJSON(w, http.StatusOK, toStatusResponse(st))
 	})
 
 	mux.HandleFunc("POST /v1/sessions/{id}/suggest", func(w http.ResponseWriter, r *http.Request) {
@@ -400,7 +405,7 @@ func NewHandler(m *Manager) http.Handler {
 			writeError(w, err)
 			return
 		}
-		writeJSON(w, http.StatusOK, SuggestResponse{Config: toConfigJSON(cfg), Done: done})
+		wire.WriteJSON(w, http.StatusOK, SuggestResponse{Config: toConfigJSON(cfg), Done: done})
 	})
 
 	mux.HandleFunc("POST /v1/sessions/{id}/observe", func(w http.ResponseWriter, r *http.Request) {
@@ -421,7 +426,7 @@ func NewHandler(m *Manager) http.Handler {
 			writeError(w, err)
 			return
 		}
-		writeJSON(w, http.StatusOK, toStatusResponse(st))
+		wire.WriteJSON(w, http.StatusOK, toStatusResponse(st))
 	})
 
 	mux.HandleFunc("GET /v1/sessions/{id}/history", func(w http.ResponseWriter, r *http.Request) {
@@ -442,12 +447,12 @@ func NewHandler(m *Manager) http.Handler {
 				Suggested:  h.Suggested,
 			})
 		}
-		writeJSON(w, http.StatusOK, out)
+		wire.WriteJSON(w, http.StatusOK, out)
 	})
 
 	mux.HandleFunc("GET /v1/metrics", func(w http.ResponseWriter, r *http.Request) {
 		mt := m.Metrics()
-		writeJSON(w, http.StatusOK, metricsBody(&mt))
+		wire.WriteJSON(w, http.StatusOK, metricsBody(&mt))
 	})
 
 	mux.HandleFunc("GET /metrics", func(w http.ResponseWriter, r *http.Request) {
@@ -455,23 +460,10 @@ func NewHandler(m *Manager) http.Handler {
 		writePromMetrics(w, m.Metrics())
 	})
 
-	mux.HandleFunc("GET /v1/traces", func(w http.ResponseWriter, r *http.Request) {
-		q := r.URL.Query()
-		if id := q.Get("id"); id != "" {
-			rec, ok := m.Tracer().Find(id)
-			if !ok {
-				writeJSON(w, http.StatusNotFound, errorJSON{Error: "trace not found: " + id})
-				return
-			}
-			writeJSON(w, http.StatusOK, TracesResponse{Node: m.NodeID(), Traces: []obs.TraceRecord{rec}})
-			return
-		}
-		limit, _ := strconv.Atoi(q.Get("limit"))
-		writeJSON(w, http.StatusOK, TracesResponse{Node: m.NodeID(), Traces: m.Tracer().Recent(limit)})
-	})
+	mux.Handle("GET /v1/traces", m.Tracer().Handler(m.NodeID()))
 
 	mux.HandleFunc("GET /v1/repository", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, m.RepositoryReport())
+		wire.WriteJSON(w, http.StatusOK, m.RepositoryReport())
 	})
 
 	mux.HandleFunc("DELETE /v1/sessions/{id}", func(w http.ResponseWriter, r *http.Request) {
@@ -483,7 +475,7 @@ func NewHandler(m *Manager) http.Handler {
 	})
 
 	mux.HandleFunc("POST /v1/drain", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, m.Drain())
+		wire.WriteJSON(w, http.StatusOK, m.Drain())
 	})
 
 	mux.HandleFunc("POST /v1/handoff/adopt", func(w http.ResponseWriter, r *http.Request) {
@@ -498,12 +490,12 @@ func NewHandler(m *Manager) http.Handler {
 			writeError(w, err)
 			return
 		}
-		writeJSON(w, http.StatusCreated, toStatusResponse(st))
+		wire.WriteJSON(w, http.StatusCreated, toStatusResponse(st))
 	})
 
 	mux.HandleFunc("GET /v1/repository/export", func(w http.ResponseWriter, r *http.Request) {
 		repo := m.Repository()
-		writeJSON(w, http.StatusOK, RepoExportResponse{Models: repo.Entries})
+		wire.WriteJSON(w, http.StatusOK, RepoExportResponse{Models: repo.Entries})
 	})
 
 	mux.HandleFunc("POST /v1/repository/import", func(w http.ResponseWriter, r *http.Request) {
@@ -513,91 +505,15 @@ func NewHandler(m *Manager) http.Handler {
 		if !decodeJSONLimit(w, r, &req, 64<<20) {
 			return
 		}
-		writeJSON(w, http.StatusOK, RepoImportResponse{Imported: m.ImportRepository(req.Models)})
+		wire.WriteJSON(w, http.StatusOK, RepoImportResponse{Imported: m.ImportRepository(req.Models)})
 	})
 
-	mux.HandleFunc("GET /v1/replica/status", func(w http.ResponseWriter, r *http.Request) {
-		set := m.ReplicaSet()
-		if set == nil {
-			// Replication off is not an error: shippers probing a peer see an
-			// empty status and treat it as "holds nothing of mine".
-			writeJSON(w, http.StatusOK, replica.StatusResponse{Node: m.NodeID()})
-			return
-		}
-		st := set.Status()
-		if p := r.URL.Query().Get("primary"); p != "" {
-			var keep []replica.PrimaryStatus
-			for _, ps := range st.Primaries {
-				if ps.Primary == p {
-					keep = append(keep, ps)
-				}
-			}
-			st.Primaries = keep
-		}
-		writeJSON(w, http.StatusOK, st)
-	})
-
-	mux.HandleFunc("POST /v1/replica/segments", func(w http.ResponseWriter, r *http.Request) {
-		set := m.ReplicaSet()
-		if set == nil {
-			writeJSON(w, http.StatusServiceUnavailable, replica.IngestResponse{Error: "replication not configured"})
-			return
-		}
-		q := r.URL.Query()
-		segment, err1 := strconv.ParseUint(q.Get("segment"), 10, 64)
-		offset, err2 := strconv.ParseInt(q.Get("offset"), 10, 64)
-		var min uint64
-		var err3 error
-		if v := q.Get("min"); v != "" {
-			min, err3 = strconv.ParseUint(v, 10, 64)
-		}
-		if err1 != nil || err2 != nil || err3 != nil {
-			writeJSON(w, http.StatusBadRequest, replica.IngestResponse{Error: "bad segment/offset/min"})
-			return
-		}
-		data, err := io.ReadAll(io.LimitReader(r.Body, 64<<20))
-		if err != nil {
-			writeJSON(w, http.StatusBadRequest, replica.IngestResponse{Error: err.Error()})
-			return
-		}
-		size, err := set.Ingest(q.Get("primary"), segment, offset, min, data)
-		switch {
-		case err == nil:
-			writeJSON(w, http.StatusOK, replica.IngestResponse{Size: size})
-		case errors.Is(err, replica.ErrFenced):
-			writeJSON(w, http.StatusGone, replica.IngestResponse{Error: err.Error()})
-		default:
-			var oe *replica.OffsetError
-			if errors.As(err, &oe) {
-				writeJSON(w, http.StatusConflict, replica.IngestResponse{Size: oe.Size, Error: err.Error()})
-				return
-			}
-			writeJSON(w, http.StatusBadRequest, replica.IngestResponse{Error: err.Error()})
-		}
-	})
-
-	mux.HandleFunc("POST /v1/replica/snapshot", func(w http.ResponseWriter, r *http.Request) {
-		set := m.ReplicaSet()
-		if set == nil {
-			writeJSON(w, http.StatusServiceUnavailable, replica.IngestResponse{Error: "replication not configured"})
-			return
-		}
-		q := r.URL.Query()
-		data, err := io.ReadAll(io.LimitReader(r.Body, 256<<20))
-		if err != nil {
-			writeJSON(w, http.StatusBadRequest, replica.IngestResponse{Error: err.Error()})
-			return
-		}
-		if err := set.IngestSnapshot(q.Get("primary"), q.Get("hash"), data); err != nil {
-			if errors.Is(err, replica.ErrFenced) {
-				writeJSON(w, http.StatusGone, replica.IngestResponse{Error: err.Error()})
-				return
-			}
-			writeJSON(w, http.StatusBadRequest, replica.IngestResponse{Error: err.Error()})
-			return
-		}
-		writeJSON(w, http.StatusOK, replica.IngestResponse{Size: int64(len(data))})
-	})
+	// Replication's follower half is served by the package that ships to it;
+	// the exact patterns keep every other path under /v1/replica/ this mux's.
+	follower := replica.Handler(m.ReplicaSet(), m.NodeID())
+	mux.Handle("GET /v1/replica/status", follower)
+	mux.Handle("POST /v1/replica/segments", follower)
+	mux.Handle("POST /v1/replica/snapshot", follower)
 
 	mux.HandleFunc("POST /v1/replica/promote", func(w http.ResponseWriter, r *http.Request) {
 		set := m.ReplicaSet()
@@ -627,7 +543,7 @@ func NewHandler(m *Manager) http.Handler {
 			http.Error(w, err.Error(), http.StatusInternalServerError)
 			return
 		}
-		writeJSON(w, http.StatusOK, rep)
+		wire.WriteJSON(w, http.StatusOK, rep)
 	})
 
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
@@ -651,7 +567,7 @@ func NewHandler(m *Manager) http.Handler {
 			resp["degraded"] = reason
 			code = http.StatusServiceUnavailable
 		}
-		writeJSON(w, code, resp)
+		wire.WriteJSON(w, code, resp)
 	})
 
 	// Fault-injection control (internal/fault): inspect, arm, or disarm
@@ -665,11 +581,8 @@ func NewHandler(m *Manager) http.Handler {
 	return m.Tracer().Middleware(mux)
 }
 
-// TracesResponse is the body of GET /v1/traces.
-type TracesResponse struct {
-	Node   string            `json:"node,omitempty"`
-	Traces []obs.TraceRecord `json:"traces"`
-}
+// TracesResponse is the body of GET /v1/traces (obs.TracesResponse).
+type TracesResponse = obs.TracesResponse
 
 // writePromMetrics renders a Metrics snapshot in the Prometheus text
 // exposition format: the scalars, the per-state session gauge, and every
@@ -699,26 +612,10 @@ func decodeJSONLimit(w http.ResponseWriter, r *http.Request, v any, limit int64)
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, limit))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
-		writeJSON(w, http.StatusBadRequest, errorJSON{Error: "bad request body: " + err.Error()})
+		wire.WriteJSON(w, http.StatusBadRequest, errorJSON{Error: "bad request body: " + err.Error()})
 		return false
 	}
 	return true
-}
-
-func writeJSON(w http.ResponseWriter, code int, v any) {
-	// Marshal before writing the header so an encoding failure (e.g. a NaN
-	// float) surfaces as a 500 instead of a silent empty 200.
-	buf, err := json.Marshal(v)
-	if err != nil {
-		w.Header().Set("Content-Type", "application/json")
-		w.WriteHeader(http.StatusInternalServerError)
-		fmt.Fprintf(w, `{"error":%q}`, "encode response: "+err.Error())
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	_, _ = w.Write(buf)
-	_, _ = w.Write([]byte("\n"))
 }
 
 func writeError(w http.ResponseWriter, err error) {
@@ -744,5 +641,5 @@ func writeError(w http.ResponseWriter, err error) {
 	default:
 		code = http.StatusBadRequest
 	}
-	writeJSON(w, code, errorJSON{Error: err.Error()})
+	wire.WriteJSON(w, code, errorJSON{Error: err.Error()})
 }
