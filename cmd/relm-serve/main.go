@@ -94,7 +94,7 @@ func main() {
 		ttl          = flag.Duration("ttl", 30*time.Minute, "idle-session eviction TTL")
 		maxSessions  = flag.Int("max-sessions", 4096, "live-session limit")
 		dataDir      = flag.String("data-dir", "", "durable store directory (empty = in-memory only, nothing survives a restart)")
-		snapEvery    = flag.Int("snapshot-every", 1024, "compact the write-ahead log after this many events")
+		snapEvery    = flag.Int("snapshot-every", 1024, "consider a checkpoint after this many events; one is taken when the log since the last outweighs it")
 		fsync        = flag.Bool("fsync", false, "fsync the write-ahead log on every event, group-committed (survives machine crashes)")
 		segmentBytes = flag.Int64("wal-segment-bytes", 4<<20, "rotate write-ahead-log segments at this size")
 		commitIvl    = flag.Duration("commit-interval", 0, "group-commit latency cap: extra time an fsync batch coalesces (with -fsync; 0 = flush as soon as the committer is free)")

@@ -2,6 +2,7 @@ package replica
 
 import (
 	"errors"
+	"fmt"
 	"io"
 	"net/http"
 	"net/url"
@@ -41,15 +42,15 @@ func Handler(s *Set, node string) http.Handler {
 		}
 		wire.WriteJSON(w, http.StatusOK, st)
 	})
-	// ingest reads one shipped body, at most limit bytes of it, and acks
-	// what put made of it.
+	// ingest reads one shipped body, refusing one of more than limit bytes,
+	// and acks what put made of it.
 	ingest := func(limit int64, put func(q url.Values, data []byte) (int64, error)) http.HandlerFunc {
 		return func(w http.ResponseWriter, r *http.Request) {
 			if s == nil {
 				wire.WriteJSON(w, http.StatusServiceUnavailable, IngestResponse{Error: "replication not configured"})
 				return
 			}
-			data, err := io.ReadAll(io.LimitReader(r.Body, limit))
+			data, err := readBody(r, limit)
 			if err != nil {
 				ack(w, 0, err)
 				return
@@ -75,6 +76,30 @@ func Handler(s *Set, node string) http.Handler {
 		return int64(len(data)), s.IngestSnapshot(q.Get("primary"), q.Get("hash"), data)
 	}))
 	return mux
+}
+
+// readBody reads a request body of at most limit bytes whole; a longer one
+// is an error, never a prefix passed on as the body. A declared length
+// sizes the buffer once (a snapshot is megabytes).
+func readBody(r *http.Request, limit int64) ([]byte, error) {
+	if r.ContentLength > limit {
+		return nil, fmt.Errorf("replica: body of %d bytes over the %d-byte limit", r.ContentLength, limit)
+	}
+	if r.ContentLength >= 0 {
+		data := make([]byte, r.ContentLength)
+		if _, err := io.ReadFull(r.Body, data); err != nil {
+			return nil, fmt.Errorf("replica: read body: %w", err)
+		}
+		return data, nil
+	}
+	data, err := io.ReadAll(io.LimitReader(r.Body, limit+1))
+	if err != nil {
+		return nil, fmt.Errorf("replica: read body: %w", err)
+	}
+	if int64(len(data)) > limit {
+		return nil, fmt.Errorf("replica: body over the %d-byte limit", limit)
+	}
+	return data, nil
 }
 
 // ack answers one ingest request: the new size, or err as the shipper's

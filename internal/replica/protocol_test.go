@@ -2,6 +2,7 @@ package replica_test
 
 import (
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -161,6 +162,7 @@ type idleSource struct{}
 func (idleSource) Segments() []store.SegmentInfo                    { return nil }
 func (idleSource) ReadSegmentAt(uint64, int64, []byte) (int, error) { return 0, os.ErrNotExist }
 func (idleSource) ReadSnapshotRaw() ([]byte, error)                 { return nil, nil }
+func (idleSource) SnapshotHash() string                             { return "" }
 
 // TestCloseInterruptsInFlightShip: a follower that accepts a request and
 // never answers must not hold Close hostage. Each exchange once leaned on a
@@ -191,5 +193,120 @@ func TestCloseInterruptsInFlightShip(t *testing.T) {
 	set.Close()
 	if took := time.Since(start); took > time.Second {
 		t.Fatalf("Close took %v with a ship request in flight", took)
+	}
+}
+
+// zeros is an endless body that costs no memory to declare.
+type zeros struct{}
+
+func (zeros) Read(p []byte) (int, error) {
+	for i := range p {
+		p[i] = 0
+	}
+	return len(p), nil
+}
+
+// TestIngestRefusesBodyOverLimit: a chunk one byte over what the follower
+// accepts is refused whole — not cut at the limit and its prefix appended
+// to the replica as if that were what the primary sent.
+func TestIngestRefusesBodyOverLimit(t *testing.T) {
+	rig := newShipRig(t, 0)
+	if _, err := rig.follower.Ingest("a", 1, 0, 0, []byte("{}\n")); err != nil {
+		t.Fatal(err)
+	}
+	const limit = 64 << 20
+	req := httptest.NewRequest(http.MethodPost, "/v1/replica/segments?primary=a&segment=1&offset=3&min=0", io.LimitReader(zeros{}, limit+1))
+	req.ContentLength = limit + 1
+	rec := httptest.NewRecorder()
+	rig.handler.ServeHTTP(rec, req)
+	if rec.Code != http.StatusBadRequest || !strings.Contains(rec.Body.String(), "limit") {
+		t.Errorf("over-limit chunk answered %d %s", rec.Code, rec.Body)
+	}
+	if st, err := os.Stat(filepath.Join(rig.replicaDir(), store.SegmentFileName(1))); err != nil || st.Size() != 3 {
+		t.Fatalf("replica segment after the refusal: %v, err %v; want its 3 bytes", st.Size(), err)
+	}
+}
+
+// TestIngestSnapshotVerifiesHash: a snapshot whose bytes are not what the
+// hash it was sent under names is refused, and the one in place — file and
+// acked hash — stays. The shipper sends again on its next cycle.
+func TestIngestSnapshotVerifiesHash(t *testing.T) {
+	rig := newShipRig(t, 0)
+	held := []byte(`{"fence":1}`)
+	if err := rig.follower.IngestSnapshot("a", store.HashHex(held), held); err != nil {
+		t.Fatal(err)
+	}
+	post := func(hash, body string) *httptest.ResponseRecorder {
+		rec := httptest.NewRecorder()
+		rig.handler.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/replica/snapshot?primary=a&hash="+hash, strings.NewReader(body)))
+		return rec
+	}
+	check := func(want []byte) {
+		t.Helper()
+		got, err := os.ReadFile(filepath.Join(rig.replicaDir(), "snapshot.json"))
+		if err != nil || string(got) != string(want) {
+			t.Fatalf("replica snapshot %q (err %v), want %q", got, err, want)
+		}
+		if st := rig.follower.Status(); len(st.Primaries) != 1 || st.Primaries[0].SnapshotHash != store.HashHex(want) {
+			t.Fatalf("acked snapshot hash: %+v, want %s", st.Primaries, store.HashHex(want))
+		}
+		if stale, _ := filepath.Glob(filepath.Join(rig.replicaDir(), ".store-*")); len(stale) != 0 {
+			t.Fatalf("temp files left behind: %v", stale)
+		}
+	}
+
+	next := `{"fence":2}`
+	// The file was replaced on the primary between naming and reading it, or
+	// the body was damaged on the way: either way these are not the bytes of
+	// the hash.
+	if rec := post(store.HashHex(held), next); rec.Code != http.StatusBadRequest {
+		t.Fatalf("mismatched snapshot answered %d %s, want 400", rec.Code, rec.Body)
+	}
+	check(held)
+	if rec := post(store.HashHex([]byte(next)), next); rec.Code != http.StatusOK {
+		t.Fatalf("matching snapshot answered %d %s", rec.Code, rec.Body)
+	}
+	check([]byte(next))
+}
+
+// TestRestartSweepsTempFiles: a snapshot install cut short by a kill -9
+// leaves its temp file in the replica directory; adopting the directory
+// removes it and nothing else.
+func TestRestartSweepsTempFiles(t *testing.T) {
+	dir := t.TempDir()
+	s1, err := replica.New(replica.Options{Self: "b", Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap := []byte(`{"fence":1}`)
+	if _, err := s1.Ingest("a", 1, 0, 0, []byte("{}\n")); err != nil {
+		t.Fatal(err)
+	}
+	if err := s1.IngestSnapshot("a", "", snap); err != nil {
+		t.Fatal(err)
+	}
+	s1.Close()
+	if err := os.WriteFile(filepath.Join(dir, "a", ".store-987654"), []byte("half a snapshot"), 0o600); err != nil {
+		t.Fatal(err)
+	}
+
+	s2, err := replica.New(replica.Options{Self: "b", Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s2.Close()
+	entries, err := os.ReadDir(filepath.Join(dir, "a"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for _, e := range entries {
+		names = append(names, e.Name())
+	}
+	if want := []string{"snapshot.json", store.SegmentFileName(1)}; !reflect.DeepEqual(names, want) {
+		t.Fatalf("replica directory after adoption: %v, want %v", names, want)
+	}
+	if st := s2.Status(); len(st.Primaries) != 1 || st.Primaries[0].SnapshotHash != store.HashHex(snap) || st.Primaries[0].Bytes != 3 {
+		t.Fatalf("adopted replica: %+v", st.Primaries)
 	}
 }

@@ -73,6 +73,9 @@ type Source interface {
 	ReadSegmentAt(index uint64, off int64, p []byte) (int, error)
 	// ReadSnapshotRaw returns the latest compacted snapshot, nil if none.
 	ReadSnapshotRaw() ([]byte, error)
+	// SnapshotHash is the store.HashHex of that snapshot, "" if none,
+	// answered without reading it.
+	SnapshotHash() string
 }
 
 // Options configures a Set. Zero values select sensible defaults.
@@ -192,8 +195,12 @@ func New(opts Options) (*Set, error) {
 				continue
 			}
 			p := &primaryState{name: e.Name(), dir: filepath.Join(opts.Dir, e.Name())}
+			// A snapshot install this node did not live to finish.
+			if err := store.SweepTempFiles(p.dir); err != nil {
+				return nil, err
+			}
 			if buf, err := os.ReadFile(filepath.Join(p.dir, "snapshot.json")); err == nil {
-				p.snapHash = hashHex(buf)
+				p.snapHash = store.HashHex(buf)
 			}
 			s.primaries[e.Name()] = p
 		}
@@ -343,13 +350,17 @@ func (s *Set) pruneLocked(p *primaryState, min uint64) {
 
 // IngestSnapshot installs a shipped snapshot atomically (temp + fsync +
 // rename — the same recipe local compaction uses), so the replica never
-// holds a torn snapshot. hash is the shipper's content hash, echoed back
-// on status so the shipper skips unchanged snapshots.
+// holds a torn snapshot. hash is what the shipper says the content hashes
+// to (store.HashHex), echoed back on status so the shipper skips unchanged
+// snapshots; data that hashes to anything else is refused and the snapshot
+// in place stays. "" is a shipper that does not say: the content's own hash
+// is kept.
 func (s *Set) IngestSnapshot(primaryName string, hash string, data []byte) error {
 	if s.opts.IngestHist != nil {
 		start := time.Now()
 		defer func() { s.opts.IngestHist.Record(time.Since(start)) }()
 	}
+	got := store.HashHex(data) // megabytes: before the replica's lock, not under it
 	p, err := s.primary(primaryName, true)
 	if err != nil {
 		return err
@@ -359,13 +370,13 @@ func (s *Set) IngestSnapshot(primaryName string, hash string, data []byte) error
 	if p.fenced {
 		return ErrFenced
 	}
+	if hash != "" && hash != got {
+		return fmt.Errorf("replica: snapshot of %s hashes to %s, not the %s it was sent as", primaryName, got, hash)
+	}
 	if err := store.AtomicWriteFile(filepath.Join(p.dir, "snapshot.json"), data); err != nil {
 		return err
 	}
-	if hash == "" {
-		hash = hashHex(data)
-	}
-	p.snapHash = hash
+	p.snapHash = got
 	p.ingests++
 	p.ingestB += int64(len(data))
 	p.lastIngest = time.Now()

@@ -2,9 +2,14 @@ package replica
 
 import (
 	"errors"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
+
+	"relm/internal/store"
 )
 
 func TestFollowersPlacement(t *testing.T) {
@@ -150,7 +155,8 @@ func TestRestartAdoptsReplicaDirs(t *testing.T) {
 	if _, err := s1.Ingest("a", 1, 0, 0, []byte("x\n")); err != nil {
 		t.Fatal(err)
 	}
-	if err := s1.IngestSnapshot("a", "cafe", []byte(`{"fence":1}`)); err != nil {
+	snap := []byte(`{"fence":1}`)
+	if err := s1.IngestSnapshot("a", store.HashHex(snap), snap); err != nil {
 		t.Fatal(err)
 	}
 	s1.Close()
@@ -166,7 +172,33 @@ func TestRestartAdoptsReplicaDirs(t *testing.T) {
 	}
 	// The adopted snapshot hash must reflect the on-disk content, so the
 	// shipper's first status fetch does not re-ship an unchanged snapshot.
-	if st.Primaries[0].SnapshotHash != hashHex([]byte(`{"fence":1}`)) {
+	if st.Primaries[0].SnapshotHash != store.HashHex(snap) {
 		t.Fatalf("adopted snapshot hash %q", st.Primaries[0].SnapshotHash)
+	}
+}
+
+// TestReadBody: a body is read whole or not at all, whether or not its
+// length was declared.
+func TestReadBody(t *testing.T) {
+	const limit = 16
+	for _, c := range []struct {
+		name     string
+		sent     int
+		declared int64 // -1: chunked, no Content-Length
+		ok       bool
+	}{
+		{"declared, at the limit", limit, limit, true},
+		{"declared, over it", limit + 1, limit + 1, false},
+		{"undeclared, at the limit", limit, -1, true},
+		{"undeclared, over it", limit + 1, -1, false},
+		{"declared longer than sent", 4, 8, false},
+		{"empty", 0, 0, true},
+	} {
+		req := httptest.NewRequest(http.MethodPost, "/", strings.NewReader(strings.Repeat("x", c.sent)))
+		req.ContentLength = c.declared
+		data, err := readBody(req, limit)
+		if (err == nil) != c.ok || (c.ok && len(data) != c.sent) {
+			t.Errorf("%s: %d bytes, err %v", c.name, len(data), err)
+		}
 	}
 }

@@ -138,19 +138,6 @@ func Rendezvous(name, key string) uint64 {
 	return x
 }
 
-// hashHex is the snapshot content hash (FNV-1a of the raw bytes) the
-// shipper compares against the follower's ack to skip unchanged
-// snapshots.
-func hashHex(data []byte) string {
-	const prime = 1099511628211
-	x := uint64(14695981039346656037)
-	for _, c := range data {
-		x ^= uint64(c)
-		x *= prime
-	}
-	return fmt.Sprintf("%016x", x)
-}
-
 func (s *Set) shipLoop() {
 	defer s.wg.Done()
 	t := time.NewTicker(s.opts.Interval)
@@ -229,17 +216,18 @@ func (s *Set) shipDelta(ctx context.Context, f *followerState, trace string) err
 	}
 	f.ack()
 
-	// Snapshot first (see the file comment for why the order matters).
-	snap, err := s.opts.Source.ReadSnapshotRaw()
-	if err != nil {
-		return err
-	}
-	if len(snap) > 0 {
-		h := hashHex(snap)
-		if mine == nil || mine.SnapshotHash != h {
-			if _, err := s.ingest(ctx, f, trace, "/v1/replica/snapshot"+self+"&hash="+h, snap); err != nil {
-				return err
-			}
+	// Snapshot first (see the file comment for why the order matters), and
+	// only its name unless the follower holds another: the bytes are read
+	// when they must be sent. Should a compaction replace them between the
+	// two calls, the follower finds they are not what h names, installs
+	// nothing, and the next cycle sends the new ones.
+	if h := s.opts.Source.SnapshotHash(); h != "" && (mine == nil || mine.SnapshotHash != h) {
+		snap, err := s.opts.Source.ReadSnapshotRaw()
+		if err != nil {
+			return err
+		}
+		if _, err := s.ingest(ctx, f, trace, "/v1/replica/snapshot"+self+"&hash="+h, snap); err != nil {
+			return err
 		}
 	}
 
@@ -255,13 +243,18 @@ func (s *Set) shipDelta(ctx context.Context, f *followerState, trace string) err
 		return nil
 	}
 	min := local[0].Index
-	buf := make([]byte, s.opts.ChunkBytes)
+	// One buffer for the cycle, grown to its largest chunk: a follower that
+	// is caught up costs none, one a tail behind costs the tail.
+	var buf []byte
 	for _, seg := range local {
 		off := remote[seg.Index]
 		for off < seg.Bytes {
-			n := int64(len(buf))
+			n := int64(s.opts.ChunkBytes)
 			if rest := seg.Bytes - off; rest < n {
 				n = rest
+			}
+			if int64(len(buf)) < n {
+				buf = make([]byte, n)
 			}
 			read, err := s.opts.Source.ReadSegmentAt(seg.Index, off, buf[:n])
 			if err != nil {

@@ -6,6 +6,8 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -19,6 +21,7 @@ import (
 // HTTP.
 type shipRig struct {
 	primary     *store.File
+	source      *countingSource // primary, as the shipper reads it
 	primaryDir  string
 	set         *replica.Set
 	follower    *replica.Set
@@ -74,10 +77,11 @@ func newShipRig(t *testing.T, segmentBytes int64) *shipRig {
 	}
 	// A huge interval keeps the background loop dormant; tests drive
 	// cycles with SyncNow for determinism.
+	rig.source = &countingSource{File: rig.primary}
 	rig.set, err = replica.New(replica.Options{
 		Self:     "a",
 		Peers:    []replica.Peer{{Name: "b", URL: rig.srv.URL}},
-		Source:   rig.primary,
+		Source:   rig.source,
 		Interval: time.Hour,
 	})
 	if err != nil {
@@ -90,6 +94,18 @@ func newShipRig(t *testing.T, segmentBytes int64) *shipRig {
 		rig.primary.Close()
 	})
 	return rig
+}
+
+// countingSource is the primary's store counting the snapshot reads a ship
+// cycle makes of it.
+type countingSource struct {
+	*store.File
+	snapshotReads int
+}
+
+func (c *countingSource) ReadSnapshotRaw() ([]byte, error) {
+	c.snapshotReads++
+	return c.File.ReadSnapshotRaw()
 }
 
 func (rig *shipRig) append(t *testing.T, n int) {
@@ -257,5 +273,93 @@ func TestShipStopsAfterPromotion(t *testing.T) {
 	}
 	if replicaBytes >= primaryBytes {
 		t.Fatalf("replica kept growing after fence: %d vs primary %d", replicaBytes, primaryBytes)
+	}
+}
+
+// TestShipSkipsUnchangedSnapshot: the shipper asks the store what its
+// snapshot is called and reads the file only to send it — once per
+// compaction, never on the cycles in between.
+func TestShipSkipsUnchangedSnapshot(t *testing.T) {
+	rig := newShipRig(t, 512)
+	rig.append(t, 20)
+	compact := func() {
+		t.Helper()
+		if err := rig.primary.Compact(&store.Snapshot{Fence: rig.primary.Seq()}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	snapshotsShipped := func() (n int) {
+		for _, ex := range rig.log {
+			if ex.method == http.MethodPost && strings.HasPrefix(ex.url, "/v1/replica/snapshot") {
+				n++
+			}
+		}
+		return n
+	}
+	cycles := func(n int) {
+		t.Helper()
+		for i := 0; i < n; i++ {
+			rig.append(t, 2) // the log moves on; the snapshot does not
+			if err := rig.set.SyncNow(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+
+	compact()
+	cycles(1)
+	if rig.source.snapshotReads != 1 || snapshotsShipped() != 1 {
+		t.Fatalf("first cycle after a compaction: %d snapshot reads, %d shipped, want 1 and 1", rig.source.snapshotReads, snapshotsShipped())
+	}
+	cycles(5)
+	if rig.source.snapshotReads != 1 || snapshotsShipped() != 1 {
+		t.Fatalf("cycles with no compaction: %d snapshot reads, %d shipped, want still 1 and 1", rig.source.snapshotReads, snapshotsShipped())
+	}
+	compact()
+	cycles(5)
+	if rig.source.snapshotReads != 2 || snapshotsShipped() != 2 {
+		t.Fatalf("a compaction in between: %d snapshot reads, %d shipped, want 2 and 2", rig.source.snapshotReads, snapshotsShipped())
+	}
+	rig.assertMirrored(t)
+	want, err := os.ReadFile(filepath.Join(rig.primaryDir, "snapshot.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, err := os.ReadFile(filepath.Join(rig.replicaDir(), "snapshot.json")); err != nil || !bytes.Equal(got, want) {
+		t.Fatalf("replica snapshot differs (err %v)", err)
+	}
+}
+
+// TestIdleShipCycleAllocations: a cycle to a follower that is caught up
+// reads no snapshot and holds no chunk buffer — it costs the status
+// exchange, both ends of which run in this process and are counted here.
+func TestIdleShipCycleAllocations(t *testing.T) {
+	rig := newShipRig(t, 512)
+	rig.append(t, 20)
+	if err := rig.primary.Compact(&store.Snapshot{Fence: 10}); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 2; i++ { // catch up, then warm the connection
+		if err := rig.set.SyncNow(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	reads := rig.source.snapshotReads
+	const cycles = 10
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < cycles; i++ {
+		if err := rig.set.SyncNow(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	if rig.source.snapshotReads != reads {
+		t.Errorf("idle cycles read the snapshot %d times", rig.source.snapshotReads-reads)
+	}
+	if per := (after.TotalAlloc - before.TotalAlloc) / cycles; per >= 64<<10 {
+		t.Errorf("an idle ship cycle allocates %d bytes, want under 64 KiB", per)
+	} else {
+		t.Logf("idle ship cycle: %d bytes allocated", per)
 	}
 }

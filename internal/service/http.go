@@ -201,6 +201,10 @@ var scalars = []scalar{
 	{"batched_events", "relm_wal_batched_events_total", "Records flushed through group commit.", counter, false, persistent, func(mt *Metrics) float64 { return float64(mt.Store.BatchedEvents) }},
 	{"snapshots", "relm_snapshots_total", "Compacted snapshots written.", counter, false, persistent, func(mt *Metrics) float64 { return float64(mt.Store.Snapshots) }},
 	{"snapshot_bytes", "relm_snapshot_bytes", "Latest snapshot size.", gauge, false, persistent, func(mt *Metrics) float64 { return float64(mt.Store.SnapshotBytes) }},
+	// What the checkpoint trigger weighs, summed over the process's life:
+	// the second over the first is the checkpoint write amplification.
+	{"wal_appended_bytes", "relm_wal_appended_bytes_total", "Log bytes appended by this process.", counter, false, persistent, func(mt *Metrics) float64 { return float64(mt.Store.AppendedBytes) }},
+	{"snapshot_bytes_written", "relm_snapshot_bytes_written_total", "Snapshot bytes written by this process, all compactions.", counter, false, persistent, func(mt *Metrics) float64 { return float64(mt.Store.SnapshotBytesWritten) }},
 	// A write-ahead log that hit an unrecoverable write/fsync failure and
 	// flipped read-only; the node refuses writes with retriable 503s until
 	// it is restarted on healthy storage.

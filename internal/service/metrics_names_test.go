@@ -43,11 +43,13 @@ const promNames = `# HELP relm_draining 1 while the node is draining.
 # HELP relm_sessions Live sessions.
 # HELP relm_sessions_by_state Live sessions by state.
 # HELP relm_snapshot_bytes Latest snapshot size.
+# HELP relm_snapshot_bytes_written_total Snapshot bytes written by this process, all compactions.
 # HELP relm_snapshots_total Compacted snapshots written.
 # HELP relm_stage_latency_seconds Per-stage latency distribution.
 # HELP relm_surrogate_appends_total O(n²) surrogate appends between hyperparameter selections.
 # HELP relm_surrogate_compactions_total Surrogate evict-or-reject decisions at the active-set cap.
 # HELP relm_surrogate_fits_total Full surrogate hyperparameter selections.
+# HELP relm_wal_appended_bytes_total Log bytes appended by this process.
 # HELP relm_wal_batched_events_total Records flushed through group commit.
 # HELP relm_wal_bytes WAL size across segments.
 # HELP relm_wal_commit_batches_total Group-commit batches flushed.
@@ -74,11 +76,13 @@ const promNames = `# HELP relm_draining 1 while the node is draining.
 # TYPE relm_sessions gauge
 # TYPE relm_sessions_by_state gauge
 # TYPE relm_snapshot_bytes gauge
+# TYPE relm_snapshot_bytes_written_total counter
 # TYPE relm_snapshots_total counter
 # TYPE relm_stage_latency_seconds histogram
 # TYPE relm_surrogate_appends_total counter
 # TYPE relm_surrogate_compactions_total counter
 # TYPE relm_surrogate_fits_total counter
+# TYPE relm_wal_appended_bytes_total counter
 # TYPE relm_wal_batched_events_total counter
 # TYPE relm_wal_bytes gauge
 # TYPE relm_wal_commit_batches_total counter
@@ -92,9 +96,9 @@ const promNames = `# HELP relm_draining 1 while the node is draining.
 // on its follower, and — since a quiet node omits what is zero — every key
 // there is, as a fully populated snapshot renders them.
 const (
-	primaryKeys  = "evictions node observations persistence replica_followers replica_last_ack_age_sec replica_ships replication repo_capacity repo_entries sessions sessions_by_state stage_hist stages wal_bytes wal_events wal_segments warm_starts"
+	primaryKeys  = "evictions node observations persistence replica_followers replica_last_ack_age_sec replica_ships replication repo_capacity repo_entries sessions sessions_by_state stage_hist stages wal_appended_bytes wal_bytes wal_events wal_segments warm_starts"
 	followerKeys = "evictions node observations persistence replica_ingest_bytes replica_ingests replica_primaries replication repo_capacity repo_entries sessions sessions_by_state stage_hist stages wal_segments warm_starts"
-	allKeys      = "batched_events commit_batches draining evictions journal_error last_compaction node observations persistence pruned_segments replica_bytes_behind replica_followers replica_ingest_bytes replica_ingests replica_last_ack_age_sec replica_primaries replica_promotions replica_segments_behind replica_ship_errors replica_ships replication repo_capacity repo_entries repo_evictions repo_hits sessions sessions_by_state snapshot_bytes snapshots stage_hist stages surrogate_appends surrogate_compactions surrogate_fits wal_bytes wal_degraded wal_degraded_reason wal_events wal_segments warm_starts"
+	allKeys      = "batched_events commit_batches draining evictions journal_error last_compaction node observations persistence pruned_segments replica_bytes_behind replica_followers replica_ingest_bytes replica_ingests replica_last_ack_age_sec replica_primaries replica_promotions replica_segments_behind replica_ship_errors replica_ships replication repo_capacity repo_entries repo_evictions repo_hits sessions sessions_by_state snapshot_bytes snapshot_bytes_written snapshots stage_hist stages surrogate_appends surrogate_compactions surrogate_fits wal_appended_bytes wal_bytes wal_degraded wal_degraded_reason wal_events wal_segments warm_starts"
 )
 
 func sortedKeys(t *testing.T, body []byte) string {
@@ -195,7 +199,8 @@ func TestMetricsWireNames(t *testing.T) {
 		Persistence: true, JournalError: "x", Replication: true,
 		Store: store.Metrics{
 			WALBytes: 1, WALEvents: 1, Segments: 1, PrunedSegments: 1, Batches: 1, BatchedEvents: 1,
-			Snapshots: 1, SnapshotBytes: 1, LastCompaction: time.Unix(1, 0), Degraded: true, DegradedReason: "x",
+			Snapshots: 1, SnapshotBytes: 1, AppendedBytes: 1, SnapshotBytesWritten: 1,
+			LastCompaction: time.Unix(1, 0), Degraded: true, DegradedReason: "x",
 		},
 		Replica: replica.Stats{
 			Followers: 1, SegmentsBehind: 1, BytesBehind: 1, LastAckAgeSec: 0.5, Ships: 1, ShipErrors: 1,

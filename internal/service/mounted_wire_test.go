@@ -78,9 +78,11 @@ func TestReplicaWireBytes(t *testing.T) {
 		{"POST", "/v1/replica/segments?primary=a&segment=1&offset=11&min=-1", "!", 400, `{"size":0,"error":"bad segment/offset/min"}`},
 		{"POST", "/v1/replica/segments?primary=a&segment=0&offset=0", "!", 400, `{"size":0,"error":"replica: segment index must be \u003e= 1"}`},
 		{"POST", "/v1/replica/segments?primary=..&segment=1&offset=0", "!", 400, `{"size":0,"error":"replica: bad primary name \"..\""}`},
-		{"POST", "/v1/replica/snapshot?primary=a&hash=cafe", `{"fence":3}`, 200, `{"size":11}`},
+		// A snapshot that is not what its hash names is refused, not installed.
+		{"POST", "/v1/replica/snapshot?primary=a&hash=cafe", `{"fence":3}`, 400, `{"size":0,"error":"replica: snapshot of a hashes to 6eb0612a9344aab9, not the cafe it was sent as"}`},
+		{"POST", "/v1/replica/snapshot?primary=a&hash=6eb0612a9344aab9", `{"fence":3}`, 200, `{"size":11}`},
 		{"POST", "/v1/replica/snapshot?primary=..", `{}`, 400, `{"size":0,"error":"replica: bad primary name \"..\""}`},
-		{"GET", "/v1/replica/status?primary=a", "", 200, `{"node":"b","primaries":[{"primary":"a","segments":[{"index":1,"bytes":11}],"bytes":11,"snapshot_hash":"cafe","snapshot_bytes":11,"last_ingest":"T"}],"followers":[]}`},
+		{"GET", "/v1/replica/status?primary=a", "", 200, `{"node":"b","primaries":[{"primary":"a","segments":[{"index":1,"bytes":11}],"bytes":11,"snapshot_hash":"6eb0612a9344aab9","snapshot_bytes":11,"last_ingest":"T"}],"followers":[]}`},
 		{"GET", "/v1/replica/status?primary=nobody", "", 200, `{"node":"b","primaries":null,"followers":[]}`},
 	})
 
@@ -91,7 +93,7 @@ func TestReplicaWireBytes(t *testing.T) {
 	runWireCases(t, h, []wireCase{
 		{"POST", seg + "11", "late", 410, `{"size":0,"error":"replica: primary promoted, ingest fenced"}`},
 		{"POST", "/v1/replica/snapshot?primary=a", `{}`, 410, `{"size":0,"error":"replica: primary promoted, ingest fenced"}`},
-		{"GET", "/v1/replica/status", "", 200, `{"node":"b","primaries":[{"primary":"a","segments":[{"index":1,"bytes":11}],"bytes":11,"snapshot_hash":"cafe","snapshot_bytes":11,"last_ingest":"T","promoted":true}],"followers":[]}`},
+		{"GET", "/v1/replica/status", "", 200, `{"node":"b","primaries":[{"primary":"a","segments":[{"index":1,"bytes":11}],"bytes":11,"snapshot_hash":"6eb0612a9344aab9","snapshot_bytes":11,"last_ingest":"T","promoted":true}],"followers":[]}`},
 	})
 
 	// Replication off is not an error to a shipper probing a peer: an empty

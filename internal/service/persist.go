@@ -110,19 +110,38 @@ func (m *Manager) journalClose(id string, now time.Time) {
 	sh.mu.Unlock()
 }
 
-// snapshotter compacts the log whenever journal signals it has grown past
-// SnapshotEvery events.
+// snapshotter considers a checkpoint whenever journal signals SnapshotEvery
+// more events, and takes one when the log appended since the last outweighs
+// the snapshot that one wrote (or there is none). A snapshot rewrites the
+// whole state, the log it retires is only what changed: a state that dwarfs
+// SnapshotEvery events of log — a full model repository — would otherwise
+// be rewritten many times over for each of its bytes that moved. Weighed
+// this way the checkpoints together write no more than the log did plus one
+// snapshot, and a state smaller than SnapshotEvery events of log is
+// checkpointed at every signal. Both sides are the store's own byte counts.
 func (m *Manager) snapshotter() {
 	defer m.wg.Done()
+	// folded is the store's AppendedBytes as of the last checkpoint. The
+	// log found at start-up counts as appended since.
+	mt := m.opts.Store.Metrics()
+	folded := mt.AppendedBytes - mt.WALBytes
 	for {
 		select {
 		case <-m.quit:
 			return
 		case <-m.snapCh:
+			mt = m.opts.Store.Metrics()
+			if mt.SnapshotBytes > 0 && mt.AppendedBytes-folded < mt.SnapshotBytes {
+				continue
+			}
 			if err := m.Snapshot(); err != nil {
 				msg := err.Error()
 				m.journalErr.Store(&msg)
+				continue
 			}
+			// Read before the fence was taken: what was appended while the
+			// snapshot was collected stays counted against the next one.
+			folded = mt.AppendedBytes
 		}
 	}
 }

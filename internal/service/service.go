@@ -104,8 +104,10 @@ type Options struct {
 	// log and persists the shared model repository. Open replays it on
 	// startup; the Manager takes ownership and closes it on Close.
 	Store store.Store
-	// SnapshotEvery compacts the log into a snapshot once it holds this
-	// many events (default 1024). Ignored without a Store.
+	// SnapshotEvery is how often, in journaled events, the node considers
+	// compacting the log into a snapshot (default 1024); it does when the
+	// log appended since the last one outweighs it (see snapshotter).
+	// Ignored without a Store.
 	SnapshotEvery int
 	// WarmMaxDistance is the default fingerprint-distance threshold for
 	// warm-start matching (default 0.25; per-session Spec overrides it).
@@ -418,7 +420,7 @@ func Open(opts Options) (*Manager, error) {
 		if err != nil {
 			return nil, err
 		}
-		// A log already past the threshold gets compacted as soon as the
+		// A log already past the threshold is weighed as soon as the
 		// snapshotter starts instead of waiting for SnapshotEvery more.
 		m.sinceSnap.Store(int64(len(events)))
 		if len(events) >= m.opts.SnapshotEvery {

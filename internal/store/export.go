@@ -70,6 +70,28 @@ func (s *File) ReadSnapshotRaw() ([]byte, error) {
 	return buf, nil
 }
 
+// SnapshotHash names the snapshot ReadSnapshotRaw would return: the HashHex
+// of its bytes, "" when none has been taken. It is computed where the bytes
+// are (by Compact, and by OpenFile for a file already there), so asking
+// costs no read.
+func (s *File) SnapshotHash() string {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.snapHash
+}
+
+// HashHex is the content hash a snapshot goes by between a primary and its
+// followers: FNV-1a of the raw bytes, in hex.
+func HashHex(data []byte) string {
+	const prime = 1099511628211
+	x := uint64(14695981039346656037)
+	for _, c := range data {
+		x ^= uint64(c)
+		x *= prime
+	}
+	return fmt.Sprintf("%016x", x)
+}
+
 // Dir returns the directory the store is rooted at.
 func (s *File) Dir() string { return s.dir }
 

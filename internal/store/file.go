@@ -96,6 +96,12 @@ type File struct {
 	dir  string
 	opts FileOptions
 
+	// compactMu admits one Compact at a time, across the part of it that
+	// runs outside mu. Taken before mu, never while holding it.
+	compactMu sync.Mutex
+	// step, when set by a test, is told each step boundary of Compact.
+	step func(string)
+
 	mu     sync.Mutex
 	f      *os.File // active segment
 	w      *bufio.Writer
@@ -113,8 +119,11 @@ type File struct {
 
 	walBytes      int64 // totals across sealed + active segments
 	walEvents     uint64
+	appended      int64 // log bytes written by this process, never decreasing
 	snapshots     uint64
-	snapBytes     int64
+	snapBytes     int64  // the snapshot.json in place: its size
+	snapHash      string // and its content hash (HashHex), "" when there is none
+	snapWritten   int64  // snapshot bytes written by this process, all compactions
 	lastComp      time.Time
 	pruned        uint64 // sealed segments deleted by compaction
 	batches       uint64 // group-commit batches flushed
@@ -141,19 +150,20 @@ func OpenFile(dir string, opts ...FileOptions) (*File, error) {
 	if err := refuseLegacyWAL(dir); err != nil {
 		return nil, err
 	}
+	if err := SweepTempFiles(dir); err != nil {
+		return nil, err
+	}
 	segs, err := listSegments(dir)
 	if err != nil {
 		return nil, err
 	}
 
 	fs := &File{dir: dir, opts: o, activeIndex: 1}
-	if snap, err := fs.readSnapshot(); err != nil {
+	if snap, raw, err := fs.readSnapshot(); err != nil {
 		return nil, err
 	} else if snap != nil {
 		fs.seq = snap.Fence
-	}
-	if st, err := os.Stat(fs.snapPath()); err == nil {
-		fs.snapBytes = st.Size()
+		fs.snapBytes, fs.snapHash = int64(len(raw)), HashHex(raw)
 	}
 
 	var maxSeq uint64
@@ -327,6 +337,7 @@ func (s *File) writeLocked(buf []byte, n int, sync bool) error {
 	s.activeEvents += uint64(n)
 	s.walBytes += int64(len(buf))
 	s.walEvents += uint64(n)
+	s.appended += int64(len(buf))
 	if s.activeBytes >= s.opts.SegmentBytes {
 		return s.rotateLocked()
 	}
@@ -431,7 +442,7 @@ func (s *File) Load() (*Snapshot, []Event, error) {
 			return nil, nil, fmt.Errorf("store: flush: %w", err)
 		}
 	}
-	snap, err := s.readSnapshot()
+	snap, _, err := s.readSnapshot()
 	if err != nil {
 		return nil, nil, err
 	}
@@ -450,19 +461,18 @@ func (s *File) Load() (*Snapshot, []Event, error) {
 	return snap, append(events, evs...), nil
 }
 
-func (s *File) readSnapshot() (*Snapshot, error) {
-	buf, err := os.ReadFile(s.snapPath())
-	if errors.Is(err, os.ErrNotExist) {
-		return nil, nil
-	}
-	if err != nil {
-		return nil, fmt.Errorf("store: read snapshot: %w", err)
+// readSnapshot returns snapshot.json decoded and as it is on disk, nils
+// when there is none.
+func (s *File) readSnapshot() (*Snapshot, []byte, error) {
+	raw, err := s.ReadSnapshotRaw()
+	if err != nil || raw == nil {
+		return nil, nil, err
 	}
 	var snap Snapshot
-	if err := json.Unmarshal(buf, &snap); err != nil {
-		return nil, fmt.Errorf("store: decode snapshot: %w", err)
+	if err := json.Unmarshal(raw, &snap); err != nil {
+		return nil, nil, fmt.Errorf("store: decode snapshot: %w", err)
 	}
-	return &snap, nil
+	return &snap, raw, nil
 }
 
 // readWALFile scans one JSONL segment. With tolerateTail (the active
@@ -537,42 +547,58 @@ func readWALFile(path string, tolerateTail bool) ([]Event, int64, error) {
 // fence are left alone (replay is idempotent, so their already-folded
 // events may safely reappear), and when no segment qualifies the log is
 // not touched at all — the pre-check is one comparison per sealed segment.
+//
+// The snapshot is encoded, written, fsynced, renamed into place and the
+// rename made durable before mu is taken, so appends proceed throughout;
+// the lock covers only what changes the File — flushing the open batch,
+// sealing, pruning, the counters. The directory fsync must come before the
+// first unlink: an unlink that reached the disk ahead of the rename would
+// leave, after a machine crash, the previous snapshot and a log missing the
+// events only the new one holds. A snapshot is a valid image of the store
+// whatever becomes of the log afterwards, so a store that closes or degrades
+// while one is being written keeps it and prunes nothing.
 func (s *File) Compact(snap *Snapshot) error {
+	s.compactMu.Lock()
+	defer s.compactMu.Unlock()
+	s.mu.Lock()
+	err := s.refuseCompactLocked()
+	s.mu.Unlock()
+	if err != nil {
+		return err
+	}
+	buf, err := json.Marshal(snap)
+	if err != nil {
+		return fmt.Errorf("store: encode snapshot: %w", err)
+	}
+	hash := HashHex(buf)
+	if err := atomicWriteFile(s.snapPath(), buf, s.atStep); err != nil {
+		return err
+	}
+
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.closed {
-		return errors.New("store: compact closed store")
+	s.snapBytes, s.snapHash = int64(len(buf)), hash
+	s.snapWritten += int64(len(buf))
+	if err := s.refuseCompactLocked(); err != nil {
+		return err
 	}
-	if r := s.degraded.Load(); r != nil {
-		// Compaction deletes sealed segments; on a degraded WAL those
-		// segments are the only trustworthy copy of the log, so the store
-		// is strictly read-only.
-		return fmt.Errorf("%w: %s", ErrDegraded, *r)
-	}
-	// Flush the open group-commit batch first so its appenders are not
-	// left waiting out the compaction's file writes.
+	// Write out the open group-commit batch: its records are numbered at or
+	// below s.seq but in no segment yet, and the seal below closes the
+	// segment they belong to.
 	s.commitPendingLocked()
 	if err := s.w.Flush(); err != nil {
 		return fmt.Errorf("store: flush: %w", err)
 	}
 
-	buf, err := json.MarshalIndent(snap, "", " ")
-	if err != nil {
-		return fmt.Errorf("store: encode snapshot: %w", err)
-	}
-	if err := AtomicWriteFile(s.snapPath(), buf); err != nil {
-		return err
-	}
-	s.snapBytes = int64(len(buf))
-
-	// A fence covering every event in the log (the common case: the
-	// snapshotter fences at Seq) lets the log empty out completely — seal
+	// A fence covering every event in the log (the snapshotter fences at
+	// Seq, so: no append since) lets the log empty out completely — seal
 	// the active segment so the prune below takes it too, and the next
 	// recovery replays nothing. Still no rewrite: sealing is a rotation.
 	if s.activeEvents > 0 && s.seq <= snap.Fence {
 		if err := s.rotateLocked(); err != nil {
 			return err
 		}
+		s.atStep("sealed")
 	}
 
 	keep := make([]sealedSegment, 0, len(s.sealed))
@@ -590,6 +616,7 @@ func (s *File) Compact(snap *Snapshot) error {
 		s.walEvents -= seg.events
 		s.pruned++
 		removed = true
+		s.atStep("pruned")
 	}
 	s.sealed = keep
 	if removed {
@@ -600,12 +627,45 @@ func (s *File) Compact(snap *Snapshot) error {
 	return nil
 }
 
-// AtomicWriteFile writes data to path via a temp file + fsync + rename.
-// Exported for replica ingest, which installs shipped snapshots with the
-// crash semantics compaction gives snapshot.json.
+// refuseCompactLocked reports why the store takes no compaction. Callers
+// hold s.mu.
+func (s *File) refuseCompactLocked() error {
+	if s.closed {
+		return errors.New("store: compact closed store")
+	}
+	if r := s.degraded.Load(); r != nil {
+		// Compaction deletes sealed segments; on a degraded WAL those
+		// segments are the only trustworthy copy of the log, so the store
+		// is strictly read-only.
+		return fmt.Errorf("%w: %s", ErrDegraded, *r)
+	}
+	return nil
+}
+
+// atStep tells the test seam, if one is installed, that Compact got to a
+// step boundary.
+func (s *File) atStep(name string) {
+	if s.step != nil {
+		s.step(name)
+	}
+}
+
+// tempPattern names the temporary files AtomicWriteFile creates.
+const tempPattern = ".store-*"
+
+// AtomicWriteFile writes data to path via a temp file + fsync + rename,
+// then fsyncs the directory: when it returns, the new content is what a
+// machine crash leaves at path. Exported for replica ingest, which installs
+// shipped snapshots with the crash semantics compaction gives snapshot.json.
 func AtomicWriteFile(path string, data []byte) error {
+	return atomicWriteFile(path, data, func(string) {})
+}
+
+// atomicWriteFile is AtomicWriteFile telling step each of its step
+// boundaries.
+func atomicWriteFile(path string, data []byte, step func(string)) error {
 	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, ".store-*")
+	tmp, err := os.CreateTemp(dir, tempPattern)
 	if err != nil {
 		return fmt.Errorf("store: temp file: %w", err)
 	}
@@ -621,8 +681,28 @@ func AtomicWriteFile(path string, data []byte) error {
 	if err := tmp.Close(); err != nil {
 		return fmt.Errorf("store: close temp: %w", err)
 	}
+	step("temp-written")
 	if err := os.Rename(tmp.Name(), path); err != nil {
 		return fmt.Errorf("store: rename: %w", err)
+	}
+	step("renamed")
+	syncDir(dir)
+	step("dir-synced")
+	return nil
+}
+
+// SweepTempFiles removes what a kill -9 between AtomicWriteFile's create
+// and its rename leaves in dir: nothing refers to such a file, and nothing
+// else would ever delete it. For a directory no process is writing into.
+func SweepTempFiles(dir string) error {
+	stale, err := filepath.Glob(filepath.Join(dir, tempPattern))
+	if err != nil {
+		return fmt.Errorf("store: list temp files: %w", err)
+	}
+	for _, path := range stale {
+		if err := os.Remove(path); err != nil && !errors.Is(err, os.ErrNotExist) {
+			return fmt.Errorf("store: sweep temp file: %w", err)
+		}
 	}
 	return nil
 }
@@ -643,16 +723,18 @@ func (s *File) Metrics() Metrics {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	m := Metrics{
-		WALBytes:       s.walBytes,
-		WALEvents:      s.walEvents,
-		Seq:            s.seq,
-		Segments:       1 + len(s.sealed),
-		PrunedSegments: s.pruned,
-		Batches:        s.batches,
-		BatchedEvents:  s.batchedEvents,
-		Snapshots:      s.snapshots,
-		LastCompaction: s.lastComp,
-		SnapshotBytes:  s.snapBytes,
+		WALBytes:             s.walBytes,
+		WALEvents:            s.walEvents,
+		Seq:                  s.seq,
+		Segments:             1 + len(s.sealed),
+		PrunedSegments:       s.pruned,
+		Batches:              s.batches,
+		BatchedEvents:        s.batchedEvents,
+		Snapshots:            s.snapshots,
+		LastCompaction:       s.lastComp,
+		SnapshotBytes:        s.snapBytes,
+		AppendedBytes:        s.appended,
+		SnapshotBytesWritten: s.snapWritten,
 	}
 	if r := s.degraded.Load(); r != nil {
 		m.Degraded, m.DegradedReason = true, *r
@@ -660,9 +742,11 @@ func (s *File) Metrics() Metrics {
 	return m
 }
 
-// Close flushes any open batch, stops the committer, fsyncs, and closes
-// the active segment.
+// Close waits out a compaction in flight, flushes any open batch, stops the
+// committer, fsyncs, and closes the active segment.
 func (s *File) Close() error {
+	s.compactMu.Lock()
+	defer s.compactMu.Unlock()
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()

@@ -14,14 +14,16 @@ import (
 // against Mem behave identically against File. State dies with the
 // process; use it for tests and ephemeral servers.
 type Mem struct {
-	mu        sync.Mutex
-	closed    bool
-	seq       uint64
-	log       [][]byte // one marshaled event per entry
-	snap      []byte   // marshaled snapshot, nil if none
-	walBytes  int64
-	snapshots uint64
-	lastComp  time.Time
+	mu          sync.Mutex
+	closed      bool
+	seq         uint64
+	log         [][]byte // one marshaled event per entry
+	snap        []byte   // marshaled snapshot, nil if none
+	walBytes    int64
+	appended    int64 // log bytes appended, never decreasing
+	snapWritten int64 // snapshot bytes written, all compactions
+	snapshots   uint64
+	lastComp    time.Time
 }
 
 var _ Store = (*Mem)(nil)
@@ -45,6 +47,7 @@ func (s *Mem) Append(ev *Event) (uint64, error) {
 	}
 	s.log = append(s.log, buf)
 	s.walBytes += int64(len(buf)) + 1
+	s.appended += int64(len(buf)) + 1
 	return ev.Seq, nil
 }
 
@@ -89,6 +92,7 @@ func (s *Mem) Compact(snap *Snapshot) error {
 		return fmt.Errorf("store: encode snapshot: %w", err)
 	}
 	s.snap = buf
+	s.snapWritten += int64(len(buf))
 
 	// Cheap pre-check mirroring File: the log is append-ordered by seq, so
 	// if even the first event is past the fence nothing can be pruned —
@@ -131,13 +135,15 @@ func (s *Mem) Metrics() Metrics {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return Metrics{
-		WALBytes:       s.walBytes,
-		WALEvents:      uint64(len(s.log)),
-		Seq:            s.seq,
-		Segments:       1,
-		Snapshots:      s.snapshots,
-		LastCompaction: s.lastComp,
-		SnapshotBytes:  int64(len(s.snap)),
+		WALBytes:             s.walBytes,
+		WALEvents:            uint64(len(s.log)),
+		Seq:                  s.seq,
+		Segments:             1,
+		Snapshots:            s.snapshots,
+		LastCompaction:       s.lastComp,
+		SnapshotBytes:        int64(len(s.snap)),
+		AppendedBytes:        s.appended,
+		SnapshotBytesWritten: s.snapWritten,
 	}
 }
 

@@ -182,6 +182,14 @@ type Metrics struct {
 	Snapshots      uint64    `json:"snapshots"`       // compactions taken (this process)
 	LastCompaction time.Time `json:"last_compaction"` // zero if never compacted
 	SnapshotBytes  int64     `json:"snapshot_bytes"`  // size of the last snapshot
+	// AppendedBytes and SnapshotBytesWritten are what the log and its
+	// checkpoints have cost in writes: every log byte appended and every
+	// snapshot byte written by this process. Neither ever decreases —
+	// WALBytes shrinks when compaction prunes, SnapshotBytes is one
+	// snapshot — so their growth between two readings is the write volume
+	// in between, and their ratio the checkpoint write amplification.
+	AppendedBytes        int64 `json:"appended_bytes"`
+	SnapshotBytesWritten int64 `json:"snapshot_bytes_written"`
 	// Degraded reports a WAL that hit an unrecoverable write/fsync failure
 	// and flipped read-only (see ErrDegraded); DegradedReason is the first
 	// failure that tripped it.
