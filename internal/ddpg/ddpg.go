@@ -141,10 +141,13 @@ func (o *Options) fill() {
 type Agent struct {
 	Opts Options
 
-	actor        *nn.Net
+	actor *nn.Net
+	// learner builds the critic and the targets on first use (Act has none);
+	// criticRng is the critic's stream, forked at construction.
 	actorTarget  *nn.Net
 	critic       *nn.Net
 	criticTarget *nn.Net
+	criticRng    *simrand.Rand
 	replay       *Replay
 	noise        *OUNoise
 	rng          *simrand.Rand
@@ -162,10 +165,20 @@ func NewAgent(opts Options) *Agent {
 	}
 	h := opts.Hidden
 	a.actor = nn.NewNet(rng.Fork(2), []int{opts.StateDim, h, h, opts.ActionDim}, nn.ReLU, nn.Tanh)
-	a.critic = nn.NewNet(rng.Fork(3), []int{opts.StateDim + opts.ActionDim, h, h, 1}, nn.ReLU, nn.Linear)
-	a.actorTarget = a.actor.Clone()
-	a.criticTarget = a.critic.Clone()
+	a.criticRng = rng.Fork(3)
 	return a
+}
+
+// learner builds the critic and the target networks on first use. Only
+// Train and Load change the actor, and both come here first, so its target
+// is the clone construction would have taken.
+func (a *Agent) learner() {
+	if a.critic == nil {
+		o, h := a.Opts, a.Opts.Hidden
+		a.critic = nn.NewNet(a.criticRng, []int{o.StateDim + o.ActionDim, h, h, 1}, nn.ReLU, nn.Linear)
+		a.actorTarget = a.actor.Clone()
+		a.criticTarget = a.critic.Clone()
+	}
 }
 
 // Act returns the policy action for a state, in [-1,1]^ActionDim. With
@@ -194,6 +207,7 @@ func (a *Agent) Train() {
 	if a.replay.Len() < batch {
 		return
 	}
+	a.learner()
 	trans := a.replay.Sample(a.rng, batch)
 
 	criticGrads := a.critic.NewGrads()
@@ -236,6 +250,7 @@ func (a *Agent) Train() {
 // ModelSizeBytes approximates the persisted model size (float32 weights), the
 // quantity Table 10 reports.
 func (a *Agent) ModelSizeBytes() int {
+	a.learner()
 	return 4 * (a.actor.ParamCount() + a.critic.ParamCount())
 }
 

@@ -195,3 +195,36 @@ func TestStateDimMatches(t *testing.T) {
 		t.Fatal("agent state dimension mismatch")
 	}
 }
+
+// TestLateLearnerIsTheEarlyOne: the critic and the target networks are built
+// on first use. An agent that builds them at construction and one that
+// waits for its first minibatch must act alike, bit for bit,
+// before the learner exists and after training has used it.
+func TestLateLearnerIsTheEarlyOne(t *testing.T) {
+	opts := Options{StateDim: 3, ActionDim: 2, Hidden: 8, Batch: 4, Seed: 21}
+	early, late := NewAgent(opts), NewAgent(opts)
+	early.learner()
+	env := simrand.New(5)
+	state := []float64{0.1, -0.2, 0.3}
+	for step := 0; step < 12; step++ {
+		a, b := early.Act(state, true), late.Act(state, true)
+		for i := range a {
+			if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+				t.Fatalf("step %d: action %v built early, %v built late", step, a, b)
+			}
+		}
+		if step < opts.Batch-1 && late.critic != nil {
+			t.Fatalf("step %d: learner built with %d of %d transitions", step, late.ReplayLen(), opts.Batch)
+		}
+		next := []float64{env.Float64(), env.Float64(), env.Float64()}
+		tr := Transition{State: state, Action: a, Reward: env.Float64(), NextState: next}
+		for _, ag := range []*Agent{early, late} {
+			ag.Observe(tr)
+			ag.Train()
+		}
+		state = next
+	}
+	if late.critic == nil {
+		t.Fatal("learner never built")
+	}
+}

@@ -22,6 +22,7 @@ type SavedAgent struct {
 // Save serializes the agent (Table 10's "Model Size" is the size of this
 // stream).
 func (a *Agent) Save(w io.Writer) error {
+	a.learner()
 	s := SavedAgent{
 		Opts:   a.Opts,
 		Actor:  a.actor.Snapshot(),
@@ -38,6 +39,7 @@ func Load(r io.Reader) (*Agent, error) {
 		return nil, fmt.Errorf("ddpg: load: %w", err)
 	}
 	a := NewAgent(s.Opts)
+	a.learner()
 	if err := a.actor.Restore(s.Actor); err != nil {
 		return nil, fmt.Errorf("ddpg: restore actor: %w", err)
 	}

@@ -37,9 +37,6 @@ type Options struct {
 	Concurrency int
 	// RequestTimeout is the per-request deadline (default 10s).
 	RequestTimeout time.Duration
-	// Client overrides the HTTP client (tests). Its Timeout is ignored;
-	// deadlines come from per-request contexts.
-	Client *http.Client
 	// SlowKeep is how many slowest requests are kept with their trace IDs
 	// (default 8).
 	SlowKeep int
@@ -81,8 +78,10 @@ type errKey struct{ stage, kind string }
 // Driver replays a Trace against a target over HTTP. One Driver runs one
 // trace; build a fresh one per run.
 type Driver struct {
-	opts  Options
-	hists map[string]*obs.Histogram
+	opts   Options
+	base   *url.URL // opts.Target as wire.ParseBase read it
+	client wire.Client
+	hists  map[string]*obs.Histogram
 
 	ops      atomic.Int64
 	errCount atomic.Int64
@@ -106,9 +105,9 @@ type Driver struct {
 
 // NewDriver validates the options and builds a driver.
 func NewDriver(opts Options) (*Driver, error) {
-	u, err := url.Parse(opts.Target)
-	if err != nil || u.Scheme == "" || u.Host == "" {
-		return nil, fmt.Errorf("loadgen: bad target URL %q", opts.Target)
+	base, err := wire.ParseBase(opts.Target)
+	if err != nil {
+		return nil, fmt.Errorf("loadgen: target: %w", err)
 	}
 	if opts.RunID == "" {
 		var b [6]byte
@@ -123,11 +122,6 @@ func NewDriver(opts Options) (*Driver, error) {
 	if opts.RequestTimeout <= 0 {
 		opts.RequestTimeout = 10 * time.Second
 	}
-	if opts.Client == nil {
-		opts.Client = &http.Client{Transport: &http.Transport{
-			MaxIdleConnsPerHost: opts.Concurrency,
-		}}
-	}
 	if opts.SlowKeep == 0 {
 		opts.SlowKeep = 8
 	}
@@ -136,6 +130,7 @@ func NewDriver(opts Options) (*Driver, error) {
 	}
 	d := &Driver{
 		opts:  opts,
+		base:  base,
 		hists: make(map[string]*obs.Histogram, len(reportStages)),
 		errs:  make(map[errKey]*ErrorCount),
 	}
@@ -195,6 +190,7 @@ func (d *Driver) logf(format string, args ...any) {
 // canceled before the trace finished (the partial report is still
 // returned).
 func (d *Driver) Run(ctx context.Context, tr *Trace) (*Report, error) {
+	defer d.client.Close()
 	start := time.Now()
 	jobs := make(chan TraceSession, len(tr.Sessions))
 	var wg sync.WaitGroup
@@ -354,15 +350,13 @@ func (d *Driver) do(ctx context.Context, stage, method, path, session string, in
 			return "", false
 		}
 	}
-	rctx, cancel := context.WithTimeout(ctx, d.opts.RequestTimeout)
-	defer cancel()
 	t0 := time.Now()
-	status, hdr, buf, err := wire.Do(rctx, d.opts.Client, method, d.opts.Target+path, "", "application/json", body, 8<<20)
+	status, hdr, buf, err := d.client.Do(ctx, t0.Add(d.opts.RequestTimeout), method, d.base.Host, d.base.Path+path, "", "application/json", body, 8<<20)
 	elapsed := time.Since(t0)
 	traceID := hdr.Get(obs.TraceHeader)
 	if err != nil {
 		kind := "transport"
-		if errors.Is(err, context.DeadlineExceeded) || rctx.Err() == context.DeadlineExceeded {
+		if errors.Is(err, context.DeadlineExceeded) {
 			kind = "timeout"
 			d.timeouts.Add(1)
 		}

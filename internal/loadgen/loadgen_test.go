@@ -266,7 +266,7 @@ func TestDriverEndToEnd(t *testing.T) {
 
 	d, err := NewDriver(Options{
 		Target: srv.URL, RunID: "t1", Concurrency: 16,
-		RequestTimeout: 5 * time.Second, Client: srv.Client(),
+		RequestTimeout: 5 * time.Second,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -394,7 +394,7 @@ func BenchmarkLoadgenDrive(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	d, err := NewDriver(Options{Target: srv.URL, RunID: "bench", Concurrency: 8, Client: srv.Client()})
+	d, err := NewDriver(Options{Target: srv.URL, RunID: "bench", Concurrency: 8})
 	if err != nil {
 		b.Fatal(err)
 	}

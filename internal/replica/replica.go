@@ -38,7 +38,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"net/http"
 	"os"
 	"path/filepath"
 	"sort"
@@ -49,6 +48,7 @@ import (
 	"relm/internal/fault"
 	"relm/internal/obs"
 	"relm/internal/store"
+	"relm/internal/wire"
 )
 
 // fpIngest is the follower-side failpoint, evaluated per ingested chunk
@@ -101,8 +101,6 @@ type Options struct {
 	Interval time.Duration
 	// ChunkBytes caps one ship request's body (default 1 MiB).
 	ChunkBytes int
-	// Client overrides the HTTP client used for shipping.
-	Client *http.Client
 	// Logf, when non-nil, receives replication log lines.
 	Logf func(format string, args ...any)
 	// ShipHist, when set, records the latency of each ship cycle (one
@@ -121,9 +119,6 @@ func (o *Options) fill() {
 	}
 	if o.ChunkBytes <= 0 {
 		o.ChunkBytes = 1 << 20
-	}
-	if o.Client == nil {
-		o.Client = &http.Client{} // no Timeout: see exchangeTimeout
 	}
 }
 
@@ -151,6 +146,8 @@ func (e *OffsetError) Error() string {
 type Set struct {
 	opts      Options
 	followers []*followerState
+	// client carries the shipper's requests; exchange hands each its deadline.
+	client wire.Client
 
 	mu        sync.Mutex
 	primaries map[string]*primaryState
@@ -205,10 +202,14 @@ func New(opts Options) (*Set, error) {
 			s.primaries[e.Name()] = p
 		}
 	}
-	s.ctx, s.cancel = context.WithCancel(context.Background())
 	for _, peer := range Followers(opts.Self, opts.Peers, opts.Factor) {
-		s.followers = append(s.followers, &followerState{peer: peer})
+		base, err := wire.ParseBase(peer.URL)
+		if err != nil {
+			return nil, fmt.Errorf("replica: follower %s: %w", peer.Name, err)
+		}
+		s.followers = append(s.followers, &followerState{peer: peer, base: base})
 	}
+	s.ctx, s.cancel = context.WithCancel(context.Background())
 	if opts.Source != nil && len(s.followers) > 0 {
 		s.wg.Add(1)
 		go s.shipLoop()
@@ -216,10 +217,11 @@ func New(opts Options) (*Set, error) {
 	return s, nil
 }
 
-// Close stops the shipper loop, cutting short a ship cycle in flight.
+// Close stops the shipper, cutting short a cycle in flight, and its connections.
 func (s *Set) Close() {
 	s.cancel()
 	s.wg.Wait()
+	s.client.Close()
 }
 
 func (s *Set) logf(format string, args ...any) {

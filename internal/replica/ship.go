@@ -16,7 +16,6 @@ import (
 
 	"relm/internal/fault"
 	"relm/internal/obs"
-	"relm/internal/wire"
 )
 
 // fpShipChunk is the shipper's failpoint, evaluated per shipped segment
@@ -39,6 +38,7 @@ var fpShipChunk = fault.Register("replica.ship.chunk")
 // followerState tracks one ship target.
 type followerState struct {
 	peer Peer
+	base *url.URL // peer.URL as wire.ParseBase read it
 
 	mu          sync.Mutex
 	segsBehind  int
@@ -345,8 +345,7 @@ func (s *Set) ingest(ctx context.Context, f *followerState, trace, pathQuery str
 	return ack.Size, err
 }
 
-// exchangeTimeout bounds one request of a ship cycle. It is a context
-// deadline, not a Client.Timeout, so Close can cut an exchange short.
+// exchangeTimeout bounds one request of a ship cycle; Close cuts it shorter.
 const exchangeTimeout = 10 * time.Second
 
 // exchange sends one request of a ship cycle to the follower (Handler is
@@ -354,9 +353,7 @@ const exchangeTimeout = 10 * time.Second
 // acks and decodes into out, 409 is an offset mismatch carrying the size to
 // resume from, 410 means the replica was promoted out from under us.
 func (s *Set) exchange(ctx context.Context, f *followerState, trace, method, pathQuery string, data []byte, out any) error {
-	ctx, cancel := context.WithTimeout(ctx, exchangeTimeout)
-	defer cancel()
-	status, _, body, err := wire.Do(ctx, s.opts.Client, method, f.peer.URL+pathQuery, trace, "application/octet-stream", data, 16<<20)
+	status, _, body, err := s.client.Do(ctx, time.Now().Add(exchangeTimeout), method, f.base.Host, f.base.Path+pathQuery, trace, "application/octet-stream", data, 16<<20)
 	if err != nil {
 		return err
 	}

@@ -7,44 +7,52 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"testing"
+	"time"
 )
 
-// benchRouter builds a router whose nodes are marked healthy by hand (no
-// health checkers, no network): pick and dispatch cost only.
-func benchRouter(b *testing.B, nodes int, rt http.RoundTripper) *Router {
-	b.Helper()
-	var backends []Backend
+// handRouter is a router assembled by hand, as TestPickAllocations needs it:
+// nodes healthy from the start, no health checkers, no network.
+func handRouter(nodes int) *Router {
+	r := &Router{}
 	for i := 0; i < nodes; i++ {
-		backends = append(backends, Backend{Name: fmt.Sprintf("node-%02d", i), URL: fmt.Sprintf("http://10.0.0.%d:8080", i+1)})
-	}
-	r, err := New(Options{Backends: backends, Transport: rt})
-	if err != nil {
-		b.Fatalf("New: %v", err)
-	}
-	b.Cleanup(r.Close)
-	for _, n := range r.nodes {
-		n.mu.Lock()
-		n.healthy = true
-		n.mu.Unlock()
+		r.nodes = append(r.nodes, &node{name: fmt.Sprintf("node-%02d", i), healthy: true})
 	}
 	return r
 }
 
-// stubTransport answers every request in-process — proxy dispatch without
-// a network.
-type stubTransport struct{ body []byte }
-
-func (t *stubTransport) RoundTrip(req *http.Request) (*http.Response, error) {
-	if req.Body != nil {
-		io.Copy(io.Discard, req.Body)
-		req.Body.Close()
+// loopbackRouter is a real router in front of one loopback backend "a" that
+// serve answers for (its /healthz is answered here), and the front door's URL
+// beside the backend's.
+func loopbackRouter(tb testing.TB, serve http.HandlerFunc) (r *Router, front, backend string) {
+	tb.Helper()
+	back := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
+		if req.URL.Path == "/healthz" {
+			io.WriteString(w, `{"ok":true}`)
+			return
+		}
+		serve(w, req)
+	}))
+	tb.Cleanup(back.Close)
+	r, err := New(Options{Backends: []Backend{{Name: "a", URL: back.URL}}, CheckInterval: 5 * time.Millisecond})
+	if err != nil {
+		tb.Fatalf("New: %v", err)
 	}
-	return &http.Response{
-		StatusCode: http.StatusOK,
-		Header:     http.Header{"Content-Type": []string{"application/json"}},
-		Body:       io.NopCloser(bytes.NewReader(t.body)),
-		Request:    req,
-	}, nil
+	tb.Cleanup(r.Close)
+	for len(r.eligibleNodes()) == 0 {
+		time.Sleep(time.Millisecond)
+	}
+	srv := httptest.NewServer(r)
+	tb.Cleanup(srv.Close)
+	return r, srv.URL, back.URL
+}
+
+// answering serves every request 200 with answer, once it has read the body.
+func answering(answer []byte) http.HandlerFunc {
+	return func(w http.ResponseWriter, req *http.Request) {
+		io.Copy(io.Discard, req.Body)
+		w.Header().Set("Content-Type", "application/json")
+		w.Write(answer)
+	}
 }
 
 // TestPickAllocations: every proxied request starts with a rendezvous pick,
@@ -55,10 +63,7 @@ func (t *stubTransport) RoundTrip(req *http.Request) (*http.Response, error) {
 func TestPickAllocations(t *testing.T) {
 	key := mintID()
 	for _, nodes := range []int{3, 16} {
-		r := &Router{}
-		for i := 0; i < nodes; i++ {
-			r.nodes = append(r.nodes, &node{name: fmt.Sprintf("node-%02d", i), healthy: true})
-		}
+		r := handRouter(nodes)
 		if got := testing.AllocsPerRun(1000, func() {
 			if r.pick(key) == nil {
 				t.Fatal("no owner")
@@ -69,10 +74,10 @@ func TestPickAllocations(t *testing.T) {
 	}
 }
 
-// BenchmarkRouterRoute measures the router hot path with no network:
-// rendezvous owner selection across cluster sizes, and one full proxied
-// session-request dispatch (mux match, owner pick, outbound request build,
-// response copy) against a stub transport.
+// BenchmarkRouterRoute measures the router hot path: rendezvous owner
+// selection across cluster sizes with no network, and one full proxied
+// session-request dispatch (mux match, owner pick, the exchange with a
+// loopback backend, response copy) with no client connection in front.
 func BenchmarkRouterRoute(b *testing.B) {
 	keys := make([]string, 1024)
 	for i := range keys {
@@ -80,7 +85,7 @@ func BenchmarkRouterRoute(b *testing.B) {
 	}
 	for _, nodes := range []int{3, 16} {
 		b.Run(fmt.Sprintf("pick/nodes=%d", nodes), func(b *testing.B) {
-			r := benchRouter(b, nodes, nil)
+			r := handRouter(nodes)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -91,7 +96,7 @@ func BenchmarkRouterRoute(b *testing.B) {
 		})
 	}
 	b.Run("dispatch", func(b *testing.B) {
-		r := benchRouter(b, 3, &stubTransport{body: []byte(`{"id":"s-1","state":"active"}`)})
+		r, _, _ := loopbackRouter(b, answering([]byte(`{"id":"s-1","state":"active"}`)))
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
@@ -103,4 +108,32 @@ func BenchmarkRouterRoute(b *testing.B) {
 			}
 		}
 	})
+}
+
+// BenchmarkHop prices the router hop: one closed-loop client sends an 800-byte
+// POST and reads a 600-byte answer, straight to a loopback backend (direct)
+// and through a router in front of it (routed). routed − direct is what the
+// hop costs a request.
+func BenchmarkHop(b *testing.B) {
+	_, front, backend := loopbackRouter(b, answering(bytes.Repeat([]byte("a"), 600)))
+	body := bytes.Repeat([]byte("q"), 800)
+	for _, c := range []struct{ name, base string }{{"direct", backend}, {"routed", front}} {
+		b.Run(c.name, func(b *testing.B) {
+			client := &http.Client{Transport: &http.Transport{MaxConnsPerHost: 1, MaxIdleConnsPerHost: 1}}
+			defer client.CloseIdleConnections()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				resp, err := client.Post(c.base+"/v1/sessions/s-1/observe", "application/json", bytes.NewReader(body))
+				if err != nil {
+					b.Fatal(err)
+				}
+				n, _ := io.Copy(io.Discard, resp.Body)
+				resp.Body.Close()
+				if resp.StatusCode != http.StatusOK || n != 600 {
+					b.Fatalf("status %d, %d bytes", resp.StatusCode, n)
+				}
+			}
+		})
+	}
 }

@@ -41,7 +41,7 @@ func (r *Router) handOff(ctx context.Context, survivors []*node, rep service.Han
 			errs["import"] = "encode: " + err.Error()
 		} else {
 			for _, s := range survivors {
-				ans, err := r.call(ctx, s, 4*r.opts.Timeout, http.MethodPost, "/v1/repository/import", "", body)
+				ans, err := r.call(ctx, s, 4*r.opts.Timeout, http.MethodPost, "/v1/repository/import", body)
 				if err != nil {
 					errs["import "+s.name] = err.Error()
 				} else if ans.status != http.StatusOK {
@@ -58,7 +58,7 @@ func (r *Router) handOff(ctx context.Context, survivors []*node, rep service.Han
 			continue
 		}
 		ans, err := r.walk(ctx, survivors, ss.ID, 4*r.opts.Timeout,
-			http.MethodPost, "/v1/handoff/adopt", "", body, judgePlacement)
+			http.MethodPost, "/v1/handoff/adopt", body, judgePlacement)
 		switch {
 		case err != nil:
 			errs["adopt "+ss.ID] = err.Error()
@@ -99,7 +99,7 @@ func (r *Router) handleDrain(w http.ResponseWriter, req *http.Request) {
 	n.mu.Unlock()
 	r.logf("router: draining node %s", name)
 
-	ans, err := r.call(req.Context(), n, 4*r.opts.Timeout, http.MethodPost, "/v1/drain", "", []byte("{}"))
+	ans, err := r.call(req.Context(), n, 4*r.opts.Timeout, http.MethodPost, "/v1/drain", []byte("{}"))
 	if err != nil {
 		n.suspect(err, r.opts.FailAfter)
 		wire.WriteJSON(w, http.StatusBadGateway, map[string]any{

@@ -3,7 +3,6 @@ package router
 import (
 	"encoding/json"
 	"errors"
-	"io"
 	"net/http"
 	"sort"
 	"sync"
@@ -43,7 +42,7 @@ func (r *Router) fanout(req *http.Request, method, path string, body []byte) []n
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			rep, err := r.call(req.Context(), n, r.opts.Timeout, method, path, "", body)
+			rep, err := r.call(req.Context(), n, r.opts.Timeout, method, path, body)
 			results[i] = nodeResult{rep, err}
 		}()
 	}
@@ -312,9 +311,8 @@ func (r *Router) handleRepoExport(w http.ResponseWriter, req *http.Request) {
 // idempotent on the backend, so replaying a partially-failed broadcast is
 // safe).
 func (r *Router) handleRepoImport(w http.ResponseWriter, req *http.Request) {
-	body, err := io.ReadAll(io.LimitReader(req.Body, 64<<20))
-	if err != nil {
-		wire.WriteJSON(w, http.StatusBadRequest, map[string]any{"error": "read body: " + err.Error()})
+	body, ok := readBody(w, req, 64<<20)
+	if !ok {
 		return
 	}
 	results := r.fanout(req, http.MethodPost, "/v1/repository/import", body)

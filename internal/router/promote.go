@@ -87,7 +87,7 @@ func (r *Router) promote(n *node) bool {
 
 	body, _ := json.Marshal(map[string]string{"primary": n.name})
 	ctx := context.Background() // runs from the health loop, not a request
-	ans, err := r.call(ctx, holder, 4*r.opts.Timeout, http.MethodPost, "/v1/replica/promote", "", body)
+	ans, err := r.call(ctx, holder, 4*r.opts.Timeout, http.MethodPost, "/v1/replica/promote", body)
 	if err != nil {
 		holder.suspect(err, r.opts.FailAfter)
 		r.logf("router: promote %s on %s: %v", n.name, holder.name, err)
@@ -144,9 +144,9 @@ func (r *Router) findHolder(dead string, survivors []*node) (*node, int64) {
 		bytes int64
 	}
 	var cands []cand
-	q := url.Values{"primary": {dead}}.Encode()
+	target := "/v1/replica/status?" + url.Values{"primary": {dead}}.Encode()
 	for _, s := range survivors {
-		ans, err := r.call(context.Background(), s, r.opts.Timeout, http.MethodGet, "/v1/replica/status", q, nil)
+		ans, err := r.call(context.Background(), s, r.opts.Timeout, http.MethodGet, target, nil)
 		if err != nil || ans.status != http.StatusOK {
 			continue
 		}

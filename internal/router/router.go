@@ -27,10 +27,8 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"net/url"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -66,8 +64,6 @@ type Options struct {
 	// import and promote calls get 4x this: they close, rebuild or replay
 	// whole sessions.
 	Timeout time.Duration
-	// Transport overrides the backend HTTP transport (tests, benchmarks).
-	Transport http.RoundTripper
 	// Logf, when non-nil, receives health-transition and drain log lines.
 	Logf func(format string, args ...any)
 	// RetryBudget is how many additional candidates a routed request or a
@@ -220,9 +216,8 @@ type NodeStatus struct {
 type Router struct {
 	opts  Options
 	nodes []*node
-	// client carries every backend request. It has no Timeout of its own:
-	// call and the health probe bound each exchange with a context deadline.
-	client    *http.Client
+	// client carries every backend request: call's and the health probe's.
+	client    wire.Client
 	mux       http.Handler
 	quit      chan struct{}
 	wg        sync.WaitGroup
@@ -248,11 +243,7 @@ func New(opts Options) (*Router, error) {
 	if len(opts.Backends) == 0 {
 		return nil, fmt.Errorf("router: no backends configured")
 	}
-	r := &Router{
-		opts:   opts,
-		client: &http.Client{Transport: opts.Transport},
-		quit:   make(chan struct{}),
-	}
+	r := &Router{opts: opts, quit: make(chan struct{})}
 	seen := make(map[string]bool)
 	for _, b := range opts.Backends {
 		if b.Name == "" {
@@ -262,9 +253,9 @@ func New(opts Options) (*Router, error) {
 			return nil, fmt.Errorf("router: duplicate backend name %q", b.Name)
 		}
 		seen[b.Name] = true
-		u, err := url.Parse(b.URL)
-		if err != nil || u.Scheme == "" || u.Host == "" {
-			return nil, fmt.Errorf("router: backend %s: bad URL %q", b.Name, b.URL)
+		u, err := wire.ParseBase(b.URL)
+		if err != nil {
+			return nil, fmt.Errorf("router: backend %s: %w", b.Name, err)
 		}
 		r.nodes = append(r.nodes, &node{name: b.Name, base: u})
 	}
@@ -280,10 +271,11 @@ func New(opts Options) (*Router, error) {
 	return r, nil
 }
 
-// Close stops the health checkers.
+// Close stops the health checkers and closes the idle backend connections.
 func (r *Router) Close() {
 	r.closeOnce.Do(func() { close(r.quit) })
 	r.wg.Wait()
+	r.client.Close()
 }
 
 func (r *Router) ServeHTTP(w http.ResponseWriter, req *http.Request) {
@@ -427,15 +419,13 @@ func healthWord(healthy bool) string {
 // checkNode performs one health probe, cross-verifying the node identity
 // and adopting a backend-initiated drain.
 //
-// The probe deliberately bypasses call — it is the other caller of wire.Do,
+// The probe deliberately bypasses call — it is the client's other caller,
 // with no breaker claim and no router.proxy failpoint: it must keep
 // reaching a node whose breaker is open or that a router.proxy schedule has
 // partitioned, because it reports whether the process is up, not whether it
 // serves in time.
 func (r *Router) checkNode(n *node) error {
-	ctx, cancel := context.WithTimeout(context.Background(), r.opts.Timeout)
-	defer cancel()
-	status, _, body, err := wire.Do(ctx, r.client, http.MethodGet, n.base.JoinPath("/healthz").String(), "", "", nil, 1<<16)
+	status, _, body, err := r.client.Do(context.Background(), time.Now().Add(r.opts.Timeout), http.MethodGet, n.base.Host, n.base.Path+"/healthz", "", "", nil, 1<<16)
 	if err != nil {
 		return err
 	}
@@ -499,9 +489,10 @@ func (rep reply) refusal() string {
 // none — evaluates the router.proxy failpoint, bounds the exchange with
 // timeout, propagates the trace in ctx so the backend's spans join it,
 // records the "proxy <node>" span and the router.proxy histogram, and books
-// the transport outcome on the breaker; the exchange itself is wire.Do's.
+// the transport outcome on the breaker; the exchange itself is wire.Client's.
+// target is the request target as it goes on the wire: escaped path, query.
 // HTTP error statuses are successes to the breaker: the node answered.
-func (r *Router) call(ctx context.Context, n *node, timeout time.Duration, method, path, query string, body []byte) (rep reply, err error) {
+func (r *Router) call(ctx context.Context, n *node, timeout time.Duration, method, target string, body []byte) (rep reply, err error) {
 	rep.node = n
 	if !n.brAcquire(time.Now()) {
 		return rep, errBreakerOpen
@@ -530,12 +521,7 @@ func (r *Router) call(ctx context.Context, n *node, timeout time.Duration, metho
 		r.histProxy.Record(time.Since(start))
 		trace.AddSpan("proxy "+n.name, start)
 	}()
-	ctx, cancel := context.WithTimeout(ctx, timeout)
-	defer cancel()
-	u := *n.base
-	u.Path = strings.TrimSuffix(u.Path, "/") + path
-	u.RawQuery = query
-	rep.status, rep.hdr, rep.body, err = wire.Do(ctx, r.client, method, u.String(), trace.ID(), "application/json", body, 64<<20)
+	rep.status, rep.hdr, rep.body, err = r.client.Do(ctx, start.Add(timeout), method, n.base.Host, n.base.Path+target, trace.ID(), "application/json", body, 64<<20)
 	return rep, err
 }
 
@@ -604,7 +590,7 @@ func judgeSession(rep reply) (rank int, free bool) {
 // first, among equals), for the caller to replay. The error is non-nil only
 // when no candidate answered at all: errNoBackend when there was none to
 // ask, the last transport error otherwise.
-func (r *Router) walk(ctx context.Context, nodes []*node, key string, timeout time.Duration, method, path, query string, body []byte, verdict judge) (reply, error) {
+func (r *Router) walk(ctx context.Context, nodes []*node, key string, timeout time.Duration, method, target string, body []byte, verdict judge) (reply, error) {
 	var kept reply
 	keptRank, spent := 0, 0
 	lastErr := errNoBackend
@@ -616,14 +602,14 @@ func (r *Router) walk(ctx context.Context, nodes []*node, key string, timeout ti
 		if n == nil {
 			break
 		}
-		rep, err := r.call(ctx, n, timeout, method, path, query, body)
+		rep, err := r.call(ctx, n, timeout, method, target, body)
 		switch {
 		case errors.Is(err, errBreakerOpen):
 			continue // lost a race for the breaker's capacity
 		case err != nil:
 			n.suspect(err, r.opts.FailAfter)
 			lastErr = fmt.Errorf("all backends unreachable: node %s: %w", n.name, err)
-			r.logf("router: %s %s on %s failed, trying next candidate: %v", method, path, n.name, err)
+			r.logf("router: %s %s on %s failed, trying next candidate: %v", method, target, n.name, err)
 		default:
 			rank, free := verdict(rep)
 			if rank == 0 {
@@ -693,16 +679,37 @@ func writeNoBackend(w http.ResponseWriter) {
 func (r *Router) handleSession(w http.ResponseWriter, req *http.Request) {
 	var body []byte
 	if req.Method == http.MethodPost {
-		var err error
-		body, err = io.ReadAll(io.LimitReader(req.Body, 4<<20))
-		if err != nil {
-			wire.WriteJSON(w, http.StatusBadRequest, map[string]any{"error": "read body: " + err.Error()})
+		var ok bool
+		if body, ok = readBody(w, req, maxBody); !ok {
 			return
 		}
 	}
 	rep, err := r.walk(req.Context(), r.nodes, req.PathValue("id"), r.opts.Timeout,
-		req.Method, req.URL.Path, req.URL.RawQuery, body, judgeSession)
+		req.Method, req.URL.RequestURI(), body, judgeSession)
 	writeWalked(w, rep, err)
+}
+
+// maxBody is the largest session request body the router forwards.
+const maxBody = 4 << 20
+
+// readBody reads a body about to be forwarded, whole or not at all: one over
+// limit is answered 413 before any backend is asked, never cut to size and
+// passed on. It is never nil: a POST without one is forwarded with an empty one.
+func readBody(w http.ResponseWriter, req *http.Request, limit int64) ([]byte, bool) {
+	var buf bytes.Buffer
+	var err error = &http.MaxBytesError{Limit: limit} // an announced length over the limit is not read
+	if req.ContentLength <= limit {
+		buf.Grow(int(max(req.ContentLength, 0)) + bytes.MinRead)
+		_, err = buf.ReadFrom(http.MaxBytesReader(w, req.Body, limit))
+	}
+	if err != nil {
+		code := http.StatusBadRequest
+		if errors.As(err, new(*http.MaxBytesError)) {
+			code = http.StatusRequestEntityTooLarge
+		}
+		wire.WriteJSON(w, code, map[string]any{"error": "read body: " + err.Error()})
+	}
+	return buf.Bytes(), err == nil
 }
 
 // handleCreate places a new session: it mints the session ID (honouring a
@@ -713,9 +720,8 @@ func (r *Router) handleSession(w http.ResponseWriter, req *http.Request) {
 // refuses, replaying the first refusal (a retriable 503) beats a generic
 // 502.
 func (r *Router) handleCreate(w http.ResponseWriter, req *http.Request) {
-	raw, err := io.ReadAll(io.LimitReader(req.Body, 4<<20))
-	if err != nil {
-		wire.WriteJSON(w, http.StatusBadRequest, map[string]any{"error": "read body: " + err.Error()})
+	raw, ok := readBody(w, req, maxBody)
+	if !ok {
 		return
 	}
 	fields := make(map[string]any)
@@ -736,7 +742,7 @@ func (r *Router) handleCreate(w http.ResponseWriter, req *http.Request) {
 		return
 	}
 	rep, err := r.walk(req.Context(), r.nodes, id, r.opts.Timeout,
-		http.MethodPost, "/v1/sessions", "", body, judgePlacement)
+		http.MethodPost, "/v1/sessions", body, judgePlacement)
 	writeWalked(w, rep, err)
 }
 

@@ -13,6 +13,12 @@ import (
 	"time"
 )
 
+// get is the plain exchange most tests make: a bodiless GET of "/" with no
+// deadline and a 1-KiB answer limit.
+func get(ctx context.Context, c *Client, srv *httptest.Server, limit int64) (int, http.Header, []byte, error) {
+	return c.Do(ctx, time.Time{}, http.MethodGet, srv.Listener.Addr().String(), "/", "", "", nil, limit)
+}
+
 // echo answers with what it was sent, so a test reads the request off the
 // answer: method, body, and the two headers Do may set (absent stays absent).
 func echo(t *testing.T) *httptest.Server {
@@ -30,6 +36,8 @@ func echo(t *testing.T) *httptest.Server {
 
 func TestDoSetsHeadersOnlyWhenAsked(t *testing.T) {
 	srv := echo(t)
+	var client Client
+	defer client.Close()
 	for _, c := range []struct {
 		name, trace string
 		body        []byte
@@ -41,7 +49,7 @@ func TestDoSetsHeadersOnlyWhenAsked(t *testing.T) {
 		// client sent none.
 		{"empty body", "", []byte{}},
 	} {
-		status, hdr, answer, err := Do(context.Background(), srv.Client(), http.MethodPost, srv.URL, c.trace, "application/json", c.body, 1<<10)
+		status, hdr, answer, err := client.Do(context.Background(), time.Time{}, http.MethodPost, srv.Listener.Addr().String(), "/", c.trace, "application/json", c.body, 1<<10)
 		if err != nil || status != http.StatusTeapot {
 			t.Fatalf("%s: status %d, err %v", c.name, status, err)
 		}
@@ -73,10 +81,11 @@ func TestDoCancelAbortsBlockedExchange(t *testing.T) {
 	defer srv.Close()
 	defer close(release)
 
+	var client Client
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
 	go func() {
-		_, _, _, err := Do(ctx, srv.Client(), http.MethodGet, srv.URL, "", "", nil, 1<<10)
+		_, _, _, err := get(ctx, &client, srv, 1<<10)
 		done <- err
 	}()
 	<-entered
@@ -97,10 +106,12 @@ func TestDoRefusesAnswerOverLimit(t *testing.T) {
 		io.WriteString(w, strings.Repeat("x", 17))
 	}))
 	defer srv.Close()
-	if _, _, answer, err := Do(context.Background(), srv.Client(), http.MethodGet, srv.URL, "", "", nil, 17); err != nil || len(answer) != 17 {
+	var client Client
+	defer client.Close()
+	if _, _, answer, err := get(context.Background(), &client, srv, 17); err != nil || len(answer) != 17 {
 		t.Fatalf("answer of exactly the limit: %d bytes, err %v", len(answer), err)
 	}
-	status, hdr, _, err := Do(context.Background(), srv.Client(), http.MethodGet, srv.URL, "", "", nil, 16)
+	status, hdr, _, err := get(context.Background(), &client, srv, 16)
 	if err == nil {
 		t.Fatal("a 17-byte answer under a 16-byte limit was passed on as complete")
 	}
