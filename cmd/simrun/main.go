@@ -71,8 +71,8 @@ func main() {
 }
 
 // writeProfileJSON exports the full profiling artifact for external
-// analysis: timelines, GC events, and the task log as run-length Waves
-// (profile.Profile.EachTask expands them).
+// analysis: timelines, the run's GC log (profile.Profile.EachGC expands it
+// per container), and the task log as run-length Waves (EachTask).
 func writeProfileJSON(path string, prof *profile.Profile) error {
 	f, err := os.Create(path)
 	if err != nil {

@@ -13,6 +13,7 @@ package profile
 
 import (
 	"fmt"
+	"math"
 
 	"relm/internal/conf"
 )
@@ -81,10 +82,15 @@ type seriesMax struct {
 }
 
 func (m *seriesMax) of(tl Timeline) float64 {
-	if len(tl) != len(m.tl) || (len(tl) > 0 && &tl[0] != &m.tl[0]) {
+	if !sameSeries(tl, m.tl) {
 		m.tl, m.max = tl, tl.Max()
 	}
 	return m.max
+}
+
+// sameSeries reports whether a and b are views of the same samples.
+func sameSeries(a, b Timeline) bool {
+	return len(a) == len(b) && (len(a) == 0 || &a[0] == &b[0])
 }
 
 // GCEvent records one garbage collection observed in a container.
@@ -128,7 +134,8 @@ type TaskWave struct {
 // The timelines are read-only once the profile is built: the simulator gives
 // every container of a run a capacity-clipped view of one shared series, so
 // Append copies, but overwriting a sample in place would change them all.
-// GCEvents and FirstTaskHeapMB are the container's own.
+// FirstTaskHeapMB is the container's own; its GC events are read with
+// Profile.EachGC.
 type ContainerProfile struct {
 	ID        int
 	Node      int
@@ -140,8 +147,6 @@ type ContainerProfile struct {
 	RSS         Timeline // resident set size, MB
 	CacheUsed   Timeline // application cache pool, MB
 	ShuffleUsed Timeline // application shuffle pool, MB
-
-	GCEvents []GCEvent
 
 	// FirstTaskHeapMB is the heap occupancy at the first task submission,
 	// the paper's estimator for the Code Overhead pool Mi.
@@ -164,6 +169,13 @@ type Profile struct {
 
 	Containers []*ContainerProfile
 	Waves      []TaskWave
+
+	// GCs records each collection once: a young one is container 0's and
+	// carries its heap figures; a full one is every container's, and full
+	// collection k left Residency[k*len(Containers)+c] MB live on container
+	// c. EachGC expands both into a container's event log.
+	GCs       []GCEvent
+	Residency []float64
 
 	CPUUtil  Timeline // cluster-average CPU utilization, 0..1
 	DiskUtil Timeline // cluster-average disk utilization, 0..1
@@ -241,6 +253,22 @@ func (p *Profile) EachTask(fn func(TaskEvent)) {
 			t.Index, t.Container = w.First+k, k%max(1, w.Containers)
 			fn(t)
 		}
+	}
+}
+
+// EachGC expands the GC log into container ci's events, in recording order.
+// A full one's HeapBefore is 15% above its residency, capped at the heap.
+func (p *Profile) EachGC(ci int, fn func(GCEvent)) {
+	k := 0
+	for _, g := range p.GCs {
+		if g.Full {
+			g.HeapAfter = p.Residency[k*len(p.Containers)+ci]
+			g.HeapBefore = math.Min(p.HeapSizeMB, g.HeapAfter*1.15)
+			k++
+		} else if ci != 0 {
+			continue
+		}
+		fn(g)
 	}
 }
 

@@ -94,15 +94,7 @@ func buildProfile(withFullGC bool) *Profile {
 	c.CacheUsed.Append(0, cache)
 	c.ShuffleUsed.Append(0, float64(p)*shuf)
 	c.OldUsed.Append(0, mi+cache+800) // old peak incl. transient garbage
-	if withFullGC {
-		c.GCEvents = append(c.GCEvents, GCEvent{
-			T: 10, Full: true,
-			HeapAfter: mi + cache + float64(p)*(mu+shuf),
-			CacheAtGC: cache,
-			Running:   p,
-		})
-	}
-	return &Profile{
+	prof := &Profile{
 		Workload:      "synthetic",
 		Config:        conf.Config{ContainersPerNode: 1, TaskConcurrency: p, NewRatio: 2, SurvivorRatio: 8, CacheCapacity: 0.6},
 		HeapSizeMB:    4404,
@@ -111,6 +103,11 @@ func buildProfile(withFullGC bool) *Profile {
 		CacheHits:     3,
 		CacheRequests: 10,
 	}
+	if withFullGC {
+		prof.GCs = []GCEvent{{T: 10, Full: true, CacheAtGC: cache, Running: p}}
+		prof.Residency = []float64{mi + cache + float64(p)*(mu+shuf)}
+	}
+	return prof
 }
 
 func TestGenerateWithFullGC(t *testing.T) {

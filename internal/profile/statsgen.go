@@ -62,8 +62,9 @@ func Generate(p *Profile) Stats {
 	}
 
 	n := len(p.Containers)
-	mis, mcs, oldPeaks := make([]float64, 0, n), make([]float64, 0, n), make([]float64, 0, n)
-	var mss, mus []float64
+	buf := make([]float64, 0, 4*n+len(p.Residency))
+	mis, mcs, mss, oldPeaks := buf[0:0:n], buf[n:n:2*n], buf[2*n:2*n:3*n], buf[3*n:3*n:4*n]
+	mus := buf[4*n : 4*n]
 	var cachePeak, shufflePeak, oldPeak seriesMax
 	for _, c := range p.Containers {
 		mis = append(mis, c.FirstTaskHeapMB)
@@ -71,19 +72,28 @@ func Generate(p *Profile) Stats {
 		if peak := shufflePeak.of(c.ShuffleUsed); peak > 0 {
 			mss = append(mss, peak/float64(max(1, s.P)))
 		}
-		for _, gc := range c.GCEvents {
-			if !gc.Full {
-				continue
-			}
-			s.HadFullGC = true
-			running := max(1, gc.Running)
-			perTask := (gc.HeapAfter - c.FirstTaskHeapMB - gc.CacheAtGC) / float64(running)
+		oldPeaks = append(oldPeaks, oldPeak.of(c.OldUsed))
+	}
+	k := 0
+	for _, gc := range p.GCs {
+		if !gc.Full {
+			continue
+		}
+		running := max(1, gc.Running)
+		// Containers sharing one shuffle series read it once per collection.
+		var shuffleTL Timeline
+		var shuffleAt float64
+		for ci, c := range p.Containers {
+			perTask := (p.Residency[k*n+ci] - c.FirstTaskHeapMB - gc.CacheAtGC) / float64(running)
 			// Subtract the shuffle component: the instantaneous Task Shuffle
 			// value is available from instrumentation; the remainder is the
 			// unmanaged pool.
 			shuffle := gc.ShuffleAtGC
 			if shuffle == 0 {
-				shuffle = c.ShuffleUsed.At(gc.T)
+				if !sameSeries(c.ShuffleUsed, shuffleTL) {
+					shuffleTL, shuffleAt = c.ShuffleUsed, c.ShuffleUsed.At(gc.T)
+				}
+				shuffle = shuffleAt
 			}
 			perTask -= shuffle / float64(running)
 			if perTask < 0 {
@@ -91,8 +101,9 @@ func Generate(p *Profile) Stats {
 			}
 			mus = append(mus, perTask)
 		}
-		oldPeaks = append(oldPeaks, oldPeak.of(c.OldUsed))
+		k++
 	}
+	s.HadFullGC = len(mus) > 0
 
 	s.MiMB = stats.Percentile(mis, 90)
 	s.McMB = stats.Percentile(mcs, 90)

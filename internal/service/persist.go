@@ -205,8 +205,14 @@ func (m *Manager) Snapshot() error {
 	if len(m.repo.Entries) > 0 {
 		snap.Repo = &bo.Repository{Entries: append([]bo.RepoEntry(nil), m.repo.Entries...)}
 	}
-	for id := range m.harvested {
-		snap.Harvested = append(snap.Harvested, id)
+	for id, seq := range m.harvested {
+		if seq > snap.Fence {
+			snap.Harvested = append(snap.Harvested, id)
+		} else {
+			// fold skips harvest events at or below any snapshot's fence,
+			// and every later snapshot's fence is at least this one.
+			delete(m.harvested, id)
+		}
 	}
 	m.repoMu.Unlock()
 	if err := m.opts.Store.Compact(snap); err != nil {
@@ -289,8 +295,9 @@ func (m *Manager) fold(snap *store.Snapshot, events []store.Event) map[string]*s
 		if snap.Repo != nil {
 			m.repo = snap.Repo
 		}
+		// Bound past the fence until the fold meets the ID's harvest event.
 		for _, id := range snap.Harvested {
-			m.harvested[id] = struct{}{}
+			m.harvested[id] = harvestSeq(id, snap.Fence+1)
 		}
 		for _, ss := range snap.Sessions {
 			live[ss.ID] = &ss
@@ -298,7 +305,7 @@ func (m *Manager) fold(snap *store.Snapshot, events []store.Event) map[string]*s
 	}
 	armed := make(map[string]time.Time)
 	for i := range events {
-		m.foldEvent(live, armed, &events[i])
+		m.foldEvent(live, armed, snap, &events[i])
 	}
 	for id, at := range armed {
 		if ss := live[id]; ss != nil {
@@ -456,7 +463,7 @@ func (s *Session) observe(rec store.Observation) {
 // it. One that does either stamps its record Suggested, which is how
 // rebuildSession re-arms, or is itself a duplicate — and then the snapshot,
 // which already holds that observation, is later than the suggest.
-func (m *Manager) foldEvent(live map[string]*store.SessionSnapshot, armed map[string]time.Time, ev *store.Event) {
+func (m *Manager) foldEvent(live map[string]*store.SessionSnapshot, armed map[string]time.Time, snap *store.Snapshot, ev *store.Event) {
 	ss := live[ev.ID]
 	switch ev.Type {
 	case store.EventCreate:
@@ -507,14 +514,15 @@ func (m *Manager) foldEvent(live map[string]*store.SessionSnapshot, armed map[st
 		m.shardFor(ev.ID).closed[ev.ID] = ev.Seq
 
 	case store.EventHarvest:
-		if ev.Repo == nil {
-			return
+		if ev.Repo == nil || (snap != nil && ev.Seq <= snap.Fence) {
+			return // in the snapshot repository, or evicted from it
 		}
-		if _, ok := m.harvested[ev.ID]; ok {
+		if seq, ok := m.harvested[ev.ID]; ok {
+			m.harvested[ev.ID] = max(seq, ev.Seq)
 			return // already folded into the snapshot repository
 		}
 		m.repo.Entries = append(m.repo.Entries, *ev.Repo)
-		m.harvested[ev.ID] = struct{}{}
+		m.harvested[ev.ID] = harvestSeq(ev.ID, ev.Seq)
 		if ss != nil {
 			ss.Harvested = true
 		}

@@ -856,6 +856,97 @@ func TestTombstonePruning(t *testing.T) {
 	}
 }
 
+// TestHarvestedForgottenAtTheFence: a node that harvests and compacts for
+// ever remembers only the harvests its last compaction did not cover, in
+// memory and in the snapshot. Restoring that snapshot gives the repository
+// whatever part of the log underneath survived. So does a snapshot listing
+// every ID ever harvested, as older builds wrote it.
+func TestHarvestedForgottenAtTheFence(t *testing.T) {
+	tp := &tape{Store: store.NewMem()}
+	m, err := Open(Options{Workers: 1, Store: tp, SnapshotEvery: 1 << 30, RepoCapacity: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close()
+	remembered := func() int {
+		m.repoMu.Lock()
+		defer m.repoMu.Unlock()
+		return len(m.harvested)
+	}
+	const perRound = 3
+	var everHarvested []string
+	var snap *store.Snapshot
+	for round := 0; round < 6; round++ {
+		for i := 0; i < perRound; i++ {
+			st, err := m.Create(Spec{Backend: "bo", Workload: "SVM", Mode: ModeAuto, Seed: uint64(10*round + i), MaxIterations: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			waitState(t, m, st.ID, StateDone)
+			if err := m.CloseSession(st.ID); err != nil {
+				t.Fatal(err)
+			}
+			everHarvested = append(everHarvested, st.ID)
+		}
+		if n := remembered(); n != perRound {
+			t.Fatalf("round %d: %d harvested IDs remembered, want the %d since the last compaction", round, n, perRound)
+		}
+		if err := m.Snapshot(); err != nil {
+			t.Fatal(err)
+		}
+		if snap, _, err = tp.Load(); err != nil {
+			t.Fatal(err)
+		}
+		if n := remembered(); n != 0 || len(snap.Harvested) != 0 {
+			t.Fatalf("round %d: after compaction %d IDs remembered, %d in the snapshot; want 0, 0", round, n, len(snap.Harvested))
+		}
+	}
+
+	// One more round the snapshot does not cover, then restore. Every
+	// harvest event below the fence — as a kept segment would still hold
+	// them — must not bring back a model the repository evicted.
+	var tail []store.Event
+	for i := 0; i < perRound; i++ {
+		st, err := m.Create(Spec{Backend: "bo", Workload: "K-means", Mode: ModeAuto, Seed: uint64(100 + i), MaxIterations: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		waitState(t, m, st.ID, StateDone)
+	}
+	for _, ev := range tp.events {
+		if ev.Seq > snap.Fence {
+			tail = append(tail, ev)
+		}
+	}
+	newJSON, err := json.Marshal(snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// restoreState's manager has the default capacity: the snapshot's four
+	// models plus the tail's.
+	want := restoreState(t, true, newJSON, tail)
+	if len(want.Repo) != 4+perRound || len(want.Harvested) != perRound {
+		t.Fatalf("restored %d models, %d harvested IDs; want %d, %d", len(want.Repo), len(want.Harvested), 4+perRound, perRound)
+	}
+	if got := restoreState(t, true, newJSON, tp.events); !reflect.DeepEqual(got.Repo, want.Repo) {
+		t.Fatalf("the log below the fence changed the repository the snapshot restores to: %d models, want %d", len(got.Repo), len(want.Repo))
+	}
+	old := *snap
+	old.Harvested = everHarvested
+	oldJSON, err := json.Marshal(&old)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := restoreState(t, true, oldJSON, tail)
+	got.Harvested = want.Harvested
+	if d := got.diff(want); d != "" {
+		t.Fatalf("a snapshot listing every harvested ID restores differently:%s", d)
+	}
+	if got := restoreState(t, true, oldJSON, tp.events); !reflect.DeepEqual(got.Repo, want.Repo) {
+		t.Fatalf("a snapshot listing every harvested ID, under the whole log, restores another repository: %d models, want %d", len(got.Repo), len(want.Repo))
+	}
+}
+
 // TestRestoredUnsolicitedDDPG: a DDPG client that only reports unsolicited
 // observations (never calls suggest) folds them into the RL state; the
 // restored tuner must land in the same state and produce the same next

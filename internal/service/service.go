@@ -363,9 +363,12 @@ type Manager struct {
 	// resurrect a session its caller was told failed).
 	life sync.RWMutex
 
-	repoMu    sync.Mutex
-	repo      *bo.Repository
-	harvested map[string]struct{} // session IDs already in repo
+	repoMu sync.Mutex
+	repo   *bo.Repository
+	// harvested maps IDs already in repo to their harvest event's seq, as
+	// closed does tombstones (tombstoneKept for import keys and IDs whose
+	// event is in flight or absent); compaction prunes it at the fence.
+	harvested map[string]uint64
 
 	evictions     atomic.Int64
 	observations  atomic.Int64
@@ -439,7 +442,7 @@ func newManager(opts Options) *Manager {
 		opts:      opts,
 		shards:    make([]*shard, numShards),
 		repo:      &bo.Repository{},
-		harvested: make(map[string]struct{}),
+		harvested: make(map[string]uint64),
 		quit:      make(chan struct{}),
 		snapCh:    make(chan struct{}, 1),
 	}
@@ -1066,12 +1069,12 @@ func (m *Manager) ImportRepository(entries []bo.RepoEntry) int {
 		if dup {
 			// A locally-harvested twin: remember the key so replays of the
 			// import journal stay no-ops, but add nothing.
-			m.harvested[key] = struct{}{}
+			m.harvested[key] = tombstoneKept
 			m.repoMu.Unlock()
 			continue
 		}
 		m.repo.Entries = append(m.repo.Entries, e)
-		m.harvested[key] = struct{}{}
+		m.harvested[key] = tombstoneKept
 		m.repoEvictions.Add(int64(len(m.repo.EvictDown(m.opts.RepoCapacity))))
 		m.repoMu.Unlock()
 		m.journal(&store.Event{Type: store.EventHarvest, ID: key, Time: now, Repo: &e})
@@ -1089,6 +1092,15 @@ func importKey(e *bo.RepoEntry) string {
 		fmt.Fprintf(h, "|%.9g", v)
 	}
 	return fmt.Sprintf("import-%016x", h.Sum64())
+}
+
+// harvestSeq is the seq m.harvested keeps id at, given its event's: an
+// import key (importKey) is kept for good.
+func harvestSeq(id string, seq uint64) uint64 {
+	if strings.HasPrefix(id, "import-") {
+		return tombstoneKept
+	}
+	return seq
 }
 
 // Metrics is the service's observability snapshot.
@@ -1360,13 +1372,23 @@ func (m *Manager) harvestLocked(s *Session) {
 	s.harvested = true
 	m.repoMu.Lock()
 	m.repo.Entries = append(m.repo.Entries, entry)
-	m.harvested[s.id] = struct{}{}
+	if m.opts.Store != nil { // without one no log is ever folded back
+		m.harvested[s.id] = tombstoneKept
+	}
 	// Capacity eviction: drop the least-recently-matched entries. Their
-	// session IDs stay in m.harvested, so a harvest event still in the log
-	// cannot resurrect them on replay.
+	// session IDs stay in m.harvested until a compaction's fence covers the
+	// harvest event, so replay cannot resurrect them.
 	m.repoEvictions.Add(int64(len(m.repo.EvictDown(m.opts.RepoCapacity))))
 	m.repoMu.Unlock()
-	m.journal(&store.Event{Type: store.EventHarvest, ID: s.id, Time: now, Repo: &entry})
+	seq, err := m.journal(&store.Event{Type: store.EventHarvest, ID: s.id, Time: now, Repo: &entry})
+	if err != nil || seq == 0 {
+		return // no store or append failed: the ID stays kept
+	}
+	m.repoMu.Lock()
+	if m.harvested[s.id] == tombstoneKept {
+		m.harvested[s.id] = seq
+	}
+	m.repoMu.Unlock()
 }
 
 // fingerprintLocked returns the session's workload fingerprint and the

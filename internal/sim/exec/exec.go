@@ -128,11 +128,17 @@ func (e *engine) setup() {
 		waves += max(1, st.Repeat) * ((st.Tasks + slots - 1) / slots)
 	}
 	e.prof.Waves = make([]profile.TaskWave, 0, waves)
-	e.heapUsed = make(profile.Timeline, 0, 1+2*waves)
-	e.oldUsed = make(profile.Timeline, 0, 1+waves)
-	e.rss = make(profile.Timeline, 0, 1+2*waves)
-	e.cacheUsed = make(profile.Timeline, 0, waves)
-	e.shuffleUsed = make(profile.Timeline, 0, 2*waves)
+	e.prof.GCs = make([]profile.GCEvent, 0, waves)
+	// The five shared timelines are carved from one allocation, each
+	// capacity-clipped so an append past its share reallocates.
+	tl := make(profile.Timeline, 3+8*waves)
+	carve := func(n int) profile.Timeline {
+		s := tl[:0:n]
+		tl = tl[n:]
+		return s
+	}
+	e.heapUsed, e.oldUsed, e.rss = carve(1+2*waves), carve(1+waves), carve(1+2*waves)
+	e.cacheUsed, e.shuffleUsed = carve(waves), carve(2*waves)
 	e.heapUsed.Append(0, e.wl.CodeOverheadMB)
 	e.oldUsed.Append(0, e.wl.CodeOverheadMB)
 	e.rss.Append(0, e.heapMB*0.4+e.heap.Cost.NativeBaseMB)
@@ -149,8 +155,6 @@ func (e *engine) setup() {
 		}
 		e.prof.Containers[i] = &cps[i]
 	}
-	// Container 0 also carries the one young-GC event a wave records.
-	cps[0].GCEvents = make([]profile.GCEvent, 0, waves)
 	e.planCache()
 }
 
@@ -491,8 +495,9 @@ func normCDF(z float64) float64 {
 	return 0.5 * math.Erfc(-z/math.Sqrt2)
 }
 
-// recordWave appends the wave's timeline samples (once, for all containers),
-// each container's GC events, and the wave's run-length task record.
+// recordWave appends the wave's timeline samples and GC events (once, for
+// all containers), each container's full-GC residencies, and the wave's
+// run-length task record.
 func (e *engine) recordWave(si int, st workload.StageSpec, l stageLoad, gc jvm.WaveResult,
 	start, waveDur, taskDur, pause float64, waveTasks, tasksPerC int, cacheLive float64, firstTask int) {
 
@@ -507,32 +512,38 @@ func (e *engine) recordWave(si int, st workload.StageSpec, l stageLoad, gc jvm.W
 	e.shuffleUsed.Append(start, shuffleLive)
 	e.shuffleUsed.Append(end, 0)
 
-	// Representative GC events: one young event plus the full events
-	// (capped per wave) with the post-collection residency that the
-	// statistics generator reads Mu from. The residency noise is drawn per
-	// container, which is why these stay per container.
-	eventPause := pause / float64(gc.YoungGCs+gc.FullGCs+1)
+	// Representative GC events, recorded once: one young event (container
+	// 0's) plus the full events (capped per wave), whose post-collection
+	// residency — what Generate reads Mu from — is drawn per container.
+	ev := profile.GCEvent{
+		Pause: pause / float64(gc.YoungGCs+gc.FullGCs+1), OldAfter: gc.OldAfter,
+		CacheAtGC: cacheLive, ShuffleAtGC: shuffleLive, Running: tasksPerC,
+	}
+	if gc.YoungGCs > 0 {
+		young := ev
+		young.T, young.HeapBefore, young.HeapAfter = start+waveDur*0.4, gc.PeakHeap, gc.PeakHeap*0.75
+		e.prof.GCs = append(e.prof.GCs, young)
+	}
 	fulls := min(gc.FullGCs, 3)
-	for ci, cp := range e.prof.Containers {
-		if gc.YoungGCs > 0 && ci == 0 {
-			cp.GCEvents = append(cp.GCEvents, profile.GCEvent{
-				T: start + waveDur*0.4, Full: false, Pause: eventPause,
-				HeapBefore: gc.PeakHeap, HeapAfter: gc.PeakHeap * 0.75,
-				OldAfter: gc.OldAfter, CacheAtGC: cacheLive, ShuffleAtGC: shuffleLive, Running: tasksPerC,
-			})
-		}
+	ev.Full = true
+	for f := 0; f < fulls; f++ {
+		frac := (float64(f) + 0.6) / (float64(fulls) + 0.6)
+		ev.T = start + waveDur*frac
+		e.prof.GCs = append(e.prof.GCs, ev)
+	}
+	// Grown by hand: slices.Grow's append of a make allocates the make too
+	// in -race builds, which TestExperimentAllocations would count.
+	res, row := e.prof.Residency, len(e.prof.Residency)
+	if n := row + fulls*e.containers; n > cap(res) {
+		res = make([]float64, row, 2*n)
+		copy(res, e.prof.Residency)
+	}
+	e.prof.Residency = res[:row+fulls*e.containers]
+	for ci := 0; ci < e.containers; ci++ {
 		for f := 0; f < fulls; f++ {
-			frac := (float64(f) + 0.6) / (float64(fulls) + 0.6)
 			after := e.wl.CodeOverheadMB + cacheLive +
 				float64(tasksPerC)*(l.unmanaged*e.rng.Norm(1, 0.03)+l.held)
-			if after > e.heapMB {
-				after = e.heapMB
-			}
-			cp.GCEvents = append(cp.GCEvents, profile.GCEvent{
-				T: start + waveDur*frac, Full: true, Pause: eventPause,
-				HeapBefore: math.Min(e.heapMB, after*1.15), HeapAfter: after,
-				OldAfter: gc.OldAfter, CacheAtGC: cacheLive, ShuffleAtGC: shuffleLive, Running: tasksPerC,
-			})
+			e.prof.Residency[row+f*e.containers+ci] = min(after, e.heapMB)
 		}
 	}
 

@@ -291,12 +291,12 @@ func TestContainersShareReadOnlyTimelines(t *testing.T) {
 func TestShuffleAtGCMatchesTimeline(t *testing.T) {
 	for _, wl := range workload.Benchmarks() {
 		_, prof := Run(cluster.A(), wl, conf.DefaultShuffle(), 3)
-		for _, c := range prof.Containers {
-			for _, g := range c.GCEvents {
+		for ci, c := range prof.Containers {
+			prof.EachGC(ci, func(g profile.GCEvent) {
 				if want := c.ShuffleUsed.At(g.T); g.ShuffleAtGC != want {
 					t.Fatalf("%s: ShuffleAtGC = %v at t=%v, timeline says %v", wl.Name, g.ShuffleAtGC, g.T, want)
 				}
-			}
+			})
 		}
 	}
 }

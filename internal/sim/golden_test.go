@@ -77,7 +77,7 @@ func (d digest) run(res sim.Result, p *profile.Profile) {
 	d.timeline(p.DiskUtil)
 
 	d.i(len(p.Containers))
-	for _, c := range p.Containers {
+	for ci, c := range p.Containers {
 		d.i(c.ID, c.Node)
 		d.f(c.HeapCapMB, c.PhysCapMB, c.FirstTaskHeapMB)
 		d.timeline(c.HeapUsed)
@@ -85,8 +85,12 @@ func (d digest) run(res sim.Result, p *profile.Profile) {
 		d.timeline(c.RSS)
 		d.timeline(c.CacheUsed)
 		d.timeline(c.ShuffleUsed)
-		d.i(len(c.GCEvents))
-		for _, g := range c.GCEvents {
+		// The per-container event log, count first, as the recorder that
+		// kept one stored it.
+		var events []profile.GCEvent
+		p.EachGC(ci, func(g profile.GCEvent) { events = append(events, g) })
+		d.i(len(events))
+		for _, g := range events {
 			d.f(g.T, g.Pause, g.HeapBefore, g.HeapAfter, g.OldAfter, g.CacheAtGC)
 			d.b(g.Full)
 			d.i(g.Running)

@@ -75,27 +75,67 @@ func Sum(xs []float64) float64 {
 }
 
 // Percentile returns the p-th percentile (0..100) of xs using linear
-// interpolation between closest ranks. It returns 0 for empty input.
+// interpolation between closest ranks. It returns 0 for empty input. It
+// selects, on a copy, the order statistics sort.Float64s (NaNs first) would
+// give.
 func Percentile(xs []float64, p float64) float64 {
 	if len(xs) == 0 {
 		return 0
 	}
-	sorted := append([]float64(nil), xs...)
-	sort.Float64s(sorted)
+	rank := float64(len(xs) - 1)
 	if p <= 0 {
-		return sorted[0]
+		rank = 0
+	} else if p < 100 {
+		rank *= p / 100
 	}
-	if p >= 100 {
-		return sorted[len(sorted)-1]
+	order := append([]float64(nil), xs...)
+	lo := int(rank)
+	v := nth(order, lo)
+	if frac := rank - float64(lo); frac != 0 {
+		// The next order statistic is the least of what nth left after lo.
+		v = v*(1-frac) + nth(order[lo+1:], 0)*frac
 	}
-	rank := p / 100 * float64(len(sorted)-1)
-	lo := int(math.Floor(rank))
-	hi := int(math.Ceil(rank))
-	if lo == hi {
-		return sorted[lo]
+	return v
+}
+
+// nth reorders xs so that xs[k] is what sort.Float64s would put there and
+// nothing after it sorts before it, and returns xs[k].
+func nth(xs []float64, k int) float64 {
+	lo := 0 // past the NaNs, which sort first
+	for i, x := range xs {
+		if x != x {
+			xs[i], xs[lo] = xs[lo], x
+			lo++
+		}
 	}
-	frac := rank - float64(lo)
-	return sorted[lo]*(1-frac) + sorted[hi]*frac
+	for hi := len(xs) - 1; lo <= k && lo < hi; {
+		// Three-way partition around a median of three: a run of equal
+		// values is settled in one pass.
+		a, b, c := xs[lo], xs[(lo+hi)/2], xs[hi]
+		pivot := max(min(a, b), min(max(a, b), c))
+		lt, i, gt := lo, lo, hi
+		for i <= gt {
+			switch x := xs[i]; {
+			case x < pivot:
+				xs[lt], xs[i] = x, xs[lt]
+				lt, i = lt+1, i+1
+			case x > pivot:
+				xs[gt], xs[i] = x, xs[gt]
+				gt--
+			default:
+				i++
+			}
+		}
+		if k >= lt && k <= gt {
+			break
+		}
+		if k < lt {
+			hi = lt - 1
+		} else {
+			lo = gt + 1
+		}
+	}
+	return xs[k]
 }
 
 // Median returns the 50th percentile.

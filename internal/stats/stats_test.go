@@ -2,6 +2,8 @@ package stats
 
 import (
 	"math"
+	"math/rand/v2"
+	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -52,6 +54,77 @@ func TestPercentileDoesNotMutate(t *testing.T) {
 	Percentile(xs, 50)
 	if xs[0] != 3 || xs[1] != 1 || xs[2] != 2 {
 		t.Fatal("Percentile mutated its input")
+	}
+}
+
+// sortedPercentile is the sort-based Percentile that selection replaced.
+func sortedPercentile(xs []float64, p float64) float64 {
+	if len(xs) == 0 {
+		return 0
+	}
+	sorted := append([]float64(nil), xs...)
+	sort.Float64s(sorted)
+	if p <= 0 {
+		return sorted[0]
+	}
+	if p >= 100 {
+		return sorted[len(sorted)-1]
+	}
+	rank := p / 100 * float64(len(sorted)-1)
+	lo := int(math.Floor(rank))
+	hi := int(math.Ceil(rank))
+	if lo == hi {
+		return sorted[lo]
+	}
+	frac := rank - float64(lo)
+	return sorted[lo]*(1-frac) + sorted[hi]*frac
+}
+
+// TestPercentileMatchesSort compares selection with the sort it replaced,
+// bit for bit, over inputs with distinct values, runs of duplicates, ±Inf
+// and NaN, ascending and descending. (Signed zeros are left out: the two
+// compare equal, so neither sort.Float64s nor selection orders them.)
+func TestPercentileMatchesSort(t *testing.T) {
+	rng := rand.New(rand.NewPCG(1, 2))
+	special := []float64{math.Inf(1), math.Inf(-1), math.NaN()}
+	inputs := []struct {
+		name string
+		draw func(n, i int) float64
+	}{
+		{"distinct", func(n, i int) float64 { return rng.NormFloat64() * 100 }},
+		{"duplicates", func(n, i int) float64 { return float64(rng.IntN(n/8 + 1)) }},
+		{"specials", func(n, i int) float64 {
+			if rng.IntN(4) == 0 {
+				return special[rng.IntN(len(special))]
+			}
+			return float64(rng.IntN(n/2+1)) - float64(n/4)
+		}},
+		{"ascending", func(n, i int) float64 { return float64(i / 3) }},
+		{"descending", func(n, i int) float64 { return float64(n - i) }},
+	}
+	var sizes []int
+	for n := 1; n <= 300; n++ {
+		sizes = append(sizes, n)
+	}
+	for n := 331; n < 5000; n = n * 11 / 10 {
+		sizes = append(sizes, n)
+	}
+	sizes = append(sizes, 5000)
+	for _, in := range inputs {
+		for _, n := range sizes {
+			xs := make([]float64, n)
+			for i := range xs {
+				xs[i] = in.draw(n, i)
+			}
+			for _, p := range []float64{0, 10, 50, 90, 99.5, 100} {
+				if got, want := Percentile(xs, p), sortedPercentile(xs, p); math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("%s n=%d: Percentile(%v) = %v, sort gives %v", in.name, n, p, got, want)
+				}
+			}
+			if got, want := Median(xs), sortedPercentile(xs, 50); math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("%s n=%d: Median = %v, sort gives %v", in.name, n, got, want)
+			}
+		}
 	}
 }
 
