@@ -172,7 +172,12 @@ func mergeWAL(rep *report, union map[string]*sessionFacts, dir string) {
 		ev := &events[i]
 		switch ev.Type {
 		case store.EventCreate:
-			get(ev.ID).created = true
+			f := get(ev.ID)
+			f.created = true
+			// An adopted session's history arrives in its create record.
+			if ev.Session != nil {
+				f.observes = max(f.observes, len(ev.Session.History))
+			}
 		case store.EventObserve:
 			f := get(ev.ID)
 			f.created = true

@@ -31,21 +31,61 @@ func buildWAL(t *testing.T) string {
 		t.Fatal(err)
 	}
 	for id, observes := range map[string]int{"live": 3, "shut": 1} {
-		if _, err := m.Create(service.Spec{ID: id, Backend: "bo", Workload: "SVM", Seed: 1}); err != nil {
-			t.Fatal(err)
-		}
-		for i := 0; i < observes; i++ {
-			cfg, _, err := m.Suggest(id)
-			if err != nil {
-				t.Fatal(err)
-			}
-			rt := 100 + 10*math.Sin(float64(i))
-			if _, err := m.Observe(id, service.Observation{Config: cfg, RuntimeSec: rt}); err != nil {
-				t.Fatal(err)
-			}
-		}
+		createObserved(t, m, id, observes)
 	}
 	if err := m.CloseSession("shut"); err != nil {
+		t.Fatal(err)
+	}
+	m.Close()
+	return dir
+}
+
+// createObserved creates session id on m and reports n observations to it.
+func createObserved(t *testing.T, m *service.Manager, id string, n int) {
+	t.Helper()
+	if _, err := m.Create(service.Spec{ID: id, Backend: "bo", Workload: "SVM", Seed: 1}); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < n; i++ {
+		cfg, _, err := m.Suggest(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rt := 100 + 10*math.Sin(float64(i))
+		if _, err := m.Observe(id, service.Observation{Config: cfg, RuntimeSec: rt}); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// keepLog is a store whose compactions write nothing, so the log a Manager
+// leaves behind at Close still holds every record it appended.
+type keepLog struct{ store.Store }
+
+func (keepLog) Compact(*store.Snapshot) error { return nil }
+
+// buildAdoptedWAL drains session "moved", three observations in, off a
+// donor and has a durable Manager adopt it, leaving the adoption in its log:
+// one create record that carries the history.
+func buildAdoptedWAL(t *testing.T) string {
+	t.Helper()
+	donor := service.NewManager(service.Options{NodeID: "donor", Workers: 1})
+	defer donor.Close()
+	createObserved(t, donor, "moved", 3)
+	handed := donor.Drain().Sessions
+	if len(handed) != 1 {
+		t.Fatalf("donor handed over %d sessions, want 1", len(handed))
+	}
+	dir := filepath.Join(t.TempDir(), "node-b")
+	st, err := store.OpenFile(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := service.Open(service.Options{NodeID: "node-b", Workers: 1, Store: keepLog{st}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := m.Adopt(handed[0]); err != nil {
 		t.Fatal(err)
 	}
 	m.Close()
@@ -119,6 +159,39 @@ func TestCheckAcksReportsOnlyTheLostObserve(t *testing.T) {
 	wantViolations(t, rep, "acked observe #4 of live: WALs recover only 3")
 	if rep.Checks["acks"] != 6 || rep.Checks["acks_closed_exempt"] != 3 {
 		t.Errorf("checks = %v, want 6 acks, 3 exempt", rep.Checks)
+	}
+}
+
+// Invariant 1 over an adopted session: its history is in its create
+// record, not in observe records, and the union counts it — acks of those
+// observations are not lost.
+func TestCheckAcksCountsAnAdoptedHistory(t *testing.T) {
+	rep := newReport()
+	union := map[string]*sessionFacts{}
+	mergeWAL(rep, union, buildAdoptedWAL(t))
+	if f := union["moved"]; f == nil || !f.created || f.closed || f.observes != 3 {
+		t.Fatalf("union[moved] = %+v, want created, open, 3 observes", f)
+	}
+	var log bytes.Buffer
+	enc := json.NewEncoder(&log)
+	for _, a := range []loadgen.Ack{
+		{Op: "create", Session: "moved"},
+		{Op: "observe", Session: "moved", N: 1},
+		{Op: "observe", Session: "moved", N: 2},
+		{Op: "observe", Session: "moved", N: 3},
+	} {
+		if err := enc.Encode(a); err != nil {
+			t.Fatal(err)
+		}
+	}
+	path := filepath.Join(t.TempDir(), "acks.jsonl")
+	if err := os.WriteFile(path, log.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	checkAcks(rep, path, union)
+	wantViolations(t, rep)
+	if rep.Checks["acks"] != 4 {
+		t.Errorf("checks = %v, want 4 acks", rep.Checks)
 	}
 }
 

@@ -28,9 +28,9 @@ type reassignment struct {
 // every session snapshot is POSTed to /v1/handoff/adopt down the walk of
 // its rendezvous candidates — 201 places it, 409 means an earlier attempt
 // already did, an unreachable, draining or journal-degraded candidate
-// passes it on (the backend backs a refused adopt out with a tombstone so
-// that it can be placed elsewhere), any other answer is that session's
-// error. It returns where each session went and, keyed "import <node>" /
+// passes it on (a refused adopt leaves nothing on the backend, neither
+// record nor tombstone, so a retry there cannot answer 409 for a session it
+// never took), any other answer is that session's error. It returns where each session went and, keyed "import <node>" /
 // "adopt <id>", what failed; nothing is rolled back, the caller reports
 // the remainder.
 func (r *Router) handOff(ctx context.Context, survivors []*node, rep service.HandoffReport) ([]reassignment, map[string]string) {

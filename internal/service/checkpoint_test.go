@@ -91,8 +91,8 @@ func TestCheckpointAmortised(t *testing.T) {
 			const every, events = 256, 20000
 			st := newStore(t)
 			m, id := open(t, st, every)
-			if n := m.ImportRepository(fullRepository(1024)); n != 1024 {
-				t.Fatalf("imported %d entries, want 1024", n)
+			if n, err := m.ImportRepository(fullRepository(1024)); n != 1024 || err != nil {
+				t.Fatalf("imported %d entries (err %v), want 1024", n, err)
 			}
 			journalN(t, m, id, events)
 			waitSnapshots(t, st, 2)

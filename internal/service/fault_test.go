@@ -25,6 +25,19 @@ func armServiceFault(t *testing.T, point, action string, count int) {
 	t.Cleanup(fault.DisarmAll)
 }
 
+// armFaultAfter fails the point's hit after the first `after` ones, once,
+// and disarms everything at test end.
+func armFaultAfter(t *testing.T, point string, after int) {
+	t.Helper()
+	err := fault.Apply(fault.Schedule{Seed: 1, Rules: []fault.Rule{
+		{Point: point, Action: "error", After: after, Count: 1},
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(fault.DisarmAll)
+}
+
 // fileStoreManager builds a Manager over a real file store so store
 // failpoints exercise the whole journal path.
 func fileStoreManager(t *testing.T, o store.FileOptions) (*Manager, string) {
@@ -37,6 +50,21 @@ func fileStoreManager(t *testing.T, o store.FileOptions) (*Manager, string) {
 	m := NewManager(Options{Workers: 1, Store: fs})
 	t.Cleanup(m.Close)
 	return m, dir
+}
+
+// reopen is the restart after a crash: a Manager recovered from dir.
+func reopen(t *testing.T, dir string) *Manager {
+	t.Helper()
+	fs, err := store.OpenFile(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := Open(Options{Workers: 1, Store: fs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(m.Close)
+	return m
 }
 
 func TestObserveJournalFailureLeavesStateUntouched(t *testing.T) {

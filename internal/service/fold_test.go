@@ -181,7 +181,8 @@ func (got restoredState) diff(want restoredState) string {
 // recordLog drives one manager through every kind of event recovery has to
 // fold — all four backends, a warm-started session, a DDPG session observed
 // off its outstanding suggestion (armed, unconsumed), a trailing suggest, an
-// auto session, closes, an imported model and a compaction in the middle —
+// auto session, closes, an imported model, an auto session warm-started by
+// its fingerprinting run, an adopted one and a compaction in the middle —
 // and returns the complete log.
 func recordLog(t *testing.T) []store.Event {
 	t.Helper()
@@ -277,9 +278,25 @@ func recordLog(t *testing.T) []store.Event {
 		t.Fatal(err)
 	}
 	// What a drained peer's models look like when they arrive here.
-	if n := m.ImportRepository([]bo.RepoEntry{{Workload: "SVM", ClusterName: "A", Fingerprint: *fingerprint.Stats, DefaultSec: 77,
-		Points: []bo.PriorPoint{{X: []float64{0.1, 0.2, 0.3, 0.4}, Cfg: conf.Default(), Y: 77}}}}); n != 1 {
-		t.Fatalf("imported %d entries, want 1", n)
+	if n, err := m.ImportRepository([]bo.RepoEntry{{Workload: "SVM", ClusterName: "A", Fingerprint: *fingerprint.Stats, DefaultSec: 77,
+		Points: []bo.PriorPoint{{X: []float64{0.1, 0.2, 0.3, 0.4}, Cfg: conf.Default(), Y: 77}}}}); n != 1 || err != nil {
+		t.Fatalf("imported %d entries (err %v), want 1", n, err)
+	}
+	// An auto session whose fingerprinting run matches a model: its warm
+	// start rides on that run's observe record.
+	def, model := kmeansModel(t)
+	importModels(t, m, model)
+	autoWarm := create(Spec{ID: "auto-warm", Backend: "bo", Workload: "K-means", Mode: ModeAuto, Seed: 8, MaxIterations: 2, WarmStart: true})
+	if st := waitState(t, m, autoWarm, StateDone); !st.WarmStarted {
+		t.Fatalf("auto session not warm-started: %+v", st)
+	}
+	// A session handed over from another node, history, warm start and
+	// outstanding suggestion in its one create record.
+	handed := donorSnapshot(t, Spec{ID: "adopted", Backend: "gbo", Workload: "K-means", Seed: 9, MaxIterations: 8,
+		WarmStart: true, Stats: def.Stats, DefaultRuntimeSec: def.RuntimeSec}, 2, model)
+	handed.Suggested = true
+	if st, err := m.Adopt(handed); err != nil || !st.WarmStarted {
+		t.Fatalf("adopt: %+v (err %v), want a warm-started session", st, err)
 	}
 	suggest(plain) // trailing: handed out, never observed
 	crash(m)
@@ -295,18 +312,31 @@ func TestRestoreSameFromEveryCut(t *testing.T) {
 	types := make(map[string]int)
 	for _, ev := range events {
 		types[ev.Type]++
+		switch {
+		case ev.Session != nil && ev.Session.Warm != nil:
+			types["create with a warm start"]++
+		case ev.Type == store.EventObserve && ev.Warm != nil:
+			types["observe with a warm start"]++
+		}
+		if ev.Session != nil && len(ev.Session.History) > 0 {
+			types["create with a history (adopted)"]++
+		}
 	}
-	for _, typ := range []string{store.EventCreate, store.EventWarm, store.EventSuggest, store.EventObserve, store.EventClose, store.EventHarvest} {
+	for _, typ := range []string{store.EventCreate, store.EventSuggest, store.EventObserve, store.EventClose, store.EventHarvest,
+		"create with a warm start", "observe with a warm start", "create with a history (adopted)"} {
 		if types[typ] == 0 {
 			t.Fatalf("recorded log has no %s event: %v", typ, types)
 		}
+	}
+	if types[store.EventWarm] != 0 {
+		t.Fatalf("recorded log has %d warm events; a warm start rides on the record that applies it", types[store.EventWarm])
 	}
 	if !writable(events) {
 		t.Fatal("writable rejects a log a manager wrote")
 	}
 	want := restoreState(t, true, nil, events)
-	if len(want.Sessions) != 5 || len(want.Tombstones) != 2 || len(want.Repo) != 3 {
-		t.Fatalf("whole log restores %d sessions, %d tombstones, %d models; want 5, 2, 3", len(want.Sessions), len(want.Tombstones), len(want.Repo))
+	if len(want.Sessions) != 7 || len(want.Tombstones) != 2 || len(want.Repo) != 5 {
+		t.Fatalf("whole log restores %d sessions, %d tombstones, %d models; want 7, 2, 5", len(want.Sessions), len(want.Tombstones), len(want.Repo))
 	}
 	for k := 0; k <= len(events); k++ {
 		snap := snapshotOf(t, true, events[:k])
@@ -323,12 +353,16 @@ func TestRestoreSameFromEveryCut(t *testing.T) {
 }
 
 // writable reports whether a manager could have written the log, whatever
-// the payloads say: each session is created once, seeded with a prior at
-// most once and before it observes anything, observes under consecutive
-// ordinals from 0, and is silent once closed. Byte-level mutation easily
-// produces logs that are not — an observation lost mid-session, a chunk
-// pasted twice with a digit changed — and for those the order in which two
-// conflicting records are met decides which one wins.
+// the payloads say: each session is created once, in a state it can resume
+// from, seeded with a prior at most once and before it observes anything
+// (by its create record, an old log's warm record, or its first observe),
+// observes under consecutive ordinals from 0 — a create record's history
+// counting as the first ones — and is silent once closed. Byte-level
+// mutation easily produces logs that are not — an observation lost
+// mid-session, a chunk pasted twice with a digit changed — and for those
+// the order in which two conflicting records are met decides which one
+// wins. Old logs (create{spec}, warm, observe…, suggest) and new ones are
+// both writable: a manager of either age wrote them.
 func writable(events []store.Event) bool {
 	type life struct {
 		observed     int
@@ -342,7 +376,14 @@ func writable(events []store.Event) bool {
 			if l != nil {
 				return false
 			}
-			sessions[ev.ID] = new(life)
+			l = new(life)
+			if ss := ev.Session; ss != nil {
+				if !resumable(ss.State) {
+					return false
+				}
+				l.observed, l.warm = len(ss.History), ss.Warm != nil
+			}
+			sessions[ev.ID] = l
 		case store.EventWarm, store.EventSuggest, store.EventObserve, store.EventClose:
 			if l == nil || l.closed {
 				return false
@@ -357,6 +398,12 @@ func writable(events []store.Event) bool {
 				if ev.Obs == nil || ev.N != l.observed {
 					return false
 				}
+				if ev.Warm != nil {
+					if l.warm || l.observed > 0 {
+						return false
+					}
+					l.warm = true
+				}
 				l.observed++
 			case store.EventClose:
 				l.closed = true
@@ -369,8 +416,11 @@ func writable(events []store.Event) bool {
 // FuzzRestore: restore must survive any sequence of decodable events; and
 // for a log a manager could have written, unless a session in it cannot be
 // rebuilt, a snapshot cut at the midpoint plus an overlapping tail must
-// restore to what the whole log restores to. Seeded with the log
-// TestRestoreSameFromEveryCut records (testdata/fuzz/FuzzRestore).
+// restore to what the whole log restores to. Seeded with the logs
+// TestRestoreSameFromEveryCut records (testdata/fuzz/FuzzRestore):
+// recorded-log as managers wrote it when a session entered the log as
+// several records and a warm start as its own, kept byte for byte so that
+// old logs stay covered, and recorded-log-one-record as they write it now.
 func FuzzRestore(f *testing.F) {
 	f.Fuzz(func(t *testing.T, jsonl []byte) {
 		var events []store.Event
@@ -398,8 +448,9 @@ func FuzzRestore(f *testing.F) {
 			t.Fatalf("snapshot of events[:%d] + events[%d:] lost models of the whole log (%d events): %v, want all of %v", mid, mid/2, len(events), got.Harvested, want.Harvested)
 		}
 		got.Repo, got.Harvested = want.Repo, want.Harvested
-		// A warm event for a backend that takes no priors — no manager writes
-		// one — is counted when folded yet never shows in a snapshot.
+		// A warm start recorded for a backend that takes no priors — no
+		// manager writes one — is counted when folded yet never shows in a
+		// snapshot.
 		got.Counters[1] = want.Counters[1]
 		if d := got.diff(want); d != "" {
 			t.Fatalf("snapshot of events[:%d] + events[%d:] restores differently from the whole log (%d events):%s", mid, mid/2, len(events), d)
@@ -419,7 +470,7 @@ func subset(a, b []string) bool {
 }
 
 // writeFuzzSeed checks the recorded log in as FuzzRestore's seed corpus, in
-// the go test fuzz v1 encoding.
+// the go test fuzz v1 encoding, beside the old-format recorded-log.
 func writeFuzzSeed(t *testing.T, events []store.Event) {
 	t.Helper()
 	var jsonl bytes.Buffer
@@ -436,7 +487,7 @@ func writeFuzzSeed(t *testing.T, events []store.Event) {
 		t.Fatal(err)
 	}
 	body := fmt.Sprintf("go test fuzz v1\n[]byte(%q)\n", jsonl.Bytes())
-	if err := os.WriteFile(filepath.Join(dir, "recorded-log"), []byte(body), 0o644); err != nil {
+	if err := os.WriteFile(filepath.Join(dir, "recorded-log-one-record"), []byte(body), 0o644); err != nil {
 		t.Fatal(err)
 	}
 }

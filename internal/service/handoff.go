@@ -53,9 +53,7 @@ func (m *Manager) handOver() HandoffReport {
 				ss.Harvested = false
 				rep.Sessions = append(rep.Sessions, ss)
 				s.state = StateClosed
-				delete(sh.sessions, id)
-				sh.closed[id] = tombstoneKept
-				m.count.Add(-1)
+				m.removeLocked(sh, id)
 			}
 			s.mu.Unlock()
 		}
@@ -130,12 +128,12 @@ func BuildHandoff(snap *store.Snapshot, events []store.Event, node string) (Hand
 
 // Adopt installs a session another node handed over (POST
 // /v1/handoff/adopt). The session is rebuilt by rebuildSession like a
-// crash-recovered one, registered through the same gates as a created one
-// (draining, closed, MaxSessions, duplicate or tombstoned ID → ErrExists),
-// and journaled with the ordinary event types — create, warm, one observe
-// per history entry with its ordinal, a trailing suggest — so this node's
-// followers and its own recovery replay it like any other session. Auto
-// sessions go back on the worker pool.
+// crash-recovered one and admitted like a created one: the same gates
+// (draining, closed, MaxSessions, duplicate or tombstoned ID → ErrExists)
+// and the same single create record, which carries the whole snapshot, so
+// this node's followers and its own recovery replay it like any other
+// session. A refused adopt leaves nothing behind. Auto sessions go back on
+// the worker pool.
 func (m *Manager) Adopt(ss store.SessionSnapshot) (Status, error) {
 	if !resumable(ss.State) {
 		return Status{}, fmt.Errorf("service: cannot adopt session %q in state %q", ss.ID, ss.State)
@@ -147,66 +145,5 @@ func (m *Manager) Adopt(ss store.SessionSnapshot) (Status, error) {
 	if err != nil {
 		return Status{}, err
 	}
-
-	events := make([]store.Event, 0, 2+len(ss.History))
-	events = append(events, store.Event{Type: store.EventCreate, ID: ss.ID, Time: ss.Created, Spec: &ss.Spec})
-	if s.warm != nil {
-		events = append(events, store.Event{Type: store.EventWarm, ID: ss.ID, Time: ss.Created, Warm: s.warm})
-	}
-	for i, h := range ss.History {
-		events = append(events, store.Event{Type: store.EventObserve, ID: ss.ID, Time: ss.LastUsed, N: i, Obs: &h.Observation})
-	}
-
-	m.life.RLock()
-	defer m.life.RUnlock()
-	// s.mu is held from before the session becomes visible until its log is
-	// complete: a client call that finds it waits, and journals after it.
-	// (Taking a shard lock under s.mu inverts the usual order, safely: until
-	// register returns nobody else can reach s to wait on it.)
-	s.mu.Lock()
-	if err := m.register(s); err != nil {
-		s.mu.Unlock()
-		return Status{}, err
-	}
-	logged := 0
-	for ; logged < len(events); logged++ {
-		if _, jerr := m.journal(&events[logged]); jerr != nil {
-			err = fmt.Errorf("%w: %w", ErrJournal, jerr)
-			break
-		}
-	}
-	if err == nil {
-		if s.suggested {
-			// Advisory, as in Suggest: rebuildSession re-armed the tuner.
-			m.journal(&store.Event{Type: store.EventSuggest, ID: s.id, Time: ss.LastUsed})
-		}
-		if m.settle(s) {
-			select {
-			case m.jobs <- s:
-			default:
-				err = ErrBusy
-			}
-		}
-	}
-	if err != nil {
-		s.state = StateClosed
-		s.mu.Unlock()
-		// Once the create event is in the log, backing out takes a
-		// tombstone: a partial history with no close would resurrect on
-		// recovery beside the copy the router places elsewhere. Before
-		// that, the ID stays free.
-		if logged == 0 {
-			m.unregister(s)
-		} else {
-			m.removeSession(s.id)
-			m.journalClose(s.id, m.opts.Now())
-		}
-		return Status{}, err
-	}
-	defer s.mu.Unlock()
-	if s.warm != nil {
-		m.warmStarts.Add(1)
-	}
-	m.observations.Add(int64(len(s.history)))
-	return m.statusLocked(s), nil
+	return m.admit(s)
 }

@@ -19,7 +19,9 @@ import (
 func donorSnapshot(t *testing.T, spec Spec, n int, models ...bo.RepoEntry) store.SessionSnapshot {
 	t.Helper()
 	donor := newTestManager(t, Options{Workers: 1, NodeID: "donor"})
-	donor.ImportRepository(models)
+	if _, err := donor.ImportRepository(models); err != nil {
+		t.Fatal(err)
+	}
 	st, err := donor.Create(spec)
 	if err != nil {
 		t.Fatal(err)
@@ -196,56 +198,67 @@ func TestAdoptGates(t *testing.T) {
 	}
 }
 
-// TestAdoptJournalFailureRollsBack: Adopt is on the durability path. A
-// journal failure refuses it with a retriable error and no live session;
-// if nothing reached the log the ID stays free, and if part of the history
-// did, a tombstone keeps recovery from resurrecting the half-adopted copy.
+// TestAdoptJournalFailureRollsBack: Adopt is on the durability path, and
+// it journals one record. A journal failure refuses it with a retriable
+// error and leaves nothing behind — no live session, no counter moved,
+// nothing for recovery to bring back — so a retry on the same node places
+// it.
 func TestAdoptJournalFailureRollsBack(t *testing.T) {
 	ss := donorSnapshot(t, Spec{ID: "moved-1", Backend: "gbo", Workload: "SVM", Seed: 4}, 3)
 	m, dir := fileStoreManager(t, store.FileOptions{})
 
 	armServiceFault(t, "store.write", "error", 1)
 	if _, err := m.Adopt(ss); !errors.Is(err, ErrJournal) {
-		t.Fatalf("adopt with the create event refused: %v, want ErrJournal", err)
+		t.Fatalf("adopt with its record refused: %v, want ErrJournal", err)
 	}
 	fault.DisarmAll()
 	if m.Len() != 0 {
 		t.Fatal("refused adopt left a live session")
 	}
-
-	// Nothing was logged, so the retry gets this far again; now the log
-	// takes the create and one observation, then fails.
-	if err := fault.Apply(fault.Schedule{Seed: 1, Rules: []fault.Rule{
-		{Point: "store.write", Action: "error", After: 2, Count: 1},
-	}}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := m.Adopt(ss); !errors.Is(err, ErrJournal) {
-		t.Fatalf("adopt failing mid-history: %v, want ErrJournal", err)
-	}
-	fault.DisarmAll()
-	if _, err := m.Get(ss.ID); !errors.Is(err, ErrNotFound) || m.Len() != 0 {
-		t.Fatalf("half-adopted session still live: err=%v len=%d", err, m.Len())
-	}
-	if _, err := m.Adopt(ss); !errors.Is(err, ErrExists) {
-		t.Fatalf("adopt over the partial log: %v, want ErrExists (tombstoned)", err)
-	}
 	if mt := m.Metrics(); mt.Observations != 0 || mt.WarmStarts != 0 {
-		t.Fatalf("refused adopts moved the counters: %+v", mt)
+		t.Fatalf("a refused adopt moved the counters: %+v", mt)
 	}
 
 	crash(m)
-	fs2, err := store.OpenFile(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m2, err := Open(Options{Workers: 1, Store: fs2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer m2.Close()
+	m2 := reopen(t, dir)
 	if m2.Len() != 0 {
-		t.Fatalf("recovery resurrected %d half-adopted sessions", m2.Len())
+		t.Fatalf("recovery brought back %d sessions from a refused adopt", m2.Len())
+	}
+	st, err := m2.Adopt(ss)
+	if err != nil {
+		t.Fatalf("retrying the refused adopt: %v", err)
+	}
+	if st.Evals != len(ss.History) {
+		t.Fatalf("retried adopt: %d evals, want %d", st.Evals, len(ss.History))
+	}
+}
+
+// TestRefusedAdoptLeavesTheIDFree: with the log failing on its second
+// write, an adopt is either placed whole — and recovery brings back its
+// whole history — or refused, and then the retry on the same node places
+// it. A 409 from a half-adopted tombstone would read to the router as
+// "already placed", and the session would be lost.
+func TestRefusedAdoptLeavesTheIDFree(t *testing.T) {
+	ss := donorSnapshot(t, Spec{ID: "moved-1", Backend: "gbo", Workload: "SVM", Seed: 4}, 3)
+	m, dir := fileStoreManager(t, store.FileOptions{})
+	armFaultAfter(t, "store.write", 1)
+	if _, err := m.Adopt(ss); err != nil {
+		if !errors.Is(err, ErrJournal) {
+			t.Fatalf("adopt under a journal fault: %v, want ErrJournal", err)
+		}
+		fault.DisarmAll()
+		if _, err := m.Adopt(ss); err != nil {
+			t.Fatalf("retrying a refused adopt on the same node: %v, want it placed", err)
+		}
+	}
+	fault.DisarmAll()
+	crash(m)
+	hist, err := reopen(t, dir).History(ss.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !historiesEqual(hist, ss.History) {
+		t.Fatalf("recovered history of the adopted session:\n got %+v\nwant %+v", hist, ss.History)
 	}
 }
 

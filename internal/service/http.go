@@ -509,7 +509,12 @@ func NewHandler(m *Manager) http.Handler {
 		if !decodeJSONLimit(w, r, &req, 64<<20) {
 			return
 		}
-		wire.WriteJSON(w, http.StatusOK, RepoImportResponse{Imported: m.ImportRepository(req.Models)})
+		n, err := m.ImportRepository(req.Models)
+		if err != nil {
+			writeError(w, err)
+			return
+		}
+		wire.WriteJSON(w, http.StatusOK, RepoImportResponse{Imported: n})
 	})
 
 	// Replication's follower half is served by the package that ships to it;

@@ -258,8 +258,8 @@ func TestJournaledBudgetsReplayOntoOneModel(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if ev := events[0]; ev.Type != store.EventCreate || !reflect.DeepEqual(ev.Spec.Surrogate, tc.want) {
-				t.Fatalf("create event journaled surrogate %+v, want %+v", ev.Spec.Surrogate, tc.want)
+			if ev := events[0]; ev.Type != store.EventCreate || ev.Session == nil || !reflect.DeepEqual(ev.Session.Spec.Surrogate, tc.want) {
+				t.Fatalf("create event journaled %+v, want a session with surrogate %+v", ev, tc.want)
 			}
 
 			m2, err := Open(Options{Workers: 1, Store: mem})

@@ -2,6 +2,7 @@ package service
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -20,10 +21,11 @@ import (
 // rebuildSession builds a tuner for each session still alive at the end of
 // the log. The fold is idempotent: observe events carry a per-session
 // ordinal and are applied only when they extend the session's history,
-// create/warm/close events are no-ops when already reflected, and harvest
-// events are keyed by session ID. The snapshot and the log may therefore
-// overlap — the snapshotter never stops the world, and a crash between the
-// snapshot rename and the log rewrite loses nothing.
+// create/close events (and old logs' warm events) are no-ops when already
+// reflected, and harvest events are keyed by session ID. The snapshot and
+// the log may therefore overlap — the snapshotter never stops the world,
+// and a crash between the snapshot rename and the log rewrite loses
+// nothing.
 
 // specRecord converts a Spec to its durable form. The surrogate block is
 // journaled only when set, so sessions on the default surrogate produce
@@ -70,11 +72,15 @@ func specFromRecord(rec store.SessionSpec) Spec {
 }
 
 // journal appends one event to the store, returning its sequence number
-// (0 without a store) and the append error. Callers on the durability path
-// — Create and Observe, whose acks promise the event survives recovery —
-// fail the operation on error (journal-before-apply); advisory events
-// (suggest, harvest, close tombstones) ignore it. Either way the last
-// failure is surfaced through Metrics.
+// (0 without a store) and the append error. Every acknowledged write is one
+// record whose caller refuses the operation on error, before mutating
+// anything: admit's create, observeLocked's observe (with a fingerprinting
+// run's warm start) and an import's harvest. Three appends are advisory;
+// after a restart, losing one costs a suggest the re-armed suggestion (the
+// next observation counts as unsolicited: a different trajectory for DDPG,
+// nothing for the cached BO, GBO and RelM suggestions), a local harvest its
+// model unless recovery harvests the session again, a close its tombstone.
+// Either way the last failure is surfaced through Metrics.
 func (m *Manager) journal(ev *store.Event) (uint64, error) {
 	if m.opts.Store == nil {
 		return 0, nil
@@ -320,12 +326,11 @@ func (m *Manager) fold(snap *store.Snapshot, events []store.Event) map[string]*s
 	return live
 }
 
-// settle finishes a rebuilt session (restore's, or the hand-over Adopt
-// rebuilt): it aligns the evaluator's bookkeeping with the history,
-// recomputes a terminal state, and reports whether the session is an
-// interrupted auto session — the worker driving it did not come along — that
-// the caller must put back on the worker pool. Callers hold s.mu or own s
-// exclusively.
+// settle finishes a session about to run — restore's, or one admit has just
+// journaled, created or adopted: it aligns the evaluator's bookkeeping with
+// the history, recomputes a terminal state, and reports whether the session
+// is an auto session with no worker driving it, which the caller must put
+// on the worker pool. Callers hold s.mu or own s exclusively.
 func (m *Manager) settle(s *Session) (requeue bool) {
 	if s.ev != nil {
 		s.ev.Resume(len(s.history), worstRuntime(s.history))
@@ -362,7 +367,7 @@ func (m *Manager) rebuildSession(ss store.SessionSnapshot) (s *Session, err erro
 	s.lastUsed = ss.LastUsed
 	s.harvested = ss.Harvested
 	// No warm-start counter bump: restore resumes the total from the
-	// snapshot, Adopt counts its own.
+	// snapshot and the log, admit counts an adopted one.
 	if ws, ok := s.tuner.(warmStarter); ok && ss.Warm != nil {
 		ws.WarmStart(ss.Warm.Points)
 		s.warm = ss.Warm
@@ -476,12 +481,23 @@ func (m *Manager) foldEvent(live map[string]*store.SessionSnapshot, armed map[st
 		if _, ok := m.shardFor(ev.ID).closed[ev.ID]; ok {
 			return // tombstoned earlier in the log or by the snapshot
 		}
-		if ev.Spec == nil {
+		switch {
+		case ev.Session != nil:
+			cp := *ev.Session
+			cp.ID, cp.History = ev.ID, slices.Clone(cp.History) // the fold appends to History
+			ss = &cp
+			m.observations.Add(int64(len(ss.History)))
+			if ss.Warm != nil {
+				m.warmStarts.Add(1)
+			}
+		case ev.Spec != nil: // an old log: warm, observe and suggest records follow
+			ss = &store.SessionSnapshot{ID: ev.ID, Spec: *ev.Spec, Created: ev.Time, LastUsed: ev.Time}
+		default:
 			return
 		}
-		live[ev.ID] = &store.SessionSnapshot{ID: ev.ID, Spec: *ev.Spec, Created: ev.Time, LastUsed: ev.Time}
+		live[ev.ID] = ss
 
-	case store.EventWarm:
+	case store.EventWarm: // old logs only
 		if ss == nil || ss.Warm != nil || ev.Warm == nil {
 			return
 		}
@@ -498,6 +514,10 @@ func (m *Manager) foldEvent(live map[string]*store.SessionSnapshot, armed map[st
 		}
 		if ev.N != len(ss.History) {
 			return // duplicate of a snapshotted observation
+		}
+		if ev.Warm != nil && ss.Warm == nil { // a fingerprinting run's match
+			ss.Warm = ev.Warm
+			m.warmStarts.Add(1)
 		}
 		var obj tune.Objectives
 		obj.Restore(worstRuntime(ss.History))

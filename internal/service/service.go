@@ -356,7 +356,7 @@ type Manager struct {
 	nextID   atomic.Uint64 // session-ID counter
 	closed   atomic.Bool
 	draining atomic.Bool // Drain ran: Create rejects new sessions
-	// life fences Create against Close: Create registers and journals a
+	// life fences admission against Close: admit registers and journals a
 	// session under the read lock, Close takes the write lock once after
 	// flipping closed — so no create event can reach the store after Close
 	// starts tearing it down (a journaled create with no tombstone would
@@ -654,7 +654,8 @@ type warmStarter interface {
 // defaultSec, and count the hit. It asks whether the backend takes priors
 // (relm and ddpg do not) before it touches the repository, so only a warm
 // start that happens bumps a hit counter or refreshes an entry's LRU stamp.
-// The caller journals s.warm. Callers hold s.mu or own s exclusively.
+// The caller journals s.warm, and counts it once the record is durable.
+// Callers hold s.mu or own s exclusively.
 func (m *Manager) warmStart(s *Session, fp profile.Stats, defaultSec float64) bool {
 	ws, ok := s.tuner.(warmStarter)
 	if !ok {
@@ -679,7 +680,6 @@ func (m *Manager) warmStart(s *Session, fp profile.Stats, defaultSec float64) bo
 	}
 	m.repoMu.Unlock()
 	m.repoHits.Add(1)
-	m.warmStarts.Add(1)
 	ws.WarmStart(s.warm.Points)
 	return true
 }
@@ -687,29 +687,16 @@ func (m *Manager) warmStart(s *Session, fp profile.Stats, defaultSec float64) bo
 // Create opens a new session and, in auto mode, enqueues it on the worker
 // pool.
 func (m *Manager) Create(spec Spec) (Status, error) {
-	var start time.Time
-	if m.obsCreate != nil {
-		start = time.Now()
-	}
-	st, err := m.create(spec)
-	if !start.IsZero() {
-		m.obsCreate.Record(time.Since(start))
-	}
-	return st, err
-}
-
-func (m *Manager) create(spec Spec) (Status, error) {
+	defer func(start time.Time) { m.obsCreate.Record(time.Since(start)) }(time.Now())
 	if spec.ID != "" {
 		if err := m.checkID(spec.ID); err != nil {
 			return Status{}, err
 		}
 	}
-	now := m.opts.Now()
-	s, err := m.buildSession(spec.ID, spec, now)
+	s, err := m.buildSession(spec.ID, spec, m.opts.Now())
 	if err != nil {
 		return Status{}, err
 	}
-
 	// Warm start with a client-supplied fingerprint: match before the
 	// session becomes visible, so its first suggestion is already the
 	// transferred optimum. Auto sessions without a fingerprint profile the
@@ -717,36 +704,55 @@ func (m *Manager) create(spec Spec) (Status, error) {
 	if spec.WarmStart && spec.Stats != nil {
 		m.warmStart(s, *spec.Stats, spec.DefaultRuntimeSec)
 	}
+	return m.admit(s)
+}
 
+// admit is the one way a session enters the manager, created or adopted:
+// registered, then journaled as one create record carrying
+// sessionSnapshot(s), so recovery brings back all the ack reports or
+// nothing. s.mu is held from before the session becomes visible until the
+// record is durable: a client call that finds it waits, and journals after
+// it. (Taking a shard lock under s.mu inverts the usual order, safely:
+// until register returns nobody else can reach s; s.mu is released before
+// a shard lock is taken again.) A refused append takes s back out without
+// a tombstone, so the ID stays free for a retry; a logged auto session the
+// full worker queue refuses is closed.
+func (m *Manager) admit(s *Session) (Status, error) {
 	m.life.RLock()
 	defer m.life.RUnlock()
+	s.mu.Lock()
 	if err := m.register(s); err != nil {
+		s.mu.Unlock()
 		return Status{}, err
 	}
-
-	// Journal-before-ack: a created session must survive recovery, so a
-	// journal failure rolls the registration back and refuses the create
-	// with a retriable error instead of acking state that would vanish.
-	if _, err := m.journal(&store.Event{Type: store.EventCreate, ID: s.id, Time: now, Spec: specRecord(spec)}); err != nil {
-		m.unregister(s)
+	ss := sessionSnapshot(s)
+	if _, err := m.journal(&store.Event{Type: store.EventCreate, ID: s.id, Time: s.created, Session: &ss}); err != nil {
+		s.state = StateClosed
+		s.mu.Unlock()
+		sh := m.shardFor(s.id)
+		sh.mu.Lock()
+		if sh.sessions[s.id] == s { // not closed meanwhile
+			delete(sh.sessions, s.id)
+			m.count.Add(-1)
+		}
+		sh.mu.Unlock()
 		return Status{}, fmt.Errorf("%w: %w", ErrJournal, err)
 	}
-	if s.warm != nil {
-		// Best-effort: losing the warm event costs a restored session its
-		// warm start, not any acked history.
-		m.journal(&store.Event{Type: store.EventWarm, ID: s.id, Time: now, Warm: s.warm})
-	}
-
-	if s.spec.Mode == ModeAuto {
+	if m.settle(s) {
 		select {
 		case m.jobs <- s:
 		default:
-			m.removeSession(s.id)
-			m.journalClose(s.id, now)
+			s.mu.Unlock()
+			_ = m.CloseSession(s.id) // only an ID never issued is ErrNotFound
 			return Status{}, ErrBusy
 		}
 	}
-	return m.statusOf(s), nil
+	defer s.mu.Unlock()
+	if s.warm != nil {
+		m.warmStarts.Add(1)
+	}
+	m.observations.Add(int64(len(s.history)))
+	return m.statusLocked(s), nil
 }
 
 // checkID vets a caller-assigned session ID (a router placing sessions by
@@ -770,8 +776,9 @@ func (m *Manager) checkID(id string) error {
 // session passes whichever way it arrives (Create, Adopt): manager open,
 // not draining, under MaxSessions, and an ID this manager has never seen —
 // a duplicate would either shadow a live session or resurrect a closed
-// one. A session without an ID takes the next counter value. Callers hold
-// m.life.RLock and, on success, journal the session or unregister it.
+// one. A session without an ID takes the next counter value. Its caller,
+// admit, holds m.life.RLock and, on success, journals the session or takes
+// it back out.
 func (m *Manager) register(s *Session) error {
 	if m.closed.Load() {
 		return ErrManagerDown
@@ -799,26 +806,14 @@ func (m *Manager) register(s *Session) error {
 	return nil
 }
 
-// unregister rolls a registration back WITHOUT a tombstone: nothing about
-// the session reached the log, so the ID must stay free for a retry.
-func (m *Manager) unregister(s *Session) {
-	sh := m.shardFor(s.id)
-	sh.mu.Lock()
-	delete(sh.sessions, s.id)
-	sh.mu.Unlock()
+// removeLocked is every removal of a live session — closed, evicted,
+// handed over or refused by a full queue: it leaves a tombstone, kept until
+// the close event's sequence number is known (journalClose). Callers hold
+// sh.mu.
+func (m *Manager) removeLocked(sh *shard, id string) {
+	delete(sh.sessions, id)
+	sh.closed[id] = tombstoneKept
 	m.count.Add(-1)
-}
-
-// removeSession drops a session from its shard, leaving a tombstone.
-func (m *Manager) removeSession(id string) {
-	sh := m.shardFor(id)
-	sh.mu.Lock()
-	if _, ok := sh.sessions[id]; ok {
-		delete(sh.sessions, id)
-		sh.closed[id] = tombstoneKept
-		m.count.Add(-1)
-	}
-	sh.mu.Unlock()
 }
 
 // get looks a live session up.
@@ -836,10 +831,7 @@ func (m *Manager) get(id string) (*Session, error) {
 // Suggest returns the session's next configuration to measure and whether
 // the session's stopping rule has fired.
 func (m *Manager) Suggest(id string) (conf.Config, bool, error) {
-	var start time.Time
-	if m.obsSuggest != nil {
-		start = time.Now()
-	}
+	start := time.Now()
 	s, err := m.get(id)
 	if err != nil {
 		return conf.Config{}, false, err
@@ -853,19 +845,14 @@ func (m *Manager) Suggest(id string) (conf.Config, bool, error) {
 	m.journal(&store.Event{Type: store.EventSuggest, ID: s.id, Time: s.lastUsed})
 	cfg := s.tuner.Suggest()
 	s.suggested = true
-	if !start.IsZero() {
-		m.obsSuggest.Record(time.Since(start))
-	}
+	m.obsSuggest.Record(time.Since(start))
 	return cfg, s.tuner.Done(), nil
 }
 
 // Observe reports one measured experiment to the session and returns its
 // refreshed status.
 func (m *Manager) Observe(id string, obs Observation) (Status, error) {
-	var start time.Time
-	if m.obsObserve != nil {
-		start = time.Now()
-	}
+	start := time.Now()
 	s, err := m.get(id)
 	if err != nil {
 		return Status{}, err
@@ -894,15 +881,13 @@ func (m *Manager) Observe(id string, obs Observation) (Status, error) {
 		return Status{}, fmt.Errorf("service: runtime_sec must be a positive finite number, got %v", obs.RuntimeSec)
 	}
 
-	if err := m.observeLocked(s, obs); err != nil {
+	if err := m.observeLocked(s, obs, nil); err != nil {
 		return Status{}, err
 	}
 	s.lastUsed = m.opts.Now()
 	m.refreshStateLocked(s)
 	st := m.statusLocked(s)
-	if !start.IsZero() {
-		m.obsObserve.Record(time.Since(start))
-	}
+	m.obsObserve.Record(time.Since(start))
 	return st, nil
 }
 
@@ -951,9 +936,7 @@ func (m *Manager) CloseSession(id string) error {
 	sh.mu.Lock()
 	s, ok := sh.sessions[id]
 	if ok {
-		delete(sh.sessions, id)
-		sh.closed[id] = tombstoneKept
-		m.count.Add(-1)
+		m.removeLocked(sh, id)
 	} else if _, was := sh.closed[id]; was {
 		sh.mu.Unlock()
 		return nil // idempotent: already closed or evicted
@@ -1016,14 +999,12 @@ func (m *Manager) Sweep() int {
 			s.mu.Unlock()
 			if idle {
 				evict = append(evict, s)
-				delete(sh.sessions, id)
-				sh.closed[id] = tombstoneKept
+				m.removeLocked(sh, id)
 			}
 		}
 		sh.mu.Unlock()
 	}
 	for _, s := range evict {
-		m.count.Add(-1)
 		m.evictions.Add(1)
 		s.mu.Lock()
 		s.state = StateClosed
@@ -1044,11 +1025,13 @@ func (m *Manager) Advertise() string { return m.opts.Advertise }
 
 // ImportRepository merges foreign model-repository entries (another node's
 // Drain export) into this manager's repository, journaling each new entry
-// so it survives restarts. Entries already present — matched by workload,
-// cluster, fingerprint, default runtime, and size — are skipped, so imports
-// are idempotent and a mesh of nodes cross-importing converges. Returns how
-// many entries were added.
-func (m *Manager) ImportRepository(entries []bo.RepoEntry) int {
+// before adding it, so every entry it reports added survives restarts.
+// Entries already present — matched by workload, cluster, fingerprint,
+// default runtime, and size — are skipped, so imports are idempotent and a
+// mesh of nodes cross-importing converges. Returns how many entries were
+// added; on a refused append it stops there with ErrJournal, and a retry of
+// the whole import completes it.
+func (m *Manager) ImportRepository(entries []bo.RepoEntry) (int, error) {
 	added := 0
 	now := m.opts.Now()
 	for i := range entries {
@@ -1073,14 +1056,18 @@ func (m *Manager) ImportRepository(entries []bo.RepoEntry) int {
 			m.repoMu.Unlock()
 			continue
 		}
+		// Under repoMu: a concurrent import of the entry waits for this one.
+		if _, err := m.journal(&store.Event{Type: store.EventHarvest, ID: key, Time: now, Repo: &e}); err != nil {
+			m.repoMu.Unlock()
+			return added, fmt.Errorf("%w: %w", ErrJournal, err)
+		}
 		m.repo.Entries = append(m.repo.Entries, e)
 		m.harvested[key] = tombstoneKept
 		m.repoEvictions.Add(int64(len(m.repo.EvictDown(m.opts.RepoCapacity))))
 		m.repoMu.Unlock()
-		m.journal(&store.Event{Type: store.EventHarvest, ID: key, Time: now, Repo: &e})
 		added++
 	}
-	return added
+	return added, nil
 }
 
 // importKey derives the stable identity of a repository entry for import
@@ -1287,8 +1274,10 @@ func (m *Manager) RepositoryReport() RepositoryReport {
 // watermark and suggest arming are untouched and the caller surfaces a
 // retriable ErrJournal — the client retries the identical observation (here
 // once the fault clears, or on the promoted replica via the router) without
-// the tuner ever double-counting it. Callers hold s.mu.
-func (m *Manager) observeLocked(s *Session, rec store.Observation) error {
+// the tuner ever double-counting it. warm, the match a fingerprinting run
+// just applied, rides on the record and is durable with it. Callers hold
+// s.mu.
+func (m *Manager) observeLocked(s *Session, rec store.Observation, warm *store.Warm) error {
 	rec.Suggested = s.suggested
 	if _, err := m.journal(&store.Event{
 		Type: store.EventObserve,
@@ -1296,8 +1285,12 @@ func (m *Manager) observeLocked(s *Session, rec store.Observation) error {
 		Time: m.opts.Now(),
 		N:    len(s.history),
 		Obs:  &rec,
+		Warm: warm,
 	}); err != nil {
 		return fmt.Errorf("%w: %w", ErrJournal, err)
+	}
+	if warm != nil {
+		m.warmStarts.Add(1)
 	}
 	s.observe(rec)
 	m.observations.Add(1)
@@ -1512,12 +1505,13 @@ func (m *Manager) drive(s *Session) {
 		// An aborted default run still fingerprints the workload (its
 		// profile covers the portion that ran); RunWithReuse matches on it
 		// the same way.
-		if rec.Stats != nil && m.warmStart(s, *rec.Stats, rec.RuntimeSec) {
-			m.journal(&store.Event{Type: store.EventWarm, ID: s.id, Time: m.opts.Now(), Warm: s.warm})
+		if rec.Stats != nil {
+			m.warmStart(s, *rec.Stats, rec.RuntimeSec)
 		}
 		// The fingerprinting run is a real experiment: feed it to the
-		// tuner (unsolicited observations are incorporated) and the log.
-		if err := m.observeLocked(s, rec); err != nil {
+		// tuner (unsolicited observations are incorporated) and the log,
+		// with the warm start it matched.
+		if err := m.observeLocked(s, rec, s.warm); err != nil {
 			// The journal refused the observation; the auto session cannot
 			// make durable progress, so it fails rather than silently
 			// diverging from its log.
@@ -1561,7 +1555,7 @@ func (m *Manager) drive(s *Session) {
 			s.mu.Unlock()
 			return
 		}
-		if err := m.observeLocked(s, rec); err != nil {
+		if err := m.observeLocked(s, rec, nil); err != nil {
 			s.state, s.err = StateFailed, err
 			s.mu.Unlock()
 			return

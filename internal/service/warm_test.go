@@ -31,8 +31,8 @@ func TestRunWithReuseIsAnAutoSession(t *testing.T) {
 		reused bool
 	}{{"miss", 7, false}, {"hit", 8, true}} {
 		m := newTestManager(t, Options{Workers: 1})
-		if got := m.ImportRepository(repo.Entries); got != len(repo.Entries) {
-			t.Fatalf("%s: imported %d of %d entries", tc.name, got, len(repo.Entries))
+		if got, err := m.ImportRepository(repo.Entries); got != len(repo.Entries) || err != nil {
+			t.Fatalf("%s: imported %d of %d entries (err %v)", tc.name, got, len(repo.Entries), err)
 		}
 
 		ev := tune.NewEvaluator(cl, wl, tc.seed)
@@ -87,11 +87,11 @@ func TestWarmStartAsksTheBackendFirst(t *testing.T) {
 	m := newTestManager(t, Options{Workers: 1, Now: func() time.Time { return now }})
 	fp := profile.Stats{N: 1, MhMB: 4404, CPUAvg: 0.6, DiskAvg: 0.1, MiMB: 115, McMB: 2300, MsMB: 12, MuMB: 310, P: 2, H: 0.7}
 	cfg := conf.Default()
-	if m.ImportRepository([]bo.RepoEntry{{
+	if n, err := m.ImportRepository([]bo.RepoEntry{{
 		Workload: "K-means", ClusterName: "A", Fingerprint: fp, DefaultSec: 120, AddedAt: added, LastUsed: added,
 		Points: []bo.PriorPoint{{X: tune.NewSpace(cluster.A(), workload.KMeans()).Encode(cfg), Cfg: cfg, Y: 120}},
-	}}) != 1 {
-		t.Fatal("import failed")
+	}}); n != 1 || err != nil {
+		t.Fatalf("import failed: %d entries, err %v", n, err)
 	}
 	check := func(when string, hits int64, entryHits uint64, lastUsed time.Time) {
 		t.Helper()

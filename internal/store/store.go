@@ -1,7 +1,7 @@
 // Package store is the durable knowledge store of the tuning service: an
 // append-only JSONL write-ahead log of session events plus periodic
 // compacted snapshots. The service journals every state transition
-// (create / warm / suggest / observe / close / harvest); on startup it
+// (create / suggest / observe / close / harvest); on startup it
 // loads the latest snapshot and replays the remaining log, rebuilding
 // every open session's tuner by re-observing its history. Because replayed
 // events are idempotent (observations carry a per-session ordinal), the
@@ -29,12 +29,16 @@ import (
 	"relm/internal/profile"
 )
 
-// Event types journaled to the WAL.
+// Event types journaled to the WAL. A session enters the log as one create
+// record carrying its SessionSnapshot, however it arrived, and a warm start
+// rides on the record that applied it. Older logs spell an admission as
+// create{Spec}, warm, observe…, suggest: replay still reads them, but no
+// warm record is written any more.
 const (
-	EventCreate  = "create"  // a session was opened (payload: Spec)
-	EventWarm    = "warm"    // a session was warm-started (payload: Warm)
+	EventCreate  = "create"  // a session was admitted (payload: Session; old logs: Spec)
+	EventWarm    = "warm"    // old logs only: a warm start (payload: Warm)
 	EventSuggest = "suggest" // a suggestion was handed out (refreshes LastUsed)
-	EventObserve = "observe" // one measured experiment (payload: Obs, ordinal N)
+	EventObserve = "observe" // one measured experiment (payload: Obs, ordinal N; a fingerprinting run's Warm)
 	EventClose   = "close"   // tombstone: closed by the client or evicted by TTL
 	EventHarvest = "harvest" // a completed session fed the model repository
 )
@@ -115,11 +119,12 @@ type Event struct {
 	ID   string    `json:"id,omitempty"` // session ID
 	Time time.Time `json:"time,omitempty"`
 
-	Spec *SessionSpec  `json:"spec,omitempty"` // create
-	N    int           `json:"n,omitempty"`    // observe: per-session ordinal (0-based)
-	Obs  *Observation  `json:"obs,omitempty"`  // observe
-	Warm *Warm         `json:"warm,omitempty"` // warm
-	Repo *bo.RepoEntry `json:"repo,omitempty"` // harvest
+	Session *SessionSnapshot `json:"session,omitempty"` // create: the admitted session
+	Spec    *SessionSpec     `json:"spec,omitempty"`    // create, old logs only
+	N       int              `json:"n,omitempty"`       // observe: per-session ordinal (0-based)
+	Obs     *Observation     `json:"obs,omitempty"`     // observe
+	Warm    *Warm            `json:"warm,omitempty"`    // observe (a fingerprinting run's match); warm, old logs
+	Repo    *bo.RepoEntry    `json:"repo,omitempty"`    // harvest
 }
 
 // HistoryRecord is one recorded experiment of a session: its Observation —
@@ -131,9 +136,10 @@ type HistoryRecord struct {
 }
 
 // SessionSnapshot is the complete state of one live session and the single
-// hand-over unit: compaction writes it to snapshot.json, a draining node and
-// a promoted replica send it to the session's next owner, and every one of
-// them rebuilds the tuner from it the same way (replaying History).
+// hand-over unit: a create record journals it, compaction writes it to
+// snapshot.json, a draining node and a promoted replica send it to the
+// session's next owner, and every one of them rebuilds the tuner from it
+// the same way (replaying History).
 type SessionSnapshot struct {
 	ID        string          `json:"id"`
 	Spec      SessionSpec     `json:"spec"`
