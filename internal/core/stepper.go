@@ -33,9 +33,8 @@ type Incremental struct {
 	recErr    error
 	haveRec   bool
 
-	pending *conf.Config
-	best    tune.Sample
-	found   bool
+	best  tune.Sample
+	found bool
 }
 
 var _ tune.Tuner = (*Incremental)(nil)
@@ -49,30 +48,22 @@ func (t *Tuner) Incremental(sp tune.Space) *Incremental {
 // Suggest returns the next configuration to profile; after the
 // recommendation is computed it is suggested once for verification.
 func (inc *Incremental) Suggest() conf.Config {
-	if inc.pending != nil {
-		return *inc.pending
-	}
-	var cfg conf.Config
 	switch inc.phase {
 	case 0:
-		cfg = inc.sp.Default()
-	case 1:
-		cfg = reprofileConfig(inc.sp.Default(), inc.sp)
-	case 2:
-		cfg = inc.rec
-	default:
-		if inc.found {
-			return inc.best.Config
-		}
 		return inc.sp.Default()
+	case 1:
+		return reprofileConfig(inc.sp.Default(), inc.sp)
+	case 2:
+		return inc.rec
 	}
-	inc.pending = &cfg
-	return cfg
+	if inc.found {
+		return inc.best.Config
+	}
+	return inc.sp.Default()
 }
 
 // Observe incorporates one profiled run and advances the pipeline.
 func (inc *Incremental) Observe(s tune.Sample) {
-	inc.pending = nil
 	if s.Objective <= 0 {
 		s.Objective = s.RuntimeSec
 	}

@@ -10,10 +10,11 @@ import (
 // Tuner is the incremental form of the DDPG loop (Figure 15) behind the
 // unified tune.Tuner interface. The first suggestion is the default
 // configuration (the tuning request's starting state in CDBTune); every
-// subsequent suggestion is the actor's action on the latest state. Each
-// observation forms a transition, feeds the replay buffer, and trains the
-// agent, reproducing Tune's exact agent-interaction sequence when driven in
-// lockstep.
+// subsequent one is the actor's action on the latest state, drawn when the
+// observation that produced that state arrives, so Suggest is a pure read.
+// Each solicited observation forms a transition, feeds the replay buffer,
+// and trains the agent, reproducing Tune's exact agent-interaction sequence
+// when driven in lockstep.
 type Tuner struct {
 	cl    cluster.Spec
 	sp    tune.Space
@@ -28,11 +29,11 @@ type Tuner struct {
 	initialized bool
 	steps       int // adaptive observations taken after the initial one
 
-	// pendingAction caches the actor's action between Suggest and Observe
-	// so repeated Suggest calls neither re-query the actor nor consume
-	// exploration noise.
-	pendingAction []float64
-	pendingCfg    *conf.Config
+	// pending is the configuration Suggest hands out until it is observed;
+	// action is the actor's output it was decoded from (nil for the
+	// default configuration).
+	pending conf.Config
+	action  []float64
 
 	best  tune.Sample
 	found bool
@@ -50,91 +51,78 @@ func NewTuner(cl cluster.Spec, sp tune.Space, agent *Agent, opts TuneOptions) *T
 	if agent == nil {
 		agent = NewAgent(Options{StateDim: StateDim, ActionDim: sp.Dim(), Seed: opts.Seed})
 	}
-	return &Tuner{cl: cl, sp: sp, opts: opts, agent: agent}
+	return &Tuner{cl: cl, sp: sp, opts: opts, agent: agent, pending: sp.Default()}
 }
 
-// Suggest returns the next configuration to measure.
+// Suggest returns the pending configuration, or the incumbent once Done.
 func (t *Tuner) Suggest() conf.Config {
-	if t.pendingCfg != nil {
-		return *t.pendingCfg
+	if !t.done {
+		return t.pending
 	}
-	if !t.initialized {
-		cfg := t.sp.Default()
-		t.pendingCfg = &cfg
-		return cfg
+	if t.found {
+		return t.best.Config
 	}
-	if t.done {
-		if t.found {
-			return t.best.Config
-		}
-		return t.sp.Default()
-	}
-	action := t.agent.Act(t.state, true)
-	cfg := actionToConfig(t.sp, action)
-	t.pendingAction, t.pendingCfg = action, &cfg
-	return cfg
+	return t.sp.Default()
 }
 
 // Observe incorporates one measured sample: the first observation seeds the
-// guide model Q and the starting state; later ones form transitions and
-// train the agent. An unsolicited observation — one that doesn't match the
-// outstanding suggestion — updates the incumbent but neither produces a
-// transition (no action led to it) nor consumes the pending suggestion.
+// guide model Q and the starting state; later solicited ones — those whose
+// Config equals Suggest() — form transitions and train the agent. Each
+// solicited observation draws the next action. An unsolicited observation
+// updates the incumbent but leaves the RL state and the pending action
+// untouched, so the eventual transition stays consistent with the state
+// its action was computed from.
 func (t *Tuner) Observe(s tune.Sample) {
 	if s.Objective <= 0 {
 		s.Objective = s.RuntimeSec
 	}
 	t.record(s)
-	solicited := t.pendingCfg != nil && s.Config == *t.pendingCfg
+	// A runtime-only first observation leaves Q unbuilt; adopt the first
+	// later sample that does carry statistics.
+	t.ensureModel(s)
+	solicited := !t.done && s.Config == t.pending
 
 	if !t.initialized {
 		t.initialized = true
-		t.ensureModel(s)
 		t.state = stateOf(s, t.qmodel)
 		t.perf0 = s.Objective
 		t.perfPrev = s.Objective
 		if solicited {
-			t.pendingAction, t.pendingCfg = nil, nil
+			t.act()
 		}
 		return
 	}
-
-	// A runtime-only first observation leaves Q unbuilt; adopt the first
-	// later sample that does carry statistics.
-	t.ensureModel(s)
-	next := stateOf(s, t.qmodel)
-	switch {
-	case solicited:
-		if t.pendingAction != nil {
-			reward := CDBTuneReward(t.perf0, t.perfPrev, s.Objective)
-			t.agent.Observe(Transition{
-				State:     t.state,
-				Action:    t.pendingAction,
-				Reward:    reward,
-				NextState: next,
-				Done:      t.steps == t.opts.MaxSteps-1,
-			})
-			for i := 0; i < t.opts.TrainPerStep; i++ {
-				t.agent.Train()
-			}
-			t.steps++
-		}
-		t.pendingAction, t.pendingCfg = nil, nil
-		t.state = next
-		t.perfPrev = s.Objective
-	case t.pendingCfg == nil:
-		// No suggestion outstanding: fold the extra observation into the
-		// environment state.
-		t.state = next
-		t.perfPrev = s.Objective
-	default:
-		// Unsolicited while a suggestion is outstanding: leave the RL state
-		// untouched so the eventual transition stays consistent with the
-		// state its action was computed from.
+	if !solicited {
+		return
 	}
+	next := stateOf(s, t.qmodel)
+	if t.action != nil {
+		reward := CDBTuneReward(t.perf0, t.perfPrev, s.Objective)
+		t.agent.Observe(Transition{
+			State:     t.state,
+			Action:    t.action,
+			Reward:    reward,
+			NextState: next,
+			Done:      t.steps == t.opts.MaxSteps-1,
+		})
+		for i := 0; i < t.opts.TrainPerStep; i++ {
+			t.agent.Train()
+		}
+		t.steps++
+	}
+	t.state = next
+	t.perfPrev = s.Objective
 	if t.steps >= t.opts.MaxSteps {
 		t.done = true
+		return
 	}
+	t.act()
+}
+
+// act draws the next action, with exploration noise, on the current state.
+func (t *Tuner) act() {
+	t.action = t.agent.Act(t.state, true)
+	t.pending = actionToConfig(t.sp, t.action)
 }
 
 // ensureModel builds the guide model Q from the first sample that carries

@@ -61,7 +61,7 @@ func waitSettled(t *testing.T, m *Manager, id string) Status {
 }
 
 // TestEachAdmissionIsOneRecord: a cold create, a warm create and an adopt
-// with history, a warm start and an armed suggestion each append exactly one
+// with history and a warm start each append exactly one
 // create record carrying the session, and an auto session's fingerprinting
 // run is one observe record carrying the warm start it matched. No warm
 // record is written.
@@ -72,23 +72,21 @@ func TestEachAdmissionIsOneRecord(t *testing.T) {
 	importModels(t, m, model)
 	adopted := donorSnapshot(t, Spec{ID: "adopted", Backend: "gbo", Workload: "K-means", Seed: 6, MaxIterations: 8,
 		WarmStart: true, Stats: fp.Stats, DefaultRuntimeSec: fp.RuntimeSec}, 2, model)
-	adopted.Suggested = true
 	if adopted.Warm == nil {
 		t.Fatalf("donor was not warm-started: %+v", adopted)
 	}
 
 	for _, tc := range []struct {
-		name      string
-		admit     func() (Status, error)
-		warm      bool
-		evals     int
-		suggested bool
+		name  string
+		admit func() (Status, error)
+		warm  bool
+		evals int
 	}{
-		{"cold create", func() (Status, error) { return m.Create(Spec{Backend: "bo", Workload: "SVM", Seed: 1}) }, false, 0, false},
+		{"cold create", func() (Status, error) { return m.Create(Spec{Backend: "bo", Workload: "SVM", Seed: 1}) }, false, 0},
 		{"warm create", func() (Status, error) {
 			return m.Create(Spec{Backend: "gbo", Workload: "K-means", Seed: 2, WarmStart: true, Stats: fp.Stats, DefaultRuntimeSec: fp.RuntimeSec})
-		}, true, 0, false},
-		{"adopt", func() (Status, error) { return m.Adopt(adopted) }, true, 2, true},
+		}, true, 0},
+		{"adopt", func() (Status, error) { return m.Adopt(adopted) }, true, 2},
 	} {
 		before := len(tp.events)
 		st, err := tc.admit()
@@ -105,9 +103,9 @@ func TestEachAdmissionIsOneRecord(t *testing.T) {
 		if ev.Type != store.EventCreate || ev.ID != st.ID || ev.Session == nil {
 			t.Fatalf("%s journaled %+v, want a create record carrying the session", tc.name, ev)
 		}
-		if (ev.Session.Warm != nil) != tc.warm || len(ev.Session.History) != tc.evals || ev.Session.Suggested != tc.suggested {
-			t.Fatalf("%s: record carries warm=%v, %d history records, suggested=%v; want %v, %d, %v", tc.name,
-				ev.Session.Warm != nil, len(ev.Session.History), ev.Session.Suggested, tc.warm, tc.evals, tc.suggested)
+		if (ev.Session.Warm != nil) != tc.warm || len(ev.Session.History) != tc.evals {
+			t.Fatalf("%s: record carries warm=%v, %d history records; want %v, %d", tc.name,
+				ev.Session.Warm != nil, len(ev.Session.History), tc.warm, tc.evals)
 		}
 	}
 

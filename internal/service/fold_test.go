@@ -2,11 +2,16 @@ package service
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"maps"
 	"os"
 	"path/filepath"
 	"sort"
+	"strconv"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -180,8 +185,8 @@ func (got restoredState) diff(want restoredState) string {
 
 // recordLog drives one manager through every kind of event recovery has to
 // fold — all four backends, a warm-started session, a DDPG session observed
-// off its outstanding suggestion (armed, unconsumed), a trailing suggest, an
-// auto session, closes, an imported model, an auto session warm-started by
+// off its outstanding suggestion, a suggestion left outstanding, an auto
+// session, closes, an imported model, an auto session warm-started by
 // its fingerprinting run, an adopted one and a compaction in the middle —
 // and returns the complete log.
 func recordLog(t *testing.T) []store.Event {
@@ -290,15 +295,14 @@ func recordLog(t *testing.T) []store.Event {
 	if st := waitState(t, m, autoWarm, StateDone); !st.WarmStarted {
 		t.Fatalf("auto session not warm-started: %+v", st)
 	}
-	// A session handed over from another node, history, warm start and
-	// outstanding suggestion in its one create record.
+	// A session handed over from another node, history and warm start in
+	// its one create record.
 	handed := donorSnapshot(t, Spec{ID: "adopted", Backend: "gbo", Workload: "K-means", Seed: 9, MaxIterations: 8,
 		WarmStart: true, Stats: def.Stats, DefaultRuntimeSec: def.RuntimeSec}, 2, model)
-	handed.Suggested = true
 	if st, err := m.Adopt(handed); err != nil || !st.WarmStarted {
 		t.Fatalf("adopt: %+v (err %v), want a warm-started session", st, err)
 	}
-	suggest(plain) // trailing: handed out, never observed
+	suggest(plain) // handed out, never observed
 	crash(m)
 	return tp.events
 }
@@ -322,7 +326,7 @@ func TestRestoreSameFromEveryCut(t *testing.T) {
 			types["create with a history (adopted)"]++
 		}
 	}
-	for _, typ := range []string{store.EventCreate, store.EventSuggest, store.EventObserve, store.EventClose, store.EventHarvest,
+	for _, typ := range []string{store.EventCreate, store.EventObserve, store.EventClose, store.EventHarvest,
 		"create with a warm start", "observe with a warm start", "create with a history (adopted)"} {
 		if types[typ] == 0 {
 			t.Fatalf("recorded log has no %s event: %v", typ, types)
@@ -384,7 +388,7 @@ func writable(events []store.Event) bool {
 				l.observed, l.warm = len(ss.History), ss.Warm != nil
 			}
 			sessions[ev.ID] = l
-		case store.EventWarm, store.EventSuggest, store.EventObserve, store.EventClose:
+		case store.EventWarm, "suggest", store.EventObserve, store.EventClose:
 			if l == nil || l.closed {
 				return false
 			}
@@ -417,10 +421,12 @@ func writable(events []store.Event) bool {
 // for a log a manager could have written, unless a session in it cannot be
 // rebuilt, a snapshot cut at the midpoint plus an overlapping tail must
 // restore to what the whole log restores to. Seeded with the logs
-// TestRestoreSameFromEveryCut records (testdata/fuzz/FuzzRestore):
-// recorded-log as managers wrote it when a session entered the log as
-// several records and a warm start as its own, kept byte for byte so that
-// old logs stay covered, and recorded-log-one-record as they write it now.
+// TestRestoreSameFromEveryCut records (testdata/fuzz/FuzzRestore), each
+// kept byte for byte so that old logs stay covered: recorded-log as managers
+// wrote it when a session entered the log as several records and a warm
+// start as its own, recorded-log-one-record as they wrote it while every
+// suggestion was journaled, and recorded-log-no-suggest as they write it
+// now.
 func FuzzRestore(f *testing.F) {
 	f.Fuzz(func(t *testing.T, jsonl []byte) {
 		var events []store.Event
@@ -470,7 +476,7 @@ func subset(a, b []string) bool {
 }
 
 // writeFuzzSeed checks the recorded log in as FuzzRestore's seed corpus, in
-// the go test fuzz v1 encoding, beside the old-format recorded-log.
+// the go test fuzz v1 encoding, beside the old-format ones.
 func writeFuzzSeed(t *testing.T, events []store.Event) {
 	t.Helper()
 	var jsonl bytes.Buffer
@@ -487,7 +493,85 @@ func writeFuzzSeed(t *testing.T, events []store.Event) {
 		t.Fatal(err)
 	}
 	body := fmt.Sprintf("go test fuzz v1\n[]byte(%q)\n", jsonl.Bytes())
-	if err := os.WriteFile(filepath.Join(dir, "recorded-log-one-record"), []byte(body), 0o644); err != nil {
+	if err := os.WriteFile(filepath.Join(dir, "recorded-log-no-suggest"), []byte(body), 0o644); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// parentAnswer is what a node serves for one session it reopened: its
+// state, how many experiments it holds, its next suggestion and a digest
+// of its history records.
+type parentAnswer struct {
+	State   string      `json:"state"`
+	Evals   int         `json:"evals"`
+	Next    conf.Config `json:"next"`
+	History string      `json:"history_sha256"`
+}
+
+// TestOldLogsReopenToTheirAnswers: logs and snapshots written while every
+// suggestion was journaled — the FuzzRestore seeds recorded-log and
+// recorded-log-one-record, snapshot-indented.json and
+// adopt-parent-events.json — reopen to the sessions that build served from
+// them. testdata/parent-answers.json holds those answers as the last build
+// to write suggest records computed them, and must match bit for bit.
+func TestOldLogsReopenToTheirAnswers(t *testing.T) {
+	answers := func(st restoredState) map[string]parentAnswer {
+		out := make(map[string]parentAnswer)
+		for id, ss := range st.Sessions {
+			h := sha256.New()
+			for _, rec := range ss.History {
+				buf, err := json.Marshal(rec)
+				if err != nil {
+					t.Fatal(err)
+				}
+				h.Write(append(buf, '\n'))
+			}
+			out[id] = parentAnswer{State: ss.State, Evals: len(ss.History), Next: st.Next[id], History: hex.EncodeToString(h.Sum(nil))}
+		}
+		return out
+	}
+	read := func(elem ...string) []byte {
+		buf, err := os.ReadFile(filepath.Join(append([]string{"testdata"}, elem...)...))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return buf
+	}
+	got := make(map[string]map[string]parentAnswer)
+	for _, name := range []string{"recorded-log", "recorded-log-one-record"} {
+		// Decoded as FuzzRestore decodes its inputs.
+		lit, ok := strings.CutPrefix(strings.TrimSpace(string(read("fuzz", "FuzzRestore", name))), "go test fuzz v1\n[]byte(")
+		jsonl, err := strconv.Unquote(strings.TrimSuffix(lit, ")"))
+		if !ok || err != nil {
+			t.Fatalf("%s is not a go test fuzz v1 []byte (err %v)", name, err)
+		}
+		var events []store.Event
+		for _, line := range strings.Split(jsonl, "\n") {
+			var ev store.Event
+			if json.Unmarshal([]byte(line), &ev) == nil {
+				events = append(events, ev)
+			}
+		}
+		for i := range events {
+			events[i].Seq = uint64(i + 1)
+		}
+		got[name] = answers(restoreState(t, true, nil, events))
+	}
+	got["snapshot-indented.json"] = answers(restoreState(t, true, read("snapshot-indented.json"), nil))
+	var fixtures []struct{ Events []store.Event }
+	if err := json.Unmarshal(read("adopt-parent-events.json"), &fixtures); err != nil {
+		t.Fatal(err)
+	}
+	got["adopt-parent-events.json"] = make(map[string]parentAnswer)
+	for _, fx := range fixtures {
+		maps.Copy(got["adopt-parent-events.json"], answers(restoreState(t, true, nil, fx.Events)))
+	}
+
+	buf, err := json.MarshalIndent(got, "", "\t")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := read("parent-answers.json"); !bytes.Equal(append(buf, '\n'), want) {
+		t.Fatalf("old logs reopen to other answers than the build that wrote them served:\n got %s\nwant %s", buf, want)
 	}
 }

@@ -45,10 +45,9 @@ func donorSnapshot(t *testing.T, spec Spec, n int, models ...bo.RepoEntry) store
 // TestOutstandingSuggestionSurvivesRebuild: a suggestion handed out but not
 // yet observed when the session is snapshotted must still be outstanding in
 // the rebuilt session — whether the snapshot came back through crash
-// recovery (the suggest event itself compacted away) or through Adopt.
-// Otherwise the next observation takes the unsolicited branch: its history
-// entry records Suggested=false on every backend, and DDPG's later
-// suggestions diverge from an uninterrupted run.
+// recovery or through Adopt. Otherwise the next observation takes the
+// unsolicited branch, and DDPG's later suggestions diverge from an
+// uninterrupted run.
 func TestOutstandingSuggestionSurvivesRebuild(t *testing.T) {
 	for _, backend := range []string{"relm", "bo", "gbo", "ddpg"} {
 		spec := Spec{ID: "s-" + backend, Backend: backend, Workload: "K-means", Seed: 9, MaxIterations: 8, MaxSteps: 8}
@@ -125,8 +124,8 @@ func TestOutstandingSuggestionSurvivesRebuild(t *testing.T) {
 			m1 := newTestManager(t, Options{Workers: 1, NodeID: "a"})
 			outstanding := head(m1)
 			rep := m1.Drain()
-			if len(rep.Sessions) != 1 || !rep.Sessions[0].Suggested {
-				t.Fatalf("drain did not hand over the armed session: %+v", rep.Sessions)
+			if len(rep.Sessions) != 1 {
+				t.Fatalf("drain did not hand over the session: %+v", rep.Sessions)
 			}
 			m2 := newTestManager(t, Options{Workers: 1, NodeID: "b"})
 			adoptAll(t, m2, rep)
@@ -265,11 +264,9 @@ func TestRefusedAdoptLeavesTheIDFree(t *testing.T) {
 // TestAdoptJournalsTheSnapshotItWasGiven ties hand-over to recovery: the
 // events Adopt writes for a SessionSnapshot are that snapshot spelled as a
 // log, so folding them gives it back — warm start, every history record
-// with its objective and Suggested bit, the outstanding suggestion. Only
-// State is the rebuild's to fill in.
+// with its objective. Only State is the rebuild's to fill in.
 func TestAdoptJournalsTheSnapshotItWasGiven(t *testing.T) {
-	armed := donorSnapshot(t, Spec{ID: "s-ddpg", Backend: "ddpg", Workload: "SortByKey", Seed: 5, MaxSteps: 8}, 3)
-	armed.Suggested = true
+	agent := donorSnapshot(t, Spec{ID: "s-ddpg", Backend: "ddpg", Workload: "SortByKey", Seed: 5, MaxSteps: 8}, 3)
 	// A warm-started donor: its fingerprint matches a model imported first.
 	fp := measure(t, "", "K-means", Observation{Config: conf.Default()}, 1)
 	warm := donorSnapshot(t,
@@ -279,7 +276,7 @@ func TestAdoptJournalsTheSnapshotItWasGiven(t *testing.T) {
 	if warm.Warm == nil {
 		t.Fatalf("donor was not warm-started: %+v", warm)
 	}
-	for _, ss := range []store.SessionSnapshot{armed, warm} {
+	for _, ss := range []store.SessionSnapshot{agent, warm} {
 		tp := &tape{Store: store.NewMem()}
 		m := newTestManager(t, Options{Workers: 1, Store: tp})
 		if _, err := m.Adopt(ss); err != nil {

@@ -126,10 +126,7 @@ type StatusResponse struct {
 	Surrogate *SurrogateStatus `json:"surrogate,omitempty"`
 }
 
-// HistoryJSON is one recorded experiment on the wire. Suggested reports
-// whether a suggestion was outstanding when the observation arrived — a
-// replayer (fail-over promotion) re-issues Suggest exactly for those
-// entries, reproducing the live suggest/observe interleaving.
+// HistoryJSON is one recorded experiment on the wire.
 type HistoryJSON struct {
 	Config     ConfigJSON     `json:"config"`
 	RuntimeSec float64        `json:"runtime_sec"`
@@ -137,7 +134,6 @@ type HistoryJSON struct {
 	Aborted    bool           `json:"aborted"`
 	GCOverhead float64        `json:"gc_overhead,omitempty"`
 	Stats      *profile.Stats `json:"stats,omitempty"`
-	Suggested  bool           `json:"suggested,omitempty"`
 }
 
 // A scalar is one number (or flag) a node reports about itself, declared
@@ -448,7 +444,6 @@ func NewHandler(m *Manager) http.Handler {
 				Aborted:    h.Aborted,
 				GCOverhead: h.GCOverhead,
 				Stats:      h.Stats,
-				Suggested:  h.Suggested,
 			})
 		}
 		wire.WriteJSON(w, http.StatusOK, out)

@@ -75,12 +75,11 @@ func specFromRecord(rec store.SessionSpec) Spec {
 // (0 without a store) and the append error. Every acknowledged write is one
 // record whose caller refuses the operation on error, before mutating
 // anything: admit's create, observeLocked's observe (with a fingerprinting
-// run's warm start) and an import's harvest. Three appends are advisory;
-// after a restart, losing one costs a suggest the re-armed suggestion (the
-// next observation counts as unsolicited: a different trajectory for DDPG,
-// nothing for the cached BO, GBO and RelM suggestions), a local harvest its
-// model unless recovery harvests the session again, a close its tombstone.
-// Either way the last failure is surfaced through Metrics.
+// run's warm start) and an import's harvest. Two appends are advisory;
+// after a restart, losing one costs a local harvest its model unless
+// recovery harvests the session again, a close its tombstone. Either way
+// the last failure is surfaced through Metrics. A suggestion is not
+// journaled: it changes no tuner state.
 func (m *Manager) journal(ev *store.Event) (uint64, error) {
 	if m.opts.Store == nil {
 		return 0, nil
@@ -249,7 +248,6 @@ func sessionSnapshot(s *Session) store.SessionSnapshot {
 		Warm:      s.warm,
 		Harvested: s.harvested,
 		History:   append([]HistoryEntry(nil), s.history...),
-		Suggested: s.suggested,
 	}
 }
 
@@ -309,14 +307,8 @@ func (m *Manager) fold(snap *store.Snapshot, events []store.Event) map[string]*s
 			live[ss.ID] = &ss
 		}
 	}
-	armed := make(map[string]time.Time)
 	for i := range events {
-		m.foldEvent(live, armed, snap, &events[i])
-	}
-	for id, at := range armed {
-		if ss := live[id]; ss != nil {
-			ss.Suggested, ss.LastUsed = true, at
-		}
+		m.foldEvent(live, snap, &events[i])
 	}
 	// Folded harvest events may have refilled the repository past its
 	// bound (an eviction is durable only once the next snapshot lands);
@@ -346,12 +338,12 @@ func (m *Manager) settle(s *Session) (requeue bool) {
 // rebuildSession is the one way a tuner comes back: crash recovery, a
 // drained node's successor and a promoted replica's successor all hand it a
 // SessionSnapshot. A fresh tuner is warm-started as recorded, replays the
-// history observation by observation, and is re-armed if a suggestion was
-// outstanding — arriving at the same internal state (surrogate data, guide
-// model, RNG position, stopping rule) the tuner held when the snapshot was
-// taken. Callers settle the session afterwards. The snapshot comes from
-// disk or from another node: records a tuner cannot digest (say, prior
-// points of the wrong dimension) fail this one session, not the process.
+// history observation by observation — arriving at the same internal state
+// (surrogate data, guide model, RNG position, stopping rule, the pending
+// suggestion) the tuner held when the snapshot was taken. Callers settle
+// the session afterwards. The snapshot comes from disk or from another
+// node: records a tuner cannot digest (say, prior points of the wrong
+// dimension) fail this one session, not the process.
 func (m *Manager) rebuildSession(ss store.SessionSnapshot) (s *Session, err error) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -374,11 +366,6 @@ func (m *Manager) rebuildSession(ss store.SessionSnapshot) (s *Session, err erro
 	}
 	for _, h := range ss.History {
 		s.observe(h.Observation)
-	}
-	if ss.Suggested {
-		// Arming is idempotent: suggestions are cached until consumed.
-		s.tuner.Suggest()
-		s.suggested = true
 	}
 	return s, nil
 }
@@ -428,19 +415,10 @@ func (m *Manager) buildSession(id string, spec Spec, created time.Time) (*Sessio
 // (rebuildSession) alike — and appends it to the history. The objective is
 // derived through the session's abort-penalty watermark, which is a
 // deterministic function of the observation sequence, so a rebuild
-// reproduces the live assignment exactly.
-//
-// The recorded Suggested bit carries the suggest/observe interleaving: a
-// rebuild re-arms a suggestion via Suggest exactly when one was outstanding
-// live. DDPG's solicited/unsolicited/no-pending branches (replay buffer,
-// training, state folding) all depend on that distinction; BO/GBO/RelM
-// suggestions are cached between observations, so arming is state-neutral
-// for them. Callers hold s.mu or own s exclusively.
+// reproduces the live assignment exactly. Suggest changes no tuner state,
+// so whether a suggestion was handed out before an observation need not be
+// known. Callers hold s.mu or own s exclusively.
 func (s *Session) observe(rec store.Observation) {
-	if rec.Suggested && !s.suggested {
-		s.tuner.Suggest()
-		s.suggested = true
-	}
 	smp := tune.Sample{
 		Config:     rec.Config,
 		X:          s.space.Encode(rec.Config),
@@ -451,11 +429,6 @@ func (s *Session) observe(rec store.Observation) {
 	smp.Result.RuntimeSec = rec.RuntimeSec
 	smp.Result.Aborted = rec.Aborted
 	smp.Result.GCOverhead = rec.GCOverhead
-	if s.suggested && s.tuner.Suggest() == smp.Config {
-		// Suggest is pure while a suggestion is outstanding; the tuner is
-		// about to consume it.
-		s.suggested = false
-	}
 	s.tuner.Observe(smp)
 	s.history = append(s.history, HistoryEntry{Observation: rec, Objective: smp.Objective})
 }
@@ -463,12 +436,9 @@ func (s *Session) observe(rec store.Observation) {
 // foldEvent folds one journaled event into the sessions of the snapshot as
 // plain data: no tuner is touched, so a session closed later in the log
 // costs a map delete. Events already reflected by the snapshot (or by an
-// earlier duplicate) are skipped. armed collects the trailing suggests: a
-// suggest event takes effect only if no observe event of its session follows
-// it. One that does either stamps its record Suggested, which is how
-// rebuildSession re-arms, or is itself a duplicate — and then the snapshot,
-// which already holds that observation, is later than the suggest.
-func (m *Manager) foldEvent(live map[string]*store.SessionSnapshot, armed map[string]time.Time, snap *store.Snapshot, ev *store.Event) {
+// earlier duplicate) are skipped, and so is a type it does not know (the
+// suggest records of old logs).
+func (m *Manager) foldEvent(live map[string]*store.SessionSnapshot, snap *store.Snapshot, ev *store.Event) {
 	ss := live[ev.ID]
 	switch ev.Type {
 	case store.EventCreate:
@@ -490,7 +460,7 @@ func (m *Manager) foldEvent(live map[string]*store.SessionSnapshot, armed map[st
 			if ss.Warm != nil {
 				m.warmStarts.Add(1)
 			}
-		case ev.Spec != nil: // an old log: warm, observe and suggest records follow
+		case ev.Spec != nil: // an old log: warm and observe records follow
 			ss = &store.SessionSnapshot{ID: ev.ID, Spec: *ev.Spec, Created: ev.Time, LastUsed: ev.Time}
 		default:
 			return
@@ -504,11 +474,7 @@ func (m *Manager) foldEvent(live map[string]*store.SessionSnapshot, armed map[st
 		ss.Warm = ev.Warm
 		m.warmStarts.Add(1)
 
-	case store.EventSuggest:
-		armed[ev.ID] = ev.Time
-
 	case store.EventObserve:
-		delete(armed, ev.ID)
 		if ss == nil || ev.Obs == nil {
 			return
 		}
@@ -522,10 +488,6 @@ func (m *Manager) foldEvent(live map[string]*store.SessionSnapshot, armed map[st
 		var obj tune.Objectives
 		obj.Restore(worstRuntime(ss.History))
 		ss.History = append(ss.History, HistoryEntry{Observation: *ev.Obs, Objective: obj.Assign(ev.Obs.RuntimeSec, ev.Obs.Aborted)})
-		// Whether the observation consumed an outstanding suggestion only
-		// the tuner knows; rebuildSession finds out as it replays the
-		// records' Suggested bits.
-		ss.Suggested = false
 		ss.LastUsed = ev.Time
 		m.observations.Add(1)
 

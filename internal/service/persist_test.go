@@ -947,10 +947,12 @@ func TestHarvestedForgottenAtTheFence(t *testing.T) {
 	}
 }
 
-// TestRestoredUnsolicitedDDPG: a DDPG client that only reports unsolicited
-// observations (never calls suggest) folds them into the RL state; the
-// restored tuner must land in the same state and produce the same next
-// suggestion as the live one.
+// TestRestoredUnsolicitedDDPG: a DDPG client that never calls suggest. Its
+// first observation, the default configuration the tuner holds pending,
+// seeds the RL state and draws the next action; the second, off that
+// action, is unsolicited and leaves both alone. The restored tuner must
+// land in the same state and produce the same next suggestion as the live
+// one.
 func TestRestoredUnsolicitedDDPG(t *testing.T) {
 	dir := t.TempDir()
 	fs, err := store.OpenFile(dir)
@@ -995,6 +997,114 @@ func TestRestoredUnsolicitedDDPG(t *testing.T) {
 	}
 	if cfg1 != cfg2 {
 		t.Fatalf("restored ddpg suggestion differs after unsolicited-only history:\n got %+v\nwant %+v", cfg2, cfg1)
+	}
+}
+
+// TestSuggestJournalsNothing: a suggestion changes no tuner state, so
+// Manager.Suggest appends no record — asked once or three times, before the
+// first observation or between two.
+func TestSuggestJournalsNothing(t *testing.T) {
+	tp := &tape{Store: store.NewMem()}
+	m := newTestManager(t, Options{Workers: 1, Store: tp})
+	for _, backend := range []string{"relm", "bo", "gbo", "ddpg"} {
+		st, err := m.Create(Spec{Backend: backend, Workload: "K-means", Seed: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for round := uint64(0); round < 3; round++ {
+			before := len(tp.events)
+			var cfg conf.Config
+			for range round + 1 {
+				if cfg, _, err = m.Suggest(st.ID); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if n := len(tp.events) - before; n != 0 {
+				t.Fatalf("%s: %d suggests appended %d records: %+v", backend, round+1, n, tp.events[before:])
+			}
+			if _, err := m.Observe(st.ID, measure(t, "", "K-means", Observation{Config: cfg}, round)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+}
+
+// TestResumeNeedsNoSuggestRecord: a node reopened from a log that holds no
+// suggest record — none is written now, and an old log may have lost its
+// last one — resumes where the dead node stood. Each backend runs 2 steps
+// and leaves a suggestion outstanding; the log is reopened with every
+// suggest record removed, the outstanding configuration is observed, and 2
+// more steps run. The suggestions must be the uninterrupted twin's.
+func TestResumeNeedsNoSuggestRecord(t *testing.T) {
+	for _, backend := range []string{"relm", "bo", "gbo", "ddpg"} {
+		t.Run(backend, func(t *testing.T) {
+			spec := Spec{ID: "s-" + backend, Backend: backend, Workload: "K-means", Seed: 4, MaxIterations: 8, MaxSteps: 8}
+			suggest := func(m *Manager) conf.Config {
+				t.Helper()
+				cfg, _, err := m.Suggest(spec.ID)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return cfg
+			}
+			observe := func(m *Manager, cfg conf.Config, seed uint64) {
+				t.Helper()
+				if _, err := m.Observe(spec.ID, measure(t, "", spec.Workload, Observation{Config: cfg}, seed)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			head := func(m *Manager) conf.Config {
+				t.Helper()
+				if _, err := m.Create(spec); err != nil {
+					t.Fatal(err)
+				}
+				for i := range uint64(2) {
+					observe(m, suggest(m), i)
+				}
+				return suggest(m)
+			}
+			tail := func(m *Manager, outstanding conf.Config) []conf.Config {
+				t.Helper()
+				observe(m, outstanding, 2)
+				var trace []conf.Config
+				for i := range uint64(2) {
+					cfg := suggest(m)
+					trace = append(trace, cfg)
+					observe(m, cfg, 3+i)
+				}
+				return append(trace, suggest(m))
+			}
+			twin := newTestManager(t, Options{Workers: 1})
+			want := tail(twin, head(twin))
+
+			mem := store.NewMem()
+			m1, err := Open(Options{Workers: 1, Store: mem})
+			if err != nil {
+				t.Fatal(err)
+			}
+			outstanding := head(m1)
+			crash(m1)
+			_, events, err := mem.Load()
+			if err != nil {
+				t.Fatal(err)
+			}
+			stripped := store.NewMem()
+			for _, ev := range events {
+				if ev.Type != "suggest" {
+					if _, err := stripped.Append(&ev); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			m2, err := Open(Options{Workers: 1, Store: stripped})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer m2.Close()
+			if got := tail(m2, outstanding); !reflect.DeepEqual(got, want) {
+				t.Fatalf("suggestions after the reopen diverge from the uninterrupted twin:\n got %+v\nwant %+v", got, want)
+			}
+		})
 	}
 }
 

@@ -252,11 +252,8 @@ type SurrogateStatus struct {
 }
 
 // Observation is one measured experiment reported to a session — the
-// store's record, so it reaches the journal uncopied. Suggested is the
-// manager's to fill: whatever the caller put there is overwritten with
-// whether a suggestion was outstanding when the observation arrived.
-// GCOverhead and Stats are optional; RelM requires Stats, GBO and DDPG use
-// them when present.
+// store's record, so it reaches the journal uncopied. GCOverhead and Stats
+// are optional; RelM requires Stats, GBO and DDPG use them when present.
 type Observation = store.Observation
 
 // BestReport is the incumbent of a session.
@@ -316,7 +313,6 @@ type Session struct {
 	lastUsed  time.Time
 	warm      *store.Warm // applied warm start, nil if none
 	harvested bool        // session already fed the model repository
-	suggested bool        // a suggestion is outstanding (armed, unconsumed)
 }
 
 // surrogateStatser is implemented by the bo/gbo tuners: the session
@@ -842,9 +838,7 @@ func (m *Manager) Suggest(id string) (conf.Config, bool, error) {
 		return conf.Config{}, false, ErrClosed
 	}
 	s.lastUsed = m.opts.Now()
-	m.journal(&store.Event{Type: store.EventSuggest, ID: s.id, Time: s.lastUsed})
 	cfg := s.tuner.Suggest()
-	s.suggested = true
 	m.obsSuggest.Record(time.Since(start))
 	return cfg, s.tuner.Done(), nil
 }
@@ -1266,19 +1260,16 @@ func (m *Manager) RepositoryReport() RepositoryReport {
 
 // --- internals -------------------------------------------------------------
 
-// observeLocked journals one observation and then feeds it to the session,
-// stamping it with whether a suggestion was outstanding so a rebuild
-// replays the suggest/observe interleaving faithfully. Journal-before-apply:
-// the observe event must be durable before any state the ack exposes is
-// mutated, so on an append failure the tuner, history, abort-penalty
-// watermark and suggest arming are untouched and the caller surfaces a
+// observeLocked journals one observation and then feeds it to the session.
+// Journal-before-apply: the observe event must be durable before any state
+// the ack exposes is mutated, so on an append failure the tuner, history
+// and abort-penalty watermark are untouched and the caller surfaces a
 // retriable ErrJournal — the client retries the identical observation (here
 // once the fault clears, or on the promoted replica via the router) without
 // the tuner ever double-counting it. warm, the match a fingerprinting run
 // just applied, rides on the record and is durable with it. Callers hold
 // s.mu.
 func (m *Manager) observeLocked(s *Session, rec store.Observation, warm *store.Warm) error {
-	rec.Suggested = s.suggested
 	if _, err := m.journal(&store.Event{
 		Type: store.EventObserve,
 		ID:   s.id,
@@ -1545,7 +1536,6 @@ func (m *Manager) drive(s *Session) {
 			return
 		}
 		cfg := s.tuner.Suggest()
-		s.suggested = true
 		s.mu.Unlock()
 
 		rec := simObservation(ev.Eval(cfg))

@@ -23,7 +23,7 @@ import (
 // sample of them.
 func TestCompactCrashPoints(t *testing.T) {
 	dir, crashes := t.TempDir(), t.TempDir()
-	fs, err := store.OpenFile(dir, store.FileOptions{SegmentBytes: 2 << 10})
+	fs, err := store.OpenFile(dir, store.FileOptions{SegmentBytes: 3 << 9})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,14 +76,16 @@ func TestCompactCrashPoints(t *testing.T) {
 	}
 
 	// The compaction must have an active segment to seal: if the last event
-	// happened to rotate it, journal one more (a repeated suggest is served
-	// from the tuner's cache and changes nothing else).
+	// happened to rotate it, journal one more (a suggestion is not
+	// journaled, so admit a session and close it at once: nothing it leaves
+	// is open).
 	if segs := fs.Segments(); segs[len(segs)-1].Bytes == 0 {
-		for id := range want {
-			if _, _, err := m.Suggest(id); err != nil {
-				t.Fatal(err)
-			}
-			break
+		st, err := m.Create(service.Spec{Backend: "bo", Workload: "SortByKey", Seed: 7})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := m.CloseSession(st.ID); err != nil {
+			t.Fatal(err)
 		}
 	}
 

@@ -1,7 +1,8 @@
 // Package store is the durable knowledge store of the tuning service: an
 // append-only JSONL write-ahead log of session events plus periodic
 // compacted snapshots. The service journals every state transition
-// (create / suggest / observe / close / harvest); on startup it
+// (create / observe / close / harvest; a suggestion changes no state, and
+// the suggest records of old logs are skipped on replay); on startup it
 // loads the latest snapshot and replays the remaining log, rebuilding
 // every open session's tuner by re-observing its history. Because replayed
 // events are idempotent (observations carry a per-session ordinal), the
@@ -33,11 +34,11 @@ import (
 // record carrying its SessionSnapshot, however it arrived, and a warm start
 // rides on the record that applied it. Older logs spell an admission as
 // create{Spec}, warm, observe…, suggest: replay still reads them, but no
-// warm record is written any more.
+// warm record is written any more. Nor is a suggest record: old logs
+// carry one per suggestion handed out, and replay ignores them.
 const (
 	EventCreate  = "create"  // a session was admitted (payload: Session; old logs: Spec)
 	EventWarm    = "warm"    // old logs only: a warm start (payload: Warm)
-	EventSuggest = "suggest" // a suggestion was handed out (refreshes LastUsed)
 	EventObserve = "observe" // one measured experiment (payload: Obs, ordinal N; a fingerprinting run's Warm)
 	EventClose   = "close"   // tombstone: closed by the client or evicted by TTL
 	EventHarvest = "harvest" // a completed session fed the model repository
@@ -92,11 +93,6 @@ type Observation struct {
 	Aborted    bool           `json:"aborted,omitempty"`
 	GCOverhead float64        `json:"gc_overhead,omitempty"`
 	Stats      *profile.Stats `json:"stats,omitempty"`
-	// Suggested records whether a suggestion was outstanding when the
-	// observation arrived. Replay re-issues Suggest exactly for those
-	// observations, reproducing the live suggest/observe interleaving —
-	// which the DDPG tuner's solicited/unsolicited branches depend on.
-	Suggested bool `json:"suggested,omitempty"`
 }
 
 // Warm records a warm start as applied: the matched repository entry's
@@ -149,10 +145,6 @@ type SessionSnapshot struct {
 	Warm      *Warm           `json:"warm,omitempty"`
 	Harvested bool            `json:"harvested,omitempty"`
 	History   []HistoryRecord `json:"history,omitempty"`
-	// Suggested reports a suggestion outstanding after the last history
-	// entry; the rebuilt tuner is re-armed so the next observation takes
-	// the solicited branch it would have taken live.
-	Suggested bool `json:"suggested,omitempty"`
 }
 
 // Snapshot is a compacted point-in-time image of the whole service: every

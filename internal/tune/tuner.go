@@ -19,14 +19,16 @@ import "relm/internal/conf"
 // Tuner across goroutines (e.g. the service session manager) must
 // serialize access.
 type Tuner interface {
-	// Suggest returns the next configuration to measure. It is stable
-	// between observations: calling Suggest repeatedly without an
-	// intervening Observe returns the same configuration. Once Done
-	// reports true, Suggest returns the best known configuration.
+	// Suggest returns the next configuration to measure. It changes
+	// nothing: a tuner that is never asked ends in the state of one asked
+	// before every observation, so a suggestion need not be recorded to be
+	// reproduced. Once Done reports true, Suggest returns the best known
+	// configuration.
 	Suggest() conf.Config
-	// Observe reports the measured outcome of one experiment. The sample's
-	// Config need not be the last suggestion — unsolicited observations
-	// (e.g. a client replaying historical runs) are incorporated too.
+	// Observe reports the measured outcome of one experiment. It is
+	// solicited when the sample's Config equals Suggest(); unsolicited
+	// observations (e.g. a client replaying historical runs) are
+	// incorporated too.
 	Observe(Sample)
 	// Best returns the incumbent: the lowest-objective non-aborted sample
 	// observed so far. ok is false when nothing succeeded yet.

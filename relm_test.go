@@ -75,6 +75,54 @@ func TestPublicAPIBlackBoxTuners(t *testing.T) {
 	}
 }
 
+// TestSuggestIsARead: every incremental tuner's Suggest changes nothing.
+// Beside a lead tuner driven suggest, then observe, one twin observes the
+// same samples without ever asking and another asks three times before
+// each. Both must end where the lead does: the same Done, Best and next
+// suggestion.
+func TestSuggestIsARead(t *testing.T) {
+	cl := relm.ClusterA()
+	tuners := map[string]func(relm.Workload) relm.Tuner{
+		"relm": func(wl relm.Workload) relm.Tuner { return relm.NewRelMStepTuner(cl, wl) },
+		"bo": func(wl relm.Workload) relm.Tuner {
+			return relm.NewBOTuner(cl, wl, relm.BOOptions{Seed: 3, MaxIterations: 4})
+		},
+		"gbo": func(wl relm.Workload) relm.Tuner {
+			return relm.NewGBOTuner(cl, wl, relm.BOOptions{Seed: 3, MaxIterations: 4})
+		},
+		"ddpg": func(wl relm.Workload) relm.Tuner {
+			return relm.NewDDPGTuner(cl, wl, nil, relm.DDPGOptions{Seed: 3, MaxSteps: 4})
+		},
+	}
+	for name, build := range tuners {
+		for _, wlName := range []string{"K-means", "WordCount"} {
+			wl, _ := relm.WorkloadByName(wlName)
+			ev := relm.NewEvaluator(cl, wl, 7)
+			lead, silent, eager := build(wl), build(wl), build(wl)
+			for steps := 0; !lead.Done() && steps < 40; steps++ {
+				s := ev.Eval(lead.Suggest())
+				lead.Observe(s)
+				silent.Observe(s)
+				eager.Suggest()
+				eager.Suggest()
+				eager.Suggest()
+				eager.Observe(s)
+			}
+			if !lead.Done() {
+				t.Fatalf("%s/%s: the lead tuner never finished", name, wlName)
+			}
+			for twin, tu := range map[string]relm.Tuner{"never asked": silent, "asked 3x a step": eager} {
+				lb, lok := lead.Best()
+				tb, tok := tu.Best()
+				if tu.Done() != lead.Done() || tok != lok || tb.Config != lb.Config || tb.Objective != lb.Objective || tu.Suggest() != lead.Suggest() {
+					t.Errorf("%s/%s: the twin %s ends done=%v best=%v (%v) next %v; the lead done=%v best=%v (%v) next %v", name, wlName, twin,
+						tu.Done(), tb.Config, tok, tu.Suggest(), lead.Done(), lb.Config, lok, lead.Suggest())
+				}
+			}
+		}
+	}
+}
+
 func TestPublicAPIExhaustive(t *testing.T) {
 	wl, _ := relm.WorkloadByName("WordCount")
 	ev := relm.NewEvaluator(relm.ClusterA(), wl, 5)
