@@ -2,7 +2,6 @@ package core
 
 import (
 	"relm/internal/conf"
-	"relm/internal/profile"
 	"relm/internal/tune"
 )
 
@@ -32,10 +31,4 @@ func reprofileConfig(def conf.Config, sp tune.Space) conf.Config {
 	re.TaskConcurrency = clampInt(re.TaskConcurrency*2, 1, maxP)
 	re.NewRatio = clampInt(re.NewRatio+2, 1, sp.MaxNewRatio)
 	return re
-}
-
-// RecommendFromProfile is the single-profile entry point used by callers
-// that already hold a profile artifact (e.g. the CLI).
-func (t *Tuner) RecommendFromProfile(p *profile.Profile) (conf.Config, []Candidate, error) {
-	return t.Recommend(profile.Generate(p))
 }

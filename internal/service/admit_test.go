@@ -1,6 +1,7 @@
 package service
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"net/http"
@@ -325,6 +326,58 @@ func TestOldAdoptLogFoldsLikeItsRecord(t *testing.T) {
 		}
 		if d := restoreState(t, true, nil, fx.Events).diff(restoreState(t, true, nil, tp.events)); d != "" {
 			t.Fatalf("%s: the old records restore differently from the new one:%s", ss.ID, d)
+		}
+	}
+}
+
+// TestCreateRecordsRejournalByteForByte: testdata/create-records.jsonl
+// holds create records as a build with a durable spec type of its own
+// journaled them — the default surrogate, a budget, a kernel with a refit
+// period, a remote session carrying every optional field, a queued auto
+// session — and an old-format create{spec} with a surrogate block. A node
+// adopting the sessions they reopen to journals, byte for byte, what that
+// build's node journaled (create-records-rejournaled.jsonl): each
+// current-format record as it was written, the old one as a current-format
+// record whose spec has its mode filled in.
+func TestCreateRecordsRejournalByteForByte(t *testing.T) {
+	read := func(name string) [][]byte {
+		buf, err := os.ReadFile(filepath.Join("testdata", name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return bytes.Split(bytes.TrimSpace(buf), []byte("\n"))
+	}
+	written, want := read("create-records.jsonl"), read("create-records-rejournaled.jsonl")
+	events := make([]store.Event, len(written))
+	for i, line := range written {
+		if err := json.Unmarshal(line, &events[i]); err != nil || events[i].Type != store.EventCreate {
+			t.Fatalf("record %d is not a create record (err %v): %s", i, err, line)
+		}
+	}
+	rep, err := BuildHandoff(nil, events, "n1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	byID := make(map[string]store.SessionSnapshot)
+	for _, ss := range rep.Sessions {
+		byID[ss.ID] = ss
+	}
+	tp := &tape{Store: store.NewMem()}
+	m := newTestManager(t, Options{NodeID: "n2", Workers: -1, Store: tp})
+	for _, ev := range events {
+		if _, err := m.Adopt(byID[ev.ID]); err != nil {
+			t.Fatalf("adopt %s: %v", ev.ID, err)
+		}
+	}
+	if len(tp.lines) != len(want) || len(want) != len(written) {
+		t.Fatalf("%d records journaled for %d adopted sessions, want %d", len(tp.lines), len(written), len(want))
+	}
+	for i, line := range tp.lines {
+		if !bytes.Equal(line, want[i]) {
+			t.Fatalf("%s: journaled\n %s\nwant\n %s", events[i].ID, line, want[i])
+		}
+		if events[i].Session != nil && !bytes.Equal(line, written[i]) {
+			t.Fatalf("%s: journaled\n %s\nwas written as\n %s", events[i].ID, line, written[i])
 		}
 	}
 }

@@ -262,7 +262,7 @@ func TestHTTPInjectedObserveFaultIsRetriable(t *testing.T) {
 }
 
 func TestDegradedWALSurfacesInHealthzAndMetrics(t *testing.T) {
-	m, _ := fileStoreManager(t, store.FileOptions{SyncEachAppend: true, NoGroupCommit: true})
+	m, _ := fileStoreManager(t, store.FileOptions{SyncEachAppend: true})
 	srv := httptest.NewServer(NewHandler(m))
 	defer srv.Close()
 

@@ -28,10 +28,12 @@ import (
 // of it.
 
 // tape is a Store that remembers every event appended through it, whatever
-// compaction later drops from the log underneath.
+// compaction later drops from the log underneath, and the bytes it was
+// journaled as.
 type tape struct {
 	store.Store
 	events []store.Event
+	lines  [][]byte
 }
 
 func (tp *tape) Append(ev *store.Event) (uint64, error) {
@@ -43,6 +45,7 @@ func (tp *tape) Append(ev *store.Event) (uint64, error) {
 			return 0, err
 		}
 		tp.events = append(tp.events, cp)
+		tp.lines = append(tp.lines, buf)
 	}
 	return seq, err
 }

@@ -223,11 +223,11 @@ func TestJournaledBudgetsReplayOntoOneModel(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
 		budget int
-		want   *store.SurrogateSpec // the create event's journaled block
+		want   store.SurrogateSpec // the create event's journaled block
 	}{
-		{"budget -1", -1, &store.SurrogateSpec{Budget: -1}},
-		{"block absent", 0, nil},
-		{"budget 48", 48, &store.SurrogateSpec{Budget: 48}},
+		{"budget -1", -1, store.SurrogateSpec{Budget: -1}},
+		{"block absent", 0, store.SurrogateSpec{}},
+		{"budget 48", 48, store.SurrogateSpec{Budget: 48}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			spec := Spec{Backend: "gbo", Workload: "K-means", Seed: 3, MaxIterations: 14,

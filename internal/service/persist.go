@@ -27,50 +27,6 @@ import (
 // and a crash between the snapshot rename and the log rewrite loses
 // nothing.
 
-// specRecord converts a Spec to its durable form. The surrogate block is
-// journaled only when set, so sessions on the default surrogate produce
-// the same record bytes as before the field existed.
-func specRecord(spec Spec) *store.SessionSpec {
-	rec := &store.SessionSpec{
-		Backend:         spec.Backend,
-		Workload:        spec.Workload,
-		Cluster:         spec.Cluster,
-		Mode:            spec.Mode,
-		Seed:            spec.Seed,
-		MaxIterations:   spec.MaxIterations,
-		MaxSteps:        spec.MaxSteps,
-		WarmStart:       spec.WarmStart,
-		WarmMaxDistance: spec.WarmMaxDistance,
-		Stats:           spec.Stats,
-		DefaultSec:      spec.DefaultRuntimeSec,
-	}
-	if spec.Surrogate != (SurrogateSpec{}) {
-		rec.Surrogate = &spec.Surrogate
-	}
-	return rec
-}
-
-// specFromRecord is the inverse of specRecord.
-func specFromRecord(rec store.SessionSpec) Spec {
-	spec := Spec{
-		Backend:           rec.Backend,
-		Workload:          rec.Workload,
-		Cluster:           rec.Cluster,
-		Mode:              rec.Mode,
-		Seed:              rec.Seed,
-		MaxIterations:     rec.MaxIterations,
-		MaxSteps:          rec.MaxSteps,
-		WarmStart:         rec.WarmStart,
-		WarmMaxDistance:   rec.WarmMaxDistance,
-		Stats:             rec.Stats,
-		DefaultRuntimeSec: rec.DefaultSec,
-	}
-	if rec.Surrogate != nil {
-		spec.Surrogate = *rec.Surrogate
-	}
-	return spec
-}
-
 // journal appends one event to the store, returning its sequence number
 // (0 without a store) and the append error. Every acknowledged write is one
 // record whose caller refuses the operation on error, before mutating
@@ -241,7 +197,7 @@ func (m *Manager) Snapshot() error {
 func sessionSnapshot(s *Session) store.SessionSnapshot {
 	return store.SessionSnapshot{
 		ID:        s.id,
-		Spec:      *specRecord(s.spec),
+		Spec:      s.spec,
 		State:     s.state,
 		Created:   s.created,
 		LastUsed:  s.lastUsed,
@@ -319,14 +275,12 @@ func (m *Manager) fold(snap *store.Snapshot, events []store.Event) map[string]*s
 }
 
 // settle finishes a session about to run — restore's, or one admit has just
-// journaled, created or adopted: it aligns the evaluator's bookkeeping with
-// the history, recomputes a terminal state, and reports whether the session
-// is an auto session with no worker driving it, which the caller must put
-// on the worker pool. Callers hold s.mu or own s exclusively.
+// journaled, created or adopted: it recomputes a terminal state and reports
+// whether the session is an auto session with no worker driving it, which
+// the caller must put on the worker pool. Nothing else needs aligning: an
+// auto session's next simulator run follows from its history (drive).
+// Callers hold s.mu or own s exclusively.
 func (m *Manager) settle(s *Session) (requeue bool) {
-	if s.ev != nil {
-		s.ev.Resume(len(s.history), worstRuntime(s.history))
-	}
 	m.refreshStateLocked(s)
 	if s.spec.Mode == ModeAuto && (s.state == StateQueued || s.state == StateRunning) {
 		s.state = StateQueued
@@ -350,7 +304,7 @@ func (m *Manager) rebuildSession(ss store.SessionSnapshot) (s *Session, err erro
 			s, err = nil, fmt.Errorf("service: session %q does not replay: %v", ss.ID, r)
 		}
 	}()
-	if s, err = m.buildSession(ss.ID, specFromRecord(ss.Spec), ss.Created); err != nil {
+	if s, err = m.buildSession(ss.ID, ss.Spec, ss.Created); err != nil {
 		return nil, err
 	}
 	if ss.State != "" { // a session folded from its create event carries none
@@ -404,7 +358,6 @@ func (m *Manager) buildSession(id string, spec Spec, created time.Time) (*Sessio
 		lastUsed: created,
 	}
 	if spec.Mode == ModeAuto {
-		s.ev = tune.NewEvaluator(cl, wl, spec.Seed)
 		s.state = StateQueued
 	}
 	return s, nil

@@ -49,6 +49,7 @@ import (
 	"relm/internal/obs"
 	"relm/internal/profile"
 	"relm/internal/replica"
+	"relm/internal/sim"
 	"relm/internal/sim/cluster"
 	"relm/internal/sim/workload"
 	"relm/internal/store"
@@ -178,57 +179,9 @@ func (o *Options) fill() {
 	}
 }
 
-// Spec describes one tuning session to create.
-type Spec struct {
-	// ID optionally assigns the session's ID instead of the manager's
-	// "sess-N" counter. A cluster router uses it to place sessions by
-	// consistent hashing: the routing key must be known before the session
-	// exists, so the router mints the ID and every node honours it.
-	// Creating an ID the manager has already seen (live or tombstoned)
-	// fails with ErrExists; the manager's own counter namespace
-	// ("sess-N", node-prefixed when NodeID is set) is reserved and
-	// rejected outright. Same character set as Options.NodeID.
-	ID string
-	// Backend selects the policy: "relm" (default), "bo", "gbo", or "ddpg".
-	Backend string
-	// Workload is a Table 2 / TPC-H workload name (default "PageRank").
-	Workload string
-	// Cluster is "A" (default) or "B".
-	Cluster string
-	// Mode is "remote" (default) or "auto".
-	Mode string
-	// Seed drives the policy's stochastic choices and, in auto mode, the
-	// simulator.
-	Seed uint64
-	// MaxIterations caps BO/GBO adaptive samples (0 = paper default).
-	MaxIterations int
-	// MaxSteps caps DDPG steps (0 = paper default).
-	MaxSteps int
-
-	// WarmStart asks the Manager to match this session's workload
-	// fingerprint against the shared model repository and, on a hit,
-	// warm-start the optimizer with the matched session's observations
-	// (§6.6 model re-use; BO and GBO backends only). Remote sessions
-	// supply the fingerprint via Stats; auto sessions profile the default
-	// configuration on the simulator as their first experiment.
-	WarmStart bool
-	// WarmMaxDistance overrides the Manager's fingerprint-distance
-	// threshold for this session (0 = manager default).
-	WarmMaxDistance float64
-	// Stats is the session's workload fingerprint: the Table 6 statistics
-	// of a default-configuration run, measured by the client. Used for
-	// warm-start matching of remote sessions and as the harvest
-	// fingerprint when the session completes.
-	Stats *profile.Stats
-	// DefaultRuntimeSec is the default-configuration runtime matching
-	// Stats; matched prior observations are rescaled by the ratio of
-	// default runtimes before seeding the optimizer.
-	DefaultRuntimeSec float64
-
-	// Surrogate configures the BO/GBO response-surface model. The zero
-	// value selects the defaults (RBF kernel, gp.DefaultSparseBudget cap).
-	Surrogate SurrogateSpec
-}
+// Spec describes one tuning session to create — the store's record, so a
+// create journals it uncopied.
+type Spec = store.SessionSpec
 
 // SurrogateSpec configures a session's surrogate model — the store's
 // record, which doubles as the `surrogate` JSON object on the HTTP wire.
@@ -303,7 +256,6 @@ type Session struct {
 	tuner tune.Tuner
 	sur   bo.SurrogateConfig // resolved surrogate settings (BO/GBO status)
 	space tune.Space
-	ev    *tune.Evaluator // simulator harness (auto mode)
 
 	history   []HistoryEntry
 	obj       tune.Objectives // the paper's abort-penalty objective (§6.1)
@@ -885,21 +837,6 @@ func (m *Manager) Observe(id string, obs Observation) (Status, error) {
 	return st, nil
 }
 
-// Best returns the session's incumbent.
-func (m *Manager) Best(id string) (BestReport, bool, error) {
-	s, err := m.get(id)
-	if err != nil {
-		return BestReport{}, false, err
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	best, ok := s.tuner.Best()
-	if !ok {
-		return BestReport{}, false, nil
-	}
-	return BestReport{Config: best.Config, RuntimeSec: best.RuntimeSec, Objective: best.Objective}, true, nil
-}
-
 // Get returns a session's status snapshot.
 func (m *Manager) Get(id string) (Status, error) {
 	s, err := m.get(id)
@@ -1288,19 +1225,12 @@ func (m *Manager) observeLocked(s *Session, rec store.Observation, warm *store.W
 	return nil
 }
 
-// simObservation is the record of one simulator run of an auto session, its
-// Table 6 statistics derived from the run's profile.
-func simObservation(smp tune.Sample) store.Observation {
-	rec := store.Observation{
-		Config:     smp.Config,
-		RuntimeSec: smp.RuntimeSec,
-		Aborted:    smp.Result.Aborted,
-		GCOverhead: smp.Result.GCOverhead,
-	}
-	if st, ok := smp.DeriveStats(); ok {
-		rec.Stats = &st
-	}
-	return rec
+// simObservation runs one experiment of an auto session on the simulator
+// and records it, its Table 6 statistics derived from the run's profile.
+func simObservation(cl cluster.Spec, wl workload.Spec, cfg conf.Config, seed uint64) store.Observation {
+	res, prof := sim.Run(cl, wl, cfg, seed)
+	st := profile.Generate(prof)
+	return store.Observation{Config: cfg, RuntimeSec: res.RuntimeSec, Aborted: res.Aborted, GCOverhead: res.GCOverhead, Stats: &st}
 }
 
 // refreshStateLocked moves a non-terminal session to done/failed once its
@@ -1470,10 +1400,13 @@ func (m *Manager) worker() {
 	}
 }
 
-// drive runs one auto session. The simulation itself runs outside the
-// session lock so status queries stay responsive; the shared evaluator is
-// itself concurrency-safe.
+// drive runs one auto session. Its run n — the n-th experiment of its
+// history, whoever reported the ones before — draws the simulator seed
+// tune.RunSeed gives n, so a session rebuilt from its history goes on
+// exactly as the one that recorded it would have. The simulation itself
+// runs outside the session lock so status queries stay responsive.
 func (m *Manager) drive(s *Session) {
+	cl, wl, _ := resolve(s.spec) // resolved once already, when s was built
 	s.mu.Lock()
 	if s.state == StateQueued {
 		s.state = StateRunning
@@ -1481,13 +1414,11 @@ func (m *Manager) drive(s *Session) {
 	// A warm-start request without a client fingerprint: profile the
 	// default configuration first (the fingerprinting run of §6.6), match
 	// the repository, and seed the tuner before the regular loop.
-	needWarm := s.spec.WarmStart && s.warm == nil && s.spec.Stats == nil && len(s.history) == 0 && s.ev != nil
-	ev := s.ev
+	needWarm := s.spec.WarmStart && s.warm == nil && s.spec.Stats == nil && len(s.history) == 0
 	s.mu.Unlock()
 
 	if needWarm {
-		def := ev.Space.Default()
-		rec := simObservation(ev.Eval(def))
+		rec := simObservation(cl, wl, s.space.Default(), tune.RunSeed(s.spec.Seed, 0))
 		s.mu.Lock()
 		if s.state == StateClosed {
 			s.mu.Unlock()
@@ -1535,10 +1466,10 @@ func (m *Manager) drive(s *Session) {
 			s.mu.Unlock()
 			return
 		}
-		cfg := s.tuner.Suggest()
+		cfg, n := s.tuner.Suggest(), len(s.history)
 		s.mu.Unlock()
 
-		rec := simObservation(ev.Eval(cfg))
+		rec := simObservation(cl, wl, cfg, tune.RunSeed(s.spec.Seed, n))
 
 		s.mu.Lock()
 		if s.state == StateClosed {

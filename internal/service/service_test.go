@@ -95,15 +95,11 @@ func TestRemoteLoopAllBackends(t *testing.T) {
 			if final.State != StateDone {
 				t.Fatalf("state = %q, want %q (err=%q)", final.State, StateDone, final.Err)
 			}
-			best, ok, err := m.Best(id)
-			if err != nil || !ok {
-				t.Fatalf("Best: ok=%v err=%v", ok, err)
-			}
-			if best.RuntimeSec <= 0 {
-				t.Fatalf("best runtime %v", best.RuntimeSec)
-			}
 			if final.Evals == 0 || final.Best == nil {
 				t.Fatalf("status missing evals/best: %+v", final)
+			}
+			if final.Best.RuntimeSec <= 0 {
+				t.Fatalf("best runtime %v", final.Best.RuntimeSec)
 			}
 			hist, err := m.History(id)
 			if err != nil || len(hist) != final.Evals {

@@ -12,17 +12,15 @@ import (
 
 // BenchmarkStoreAppendParallel measures WAL append throughput across
 // durability modes and concurrency levels — the hot path under heavy
-// /v1/observe traffic. fsync=per-record is the pre-group-commit baseline
-// (one disk flush per event); fsync=on is the group-committed path, which
-// must amortize those flushes across concurrent appenders; fsync=off
-// flushes to the OS only. One op is one durable Append.
+// /v1/observe traffic. fsync=on is the group-committed path, which
+// amortizes one disk flush across concurrent appenders; fsync=off flushes
+// to the OS only. One op is one durable Append.
 func BenchmarkStoreAppendParallel(b *testing.B) {
 	modes := []struct {
 		name string
 		opts FileOptions
 	}{
 		{"fsync=off", FileOptions{}},
-		{"fsync=per-record", FileOptions{SyncEachAppend: true, NoGroupCommit: true}},
 		{"fsync=on", FileOptions{SyncEachAppend: true}},
 	}
 	for _, mode := range modes {

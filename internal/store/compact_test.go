@@ -21,57 +21,52 @@ func (s *File) SetCompactStep(f func(step string)) { s.step = f }
 // meanwhile. With the encode and write back under the store lock the step
 // would be reached holding it and the append could never return.
 func TestCompactDoesNotBlockAppend(t *testing.T) {
-	for name, opts := range map[string]FileOptions{
-		"group-commit": {SyncEachAppend: true},
-		"fsync-each":   {SyncEachAppend: true, NoGroupCommit: true},
-	} {
-		t.Run(name, func(t *testing.T) {
-			s, err := OpenFile(t.TempDir(), opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer s.Close()
-			appendN(t, s, 8)
+	t.Run("group-commit", func(t *testing.T) {
+		s, err := OpenFile(t.TempDir(), FileOptions{SyncEachAppend: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer s.Close()
+		appendN(t, s, 8)
 
-			held, release := make(chan struct{}), make(chan struct{})
-			s.SetCompactStep(func(step string) {
-				if step == "temp-written" {
-					close(held)
-					<-release
-				}
-			})
-			compacted := make(chan error, 1)
-			go func() { compacted <- s.Compact(&Snapshot{Fence: s.Seq()}) }()
-			<-held
-
-			appended := make(chan error, 1)
-			go func() {
-				_, err := s.Append(testEvent("sess-1", 8))
-				appended <- err
-			}()
-			select {
-			case err := <-appended:
-				if err != nil {
-					t.Errorf("append during a compaction: %v", err)
-				}
-			case <-time.After(30 * time.Second):
-				t.Error("append still blocked behind a compaction that is writing its snapshot")
-			}
-			close(release)
-			if err := <-compacted; err != nil {
-				t.Fatal(err)
-			}
-
-			// The event appended meanwhile is past the fence: it stays.
-			_, events, err := s.Load()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(events) == 0 || events[len(events)-1].Seq != 9 {
-				t.Fatalf("log after the compaction: %d events, want it to end at seq 9", len(events))
+		held, release := make(chan struct{}), make(chan struct{})
+		s.SetCompactStep(func(step string) {
+			if step == "temp-written" {
+				close(held)
+				<-release
 			}
 		})
-	}
+		compacted := make(chan error, 1)
+		go func() { compacted <- s.Compact(&Snapshot{Fence: s.Seq()}) }()
+		<-held
+
+		appended := make(chan error, 1)
+		go func() {
+			_, err := s.Append(testEvent("sess-1", 8))
+			appended <- err
+		}()
+		select {
+		case err := <-appended:
+			if err != nil {
+				t.Errorf("append during a compaction: %v", err)
+			}
+		case <-time.After(30 * time.Second):
+			t.Error("append still blocked behind a compaction that is writing its snapshot")
+		}
+		close(release)
+		if err := <-compacted; err != nil {
+			t.Fatal(err)
+		}
+
+		// The event appended meanwhile is past the fence: it stays.
+		_, events, err := s.Load()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(events) == 0 || events[len(events)-1].Seq != 9 {
+			t.Fatalf("log after the compaction: %d events, want it to end at seq 9", len(events))
+		}
+	})
 }
 
 // TestCompactRefusedLeavesSnapshotUntouched: a closed store and a degraded

@@ -55,7 +55,7 @@ func TestInjectedWriteErrorIsCleanAndTransient(t *testing.T) {
 
 func TestInjectedFsyncDegradesStore(t *testing.T) {
 	dir := t.TempDir()
-	s, err := OpenFile(dir, FileOptions{SyncEachAppend: true, NoGroupCommit: true})
+	s, err := OpenFile(dir, FileOptions{SyncEachAppend: true})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -61,10 +61,6 @@ type FileOptions struct {
 	// CommitBatch is the group-commit size cap: a batch this large is
 	// flushed without waiting out the interval (default 64).
 	CommitBatch int
-	// NoGroupCommit disables batching, fsyncing each append individually
-	// (the pre-segmentation behavior; also the benchmark baseline).
-	// Ignored unless SyncEachAppend is set.
-	NoGroupCommit bool
 	// AppendHist, when set, records the end-to-end latency of every
 	// Append (marshal through durable return); FlushWaitHist records just
 	// the time spent waiting on the group-commit flush, so fsync stalls
@@ -212,7 +208,7 @@ func OpenFile(dir string, opts ...FileOptions) (*File, error) {
 		return nil, fmt.Errorf("store: open wal segment: %w", err)
 	}
 	fs.f, fs.w = f, bufio.NewWriter(f)
-	if o.SyncEachAppend && !o.NoGroupCommit {
+	if o.SyncEachAppend {
 		fs.gc = newCommitter(fs, o.CommitInterval)
 	}
 	return fs, nil
@@ -223,7 +219,7 @@ func (s *File) snapPath() string   { return filepath.Join(s.dir, snapshotFile) }
 
 // Append journals one event. Without SyncEachAppend it is flushed to the
 // OS and returns; with it, the call blocks until the event's group-commit
-// batch is fsynced (or, with NoGroupCommit, fsyncs individually).
+// batch is fsynced.
 func (s *File) Append(ev *Event) (uint64, error) {
 	var start time.Time
 	if s.opts.AppendHist != nil {
@@ -265,7 +261,7 @@ func (s *File) Append(ev *Event) (uint64, error) {
 		}
 		return seq, b.err
 	}
-	err = s.writeLocked(buf, 1, s.opts.SyncEachAppend)
+	err = s.writeLocked(buf, 1, false)
 	s.mu.Unlock()
 	if !start.IsZero() {
 		s.opts.AppendHist.Record(time.Since(start))

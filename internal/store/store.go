@@ -62,24 +62,62 @@ type SurrogateSpec struct {
 	RefitDrift float64 `json:"refit_drift,omitempty"`
 }
 
-// SessionSpec is the durable form of a session's creation request. It
-// mirrors service.Spec field for field; the store keeps its own copy so the
-// on-disk schema does not depend on the service package.
+// SessionSpec describes one tuning session to create — aliased as
+// service.Spec — and is the durable form of that request: a create record
+// journals it inside the SessionSnapshot. Zero fields are left out of the
+// record, so a session on the defaults journals only what was asked.
 type SessionSpec struct {
-	Backend         string         `json:"backend,omitempty"`
-	Workload        string         `json:"workload,omitempty"`
-	Cluster         string         `json:"cluster,omitempty"`
-	Mode            string         `json:"mode,omitempty"`
-	Seed            uint64         `json:"seed,omitempty"`
-	MaxIterations   int            `json:"max_iterations,omitempty"`
-	MaxSteps        int            `json:"max_steps,omitempty"`
-	WarmStart       bool           `json:"warm_start,omitempty"`
-	WarmMaxDistance float64        `json:"warm_max_distance,omitempty"`
-	Stats           *profile.Stats `json:"stats,omitempty"`
-	DefaultSec      float64        `json:"default_sec,omitempty"`
-	// Surrogate is nil for sessions created before the field existed (and
-	// for non-BO backends), keeping old logs replayable byte-for-byte.
-	Surrogate *SurrogateSpec `json:"surrogate,omitempty"`
+	// ID optionally assigns the session's ID instead of the manager's
+	// "sess-N" counter. A cluster router uses it to place sessions by
+	// consistent hashing: the routing key must be known before the session
+	// exists, so the router mints the ID and every node honours it.
+	// Creating an ID the manager has already seen (live or tombstoned)
+	// fails with ErrExists; the manager's own counter namespace
+	// ("sess-N", node-prefixed when NodeID is set) is reserved and
+	// rejected outright. Same character set as Options.NodeID. Not
+	// journaled here: the session record carries the ID.
+	ID string `json:"-"`
+	// Backend selects the policy: "relm" (default), "bo", "gbo", or "ddpg".
+	Backend string `json:"backend,omitempty"`
+	// Workload is a Table 2 / TPC-H workload name (default "PageRank").
+	Workload string `json:"workload,omitempty"`
+	// Cluster is "A" (default) or "B".
+	Cluster string `json:"cluster,omitempty"`
+	// Mode is "remote" (default) or "auto".
+	Mode string `json:"mode,omitempty"`
+	// Seed drives the policy's stochastic choices and, in auto mode, the
+	// simulator.
+	Seed uint64 `json:"seed,omitempty"`
+	// MaxIterations caps BO/GBO adaptive samples (0 = paper default).
+	MaxIterations int `json:"max_iterations,omitempty"`
+	// MaxSteps caps DDPG steps (0 = paper default).
+	MaxSteps int `json:"max_steps,omitempty"`
+
+	// WarmStart asks the Manager to match this session's workload
+	// fingerprint against the shared model repository and, on a hit,
+	// warm-start the optimizer with the matched session's observations
+	// (§6.6 model re-use; BO and GBO backends only). Remote sessions
+	// supply the fingerprint via Stats; auto sessions profile the default
+	// configuration on the simulator as their first experiment.
+	WarmStart bool `json:"warm_start,omitempty"`
+	// WarmMaxDistance overrides the Manager's fingerprint-distance
+	// threshold for this session (0 = manager default).
+	WarmMaxDistance float64 `json:"warm_max_distance,omitempty"`
+	// Stats is the session's workload fingerprint: the Table 6 statistics
+	// of a default-configuration run, measured by the client. Used for
+	// warm-start matching of remote sessions and as the harvest
+	// fingerprint when the session completes.
+	Stats *profile.Stats `json:"stats,omitempty"`
+	// DefaultRuntimeSec is the default-configuration runtime matching
+	// Stats; matched prior observations are rescaled by the ratio of
+	// default runtimes before seeding the optimizer.
+	DefaultRuntimeSec float64 `json:"default_sec,omitempty"`
+
+	// Surrogate configures the BO/GBO response-surface model. The zero
+	// value selects the defaults (RBF kernel, gp.DefaultSparseBudget cap)
+	// and is not journaled, as in records written before the field
+	// existed.
+	Surrogate SurrogateSpec `json:"surrogate,omitzero"`
 }
 
 // Observation is the durable form of one measured experiment. Objectives

@@ -69,10 +69,14 @@ func (o *Objectives) Reset() { o.worst = 0 }
 // it when rebuilding a session's objective state from a persisted history.
 func (o *Objectives) Restore(worstRuntimeSec float64) { o.worst = worstRuntimeSec }
 
+// RunSeed is the simulator seed of experiment n of the stress-test sequence
+// seeded with seed. The Evaluator's n-th evaluation draws it, and so does
+// run n of a served auto session, n being the length of its history.
+func RunSeed(seed uint64, n int) uint64 { return seed + uint64(n)*104729 }
+
 // Evaluator runs configurations for the tuning policies and applies the
 // paper's objective conventions. It records every evaluation, which is what
 // the overhead figures (16, 18, 19) report. It is safe for concurrent use:
-// the service worker pool shares evaluators across goroutines, and
 // simulation runs proceed in parallel outside the bookkeeping lock.
 type Evaluator struct {
 	Cluster  cluster.Spec
@@ -106,7 +110,7 @@ func (e *Evaluator) Eval(c conf.Config) Sample {
 	seed := e.Seed
 	e.mu.Unlock()
 
-	res, prof := sim.Run(e.Cluster, e.Workload, c, seed+uint64(idx)*104729)
+	res, prof := sim.Run(e.Cluster, e.Workload, c, RunSeed(seed, idx))
 	s := Sample{
 		Config:     c,
 		X:          e.Space.Encode(c),

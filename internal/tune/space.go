@@ -107,14 +107,6 @@ func (s Space) Encode(c conf.Config) []float64 {
 	return x
 }
 
-// DominantCapacity extracts the tuned pool fraction from a configuration.
-func (s Space) DominantCapacity(c conf.Config) float64 {
-	if s.UsesCache {
-		return c.CacheCapacity
-	}
-	return c.ShuffleCapacity
-}
-
 // Default returns the MaxResourceAllocation + framework-defaults
 // configuration (Table 4) expressed in this space's dominant-pool
 // convention.
