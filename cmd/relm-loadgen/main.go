@@ -45,7 +45,6 @@ func main() {
 		concurrency  = flag.Int("concurrency", 0, "override the scenario's worker-pool size")
 		timeout      = flag.Duration("timeout", 0, "override the scenario's per-request deadline")
 		quiet        = flag.Bool("quiet", false, "suppress progress logging")
-		ackLog       = flag.String("ack-log", "", "write one JSON line per acknowledged create/observe/close to this file (chaos-run durability ledger)")
 	)
 	flag.Parse()
 	log.SetFlags(0)
@@ -92,7 +91,7 @@ func main() {
 		return
 	}
 
-	opts := loadgen.Options{Target: *target, RunID: *runID, AckPath: *ackLog}
+	opts := loadgen.Options{Target: *target, RunID: *runID}
 	if sc != nil {
 		opts.Concurrency = sc.Concurrency
 		opts.RequestTimeout = sc.RequestTimeout()

@@ -61,7 +61,6 @@ import (
 	"syscall"
 	"time"
 
-	"relm/internal/fault"
 	"relm/internal/obs"
 	"relm/internal/router"
 )
@@ -81,20 +80,12 @@ func main() {
 		promote    = flag.Bool("promote", false, "enable automatic fail-over: promote a dead backend's WAL replica and have the survivors adopt its sessions")
 		slowLog    = flag.Duration("slow-log", 0, "log any request slower than this span-by-span (0 = off)")
 		pprofAddr  = flag.String("pprof-addr", "", "serve net/http/pprof on this address (empty = off)")
-		faultsPath = flag.String("faults", "", "JSON fault-injection schedule armed at startup (testing; see docs/OPERATIONS.md)")
 	)
 	var logLevel slog.Level
 	flag.TextVar(&logLevel, "log-level", slog.LevelInfo, "minimum log level: debug, info, warn, error")
 	flag.Parse()
 
 	logger := slog.New(slog.NewTextHandler(os.Stderr, &slog.HandlerOptions{Level: logLevel})).With("node", "router")
-
-	if *faultsPath != "" {
-		if err := fault.ApplyFile(*faultsPath); err != nil {
-			log.Fatalf("arm -faults: %v", err)
-		}
-		logger.Warn("fault injection armed", "schedule", *faultsPath)
-	}
 
 	if *pprofAddr != "" {
 		go func() {

@@ -80,7 +80,6 @@ import (
 	"syscall"
 	"time"
 
-	"relm/internal/fault"
 	"relm/internal/obs"
 	"relm/internal/replica"
 	"relm/internal/service"
@@ -108,7 +107,6 @@ func main() {
 		replicaN     = flag.Int("replica-factor", 1, "followers per primary (1 or 2): how many rendezvous-chosen peers receive this node's log")
 		slowLog      = flag.Duration("slow-log", 0, "log any request slower than this span-by-span (0 = off)")
 		pprofAddr    = flag.String("pprof-addr", "", "serve net/http/pprof on this address (empty = off)")
-		faultsPath   = flag.String("faults", "", "JSON fault-injection schedule armed at startup (testing; see docs/OPERATIONS.md)")
 	)
 	var logLevel slog.Level
 	flag.TextVar(&logLevel, "log-level", slog.LevelInfo, "minimum log level: debug, info, warn, error")
@@ -120,13 +118,6 @@ func main() {
 	}
 	logger := slog.New(slog.NewTextHandler(os.Stderr, &slog.HandlerOptions{Level: logLevel})).With("node", logNode)
 	reg := obs.NewRegistry()
-
-	if *faultsPath != "" {
-		if err := fault.ApplyFile(*faultsPath); err != nil {
-			log.Fatalf("arm -faults: %v", err)
-		}
-		logger.Warn("fault injection armed", "schedule", *faultsPath)
-	}
 
 	if *pprofAddr != "" {
 		go func() {

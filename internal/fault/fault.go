@@ -4,25 +4,23 @@
 // pointer load returning nil — zero allocations, no locks, cheap enough to
 // leave in production builds (TestDisarmedAllocations holds it at 0
 // allocs). An armed failpoint applies actions — return an injected
-// error/ENOSPC, truncate a write (torn record), inject latency, stall,
-// corrupt or drop bytes — according to a seeded schedule:
+// error/ENOSPC, truncate a write (torn record), inject latency, stall, or
+// drop a write — according to a seeded schedule:
 // each rule precomputes WHICH of its matched hits fire from a PCG stream
 // derived from (schedule seed, failpoint name, rule index), so the same
 // seed reproduces the same fault sequence, hit for hit, across runs and
 // machines. That determinism is what makes a chaos soak replayable: the
-// invariant checker can assert the injected-fault counts match the plan,
-// and a failing run is re-entered from its seed alone.
+// soak asserts the injected-fault counts match the plan, and a failing
+// run is re-entered from its seed alone.
 //
-// Schedules arrive as JSON (a -faults file at boot, or POST /v1/faults at
-// runtime via Handler):
+// Only code inside the process arms a schedule, through Apply: no binary
+// takes one on its command line or over HTTP, because an armed drop or
+// torn rule breaks the promise that acknowledged writes survive.
 //
-//	{
-//	  "seed": 42,
-//	  "rules": [
-//	    {"point": "store.write", "action": "error", "count": 5, "window": 200},
-//	    {"point": "router.proxy", "action": "latency", "arg": 50, "count": 10, "window": 400, "match": "node-b"}
-//	  ]
-//	}
+//	fault.Apply(fault.Schedule{Seed: 42, Rules: []fault.Rule{
+//		{Point: "store.write", Action: "error", Count: 5, Window: 200},
+//		{Point: "router.proxy", Action: "latency", Arg: 50, Count: 10, Window: 400, Match: "node-b"},
+//	}})
 //
 // A rule fires on exactly count of the window matched hits starting after
 // the first after hits; which ones is the seeded draw. count >= window
@@ -32,10 +30,8 @@
 package fault
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
-	"os"
 	"sort"
 	"strings"
 	"sync"
@@ -61,10 +57,9 @@ const (
 	// Stall is Latency with a long default — a hung disk or peer, bounded
 	// only by the caller's own timeouts.
 	Stall
-	// Corrupt makes the site flip Fire.N bytes of its payload and proceed.
-	Corrupt
 	// Drop makes the site silently discard its payload while reporting
-	// success — acknowledged data that never existed.
+	// success — acknowledged data that never existed. Only store.write
+	// handles it; any other site fails with Fire.Err, as for Error.
 	Drop
 )
 
@@ -78,8 +73,6 @@ func (a Action) String() string {
 		return "latency"
 	case Stall:
 		return "stall"
-	case Corrupt:
-		return "corrupt"
 	case Drop:
 		return "drop"
 	default:
@@ -101,9 +94,9 @@ var errENOSPC = fmt.Errorf("%w: %w", ErrInjected, syscall.ENOSPC)
 // mutated, never allocated per hit.
 type Fire struct {
 	Action Action
-	Err    error         // Error/Torn: the error to return
+	Err    error         // Error/Torn/Drop: the error to return
 	Delay  time.Duration // Latency/Stall: how long to sleep
-	N      int           // Torn: bytes to persist; Corrupt: bytes to flip
+	N      int           // Torn: bytes to persist
 }
 
 // Sleep blocks for the fire's delay (Latency/Stall); a no-op otherwise.
@@ -118,30 +111,29 @@ func (f *Fire) Sleep() {
 // seed-determined positions.
 type Rule struct {
 	// Point names the failpoint ("store.write", "router.proxy", …).
-	Point string `json:"point"`
-	// Action is one of error, eio, enospc, torn, latency, stall, corrupt,
-	// drop.
-	Action string `json:"action"`
+	Point string
+	// Action is one of error, eio, enospc, torn, latency, stall, drop.
+	Action string
 	// Arg parameterizes the action: milliseconds for latency/stall
-	// (defaults 25 / 2000), byte count for torn/corrupt (defaults 0 / 1).
-	Arg int `json:"arg,omitempty"`
+	// (defaults 25 / 2000), byte count for torn (default 0).
+	Arg int
 	// Count is how many hits fire inside the window.
-	Count int `json:"count"`
+	Count int
 	// Window is how many matched hits the count is drawn from (default
 	// Count: the first Count hits all fire).
-	Window int `json:"window,omitempty"`
+	Window int
 	// After skips the first After matched hits before the window opens.
-	After int `json:"after,omitempty"`
+	After int
 	// Match restricts the rule to hits whose site-supplied tag contains
 	// this substring (e.g. one backend's name). Empty matches every hit,
 	// including tagless ones.
-	Match string `json:"match,omitempty"`
+	Match string
 }
 
-// Schedule is the wire form of a fault plan: a seed plus rules.
+// Schedule is a fault plan: a seed plus rules.
 type Schedule struct {
-	Seed  uint64 `json:"seed"`
-	Rules []Rule `json:"rules"`
+	Seed  uint64
+	Rules []Rule
 }
 
 // armedRule is one Rule compiled against a seed: the prebuilt Fire and the
@@ -288,22 +280,6 @@ func Apply(s Schedule) error {
 	return nil
 }
 
-// ApplyFile loads a JSON schedule from disk and arms it (the -faults flag).
-func ApplyFile(path string) error {
-	buf, err := os.ReadFile(path)
-	if err != nil {
-		return fmt.Errorf("fault: read schedule: %w", err)
-	}
-	var s Schedule
-	if err := json.Unmarshal(buf, &s); err != nil {
-		return fmt.Errorf("fault: decode schedule %s: %w", path, err)
-	}
-	if err := Apply(s); err != nil {
-		return err
-	}
-	return nil
-}
-
 // DisarmAll removes every armed rule; every failpoint returns to the
 // zero-overhead path.
 func DisarmAll() {
@@ -319,20 +295,19 @@ func DisarmAll() {
 // the size of its seeded fire plan, and live hit/fired counters.
 type RuleStatus struct {
 	Rule
-	Planned int    `json:"planned"` // fires the seed scheduled in the window
-	Hits    uint64 `json:"hits"`    // matched hits so far
-	Fired   uint64 `json:"fired"`   // hits that fired so far
+	Planned int    // fires the seed scheduled in the window
+	Hits    uint64 // matched hits so far
+	Fired   uint64 // hits that fired so far
 }
 
-// Status is the wire form of GET /v1/faults: the armed schedule and its
-// progress. Two runs of the same seed and workload produce identical
-// Fired vectors once every rule's window is fully traversed — the
-// determinism the chaos checker asserts.
+// Status is the armed schedule and its progress. Two runs of the same
+// seed and workload produce identical Fired vectors once every rule's
+// window is fully traversed — the determinism the chaos soak asserts.
 type Status struct {
-	Armed  bool         `json:"armed"`
-	Seed   uint64       `json:"seed,omitempty"`
-	Points []string     `json:"points"`
-	Rules  []RuleStatus `json:"rules,omitempty"`
+	Armed  bool
+	Seed   uint64
+	Points []string
+	Rules  []RuleStatus
 }
 
 // Snapshot reports the armed schedule and per-rule progress.
@@ -401,14 +376,8 @@ func compileRule(r Rule, seed, idx uint64) (*armedRule, error) {
 			ms = 2000
 		}
 		ar.fire = Fire{Action: Stall, Delay: time.Duration(ms) * time.Millisecond}
-	case "corrupt":
-		n := r.Arg
-		if n == 0 {
-			n = 1
-		}
-		ar.fire = Fire{Action: Corrupt, N: n}
 	case "drop":
-		ar.fire = Fire{Action: Drop}
+		ar.fire = Fire{Action: Drop, Err: ErrInjected}
 	default:
 		return nil, fmt.Errorf("point %s: unknown action %q", r.Point, r.Action)
 	}

@@ -1,10 +1,7 @@
 package fault
 
 import (
-	"encoding/json"
 	"errors"
-	"os"
-	"path/filepath"
 	"syscall"
 	"testing"
 	"time"
@@ -161,13 +158,9 @@ func TestActions(t *testing.T) {
 				t.Fatalf("stall default: %+v", fire)
 			}
 		}},
-		{"corrupt", 0, func(t *testing.T, fire *Fire) {
-			if fire.Action != Corrupt || fire.N != 1 {
-				t.Fatalf("corrupt default: %+v", fire)
-			}
-		}},
 		{"drop", 0, func(t *testing.T, fire *Fire) {
-			if fire.Action != Drop {
+			// A site that does not handle drop fails with Err, as for error.
+			if fire.Action != Drop || !errors.Is(fire.Err, ErrInjected) {
 				t.Fatalf("drop action: %+v", fire)
 			}
 		}},
@@ -230,33 +223,6 @@ func TestApplyReplacesWholesale(t *testing.T) {
 	DisarmAll()
 	if b.Eval() != nil {
 		t.Fatal("DisarmAll left b armed")
-	}
-}
-
-func TestApplyFile(t *testing.T) {
-	defer DisarmAll()
-	f := Register("test.file")
-	path := filepath.Join(t.TempDir(), "sched.json")
-	buf, _ := json.Marshal(Schedule{Seed: 5, Rules: []Rule{
-		{Point: "test.file", Action: "latency", Arg: 1, Count: 2, Window: 4},
-	}})
-	if err := os.WriteFile(path, buf, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if err := ApplyFile(path); err != nil {
-		t.Fatal(err)
-	}
-	fires := 0
-	for i := 0; i < 4; i++ {
-		if f.Eval() != nil {
-			fires++
-		}
-	}
-	if fires != 2 {
-		t.Fatalf("fired %d, want 2", fires)
-	}
-	if err := ApplyFile(filepath.Join(t.TempDir(), "missing.json")); err == nil {
-		t.Fatal("missing schedule file should error")
 	}
 }
 

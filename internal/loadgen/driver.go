@@ -1,7 +1,6 @@
 package loadgen
 
 import (
-	"bufio"
 	"bytes"
 	"context"
 	"crypto/rand"
@@ -12,7 +11,6 @@ import (
 	mrand "math/rand/v2"
 	"net/http"
 	"net/url"
-	"os"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -45,20 +43,6 @@ type Options struct {
 	Stats *profile.Stats
 	// Logf, when non-nil, receives progress lines during the run.
 	Logf func(format string, args ...any)
-	// AckPath, when non-empty, appends one JSON line per acknowledged
-	// create/observe/close to this file — the durability ledger a chaos
-	// run's invariant checker compares against the surviving WALs.
-	AckPath string
-}
-
-// Ack is one acknowledged state-changing request, as written to AckPath.
-// N is the observation's 1-based ordinal within its session (0 for
-// create/close): an acked (session, N) must be recoverable from the WALs.
-type Ack struct {
-	Op         string  `json:"op"`
-	Session    string  `json:"session"`
-	N          int     `json:"n,omitempty"`
-	RuntimeSec float64 `json:"runtime_sec,omitempty"`
 }
 
 // cannedStats is a representative Table 6 profile: plausible cache/shuffle
@@ -97,10 +81,6 @@ type Driver struct {
 	mu   sync.Mutex
 	errs map[errKey]*ErrorCount
 	slow []SlowOp
-
-	ackMu sync.Mutex
-	ackF  *os.File
-	ackW  *bufio.Writer
 }
 
 // NewDriver validates the options and builds a driver.
@@ -137,45 +117,7 @@ func NewDriver(opts Options) (*Driver, error) {
 	for _, stage := range reportStages {
 		d.hists[stage] = obs.NewHistogram()
 	}
-	if opts.AckPath != "" {
-		f, err := os.Create(opts.AckPath)
-		if err != nil {
-			return nil, fmt.Errorf("loadgen: ack log: %w", err)
-		}
-		d.ackF, d.ackW = f, bufio.NewWriter(f)
-	}
 	return d, nil
-}
-
-// ack appends one line to the ack log. Only called after the server
-// answered with the expected success status — the request is durable by
-// the service's contract, so losing it is an invariant violation.
-func (d *Driver) ack(op, session string, n int, runtimeSec float64) {
-	if d.ackW == nil {
-		return
-	}
-	line, _ := json.Marshal(Ack{Op: op, Session: session, N: n, RuntimeSec: runtimeSec})
-	d.ackMu.Lock()
-	d.ackW.Write(line)
-	d.ackW.WriteByte('\n')
-	d.ackMu.Unlock()
-}
-
-// closeAckLog flushes and closes the ack log (no-op without AckPath).
-func (d *Driver) closeAckLog() error {
-	if d.ackW == nil {
-		return nil
-	}
-	d.ackMu.Lock()
-	defer d.ackMu.Unlock()
-	if err := d.ackW.Flush(); err != nil {
-		d.ackF.Close()
-		return fmt.Errorf("loadgen: flush ack log: %w", err)
-	}
-	if err := d.ackF.Close(); err != nil {
-		return fmt.Errorf("loadgen: close ack log: %w", err)
-	}
-	return nil
 }
 
 func (d *Driver) logf(format string, args ...any) {
@@ -256,9 +198,6 @@ dispatch:
 	if runErr == nil && ctx.Err() != nil {
 		runErr = ctx.Err()
 	}
-	if err := d.closeAckLog(); err != nil && runErr == nil {
-		runErr = err
-	}
 	return d.report(tr, start, wall), runErr
 }
 
@@ -291,7 +230,6 @@ func (d *Driver) runSession(ctx context.Context, s TraceSession) {
 		d.failed.Add(1)
 		return
 	}
-	d.ack("create", id, 0, 0)
 
 	done := false
 	for i := 0; i < s.Iters; i++ {
@@ -318,13 +256,10 @@ func (d *Driver) runSession(ctx context.Context, s TraceSession) {
 			ok = false
 			break
 		}
-		d.ack("observe", id, i+1, obsReq.RuntimeSec)
 	}
 
 	if _, k := d.do(ctx, StageClose, http.MethodDelete, "/v1/sessions/"+id, id, nil, nil, http.StatusNoContent); !k {
 		ok = false
-	} else {
-		d.ack("close", id, 0, 0)
 	}
 	if !ok {
 		d.failed.Add(1)

@@ -6,6 +6,7 @@ import (
 	"net/http/httptest"
 	"net/url"
 	"reflect"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -308,18 +309,25 @@ type promoCluster struct {
 	names    []string
 	handlers map[string]*atomic.Value // of http.Handler
 	servers  map[string]*httptest.Server
+	stores   map[string]*store.File
+	dirs     map[string]string // each node's store directory
 	managers map[string]*service.Manager
 	sets     map[string]*replica.Set
 	router   *Router
 	front    *httptest.Server
+	stopOnce sync.Once
 }
 
-func newPromoCluster(t *testing.T, names ...string) *promoCluster {
+// newPromoCluster journals each node with fo and ships its log every
+// ship (time.Hour: only when a test calls SyncNow).
+func newPromoCluster(t *testing.T, fo store.FileOptions, ship time.Duration, names ...string) *promoCluster {
 	t.Helper()
 	pc := &promoCluster{
 		names:    names,
 		handlers: make(map[string]*atomic.Value),
 		servers:  make(map[string]*httptest.Server),
+		stores:   make(map[string]*store.File),
+		dirs:     make(map[string]string),
 		managers: make(map[string]*service.Manager),
 		sets:     make(map[string]*replica.Set),
 	}
@@ -342,13 +350,15 @@ func newPromoCluster(t *testing.T, names ...string) *promoCluster {
 				peers = append(peers, replica.Peer{Name: other, URL: pc.servers[other].URL})
 			}
 		}
-		st, err := store.OpenFile(t.TempDir(), store.FileOptions{SegmentBytes: 4096})
+		dir := t.TempDir()
+		st, err := store.OpenFile(dir, fo)
 		if err != nil {
 			t.Fatal(err)
 		}
+		pc.stores[name], pc.dirs[name] = st, dir
 		set, err := replica.New(replica.Options{
 			Self: name, Peers: peers, Dir: t.TempDir(),
-			Source: st, Interval: time.Hour, // tests ship explicitly
+			Source: st, Interval: ship,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -370,22 +380,33 @@ func newPromoCluster(t *testing.T, names ...string) *promoCluster {
 	}
 	pc.router = r
 	pc.front = httptest.NewServer(r)
-	t.Cleanup(func() {
+	t.Cleanup(pc.crash)
+	tc := &testCluster{router: r, front: pc.front}
+	tc.waitHealthy(t, len(names))
+	return pc
+}
+
+// crash stops every process of the cluster the way kill -9 would: each
+// store closes before its manager, so no shutdown snapshot folds what a
+// manager holds in memory into its directory — what survives is what was
+// journaled. Later calls do nothing.
+func (pc *promoCluster) crash() {
+	pc.stopOnce.Do(func() {
 		pc.front.Close()
-		r.Close()
+		pc.router.Close()
 		for _, srv := range pc.servers {
 			srv.Close()
 		}
 		for _, set := range pc.sets {
 			set.Close()
 		}
+		for _, st := range pc.stores {
+			st.Close()
+		}
 		for _, m := range pc.managers {
 			m.Close()
 		}
 	})
-	tc := &testCluster{router: r, front: pc.front}
-	tc.waitHealthy(t, len(names))
-	return pc
 }
 
 func (pc *promoCluster) do(t *testing.T, method, path string, body, out any) (int, http.Header) {
@@ -400,7 +421,7 @@ func (pc *promoCluster) do(t *testing.T, method, path string, body, out any) (in
 // history — the next suggestion identical to what the dead node would
 // have produced.
 func TestAutomaticFailover(t *testing.T) {
-	pc := newPromoCluster(t, "a", "b", "c")
+	pc := newPromoCluster(t, store.FileOptions{SegmentBytes: 4096}, time.Hour, "a", "b", "c")
 
 	// Sessions through the router until every node owns at least one.
 	type sess struct {

@@ -391,3 +391,23 @@ func TestInjectedPartitionTripsBreakerNotPromotion(t *testing.T) {
 		t.Fatalf("recovered node's breaker is %q, want closed", st.Breaker)
 	}
 }
+
+// TestFaultsCannotBeArmedRemotely: only code inside the process arms a
+// failpoint. A torn schedule posted to /v1/faults — on a node or on the
+// router — finds no route, and the registry stays disarmed.
+func TestFaultsCannotBeArmedRemotely(t *testing.T) {
+	t.Cleanup(fault.DisarmAll)
+	tc := newTestCluster(t, "a")
+	torn := map[string]any{"seed": 1, "rules": []map[string]any{
+		{"point": "store.write", "action": "torn", "count": 1},
+	}}
+	for name, srv := range map[string]*httptest.Server{"node": tc.servers["a"], "router": tc.front} {
+		code, _ := (&testCluster{front: srv}).do(t, http.MethodPost, "/v1/faults", torn, nil)
+		if code != http.StatusNotFound && code != http.StatusMethodNotAllowed {
+			t.Errorf("POST /v1/faults on the %s: status %d, want 404 or 405", name, code)
+		}
+		if fault.Snapshot().Armed {
+			t.Fatalf("POST /v1/faults on the %s armed a schedule", name)
+		}
+	}
+}

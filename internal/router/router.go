@@ -766,9 +766,6 @@ func (r *Router) buildMux() http.Handler {
 	mux.HandleFunc("GET /v1/cluster", r.handleCluster)
 	mux.HandleFunc("POST /v1/cluster/drain/{node}", r.handleDrain)
 	mux.HandleFunc("GET /healthz", r.handleHealthz)
-	// Fault-injection control for the router process itself (router.proxy
-	// schedules, e.g. injected partitions between router and backends).
-	mux.Handle("/v1/faults", fault.Handler())
 	return r.tracer.Middleware(mux)
 }
 

@@ -1,6 +1,8 @@
 package service
 
 import (
+	"bytes"
+	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -170,6 +172,52 @@ func TestPromotionReplayBitMatch(t *testing.T) {
 	}
 	defer m4.Close()
 	requireSuccessor(t, m4, ids, histories, nextSuggest)
+}
+
+// TestHandoffOfAnUnharvestedSessionIsDeterministic: a session finished
+// but its advisory harvest record failed to append, so the replay
+// harvests it again. The hand-over must still be a pure function of the
+// directory — the harvested model stamped from the log, not the clock of
+// the replay.
+func TestHandoffOfAnUnharvestedSessionIsDeterministic(t *testing.T) {
+	m, dir := fileStoreManager(t, store.FileOptions{})
+	st, err := m.Create(Spec{Backend: "bo", Workload: "SVM", Seed: 3, MaxIterations: 1,
+		Stats: clusterStats(), DefaultRuntimeSec: 240})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for !st.Done {
+		cfg, _, err := m.Suggest(st.ID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// The observe appends; the harvest the last one triggers fails.
+		armFaultAfter(t, "store.write", 1)
+		if st, err = m.Observe(st.ID, Observation{Config: cfg, RuntimeSec: 120}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if mt := m.Metrics(); mt.JournalError == "" {
+		t.Fatal("the harvest record was appended; the test needs it lost")
+	}
+	crash(m)
+
+	var replays [2][]byte
+	for i := range replays {
+		rep, err := ExtractHandoff(dir, "a")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(rep.Repo) != 1 {
+			t.Fatalf("replay %d harvested %d models, want 1", i, len(rep.Repo))
+		}
+		if replays[i], err = json.Marshal(rep); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !bytes.Equal(replays[0], replays[1]) {
+		t.Fatalf("two replays of one directory differ:\n%s\n%s", replays[0], replays[1])
+	}
 }
 
 // TestPromotionTornTail: the primary was killed mid-append (or the

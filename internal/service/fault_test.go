@@ -3,6 +3,7 @@ package service
 import (
 	"encoding/json"
 	"errors"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -238,6 +239,9 @@ func TestHTTPJournalFaultMapsTo503RetryAfter(t *testing.T) {
 	}
 }
 
+// TestHTTPInjectedObserveFaultIsRetriable: an injected service.observe
+// fault is a retriable 503, for drop as for error — service.observe does
+// not handle drop, so it fails like error.
 func TestHTTPInjectedObserveFaultIsRetriable(t *testing.T) {
 	m := NewManager(Options{Workers: 1})
 	t.Cleanup(m.Close)
@@ -248,16 +252,19 @@ func TestHTTPInjectedObserveFaultIsRetriable(t *testing.T) {
 	if code := doJSON(t, http.MethodPost, srv.URL+"/v1/sessions", CreateRequest{Backend: "bo", Workload: "SVM"}, &created); code != http.StatusCreated {
 		t.Fatalf("create: status %d", code)
 	}
-	armServiceFault(t, "service.observe", "error", 1)
 	body, _ := json.Marshal(ObserveRequest{Config: toConfigJSON(conf.Default()), RuntimeSec: 100})
-	resp, err := http.Post(srv.URL+"/v1/sessions/"+created.ID+"/observe", "application/json", strings.NewReader(string(body)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusServiceUnavailable || resp.Header.Get("Retry-After") == "" {
-		t.Fatalf("injected service.observe fault: status %d Retry-After %q, want retriable 503",
-			resp.StatusCode, resp.Header.Get("Retry-After"))
+	for _, action := range []string{"error", "drop"} {
+		armServiceFault(t, "service.observe", action, 1)
+		resp, err := http.Post(srv.URL+"/v1/sessions/"+created.ID+"/observe", "application/json", strings.NewReader(string(body)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		msg, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusServiceUnavailable || resp.Header.Get("Retry-After") == "" {
+			t.Fatalf("injected service.observe %s: status %d Retry-After %q (%s), want retriable 503",
+				action, resp.StatusCode, resp.Header.Get("Retry-After"), msg)
+		}
 	}
 }
 
@@ -320,55 +327,5 @@ func TestDegradedWALSurfacesInHealthzAndMetrics(t *testing.T) {
 	}
 	if code := doJSON(t, http.MethodGet, srv.URL+"/v1/sessions/"+created.ID, nil, nil); code != http.StatusOK {
 		t.Fatalf("read on degraded node: status %d, want 200", code)
-	}
-}
-
-func TestFaultsEndpointRoundTrip(t *testing.T) {
-	m := NewManager(Options{Workers: 1})
-	t.Cleanup(m.Close)
-	t.Cleanup(fault.DisarmAll)
-	srv := httptest.NewServer(NewHandler(m))
-	defer srv.Close()
-
-	// Arm via POST.
-	sched := `{"seed": 9, "rules": [{"point": "service.observe", "action": "latency", "arg": 1, "count": 2, "window": 8}]}`
-	resp, err := http.Post(srv.URL+"/v1/faults", "application/json", strings.NewReader(sched))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var st fault.Status
-	_ = json.NewDecoder(resp.Body).Decode(&st)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK || !st.Armed || st.Seed != 9 || len(st.Rules) != 1 {
-		t.Fatalf("POST /v1/faults: status %d, %+v", resp.StatusCode, st)
-	}
-
-	// Inspect via GET.
-	if code := doJSON(t, http.MethodGet, srv.URL+"/v1/faults", nil, &st); code != http.StatusOK || st.Rules[0].Planned != 2 {
-		t.Fatalf("GET /v1/faults: code %d, %+v", code, st)
-	}
-
-	// A bad schedule is rejected and changes nothing.
-	resp, err = http.Post(srv.URL+"/v1/faults", "application/json", strings.NewReader(`{"rules":[{"point":"nope","action":"error","count":1}]}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("bad schedule: status %d, want 400", resp.StatusCode)
-	}
-	if code := doJSON(t, http.MethodGet, srv.URL+"/v1/faults", nil, &st); code != http.StatusOK || !st.Armed {
-		t.Fatalf("rejected schedule disarmed the good one: %+v", st)
-	}
-
-	// Disarm via DELETE.
-	req, _ := http.NewRequest(http.MethodDelete, srv.URL+"/v1/faults", nil)
-	resp, err = http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if code := doJSON(t, http.MethodGet, srv.URL+"/v1/faults", nil, &st); code != http.StatusOK || st.Armed {
-		t.Fatalf("DELETE left faults armed: %+v", st)
 	}
 }

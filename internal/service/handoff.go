@@ -3,6 +3,7 @@ package service
 import (
 	"fmt"
 	"sort"
+	"time"
 
 	"relm/internal/bo"
 	"relm/internal/store"
@@ -118,8 +119,18 @@ func ExtractHandoff(dir, node string) (HandoffReport, error) {
 // BuildHandoff replays a snapshot + log — exactly the crash recovery the
 // node itself would have run — into a detached Manager shell that never
 // starts goroutines or journals anything, and hands its sessions over.
+// The shell's clock stands at the last record, so a session the replay
+// harvests again (its advisory harvest record was lost) is stamped the
+// same on every replay: the report is a function of snap and events.
 func BuildHandoff(snap *store.Snapshot, events []store.Event, node string) (HandoffReport, error) {
-	m := newManager(Options{NodeID: node})
+	var last time.Time
+	if snap != nil {
+		last = snap.TakenAt
+	}
+	if n := len(events); n > 0 {
+		last = events[n-1].Time
+	}
+	m := newManager(Options{NodeID: node, Now: func() time.Time { return last }})
 	if _, err := m.restore(snap, events); err != nil {
 		return HandoffReport{}, err
 	}

@@ -339,11 +339,11 @@ type errorJSON struct {
 //	POST   /v1/replica/promote        fence + replay a dead primary's replica; returns the HandoffReport
 //	GET    /healthz                   liveness + node identity + draining flag
 //
-// Three of these are mounted here but served by the package that owns their
-// protocol: /v1/traces by obs ((*Tracer).Handler, beside the ring it reads),
-// /v1/replica/{status,segments,snapshot} by replica (Handler, the other end
-// of its shipper) and /v1/faults by fault (Handler). /v1/replica/promote
-// stays here: it replays the fenced replica into a hand-over.
+// Two of these are mounted here but served by the package that owns their
+// protocol: /v1/traces by obs ((*Tracer).Handler, beside the ring it reads)
+// and /v1/replica/{status,segments,snapshot} by replica (Handler, the other
+// end of its shipper). /v1/replica/promote stays here: it replays the
+// fenced replica into a hand-over.
 func NewHandler(m *Manager) http.Handler {
 	mux := http.NewServeMux()
 
@@ -573,10 +573,6 @@ func NewHandler(m *Manager) http.Handler {
 		}
 		wire.WriteJSON(w, code, resp)
 	})
-
-	// Fault-injection control (internal/fault): inspect, arm, or disarm
-	// the process's failpoint schedule.
-	mux.Handle("/v1/faults", fault.Handler())
 
 	// The tracer middleware wraps the whole API, so every request — the
 	// session lifecycle, replica ingest from a shipping primary, even

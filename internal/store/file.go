@@ -296,7 +296,8 @@ func (s *File) writeLocked(buf []byte, n int, sync bool) error {
 			return fmt.Errorf("%w: injected torn write", ErrDegraded)
 		case fault.Drop:
 			// Report success without writing — acked-but-lost, which exists
-			// to prove the chaos invariant checker catches real loss.
+			// to prove the chaos soak's durability check catches real loss
+			// (TestChaosSoak/drop-is-caught).
 			return nil
 		default:
 			// Clean injected failure before any byte is written: the caller

@@ -22,19 +22,9 @@
 #            and a p99 ceiling on every request stage. The JSON report
 #            lands at $LOADGEN_OUT (default $WORK/LOAD.json) so CI can
 #            upload it as an artifact.
-#   phase 6  chaos soak: the same loadgen trace through a fresh 3-node
-#            replicating cluster armed with the seeded fault schedule
-#            scripts/scenarios/chaos_faults.json (injected journal errors,
-#            latency, severed replication). The relm-chaos checker then
-#            asserts the invariants over the artifacts: every acked write
-#            recoverable from the WALs, WAL replay bit-exact, every
-#            client-visible error retriable, fault accounting consistent
-#            with the schedule, zero promotions.
-#   phase 7  graceful degradation: a torn-write fault flips one chaos
-#            node's WAL into the read-only degraded state; its writes turn
-#            retriable 503, /healthz goes 503 with the reason, and the
-#            router promotes its replica onto a follower — the degraded
-#            node's sessions resume elsewhere.
+#
+# The chaos soak — seeded faults, a torn WAL, the durability invariants —
+# is a Go test: go test -run TestChaosSoak ./internal/router
 #
 # Every request goes through curl; any non-2xx (where a 2xx is expected) or
 # mismatched session state fails the script.
@@ -42,13 +32,6 @@
 # CI runs this in the cluster-e2e job; it also runs locally:
 #
 #   ./scripts/cluster_e2e.sh
-#
-# Env knobs:
-#   CHAOS_ONLY=1         skip phases 1-5 (the nightly chaos job)
-#   CHAOS_SEED=N         fault-schedule seed (default 1)
-#   CHAOS_DETERMINISM=1  run the chaos soak twice with the same seed and
-#                        demand identical fired-fault vectors
-#   CHAOS_OUT=path       copy the invariant report JSON here
 #
 # Dependencies: go, curl, jq.
 set -euo pipefail
@@ -116,14 +99,11 @@ jqget() {
     echo "$out"
 }
 
-log "building relm-serve, relm-router, relm-loadgen, and relm-chaos"
+log "building relm-serve, relm-router and relm-loadgen"
 mkdir -p "$WORK/bin"
 (cd "$ROOT" && go build -o "$WORK/bin/relm-serve" ./cmd/relm-serve)
 (cd "$ROOT" && go build -o "$WORK/bin/relm-router" ./cmd/relm-router)
 (cd "$ROOT" && go build -o "$WORK/bin/relm-loadgen" ./cmd/relm-loadgen)
-(cd "$ROOT" && go build -o "$WORK/bin/relm-chaos" ./cmd/relm-chaos)
-
-if [ "${CHAOS_ONLY:-0}" != "1" ]; then
 
 url_of() {
     case $1 in
@@ -445,196 +425,5 @@ BAD_STAGE=$(jq -r --argjson ceil "$P99_CEIL_US" \
 [ -z "$BAD_STAGE" ] || fail "soak p99 over ${P99_CEIL_US}µs on stage(s) $BAD_STAGE: $(jq -c '.stages' "$SOAK_REPORT")"
 log "  soak ok: $(jq -r '"\(.sessions.completed)/\(.sessions.total) sessions, \(.ops.total) ops, 0 errors in \(.wall_sec | floor)s (\(.ops_per_sec | floor) ops/sec)"' "$SOAK_REPORT")"
 log "  report at $SOAK_REPORT"
-
-fi # CHAOS_ONLY
-
-# ---------------------------------------------------------------- phase 6
-CHAOS_SEED=${CHAOS_SEED:-1}
-PORT_C1=18093
-PORT_C2=18094
-PORT_C3=18095
-PORT_CR=18096
-CHAOS_PIDS=()
-
-chaos_url() {
-    case $1 in
-    c1) echo "http://$HOST:$PORT_C1" ;;
-    c2) echo "http://$HOST:$PORT_C2" ;;
-    c3) echo "http://$HOST:$PORT_C3" ;;
-    esac
-}
-CR="http://$HOST:$PORT_CR"
-
-stop_chaos_cluster() {
-    for pid in "${CHAOS_PIDS[@]:-}"; do
-        kill "$pid" 2>/dev/null || true
-        wait "$pid" 2>/dev/null || true
-    done
-    CHAOS_PIDS=()
-}
-
-# chaos_soak DIR — boot a fresh 3-node replicating cluster + promoting
-# router, arm the seeded schedule on every process, run the soak trace
-# with the ack log, capture the fault/cluster artifacts into DIR, and
-# leave the cluster RUNNING (callers stop it after their extra phases).
-chaos_soak() {
-    local CW=$1
-    mkdir -p "$CW"
-    jq --argjson seed "$CHAOS_SEED" '.seed = $seed' \
-        "$ROOT/scripts/scenarios/chaos_faults.json" >"$CW/faults.json"
-    # The router only delays its proxy path: injected proxy *errors* would
-    # surface as 404/502 walks, which the soak's retriable-only invariant
-    # forbids by design (those paths are covered by the router unit tests).
-    jq -n --argjson seed "$CHAOS_SEED" '{seed: $seed, rules: [
-        {point: "router.proxy", action: "latency", arg: 5, count: 25, window: 150}
-    ]}' >"$CW/router_faults.json"
-
-    local name port peers other
-    for name in c1 c2 c3; do
-        peers=""
-        for other in c1 c2 c3; do
-            [ "$other" = "$name" ] && continue
-            peers+="${peers:+,}$other=$(chaos_url "$other")"
-        done
-        case $name in c1) port=$PORT_C1 ;; c2) port=$PORT_C2 ;; c3) port=$PORT_C3 ;; esac
-        "$WORK/bin/relm-serve" -addr "$HOST:$port" -node-id "$name" \
-            -advertise "$(chaos_url "$name")" -data-dir "$CW/data-$name" \
-            -fsync -wal-segment-bytes 8192 \
-            -replicate-to "$peers" -replicate-every 100ms \
-            -faults "$CW/faults.json" \
-            -workers 4 >>"$CW/serve-$name.log" 2>&1 &
-        CHAOS_PIDS+=($!)
-        PIDS+=($!)
-    done
-    "$WORK/bin/relm-router" -addr "$HOST:$PORT_CR" \
-        -backends "c1=$(chaos_url c1),c2=$(chaos_url c2),c3=$(chaos_url c3)" \
-        -check-interval 250ms -check-backoff-max 2s -fail-after 2 \
-        -promote -faults "$CW/router_faults.json" \
-        >"$CW/router.log" 2>&1 &
-    CHAOS_PIDS+=($!)
-    PIDS+=($!)
-
-    for i in $(seq 1 120); do
-        if [ "$(req GET "$CR/v1/cluster" | jq -r '[.nodes[] | select(.healthy)] | length' 2>/dev/null)" = "3" ]; then break; fi
-        [ "$i" = 120 ] && fail "chaos router never saw 3 healthy backends"
-        sleep 0.25
-    done
-
-    # Errors are EXPECTED here (that is the point); the invariants gate on
-    # the artifacts, not on a zero error count.
-    "$WORK/bin/relm-loadgen" -scenario "$ROOT/scripts/scenarios/soak.json" \
-        -target "$CR" -trace "$CW/soak.trace" -out "$CW/load.json" \
-        -run-id "det$CHAOS_SEED" -ack-log "$CW/acks.jsonl" -quiet || true
-    [ -s "$CW/load.json" ] || fail "chaos loadgen produced no report"
-
-    for name in c1 c2 c3; do
-        req GET "$(chaos_url "$name")/v1/faults" >"$CW/faults-$name.json"
-    done
-    req GET "$CR/v1/faults" >"$CW/faults-router.json"
-    req GET "$CR/v1/cluster" >"$CW/cluster.json"
-
-    [ "$(jq -r '.wall_sec >= 30' "$CW/load.json")" = "true" ] \
-        || fail "chaos soak lasted only $(jq -r .wall_sec "$CW/load.json")s, want >= 30s"
-    [ "$(jq -r '.sessions.completed > .sessions.total / 2' "$CW/load.json")" = "true" ] \
-        || fail "chaos soak lost most sessions: $(jq -c '.sessions' "$CW/load.json")"
-    local fired
-    fired=$(jq -s '[.[].rules[]?.fired] | add // 0' "$CW"/faults-c?.json "$CW/faults-router.json")
-    [ "$fired" -gt 0 ] || fail "chaos schedule armed but nothing fired"
-    log "  chaos soak: $(jq -r '"\(.sessions.completed)/\(.sessions.total) sessions, \(.ops.total) ops, \(.ops.errors) injected-fault errors"' "$CW/load.json"), $fired faults fired"
-}
-
-log "phase 6: chaos soak under seeded fault schedule (seed $CHAOS_SEED)"
-CW1="$WORK/chaos1"
-chaos_soak "$CW1"
-
-# ---------------------------------------------------------------- phase 7
-log "phase 7: torn-write fault degrades a node's WAL; router promotes its replica"
-C1="$(chaos_url c1)"
-# Home a session on c1 directly so the promotion has something to resume.
-DSESS=$(expect 201 POST "$C1/v1/sessions" '{"backend":"bo","workload":"SVM","seed":77,"max_iterations":25}')
-DSID=$(jqget "$DSESS" .id)
-DSUG=$(expect 200 POST "$C1/v1/sessions/$DSID/suggest")
-DCFG=$(jqget "$DSUG" .config)
-expect 200 POST "$C1/v1/sessions/$DSID/observe" "{\"config\":$DCFG,\"runtime_sec\":150}" >/dev/null
-sleep 1 # a few -replicate-every periods: let the WAL tail reach the follower
-
-expect 200 POST "$C1/v1/faults" '{"seed":2,"rules":[{"point":"store.write","action":"torn","count":1}]}' >/dev/null
-# The next journaled write tears and degrades the WAL: retriable 503.
-req POST "$C1/v1/sessions" '{"backend":"bo","workload":"SVM","seed":78}' >/dev/null
-[ "$(cat "$WORK/status")" = "503" ] || fail "create on torn-WAL node -> $(cat "$WORK/status"), want 503"
-HZ=$(req GET "$C1/healthz")
-[ "$(cat "$WORK/status")" = "503" ] || fail "degraded node healthz -> $(cat "$WORK/status"), want 503"
-[ -n "$(jqget "$HZ" .degraded)" ] || fail "degraded healthz carries no reason: $HZ"
-MET=$(expect 200 GET "$C1/v1/metrics")
-[ "$(jqget "$MET" .wal_degraded)" = "true" ] || fail "metrics on degraded node: $MET"
-log "  c1 degraded (reason: $(jqget "$HZ" .degraded)); waiting for the router to promote"
-for i in $(seq 1 120); do
-    PROMO_NODE=$(req GET "$CR/v1/cluster" | jq -r '.last_promotion.node // empty')
-    [ "$PROMO_NODE" = "c1" ] && break
-    [ "$i" = 120 ] && fail "router never promoted degraded c1"
-    sleep 0.25
-done
-[ "$(req GET "$CR/v1/cluster" | jq -r '.promotions_total')" = "1" ] \
-    || fail "promotions_total != 1 after degrading one node"
-DPOST=$(expect 200 GET "$CR/v1/sessions/$DSID")
-[ "$(jqget "$DPOST" .node)" != "c1" ] || fail "session $DSID still reports degraded c1"
-[ "$(jqget "$DPOST" .evals)" = "1" ] || fail "session $DSID lost its observation: $DPOST"
-log "  session $DSID resumed on $(jqget "$DPOST" .node) with history intact"
-
-stop_chaos_cluster
-
-log "phase 6+7: invariant check over the chaos artifacts"
-"$WORK/bin/relm-chaos" \
-    -ack-log "$CW1/acks.jsonl" \
-    -data-dirs "$CW1/data-c1,$CW1/data-c2,$CW1/data-c3" \
-    -report "$CW1/load.json" \
-    -faults "$CW1/faults-c1.json,$CW1/faults-c2.json,$CW1/faults-c3.json,$CW1/faults-router.json" \
-    -cluster "$CW1/cluster.json" -expect-promotions 0 \
-    -out "$CW1/invariants.json" || fail "chaos invariants violated (see $CW1/invariants.json)"
-if [ -n "${CHAOS_OUT:-}" ]; then
-    cp "$CW1/invariants.json" "$CHAOS_OUT"
-    log "  invariant report copied to $CHAOS_OUT"
-fi
-
-# Negative self-test: the checker must not be vacuous. A fabricated ack
-# for a never-closed session absent from every WAL has to fail the run.
-cp "$CW1/acks.jsonl" "$CW1/acks-poisoned.jsonl"
-printf '%s\n' \
-    '{"op":"create","session":"lg-poison-000000"}' \
-    '{"op":"observe","session":"lg-poison-000000","n":1}' >> "$CW1/acks-poisoned.jsonl"
-if "$WORK/bin/relm-chaos" \
-    -ack-log "$CW1/acks-poisoned.jsonl" \
-    -data-dirs "$CW1/data-c1,$CW1/data-c2,$CW1/data-c3" \
-    -out "$CW1/invariants-poisoned.json" >/dev/null 2>&1; then
-    fail "checker self-test: fabricated lost ack was not flagged"
-fi
-log "  checker self-test: fabricated lost ack correctly flagged"
-
-# --------------------------------------------------- determinism double-run
-if [ "${CHAOS_DETERMINISM:-0}" = "1" ]; then
-    log "determinism: re-running the chaos soak with seed $CHAOS_SEED"
-    CW2="$WORK/chaos2"
-    chaos_soak "$CW2"
-    stop_chaos_cluster
-    TRAVERSED=0
-    for n in c1 c2 c3 router; do
-        # Compare fired counts rule-by-rule, but only where the window was
-        # fully traversed in BOTH runs — partially traversed windows are
-        # legitimately timing-dependent.
-        SAME=$(jq -s '[.[0].rules // [], .[1].rules // []] | transpose
-            | map(select((.[0].hits >= ((.[0].after // 0) + .[0].window))
-                     and (.[1].hits >= ((.[1].after // 0) + .[1].window))))
-            | map(.[0].fired == .[1].fired) | all' \
-            "$CW1/faults-$n.json" "$CW2/faults-$n.json")
-        [ "$SAME" = "true" ] || fail "same seed, different injected-fault counts on $n: $(jq -c '.rules' "$CW1/faults-$n.json") vs $(jq -c '.rules' "$CW2/faults-$n.json")"
-        COUNT=$(jq -s '[.[0].rules // [], .[1].rules // []] | transpose
-            | map(select((.[0].hits >= ((.[0].after // 0) + .[0].window))
-                     and (.[1].hits >= ((.[1].after // 0) + .[1].window)))) | length' \
-            "$CW1/faults-$n.json" "$CW2/faults-$n.json")
-        TRAVERSED=$((TRAVERSED + COUNT))
-    done
-    [ "$TRAVERSED" -gt 0 ] || fail "determinism check vacuous: no rule traversed its window in both runs"
-    log "  determinism ok: $TRAVERSED fully-traversed rules fired identically across runs"
-fi
 
 log "PASS"
