@@ -13,24 +13,23 @@
 //	relm-router -backends a=http://10.0.0.1:8080,b=http://10.0.0.2:8080 \
 //	            [-addr :8090] [-check-interval 2s] [-check-backoff-max 30s] \
 //	            [-fail-after 2] [-timeout 15s] [-retry-budget 2] \
-//	            [-breaker-threshold 3] [-breaker-probe 1s] [-breaker-probe-max 30s] \
 //	            [-promote] [-log-level info] [-slow-log 0] [-pprof-addr ""]
 //
 // Observability: the router times its own stages (placement pick, each
 // proxy hop, fan-outs) into latency histograms exposed on GET /metrics
-// (Prometheus text, router-local: backend gauges, breaker counters,
+// (Prometheus text, router-local: backend gauges, retry counters,
 // stage latencies). It mints a trace ID per request, propagates it to
 // the backends via X-Relm-Trace, and keeps its own span ring at GET
 // /v1/traces; -slow-log logs slow requests span-by-span and -pprof-addr
 // serves net/http/pprof on a side port.
 //
-// Each backend has a circuit breaker on the data path: after
-// -breaker-threshold consecutive transport failures it stops receiving
-// requests entirely, then admits a single probe after an exponentially
-// growing delay (-breaker-probe up to -breaker-probe-max); a served
-// request closes it. Routed requests spend at most -retry-budget retries
-// on further candidates after a transport failure or a 503-draining
-// answer.
+// The health loop is the only judge of a backend. A request that fails at
+// the transport level marks its backend suspect, out of placement at once;
+// it comes back on a later health check (every -check-interval, backing
+// off to -check-backoff-max) when /healthz and one data-path read both
+// answer — no client request is ever the probe. Routed requests spend at
+// most -retry-budget retries on further candidates after a transport
+// failure or a 503-draining answer.
 //
 // With -promote the router is also the fail-over controller: when a
 // backend dies without draining (health-check death), the router locates
@@ -42,7 +41,7 @@
 //
 // Cluster operations:
 //
-//	curl -s localhost:8090/v1/cluster                 # node table, breaker + promotion state
+//	curl -s localhost:8090/v1/cluster                 # node table: health, suspect, promotion state
 //	curl -s -X POST localhost:8090/v1/cluster/drain/a # drain node a, hand sessions to survivors
 package main
 
@@ -70,13 +69,10 @@ func main() {
 		addr       = flag.String("addr", ":8090", "listen address")
 		backends   = flag.String("backends", "", "comma-separated backends, each 'name=url' (name must match the node's -node-id)")
 		checkIvl   = flag.Duration("check-interval", 2*time.Second, "healthy-backend poll period")
-		backoffMax = flag.Duration("check-backoff-max", 30*time.Second, "failing-backend poll backoff cap")
-		failAfter  = flag.Int("fail-after", 2, "consecutive health-check failures before a backend is routed around")
+		backoffMax = flag.Duration("check-backoff-max", 30*time.Second, "poll backoff cap for a failing or suspect backend")
+		failAfter  = flag.Int("fail-after", 2, "consecutive health-check failures before a backend is declared down (a failed request counts as all of them)")
 		timeout    = flag.Duration("timeout", 15*time.Second, "per-request backend timeout")
 		retryBud   = flag.Int("retry-budget", 2, "extra candidates a routed request or hand-over adoption may be retried on after a transport failure, 503-draining or 503 + Retry-After answer")
-		brThresh   = flag.Int("breaker-threshold", 3, "consecutive transport failures that open a backend's circuit breaker")
-		brProbe    = flag.Duration("breaker-probe", time.Second, "initial open-breaker probe delay (doubles per failed probe)")
-		brProbeMax = flag.Duration("breaker-probe-max", 30*time.Second, "open-breaker probe delay cap")
 		promote    = flag.Bool("promote", false, "enable automatic fail-over: promote a dead backend's WAL replica and have the survivors adopt its sessions")
 		slowLog    = flag.Duration("slow-log", 0, "log any request slower than this span-by-span (0 = off)")
 		pprofAddr  = flag.String("pprof-addr", "", "serve net/http/pprof on this address (empty = off)")
@@ -101,18 +97,15 @@ func main() {
 		log.Fatalf("parse -backends: %v", err)
 	}
 	r, err := router.New(router.Options{
-		Backends:         bs,
-		CheckInterval:    *checkIvl,
-		BackoffMax:       *backoffMax,
-		FailAfter:        *failAfter,
-		Timeout:          *timeout,
-		RetryBudget:      *retryBud,
-		BreakerThreshold: *brThresh,
-		BreakerProbe:     *brProbe,
-		BreakerProbeMax:  *brProbeMax,
-		Promote:          *promote,
-		Logf:             obs.Logf(logger, slog.LevelInfo),
-		SlowLog:          *slowLog,
+		Backends:      bs,
+		CheckInterval: *checkIvl,
+		BackoffMax:    *backoffMax,
+		FailAfter:     *failAfter,
+		Timeout:       *timeout,
+		RetryBudget:   *retryBud,
+		Promote:       *promote,
+		Logf:          obs.Logf(logger, slog.LevelInfo),
+		SlowLog:       *slowLog,
 	})
 	if err != nil {
 		log.Fatalf("start router: %v", err)

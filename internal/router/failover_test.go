@@ -1,103 +1,112 @@
 package router
 
 import (
+	"context"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
-	"net/url"
 	"reflect"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"relm/internal/fault"
 	"relm/internal/replica"
 	"relm/internal/service"
 	"relm/internal/store"
 )
 
-// --- circuit breaker unit --------------------------------------------------
+// --- the health loop --------------------------------------------------------
 
-func TestBreakerStateMachine(t *testing.T) {
-	base, _ := url.Parse("http://x.invalid")
-	n := &node{name: "x", base: base}
-	now := time.Unix(1000, 0)
-	const threshold = 3
-	probe, probeMax := time.Second, 8*time.Second
+// newTickCluster is a router over one backend whose health loop checks once
+// at start and then sleeps for an hour, so a test drives tick by hand.
+func newTickCluster(t *testing.T, b Backend) (*Router, *node) {
+	t.Helper()
+	opts := fastCheck(b)
+	opts.CheckInterval = time.Hour
+	opts.BackoffMax = 64 * time.Hour
+	r, err := New(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(r.Close)
+	(&testCluster{router: r}).waitHealthy(t, 1)
+	return r, r.nodes[0]
+}
 
-	// Closed admits freely; failures below the threshold keep it closed.
-	for i := 0; i < threshold-1; i++ {
-		if !n.brAcquire(now) {
-			t.Fatalf("closed breaker refused request %d", i)
+// TestHealthTick: one health-loop tick of a node a call failed on. While its
+// /healthz answers and its data-path read does not, it stays held out —
+// live, so never a promotion candidate — and the delay to the next tick
+// doubles from CheckInterval; once both answer it is admitted with its
+// failures forgotten.
+func TestHealthTick(t *testing.T) {
+	r, n := newTickCluster(t, fakeBackend(t, "x", func(w http.ResponseWriter, _ *http.Request) {
+		w.Write([]byte(`{}`))
+	}))
+	t.Cleanup(fault.DisarmAll)
+	if err := fault.Apply(fault.Schedule{Seed: 1, Rules: []fault.Rule{
+		{Point: "router.proxy", Action: "error", Match: "x", Count: 100},
+	}}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := r.call(context.Background(), n, r.opts.Timeout, http.MethodGet, "/v1/sessions", nil); err == nil {
+		t.Fatal("partitioned call answered")
+	}
+	prev := r.opts.CheckInterval
+	for i := 0; i < 3; i++ {
+		delay := r.tick(n)
+		if st := n.snapshot(); !st.Healthy || !st.Suspect || n.eligible() {
+			t.Fatalf("tick %d: probe passes, data check fails: %+v, want healthy, suspect and held out", i, st)
 		}
-		if st := n.brFailure(threshold, probe, probeMax, now); st != -1 {
-			t.Fatalf("failure %d tripped the breaker early: %v", i, st)
+		if delay != 2*prev {
+			t.Fatalf("tick %d: next check in %v, want %v (double the last)", i, delay, 2*prev)
 		}
+		prev = delay
 	}
-	if !n.brAvailable(now) {
-		t.Fatal("breaker unavailable while still closed")
+	fault.DisarmAll()
+	if delay := r.tick(n); delay != r.opts.CheckInterval {
+		t.Fatalf("admitting tick: next check in %v, want %v", delay, r.opts.CheckInterval)
 	}
-	// The threshold-th consecutive failure opens it.
-	if !n.brAcquire(now) {
-		t.Fatal("closed breaker refused the tripping request")
+	if st := n.snapshot(); !n.eligible() || st.Fails != 0 || st.LastError != "" {
+		t.Fatalf("both checks pass: %+v, want admitted with fails 0", st)
 	}
-	if st := n.brFailure(threshold, probe, probeMax, now); st != brOpen {
-		t.Fatalf("threshold failure returned %v, want open", st)
-	}
-	if n.brAvailable(now) || n.brAcquire(now) {
-		t.Fatal("open breaker admitted a request before the probe delay")
-	}
+}
 
-	// After the probe delay: exactly one in-flight probe.
-	later := now.Add(probe + time.Millisecond)
-	if !n.brAvailable(later) {
-		t.Fatal("breaker not available after the probe delay")
-	}
-	if !n.brAcquire(later) {
-		t.Fatal("probe not admitted after the delay")
-	}
-	if n.brAcquire(later) || n.brAvailable(later) {
-		t.Fatal("second concurrent probe admitted")
-	}
-	// A failed probe re-opens with a doubled delay.
-	if st := n.brFailure(threshold, probe, probeMax, later); st != brOpen {
-		t.Fatalf("failed probe returned %v, want open", st)
-	}
-	if n.brDelay != 2*probe {
-		t.Fatalf("probe delay after one failed probe: %v, want %v", n.brDelay, 2*probe)
-	}
-	if n.brAcquire(later.Add(probe)) {
-		t.Fatal("re-opened breaker ignored the doubled delay")
-	}
-	// Doubling is capped at probeMax.
-	at := later
-	for i := 0; i < 8; i++ {
-		at = at.Add(n.brDelay + time.Millisecond)
-		if !n.brAcquire(at) {
-			t.Fatalf("probe %d not admitted", i)
+// TestProbeOnlyFailuresNeedNoDataCheck: a node whose only failures were
+// probes — it died, no call failed on it, it came back — is readmitted by
+// its first passing probe, with no data-path read: an ordinary restart
+// recovers no slower than the probe.
+func TestProbeOnlyFailuresNeedNoDataCheck(t *testing.T) {
+	var down atomic.Bool
+	var reads atomic.Int64
+	mux := http.NewServeMux()
+	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, _ *http.Request) {
+		if down.Load() {
+			http.Error(w, "down", http.StatusServiceUnavailable)
+			return
 		}
-		n.brFailure(threshold, probe, probeMax, at)
-	}
-	if n.brDelay != probeMax {
-		t.Fatalf("probe delay not capped: %v, want %v", n.brDelay, probeMax)
-	}
-	if got := n.snapshot(); got.Breaker != "open" || got.BreakerOpens == 0 {
-		t.Fatalf("snapshot of an open breaker: %+v", got)
-	}
+		w.Write([]byte(`{"ok":true,"node":"x"}`))
+	})
+	mux.HandleFunc("/", func(http.ResponseWriter, *http.Request) { reads.Add(1) })
+	srv := httptest.NewServer(mux)
+	t.Cleanup(srv.Close)
+	r, n := newTickCluster(t, Backend{Name: "x", URL: srv.URL})
 
-	// A served probe closes it and resets the failure history.
-	at = at.Add(n.brDelay + time.Millisecond)
-	if !n.brAcquire(at) {
-		t.Fatal("final probe not admitted")
+	down.Store(true)
+	for i := 0; i < r.opts.FailAfter; i++ {
+		r.tick(n)
 	}
-	if !n.brSuccess() {
-		t.Fatal("closing success not reported as a transition")
+	if st := n.snapshot(); st.Healthy || st.Suspect {
+		t.Fatalf("after %d failed probes: %+v, want down and not suspect", r.opts.FailAfter, st)
 	}
-	if got := n.snapshot(); got.Breaker != "closed" {
-		t.Fatalf("after success: %+v", got)
+	down.Store(false)
+	if delay := r.tick(n); delay != r.opts.CheckInterval || !n.eligible() {
+		t.Fatalf("first passing probe: %+v, next check in %v; want admitted, next in %v", n.snapshot(), delay, r.opts.CheckInterval)
 	}
-	if st := n.brFailure(threshold, probe, probeMax, at); st != -1 {
-		t.Fatal("failure count survived the close")
+	if got := reads.Load(); got != 0 {
+		t.Fatalf("readmission sent %d data-path reads, want 0", got)
 	}
 }
 
@@ -163,8 +172,8 @@ func TestCreateRetriesDrainingBackend(t *testing.T) {
 		}
 	}
 
-	// The retries are visible per node in /v1/cluster; the breaker stayed
-	// closed — draining is not a transport failure.
+	// The retries are visible per node in /v1/cluster; the node is not
+	// suspect — draining is not a transport failure.
 	var cl struct {
 		Nodes []NodeStatus `json:"nodes"`
 	}
@@ -176,8 +185,8 @@ func TestCreateRetriesDrainingBackend(t *testing.T) {
 			if n.Retries == 0 {
 				t.Fatalf("draining node shows no retried-away requests: %+v", n)
 			}
-			if n.Breaker != "closed" {
-				t.Fatalf("503-draining answers tripped the breaker: %+v", n)
+			if n.Suspect {
+				t.Fatalf("503-draining answers made the node suspect: %+v", n)
 			}
 		}
 	}
@@ -186,116 +195,194 @@ func TestCreateRetriesDrainingBackend(t *testing.T) {
 	}
 }
 
-// --- breaker end-to-end ----------------------------------------------------
+// --- black hole ---------------------------------------------------------------
 
-// TestBreakerIsolatesBlackholedBackend: a backend whose /healthz answers
-// but whose data path hangs (black hole) must be cut off by the breaker
-// after BreakerThreshold timed-out requests — and recovered through the
-// half-open probe once it serves again.
-func TestBreakerIsolatesBlackholedBackend(t *testing.T) {
+// blackholeCluster is a healthy node a and a node b whose /healthz answers
+// but whose data path hangs five times the router's timeout while blackhole
+// is set. creates counts the session creates that reached b.
+type blackholeCluster struct {
+	*testCluster
+	b         *node
+	blackhole atomic.Bool
+	creates   atomic.Int64
+}
+
+func newBlackholeCluster(t *testing.T) *blackholeCluster {
+	t.Helper()
+	bc := &blackholeCluster{}
+	bc.blackhole.Store(true)
 	mb := service.NewManager(service.Options{NodeID: "b", Workers: 1, TTL: time.Hour})
-	defer mb.Close()
+	t.Cleanup(mb.Close)
 	realB := service.NewHandler(mb)
-	var blackhole atomic.Bool
-	blackhole.Store(true)
 	srvB := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
-		if blackhole.Load() && req.URL.Path != "/healthz" {
+		if req.Method == http.MethodPost && req.URL.Path == "/v1/sessions" {
+			bc.creates.Add(1)
+		}
+		if bc.blackhole.Load() && req.URL.Path != "/healthz" {
 			time.Sleep(500 * time.Millisecond) // >> router timeout
 		}
 		realB.ServeHTTP(w, req)
 	}))
-	defer srvB.Close()
+	t.Cleanup(srvB.Close)
 
 	ma := service.NewManager(service.Options{NodeID: "a", Workers: 1, TTL: time.Hour})
-	defer ma.Close()
+	t.Cleanup(ma.Close)
 	srvA := httptest.NewServer(service.NewHandler(ma))
-	defer srvA.Close()
+	t.Cleanup(srvA.Close)
 
 	opts := fastCheck(Backend{Name: "a", URL: srvA.URL}, Backend{Name: "b", URL: srvB.URL})
 	opts.Timeout = 100 * time.Millisecond
-	opts.BreakerThreshold = 2
-	opts.BreakerProbe = 50 * time.Millisecond
-	opts.BreakerProbeMax = 200 * time.Millisecond
 	r, err := New(opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer r.Close()
+	t.Cleanup(r.Close)
 	front := httptest.NewServer(r)
-	defer front.Close()
-	tc := &testCluster{router: r, front: front}
-	tc.waitHealthy(t, 2)
+	t.Cleanup(front.Close)
+	bc.testCluster = &testCluster{router: r, front: front}
+	bc.b = r.nodeByName("b")
+	bc.waitHealthy(t, 2)
+	return bc
+}
 
-	// Metrics fan-out touches every node; each round burns one timeout on
-	// the black hole and answers 200 partial with b in the failed map —
-	// loud, but not blinding monitoring to the healthy node — until the
-	// breaker opens; then the node is excluded like an unhealthy one.
-	b := r.nodeByName("b")
+// create places one session through the router and returns its node.
+func (bc *blackholeCluster) create(t *testing.T) string {
+	t.Helper()
+	var st service.StatusResponse
+	if code, _ := bc.do(t, http.MethodPost, "/v1/sessions",
+		map[string]any{"backend": "bo", "workload": "PageRank"}, &st); code != http.StatusCreated {
+		t.Fatalf("create: status %d", code)
+	}
+	return st.Node
+}
+
+// TestDataCheckIsolatesBlackholedBackend: the first call that times out on
+// a black hole holds it out; it stays out while its /healthz passes,
+// because the health loop's data-path read keeps timing out; and once
+// unplugged it is readmitted by that read with no operator action.
+func TestDataCheckIsolatesBlackholedBackend(t *testing.T) {
+	bc := newBlackholeCluster(t)
+	b := bc.b
+
+	// The metrics fan-out touches every eligible node: the round that meets
+	// the black hole burns one timeout and answers 200 partial with b in the
+	// failed map — loud, but not blinding monitoring to the healthy node.
 	sawPartial := false
 	deadline := time.Now().Add(5 * time.Second)
-	for b.snapshot().Breaker != "open" {
+	for !b.snapshot().Suspect {
 		if time.Now().After(deadline) {
-			t.Fatalf("breaker never opened on the black hole: %+v", b.snapshot())
+			t.Fatalf("the black hole was never held out: %+v", b.snapshot())
 		}
 		var pm struct {
 			Partial bool              `json:"partial"`
 			Failed  map[string]string `json:"failed"`
 		}
-		code, _ := tc.do(t, http.MethodGet, "/v1/metrics", nil, &pm)
+		code, _ := bc.do(t, http.MethodGet, "/v1/metrics", nil, &pm)
 		sawPartial = sawPartial || (code == http.StatusOK && pm.Partial && pm.Failed["b"] != "")
-		time.Sleep(20 * time.Millisecond) // let the health check re-admit b between rounds
 	}
 	if !sawPartial {
 		t.Fatal("black-holed fan-outs never surfaced a flagged partial merge")
 	}
-	if got := b.snapshot(); got.BreakerOpens != 1 {
-		t.Fatalf("breaker opens: %+v", got)
-	}
-	if code, _ := tc.do(t, http.MethodGet, "/v1/metrics", nil, nil); code != http.StatusOK {
-		t.Fatal("fan-out still failing with the black hole isolated")
-	}
-	if !b.eligible() {
-		t.Fatal("healthz still answers; the breaker, not the health check, must be what isolates the node")
+	if got := b.snapshot(); !got.Healthy || !got.Suspect {
+		t.Fatalf("black hole %+v: want healthy (liveness passes) and suspect (the data check holds it out)", got)
 	}
 
-	// With the breaker open the node is skipped for free: a burst of
-	// creates lands on the healthy node without burning timeouts.
+	// Held out, the node is no candidate: a burst of creates lands on the
+	// healthy node without burning timeouts.
 	start := time.Now()
 	for i := 0; i < 6; i++ {
-		var st service.StatusResponse
-		code, _ := tc.do(t, http.MethodPost, "/v1/sessions",
-			map[string]any{"backend": "bo", "workload": "PageRank", "seed": i}, &st)
-		if code != http.StatusCreated || st.Node != "a" {
-			t.Fatalf("create %d: status %d on %q", i, code, st.Node)
+		if node := bc.create(t); node != "a" {
+			t.Fatalf("create %d landed on %q", i, node)
 		}
 	}
-	if elapsed := time.Since(start); elapsed > 5*opts.Timeout {
-		t.Fatalf("creates took %v — the open breaker did not short-circuit the black hole", elapsed)
+	if elapsed := time.Since(start); elapsed > 5*bc.router.opts.Timeout {
+		t.Fatalf("creates took %v — the held-out black hole was still tried", elapsed)
 	}
 
-	// The router fan-out surfaces breaker counters cluster-wide.
-	var mt map[string]any
-	if code, _ := tc.do(t, http.MethodGet, "/v1/metrics", nil, &mt); code != http.StatusOK {
-		t.Fatal("metrics")
+	// The metrics merge still names the held-out node, and counts it.
+	var mt struct {
+		Partial bool              `json:"partial"`
+		Failed  map[string]string `json:"failed"`
+		Router  map[string]any    `json:"router"`
 	}
-	rt, _ := mt["router"].(map[string]any)
-	if rt == nil || rt["breaker_opens"].(float64) < 1 || rt["breakers_open"].(float64) < 1 {
-		t.Fatalf("router metrics missing breaker counters: %v", mt["router"])
+	if code, _ := bc.do(t, http.MethodGet, "/v1/metrics", nil, &mt); code != http.StatusOK {
+		t.Fatalf("metrics with the black hole held out: status %d", code)
+	}
+	if !mt.Partial || mt.Failed["b"] == "" {
+		t.Fatalf("held-out node not named in the merge: partial %v failed %v", mt.Partial, mt.Failed)
+	}
+	if n, _ := mt.Router["suspects"].(float64); n < 1 {
+		t.Fatalf("router metrics count no suspect: %v", mt.Router)
 	}
 
-	// Recovery: unplug the black hole; the half-open probe closes the
-	// breaker without any operator action.
-	blackhole.Store(false)
+	// Recovery: unplug the black hole; the health loop's data-path read
+	// readmits the node.
+	bc.blackhole.Store(false)
 	deadline = time.Now().Add(5 * time.Second)
-	for {
-		tc.do(t, http.MethodGet, "/v1/metrics", nil, nil) // probe carrier
-		if b.snapshot().Breaker == "closed" {
-			break
-		}
+	for !b.eligible() {
 		if time.Now().After(deadline) {
-			t.Fatalf("breaker never closed after recovery: %+v", b.snapshot())
+			t.Fatalf("node never readmitted after recovery: %+v", b.snapshot())
 		}
-		time.Sleep(20 * time.Millisecond)
+		time.Sleep(10 * time.Millisecond)
+	}
+}
+
+// TestBlackholeFoundWhenClientsGiveUpFirst: every client gives up before
+// the router's Timeout, so no call to the black hole fails on the router's
+// own deadline. The calls its clients abandoned still lead the health loop
+// to read its data path, and that read holds it out.
+func TestBlackholeFoundWhenClientsGiveUpFirst(t *testing.T) {
+	bc := newBlackholeCluster(t)
+	deadline := time.Now().Add(5 * time.Second)
+	for !bc.b.snapshot().Suspect {
+		if time.Now().After(deadline) {
+			t.Fatalf("the black hole was never held out: %+v", bc.b.snapshot())
+		}
+		ctx, cancel := context.WithTimeout(context.Background(), bc.router.opts.Timeout/2)
+		req, err := http.NewRequestWithContext(ctx, http.MethodPost, bc.front.URL+"/v1/sessions",
+			strings.NewReader(`{"backend":"bo","workload":"PageRank"}`))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp, err := http.DefaultClient.Do(req); err == nil {
+			resp.Body.Close()
+		}
+		cancel()
+	}
+	if st := bc.b.snapshot(); !st.Healthy || !st.Suspect {
+		t.Fatalf("black hole %+v: want healthy and suspect", st)
+	}
+}
+
+// TestNoClientRequestProbesAHeldOutNode: once a black hole is held out, no
+// client request reaches its data path again — not routed, not as a probe —
+// however many health ticks pass; only the health loop's own read does.
+func TestNoClientRequestProbesAHeldOutNode(t *testing.T) {
+	bc := newBlackholeCluster(t)
+	deadline := time.Now().Add(5 * time.Second)
+	for !bc.b.snapshot().Suspect {
+		if time.Now().After(deadline) {
+			t.Fatalf("no create ever met the black hole: %+v", bc.b.snapshot())
+		}
+		bc.create(t)
+	}
+	held := bc.creates.Load()
+	for i := 0; i < 40; i++ {
+		if node := bc.create(t); node != "a" {
+			t.Fatalf("create %d landed on %q", i, node)
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+	if got := bc.creates.Load() - held; got != 0 {
+		t.Fatalf("%d creates reached the held-out node's data path, want 0", got)
+	}
+	bc.blackhole.Store(false)
+	deadline = time.Now().Add(5 * time.Second)
+	for !bc.b.eligible() {
+		if time.Now().After(deadline) {
+			t.Fatalf("node never readmitted after unplugging: %+v", bc.b.snapshot())
+		}
+		time.Sleep(10 * time.Millisecond)
 	}
 }
 

@@ -4,163 +4,12 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
-	"net/url"
-	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
 	"relm/internal/fault"
 	"relm/internal/service"
 )
-
-// --- breaker half-open under concurrency -----------------------------------
-
-// openNode returns a node whose breaker is open with brUntil already in the
-// past, so the next brAcquire transitions it to half-open.
-func openNode(t *testing.T, now time.Time) *node {
-	t.Helper()
-	base, _ := url.Parse("http://x.invalid")
-	n := &node{name: "x", base: base}
-	for i := 0; i < 3; i++ {
-		if !n.brAcquire(now) {
-			t.Fatalf("closed breaker refused acquire %d", i)
-		}
-		n.brFailure(3, time.Second, 8*time.Second, now)
-	}
-	if st := n.snapshot(); st.Breaker != "open" {
-		t.Fatalf("breaker %q after threshold failures, want open", st.Breaker)
-	}
-	return n
-}
-
-// TestBreakerHalfOpenSingleProbe: when an open breaker's probe delay has
-// passed, concurrent acquirers race for the half-open slot — exactly one
-// must win, and the losers must be refused immediately (fail fast, no
-// blocking). Run with -race: the claim and the refusals touch the same
-// state from every goroutine.
-func TestBreakerHalfOpenSingleProbe(t *testing.T) {
-	now := time.Now()
-	n := openNode(t, now)
-	probeAt := now.Add(2 * time.Second) // past brUntil (1s)
-
-	const workers = 64
-	var admitted atomic.Int64
-	var wg sync.WaitGroup
-	start := make(chan struct{})
-	for i := 0; i < workers; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			<-start
-			if n.brAcquire(probeAt) {
-				admitted.Add(1)
-			}
-		}()
-	}
-	close(start)
-	wg.Wait()
-	if got := admitted.Load(); got != 1 {
-		t.Fatalf("half-open admitted %d probes, want exactly 1", got)
-	}
-	if st := n.snapshot(); st.Breaker != "half-open" {
-		t.Fatalf("breaker %q after probe claimed, want half-open", st.Breaker)
-	}
-
-	// While the probe is in flight every further acquire is refused.
-	for i := 0; i < 8; i++ {
-		if n.brAcquire(probeAt.Add(time.Duration(i) * time.Second)) {
-			t.Fatalf("acquire %d admitted while probe in flight", i)
-		}
-	}
-
-	// The winning probe succeeds: breaker closes and admits everyone again.
-	n.brSuccess()
-	if st := n.snapshot(); st.Breaker != "closed" {
-		t.Fatalf("breaker %q after probe success, want closed", st.Breaker)
-	}
-	if !n.brAcquire(probeAt) {
-		t.Fatal("closed breaker refused acquire after recovery")
-	}
-	n.brSuccess()
-}
-
-// TestBreakerHalfOpenProbeFailureReopens: the probe loser path under
-// concurrency — many goroutines race for the slot, the single winner fails
-// its probe, and the breaker must be open again with a doubled delay.
-// Repeats the cycle to check the exponential backoff is race-clean too.
-func TestBreakerHalfOpenProbeFailureReopens(t *testing.T) {
-	now := time.Now()
-	n := openNode(t, now)
-
-	at := now
-	wantDelay := time.Second
-	for round := 0; round < 3; round++ {
-		at = at.Add(wantDelay + time.Second) // past brUntil
-		var admitted atomic.Int64
-		var wg sync.WaitGroup
-		start := make(chan struct{})
-		for i := 0; i < 32; i++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				<-start
-				if n.brAcquire(at) {
-					admitted.Add(1)
-					n.brFailure(3, time.Second, 8*time.Second, at)
-				}
-			}()
-		}
-		close(start)
-		wg.Wait()
-		if got := admitted.Load(); got != 1 {
-			t.Fatalf("round %d: %d probes admitted, want 1", round, got)
-		}
-		if st := n.snapshot(); st.Breaker != "open" {
-			t.Fatalf("round %d: breaker %q after failed probe, want open", round, st.Breaker)
-		}
-		wantDelay = min(wantDelay*2, 8*time.Second)
-		if n.brAvailable(at.Add(wantDelay - time.Millisecond)) {
-			t.Fatalf("round %d: breaker available before doubled delay %v", round, wantDelay)
-		}
-		if !n.brAvailable(at.Add(wantDelay)) {
-			t.Fatalf("round %d: breaker still closed off after delay %v", round, wantDelay)
-		}
-	}
-}
-
-// TestBreakerTransitionsRaceClean hammers acquire/success/failure from
-// many goroutines at once with no outcome assertions beyond internal
-// consistency — its job is to fail under -race if any transition touches
-// breaker state outside the lock.
-func TestBreakerTransitionsRaceClean(t *testing.T) {
-	base, _ := url.Parse("http://x.invalid")
-	n := &node{name: "x", base: base}
-	var wg sync.WaitGroup
-	for i := 0; i < 16; i++ {
-		wg.Add(1)
-		go func(worker int) {
-			defer wg.Done()
-			now := time.Now()
-			for j := 0; j < 200; j++ {
-				at := now.Add(time.Duration(j) * 10 * time.Millisecond)
-				if n.brAcquire(at) {
-					if (worker+j)%3 == 0 {
-						n.brFailure(3, time.Millisecond, 8*time.Millisecond, at)
-					} else {
-						n.brSuccess()
-					}
-				} else {
-					n.brAvailable(at)
-				}
-			}
-		}(i)
-	}
-	wg.Wait()
-	if st := n.snapshot(); st.Breaker == "" {
-		t.Fatal("unreachable")
-	}
-}
 
 // --- retriable 503 walk ----------------------------------------------------
 
@@ -225,11 +74,11 @@ func TestSessionWalkPrefersRetriable503Over404(t *testing.T) {
 			t.Fatalf("walk %d: replayed 503 lost Retry-After", i)
 		}
 	}
-	// The injected refusals were HTTP answers, not transport failures: the
-	// breaker must not have tripped on either node.
+	// The injected refusals were HTTP answers, not transport failures:
+	// neither node may have turned suspect.
 	for _, n := range tc.router.nodes {
-		if st := n.snapshot(); st.Breaker != "closed" {
-			t.Fatalf("node %s breaker %q after 503 answers, want closed", st.Name, st.Breaker)
+		if st := n.snapshot(); st.Suspect {
+			t.Fatalf("node %s suspect after 503 answers: %+v", st.Name, st)
 		}
 	}
 }
@@ -294,13 +143,13 @@ func TestCreateAllRefusedReplaysRetriable503(t *testing.T) {
 
 // --- router.proxy failpoint ------------------------------------------------
 
-// TestInjectedPartitionTripsBreakerNotPromotion: an armed router.proxy
+// TestInjectedPartitionHoldsNodeOutNotPromotion: an armed router.proxy
 // fault matching one backend acts as a partition — its sends fail without
-// reaching the node. Health checks bypass the data path, so they keep
-// restoring the node after each suspect(); the breaker is what actually
-// accumulates the failures and cuts the node off, and promotions stay at
-// zero because the node itself is up (partitioned, not dead).
-func TestInjectedPartitionTripsBreakerNotPromotion(t *testing.T) {
+// reaching the node. The first one marks the node suspect. Health probes
+// bypass the data path and keep passing, so the node stays live and is
+// never promoted; the health loop's data-path read crosses the failpoint
+// and fails, so the node stays out. Disarmed, that read readmits it.
+func TestInjectedPartitionHoldsNodeOutNotPromotion(t *testing.T) {
 	tc := &testCluster{
 		managers: make(map[string]*service.Manager),
 		servers:  make(map[string]*httptest.Server),
@@ -314,7 +163,7 @@ func TestInjectedPartitionTripsBreakerNotPromotion(t *testing.T) {
 		backends = append(backends, Backend{Name: name, URL: srv.URL})
 	}
 	opts := fastCheck(backends...) // live 10ms health checks
-	opts.BreakerProbe = 30 * time.Millisecond
+	opts.Promote = true
 	r, err := New(opts)
 	if err != nil {
 		t.Fatalf("New: %v", err)
@@ -339,56 +188,54 @@ func TestInjectedPartitionTripsBreakerNotPromotion(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	var a *node
-	for _, n := range tc.router.nodes {
-		if n.name == "a" {
-			a = n
-		}
-	}
-
-	// Keep creating until the breaker has opened on the partitioned node;
-	// each injected failure suspects it and the next health check restores
-	// it, so the walk keeps re-offering it to the failpoint. No create may
-	// ever land on the partitioned node.
-	deadline := time.Now().Add(10 * time.Second)
-	for a.snapshot().BreakerOpens == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("injected transport failures never opened the breaker")
-		}
+	a := r.nodeByName("a")
+	create := func() string {
+		t.Helper()
 		var st service.StatusResponse
 		code, _ := tc.do(t, http.MethodPost, "/v1/sessions",
 			map[string]any{"backend": "bo", "workload": "PageRank"}, &st)
 		if code != http.StatusCreated {
 			t.Fatalf("create under partition: status %d", code)
 		}
-		if st.Node == "a" {
+		return st.Node
+	}
+
+	// Create until a create owned by a has met the partition, then as many
+	// again across several health ticks: no create may land on a, and a
+	// stays live — its /healthz answers — so nothing is promoted.
+	deadline := time.Now().Add(10 * time.Second)
+	for !a.snapshot().Suspect {
+		if time.Now().After(deadline) {
+			t.Fatal("injected transport failures never held the node out")
+		}
+		if create() == "a" {
 			t.Fatal("create landed on the partitioned node")
+		}
+	}
+	for i := 0; i < 20; i++ {
+		if create() == "a" {
+			t.Fatal("create landed on the held-out partitioned node")
+		}
+		if st := a.snapshot(); !st.Healthy || !st.Suspect {
+			t.Fatalf("partitioned node %+v, want healthy and suspect", st)
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-	if got := tc.router.promotions.Load(); got != 0 {
+	if got := r.promotions.Load(); got != 0 {
 		t.Fatalf("injected partition caused %d promotions, want 0 (node is up)", got)
 	}
 
-	// Disarm: the half-open probe goes through on the data path and the
-	// breaker closes again, so creates reach the node once more.
+	// Disarm: the next data-path read answers, and creates reach a again.
 	fault.DisarmAll()
 	deadline = time.Now().Add(10 * time.Second)
-	for {
-		var st service.StatusResponse
-		code, _ := tc.do(t, http.MethodPost, "/v1/sessions",
-			map[string]any{"backend": "bo", "workload": "PageRank"}, &st)
-		if code == http.StatusCreated && st.Node == "a" {
-			break
-		}
+	for create() != "a" {
 		if time.Now().After(deadline) {
 			t.Fatal("partitioned node never recovered after disarm")
 		}
 		time.Sleep(20 * time.Millisecond)
 	}
-	if st := a.snapshot(); st.Breaker != "closed" {
-		t.Fatalf("recovered node's breaker is %q, want closed", st.Breaker)
+	if st := a.snapshot(); st.Suspect || st.Fails != 0 {
+		t.Fatalf("recovered node %+v, want neither suspect nor failing", st)
 	}
 }
 

@@ -101,7 +101,6 @@ func (r *Router) handleDrain(w http.ResponseWriter, req *http.Request) {
 
 	ans, err := r.call(req.Context(), n, 4*r.opts.Timeout, http.MethodPost, "/v1/drain", []byte("{}"))
 	if err != nil {
-		n.suspect(err, r.opts.FailAfter)
 		wire.WriteJSON(w, http.StatusBadGateway, map[string]any{
 			"error": "drain request failed: " + err.Error(), "node": name,
 		})

@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"relm/internal/bo"
 	"relm/internal/fault"
 	"relm/internal/service"
 	"relm/internal/store"
@@ -302,5 +303,29 @@ func TestHandOff(t *testing.T) {
 				t.Fatal("unreachable candidate not marked suspect")
 			}
 		})
+	}
+}
+
+// TestFailedImportHoldsSurvivorOut: a hand-over's repository import that
+// fails at the transport level holds that survivor out, as any failed call
+// does, and leaves the one that answered in placement.
+func TestFailedImportHoldsSurvivorOut(t *testing.T) {
+	ok := func(w http.ResponseWriter, _ *http.Request) { w.Write([]byte(`{"imported":1}`)) }
+	tc := newFakeCluster(t, fakeBackend(t, "x", ok), fakeBackend(t, "y", ok))
+	x, y := tc.router.nodeByName("x"), tc.router.nodeByName("y")
+	dead := httptest.NewServer(nil)
+	dead.Close()
+	x.base, _ = x.base.Parse(dead.URL)
+
+	_, errs := tc.router.handOff(context.Background(), tc.router.nodes,
+		service.HandoffReport{Node: "gone", Repo: []bo.RepoEntry{{Workload: "K-means"}}})
+	if errs["import x"] == "" || errs["import y"] != "" {
+		t.Fatalf("import errors %v, want x's only", errs)
+	}
+	if st := x.snapshot(); x.eligible() || !st.Suspect {
+		t.Fatalf("survivor whose import failed: %+v, want held out as suspect", st)
+	}
+	if !y.eligible() {
+		t.Fatalf("survivor whose import answered: %+v, want in placement", y.snapshot())
 	}
 }

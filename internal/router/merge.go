@@ -2,7 +2,6 @@ package router
 
 import (
 	"encoding/json"
-	"errors"
 	"net/http"
 	"sort"
 	"sync"
@@ -27,11 +26,9 @@ type nodeResult struct {
 	err error
 }
 
-// fanout issues one request to every eligible node concurrently. It rides
-// the circuit breakers: a timed-out backend counts toward tripping its
-// breaker, and a node whose breaker claims no capacity mid-flight is
-// dropped from the merge — the same exclusion the placement filter applies
-// before the fan-out, not a silent partial failure.
+// fanout issues one request to every eligible node concurrently, through
+// call: a backend that fails at the transport level turns suspect and
+// leaves placement until the health loop's data-path check readmits it.
 func (r *Router) fanout(req *http.Request, method, path string, body []byte) []nodeResult {
 	start := time.Now()
 	defer func() { r.histFanout.Record(time.Since(start)) }()
@@ -47,21 +44,14 @@ func (r *Router) fanout(req *http.Request, method, path string, body []byte) []n
 		}()
 	}
 	wg.Wait()
-	kept := results[:0]
-	for _, res := range results {
-		if !errors.Is(res.err, errBreakerOpen) {
-			kept = append(kept, res)
-		}
-	}
-	return kept
+	return results
 }
 
 // failure words what went wrong with one node's fan-out answer ("" when it
-// is a 200), marking the node suspect on a transport error.
-func (r *Router) failure(res nodeResult) string {
+// is a 200).
+func failure(res nodeResult) string {
 	switch {
 	case res.err != nil:
-		res.node.suspect(res.err, r.opts.FailAfter)
 		return res.err.Error()
 	case res.status != http.StatusOK:
 		return res.refusal()
@@ -79,7 +69,7 @@ func (r *Router) mergeable(w http.ResponseWriter, results []nodeResult) bool {
 	}
 	errs := make(map[string]string)
 	for _, res := range results {
-		if detail := r.failure(res); detail != "" {
+		if detail := failure(res); detail != "" {
 			errs[res.node.name] = detail
 		}
 	}
@@ -136,8 +126,8 @@ func (r *Router) handleList(w http.ResponseWriter, req *http.Request) {
 // raw snapshot kept under per_node.
 //
 // Unlike the other fan-outs this merge is partial, not all-or-nothing: a
-// node that errored, answered non-200, or was skipped because its breaker
-// is open lands in the failed map and flips partial to true, while the
+// node that errored, answered non-200, or is live but held out as suspect
+// lands in the failed map and flips partial to true, while the
 // nodes that answered still merge — a single sick backend must not blind
 // monitoring to the rest of the cluster. 502 only when nothing answered.
 func (r *Router) handleMetrics(w http.ResponseWriter, req *http.Request) {
@@ -149,7 +139,7 @@ func (r *Router) handleMetrics(w http.ResponseWriter, req *http.Request) {
 	failed := make(map[string]string)
 	merged := 0
 	for _, res := range results {
-		if detail := r.failure(res); detail != "" {
+		if detail := failure(res); detail != "" {
 			failed[res.node.name] = detail
 			continue
 		}
@@ -188,18 +178,20 @@ func (r *Router) handleMetrics(w http.ResponseWriter, req *http.Request) {
 		merged++
 	}
 	// Nodes the placement filter excluded before the fan-out never appear
-	// in results at all; a healthy, non-draining node missing from the
-	// merge can only mean its breaker is open.
+	// in results at all; a live, non-draining one among them is held out by
+	// a failed call, and is named with its last error. Counted here too.
+	var retries uint64
+	suspects := 0
 	for _, n := range r.nodes {
-		if _, ok := perNode[n.name]; ok {
-			continue
+		n.mu.Lock()
+		retries += n.retries
+		if n.suspect {
+			suspects++
+			if _, ok := perNode[n.name]; !ok && n.healthy && !n.draining && failed[n.name] == "" {
+				failed[n.name] = n.lastErr
+			}
 		}
-		if _, ok := failed[n.name]; ok {
-			continue
-		}
-		if n.eligible() {
-			failed[n.name] = "breaker open"
-		}
+		n.mu.Unlock()
 	}
 	if merged == 0 {
 		if len(failed) == 0 {
@@ -213,31 +205,15 @@ func (r *Router) handleMetrics(w http.ResponseWriter, req *http.Request) {
 	for stage, snap := range stageSnaps {
 		stages[stage] = snap.Summarize()
 	}
-	var opens, retries uint64
-	var open, halfOpen int
-	for _, n := range r.nodes {
-		n.mu.Lock()
-		opens += n.brOpens
-		retries += n.retries
-		switch n.brState {
-		case brOpen:
-			open++
-		case brHalfOpen:
-			halfOpen++
-		}
-		n.mu.Unlock()
-	}
 	resp := map[string]any{
 		"nodes":             merged,
 		"totals":            totals,
 		"sessions_by_state": byState,
 		"per_node":          perNode,
 		"router": map[string]any{
-			"promotions_total":  r.promotions.Load(),
-			"breaker_opens":     opens,
-			"breakers_open":     open,
-			"breakers_halfopen": halfOpen,
-			"retries_total":     retries,
+			"promotions_total": r.promotions.Load(),
+			"suspects":         suspects,
+			"retries_total":    retries,
 		},
 	}
 	if len(stages) > 0 {

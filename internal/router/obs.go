@@ -30,8 +30,7 @@ func (r *Router) handleProm(w http.ResponseWriter, req *http.Request) {
 		p.Gauge("relm_router_backend_healthy", "Backend health (1 healthy, 0 not).", b2f(st.Healthy), "backend", st.Name)
 		p.Gauge("relm_router_backend_draining", "Backend draining (1 yes, 0 no).", b2f(st.Draining), "backend", st.Name)
 		p.Gauge("relm_router_backend_sessions", "Sessions reported by the backend.", float64(st.Sessions), "backend", st.Name)
-		p.Gauge("relm_router_backend_breaker_open", "Breaker admitting no traffic (1 open, 0 closed/half-open).", b2f(st.Breaker == "open"), "backend", st.Name)
-		p.Counter("relm_router_backend_breaker_opens_total", "Breaker trips.", float64(st.BreakerOpens), "backend", st.Name)
+		p.Gauge("relm_router_backend_suspect", "Backend held out after a failed call until a data-path check answers (1 yes, 0 no).", b2f(st.Suspect), "backend", st.Name)
 		p.Counter("relm_router_backend_retries_total", "Requests retried away from this backend.", float64(st.Retries), "backend", st.Name)
 	}
 	p.Gauge("relm_router_backends", "Configured backends.", float64(len(r.nodes)))

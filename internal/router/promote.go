@@ -69,7 +69,7 @@ func (r *Router) maybePromote(n *node) {
 // rerun could not recover it anyway (the replica now reports Promoted and
 // would be skipped).
 func (r *Router) promote(n *node) bool {
-	if n.eligible() {
+	if n.snapshot().Healthy {
 		return false // flapped back to healthy; nothing to do
 	}
 	survivors := r.survivorsFor(n)
@@ -89,7 +89,6 @@ func (r *Router) promote(n *node) bool {
 	ctx := context.Background() // runs from the health loop, not a request
 	ans, err := r.call(ctx, holder, 4*r.opts.Timeout, http.MethodPost, "/v1/replica/promote", body)
 	if err != nil {
-		holder.suspect(err, r.opts.FailAfter)
 		r.logf("router: promote %s on %s: %v", n.name, holder.name, err)
 		return false
 	}

@@ -6,6 +6,12 @@
 // /v1/repository), and health-checks every backend with exponential
 // backoff.
 //
+// The health loop is the only judge of a backend. A call that fails at the
+// transport level marks its node suspect, which takes it out of placement
+// at once; a suspect node comes back only on a later health-loop tick whose
+// /healthz probe and one data-path read both answer. No client request is
+// ever the probe.
+//
 // Rendezvous hashing keeps the router stateless: the owner of a session is
 // a pure function of (session ID, set of healthy nodes), so any number of
 // router replicas agree on placement without a shared ring, and removing a
@@ -53,12 +59,14 @@ type Options struct {
 	// Backends is the set of relm-serve nodes to partition sessions over.
 	Backends []Backend
 	// CheckInterval is the healthy-node poll period (default 2s). Failing
-	// nodes are polled with exponential backoff from CheckInterval up to
-	// BackoffMax (default 30s).
+	// and suspect nodes are polled with exponential backoff from
+	// CheckInterval up to BackoffMax (default 30s).
 	CheckInterval time.Duration
 	BackoffMax    time.Duration
 	// FailAfter is how many consecutive health-check failures mark a node
-	// unhealthy (default 2). One successful check marks it healthy again.
+	// unhealthy (default 2). One successful check marks it healthy again; a
+	// failed call counts as FailAfter failures, so one failed probe after
+	// it is a death.
 	FailAfter int
 	// Timeout bounds each backend request (default 15s). Drain, adopt,
 	// import and promote calls get 4x this: they close, rebuild or replay
@@ -72,14 +80,6 @@ type Options struct {
 	// (default 2). The budget bounds worst-case latency: a request never
 	// waits on more than 1+RetryBudget backends.
 	RetryBudget int
-	// BreakerThreshold is how many consecutive transport failures open a
-	// backend's circuit breaker (default 3). An open breaker admits nothing
-	// but the health probe; after BreakerProbe (doubling up to
-	// BreakerProbeMax on repeated failure, defaults 1s/30s) one half-open
-	// probe request is admitted, and its success closes the breaker.
-	BreakerThreshold int
-	BreakerProbe     time.Duration
-	BreakerProbeMax  time.Duration
 	// Promote enables automatic fail-over: when a backend dies without
 	// draining, the router promotes its replica on a surviving follower and
 	// has the survivors adopt the lost sessions (requires -replicate-to on
@@ -109,15 +109,6 @@ func (o *Options) fill() {
 	if o.RetryBudget == 0 {
 		o.RetryBudget = 2
 	}
-	if o.BreakerThreshold == 0 {
-		o.BreakerThreshold = 3
-	}
-	if o.BreakerProbe == 0 {
-		o.BreakerProbe = time.Second
-	}
-	if o.BreakerProbeMax == 0 {
-		o.BreakerProbeMax = 30 * time.Second
-	}
 	if o.Obs == nil {
 		o.Obs = obs.NewRegistry()
 	}
@@ -128,21 +119,20 @@ type node struct {
 	name string
 	base *url.URL
 
-	mu        sync.Mutex
-	healthy   bool
-	draining  bool
+	mu       sync.Mutex
+	healthy  bool
+	draining bool
+	// suspect holds the node out of placement after a call to it failed at
+	// the transport level; only a health-loop tick whose data-path check
+	// answers clears it.
+	suspect bool
+	// recheck asks the next tick for a data-path read without holding the
+	// node out: a call to it was abandoned by its caller.
+	recheck   bool
 	fails     int
 	sessions  int
 	lastErr   string
 	lastCheck time.Time
-
-	// Circuit breaker (see breaker.go).
-	brState   int
-	brFails   int
-	brProbing bool
-	brUntil   time.Time
-	brDelay   time.Duration
-	brOpens   uint64
 	retries   uint64
 
 	// Fail-over bookkeeping (see promote.go). promoted is sticky: a node
@@ -156,18 +146,17 @@ func (n *node) snapshot() NodeStatus {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	return NodeStatus{
-		Name:         n.name,
-		URL:          n.base.String(),
-		Healthy:      n.healthy,
-		Draining:     n.draining,
-		Sessions:     n.sessions,
-		Fails:        n.fails,
-		LastError:    n.lastErr,
-		LastCheck:    n.lastCheck,
-		Breaker:      breakerWord(n.brState),
-		BreakerOpens: n.brOpens,
-		Retries:      n.retries,
-		Promoted:     n.promoted,
+		Name:      n.name,
+		URL:       n.base.String(),
+		Healthy:   n.healthy,
+		Draining:  n.draining,
+		Suspect:   n.suspect,
+		Sessions:  n.sessions,
+		Fails:     n.fails,
+		LastError: n.lastErr,
+		LastCheck: n.lastCheck,
+		Retries:   n.retries,
+		Promoted:  n.promoted,
 	}
 }
 
@@ -175,37 +164,33 @@ func (n *node) snapshot() NodeStatus {
 func (n *node) eligible() bool {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	return n.healthy && !n.draining
+	return n.healthy && !n.draining && !n.suspect
 }
 
-// suspect marks a node unhealthy after a failed proxy attempt, without
-// waiting for the health checker to notice.
-func (n *node) suspect(err error, failAfter int) {
+// retried bumps the node's retried-away counter: a request aimed at this
+// node was served by (or handed to) another candidate.
+func (n *node) retried() {
 	n.mu.Lock()
-	n.healthy = false
-	if n.fails < failAfter {
-		n.fails = failAfter
-	}
-	n.lastErr = err.Error()
+	n.retries++
 	n.mu.Unlock()
 }
 
 // NodeStatus is the wire form of one backend's state (GET /v1/cluster).
 type NodeStatus struct {
-	Name      string    `json:"name"`
-	URL       string    `json:"url"`
-	Healthy   bool      `json:"healthy"`
-	Draining  bool      `json:"draining,omitempty"`
+	Name     string `json:"name"`
+	URL      string `json:"url"`
+	Healthy  bool   `json:"healthy"`
+	Draining bool   `json:"draining,omitempty"`
+	// Suspect reports a node held out after a failed call until a data-path
+	// check answers; Healthy && Suspect is a live node whose data path is not.
+	Suspect   bool      `json:"suspect,omitempty"`
 	Sessions  int       `json:"sessions"`
 	Fails     int       `json:"fails,omitempty"`
 	LastError string    `json:"last_error,omitempty"`
 	LastCheck time.Time `json:"last_check,omitzero"`
-	// Breaker is the node's circuit-breaker state (closed/open/half-open);
-	// BreakerOpens counts trips, Retries counts requests retried away from
-	// this node onto another candidate.
-	Breaker      string `json:"breaker"`
-	BreakerOpens uint64 `json:"breaker_opens,omitempty"`
-	Retries      uint64 `json:"retries,omitempty"`
+	// Retries counts requests retried away from this node onto another
+	// candidate.
+	Retries uint64 `json:"retries,omitempty"`
 	// Promoted reports the node's replica was promoted after it died; a
 	// revived process under this name holds stale state.
 	Promoted bool `json:"promoted,omitempty"`
@@ -242,6 +227,10 @@ func New(opts Options) (*Router, error) {
 	opts.fill()
 	if len(opts.Backends) == 0 {
 		return nil, fmt.Errorf("router: no backends configured")
+	}
+	if opts.RetryBudget < 0 || opts.Timeout < 0 || opts.CheckInterval < 0 || opts.BackoffMax < 0 {
+		return nil, fmt.Errorf("router: negative option: retry budget %d, timeout %v, check interval %v, backoff max %v",
+			opts.RetryBudget, opts.Timeout, opts.CheckInterval, opts.BackoffMax)
 	}
 	r := &Router{opts: opts, quit: make(chan struct{})}
 	seen := make(map[string]bool)
@@ -292,13 +281,12 @@ func (r *Router) logf(format string, args ...any) {
 
 // next returns the node that follows prev in key's rendezvous order among
 // the members of nodes currently accepting traffic — healthy, not draining,
-// and with breaker capacity (closed, or due a half-open probe) — or nil when
-// none is left; prev nil asks for the key's owner. The order is descending
-// score with ties broken by name, so it is total. This is the router's only
-// ranking routine: one pass, no candidate slice and no sort, so the request
-// that ends at its owner scores each node once and allocates nothing.
+// not suspect — or nil when none is left; prev nil asks for the key's
+// owner. The order is descending score with ties broken by name, so it is
+// total. This is the router's only ranking routine: one pass, no candidate
+// slice and no sort, so the request that ends at its owner scores each node
+// once and allocates nothing.
 func next(nodes []*node, key string, prev *node) *node {
-	now := time.Now()
 	var prevScore uint64
 	if prev != nil {
 		prevScore = replica.Rendezvous(prev.name, key)
@@ -313,7 +301,7 @@ func next(nodes []*node, key string, prev *node) *node {
 		if best != nil && (s < bestScore || (s == bestScore && n.name > best.name)) {
 			continue
 		}
-		if n.eligible() && n.brAvailable(now) {
+		if n.eligible() {
 			best, bestScore = n, s
 		}
 	}
@@ -323,10 +311,9 @@ func next(nodes []*node, key string, prev *node) *node {
 // eligibleNodes snapshots the nodes currently accepting traffic, for the
 // fan-outs and hand-overs that address all of them at once.
 func (r *Router) eligibleNodes() []*node {
-	now := time.Now()
 	out := make([]*node, 0, len(r.nodes))
 	for _, n := range r.nodes {
-		if n.eligible() && n.brAvailable(now) {
+		if n.eligible() {
 			out = append(out, n)
 		}
 	}
@@ -362,51 +349,77 @@ type backendHealth struct {
 	Draining bool   `json:"draining"`
 }
 
-// healthLoop polls one backend: every CheckInterval while it answers, with
-// exponential backoff (doubling up to BackoffMax) while it does not. A node
-// is marked unhealthy after FailAfter consecutive failures and healthy
-// again on the first success.
+// healthLoop polls one backend, each tick choosing the delay to the next.
 func (r *Router) healthLoop(n *node) {
 	defer r.wg.Done()
 	timer := time.NewTimer(0) // first check immediately
 	defer timer.Stop()
-	delay := r.opts.CheckInterval
 	for {
 		select {
 		case <-r.quit:
 			return
 		case <-timer.C:
 		}
-		err := r.checkNode(n)
-		n.mu.Lock()
-		wasHealthy := n.healthy
-		if err == nil {
-			n.fails = 0
-			n.healthy = true
-			n.lastErr = ""
-			delay = r.opts.CheckInterval
-		} else {
-			n.fails++
-			n.lastErr = err.Error()
-			if n.fails >= r.opts.FailAfter {
-				n.healthy = false
-			}
-			delay = min(r.opts.CheckInterval<<min(n.fails, 16), r.opts.BackoffMax)
-		}
-		n.lastCheck = time.Now()
-		isHealthy := n.healthy
-		n.mu.Unlock()
-		if wasHealthy != isHealthy {
-			r.logf("router: node %s %s (%v)", n.name, healthWord(isHealthy), err)
-		}
-		if !isHealthy && r.opts.Promote {
-			// Health-check death (not drain) is the promotion trigger.
-			// maybePromote single-flights per node and no-ops once done; a
-			// failed attempt retries on the next failed check.
-			r.maybePromote(n)
-		}
-		timer.Reset(delay)
+		timer.Reset(r.tick(n))
 	}
+}
+
+// tick checks one backend and returns the delay until its next check:
+// CheckInterval while it passes, doubling up to BackoffMax per consecutive
+// failure. The /healthz probe judges liveness: FailAfter failures in a row
+// mark the node unhealthy (and, with Promote, trigger its fail-over), one
+// pass marks it healthy. A suspect node needs more than a live process: it
+// comes back only when a data-path read sent through call — GET /v1/metrics,
+// which crosses the router.proxy failpoint and takes the session locks a
+// wedged data path would hold — answers too; a call its caller gave up on
+// asks for the same read, whose failure holds the node out. A node whose only
+// failures were probes gets no such read; its first passing probe readmits it.
+func (r *Router) tick(n *node) time.Duration {
+	live := r.checkNode(n)
+	n.mu.Lock()
+	wasHealthy, check := n.healthy, live == nil && (n.suspect || n.recheck)
+	if check {
+		n.recheck = false
+	}
+	n.mu.Unlock()
+	err, readmitted := live, false
+	if check {
+		_, err = r.call(context.Background(), n, r.opts.Timeout, http.MethodGet, "/v1/metrics", nil)
+	}
+	n.mu.Lock()
+	if live == nil {
+		n.healthy = true
+	}
+	switch {
+	case err != nil:
+		n.fails++
+		n.lastErr = err.Error()
+		if n.fails >= r.opts.FailAfter && live != nil {
+			n.healthy = false
+		}
+	case check || !n.suspect: // a call that failed during an unchecked probe waits for the next tick
+		readmitted = n.suspect
+		n.suspect, n.fails, n.lastErr = false, 0, ""
+	}
+	n.lastCheck = time.Now()
+	isHealthy, suspect, fails := n.healthy, n.suspect, n.fails
+	n.mu.Unlock()
+	if wasHealthy != isHealthy {
+		r.logf("router: node %s %s (%v)", n.name, healthWord(isHealthy), live)
+	}
+	if readmitted {
+		r.logf("router: node %s readmitted: its data path answers", n.name)
+	}
+	if !isHealthy && r.opts.Promote {
+		// Health-check death (not drain) is the promotion trigger.
+		// maybePromote single-flights per node and no-ops once done; a
+		// failed attempt retries on the next failed check.
+		r.maybePromote(n)
+	}
+	if suspect {
+		fails -= r.opts.FailAfter // the failed call's own booking; count the failed ticks since
+	}
+	return min(r.opts.CheckInterval<<min(max(fails, 0), 16), r.opts.BackoffMax)
 }
 
 func healthWord(healthy bool) string {
@@ -420,10 +433,10 @@ func healthWord(healthy bool) string {
 // and adopting a backend-initiated drain.
 //
 // The probe deliberately bypasses call — it is the client's other caller,
-// with no breaker claim and no router.proxy failpoint: it must keep
-// reaching a node whose breaker is open or that a router.proxy schedule has
-// partitioned, because it reports whether the process is up, not whether it
-// serves in time.
+// with no router.proxy failpoint and no failure booking: it reports whether
+// the process is up, not whether it serves in time, so it keeps reaching a
+// node that a router.proxy schedule has partitioned. Seeing past it is the
+// data-path check's job (tick).
 func (r *Router) checkNode(n *node) error {
 	status, _, body, err := r.client.Do(context.Background(), time.Now().Add(r.opts.Timeout), http.MethodGet, n.base.Host, n.base.Path+"/healthz", "", "", nil, 1<<16)
 	if err != nil {
@@ -456,13 +469,10 @@ func (r *Router) checkNode(n *node) error {
 // fpProxy is the failpoint on the router→backend hop, evaluated in call
 // with the backend's name as the tag — so a schedule can partition one
 // backend (match), delay it (latency/stall), or black-hole it (error/
-// drop), on the data path and the hand-over path alike. Injected failures
-// run through the same breaker bookkeeping as real transport errors.
+// drop), on the data path, the hand-over path and the health loop's
+// data-path check alike. An injected failure marks the node suspect like a
+// real transport error.
 var fpProxy = fault.Register("router.proxy")
-
-// errBreakerOpen reports a call skipped because the node's breaker had no
-// capacity (open, or half-open with the probe slot taken).
-var errBreakerOpen = errors.New("router: breaker open")
 
 // errNoBackend reports a walk that found no node to send to.
 var errNoBackend = errors.New("no healthy backend")
@@ -485,25 +495,33 @@ func (rep reply) refusal() string {
 }
 
 // call is the one way the router talks to a backend (the health probe
-// aside). It claims breaker capacity — errBreakerOpen when the node has
-// none — evaluates the router.proxy failpoint, bounds the exchange with
+// aside). It evaluates the router.proxy failpoint, bounds the exchange with
 // timeout, propagates the trace in ctx so the backend's spans join it,
 // records the "proxy <node>" span and the router.proxy histogram, and books
-// the transport outcome on the breaker; the exchange itself is wire.Client's.
-// target is the request target as it goes on the wire: escaped path, query.
-// HTTP error statuses are successes to the breaker: the node answered.
+// a transport failure on the node: it turns suspect, out of placement until
+// a health-loop tick's data-path check answers, and its fails count is
+// raised to FailAfter so one failed probe after it is a death. A failure
+// once ctx is done is the caller giving up: it holds nothing out and only
+// asks the next tick for a data-path read. An HTTP error status is an
+// answer. The exchange itself is wire.Client's. target is the request
+// target as it goes on the wire: escaped path, query.
 func (r *Router) call(ctx context.Context, n *node, timeout time.Duration, method, target string, body []byte) (rep reply, err error) {
 	rep.node = n
-	if !n.brAcquire(time.Now()) {
-		return rep, errBreakerOpen
-	}
 	defer func() {
 		if err == nil {
-			if n.brSuccess() {
-				r.logf("router: node %s breaker closed", n.name)
-			}
-		} else if st := n.brFailure(r.opts.BreakerThreshold, r.opts.BreakerProbe, r.opts.BreakerProbeMax, time.Now()); st >= 0 {
-			r.logf("router: node %s breaker %s (%v)", n.name, breakerWord(st), err)
+			return
+		}
+		n.mu.Lock()
+		if ctx.Err() != nil {
+			n.recheck = true
+			n.mu.Unlock()
+			return
+		}
+		was := n.suspect
+		n.suspect, n.fails, n.lastErr = true, max(n.fails, r.opts.FailAfter), err.Error()
+		n.mu.Unlock()
+		if !was {
+			r.logf("router: node %s suspect until its data path answers: %v", n.name, err)
 		}
 	}()
 	if fp := fpProxy.EvalTag(n.name); fp != nil {
@@ -511,8 +529,7 @@ func (r *Router) call(ctx context.Context, n *node, timeout time.Duration, metho
 		case fault.Latency, fault.Stall:
 			fp.Sleep()
 		default:
-			// An injected partition: the request never reaches the node,
-			// and the breaker counts the failure like any transport error.
+			// An injected partition: the request never reaches the node.
 			return rep, fp.Err
 		}
 	}
@@ -581,10 +598,12 @@ func judgeSession(rep reply) (rank int, free bool) {
 // walk sends one request down key's rendezvous candidates among nodes until
 // one gives a final answer, and returns that answer. It is the only loop
 // over candidates, so every routed request is bounded the same way: a
-// transport error (the node is marked suspect) or a budget-spending refusal
+// transport error (call marks the node suspect) or a budget-spending refusal
 // moves on at most RetryBudget times, so a request never waits on more than
-// 1+RetryBudget slow backends; a free miss and a breaker that admits
-// nothing cost no budget — the node answered fast, or was never asked.
+// 1+RetryBudget slow backends; a free miss costs no budget — the node
+// answered fast — and a suspect node is no candidate at all. Once ctx is
+// done the walk ends: the caller has gone, and every further candidate
+// would fail the same way.
 //
 // With no final answer the highest-ranked non-final one is returned (the
 // first, among equals), for the caller to replay. The error is non-nil only
@@ -604,10 +623,9 @@ func (r *Router) walk(ctx context.Context, nodes []*node, key string, timeout ti
 		}
 		rep, err := r.call(ctx, n, timeout, method, target, body)
 		switch {
-		case errors.Is(err, errBreakerOpen):
-			continue // lost a race for the breaker's capacity
+		case err != nil && ctx.Err() != nil:
+			return reply{}, err
 		case err != nil:
-			n.suspect(err, r.opts.FailAfter)
 			lastErr = fmt.Errorf("all backends unreachable: node %s: %w", n.name, err)
 			r.logf("router: %s %s on %s failed, trying next candidate: %v", method, target, n.name, err)
 		default:

@@ -479,3 +479,28 @@ func TestClientSuppliedIDAndConflict(t *testing.T) {
 		t.Fatalf("duplicate ID: status %d, want 409", code)
 	}
 }
+
+// TestNegativeOptionsRefused: a negative retry budget, timeout or health
+// period would turn every request away, every node suspect, or the health
+// loop into a spin; New refuses each.
+func TestNegativeOptionsRefused(t *testing.T) {
+	for _, tt := range []struct {
+		name string
+		set  func(*Options)
+	}{
+		{"RetryBudget", func(o *Options) { o.RetryBudget = -1 }},
+		{"Timeout", func(o *Options) { o.Timeout = -time.Second }},
+		{"CheckInterval", func(o *Options) { o.CheckInterval = -time.Second }},
+		{"BackoffMax", func(o *Options) { o.BackoffMax = -time.Second }},
+	} {
+		t.Run(tt.name, func(t *testing.T) {
+			opts := Options{Backends: []Backend{{Name: "a", URL: "http://127.0.0.1:1"}}}
+			tt.set(&opts)
+			r, err := New(opts)
+			if err == nil {
+				r.Close()
+				t.Fatalf("New accepted a negative %s", tt.name)
+			}
+		})
+	}
+}

@@ -20,8 +20,9 @@ import (
 // same bound and the same bookkeeping: exactly 1+RetryBudget backends
 // contacted, the retried-away counters bumped on all of those but the last,
 // and the same ending — 502 "all backends unreachable" when none answered,
-// the first refusal replayed otherwise. A first candidate whose breaker is
-// open is passed over without spending budget.
+// the first refusal replayed otherwise. A first candidate held out by an
+// earlier failed call is passed over with no request, no retry and no
+// budget spent.
 func TestOneWalk(t *testing.T) {
 	const id = "s-walk"
 	const budget = 2 // Options.RetryBudget's default
@@ -56,15 +57,15 @@ func TestOneWalk(t *testing.T) {
 		},
 	}
 	for _, cond := range []struct {
-		name        string
-		answer      http.HandlerFunc // nil: every backend is down
-		retryAfter  string
-		breakerOpen bool // on the first candidate
+		name       string
+		answer     http.HandlerFunc // nil: every backend is down
+		retryAfter string
+		heldOut    bool // the first candidate
 	}{
 		{"unreachable", nil, "", false},
 		{"retriable 503", retriable503, "1", false},
 		{"draining", drainingAnswer, "", false},
-		{"retriable 503 behind an open breaker", retriable503, "1", true},
+		{"retriable 503 behind a held-out node", retriable503, "1", true},
 	} {
 		for entry, run := range entries {
 			t.Run(cond.name+"/"+entry, func(t *testing.T) {
@@ -88,17 +89,17 @@ func TestOneWalk(t *testing.T) {
 					}
 				}
 				var skipped *node
-				if cond.breakerOpen {
+				if cond.heldOut {
 					skipped, cands = cands[0], cands[1:]
 					skipped.mu.Lock()
-					skipped.brState, skipped.brUntil = brOpen, time.Now().Add(time.Hour)
+					skipped.suspect, skipped.lastErr = true, "an earlier call failed"
 					skipped.mu.Unlock()
 				}
 
 				got := run(t, tc)
 
 				if skipped != nil && (hits[skipped.name].Load() != 0 || skipped.snapshot().Retries != 0) {
-					t.Errorf("open-breaker candidate %s: %d requests, %d retries, want neither",
+					t.Errorf("held-out candidate %s: %d requests, %d retries, want neither",
 						skipped.name, hits[skipped.name].Load(), skipped.snapshot().Retries)
 				}
 
@@ -138,5 +139,45 @@ func TestOneWalk(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// TestClientHangUpHoldsNoNodeOut: a client that gives up mid-request is not
+// a node failure. The walk ends at the candidate it was waiting on — the
+// others are never asked — and every node stays in placement.
+func TestClientHangUpHoldsNoNodeOut(t *testing.T) {
+	hits := make(map[string]*atomic.Int64)
+	var backends []Backend
+	for i := 0; i < 3; i++ {
+		name := fmt.Sprintf("n%d", i)
+		hits[name] = new(atomic.Int64)
+		backends = append(backends, fakeBackend(t, name, func(http.ResponseWriter, *http.Request) {
+			hits[name].Add(1)
+			time.Sleep(300 * time.Millisecond)
+		}))
+	}
+	tc := newFakeCluster(t, backends...)
+
+	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
+	defer cancel()
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, tc.front.URL+"/v1/sessions", strings.NewReader(`{"backend":"bo"}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp, err := http.DefaultClient.Do(req); err == nil {
+		resp.Body.Close()
+		t.Fatal("the router answered before the client gave up")
+	}
+	time.Sleep(100 * time.Millisecond) // for a walk that missed the hang-up to ask the next candidate
+
+	contacted := 0
+	for name, n := range hits {
+		contacted += int(n.Load())
+		if node := tc.router.nodeByName(name); !node.eligible() {
+			t.Errorf("node %s held out after a client hang-up: %+v", name, node.snapshot())
+		}
+	}
+	if contacted != 1 {
+		t.Fatalf("%d backends contacted, want 1 (the walk stops when the client goes)", contacted)
 	}
 }

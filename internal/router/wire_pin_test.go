@@ -56,7 +56,7 @@ func histBody(t *testing.T, stage string, h obs.HistJSON) string {
 // stage_hist by hand and wrote its replies with a writeJSON of its own;
 // decoding with obs.HistJSON.Snapshot and replying through wire.WriteJSON
 // must not have moved a byte of it.
-const mergedMetricsGolden = `{"nodes":2,"per_node":{"a":{"node":"a","sessions":2,"observations":10,"persistence":true,"wal_degraded":true,"sessions_by_state":{"active":1,"done":1},"stage_hist":{"service.observe":{"count":3,"sum_ns":3000,"buckets":[0,0,0,0,0,0,0,0,0,0,3]}}},"b":{"node":"b","sessions":1,"observations":5,"persistence":true,"sessions_by_state":{"active":1},"stage_hist":{"service.observe":{"count":1,"sum_ns":4000000,"buckets":[0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,1]},"wal.append":{"count":2,"sum_ns":64,"buckets":[0,0,0,0,0,0,2]}}}},"router":{"breaker_opens":0,"breakers_halfopen":0,"breakers_open":0,"promotions_total":0,"retries_total":0},"sessions_by_state":{"active":2,"done":1},"stages":{"service.observe":{"count":4,"mean_us":1000.75,"p50_us":0.8526666666666667,"p90_us":3355.4426000000003,"p99_us":4110.41696,"p999_us":4185.914396},"wal.append":{"count":2,"mean_us":0.032,"p50_us":0.0475,"p90_us":0.05990000000000001,"p99_us":0.06269,"p999_us":0.062969}},"totals":{"observations":15,"sessions":3}}` + "\n"
+const mergedMetricsGolden = `{"nodes":2,"per_node":{"a":{"node":"a","sessions":2,"observations":10,"persistence":true,"wal_degraded":true,"sessions_by_state":{"active":1,"done":1},"stage_hist":{"service.observe":{"count":3,"sum_ns":3000,"buckets":[0,0,0,0,0,0,0,0,0,0,3]}}},"b":{"node":"b","sessions":1,"observations":5,"persistence":true,"sessions_by_state":{"active":1},"stage_hist":{"service.observe":{"count":1,"sum_ns":4000000,"buckets":[0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,1]},"wal.append":{"count":2,"sum_ns":64,"buckets":[0,0,0,0,0,0,2]}}}},"router":{"promotions_total":0,"retries_total":0,"suspects":0},"sessions_by_state":{"active":2,"done":1},"stages":{"service.observe":{"count":4,"mean_us":1000.75,"p50_us":0.8526666666666667,"p90_us":3355.4426000000003,"p99_us":4110.41696,"p999_us":4185.914396},"wal.append":{"count":2,"mean_us":0.032,"p50_us":0.0475,"p90_us":0.05990000000000001,"p99_us":0.06269,"p999_us":0.062969}},"totals":{"observations":15,"sessions":3}}` + "\n"
 
 func TestMergedMetricsWireBytes(t *testing.T) {
 	a := metricsBackend(t, "a", `{"node":"a","sessions":2,"observations":10,"persistence":true,"wal_degraded":true,`+

@@ -363,7 +363,7 @@ func TestCreateRecordsRejournalByteForByte(t *testing.T) {
 		byID[ss.ID] = ss
 	}
 	tp := &tape{Store: store.NewMem()}
-	m := newTestManager(t, Options{NodeID: "n2", Workers: -1, Store: tp})
+	m := newTestManager(t, Options{NodeID: "n2", noPool: true, Store: tp})
 	for _, ev := range events {
 		if _, err := m.Adopt(byID[ev.ID]); err != nil {
 			t.Fatalf("adopt %s: %v", ev.ID, err)

@@ -41,7 +41,7 @@ func TestAutoRebuildAfterClientObserve(t *testing.T) {
 	client := Observation{Config: conf.Default(), RuntimeSec: 123}
 	run := func(restart bool) []HistoryEntry {
 		mem := store.NewMem()
-		m, err := Open(Options{Workers: -1, Store: mem})
+		m, err := Open(Options{noPool: true, Store: mem})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -54,7 +54,7 @@ func TestAutoRebuildAfterClientObserve(t *testing.T) {
 		}
 		if restart {
 			crash(m)
-			if m, err = Open(Options{Workers: -1, Store: mem}); err != nil {
+			if m, err = Open(Options{noPool: true, Store: mem}); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -91,7 +91,7 @@ type autoDigest struct {
 func TestAutoHistoriesMatchParent(t *testing.T) {
 	got := make(map[string]autoDigest)
 	for _, backend := range []string{"relm", "bo", "gbo", "ddpg"} {
-		m, err := Open(Options{Workers: -1, Store: store.NewMem()})
+		m, err := Open(Options{noPool: true, Store: store.NewMem()})
 		if err != nil {
 			t.Fatal(err)
 		}

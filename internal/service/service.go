@@ -147,6 +147,9 @@ type Options struct {
 	SlowLogf func(format string, args ...any)
 	// Now overrides the clock (tests).
 	Now func() time.Time
+	// noPool starts the manager without its worker pool, so a test drives
+	// each auto session itself (drive).
+	noPool bool
 }
 
 func (o *Options) fill() {
@@ -360,6 +363,9 @@ func Open(opts Options) (*Manager, error) {
 	if opts.NodeID != "" && !validIdent(opts.NodeID) {
 		return nil, fmt.Errorf("service: bad node ID %q (want letters, digits, '.', '_', '-')", opts.NodeID)
 	}
+	if opts.TTL < 0 || opts.MaxSessions < 0 || opts.Workers < 0 {
+		return nil, fmt.Errorf("service: negative option: ttl %v, max sessions %d, workers %d", opts.TTL, opts.MaxSessions, opts.Workers)
+	}
 	m := newManager(opts)
 	var autos []*Session
 	if m.opts.Store != nil {
@@ -418,7 +424,7 @@ func (m *Manager) start(autos []*Session) {
 	}
 	m.jobs = make(chan *Session, jobsCap)
 
-	for i := 0; i < opts.Workers; i++ {
+	for i := 0; i < opts.Workers && !opts.noPool; i++ {
 		m.wg.Add(1)
 		go m.worker()
 	}

@@ -344,6 +344,34 @@ func TestSessionLimit(t *testing.T) {
 	}
 }
 
+// TestOpenRefusesNegativeOptions: a negative TTL would evict every session
+// within a second, a negative session limit refuse every create, a negative
+// worker pool never run an auto session; Open refuses each. A negative
+// RepoCapacity stays legal: it means unbounded.
+func TestOpenRefusesNegativeOptions(t *testing.T) {
+	for _, tt := range []struct {
+		name string
+		opts Options
+	}{
+		{"TTL", Options{TTL: -time.Minute}},
+		{"MaxSessions", Options{MaxSessions: -1}},
+		{"Workers", Options{Workers: -1}},
+	} {
+		t.Run(tt.name, func(t *testing.T) {
+			m, err := Open(tt.opts)
+			if err == nil {
+				m.Close()
+				t.Fatalf("Open accepted a negative %s", tt.name)
+			}
+		})
+	}
+	m, err := Open(Options{RepoCapacity: -1})
+	if err != nil {
+		t.Fatalf("Open refused an unbounded repository: %v", err)
+	}
+	m.Close()
+}
+
 // TestConcurrentSessionsSurrogateScratch hammers many sessions from
 // concurrent goroutines through the incremental surrogate hot path — each
 // session's tuner owns its acquisition/prediction scratch, so parallel

@@ -3,7 +3,8 @@
 // backend, health probe, primary → follower, load generator → front door)
 // and WriteJSON renders every JSON reply. It imports only the standard
 // library, so either side of any hop can use it; what a caller wraps around
-// Do — a breaker, a failpoint, a span, an error ledger — stays the caller's.
+// Do — a suspect booking, a failpoint, a span, an error ledger — stays the
+// caller's.
 package wire
 
 import (
