@@ -65,3 +65,51 @@ func BenchmarkStoreAppendParallel(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkOpenAndLoad measures a node start's read side: OpenFile and the
+// first Load of a directory holding a snapshot of 50 sessions and 20 000
+// observe records over 1-MiB segments. One op is one open, load and close;
+// the bytes are those of the snapshot and the log.
+func BenchmarkOpenAndLoad(b *testing.B) {
+	dir := b.TempDir()
+	s, err := OpenFile(dir, FileOptions{SegmentBytes: 1 << 20})
+	if err != nil {
+		b.Fatal(err)
+	}
+	const records = 20_000
+	for i := 0; i < records; i++ {
+		if _, err := s.Append(testEvent(fmt.Sprintf("sess-%d", i%50), i/50)); err != nil {
+			b.Fatal(err)
+		}
+	}
+	snap := &Snapshot{NextID: 50}
+	for i := 0; i < 50; i++ {
+		ss := SessionSnapshot{ID: fmt.Sprintf("sess-%d", i), State: "running"}
+		for n := 0; n < 20; n++ {
+			ss.History = append(ss.History, HistoryRecord{Observation: *testEvent(ss.ID, n).Obs, Objective: 100})
+		}
+		snap.Sessions = append(snap.Sessions, ss)
+	}
+	if err := s.Compact(snap); err != nil {
+		b.Fatal(err)
+	}
+	if err := s.Close(); err != nil {
+		b.Fatal(err)
+	}
+	m := s.Metrics()
+	b.SetBytes(m.WALBytes + m.SnapshotBytes)
+	b.ReportAllocs()
+	for b.Loop() {
+		s, err := OpenFile(dir)
+		if err != nil {
+			b.Fatal(err)
+		}
+		_, events, err := s.Load()
+		if err != nil || len(events) != records {
+			b.Fatalf("loaded %d events, err %v; want %d", len(events), err, records)
+		}
+		if err := s.Close(); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -105,6 +106,9 @@ type File struct {
 	seq    uint64
 	batch  *commitBatch // open group-commit batch, nil outside gc mode
 	gc     *committer   // nil unless group commit is enabled
+	// opened is what OpenFile decoded, for the first Load to return; the
+	// first Append, Compact, Load or Close drops it.
+	opened *logImage
 
 	degraded atomic.Pointer[string] // non-nil reason => WAL is read-only
 
@@ -128,12 +132,19 @@ type File struct {
 
 var _ Store = (*File)(nil)
 
+// logImage is a decoded store directory: the snapshot and the live log.
+type logImage struct {
+	snap   *Snapshot
+	events []Event
+}
+
 // OpenFile opens (creating if needed) a file-backed store rooted at dir. A
 // directory still holding the pre-segmentation wal.jsonl is refused, naming
 // the file. The sequence counter resumes past every event already on disk;
 // a torn tail in the active segment — the signature of a crash mid-write —
 // is truncated, while an undecodable line in a sealed segment fails the
-// open (sealed segments are immutable and fsynced).
+// open (sealed segments are immutable and fsynced). What the open decodes
+// is kept for the first Load, so a restart reads its log once.
 func OpenFile(dir string, opts ...FileOptions) (*File, error) {
 	var o FileOptions
 	if len(opts) > 0 {
@@ -149,58 +160,38 @@ func OpenFile(dir string, opts ...FileOptions) (*File, error) {
 	if err := SweepTempFiles(dir); err != nil {
 		return nil, err
 	}
-	segs, err := listSegments(dir)
+	idxs, err := listSegments(dir)
 	if err != nil {
 		return nil, err
 	}
 
 	fs := &File{dir: dir, opts: o, activeIndex: 1}
-	if snap, raw, err := fs.readSnapshot(); err != nil {
+	img, raw, segs, err := fs.readLog(idxs)
+	if err != nil {
 		return nil, err
-	} else if snap != nil {
-		fs.seq = snap.Fence
+	}
+	fs.opened = img
+	if img.snap != nil {
+		fs.seq = img.snap.Fence
 		fs.snapBytes, fs.snapHash = int64(len(raw)), HashHex(raw)
 	}
-
-	var maxSeq uint64
-	for i, idx := range segs {
-		active := i == len(segs)-1
-		path := filepath.Join(dir, SegmentFileName(idx))
-		events, size, err := readWALFile(path, active)
-		if err != nil {
-			return nil, err
-		}
-		for _, ev := range events {
-			if ev.Seq > maxSeq {
-				maxSeq = ev.Seq
-			}
-		}
-		fs.walBytes += size
-		fs.walEvents += uint64(len(events))
-		if active {
-			// Drop a torn tail before appending: without the truncate, the
-			// next event would concatenate onto the partial line and the
-			// merged garbage would swallow it on the following recovery.
-			if st, err := os.Stat(path); err == nil && st.Size() > size {
-				if err := os.Truncate(path, size); err != nil {
-					return nil, fmt.Errorf("store: truncate torn wal tail: %w", err)
-				}
-			}
-			fs.activeIndex = idx
-			fs.activeBytes = size
-			fs.activeEvents = uint64(len(events))
-		} else {
-			fs.sealed = append(fs.sealed, sealedSegment{
-				index:   idx,
-				path:    path,
-				bytes:   size,
-				events:  uint64(len(events)),
-				lastSeq: maxSeq,
-			})
-		}
+	for _, seg := range segs {
+		fs.seq = max(fs.seq, seg.lastSeq)
+		fs.walBytes += seg.bytes
+		fs.walEvents += seg.events
 	}
-	if maxSeq > fs.seq {
-		fs.seq = maxSeq
+	if n := len(segs); n > 0 {
+		active := segs[n-1]
+		// Drop a torn tail before appending: without the truncate, the
+		// next event would concatenate onto the partial line and the
+		// merged garbage would swallow it on the following recovery.
+		if st, err := os.Stat(active.path); err == nil && st.Size() > active.bytes {
+			if err := os.Truncate(active.path, active.bytes); err != nil {
+				return nil, fmt.Errorf("store: truncate torn wal tail: %w", err)
+			}
+		}
+		fs.activeIndex, fs.activeBytes, fs.activeEvents = active.index, active.bytes, active.events
+		fs.sealed = segs[:n-1]
 	}
 
 	f, err := os.OpenFile(fs.activePath(), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
@@ -226,6 +217,7 @@ func (s *File) Append(ev *Event) (uint64, error) {
 		start = time.Now()
 	}
 	s.mu.Lock()
+	s.opened = nil
 	if s.closed {
 		s.mu.Unlock()
 		return 0, errors.New("store: append to closed store")
@@ -427,35 +419,56 @@ func (s *File) Seq() uint64 {
 	return s.seq
 }
 
-// Load returns the latest snapshot and the live log, streaming segments in
-// index order. A truncated or corrupt tail of the active segment — the
-// signature of a crash mid-write — ends the replay at the last whole event
-// instead of failing recovery; sealed segments are read strictly.
+// Load returns the latest snapshot and the live log, segments in index
+// order. The first Load after OpenFile, with no Append or Compact in
+// between, returns what the open decoded and reads nothing; any other
+// reads the directory. A truncated or corrupt tail of the active segment —
+// the signature of a crash mid-write — ends the replay at the last whole
+// event instead of failing recovery; sealed segments are read strictly.
 func (s *File) Load() (*Snapshot, []Event, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.w != nil {
+	img := s.opened
+	s.opened = nil
+	if img == nil {
 		if err := s.w.Flush(); err != nil {
 			return nil, nil, fmt.Errorf("store: flush: %w", err)
 		}
-	}
-	snap, _, err := s.readSnapshot()
-	if err != nil {
-		return nil, nil, err
-	}
-	var events []Event
-	for _, seg := range s.sealed {
-		evs, _, err := readWALFile(seg.path, false)
-		if err != nil {
+		idxs := make([]uint64, 0, len(s.sealed)+1)
+		for _, seg := range s.sealed {
+			idxs = append(idxs, seg.index)
+		}
+		var err error
+		if img, _, _, err = s.readLog(append(idxs, s.activeIndex)); err != nil {
 			return nil, nil, err
 		}
-		events = append(events, evs...)
 	}
-	evs, _, err := readWALFile(s.activePath(), true)
-	if err != nil {
-		return nil, nil, err
+	return img.snap, img.events, nil
+}
+
+// readLog decodes snapshot.json and the segments idxs in index order, the
+// last one as the active segment. Beside the image it returns the
+// snapshot's bytes and each segment as read, lastSeq the highest seq up to
+// and including it.
+func (s *File) readLog(idxs []uint64) (img *logImage, raw []byte, segs []sealedSegment, err error) {
+	img = &logImage{}
+	if img.snap, raw, err = s.readSnapshot(); err != nil {
+		return nil, nil, nil, err
 	}
-	return snap, append(events, evs...), nil
+	var maxSeq uint64
+	for i, idx := range idxs {
+		path := filepath.Join(s.dir, SegmentFileName(idx))
+		evs, size, err := readWALFile(path, i == len(idxs)-1)
+		if err != nil {
+			return nil, nil, nil, err
+		}
+		for _, ev := range evs {
+			maxSeq = max(maxSeq, ev.Seq)
+		}
+		img.events = append(img.events, evs...)
+		segs = append(segs, sealedSegment{index: idx, path: path, bytes: size, events: uint64(len(evs)), lastSeq: maxSeq})
+	}
+	return img, raw, segs, nil
 }
 
 // readSnapshot returns snapshot.json decoded and as it is on disk, nils
@@ -472,71 +485,85 @@ func (s *File) readSnapshot() (*Snapshot, []byte, error) {
 	return &snap, raw, nil
 }
 
-// readWALFile scans one JSONL segment. With tolerateTail (the active
-// segment) it stops silently at the first undecodable line — a torn write
-// from a crash — returning the byte size of the whole prefix; without it
-// (sealed segments) an undecodable line is corruption and errors out.
+// readWALFile reads one JSONL segment whole and decodes it (see
+// decodeSegment). A missing file is an empty segment.
+func readWALFile(path string, tolerateTail bool) ([]Event, int64, error) {
+	buf, err := os.ReadFile(path)
+	if errors.Is(err, os.ErrNotExist) {
+		return nil, 0, nil
+	}
+	if err != nil {
+		return nil, 0, fmt.Errorf("store: read wal: %w", err)
+	}
+	events, size, err := decodeSegment(buf, tolerateTail)
+	if err != nil {
+		return nil, 0, fmt.Errorf("store: sealed segment %s corrupt: %w", filepath.Base(path), err)
+	}
+	return events, size, nil
+}
+
+// decodeSegment decodes the records of one segment, one per line, and
+// returns them with the byte size of the lines they came from; blank lines
+// count toward the size. With tolerateTail (the active segment) the first
+// undecodable line ends the segment — a torn write from a crash — and the
+// size is that of the whole prefix before it; without it (sealed segments)
+// an undecodable line is corruption and errors out.
 //
 // A record is whole only when its trailing newline made it to disk: a
 // final line that decodes but is unterminated (the crash fell exactly on
 // the newline boundary) is still a torn tail — keeping it would let the
 // next O_APPEND write concatenate onto it and turn two events into one
 // undecodable line on the following recovery.
-func readWALFile(path string, tolerateTail bool) ([]Event, int64, error) {
-	f, err := os.Open(path)
-	if errors.Is(err, os.ErrNotExist) {
-		return nil, 0, nil
-	}
-	if err != nil {
-		return nil, 0, fmt.Errorf("store: open wal: %w", err)
-	}
-	defer f.Close()
-	st, err := f.Stat()
-	if err != nil {
-		return nil, 0, fmt.Errorf("store: stat wal: %w", err)
-	}
-	var (
-		events   []Event
-		size     int64
-		lastLine int64 // bytes counted for the most recent line (incl. newline)
-		lastWas  bool  // the most recent line decoded into an event
-	)
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 0, 1<<16), 1<<24)
-	for sc.Scan() {
-		line := sc.Bytes()
-		if len(bytes.TrimSpace(line)) == 0 {
-			size += int64(len(line)) + 1
-			lastLine, lastWas = int64(len(line))+1, false
-			continue
-		}
-		var ev Event
-		if err := json.Unmarshal(line, &ev); err != nil {
+func decodeSegment(buf []byte, tolerateTail bool) ([]Event, int64, error) {
+	lines := bytes.SplitAfter(buf, []byte{'\n'})
+	tail := lines[len(lines)-1] // unterminated; empty when buf ends in a newline
+	lines = lines[:len(lines)-1]
+	events, errs := decodeLines(lines)
+	kept := events[:0]
+	var size int64
+	for i, line := range lines {
+		if errs[i] != nil {
 			if tolerateTail {
-				return events, size, nil // torn tail: keep the whole prefix
+				return kept, size, nil // torn tail: keep the whole prefix
 			}
-			return nil, 0, fmt.Errorf("store: sealed segment %s corrupt: %w", filepath.Base(path), err)
+			return nil, 0, errs[i]
 		}
-		events = append(events, ev)
-		size += int64(len(line)) + 1
-		lastLine, lastWas = int64(len(line))+1, true
-	}
-	if err := sc.Err(); err != nil && !(tolerateTail && errors.Is(err, bufio.ErrTooLong)) {
-		return nil, 0, fmt.Errorf("store: scan wal: %w", err)
-	}
-	if size > st.Size() {
-		// The final line had no trailing newline (size counted one that is
-		// not on disk): treat it as torn.
-		if !tolerateTail {
-			return nil, 0, fmt.Errorf("store: sealed segment %s corrupt: unterminated final record", filepath.Base(path))
+		if !blank(line) {
+			kept = append(kept, events[i])
 		}
-		size -= lastLine
-		if lastWas {
-			events = events[:len(events)-1]
-		}
+		size += int64(len(line))
 	}
-	return events, size, nil
+	if len(tail) > 0 && !tolerateTail {
+		return nil, 0, errors.New("unterminated final record")
+	}
+	return kept, size, nil
 }
+
+// decodeLines unmarshals every non-blank line, lines[i] into events[i] or
+// its error into errs[i], on as many workers as there are cores, each
+// taking every workers-th line so that long and short records spread
+// evenly. A line decodes alone, so no answer depends on the worker.
+func decodeLines(lines [][]byte) (events []Event, errs []error) {
+	events, errs = make([]Event, len(lines)), make([]error, len(lines))
+	workers := min(runtime.GOMAXPROCS(0), len(lines))
+	var wg sync.WaitGroup
+	for w := range workers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := w; i < len(lines); i += workers {
+				if !blank(lines[i]) {
+					errs[i] = json.Unmarshal(lines[i], &events[i])
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	return events, errs
+}
+
+// blank reports whether line holds nothing but white space.
+func blank(line []byte) bool { return len(bytes.TrimSpace(line)) == 0 }
 
 // Compact atomically persists the snapshot, then deletes sealed segments
 // whose events all sit at or below the snapshot's fence. Nothing is ever
@@ -558,6 +585,7 @@ func (s *File) Compact(snap *Snapshot) error {
 	s.compactMu.Lock()
 	defer s.compactMu.Unlock()
 	s.mu.Lock()
+	s.opened = nil
 	err := s.refuseCompactLocked()
 	s.mu.Unlock()
 	if err != nil {
@@ -745,6 +773,7 @@ func (s *File) Close() error {
 	s.compactMu.Lock()
 	defer s.compactMu.Unlock()
 	s.mu.Lock()
+	s.opened = nil
 	if s.closed {
 		s.mu.Unlock()
 		return nil

@@ -20,6 +20,9 @@
 // byte threshold, so compaction only ever deletes whole sealed segments —
 // it never rewrites log data — and, with SyncEachAppend, group-commits
 // concurrent appends into shared fsync batches (see groupcommit.go).
+// Recovery decodes the log once: OpenFile reads each segment whole and
+// unmarshals its records across the cores, and keeps what it decoded for
+// the first Load, which costs no second read.
 package store
 
 import (
@@ -244,6 +247,9 @@ type Store interface {
 	// Load returns the latest snapshot (nil if none) and every event in
 	// the live log, in append order. Events already folded into the
 	// snapshot may appear again; replay is expected to be idempotent.
+	// File's first Load after OpenFile, when nothing was appended or
+	// compacted in between, returns what the open decoded: it costs no
+	// second read of the directory.
 	Load() (*Snapshot, []Event, error)
 	// Compact persists a snapshot and prunes log events with seq <=
 	// snap.Fence (they are folded into the snapshot) where pruning is
