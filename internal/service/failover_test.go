@@ -220,6 +220,56 @@ func TestHandoffOfAnUnharvestedSessionIsDeterministic(t *testing.T) {
 	}
 }
 
+// TestHandoffOfUnharvestedSessionsIsDeterministic: four sessions finished
+// with their harvest records lost, so the replay harvests all four again.
+// They must enter the repository in the same order on every replay —
+// session-ID order, not the order a map or the rebuild workers yield them.
+func TestHandoffOfUnharvestedSessionsIsDeterministic(t *testing.T) {
+	m, dir := fileStoreManager(t, store.FileOptions{})
+	for i, wl := range []string{"SVM", "PageRank", "WordCount", "K-means"} {
+		st, err := m.Create(Spec{Backend: "bo", Workload: wl, Seed: uint64(3 + i), MaxIterations: 1,
+			Stats: clusterStats(), DefaultRuntimeSec: 240})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for !st.Done {
+			cfg, _, err := m.Suggest(st.ID)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// The observe appends; the harvest the last one triggers fails.
+			armFaultAfter(t, "store.write", 1)
+			if st, err = m.Observe(st.ID, Observation{Config: cfg, RuntimeSec: 120 + float64(10*i)}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if n := len(m.Repository().Entries); n != 4 {
+		t.Fatalf("live manager harvested %d models, want 4", n)
+	}
+	crash(m)
+
+	var first []byte
+	for i := range 10 {
+		rep, err := ExtractHandoff(dir, "a")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(rep.Repo) != 4 {
+			t.Fatalf("replay %d harvested %d models, want 4 (a harvest record was not lost)", i, len(rep.Repo))
+		}
+		got, err := json.Marshal(rep)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if i == 0 {
+			first = got
+		} else if !bytes.Equal(got, first) {
+			t.Fatalf("replay %d of one directory differs from replay 0:\n%s\n%s", i, got, first)
+		}
+	}
+}
+
 // TestPromotionTornTail: the primary was killed mid-append (or the
 // follower mid-ingest), so the replica's active segment ends in a torn
 // line. Promotion must truncate it and recover every complete record —

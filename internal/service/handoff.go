@@ -121,7 +121,9 @@ func ExtractHandoff(dir, node string) (HandoffReport, error) {
 // starts goroutines or journals anything, and hands its sessions over.
 // The shell's clock stands at the last record, so a session the replay
 // harvests again (its advisory harvest record was lost) is stamped the
-// same on every replay: the report is a function of snap and events.
+// same on every replay, and restore settles sessions in ID order, so
+// several such harvests enter the repository in the same order whatever
+// the cores did: the report is a function of snap and events.
 func BuildHandoff(snap *store.Snapshot, events []store.Event, node string) (HandoffReport, error) {
 	var last time.Time
 	if snap != nil {

@@ -2,9 +2,13 @@ package service
 
 import (
 	"fmt"
+	"maps"
+	"runtime"
 	"slices"
 	"strconv"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"time"
 
 	"relm/internal/bo"
@@ -19,7 +23,10 @@ import (
 // Recovery is a fold over data followed by one rebuild: foldEvent folds the
 // log into the snapshot's sessions without touching a tuner, then
 // rebuildSession builds a tuner for each session still alive at the end of
-// the log. The fold is idempotent: observe events carry a per-session
+// the log — on every core, since a rebuild depends on its own session's
+// record only — and the sessions are settled one by one in ID order, so
+// what settling harvests and journals does not depend on scheduling or map
+// order. The fold is idempotent: observe events carry a per-session
 // ordinal and are applied only when they extend the session's history,
 // create/close events (and old logs' warm events) are no-ops when already
 // reflected, and harvest events are keyed by session ID. The snapshot and
@@ -212,14 +219,35 @@ func sessionSnapshot(s *Session) store.SessionSnapshot {
 // It runs before the Manager's goroutines start. The log is first folded
 // into the snapshot as plain data; only the sessions still alive at its end
 // get a tuner, built once by rebuildSession from their final folded state.
+// A rebuild reads nothing but its own session's record, so they run on
+// every core, each worker taking the next session off one counter (a warm
+// BO session costs ~40x a RelM one, so fixed stripes would idle). What
+// touches the Manager — registering, settling, which may harvest and
+// journal — then runs in one pass in session-ID order, so the repository,
+// the log and a hand-over report come out the same on every replay.
 func (m *Manager) restore(snap *store.Snapshot, events []store.Event) ([]*Session, error) {
+	live := m.fold(snap, events)
+	ids := slices.Sorted(maps.Keys(live))
+	built := make([]*Session, len(ids))
+	errs := make([]error, len(ids))
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for range min(runtime.GOMAXPROCS(0), len(ids)) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := int(next.Add(1) - 1); i < len(ids); i = int(next.Add(1) - 1) {
+				built[i], errs[i] = m.rebuildSession(*live[ids[i]])
+			}
+		}()
+	}
+	wg.Wait()
 	var autos []*Session
-	for _, ss := range m.fold(snap, events) {
-		s, err := m.rebuildSession(*ss)
-		if err != nil {
+	for i, s := range built {
+		if errs[i] != nil {
 			// A session this build can no longer rebuild (e.g. a removed
 			// workload) must not brick recovery of the rest.
-			msg := fmt.Sprintf("restore session %s: %v", ss.ID, err)
+			msg := fmt.Sprintf("restore session %s: %v", ids[i], errs[i])
 			m.journalErr.Store(&msg)
 			continue
 		}
@@ -297,7 +325,8 @@ func (m *Manager) settle(s *Session) (requeue bool) {
 // suggestion) the tuner held when the snapshot was taken. Callers settle
 // the session afterwards. The snapshot comes from disk or from another
 // node: records a tuner cannot digest (say, prior points of the wrong
-// dimension) fail this one session, not the process.
+// dimension) fail this one session, not the process — the recover below
+// runs on whichever goroutine restore's workers rebuild it on.
 func (m *Manager) rebuildSession(ss store.SessionSnapshot) (s *Session, err error) {
 	defer func() {
 		if r := recover(); r != nil {

@@ -7,14 +7,19 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"relm/internal/bo"
 	"relm/internal/conf"
 	"relm/internal/obs"
+	"relm/internal/sim/cluster"
+	"relm/internal/sim/workload"
 	"relm/internal/store"
+	"relm/internal/tune"
 )
 
 // crash stops a Manager's goroutines without snapshotting or closing the
@@ -722,6 +727,188 @@ func BenchmarkStoreReplay(b *testing.B) {
 		}
 		if err := fs2.Close(); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// restoreCopy opens a copy of a crashed manager's directory with restore
+// running on the given number of cores.
+func restoreCopy(t *testing.T, dir string, procs int) *Manager {
+	t.Helper()
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+	return reopen(t, copyDir(t, dir))
+}
+
+// TestRestoreOnEveryCoreMatchesOneCore: restore rebuilds sessions on every
+// core, each rebuild reading only its own session's record. A log of open
+// sessions on all four backends — cold and warm-started, remote and auto —
+// reopens on four cores to exactly what it reopens to on one: statuses,
+// histories, the next suggestion, and the one after an identical
+// observation.
+func TestRestoreOnEveryCoreMatchesOneCore(t *testing.T) {
+	dir := t.TempDir()
+	fs, err := store.OpenFile(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := Open(Options{Workers: 1, Store: fs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sp := tune.NewSpace(cluster.A(), workload.KMeans())
+	entry := bo.RepoEntry{Workload: "K-means", ClusterName: "A", Fingerprint: *clusterStats(), DefaultSec: 150}
+	for i := range 3 {
+		cfg := conf.Default()
+		cfg.CacheCapacity = 0.2 + 0.2*float64(i)
+		entry.Points = append(entry.Points, bo.PriorPoint{X: sp.Encode(cfg), Cfg: cfg, Y: 150 - 20*float64(i)})
+	}
+	if n, err := m.ImportRepository([]bo.RepoEntry{entry}); n != 1 || err != nil {
+		t.Fatalf("imported %d entries, err %v", n, err)
+	}
+	backends := []string{"relm", "ddpg", "bo", "gbo"}
+	workloads := []string{"PageRank", "K-means", "SVM", "WordCount"}
+	var ids []string
+	for i := range 24 {
+		spec := Spec{Backend: backends[i%4], Workload: workloads[i/4%4], Seed: uint64(i), MaxIterations: 12, MaxSteps: 12}
+		if i%8 >= 6 { // bo and gbo, every other round
+			spec.Workload, spec.WarmStart, spec.Stats, spec.DefaultRuntimeSec = "K-means", true, clusterStats(), 150
+		}
+		st, err := m.Create(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if spec.WarmStart && !st.WarmStarted {
+			t.Fatalf("%s session %s not warm-started", spec.Backend, st.ID)
+		}
+		ids = append(ids, st.ID)
+		steps := i % 5
+		if spec.Backend == "relm" {
+			steps = min(steps, 1) // RelM converges in a few steps
+		}
+		for step := range steps {
+			cfg, _, err := m.Suggest(st.ID)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if st, err = m.Observe(st.ID, measure(t, "", spec.Workload, Observation{Config: cfg}, uint64(10*i+step))); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if st.Done {
+			t.Fatalf("%s session %s finished; the test needs it open", spec.Backend, st.ID)
+		}
+	}
+	auto, err := m.Create(Spec{Backend: "bo", Workload: "SVM", Mode: ModeAuto, Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	crash(m) // wherever the worker had got to, both reopens read the same log
+
+	one, four := restoreCopy(t, dir, 1), restoreCopy(t, dir, 4)
+	if one.Len() != len(ids)+1 || four.Len() != one.Len() {
+		t.Fatalf("restored %d sessions on one core, %d on four, want %d", one.Len(), four.Len(), len(ids)+1)
+	}
+	for i, id := range ids {
+		st1, err1 := one.Get(id)
+		st4, err4 := four.Get(id)
+		if err1 != nil || err4 != nil || !reflect.DeepEqual(st1, st4) {
+			t.Fatalf("session %s status on one core %+v (%v), on four %+v (%v)", id, st1, err1, st4, err4)
+		}
+		h1, _ := one.History(id)
+		h4, _ := four.History(id)
+		if !historiesEqual(h1, h4) {
+			t.Fatalf("session %s history differs between one core and four", id)
+		}
+		for round := range 2 {
+			cfg1, done1, err1 := one.Suggest(id)
+			cfg4, done4, err4 := four.Suggest(id)
+			if err1 != nil || err4 != nil || cfg1 != cfg4 || done1 != done4 {
+				t.Fatalf("session %s round %d: one core suggests %+v done=%v (%v), four %+v done=%v (%v)",
+					id, round, cfg1, done1, err1, cfg4, done4, err4)
+			}
+			if round == 1 || done1 {
+				break
+			}
+			o := measure(t, "", st1.Workload, Observation{Config: cfg1}, uint64(1000+i))
+			if _, err := one.Observe(id, o); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := four.Observe(id, o); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	waitState(t, one, auto.ID, StateDone)
+	waitState(t, four, auto.ID, StateDone)
+	h1, _ := one.History(auto.ID)
+	h4, _ := four.History(auto.ID)
+	if len(h1) == 0 || !historiesEqual(h1, h4) {
+		t.Fatalf("auto session %s: %d runs on one core, %d on four, or they differ", auto.ID, len(h1), len(h4))
+	}
+}
+
+// TestUnrebuildableSessionFailsAloneOnAWorker: two sessions whose recorded
+// prior points have the wrong dimension panic inside rebuildSession, now on
+// a rebuild worker. The panic stays in its session: every good session is
+// restored, and the journal error names the same bad session on every open,
+// whatever order the workers finished in.
+func TestUnrebuildableSessionFailsAloneOnAWorker(t *testing.T) {
+	dir := t.TempDir()
+	fs, err := store.OpenFile(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := Open(Options{Workers: 1, Store: fs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	histories := make(map[string][]HistoryEntry)
+	for i := range 12 {
+		spec := Spec{Backend: []string{"bo", "gbo", "relm"}[i%3], Workload: "K-means", Seed: uint64(i), MaxIterations: 12}
+		st, err := m.Create(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for step := range 2 {
+			cfg, _, err := m.Suggest(st.ID)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := m.Observe(st.ID, measure(t, "", spec.Workload, Observation{Config: cfg}, uint64(10*i+step))); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if histories[st.ID], err = m.History(st.ID); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Journaled as records from another build would be: a warm start whose
+	// points are one coordinate long, then the confirmation run of the
+	// prior's best, whose observation fits the surrogate on them.
+	now := time.Now()
+	for _, id := range []string{"sess-50", "sess-51"} { // sort among the good ones
+		cfg := conf.Default()
+		ss := store.SessionSnapshot{ID: id, Spec: Spec{Backend: "bo", Workload: "K-means", Seed: 1}, Created: now, LastUsed: now,
+			Warm:    &store.Warm{Source: "K-means", Cluster: "A", Points: []bo.PriorPoint{{X: []float64{0.5}, Cfg: cfg, Y: 100}}},
+			History: []HistoryEntry{{Observation: store.Observation{Config: cfg, RuntimeSec: 100}, Objective: 100}}}
+		if _, err := m.journal(&store.Event{Type: store.EventCreate, ID: id, Time: now, Session: &ss}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	crash(m)
+
+	for open := range 5 {
+		m := restoreCopy(t, dir, 4)
+		if m.Len() != len(histories) {
+			t.Fatalf("open %d restored %d sessions, want the %d good ones", open, m.Len(), len(histories))
+		}
+		for id, want := range histories {
+			if got, err := m.History(id); err != nil || !historiesEqual(got, want) {
+				t.Fatalf("open %d: good session %s not restored whole (err %v)", open, id, err)
+			}
+		}
+		if msg := m.Metrics().JournalError; !strings.HasPrefix(msg, "restore session sess-51: ") || !strings.Contains(msg, "does not replay") {
+			t.Fatalf("open %d: journal error %q, want the rebuild failure of sess-51", open, msg)
 		}
 	}
 }
