@@ -1,9 +1,13 @@
 package ddpg
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"math"
 	"testing"
 
+	"relm/internal/nn"
 	"relm/internal/sim/cluster"
 	"relm/internal/sim/workload"
 	"relm/internal/simrand"
@@ -226,5 +230,32 @@ func TestLateLearnerIsTheEarlyOne(t *testing.T) {
 	}
 	if late.critic == nil {
 		t.Fatal("learner never built")
+	}
+}
+
+// TestTrainedWeightsDigest pins a trained agent's four networks bit for
+// bit, so where and when Adam's state is allocated cannot move a weight.
+func TestTrainedWeightsDigest(t *testing.T) {
+	agent := NewAgent(Options{StateDim: 4, ActionDim: 2, Batch: 8, Seed: 5})
+	rng := simrand.New(5)
+	for i := 0; i < 64; i++ {
+		s := []float64{rng.Float64(), rng.Float64(), rng.Float64(), rng.Float64()}
+		a := []float64{rng.Range(-1, 1), rng.Range(-1, 1)}
+		agent.Observe(Transition{State: s, Action: a, Reward: rng.Norm(0, 1), NextState: s})
+	}
+	for i := 0; i < 24; i++ {
+		agent.Train()
+	}
+	h := sha256.New()
+	for _, n := range []*nn.Net{agent.actor, agent.actorTarget, agent.critic, agent.criticTarget} {
+		snap := n.Snapshot()
+		for l := range snap.W {
+			binary.Write(h, binary.LittleEndian, snap.W[l])
+			binary.Write(h, binary.LittleEndian, snap.B[l])
+		}
+	}
+	const want = "bf4669d2ffe0966376687bb2ab1e4721bc61a6f5d92a493b5537ebd4697c6b93"
+	if got := hex.EncodeToString(h.Sum(nil)); got != want {
+		t.Fatalf("trained weights digest %s, want %s", got, want)
 	}
 }

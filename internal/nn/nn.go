@@ -58,7 +58,9 @@ type Net struct {
 	w     [][]float64  // w[l][out*in+i]
 	b     [][]float64
 
-	// Adam state.
+	// Adam state, allocated by the first AdamStep: the moments start at
+	// zero, and a net that never trains (a target, an untrained actor)
+	// never needs them.
 	mw, vw, mb, vb [][]float64
 	step           int
 }
@@ -81,10 +83,6 @@ func NewNet(rng *simrand.Rand, sizes []int, hidden, output Activation) *Net {
 		}
 		n.w = append(n.w, w)
 		n.b = append(n.b, make([]float64, out))
-		n.mw = append(n.mw, make([]float64, in*out))
-		n.vw = append(n.vw, make([]float64, in*out))
-		n.mb = append(n.mb, make([]float64, out))
-		n.vb = append(n.vb, make([]float64, out))
 		act := hidden
 		if l == layers-1 {
 			act = output
@@ -198,6 +196,14 @@ func (n *Net) AdamStep(g *Grads, lr float64, batch int) {
 		beta2 = 0.999
 		eps   = 1e-8
 	)
+	if n.mw == nil {
+		for l := range n.w {
+			n.mw = append(n.mw, make([]float64, len(n.w[l])))
+			n.vw = append(n.vw, make([]float64, len(n.w[l])))
+			n.mb = append(n.mb, make([]float64, len(n.b[l])))
+			n.vb = append(n.vb, make([]float64, len(n.b[l])))
+		}
+	}
 	n.step++
 	bc1 := 1 - math.Pow(beta1, float64(n.step))
 	bc2 := 1 - math.Pow(beta2, float64(n.step))
@@ -297,10 +303,6 @@ func (n *Net) Clone() *Net {
 	for l := range n.w {
 		c.w = append(c.w, append([]float64(nil), n.w[l]...))
 		c.b = append(c.b, append([]float64(nil), n.b[l]...))
-		c.mw = append(c.mw, make([]float64, len(n.w[l])))
-		c.vw = append(c.vw, make([]float64, len(n.w[l])))
-		c.mb = append(c.mb, make([]float64, len(n.b[l])))
-		c.vb = append(c.vb, make([]float64, len(n.b[l])))
 	}
 	return c
 }

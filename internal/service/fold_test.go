@@ -428,8 +428,9 @@ func writable(events []store.Event) bool {
 // kept byte for byte so that old logs stay covered: recorded-log as managers
 // wrote it when a session entered the log as several records and a warm
 // start as its own, recorded-log-one-record as they wrote it while every
-// suggestion was journaled, and recorded-log-no-suggest as they write it
-// now.
+// suggestion was journaled, recorded-log-no-suggest as they wrote it while
+// a local harvest record carried its repository entry, and
+// recorded-log-inherited-harvest as they write it now.
 func FuzzRestore(f *testing.F) {
 	f.Fuzz(func(t *testing.T, jsonl []byte) {
 		var events []store.Event
@@ -496,7 +497,7 @@ func writeFuzzSeed(t *testing.T, events []store.Event) {
 		t.Fatal(err)
 	}
 	body := fmt.Sprintf("go test fuzz v1\n[]byte(%q)\n", jsonl.Bytes())
-	if err := os.WriteFile(filepath.Join(dir, "recorded-log-no-suggest"), []byte(body), 0o644); err != nil {
+	if err := os.WriteFile(filepath.Join(dir, "recorded-log-inherited-harvest"), []byte(body), 0o644); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -511,12 +512,16 @@ type parentAnswer struct {
 	History string      `json:"history_sha256"`
 }
 
-// TestOldLogsReopenToTheirAnswers: logs and snapshots written while every
-// suggestion was journaled — the FuzzRestore seeds recorded-log and
-// recorded-log-one-record, snapshot-indented.json and
-// adopt-parent-events.json — reopen to the sessions that build served from
-// them. testdata/parent-answers.json holds those answers as the last build
-// to write suggest records computed them, and must match bit for bit.
+// TestOldLogsReopenToTheirAnswers: logs and snapshots written by older
+// builds reopen to what those builds served from them. The ones written
+// while every suggestion was journaled — the FuzzRestore seeds recorded-log
+// and recorded-log-one-record, snapshot-indented.json and
+// adopt-parent-events.json — reopen to the sessions in
+// testdata/parent-answers.json, as the last build to write suggest records
+// computed them. Those and recorded-log-no-suggest, whose harvest records
+// all carry their entry, reopen to the model repositories in
+// testdata/parent-repositories.json, as the last build to write such
+// records replayed them. Both must match bit for bit.
 func TestOldLogsReopenToTheirAnswers(t *testing.T) {
 	answers := func(st restoredState) map[string]parentAnswer {
 		out := make(map[string]parentAnswer)
@@ -540,8 +545,14 @@ func TestOldLogsReopenToTheirAnswers(t *testing.T) {
 		}
 		return buf
 	}
-	got := make(map[string]map[string]parentAnswer)
-	for _, name := range []string{"recorded-log", "recorded-log-one-record"} {
+	type oldLog struct {
+		name     string
+		snap     []byte
+		events   []store.Event
+		answered bool // recorded in parent-answers.json
+	}
+	var logs []oldLog
+	for _, name := range []string{"recorded-log", "recorded-log-one-record", "recorded-log-no-suggest"} {
 		// Decoded as FuzzRestore decodes its inputs.
 		lit, ok := strings.CutPrefix(strings.TrimSpace(string(read("fuzz", "FuzzRestore", name))), "go test fuzz v1\n[]byte(")
 		jsonl, err := strconv.Unquote(strings.TrimSuffix(lit, ")"))
@@ -558,23 +569,48 @@ func TestOldLogsReopenToTheirAnswers(t *testing.T) {
 		for i := range events {
 			events[i].Seq = uint64(i + 1)
 		}
-		got[name] = answers(restoreState(t, true, nil, events))
+		logs = append(logs, oldLog{name: name, events: events, answered: name != "recorded-log-no-suggest"})
 	}
-	got["snapshot-indented.json"] = answers(restoreState(t, true, read("snapshot-indented.json"), nil))
+	logs = append(logs, oldLog{name: "snapshot-indented.json", snap: read("snapshot-indented.json"), answered: true})
 	var fixtures []struct{ Events []store.Event }
 	if err := json.Unmarshal(read("adopt-parent-events.json"), &fixtures); err != nil {
 		t.Fatal(err)
 	}
-	got["adopt-parent-events.json"] = make(map[string]parentAnswer)
 	for _, fx := range fixtures {
-		maps.Copy(got["adopt-parent-events.json"], answers(restoreState(t, true, nil, fx.Events)))
+		logs = append(logs, oldLog{name: "adopt-parent-events.json", events: fx.Events, answered: true})
 	}
 
-	buf, err := json.MarshalIndent(got, "", "\t")
-	if err != nil {
-		t.Fatal(err)
+	got := make(map[string]map[string]parentAnswer)
+	repos := make(map[string][]bo.RepoEntry)
+	for _, l := range logs {
+		if l.answered {
+			if got[l.name] == nil {
+				got[l.name] = make(map[string]parentAnswer)
+			}
+			maps.Copy(got[l.name], answers(restoreState(t, true, l.snap, l.events)))
+		}
+		// BuildHandoff's clock stands at the last record, so an entry
+		// recovery harvests itself is stamped the same on every run.
+		var snap *store.Snapshot
+		if l.snap != nil {
+			snap = new(store.Snapshot)
+			if err := json.Unmarshal(l.snap, snap); err != nil {
+				t.Fatal(err)
+			}
+		}
+		rep, err := BuildHandoff(snap, l.events, "")
+		if err != nil {
+			t.Fatal(err)
+		}
+		repos[l.name] = append(repos[l.name], rep.Repo...)
 	}
-	if want := read("parent-answers.json"); !bytes.Equal(append(buf, '\n'), want) {
-		t.Fatalf("old logs reopen to other answers than the build that wrote them served:\n got %s\nwant %s", buf, want)
+	for file, v := range map[string]any{"parent-answers.json": got, "parent-repositories.json": repos} {
+		buf, err := json.MarshalIndent(v, "", "\t")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := read(file); !bytes.Equal(append(buf, '\n'), want) {
+			t.Fatalf("old logs reopen to other answers than %s holds:\n got %s\nwant %s", file, buf, want)
+		}
 	}
 }

@@ -29,10 +29,12 @@ import (
 // order. The fold is idempotent: observe events carry a per-session
 // ordinal and are applied only when they extend the session's history,
 // create/close events (and old logs' warm events) are no-ops when already
-// reflected, and harvest events are keyed by session ID. The snapshot and
-// the log may therefore overlap — the snapshotter never stops the world,
-// and a crash between the snapshot rename and the log rewrite loses
-// nothing.
+// reflected, and harvest events are keyed by session ID. A local harvest
+// event carries no repository entry: the fold derives it (repoEntry) from
+// the session's history as folded up to the event, which is the history
+// the live harvest read. The snapshot and the log may therefore overlap —
+// the snapshotter never stops the world, and a crash between the snapshot
+// rename and the log rewrite loses nothing.
 
 // journal appends one event to the store, returning its sequence number
 // (0 without a store) and the append error. Every acknowledged write is one
@@ -419,7 +421,10 @@ func (s *Session) observe(rec store.Observation) {
 // plain data: no tuner is touched, so a session closed later in the log
 // costs a map delete. Events already reflected by the snapshot (or by an
 // earlier duplicate) are skipped, and so is a type it does not know (the
-// suggest records of old logs).
+// suggest records of old logs). A harvest event appends the entry it
+// carries (an import's, or an old log's local harvest) or, carrying none,
+// the one repoEntry derives from the session as folded so far, stamped
+// with the event's time.
 func (m *Manager) foldEvent(live map[string]*store.SessionSnapshot, snap *store.Snapshot, ev *store.Event) {
 	ss := live[ev.ID]
 	switch ev.Type {
@@ -478,14 +483,30 @@ func (m *Manager) foldEvent(live map[string]*store.SessionSnapshot, snap *store.
 		m.shardFor(ev.ID).closed[ev.ID] = ev.Seq
 
 	case store.EventHarvest:
-		if ev.Repo == nil || (snap != nil && ev.Seq <= snap.Fence) {
+		if snap != nil && ev.Seq <= snap.Fence {
 			return // in the snapshot repository, or evicted from it
 		}
 		if seq, ok := m.harvested[ev.ID]; ok {
 			m.harvested[ev.ID] = max(seq, ev.Seq)
+			if ss != nil {
+				// A snapshot collected while this harvest ran holds the
+				// session without it; settling must not harvest it again.
+				ss.Harvested = true
+			}
 			return // already folded into the snapshot repository
 		}
-		m.repo.Entries = append(m.repo.Entries, *ev.Repo)
+		entry := ev.Repo // an import's, or an old log's local harvest
+		if entry == nil {
+			if ss == nil {
+				return
+			}
+			e, ok := repoEntry(ss.Spec, ss.History, ev.Time)
+			if !ok {
+				return
+			}
+			entry = &e
+		}
+		m.repo.Entries = append(m.repo.Entries, *entry)
 		m.harvested[ev.ID] = harvestSeq(ev.ID, ev.Seq)
 		if ss != nil {
 			ss.Harvested = true

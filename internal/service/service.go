@@ -34,6 +34,7 @@ import (
 	"hash/fnv"
 	"log"
 	"math"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -962,7 +963,9 @@ func (m *Manager) Advertise() string { return m.opts.Advertise }
 
 // ImportRepository merges foreign model-repository entries (another node's
 // Drain export) into this manager's repository, journaling each new entry
-// before adding it, so every entry it reports added survives restarts.
+// before adding it, so every entry it reports added survives restarts. Its
+// harvest record carries the entry, which — unlike a local harvest's —
+// exists nowhere else in the log.
 // Entries already present — matched by workload, cluster, fingerprint,
 // default runtime, and size — are skipped, so imports are idempotent and a
 // mesh of nodes cross-importing converges. Returns how many entries were
@@ -1258,36 +1261,19 @@ func (m *Manager) refreshStateLocked(s *Session) {
 }
 
 // harvestLocked feeds a completed session into the shared model repository
-// (§6.6): its fingerprint — the client-supplied default-run statistics, or
-// the first observation carrying statistics — plus every observation as a
-// prior point. Callers hold s.mu.
+// (§6.6) and journals that it did. The record says when, not what: the
+// entry is repoEntry of the session's spec and history, and replay
+// (foldEvent) derives it again from the history the log holds before the
+// record — every observe of the session journaled before this call is in
+// it, every later one comes after the record. Callers hold s.mu.
 func (m *Manager) harvestLocked(s *Session) {
-	if s.harvested || len(s.history) == 0 {
-		return
-	}
-	fp, defaultSec, ok := s.fingerprintLocked()
-	if !ok {
-		return
-	}
-	cl, wl, err := resolve(s.spec)
-	if err != nil {
+	if s.harvested {
 		return
 	}
 	now := m.opts.Now()
-	entry := bo.RepoEntry{
-		Workload:    wl.Name,
-		ClusterName: cl.Name,
-		Fingerprint: fp,
-		DefaultSec:  defaultSec,
-		AddedAt:     now,
-		LastUsed:    now,
-	}
-	for _, h := range s.history {
-		entry.Points = append(entry.Points, bo.PriorPoint{
-			X:   s.space.Encode(h.Config),
-			Cfg: h.Config,
-			Y:   h.Objective,
-		})
+	entry, ok := repoEntry(s.spec, s.history, now)
+	if !ok {
+		return
 	}
 	s.harvested = true
 	m.repoMu.Lock()
@@ -1300,7 +1286,7 @@ func (m *Manager) harvestLocked(s *Session) {
 	// harvest event, so replay cannot resurrect them.
 	m.repoEvictions.Add(int64(len(m.repo.EvictDown(m.opts.RepoCapacity))))
 	m.repoMu.Unlock()
-	seq, err := m.journal(&store.Event{Type: store.EventHarvest, ID: s.id, Time: now, Repo: &entry})
+	seq, err := m.journal(&store.Event{Type: store.EventHarvest, ID: s.id, Time: now})
 	if err != nil || seq == 0 {
 		return // no store or append failed: the ID stays kept
 	}
@@ -1311,32 +1297,44 @@ func (m *Manager) harvestLocked(s *Session) {
 	m.repoMu.Unlock()
 }
 
-// fingerprintLocked returns the session's workload fingerprint and the
-// runtime of the run it was measured on: the client-supplied default-run
-// statistics, else a default-configuration experiment from the history
-// (the §6.6 protocol — warm-start-enabled auto sessions always run one),
-// else the first profiled experiment as an approximation. Callers hold
-// s.mu.
-func (s *Session) fingerprintLocked() (profile.Stats, float64, bool) {
-	if s.spec.Stats != nil {
-		sec := s.spec.DefaultRuntimeSec
-		if sec <= 0 && len(s.history) > 0 {
-			sec = s.history[0].RuntimeSec
-		}
-		return *s.spec.Stats, sec, true
+// repoEntry derives the repository entry a session's history stands for,
+// added at now: its workload fingerprint and the runtime of the run it was
+// measured on, plus every observation as a prior point. The fingerprint is
+// the client-supplied default-run statistics, else a default-configuration
+// experiment from the history (the §6.6 protocol — warm-start-enabled auto
+// sessions always run one), else the first profiled experiment as an
+// approximation. It reads nothing but its arguments, so a live harvest and
+// a replayed one build the same entry. It reports false when there is
+// nothing to harvest: no history, no statistics, or a spec this build
+// cannot resolve.
+func repoEntry(spec Spec, history []HistoryEntry, now time.Time) (bo.RepoEntry, bool) {
+	cl, wl, err := resolve(spec)
+	if err != nil || len(history) == 0 {
+		return bo.RepoEntry{}, false
 	}
-	def := s.space.Default()
-	for _, h := range s.history {
-		if h.Stats != nil && h.Config == def {
-			return *h.Stats, h.RuntimeSec, true
+	sp := tune.NewSpace(cl, wl)
+	e := bo.RepoEntry{Workload: wl.Name, ClusterName: cl.Name, AddedAt: now, LastUsed: now}
+	if spec.Stats != nil {
+		e.Fingerprint, e.DefaultSec = *spec.Stats, spec.DefaultRuntimeSec
+		if e.DefaultSec <= 0 {
+			e.DefaultSec = history[0].RuntimeSec
 		}
-	}
-	for _, h := range s.history {
-		if h.Stats != nil {
-			return *h.Stats, h.RuntimeSec, true
+	} else {
+		def := sp.Default()
+		i := slices.IndexFunc(history, func(h HistoryEntry) bool { return h.Stats != nil && h.Config == def })
+		if i < 0 {
+			i = slices.IndexFunc(history, func(h HistoryEntry) bool { return h.Stats != nil })
 		}
+		if i < 0 {
+			return bo.RepoEntry{}, false
+		}
+		e.Fingerprint, e.DefaultSec = *history[i].Stats, history[i].RuntimeSec
 	}
-	return profile.Stats{}, 0, false
+	e.Points = make([]bo.PriorPoint, len(history))
+	for i, h := range history {
+		e.Points[i] = bo.PriorPoint{X: sp.Encode(h.Config), Cfg: h.Config, Y: h.Objective}
+	}
+	return e, true
 }
 
 func (m *Manager) statusOf(s *Session) Status {

@@ -12,7 +12,10 @@
 //
 // On top of the same log, the store carries the shared bo.Repository of
 // completed sessions (the paper's §6.6 model re-use): harvest events
-// append one repository entry each, and the snapshot folds them in.
+// append one repository entry each, and the snapshot folds them in. A
+// local harvest record says only which session was harvested and when —
+// its entry is inherited from the history the log already holds before
+// it; an import's record (and an old log's local one) carries the entry.
 //
 // Two implementations are provided: File (a directory holding
 // snapshot.json and a segmented log, wal-000001.jsonl, wal-000002.jsonl, …)
@@ -44,7 +47,7 @@ const (
 	EventWarm    = "warm"    // old logs only: a warm start (payload: Warm)
 	EventObserve = "observe" // one measured experiment (payload: Obs, ordinal N; a fingerprinting run's Warm)
 	EventClose   = "close"   // tombstone: closed by the client or evicted by TTL
-	EventHarvest = "harvest" // a completed session fed the model repository
+	EventHarvest = "harvest" // a completed session fed the model repository (payload: Repo on imports and old logs only)
 )
 
 // SurrogateSpec configures a session's surrogate model (BO and GBO
@@ -161,7 +164,7 @@ type Event struct {
 	N       int              `json:"n,omitempty"`       // observe: per-session ordinal (0-based)
 	Obs     *Observation     `json:"obs,omitempty"`     // observe
 	Warm    *Warm            `json:"warm,omitempty"`    // observe (a fingerprinting run's match); warm, old logs
-	Repo    *bo.RepoEntry    `json:"repo,omitempty"`    // harvest
+	Repo    *bo.RepoEntry    `json:"repo,omitempty"`    // harvest: an import's entry; old logs' local harvests too
 }
 
 // HistoryRecord is one recorded experiment of a session: its Observation —
