@@ -91,7 +91,7 @@ func (t *Tuner) maximizeEI(model gp.Surrogate, tau float64) ([]float64, float64)
 			continue
 		}
 		ei := ExpectedImprovement(a.means[i], a.vars[i], tau)
-		if t.pen != nil {
+		if t.pen != nil && mayWin(ei, bestEI) {
 			ei *= t.pen(a.cands[i], a.cfgs[i])
 		}
 		if ei > bestEI {
@@ -109,7 +109,7 @@ func (t *Tuner) maximizeEI(model gp.Surrogate, tau float64) ([]float64, float64)
 		f := t.probeFeatures(x, cfg)
 		mean, variance := model.PredictInto(f, &a.gps)
 		ei := ExpectedImprovement(mean, variance, tau)
-		if t.pen != nil {
+		if t.pen != nil && mayWin(ei, bestEI) {
 			ei *= t.pen(x, cfg)
 		}
 		return ei
@@ -137,6 +137,11 @@ func (t *Tuner) maximizeEI(model gp.Surrogate, tau float64) ([]float64, float64)
 	}
 	return append([]float64(nil), a.best...), bestEI
 }
+
+// mayWin reports whether a candidate of raw expected improvement ei can
+// beat bestEI once a Penalty in [0, 1] scales it: such a penalty only
+// lowers a non-negative ei, but lifts a negative one (rounding) toward 0.
+func mayWin(ei, bestEI float64) bool { return ei > bestEI || ei < 0 }
 
 // poolFeatures maps the candidate pool through the Extra hook. Without a
 // hook the candidates are their own feature rows; with one, combined rows

@@ -97,11 +97,16 @@ func (o *Options) fill() {
 // x is the normalized configuration; cfg its decoded form. It is consulted
 // at surrogate-fit time, so implementations may evolve as profiles arrive
 // (GBO builds its guide model from the first bootstrap sample's profile).
+// The tuner copies the returned slice before the next call, so an
+// implementation may return the same buffer every time.
 type Extra func(x []float64, cfg conf.Config) []float64
 
 // Penalty scales the acquisition value of a candidate (1 = neutral); GBO
 // uses it to de-prioritize regions its white-box model marks unsafe or
-// wasteful.
+// wasteful. It must return a value in [0, 1]: the acquisition skips it for
+// candidates whose unpenalized expected improvement already cannot win,
+// which is exact only because such a penalty never raises a non-negative
+// value.
 type Penalty func(x []float64, cfg conf.Config) float64
 
 // Surrogate is the minimal Predict-only view of a response-surface model

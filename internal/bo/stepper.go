@@ -55,6 +55,10 @@ type Tuner struct {
 
 var _ tune.Tuner = (*Tuner)(nil)
 
+// acquired, when set, sees every acquisition's tuner, point and expected
+// improvement. Only tests set it, never while tuners run.
+var acquired func(t *Tuner, x []float64, ei float64)
+
 // NewTuner builds an incremental Bayesian optimizer over a configuration
 // space. extra and penalty may be nil (vanilla BO); package gbo supplies
 // them to obtain guided BO.
@@ -225,6 +229,9 @@ func (t *Tuner) advance() {
 	x, ei := t.maximizeEI(t.sur, tau)
 	if !acqStart.IsZero() {
 		t.opts.AcquisitionHist.Record(time.Since(acqStart))
+	}
+	if acquired != nil {
+		acquired(t, x, ei)
 	}
 	if x == nil {
 		t.done = true

@@ -94,8 +94,14 @@ func (m *Model) Metrics(c conf.Config) [3]float64 {
 // ExtraFeatures squashes Q into surrogate features on the scale of the
 // normalized knobs.
 func (m *Model) ExtraFeatures(cfg conf.Config) []float64 {
+	f := m.features(cfg)
+	return f[:]
+}
+
+// features is ExtraFeatures without the allocation, for the tuner's hook.
+func (m *Model) features(cfg conf.Config) [3]float64 {
 	q := m.Metrics(cfg)
-	return []float64{squash(q[0]), squash(q[1] / 2), squash(q[2] / 2)}
+	return [3]float64{squash(q[0]), squash(q[1] / 2), squash(q[2] / 2)}
 }
 
 // squash maps [0,∞) smoothly into [0,1.5) keeping the unit neighbourhood

@@ -10,6 +10,7 @@ import (
 	"relm/internal/sim"
 	"relm/internal/sim/cluster"
 	"relm/internal/sim/workload"
+	"relm/internal/simrand"
 	"relm/internal/tune"
 )
 
@@ -77,13 +78,35 @@ func TestMetricsFiniteAcrossSpace(t *testing.T) {
 	}
 }
 
+// TestPenaltyRange holds the acquisition penalty to (0, 1] — the range
+// bo.Penalty requires, because the acquisition skips the penalty of a
+// candidate whose raw expected improvement already cannot win. Q is built
+// from the default configuration's profile on every workload and both
+// clusters, and scores the grid plus random decoded points, whose
+// capacities are continuous.
 func TestPenaltyRange(t *testing.T) {
-	m := model()
-	sp := tune.NewSpace(cluster.A(), workload.KMeans())
-	for _, cfg := range sp.Grid() {
-		p := m.AcquisitionPenalty(cfg)
-		if p <= 0 || p > 1 {
-			t.Fatalf("penalty %v out of (0,1] for %v", p, cfg)
+	rng := simrand.New(37)
+	for _, cl := range []cluster.Spec{cluster.A(), cluster.B()} {
+		for _, wl := range workload.Benchmarks() {
+			ev := tune.NewEvaluator(cl, wl, 1)
+			st, ok := ev.Eval(ev.Space.Default()).DeriveStats()
+			if !ok {
+				t.Fatalf("%s/%s: no profile statistics", cl.Name, wl.Name)
+			}
+			m := NewModel(cl, st)
+			cfgs := ev.Space.Grid()
+			for i := 0; i < 10000; i++ {
+				x := make([]float64, ev.Space.Dim())
+				for d := range x {
+					x[d] = rng.Float64()
+				}
+				cfgs = append(cfgs, ev.Space.Decode(x))
+			}
+			for _, cfg := range cfgs {
+				if p := m.AcquisitionPenalty(cfg); !(p > 0 && p <= 1) {
+					t.Fatalf("%s/%s: penalty %v out of (0,1] for %+v", cl.Name, wl.Name, p, cfg)
+				}
+			}
 		}
 	}
 }

@@ -18,6 +18,7 @@ type Tuner struct {
 	inner *bo.Tuner
 	cl    cluster.Spec
 	model *Model
+	feat  [3]float64 // the Extra hook's result, copied by the caller at once
 }
 
 var _ tune.Tuner = (*Tuner)(nil)
@@ -26,10 +27,11 @@ var _ tune.Tuner = (*Tuner)(nil)
 func NewTuner(cl cluster.Spec, sp tune.Space, opts bo.Options) *Tuner {
 	t := &Tuner{cl: cl}
 	extra := func(_ []float64, cfg conf.Config) []float64 {
+		t.feat = [3]float64{}
 		if t.model != nil {
-			return t.model.ExtraFeatures(cfg)
+			t.feat = t.model.features(cfg)
 		}
-		return []float64{0, 0, 0}
+		return t.feat[:]
 	}
 	penalty := func(_ []float64, cfg conf.Config) float64 {
 		if t.model != nil {

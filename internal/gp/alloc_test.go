@@ -5,7 +5,8 @@ import "testing"
 // TestPredictAllocations holds the surrogate's zero-allocation contract: an
 // acquisition step scores hundreds of candidates per suggestion, so a
 // posterior evaluation through a warmed Scratch must not touch the heap —
-// not on the exact model, not over a 256-row pool, and not on a budgeted
+// not on the exact model, not over a 256-row pool (BO-shaped, and GBO's
+// 7-dimensional rows at a session's 12 points), and not on a budgeted
 // model whose stream has outgrown its active set.
 func TestPredictAllocations(t *testing.T) {
 	const dim, n, budget = 6, 100, 256
@@ -26,6 +27,16 @@ func TestPredictAllocations(t *testing.T) {
 	vars := make([]float64, len(pool))
 	if got := testing.AllocsPerRun(10, func() { g.PredictBatch(pool, means, vars, &s) }); got != 0 {
 		t.Errorf("GP.PredictBatch over %d rows: %v allocs/op, want 0", len(pool), got)
+	}
+
+	gx, gy := benchData(12+256, 7)
+	gg := New(RBF{Variance: 1, Length: constLengths(7, 0.35)}, 1e-4)
+	if err := gg.Fit(gx[:12], gy[:12]); err != nil {
+		t.Fatal(err)
+	}
+	gpool := gx[12:]
+	if got := testing.AllocsPerRun(10, func() { gg.PredictBatch(gpool, means, vars, &s) }); got != 0 {
+		t.Errorf("GP.PredictBatch over %d GBO rows: %v allocs/op, want 0", len(gpool), got)
 	}
 
 	sp := &Sparse{Kind: "rbf", BaseDims: dim, Budget: budget,

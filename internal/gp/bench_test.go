@@ -17,14 +17,17 @@ import (
 //   - observe=append: the incremental path — one O(n²) GP.Append.
 //   - predict: one allocation-free posterior evaluation (PredictInto).
 //   - predict=batch256: scoring a 256-candidate acquisition pool
-//     (PredictBatch) through one reused scratch.
+//     (PredictBatch) through one reused scratch, four candidates per pass.
+//
+// n = 12 is the mean surrogate size of a tune_offline session, 25 a long
+// session, 100 a warm-started or served one.
 //
 // Nothing gates these timings: TestPredictAllocations holds the predict
 // paths at 0 allocs/op, and the append-vs-refit cost on real sessions is the
 // benchmark's gp.append_us_per_call beside gp.refit_us_per_call.
 func BenchmarkGPFitPredict(b *testing.B) {
 	const dim = 6
-	for _, n := range []int{25, 100} {
+	for _, n := range []int{12, 25, 100} {
 		xs, ys := benchData(n+64, dim)
 
 		b.Run(fmt.Sprintf("observe=refit/n=%d", n), func(b *testing.B) {

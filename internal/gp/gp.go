@@ -11,9 +11,10 @@
 // the factor a batch refit would (falling back to a jittered batch refit
 // when the bordered pivot is not numerically positive). Prediction has
 // allocation-free variants (PredictInto, PredictBatch) that write into a
-// caller-owned Scratch, and Sparse schedules hyperparameter re-selection so
-// streaming observations pay the grid search only every few appends instead
-// of on every one.
+// caller-owned Scratch; PredictBatch scores four RBF candidates per pass and
+// returns, bit for bit, what PredictInto returns for each. Sparse schedules
+// hyperparameter re-selection so streaming observations pay the grid search
+// only every few appends instead of on every one.
 package gp
 
 import (
@@ -305,9 +306,10 @@ func (g *GP) N() int { return len(g.xs) }
 
 // Scratch holds the reusable buffers of the allocation-free prediction
 // path. A zero Scratch is ready to use; it grows to the size of the largest
-// GP it has served. A Scratch may be reused across models but must not be
-// shared by concurrent goroutines (the GP itself is safe for concurrent
-// PredictInto calls with distinct scratches).
+// GP it has served (v to four times its size, for PredictBatch's lanes).
+// A Scratch may be reused across models but must not be shared by
+// concurrent goroutines (the GP itself is safe for concurrent PredictInto
+// calls with distinct scratches).
 type Scratch struct {
 	k []float64
 	v []float64
@@ -347,12 +349,73 @@ func (g *GP) PredictInto(x []float64, s *Scratch) (mean, variance float64) {
 // PredictBatch scores a batch of candidate points, writing the posterior
 // means and variances into means and vars (which must be at least
 // len(xs) long). It allocates nothing in steady state.
+//
+// Under the prepared RBF kernel it scores four candidates per pass, so the
+// core overlaps four independent chains of floating-point operations
+// instead of waiting on one. Each lane performs PredictInto's operations in
+// PredictInto's order and in the same expression shapes (Go may fuse a
+// multiply-add on arm64, ppc64 and s390x; identical shapes fuse alike), so
+// every result has the bits PredictInto gives. A remainder of one to three
+// candidates, rows of unequal length and other kernels go one at a time.
 func (g *GP) PredictBatch(xs [][]float64, means, vars []float64, s *Scratch) {
 	if len(means) < len(xs) || len(vars) < len(xs) {
 		panic("gp: PredictBatch output length mismatch")
 	}
-	for i, x := range xs {
-		means[i], vars[i] = g.PredictInto(x, s)
+	i := 0
+	if kern, ok := g.eval.(preparedRBF); ok && g.chol != nil {
+		for ; i+4 <= len(xs); i += 4 {
+			q := xs[i : i+4 : i+4]
+			if dim := len(q[0]); len(q[1]) != dim || len(q[2]) != dim || len(q[3]) != dim {
+				break
+			}
+			g.predictRBF4(kern, q, means[i:i+4], vars[i:i+4], s)
+		}
+	}
+	for ; i < len(xs); i++ {
+		means[i], vars[i] = g.PredictInto(xs[i], s)
+	}
+}
+
+// predictRBF4 is PredictInto for four equal-length candidates under the
+// prepared RBF kernel, fused into one pass over the training rows: row r's
+// kernel value (preparedRBF.Eval), its k·α term and its forward-substitution
+// row of v = L⁻¹k (linalg.SolveLowerInto) need only rows ≤ r. Lane j of v
+// sits at Scratch.v[4r+j].
+func (g *GP) predictRBF4(kern preparedRBF, xs [][]float64, means, vars []float64, s *Scratch) {
+	s.v = growVec(s.v, 4*len(g.xs))
+	v := s.v
+	x0, dim := xs[0], len(xs[0])
+	x1, x2, x3, inv := xs[1][:dim], xs[2][:dim], xs[3][:dim], kern.inv[:dim]
+	var mu0, mu1, mu2, mu3, vv0, vv1, vv2, vv3 float64
+	for r, xr := range g.xs {
+		xr = xr[:dim]
+		var q0, q1, q2, q3 float64
+		for d, ad := range x0 {
+			e0, e1, e2, e3 := (ad-xr[d])*inv[d], (x1[d]-xr[d])*inv[d], (x2[d]-xr[d])*inv[d], (x3[d]-xr[d])*inv[d]
+			q0, q1, q2, q3 = q0+e0*e0, q1+e1*e1, q2+e2*e2, q3+e3*e3
+		}
+		k0, k1, k2, k3 := kern.variance*math.Exp(-0.5*q0), kern.variance*math.Exp(-0.5*q1),
+			kern.variance*math.Exp(-0.5*q2), kern.variance*math.Exp(-0.5*q3)
+		a := g.alpha[r]
+		mu0, mu1, mu2, mu3 = mu0+k0*a, mu1+k1*a, mu2+k2*a, mu3+k3*a
+		lr := g.chol.Row(r)
+		for c, l := range lr[:r] {
+			vc := v[4*c : 4*c+4 : 4*c+4]
+			k0, k1, k2, k3 = k0-l*vc[0], k1-l*vc[1], k2-l*vc[2], k3-l*vc[3]
+		}
+		vr := v[4*r : 4*r+4 : 4*r+4]
+		vr[0], vr[1], vr[2], vr[3] = k0/lr[r], k1/lr[r], k2/lr[r], k3/lr[r]
+		vv0, vv1, vv2, vv3 = vv0+vr[0]*vr[0], vv1+vr[1]*vr[1], vv2+vr[2]*vr[2], vv3+vr[3]*vr[3]
+	}
+	mu, vv := [4]float64{mu0, mu1, mu2, mu3}, [4]float64{vv0, vv1, vv2, vv3}
+	for j, x := range xs {
+		variance := g.eval.Eval(x, x) - vv[j]
+		if variance < 1e-12 {
+			variance = 1e-12
+		}
+		means[j] = g.meanY + g.stdY*mu[j]
+		variance *= g.stdY * g.stdY
+		vars[j] = variance
 	}
 }
 

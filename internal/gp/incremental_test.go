@@ -146,6 +146,59 @@ func TestPredictBatchMatchesPredict(t *testing.T) {
 	}
 }
 
+// TestPredictBatchIsPredictInto holds PredictBatch's four-lane path to
+// PredictInto bit for bit: every mean and variance of a batch must have the
+// bits the one-candidate path gives, at every model size the sessions reach,
+// at BO's 4 and GBO's 7 input dimensions, for pools that end on every
+// remainder of four, under grid- and ARD-selected length scales, for both
+// kernel families, through one Scratch reused across all of them. The pool
+// holds training rows (variance at the clamp) and a far point (kernel
+// column underflowing to 0) besides random candidates.
+func TestPredictBatchIsPredictInto(t *testing.T) {
+	var s Scratch
+	for _, dim := range []int{4, 7} {
+		pool, _ := benchData(259, dim)
+		for _, n := range []int{1, 2, 3, 4, 5, 12, 25, 60, 100} {
+			xs, ys := synth(simrand.New(uint64(31*n+dim)), n, dim)
+			copy(pool, xs[:min(n, 8)])
+			far := make([]float64, dim)
+			for d := range far {
+				far[d] = 40
+			}
+			pool[len(pool)-2] = far
+			for _, kind := range []string{"rbf", "matern52"} {
+				grid, err := FitBestGrouped(kind, xs, ys, 4)
+				if err != nil {
+					t.Fatal(err)
+				}
+				ard, err := FitBestARD(kind, xs, ys, 4, 0)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, fitted := range []struct {
+					fit string
+					g   *GP
+				}{{"grid", grid}, {"ard", ard}} {
+					g := fitted.g
+					for _, m := range []int{1, 3, 4, 5, 255, 256, 259} {
+						means := make([]float64, m)
+						vars := make([]float64, m)
+						g.PredictBatch(pool[:m], means, vars, &s)
+						for i, x := range pool[:m] {
+							mean, variance := g.PredictInto(x, &s)
+							if math.Float64bits(means[i]) != math.Float64bits(mean) ||
+								math.Float64bits(vars[i]) != math.Float64bits(variance) {
+								t.Fatalf("dim %d n %d %s/%s pool %d: batch[%d] = (%v, %v), PredictInto = (%v, %v)",
+									dim, n, kind, fitted.fit, m, i, means[i], vars[i], mean, variance)
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
 // The scheduler must append between selections, re-select on the RefitEvery
 // schedule, and fall back to a full selection when the data prefix changes
 // retroactively (e.g. a guide model maturing rewrites every feature row).
