@@ -1,6 +1,8 @@
 package bo
 
 import (
+	"slices"
+
 	"relm/internal/conf"
 	"relm/internal/gp"
 )
@@ -27,9 +29,16 @@ type acqScratch struct {
 	vars  []float64
 	gps   gp.Scratch
 
-	best  []float64 // incumbent acquisition point
-	probe []float64 // hill-climb candidate
-	pfeat []float64 // its feature row
+	best  []float64  // incumbent acquisition point
+	probe []float64  // hill-climb candidate
+	pfeat []float64  // its feature row
+	tried []probeKey // probes scored from the current incumbent
+}
+
+// probeKey names a hill-climb probe by the coordinate it moves and where.
+type probeKey struct {
+	d int
+	v float64
 }
 
 // grow readies the pool buffers for dim-dimensional candidates.
@@ -66,8 +75,9 @@ func (a *acqScratch) grow(dim int) {
 // it; non-GP models simply ignore the scratch). The probe order, RNG stream
 // and tie-breaking are identical to the original per-candidate
 // implementation, so it selects the same point; only the evaluation
-// plumbing changed. Returns a freshly copied point (or nil when every
-// candidate was already observed) and its expected improvement.
+// plumbing changed, and the hill-climb no longer re-scores a point it has
+// scored from the same incumbent. Returns a freshly copied point (or nil
+// when every candidate was already observed) and its expected improvement.
 func (t *Tuner) maximizeEI(model gp.Surrogate, tau float64) ([]float64, float64) {
 	a := &t.acq
 	dim := t.sp.Dim()
@@ -103,9 +113,11 @@ func (t *Tuner) maximizeEI(model gp.Surrogate, tau float64) ([]float64, float64)
 	}
 	copy(a.best, a.cands[bestIdx])
 
-	// Coordinate hill-climb from the incumbent acquisition point.
-	eiAt := func(x []float64) float64 {
-		cfg := t.sp.Decode(x)
+	// Coordinate hill-climb from the incumbent acquisition point. A probe
+	// that keeps the incumbent's coordinate (clamped) or repeats one tried
+	// from it is skipped: exact, since a point scores the same every time
+	// and cannot beat a bestEI that only rises under the strict >.
+	eiAt := func(x []float64, cfg conf.Config) float64 {
 		f := t.probeFeatures(x, cfg)
 		mean, variance := model.PredictInto(f, &a.gps)
 		ei := ExpectedImprovement(mean, variance, tau)
@@ -114,19 +126,27 @@ func (t *Tuner) maximizeEI(model gp.Surrogate, tau float64) ([]float64, float64)
 		}
 		return ei
 	}
+	a.tried = a.tried[:0]
 	step := 0.25
 	for step > 0.02 {
 		improved := false
 		for d := 0; d < dim; d++ {
 			for _, dir := range []float64{-1, 1} {
-				copy(a.probe, a.best)
-				a.probe[d] = clamp01(a.probe[d] + dir*step)
-				if t.seen[t.sp.Decode(a.probe)] {
+				v := clamp01(a.best[d] + dir*step)
+				if v == a.best[d] || slices.Contains(a.tried, probeKey{d, v}) {
 					continue
 				}
-				if ei := eiAt(a.probe); ei > bestEI {
+				a.tried = append(a.tried, probeKey{d, v})
+				copy(a.probe, a.best)
+				a.probe[d] = v
+				cfg := t.sp.Decode(a.probe)
+				if t.seen[cfg] {
+					continue
+				}
+				if ei := eiAt(a.probe, cfg); ei > bestEI {
 					bestEI = ei
 					copy(a.best, a.probe)
+					a.tried = a.tried[:0]
 					improved = true
 				}
 			}

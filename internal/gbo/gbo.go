@@ -94,13 +94,12 @@ func (m *Model) Metrics(c conf.Config) [3]float64 {
 // ExtraFeatures squashes Q into surrogate features on the scale of the
 // normalized knobs.
 func (m *Model) ExtraFeatures(cfg conf.Config) []float64 {
-	f := m.features(cfg)
+	f := featuresOf(m.Metrics(cfg))
 	return f[:]
 }
 
-// features is ExtraFeatures without the allocation, for the tuner's hook.
-func (m *Model) features(cfg conf.Config) [3]float64 {
-	q := m.Metrics(cfg)
+// featuresOf squashes the metrics q into guide features.
+func featuresOf(q [3]float64) [3]float64 {
 	return [3]float64{squash(q[0]), squash(q[1] / 2), squash(q[2] / 2)}
 }
 
@@ -117,8 +116,10 @@ func squash(v float64) float64 {
 // marks as unsafe (expected occupancy above capacity), memory-wasting (low
 // occupancy), long-term-thrashing (q2 high) or spill-storming (q3 high) —
 // the "expensive region" separation of §5.2.
-func (m *Model) AcquisitionPenalty(c conf.Config) float64 {
-	q := m.Metrics(c)
+func (m *Model) AcquisitionPenalty(c conf.Config) float64 { return penaltyOf(m.Metrics(c)) }
+
+// penaltyOf is AcquisitionPenalty of a configuration with metrics q.
+func penaltyOf(q [3]float64) float64 {
 	p := 1.0
 	switch {
 	case q[0] > 1.5: // far beyond capacity: aborts likely

@@ -19,6 +19,11 @@ type Tuner struct {
 	cl    cluster.Spec
 	model *Model
 	feat  [3]float64 // the Extra hook's result, copied by the caller at once
+
+	// The last Q computed: a probe's features and penalty read the same one.
+	qModel *Model
+	qCfg   conf.Config
+	q      [3]float64
 }
 
 var _ tune.Tuner = (*Tuner)(nil)
@@ -29,18 +34,26 @@ func NewTuner(cl cluster.Spec, sp tune.Space, opts bo.Options) *Tuner {
 	extra := func(_ []float64, cfg conf.Config) []float64 {
 		t.feat = [3]float64{}
 		if t.model != nil {
-			t.feat = t.model.features(cfg)
+			t.feat = featuresOf(t.metrics(cfg))
 		}
 		return t.feat[:]
 	}
 	penalty := func(_ []float64, cfg conf.Config) float64 {
 		if t.model != nil {
-			return t.model.AcquisitionPenalty(cfg)
+			return penaltyOf(t.metrics(cfg))
 		}
 		return 1
 	}
 	t.inner = bo.NewTuner(sp, opts, extra, penalty)
 	return t
+}
+
+// metrics is t.model.Metrics(cfg), memoized for one configuration.
+func (t *Tuner) metrics(cfg conf.Config) [3]float64 {
+	if t.qModel != t.model || t.qCfg != cfg {
+		t.qModel, t.qCfg, t.q = t.model, cfg, t.model.Metrics(cfg)
+	}
+	return t.q
 }
 
 // Suggest returns the next configuration to measure.

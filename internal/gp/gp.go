@@ -12,7 +12,10 @@
 // when the bordered pivot is not numerically positive). Prediction has
 // allocation-free variants (PredictInto, PredictBatch) that write into a
 // caller-owned Scratch; PredictBatch scores four RBF candidates per pass and
-// returns, bit for bit, what PredictInto returns for each. Sparse schedules
+// returns, bit for bit, what PredictInto returns for each. An RBF kernel
+// row takes its exps in one call: on amd64 with AVX2 and FMA four lanes per
+// instruction, with math.Exp's bits (checked against it at start-up; on a
+// mismatch every row stays on math.Exp). Sparse schedules
 // hyperparameter re-selection so streaming observations pay the grid search
 // only every few appends instead of on every one.
 package gp
@@ -84,13 +87,29 @@ type preparedRBF struct {
 }
 
 func (k preparedRBF) Eval(a, b []float64) float64 {
+	return k.variance * math.Exp(-0.5*sqdist(k.inv, a, b))
+}
+
+// sqdist is the squared scaled distance Σ ((a_d-b_d)·inv_d)².
+func sqdist(inv, a, b []float64) float64 {
 	var s float64
-	inv := k.inv
 	for d, ad := range a {
 		diff := (ad - b[d]) * inv[d]
 		s += diff * diff
 	}
-	return k.variance * math.Exp(-0.5*s)
+	return s
+}
+
+// row writes out[i] = Eval(x, xs[i]) for every row of xs (len(out) ==
+// len(xs)), taking the exps four lanes at a time through expInPlace.
+func (k preparedRBF) row(x []float64, xs [][]float64, out []float64) {
+	for i, xi := range xs {
+		out[i] = -0.5 * sqdist(k.inv, x, xi)
+	}
+	expInPlace(out)
+	for i, e := range out {
+		out[i] = k.variance * e
+	}
 }
 
 // preparedMatern52 is Matern52 with hoisted inverse length scales.
@@ -100,12 +119,7 @@ type preparedMatern52 struct {
 }
 
 func (k preparedMatern52) Eval(a, b []float64) float64 {
-	var s float64
-	inv := k.inv
-	for d, ad := range a {
-		diff := (ad - b[d]) * inv[d]
-		s += diff * diff
-	}
+	s := sqdist(k.inv, a, b)
 	r := math.Sqrt(s)
 	c := math.Sqrt(5) * r
 	return k.variance * (1 + c + 5.0/3.0*s) * math.Exp(-c)
@@ -141,6 +155,26 @@ func prepareKernel(k Kernel, dim int) Kernel {
 		return preparedMatern52{variance: kk.Variance, inv: invLengths(kk.Length, dim)}
 	}
 	return k
+}
+
+// kernelRow writes out[i] = eval.Eval(x, xs[i]) for every row of xs.
+func kernelRow(eval Kernel, x []float64, xs [][]float64, out []float64) {
+	if kern, ok := eval.(preparedRBF); ok {
+		kern.row(x, xs, out)
+		return
+	}
+	for i, xi := range xs {
+		out[i] = eval.Eval(x, xi)
+	}
+}
+
+// kernelSelf returns eval.Eval(x, x), under the RBF kernel without an exp:
+// there the distance is 0 unless x holds a NaN or an infinity.
+func kernelSelf(eval Kernel, x []float64) float64 {
+	if kern, ok := eval.(preparedRBF); ok && sqdist(kern.inv, x, x) == 0 {
+		return kern.variance
+	}
+	return eval.Eval(x, x)
 }
 
 // GP is a Gaussian Process regressor. Targets are standardized internally so
@@ -189,10 +223,10 @@ func (g *GP) Fit(xs [][]float64, ys []float64) error {
 	// Gram matrix + noise.
 	gram := linalg.NewMatrix(n, n)
 	for i := 0; i < n; i++ {
-		for j := i; j < n; j++ {
-			v := eval.Eval(cx[i], cx[j])
-			gram.Set(i, j, v)
-			gram.Set(j, i, v)
+		row := gram.Row(i)[i:]
+		kernelRow(eval, cx[i], cx[i:], row)
+		for j, v := range row[1:] {
+			gram.Set(i+1+j, i, v)
 		}
 	}
 	gram.AddDiag(g.Noise)
@@ -222,10 +256,8 @@ func (g *GP) Append(x []float64, y float64) error {
 		g.kbuf = make([]float64, n, n+n/2+8)
 	}
 	k := g.kbuf[:n]
-	for i, xi := range g.xs {
-		k[i] = g.eval.Eval(xc, xi)
-	}
-	d := g.eval.Eval(xc, xc) + g.Noise
+	kernelRow(g.eval, xc, g.xs, k)
+	d := kernelSelf(g.eval, xc) + g.Noise
 	chol, err := linalg.CholAppendRow(g.chol, k, d)
 	if err != nil {
 		return g.Fit(append(g.xs, xc), append(g.ys, y))
@@ -331,12 +363,10 @@ func (g *GP) PredictInto(x []float64, s *Scratch) (mean, variance float64) {
 	s.k = growVec(s.k, n)
 	s.v = growVec(s.v, n)
 	k := s.k
-	for i, xi := range g.xs {
-		k[i] = g.eval.Eval(x, xi)
-	}
+	kernelRow(g.eval, x, g.xs, k)
 	mu := linalg.Dot(k, g.alpha)
 	v := linalg.SolveLowerInto(g.chol, k, s.v)
-	variance = g.eval.Eval(x, x) - linalg.Dot(v, v)
+	variance = kernelSelf(g.eval, x) - linalg.Dot(v, v)
 	if variance < 1e-12 {
 		variance = 1e-12
 	}
@@ -377,16 +407,15 @@ func (g *GP) PredictBatch(xs [][]float64, means, vars []float64, s *Scratch) {
 }
 
 // predictRBF4 is PredictInto for four equal-length candidates under the
-// prepared RBF kernel, fused into one pass over the training rows: row r's
-// kernel value (preparedRBF.Eval), its k·α term and its forward-substitution
-// row of v = L⁻¹k (linalg.SolveLowerInto) need only rows ≤ r. Lane j of v
-// sits at Scratch.v[4r+j].
+// prepared RBF kernel. A first pass writes row r's four exp arguments to
+// Scratch.v[4r..] for one expInPlace call; a second fuses each row's k·α
+// term with its forward-substitution row of v = L⁻¹k, which needs only
+// rows ≤ r, and stores lane j of v over Scratch.v[4r+j] once it is read.
 func (g *GP) predictRBF4(kern preparedRBF, xs [][]float64, means, vars []float64, s *Scratch) {
 	s.v = growVec(s.v, 4*len(g.xs))
 	v := s.v
 	x0, dim := xs[0], len(xs[0])
 	x1, x2, x3, inv := xs[1][:dim], xs[2][:dim], xs[3][:dim], kern.inv[:dim]
-	var mu0, mu1, mu2, mu3, vv0, vv1, vv2, vv3 float64
 	for r, xr := range g.xs {
 		xr = xr[:dim]
 		var q0, q1, q2, q3 float64
@@ -394,8 +423,14 @@ func (g *GP) predictRBF4(kern preparedRBF, xs [][]float64, means, vars []float64
 			e0, e1, e2, e3 := (ad-xr[d])*inv[d], (x1[d]-xr[d])*inv[d], (x2[d]-xr[d])*inv[d], (x3[d]-xr[d])*inv[d]
 			q0, q1, q2, q3 = q0+e0*e0, q1+e1*e1, q2+e2*e2, q3+e3*e3
 		}
-		k0, k1, k2, k3 := kern.variance*math.Exp(-0.5*q0), kern.variance*math.Exp(-0.5*q1),
-			kern.variance*math.Exp(-0.5*q2), kern.variance*math.Exp(-0.5*q3)
+		vr := v[4*r : 4*r+4 : 4*r+4]
+		vr[0], vr[1], vr[2], vr[3] = -0.5*q0, -0.5*q1, -0.5*q2, -0.5*q3
+	}
+	expInPlace(v)
+	var mu0, mu1, mu2, mu3, vv0, vv1, vv2, vv3 float64
+	for r := range g.xs {
+		vr := v[4*r : 4*r+4 : 4*r+4]
+		k0, k1, k2, k3 := kern.variance*vr[0], kern.variance*vr[1], kern.variance*vr[2], kern.variance*vr[3]
 		a := g.alpha[r]
 		mu0, mu1, mu2, mu3 = mu0+k0*a, mu1+k1*a, mu2+k2*a, mu3+k3*a
 		lr := g.chol.Row(r)
@@ -403,13 +438,12 @@ func (g *GP) predictRBF4(kern preparedRBF, xs [][]float64, means, vars []float64
 			vc := v[4*c : 4*c+4 : 4*c+4]
 			k0, k1, k2, k3 = k0-l*vc[0], k1-l*vc[1], k2-l*vc[2], k3-l*vc[3]
 		}
-		vr := v[4*r : 4*r+4 : 4*r+4]
 		vr[0], vr[1], vr[2], vr[3] = k0/lr[r], k1/lr[r], k2/lr[r], k3/lr[r]
 		vv0, vv1, vv2, vv3 = vv0+vr[0]*vr[0], vv1+vr[1]*vr[1], vv2+vr[2]*vr[2], vv3+vr[3]*vr[3]
 	}
 	mu, vv := [4]float64{mu0, mu1, mu2, mu3}, [4]float64{vv0, vv1, vv2, vv3}
 	for j, x := range xs {
-		variance := g.eval.Eval(x, x) - vv[j]
+		variance := kernelSelf(g.eval, x) - vv[j]
 		if variance < 1e-12 {
 			variance = 1e-12
 		}

@@ -153,8 +153,13 @@ func TestPredictBatchMatchesPredict(t *testing.T) {
 // remainder of four, under grid- and ARD-selected length scales, for both
 // kernel families, through one Scratch reused across all of them. The pool
 // holds training rows (variance at the clamp) and a far point (kernel
-// column underflowing to 0) besides random candidates.
+// column underflowing to 0) besides random candidates. It runs on both exp
+// paths, packed and math.Exp.
 func TestPredictBatchIsPredictInto(t *testing.T) {
+	forEachExpPath(t, predictBatchIsPredictInto)
+}
+
+func predictBatchIsPredictInto(t *testing.T) {
 	var s Scratch
 	for _, dim := range []int{4, 7} {
 		pool, _ := benchData(259, dim)

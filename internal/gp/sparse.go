@@ -160,10 +160,8 @@ func (s *Sparse) absorbOne(x []float64, y float64) error {
 	n := g.N()
 	s.kbuf = growVec(s.kbuf, n)
 	s.vbuf = growVec(s.vbuf, n)
-	for i, xi := range g.xs {
-		s.kbuf[i] = g.eval.Eval(x, xi)
-	}
-	d := g.eval.Eval(x, x) + g.Noise
+	kernelRow(g.eval, x, g.xs, s.kbuf)
+	d := kernelSelf(g.eval, x) + g.Noise
 	v := linalg.SolveLowerInto(g.chol, s.kbuf, s.vbuf)
 	cond := d - linalg.Dot(v, v)
 
