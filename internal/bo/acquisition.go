@@ -89,18 +89,31 @@ func (t *Tuner) maximizeEI(model gp.Surrogate, tau float64) ([]float64, float64)
 			x[d] = t.rng.Float64()
 		}
 	}
-	for i, x := range a.cands {
-		a.cfgs[i] = t.sp.Decode(x)
+	// The hooks read every candidate's configuration. Without them only a
+	// candidate that would beat bestEI is decoded and checked against the
+	// observed set: exact, since skipping a seen candidate and the strict >
+	// commute.
+	hooked := t.extra != nil || t.pen != nil
+	if hooked {
+		for i, x := range a.cands {
+			a.cfgs[i] = t.sp.Decode(x)
+		}
 	}
 	feats := t.poolFeatures()
 	model.PredictBatch(feats, a.means, a.vars, &a.gps)
 	bestEI := -1.0
 	bestIdx := -1
-	for i := range a.cands {
+	for i, x := range a.cands {
+		ei := ExpectedImprovement(a.means[i], a.vars[i], tau)
+		if !hooked {
+			if ei > bestEI && !t.seen[t.sp.Decode(x)] {
+				bestEI, bestIdx = ei, i
+			}
+			continue
+		}
 		if t.seen[a.cfgs[i]] {
 			continue
 		}
-		ei := ExpectedImprovement(a.means[i], a.vars[i], tau)
 		if t.pen != nil && mayWin(ei, bestEI) {
 			ei *= t.pen(a.cands[i], a.cfgs[i])
 		}

@@ -27,11 +27,15 @@ type acqDigest struct {
 // TestAcquisitionMatchesParent pins what the acquisition computes, bit for
 // bit: cold BO and GBO sessions on every workload, both clusters and two
 // seeds run to the stopping rule, hashing each suggested configuration and
-// each maximization's point and expected improvement. The digests in
-// testdata/acquisition-parent-digest.json were written by the build that
-// scored its pool one candidate at a time, before the batched path and the
-// penalty skip; a mismatch means a faster path changed a float. Never
-// regenerate the file to make a speed-up pass.
+// each maximization's point and expected improvement. The digests record
+// the rounding of math.Exp, whose amd64 code has an FMA and an SSE2 path.
+// testdata/acquisition-parent-digest.json holds the FMA path's, written by
+// the build that scored its pool one candidate at a time, before the
+// batched path and the penalty skip; acquisition-parent-digest-nofma.json
+// the SSE2 path's (GODEBUG=cpu.fma=off), written by the build that scored
+// it four candidates per pass, before the sixteen-lane kernel and the lazy
+// decode. A mismatch means a faster path changed a float. Never regenerate
+// a file to make a speed-up pass.
 func TestAcquisitionMatchesParent(t *testing.T) {
 	got := make(map[string]acqDigest)
 	for _, backend := range []string{"bo", "gbo"} {
@@ -48,13 +52,24 @@ func TestAcquisitionMatchesParent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := os.ReadFile(filepath.Join("testdata", "acquisition-parent-digest.json"))
+	name := "acquisition-parent-digest.json"
+	if !expFuses() {
+		name = "acquisition-parent-digest-nofma.json"
+	}
+	want, err := os.ReadFile(filepath.Join("testdata", name))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(append(buf, '\n'), want) {
-		t.Fatalf("acquisition computed other points than the one-candidate-at-a-time build:\n got %s\nwant %s", buf, want)
+		t.Fatalf("acquisition computed other points than %s records:\n got %s\nwant %s", name, buf, want)
 	}
+}
+
+// expFuses reports whether math.Exp takes its FMA path: the two paths
+// round exp(-2832/127) one ulp apart.
+func expFuses() bool {
+	x := -2832.0 / 127
+	return math.Float64bits(math.Exp(x)) == 0x3dec6c89d1535833
 }
 
 // acquisitionTrace drives one cold session to its stopping rule and digests

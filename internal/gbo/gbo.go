@@ -34,7 +34,7 @@ func NewModel(cl cluster.Spec, st profile.Stats) *Model {
 // requirements returns the cache and per-task shuffle requirements under a
 // candidate heap size, via the RelM initializer models (Eqs 1 and 2).
 func (m *Model) requirements(mh float64) (mcReq, msReq float64) {
-	st := m.Stats
+	st := &m.Stats
 	if st.McMB > 0 {
 		frac := st.McMB / (math.Max(st.H, 1e-6) * st.MhMB)
 		mcReq = mh * math.Min(frac, 1-m.Delta)
@@ -49,7 +49,7 @@ func (m *Model) requirements(mh float64) (mcReq, msReq float64) {
 // Metrics computes q = {q1, q2, q3} for a candidate configuration
 // (Equation 8).
 func (m *Model) Metrics(c conf.Config) [3]float64 {
-	st := m.Stats
+	st := &m.Stats
 	mh := m.Cluster.HeapPerContainer(c.ContainersPerNode)
 	mcX := c.CacheCapacity * mh
 	msX := c.ShuffleCapacity * mh / float64(maxInt(c.TaskConcurrency, 1))

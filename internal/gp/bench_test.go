@@ -17,7 +17,8 @@ import (
 //   - observe=append: the incremental path — one O(n²) GP.Append.
 //   - predict: one allocation-free posterior evaluation (PredictInto).
 //   - predict=batch256: scoring a 256-candidate acquisition pool
-//     (PredictBatch) through one reused scratch, four candidates per pass.
+//     (PredictBatch) through one reused scratch, sixteen candidates per
+//     pass where the packed kernels run, four otherwise.
 //
 // n = 12 is the mean surrogate size of a tune_offline session, 25 a long
 // session, 100 a warm-started or served one.

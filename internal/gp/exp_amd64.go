@@ -6,8 +6,8 @@ import "math"
 func hasAVX2FMA() bool
 
 // exp4 sets x[i] = math.Exp(x[i]), four lanes per instruction, over the
-// leading groups of four whose lanes all lie in [-708, 0], and returns how
-// many elements it set.
+// leading groups of four whose lanes all lie in [-708, 0] or at or below
+// -746 (where math.Exp is +0), and returns how many elements it set.
 //
 //go:noescape
 func exp4(x []float64) int
@@ -19,8 +19,8 @@ func exp4(x []float64) int
 var haveExp4 = hasAVX2FMA() && exp4MatchesMath()
 
 // expInPlace sets every x[i] = math.Exp(x[i]), bit for bit. A group of four
-// with a lane outside [-708, 0] goes one lane at a time, a tail of one to
-// three through a zero-padded group.
+// with a lane in (-746, -708), above 0 or NaN goes one lane at a time, a
+// tail of one to three through a zero-padded group.
 func expInPlace(x []float64) {
 	for haveExp4 && len(x) >= 4 {
 		n := exp4(x)

@@ -5,7 +5,9 @@
 // exp4 is the AVX+FMA path of math/exp_amd64.s (Shibata's SLEEF method,
 // ISC'10) packed four lanes wide: each lane does the scalar code's IEEE
 // operations in its order, so it gets math.Exp's bits. It takes lanes in
-// [-708, 0] only, where the scalar code goes straight to lastStep.
+// [-708, 0], where the scalar code goes straight to lastStep, and lanes at
+// or below -746, which it sets to +0 as the scalar code's underflow branch
+// does (there x·log2(e) rounds to an exponent below -1075).
 #include "textflag.h"
 
 DATA expdata<>+0(SB)/8, $1.4426950408889634073599246810018920 // log2(e)
@@ -23,7 +25,8 @@ DATA expdata<>+88(SB)/8, $1.0
 DATA expdata<>+96(SB)/8, $2.0
 DATA expdata<>+104(SB)/8, $-708.0
 DATA expdata<>+112(SB)/8, $1023 // exponent bias
-GLOBL expdata<>+0(SB), RODATA, $120
+DATA expdata<>+120(SB)/8, $-746.0
+GLOBL expdata<>+0(SB), RODATA, $128
 
 // func hasAVX2FMA() bool
 TEXT ·hasAVX2FMA(SB), NOSPLIT, $0-1
@@ -59,7 +62,6 @@ TEXT ·exp4(SB), NOSPLIT, $0-32
 	VBROADCASTSD expdata<>+0(SB), Y15
 	VBROADCASTSD expdata<>+8(SB), Y14
 	VBROADCASTSD expdata<>+16(SB), Y13
-	VBROADCASTSD expdata<>+24(SB), Y12
 	VBROADCASTSD expdata<>+32(SB), Y11
 	VBROADCASTSD expdata<>+40(SB), Y10
 	VBROADCASTSD expdata<>+48(SB), Y9
@@ -77,15 +79,19 @@ loop:
 	VXORPD       Y2, Y2, Y2
 	VCMPPD       $0x12, Y2, Y0, Y2 // x <= 0
 	VANDPD       Y1, Y2, Y1
+	VBROADCASTSD expdata<>+120(SB), Y2
+	VCMPPD       $0x12, Y2, Y0, Y12 // x <= -746: math.Exp's underflow to +0
+	VORPD        Y12, Y1, Y1
 	VMOVMSKPD    Y1, BX
 	CMPQ         BX, $15
-	JNE          done            // a lane outside [-708, 0], or NaN
+	JNE          done            // a lane in (-746, -708), above 0, or NaN
 	VMULPD       Y15, Y0, Y1 // x·log2e
 	VCVTPD2DQY   Y1, X3      // k, rounded as CVTSD2SL rounds
 	VCVTDQ2PD    X3, Y2
 	VFNMADD231PD Y14, Y2, Y0 // x -= k·ln2U
 	VFNMADD231PD Y13, Y2, Y0 // x -= k·ln2L
-	VMULPD       Y12, Y0, Y0 // reduce argument
+	VBROADCASTSD expdata<>+24(SB), Y2
+	VMULPD       Y2, Y0, Y0 // reduce argument
 	VMOVAPD      Y11, Y1     // Taylor series evaluation
 	VFMADD213PD Y10, Y0, Y1
 	VFMADD213PD Y9, Y0, Y1
@@ -109,6 +115,7 @@ loop:
 	VPADDQ       Y1, Y3, Y3
 	VPSLLQ       $52, Y3, Y3
 	VMULPD       Y3, Y0, Y0
+	VANDNPD      Y0, Y12, Y0 // +0 where x <= -746
 	VMOVUPD      Y0, (SI)
 	ADDQ    $32, SI
 	ADDQ    $4, AX

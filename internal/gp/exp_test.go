@@ -41,9 +41,10 @@ func expMatches(t *testing.T, xs []float64) {
 
 // TestExpIsMathExp holds expInPlace to math.Exp bit for bit: on a million
 // seeded arguments log-uniform in [-708, 0], on the edges of the packed
-// range, on the lanes it leaves to math.Exp (positive, below -708, ±Inf,
-// NaN) mixed into packed groups at every position, and on every length from
-// 0 to 9 (the tails shorter than a group).
+// ranges (both sides of -746, at and below which a lane is zeroed, as
+// math.Exp zeroes it), on other lanes outside [-708, 0] (positive, far
+// below, ±Inf, NaN) mixed into packed groups at every position, and on every
+// length from 0 to 9 (the tails shorter than a group).
 func TestExpIsMathExp(t *testing.T) {
 	forEachExpPath(t, func(t *testing.T) {
 		rng := simrand.New(38)
@@ -55,8 +56,9 @@ func TestExpIsMathExp(t *testing.T) {
 			expMatches(t, buf)
 		}
 
-		edges := []float64{-708, -707.99, math.Copysign(0, -1), 0, -5e-324}
-		outside := []float64{0.5, 1, 709, 710, -708.0000000001, -745, -746, -1e308,
+		edges := []float64{-708, -707.99, math.Copysign(0, -1), 0, -5e-324,
+			-745.13, -745.5, -746, math.Nextafter(-746, math.Inf(-1))}
+		outside := []float64{0.5, 1, 709, 710, -708.0000000001, -745, -1e308,
 			math.Inf(1), math.Inf(-1), math.NaN(), 5e-324}
 		for _, e := range append(edges, outside...) {
 			for n := 0; n <= 9; n++ {

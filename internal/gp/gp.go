@@ -11,11 +11,13 @@
 // the factor a batch refit would (falling back to a jittered batch refit
 // when the bordered pivot is not numerically positive). Prediction has
 // allocation-free variants (PredictInto, PredictBatch) that write into a
-// caller-owned Scratch; PredictBatch scores four RBF candidates per pass and
-// returns, bit for bit, what PredictInto returns for each. An RBF kernel
-// row takes its exps in one call: on amd64 with AVX2 and FMA four lanes per
-// instruction, with math.Exp's bits (checked against it at start-up; on a
-// mismatch every row stays on math.Exp). Sparse schedules
+// caller-owned Scratch; PredictBatch scores RBF candidates sixteen per pass
+// on amd64 (an assembly kernel with no FMA, checked against the Go
+// four-lane path at start-up), four per pass otherwise, and returns, bit
+// for bit, what PredictInto returns for each. An RBF kernel row takes its
+// exps in one call: on amd64 with AVX2 and FMA four lanes per instruction,
+// with math.Exp's bits (checked against it at start-up; on a mismatch
+// every row stays on math.Exp). Sparse schedules
 // hyperparameter re-selection so streaming observations pay the grid search
 // only every few appends instead of on every one.
 package gp
@@ -338,7 +340,8 @@ func (g *GP) N() int { return len(g.xs) }
 
 // Scratch holds the reusable buffers of the allocation-free prediction
 // path. A zero Scratch is ready to use; it grows to the size of the largest
-// GP it has served (v to four times its size, for PredictBatch's lanes).
+// GP it has served (v to sixteen times its size, for PredictBatch's lanes,
+// and k to sixteen candidates' coordinates).
 // A Scratch may be reused across models but must not be shared by
 // concurrent goroutines (the GP itself is safe for concurrent PredictInto
 // calls with distinct scratches).
@@ -380,30 +383,41 @@ func (g *GP) PredictInto(x []float64, s *Scratch) (mean, variance float64) {
 // means and variances into means and vars (which must be at least
 // len(xs) long). It allocates nothing in steady state.
 //
-// Under the prepared RBF kernel it scores four candidates per pass, so the
-// core overlaps four independent chains of floating-point operations
-// instead of waiting on one. Each lane performs PredictInto's operations in
+// Under the prepared RBF kernel it scores sixteen candidates per pass where
+// the packed kernel is on (predictRBF16), four otherwise, so the core
+// overlaps independent chains of floating-point operations instead of
+// waiting on one. Each lane performs PredictInto's operations in
 // PredictInto's order and in the same expression shapes (Go may fuse a
-// multiply-add on arm64, ppc64 and s390x; identical shapes fuse alike), so
-// every result has the bits PredictInto gives. A remainder of one to three
-// candidates, rows of unequal length and other kernels go one at a time.
+// multiply-add on arm64, ppc64 and s390x; identical shapes fuse alike, and
+// the packed kernel fuses nothing), so every result has the bits
+// PredictInto gives. A remainder of one to three candidates, rows of
+// unequal length and other kernels go one at a time.
 func (g *GP) PredictBatch(xs [][]float64, means, vars []float64, s *Scratch) {
 	if len(means) < len(xs) || len(vars) < len(xs) {
 		panic("gp: PredictBatch output length mismatch")
 	}
 	i := 0
 	if kern, ok := g.eval.(preparedRBF); ok && g.chol != nil {
-		for ; i+4 <= len(xs); i += 4 {
-			q := xs[i : i+4 : i+4]
-			if dim := len(q[0]); len(q[1]) != dim || len(q[2]) != dim || len(q[3]) != dim {
-				break
-			}
-			g.predictRBF4(kern, q, means[i:i+4], vars[i:i+4], s)
+		for ; havePredict16 && i+16 <= len(xs) && sameLen(xs[i:i+16]); i += 16 {
+			g.predictRBF16(kern, xs[i:i+16], means[i:i+16], vars[i:i+16], s)
+		}
+		for ; i+4 <= len(xs) && sameLen(xs[i:i+4]); i += 4 {
+			g.predictRBF4(kern, xs[i:i+4:i+4], means[i:i+4], vars[i:i+4], s)
 		}
 	}
 	for ; i < len(xs); i++ {
 		means[i], vars[i] = g.PredictInto(xs[i], s)
 	}
+}
+
+// sameLen reports whether every row of xs is as long as the first.
+func sameLen(xs [][]float64) bool {
+	for _, x := range xs[1:] {
+		if len(x) != len(xs[0]) {
+			return false
+		}
+	}
+	return true
 }
 
 // predictRBF4 is PredictInto for four equal-length candidates under the
@@ -441,7 +455,36 @@ func (g *GP) predictRBF4(kern preparedRBF, xs [][]float64, means, vars []float64
 		vr[0], vr[1], vr[2], vr[3] = k0/lr[r], k1/lr[r], k2/lr[r], k3/lr[r]
 		vv0, vv1, vv2, vv3 = vv0+vr[0]*vr[0], vv1+vr[1]*vr[1], vv2+vr[2]*vr[2], vv3+vr[3]*vr[3]
 	}
-	mu, vv := [4]float64{mu0, mu1, mu2, mu3}, [4]float64{vv0, vv1, vv2, vv3}
+	g.finish(xs, []float64{mu0, mu1, mu2, mu3}, []float64{vv0, vv1, vv2, vv3}, means, vars)
+}
+
+// predictRBF16 is predictRBF4 on sixteen candidates, both passes in
+// assembly four lanes per register: with the candidates' coordinates
+// transposed into Scratch.k, dist16 writes row r's sixteen exp arguments to
+// Scratch.v[16r..], and predict16 runs the second pass over them.
+func (g *GP) predictRBF16(kern preparedRBF, xs [][]float64, means, vars []float64, s *Scratch) {
+	n, dim := len(g.xs), len(xs[0])
+	s.k = growVec(s.k, 16*dim)
+	s.v = growVec(s.v, 16*n)
+	cols, v, inv := s.k, s.v, kern.inv[:dim]
+	for j, x := range xs {
+		for d, xd := range x[:dim] {
+			cols[16*d+j] = xd
+		}
+	}
+	for _, xr := range g.xs {
+		_ = xr[:dim] // PredictInto panics on a short row too
+	}
+	dist16(cols, inv, g.xs, v)
+	expInPlace(v)
+	var mu, vv [16]float64
+	predict16(v[:16*n], g.alpha[:n], g.chol.Data[:n*g.chol.Cols], g.chol.Cols, kern.variance, &mu, &vv)
+	g.finish(xs, mu[:], vv[:], means, vars)
+}
+
+// finish turns each lane's k·α and v·v into PredictInto's mean and
+// variance.
+func (g *GP) finish(xs [][]float64, mu, vv, means, vars []float64) {
 	for j, x := range xs {
 		variance := kernelSelf(g.eval, x) - vv[j]
 		if variance < 1e-12 {

@@ -204,6 +204,71 @@ func predictBatchIsPredictInto(t *testing.T) {
 	}
 }
 
+// TestPredictBatch16IsPredictInto holds PredictBatch's sixteen-lane path to
+// PredictInto bit for bit, with the packed kernel on (where the CPU has it)
+// and off: at every model size from 1 to 40 rows, both batch-fitted and as
+// a Sparse grown by appends, at BO's 4 and GBO's 7 input dimensions, for
+// batches of 15, 16, 17, 255 and 256 candidates. Training rows and
+// candidates include far points whose kernel values underflow, wholly or
+// into math.Exp's subnormal range. Where the CPU has the kernel, it must
+// also have passed its start-up check: one that fails it is broken.
+func TestPredictBatch16IsPredictInto(t *testing.T) {
+	if canPredict16 && !havePredict16 {
+		t.Fatal("the packed predict kernel failed its start-up check")
+	}
+	saved := havePredict16
+	defer func() { havePredict16 = saved }()
+	for _, packed := range []bool{true, false} {
+		if packed && !canPredict16 {
+			continue
+		}
+		havePredict16 = packed
+		var s Scratch
+		for _, dim := range []int{4, 7} {
+			pool, _ := benchData(256, dim)
+			xs, ys := synth(simrand.New(uint64(39*dim)), 40, dim)
+			for _, p := range [][]float64{pool[3], pool[200], xs[6], xs[30]} {
+				for d := range p {
+					p[d] += 40
+				}
+			}
+			for _, p := range [][]float64{pool[17], xs[11]} {
+				p[0] += 13.2
+			}
+			sp := &Sparse{Kind: "rbf", BaseDims: 4}
+			means, vars := make([]float64, len(pool)), make([]float64, len(pool))
+			for n := 1; n <= len(xs); n++ {
+				g := New(RBF{Variance: 1.3, Length: constLengths(dim, 0.35)}, 1e-4)
+				if err := g.Fit(xs[:n], ys[:n]); err != nil {
+					t.Fatal(err)
+				}
+				if err := sp.SetData(xs[:n], ys[:n]); err != nil {
+					t.Fatal(err)
+				}
+				for _, model := range []interface {
+					PredictBatch(xs [][]float64, means, vars []float64, s *Scratch)
+					PredictInto(x []float64, s *Scratch) (mean, variance float64)
+				}{g, sp} {
+					for _, m := range []int{15, 16, 17, 255, 256} {
+						model.PredictBatch(pool[:m], means, vars, &s)
+						for i, x := range pool[:m] {
+							mean, variance := model.PredictInto(x, &s)
+							if math.Float64bits(means[i]) != math.Float64bits(mean) ||
+								math.Float64bits(vars[i]) != math.Float64bits(variance) {
+								t.Fatalf("packed %v dim %d n %d %T batch %d: [%d] = (%v, %v), PredictInto = (%v, %v)",
+									packed, dim, n, model, m, i, means[i], vars[i], mean, variance)
+							}
+						}
+					}
+				}
+			}
+			if sp.Stats().Appends == 0 {
+				t.Fatal("the Sparse model never appended")
+			}
+		}
+	}
+}
+
 // The scheduler must append between selections, re-select on the RefitEvery
 // schedule, and fall back to a full selection when the data prefix changes
 // retroactively (e.g. a guide model maturing rewrites every feature row).

@@ -50,14 +50,14 @@ func (s Space) Dim() int { return 4 }
 
 // MaxConcurrency returns the Task Concurrency upper bound for n containers
 // per node.
-func (s Space) MaxConcurrency(n int) int {
+func (s *Space) MaxConcurrency(n int) int {
 	return s.Cluster.MaxConcurrencyPerContainer(n)
 }
 
 // Decode maps a point of [0,1]^4 to a concrete configuration. The
 // concurrency coordinate is interpreted relative to its container-dependent
 // range, which keeps the normalized space rectangular.
-func (s Space) Decode(x []float64) conf.Config {
+func (s *Space) Decode(x []float64) conf.Config {
 	if len(x) != s.Dim() {
 		panic(fmt.Sprintf("tune: Decode expects %d dims, got %d", s.Dim(), len(x)))
 	}
@@ -70,7 +70,7 @@ func (s Space) Decode(x []float64) conf.Config {
 }
 
 // Build assembles a configuration with the dominant-pool convention.
-func (s Space) Build(n, p int, capacity float64, nr int) conf.Config {
+func (s *Space) Build(n, p int, capacity float64, nr int) conf.Config {
 	c := conf.Config{
 		ContainersPerNode: units.ClampInt(n, 1, s.MaxContainers),
 		TaskConcurrency:   p,
