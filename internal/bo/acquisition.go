@@ -17,8 +17,7 @@ const poolSize = 256
 // session reuses it across observations and concurrent sessions never
 // contend on allocation.
 type acqScratch struct {
-	flat  []float64   // candidate pool backing array, poolSize×dim
-	cands [][]float64 // row views into flat
+	cands [][]float64 // poolSize row views into one backing array
 	cfgs  []conf.Config
 
 	featFlat []float64   // feature-row backing (distinct from cands when an Extra hook is set)
@@ -41,31 +40,22 @@ type probeKey struct {
 	v float64
 }
 
-// grow readies the pool buffers for dim-dimensional candidates.
+// grow readies the pool buffers for dim-dimensional candidates. A tuner's
+// dimension never changes, so they are built once, row views and all.
 func (a *acqScratch) grow(dim int) {
-	if cap(a.flat) < poolSize*dim {
-		a.flat = make([]float64, poolSize*dim)
-		a.cands = make([][]float64, poolSize)
+	if len(a.best) == dim {
+		return
 	}
-	a.flat = a.flat[:poolSize*dim]
-	a.cands = a.cands[:poolSize]
+	flat := make([]float64, poolSize*dim)
+	a.cands = make([][]float64, poolSize)
 	for i := range a.cands {
-		a.cands[i] = a.flat[i*dim : (i+1)*dim]
+		a.cands[i] = flat[i*dim : (i+1)*dim]
 	}
-	if cap(a.cfgs) < poolSize {
-		a.cfgs = make([]conf.Config, poolSize)
-		a.means = make([]float64, poolSize)
-		a.vars = make([]float64, poolSize)
-	}
-	a.cfgs = a.cfgs[:poolSize]
-	a.means = a.means[:poolSize]
-	a.vars = a.vars[:poolSize]
-	if cap(a.best) < dim {
-		a.best = make([]float64, dim)
-		a.probe = make([]float64, dim)
-	}
-	a.best = a.best[:dim]
-	a.probe = a.probe[:dim]
+	a.cfgs = make([]conf.Config, poolSize)
+	a.means = make([]float64, poolSize)
+	a.vars = make([]float64, poolSize)
+	a.best = make([]float64, dim)
+	a.probe = make([]float64, dim)
 }
 
 // maximizeEI runs the paper's acquisition search — random sampling plus

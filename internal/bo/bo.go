@@ -20,20 +20,15 @@ import (
 )
 
 // SurrogateConfig groups everything that shapes the response-surface model:
-// the kernel family, the active-set cap, the re-selection schedule, and the
-// full-model override. The zero value selects the paper's settings
-// (RBF-kernel GP, exact over every observation up to the default cap).
+// the kernel family, the re-selection schedule, and the full-model
+// override. The zero value selects the paper's settings (RBF-kernel GP,
+// exact over every observation).
 type SurrogateConfig struct {
 	// Kernel selects the kernel family: "rbf" (default) or "matern52".
 	Kernel string
 	// Model overrides the surrogate entirely (e.g. the Random-Forest
 	// adapter in internal/rf); when nil a hyperparameter-tuned GP is used.
 	Model gp.Surrogate
-	// Budget caps the GP's active set at this many points, so appends and
-	// predictions stay at m-point cost no matter how long the session runs;
-	// below the cap the GP is exact. Default gp.DefaultSparseBudget.
-	// Ignored when Model is set.
-	Budget int
 	// RefitEvery throttles hyperparameter re-selection (grid + ARD) to once
 	// per this many incremental observations; between selections a new
 	// sample is absorbed by an O(n²) GP append instead of an O(n³) refit.

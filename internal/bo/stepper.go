@@ -24,7 +24,7 @@ type Tuner struct {
 	extra Extra
 	pen   Penalty
 	rng   *simrand.Rand
-	sur   gp.Surrogate // the response-surface model (gp.Sparse, or the override)
+	sur   gp.Surrogate // the response-surface model (gp.Scheduled, or the override)
 
 	queue []conf.Config // bootstrap configurations not yet suggested
 	prior []PriorPoint  // transferred observations; only WarmStart sets it
@@ -85,13 +85,11 @@ func NewTuner(sp tune.Space, opts Options, extra Extra, penalty Penalty) *Tuner 
 	if t.sur == nil {
 		// Default surrogate: a hyperparameter-tuned GP (grid + ARD gradient
 		// ascent) absorbing new observations through O(n²) appends, with
-		// re-selection throttled to the RefitEvery/RefitDrift schedule and
-		// the active set capped at Budget points.
+		// re-selection throttled to the RefitEvery/RefitDrift schedule.
 		sc := opts.Surrogate
-		t.sur = &gp.Sparse{
+		t.sur = &gp.Scheduled{
 			Kind:       sc.Kernel,
 			BaseDims:   sp.Dim(),
-			Budget:     sc.Budget,
 			RefitEvery: sc.RefitEvery,
 			LMLDrift:   sc.RefitDrift,
 			ARDIters:   sc.ARDIters,

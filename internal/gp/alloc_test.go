@@ -6,11 +6,11 @@ import "testing"
 // acquisition step scores hundreds of candidates per suggestion, so a
 // posterior evaluation through a warmed Scratch must not touch the heap —
 // not on the exact model, not over a 256-row pool (BO-shaped, and GBO's
-// 7-dimensional rows at a session's 12 points), and not on a budgeted
-// model whose stream has outgrown its active set.
+// 7-dimensional rows at a session's 12 points), and not through the
+// Scheduled surrogate at 256 points.
 func TestPredictAllocations(t *testing.T) {
-	const dim, n, budget = 6, 100, 256
-	xs, ys := benchData(budget+64, dim)
+	const dim, n, big = 6, 100, 256
+	xs, ys := benchData(big+64, dim)
 
 	g := New(RBF{Variance: 1, Length: constLengths(dim, 0.35)}, 1e-4)
 	if err := g.Fit(xs[:n], ys[:n]); err != nil {
@@ -39,17 +39,16 @@ func TestPredictAllocations(t *testing.T) {
 		t.Errorf("GP.PredictBatch over %d GBO rows: %v allocs/op, want 0", len(gpool), got)
 	}
 
-	sp := &Sparse{Kind: "rbf", BaseDims: dim, Budget: budget,
-		RefitEvery: 1 << 30, LMLDrift: -1, ARDIters: -1}
-	if err := sp.SetData(xs, ys); err != nil {
+	sp := &Scheduled{Kind: "rbf", BaseDims: dim, RefitEvery: 1 << 30, LMLDrift: -1, ARDIters: -1}
+	if err := sp.SetData(xs[:big], ys[:big]); err != nil {
 		t.Fatal(err)
 	}
-	if sp.N() <= budget || sp.Model().N() != budget {
-		t.Fatalf("sparse model not at budget: stream %d, active set %d, budget %d", sp.N(), sp.Model().N(), budget)
+	if got := sp.Model().N(); got != big {
+		t.Fatalf("the scheduled model holds %d points, want %d", got, big)
 	}
 	var sc Scratch
-	sp.PredictInto(xs[0], &sc) // warm the scratch
-	if got := testing.AllocsPerRun(100, func() { sp.PredictInto(xs[0], &sc) }); got != 0 {
-		t.Errorf("Sparse.PredictInto at budget: %v allocs/op, want 0", got)
+	sp.PredictInto(xs[big], &sc) // warm the scratch
+	if got := testing.AllocsPerRun(100, func() { sp.PredictInto(xs[big], &sc) }); got != 0 {
+		t.Errorf("Scheduled.PredictInto at %d points: %v allocs/op, want 0", big, got)
 	}
 }

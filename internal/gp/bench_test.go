@@ -18,7 +18,7 @@ import (
 //   - predict: one allocation-free posterior evaluation (PredictInto).
 //   - predict=batch256: scoring a 256-candidate acquisition pool
 //     (PredictBatch) through one reused scratch, sixteen candidates per
-//     pass where the packed kernels run, four otherwise.
+//     pass where the packed kernels run, one at a time otherwise.
 //
 // n = 12 is the mean surrogate size of a tune_offline session, 25 a long
 // session, 100 a warm-started or served one.
@@ -100,61 +100,58 @@ func BenchmarkGPFitPredict(b *testing.B) {
 	}
 }
 
-// BenchmarkGPSparse measures the budgeted surrogate at stream lengths far
-// past its active-set cap — the regime the budget exists for:
+// BenchmarkGPScheduled measures the Scheduled surrogate at the most points
+// a session's model holds (priors and history, each at most 200):
 //
-//   - append: absorbing one observation into an at-budget active set
-//     through SetData — the prefix check against the stream copy (O(n)),
-//     then a conditional-variance score, an eviction (or rejection), and a
-//     bordered re-append, all O(m²) in the budget m.
-//   - predict: one allocation-free posterior evaluation through the capped
-//     active set (TestPredictAllocations holds it at 0 allocs/op).
+//   - append: absorbing one observation through SetData — the prefix check
+//     against the model's rows (O(n)), then one O(n²) GP.Append.
+//   - predict: one allocation-free posterior evaluation
+//     (TestPredictAllocations holds it at 0 allocs/op).
 //
-// Re-selection is suppressed (huge RefitEvery, drift and ARD disabled) so
-// the timings isolate the steady-state paths from the scheduled O(m³)
+// Re-selection is suppressed (huge RefitEvery, drift disabled) so the
+// timings isolate the steady-state paths from the scheduled O(n³)
 // hyperparameter searches.
-func BenchmarkGPSparse(b *testing.B) {
-	const dim, budget = 6, 256
-
-	build := func(b *testing.B, n int) (*Sparse, [][]float64, []float64) {
-		xs, ys := benchData(n+512, dim)
-		s := &Sparse{Kind: "rbf", BaseDims: dim, Budget: budget,
-			RefitEvery: 1 << 30, LMLDrift: -1, ARDIters: -1}
-		if err := s.SetData(xs[:n], ys[:n]); err != nil {
+func BenchmarkGPScheduled(b *testing.B) {
+	const dim, n = 6, 400
+	xs, ys := benchData(n+32, dim)
+	build := func(b *testing.B) *Scheduled {
+		g := New(RBF{Variance: 1, Length: constLengths(dim, 0.35)}, 1e-4)
+		if err := g.Fit(xs[:n], ys[:n]); err != nil {
 			b.Fatal(err)
 		}
-		return s, xs, ys
+		return &Scheduled{Kind: "rbf", BaseDims: dim, RefitEvery: 1 << 30, LMLDrift: -1, gp: g}
 	}
 
-	for _, n := range []int{1000, 10000} {
-		b.Run(fmt.Sprintf("append/n=%d", n), func(b *testing.B) {
-			s, xs, ys := build(b, n)
-			sxs, sys := xs[:n:n], ys[:n:n]
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				j := n + i%512
-				sxs, sys = append(sxs, xs[j]), append(sys, ys[j])
-				if err := s.SetData(sxs, sys); err != nil {
-					b.Fatal(err)
-				}
+	b.Run(fmt.Sprintf("append/n=%d", n), func(b *testing.B) {
+		s := build(b)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			m := s.Model().N()
+			if m == len(xs) {
+				b.StopTimer()
+				s, m = build(b), n
+				b.StartTimer()
 			}
-		})
+			if err := s.SetData(xs[:m+1], ys[:m+1]); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 
-		b.Run(fmt.Sprintf("predict/n=%d", n), func(b *testing.B) {
-			s, xs, _ := build(b, n)
-			x := xs[n]
-			var sc Scratch
-			s.PredictInto(x, &sc) // warm the scratch
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, v := s.PredictInto(x, &sc); v <= 0 {
-					b.Fatal("bad variance")
-				}
+	b.Run(fmt.Sprintf("predict/n=%d", n), func(b *testing.B) {
+		s := build(b)
+		x := xs[n]
+		var sc Scratch
+		s.PredictInto(x, &sc) // warm the scratch
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, v := s.PredictInto(x, &sc); v <= 0 {
+				b.Fatal("bad variance")
 			}
-		})
-	}
+		}
+	})
 }
 
 func benchData(n, dim int) ([][]float64, []float64) {

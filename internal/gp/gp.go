@@ -12,14 +12,15 @@
 // when the bordered pivot is not numerically positive). Prediction has
 // allocation-free variants (PredictInto, PredictBatch) that write into a
 // caller-owned Scratch; PredictBatch scores RBF candidates sixteen per pass
-// on amd64 (an assembly kernel with no FMA, checked against the Go
-// four-lane path at start-up), four per pass otherwise, and returns, bit
+// on amd64 (an assembly kernel with no FMA, checked against PredictInto at
+// start-up), one at a time through PredictInto otherwise, and returns, bit
 // for bit, what PredictInto returns for each. An RBF kernel row takes its
 // exps in one call: on amd64 with AVX2 and FMA four lanes per instruction,
 // with math.Exp's bits (checked against it at start-up; on a mismatch
-// every row stays on math.Exp). Sparse schedules
-// hyperparameter re-selection so streaming observations pay the grid search
-// only every few appends instead of on every one.
+// every row stays on math.Exp). Scheduled, the tuners' surrogate, is the
+// exact GP over every observation with hyperparameter re-selection
+// throttled, so streaming observations pay the grid search only every few
+// appends instead of on every one.
 package gp
 
 import (
@@ -271,32 +272,6 @@ func (g *GP) Append(x []float64, y float64) error {
 	return nil
 }
 
-// deleteAt removes training point j from the fitted process in O((n-j)²):
-// the cached Cholesky factor shrinks by the matching row/column (a compact
-// plus a rank-1 update of the trailing block — no refactorization), targets
-// are re-standardized, and the dual weights re-solved. This is the eviction
-// half of the budgeted Sparse surrogate's replace cycle; together with
-// Append it swaps a point in O(n²).
-func (g *GP) deleteAt(j int) {
-	n := len(g.xs)
-	if j < 0 || j >= n {
-		return
-	}
-	if n == 1 {
-		g.xs, g.ys = g.xs[:0], g.ys[:0]
-		g.yn, g.alpha = g.yn[:0], g.alpha[:0]
-		g.chol = nil
-		return
-	}
-	g.kbuf = growVec(g.kbuf, n)
-	g.chol = linalg.CholDeleteRowCol(g.chol, j, g.kbuf)
-	copy(g.xs[j:], g.xs[j+1:])
-	g.xs = g.xs[:n-1]
-	copy(g.ys[j:], g.ys[j+1:])
-	g.ys = g.ys[:n-1]
-	g.restandardize()
-}
-
 // restandardize recomputes the target standardization and dual weights from
 // the raw targets and the current factor, in O(n²) and without allocating
 // once the buffers have grown to size.
@@ -369,40 +344,39 @@ func (g *GP) PredictInto(x []float64, s *Scratch) (mean, variance float64) {
 	kernelRow(g.eval, x, g.xs, k)
 	mu := linalg.Dot(k, g.alpha)
 	v := linalg.SolveLowerInto(g.chol, k, s.v)
-	variance = kernelSelf(g.eval, x) - linalg.Dot(v, v)
+	return g.posterior(x, mu, linalg.Dot(v, v))
+}
+
+// posterior turns k·α and v·v at x into the de-standardized posterior mean
+// and variance.
+func (g *GP) posterior(x []float64, mu, vv float64) (mean, variance float64) {
+	variance = kernelSelf(g.eval, x) - vv
 	if variance < 1e-12 {
 		variance = 1e-12
 	}
-	// De-standardize.
-	mean = g.meanY + g.stdY*mu
-	variance *= g.stdY * g.stdY
-	return mean, variance
+	return g.meanY + g.stdY*mu, variance * (g.stdY * g.stdY)
 }
 
 // PredictBatch scores a batch of candidate points, writing the posterior
 // means and variances into means and vars (which must be at least
 // len(xs) long). It allocates nothing in steady state.
 //
-// Under the prepared RBF kernel it scores sixteen candidates per pass where
-// the packed kernel is on (predictRBF16), four otherwise, so the core
+// Under the prepared RBF kernel, where the packed kernel is on, it scores
+// sixteen equal-length candidates per pass (predictRBF16), so the core
 // overlaps independent chains of floating-point operations instead of
 // waiting on one. Each lane performs PredictInto's operations in
-// PredictInto's order and in the same expression shapes (Go may fuse a
-// multiply-add on arm64, ppc64 and s390x; identical shapes fuse alike, and
-// the packed kernel fuses nothing), so every result has the bits
-// PredictInto gives. A remainder of one to three candidates, rows of
-// unequal length and other kernels go one at a time.
+// PredictInto's order and fuses no multiply-add, so every result has the
+// bits PredictInto gives. A remainder, rows of unequal length, other
+// kernels and other platforms go one candidate at a time through
+// PredictInto.
 func (g *GP) PredictBatch(xs [][]float64, means, vars []float64, s *Scratch) {
 	if len(means) < len(xs) || len(vars) < len(xs) {
 		panic("gp: PredictBatch output length mismatch")
 	}
 	i := 0
-	if kern, ok := g.eval.(preparedRBF); ok && g.chol != nil {
-		for ; havePredict16 && i+16 <= len(xs) && sameLen(xs[i:i+16]); i += 16 {
+	if kern, ok := g.eval.(preparedRBF); ok && havePredict16 && g.chol != nil {
+		for ; i+16 <= len(xs) && sameLen(xs[i:i+16]); i += 16 {
 			g.predictRBF16(kern, xs[i:i+16], means[i:i+16], vars[i:i+16], s)
-		}
-		for ; i+4 <= len(xs) && sameLen(xs[i:i+4]); i += 4 {
-			g.predictRBF4(kern, xs[i:i+4:i+4], means[i:i+4], vars[i:i+4], s)
 		}
 	}
 	for ; i < len(xs); i++ {
@@ -420,48 +394,13 @@ func sameLen(xs [][]float64) bool {
 	return true
 }
 
-// predictRBF4 is PredictInto for four equal-length candidates under the
-// prepared RBF kernel. A first pass writes row r's four exp arguments to
-// Scratch.v[4r..] for one expInPlace call; a second fuses each row's k·α
-// term with its forward-substitution row of v = L⁻¹k, which needs only
-// rows ≤ r, and stores lane j of v over Scratch.v[4r+j] once it is read.
-func (g *GP) predictRBF4(kern preparedRBF, xs [][]float64, means, vars []float64, s *Scratch) {
-	s.v = growVec(s.v, 4*len(g.xs))
-	v := s.v
-	x0, dim := xs[0], len(xs[0])
-	x1, x2, x3, inv := xs[1][:dim], xs[2][:dim], xs[3][:dim], kern.inv[:dim]
-	for r, xr := range g.xs {
-		xr = xr[:dim]
-		var q0, q1, q2, q3 float64
-		for d, ad := range x0 {
-			e0, e1, e2, e3 := (ad-xr[d])*inv[d], (x1[d]-xr[d])*inv[d], (x2[d]-xr[d])*inv[d], (x3[d]-xr[d])*inv[d]
-			q0, q1, q2, q3 = q0+e0*e0, q1+e1*e1, q2+e2*e2, q3+e3*e3
-		}
-		vr := v[4*r : 4*r+4 : 4*r+4]
-		vr[0], vr[1], vr[2], vr[3] = -0.5*q0, -0.5*q1, -0.5*q2, -0.5*q3
-	}
-	expInPlace(v)
-	var mu0, mu1, mu2, mu3, vv0, vv1, vv2, vv3 float64
-	for r := range g.xs {
-		vr := v[4*r : 4*r+4 : 4*r+4]
-		k0, k1, k2, k3 := kern.variance*vr[0], kern.variance*vr[1], kern.variance*vr[2], kern.variance*vr[3]
-		a := g.alpha[r]
-		mu0, mu1, mu2, mu3 = mu0+k0*a, mu1+k1*a, mu2+k2*a, mu3+k3*a
-		lr := g.chol.Row(r)
-		for c, l := range lr[:r] {
-			vc := v[4*c : 4*c+4 : 4*c+4]
-			k0, k1, k2, k3 = k0-l*vc[0], k1-l*vc[1], k2-l*vc[2], k3-l*vc[3]
-		}
-		vr[0], vr[1], vr[2], vr[3] = k0/lr[r], k1/lr[r], k2/lr[r], k3/lr[r]
-		vv0, vv1, vv2, vv3 = vv0+vr[0]*vr[0], vv1+vr[1]*vr[1], vv2+vr[2]*vr[2], vv3+vr[3]*vr[3]
-	}
-	g.finish(xs, []float64{mu0, mu1, mu2, mu3}, []float64{vv0, vv1, vv2, vv3}, means, vars)
-}
-
-// predictRBF16 is predictRBF4 on sixteen candidates, both passes in
-// assembly four lanes per register: with the candidates' coordinates
-// transposed into Scratch.k, dist16 writes row r's sixteen exp arguments to
-// Scratch.v[16r..], and predict16 runs the second pass over them.
+// predictRBF16 is PredictInto for sixteen equal-length candidates under
+// the prepared RBF kernel, both passes in assembly four lanes per register.
+// With the candidates' coordinates transposed into Scratch.k, dist16 writes
+// row r's sixteen exp arguments to Scratch.v[16r..] for one expInPlace
+// call; predict16 then fuses each row's k·α term with its
+// forward-substitution row of v = L⁻¹k, which needs only rows ≤ r, and
+// stores lane j of v over Scratch.v[16r+j] once it is read.
 func (g *GP) predictRBF16(kern preparedRBF, xs [][]float64, means, vars []float64, s *Scratch) {
 	n, dim := len(g.xs), len(xs[0])
 	s.k = growVec(s.k, 16*dim)
@@ -479,20 +418,8 @@ func (g *GP) predictRBF16(kern preparedRBF, xs [][]float64, means, vars []float6
 	expInPlace(v)
 	var mu, vv [16]float64
 	predict16(v[:16*n], g.alpha[:n], g.chol.Data[:n*g.chol.Cols], g.chol.Cols, kern.variance, &mu, &vv)
-	g.finish(xs, mu[:], vv[:], means, vars)
-}
-
-// finish turns each lane's k·α and v·v into PredictInto's mean and
-// variance.
-func (g *GP) finish(xs [][]float64, mu, vv, means, vars []float64) {
 	for j, x := range xs {
-		variance := kernelSelf(g.eval, x) - vv[j]
-		if variance < 1e-12 {
-			variance = 1e-12
-		}
-		means[j] = g.meanY + g.stdY*mu[j]
-		variance *= g.stdY * g.stdY
-		vars[j] = variance
+		means[j], vars[j] = g.posterior(x, mu[j], vv[j])
 	}
 }
 

@@ -146,12 +146,12 @@ func TestPredictBatchMatchesPredict(t *testing.T) {
 	}
 }
 
-// TestPredictBatchIsPredictInto holds PredictBatch's four-lane path to
-// PredictInto bit for bit: every mean and variance of a batch must have the
-// bits the one-candidate path gives, at every model size the sessions reach,
-// at BO's 4 and GBO's 7 input dimensions, for pools that end on every
-// remainder of four, under grid- and ARD-selected length scales, for both
-// kernel families, through one Scratch reused across all of them. The pool
+// TestPredictBatchIsPredictInto holds PredictBatch to PredictInto bit for
+// bit: every mean and variance of a batch must have the bits the
+// one-candidate path gives, at every model size the sessions reach, at BO's
+// 4 and GBO's 7 input dimensions, for pools shorter than a packed block and
+// pools that end on a remainder past one, under grid- and ARD-selected
+// length scales, for both kernel families, through one Scratch reused across all of them. The pool
 // holds training rows (variance at the clamp) and a far point (kernel
 // column underflowing to 0) besides random candidates. It runs on both exp
 // paths, packed and math.Exp.
@@ -207,8 +207,8 @@ func predictBatchIsPredictInto(t *testing.T) {
 // TestPredictBatch16IsPredictInto holds PredictBatch's sixteen-lane path to
 // PredictInto bit for bit, with the packed kernel on (where the CPU has it)
 // and off: at every model size from 1 to 40 rows, both batch-fitted and as
-// a Sparse grown by appends, at BO's 4 and GBO's 7 input dimensions, for
-// batches of 15, 16, 17, 255 and 256 candidates. Training rows and
+// a Scheduled model grown by appends, at BO's 4 and GBO's 7 input
+// dimensions, for batches of 15, 16, 17, 255 and 256 candidates. Training rows and
 // candidates include far points whose kernel values underflow, wholly or
 // into math.Exp's subnormal range. Where the CPU has the kernel, it must
 // also have passed its start-up check: one that fails it is broken.
@@ -235,7 +235,7 @@ func TestPredictBatch16IsPredictInto(t *testing.T) {
 			for _, p := range [][]float64{pool[17], xs[11]} {
 				p[0] += 13.2
 			}
-			sp := &Sparse{Kind: "rbf", BaseDims: 4}
+			sp := &Scheduled{Kind: "rbf", BaseDims: 4}
 			means, vars := make([]float64, len(pool)), make([]float64, len(pool))
 			for n := 1; n <= len(xs); n++ {
 				g := New(RBF{Variance: 1.3, Length: constLengths(dim, 0.35)}, 1e-4)
@@ -263,7 +263,7 @@ func TestPredictBatch16IsPredictInto(t *testing.T) {
 				}
 			}
 			if sp.Stats().Appends == 0 {
-				t.Fatal("the Sparse model never appended")
+				t.Fatal("the Scheduled model never appended")
 			}
 		}
 	}
@@ -275,7 +275,7 @@ func TestPredictBatch16IsPredictInto(t *testing.T) {
 func TestIncrementalSchedule(t *testing.T) {
 	rng := simrand.New(23)
 	xs, ys := synth(rng, 30, 3)
-	inc := &Sparse{Kind: "rbf", BaseDims: 3, RefitEvery: 4, LMLDrift: -1}
+	inc := &Scheduled{Kind: "rbf", BaseDims: 3, RefitEvery: 4, LMLDrift: -1}
 
 	if err := inc.SetData(xs[:5], ys[:5]); err != nil {
 		t.Fatal(err)
@@ -322,7 +322,7 @@ func TestIncrementalSchedule(t *testing.T) {
 func TestIncrementalRefitMatchesBatchSelection(t *testing.T) {
 	rng := simrand.New(31)
 	xs, ys := synth(rng, 24, 3)
-	inc := &Sparse{Kind: "rbf", BaseDims: 3, RefitEvery: 4, LMLDrift: -1}
+	inc := &Scheduled{Kind: "rbf", BaseDims: 3, RefitEvery: 4, LMLDrift: -1}
 	for i := 4; i <= len(xs); i++ {
 		if err := inc.SetData(xs[:i], ys[:i]); err != nil {
 			t.Fatal(err)

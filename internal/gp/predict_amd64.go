@@ -2,7 +2,7 @@ package gp
 
 import "math"
 
-// dist16 is predictRBF4's first pass on sixteen lanes: it sets v[16r+j] =
+// dist16 is predictRBF16's first pass: it sets v[16r+j] =
 // -0.5·Σ_d ((cols[16d+j] − xs[r][d])·inv[d])², summed in ascending d, for
 // every row r of xs; cols holds coordinate d of lane j at 16d+j. Every row
 // of xs must be at least len(inv) long.
@@ -10,7 +10,7 @@ import "math"
 //go:noescape
 func dist16(cols, inv []float64, xs [][]float64, v []float64)
 
-// predict16 is predictRBF4's second pass on sixteen lanes: for each row r
+// predict16 is predictRBF16's second pass: for each row r
 // of the factor l (row stride cols) it takes lane j's exp from v[16r+j],
 // adds σ²·e·α_r to mu[j], substitutes v_r = (σ²·e − Σ_{c<r} l_rc·v_c)/l_rr
 // over v[16r+j] and adds v_r² to vv[j]. len(alpha) is the row count.
@@ -23,13 +23,13 @@ func predict16(v, alpha, l []float64, cols int, variance float64, mu, vv *[16]fl
 var canPredict16 = hasAVX2FMA()
 
 // havePredict16 reports whether PredictBatch scores sixteen lanes per pass:
-// the CPU can, and the kernels give the Go four-lane path's bits on a fixed
-// fixture. Tests switch it to cover either path.
+// the CPU can, and the kernels give PredictInto's bits on a fixed fixture.
+// Tests switch it to cover either path.
 var havePredict16 = canPredict16 && predict16MatchesGo()
 
 // predict16MatchesGo scores sixteen fixed candidates under a small fitted
-// RBF model through predictRBF16 and through predictRBF4, and reports
-// whether every mean and variance has the same bits.
+// RBF model through predictRBF16 and one at a time through PredictInto,
+// and reports whether every mean and variance has the same bits.
 func predict16MatchesGo() bool {
 	xs, ys := make([][]float64, 9), make([]float64, 9)
 	for i := range xs {
@@ -44,18 +44,13 @@ func predict16MatchesGo() bool {
 	for j := range cands {
 		cands[j] = []float64{float64(j*5%13) / 12, float64(j*2%7) / 6, float64(j%3) / 2}
 	}
-	kern := g.eval.(preparedRBF)
 	var s Scratch
-	var got, want [2][16]float64
-	g.predictRBF16(kern, cands, got[0][:], got[1][:], &s)
-	for j := 0; j < 16; j += 4 {
-		g.predictRBF4(kern, cands[j:j+4], want[0][j:j+4], want[1][j:j+4], &s)
-	}
-	for i := range got {
-		for j, w := range want[i] {
-			if math.Float64bits(got[i][j]) != math.Float64bits(w) {
-				return false
-			}
+	var means, vars [16]float64
+	g.predictRBF16(g.eval.(preparedRBF), cands, means[:], vars[:], &s)
+	for j, x := range cands {
+		mean, variance := g.PredictInto(x, &s)
+		if math.Float64bits(means[j]) != math.Float64bits(mean) || math.Float64bits(vars[j]) != math.Float64bits(variance) {
+			return false
 		}
 	}
 	return true

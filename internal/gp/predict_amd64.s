@@ -1,6 +1,6 @@
-// dist16 and predict16 are predictRBF4's two passes on sixteen lanes, four
+// dist16 and predict16 are predictRBF16's two passes on sixteen lanes, four
 // per ymm register. Every product is rounded before its sum or difference
-// (no FMA) and each lane runs predictRBF4's operations in its order, so a
+// (no FMA) and each lane runs PredictInto's operations in its order, so a
 // lane gets the bits one candidate gets from PredictInto. The four
 // registers of k carry independent subtract chains through each row's
 // substitution.

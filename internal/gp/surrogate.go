@@ -1,19 +1,16 @@
 package gp
 
 // SurrogateStats are the cumulative work counters of a surrogate: full
-// hyperparameter selections (grid + ARD refinement, O(n³) each), cheap
-// incremental appends (O(n²) factor extensions), and budget compactions
-// (evictions or rejections the GP performed to stay within its point cap —
-// zero while the stream fits it). A healthy steady state appends far more
-// than it fits.
+// hyperparameter selections (grid + ARD refinement, O(n³) each) and cheap
+// incremental appends (O(n²) factor extensions). A healthy steady state
+// appends far more than it fits.
 type SurrogateStats struct {
-	Fits        int
-	Appends     int
-	Compactions int
+	Fits    int
+	Appends int
 }
 
 // Surrogate is the response-surface model behind the Bayesian-optimization
-// tuners: the seam that lets the GP (Sparse) and non-GP models (the
+// tuners: the seam that lets the GP (Scheduled) and non-GP models (the
 // Random-Forest ablation) slot into the same suggest/observe loop.
 //
 // SetData is the one training entry point. It reconciles with the full
@@ -36,4 +33,4 @@ type Surrogate interface {
 	Stats() SurrogateStats
 }
 
-var _ Surrogate = (*Sparse)(nil)
+var _ Surrogate = (*Scheduled)(nil)

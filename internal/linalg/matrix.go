@@ -329,102 +329,6 @@ func pivot(d float64, row []float64) float64 {
 	return d
 }
 
-// CholUpdateRank1 rewrites the lower-triangular factor L of A = L·Lᵀ into
-// the factor of A + v·vᵀ, in place, in O(n²). The update is a sequence of
-// plane rotations (the classic "cholupdate"), numerically stable for any v.
-// v is consumed as scratch and left clobbered.
-func CholUpdateRank1(l *Matrix, v []float64) {
-	if l.Rows != l.Cols {
-		panic("linalg: CholUpdateRank1 on non-square factor")
-	}
-	if len(v) != l.Rows {
-		panic("linalg: CholUpdateRank1 dimension mismatch")
-	}
-	cholUpdateRank1At(l, 0, v)
-}
-
-// cholUpdateRank1At applies the rank-1 update to the trailing principal
-// submatrix l[start:, start:]; v has length l.Rows-start and is clobbered.
-func cholUpdateRank1At(l *Matrix, start int, v []float64) {
-	n := l.Rows
-	for k := start; k < n; k++ {
-		vk := v[k-start]
-		lk := l.Row(k)
-		r := math.Hypot(lk[k], vk)
-		c := r / lk[k]
-		s := vk / lk[k]
-		lk[k] = r
-		for i := k + 1; i < n; i++ {
-			li := l.Row(i)
-			vi := v[i-start]
-			li[k] = (li[k] + s*vi) / c
-			v[i-start] = c*vi - s*li[k]
-		}
-	}
-}
-
-// CholDeleteRowCol shrinks the Cholesky factor L of an n×n SPD matrix A to
-// the factor of A with row and column j removed, in O((n-j)²): rows above j
-// re-stride unchanged, rows below drop column j, and the trailing block is
-// patched by a rank-1 update with the deleted subdiagonal column. Together
-// with CholAppendRow this gives a budgeted model constant-cost point
-// replacement without ever refactorizing from scratch.
-//
-// The factor is modified in place (its backing array is reused and
-// re-strided); the returned matrix is l itself. scratch, when it has
-// capacity ≥ n-1-j, is used for the deleted column and avoids allocation.
-func CholDeleteRowCol(l *Matrix, j int, scratch []float64) *Matrix {
-	n := l.Rows
-	if l.Cols != n {
-		panic("linalg: CholDeleteRowCol on non-square factor")
-	}
-	if j < 0 || j >= n {
-		panic("linalg: CholDeleteRowCol index out of range")
-	}
-	tail := n - 1 - j
-	var v []float64
-	if cap(scratch) >= tail {
-		v = scratch[:tail]
-	} else {
-		v = make([]float64, tail)
-	}
-	for i := j + 1; i < n; i++ {
-		v[i-j-1] = l.At(i, j)
-	}
-	// Compact rows first-to-last into the n-1 stride. Each destination
-	// region ends before the next source row begins, and copy is
-	// memmove-safe for the self-overlap within one row.
-	d := l.Data
-	for i := 0; i < n; i++ {
-		if i == j {
-			continue
-		}
-		ni := i
-		if i > j {
-			ni = i - 1
-		}
-		src := d[i*n : i*n+n]
-		dst := d[ni*(n-1) : ni*(n-1)+(n-1)]
-		if i < j {
-			copy(dst[:i+1], src[:i+1])
-			for c := i + 1; c < n-1; c++ {
-				dst[c] = 0
-			}
-		} else {
-			copy(dst[:j], src[:j])
-			copy(dst[j:i], src[j+1:i+1])
-			for c := i; c < n-1; c++ {
-				dst[c] = 0
-			}
-		}
-	}
-	l.Rows, l.Cols, l.Data = n-1, n-1, d[:(n-1)*(n-1)]
-	if tail > 0 {
-		cholUpdateRank1At(l, j, v)
-	}
-	return l
-}
-
 // LogDetFromChol returns log|A| given A = L·Lᵀ.
 func LogDetFromChol(l *Matrix) float64 {
 	var s float64

@@ -406,150 +406,3 @@ func equalVec(a, b []float64) bool {
 	}
 	return true
 }
-
-// Property: CholUpdateRank1 turns the factor of A into the factor of
-// A + v·vᵀ, matching a fresh factorization of the updated matrix.
-func TestCholUpdateRank1Property(t *testing.T) {
-	rng := simrand.New(77)
-	for trial := 0; trial < 25; trial++ {
-		n := 1 + rng.Intn(8)
-		a := randomSPD(rng, n)
-		v := make([]float64, n)
-		for i := range v {
-			v[i] = rng.Norm(0, 1)
-		}
-		l, err := Cholesky(a)
-		if err != nil {
-			t.Fatal(err)
-		}
-		CholUpdateRank1(l, append([]float64(nil), v...))
-		// Fresh factorization of A + v·vᵀ.
-		up := a.Clone()
-		for i := 0; i < n; i++ {
-			for j := 0; j < n; j++ {
-				up.Set(i, j, up.At(i, j)+v[i]*v[j])
-			}
-		}
-		want, err := Cholesky(up)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := 0; i < n; i++ {
-			for j := 0; j <= i; j++ {
-				if !almostEq(l.At(i, j), want.At(i, j), 1e-8*float64(n)) {
-					t.Fatalf("trial %d: updated L[%d][%d] = %v, want %v", trial, i, j, l.At(i, j), want.At(i, j))
-				}
-			}
-		}
-	}
-}
-
-// Property: CholDeleteRowCol shrinks the factor of A to the factor of A
-// with row/column j removed, for every j, matching a fresh factorization.
-// The factor's upper triangle must stay zero.
-func TestCholDeleteRowColProperty(t *testing.T) {
-	rng := simrand.New(55)
-	for trial := 0; trial < 25; trial++ {
-		n := 2 + rng.Intn(8)
-		a := randomSPD(rng, n)
-		j := rng.Intn(n)
-		l, err := Cholesky(a)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got := CholDeleteRowCol(l, j, nil)
-		// Fresh factorization of A without row/col j.
-		sub := NewMatrix(n-1, n-1)
-		for i := 0; i < n; i++ {
-			if i == j {
-				continue
-			}
-			ni := i
-			if i > j {
-				ni = i - 1
-			}
-			for k := 0; k < n; k++ {
-				if k == j {
-					continue
-				}
-				nk := k
-				if k > j {
-					nk = k - 1
-				}
-				sub.Set(ni, nk, a.At(i, k))
-			}
-		}
-		want, err := Cholesky(sub)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := 0; i < n-1; i++ {
-			for k := 0; k < n-1; k++ {
-				tol := 1e-8 * float64(n)
-				if !almostEq(got.At(i, k), want.At(i, k), tol) {
-					t.Fatalf("trial %d (n=%d j=%d): L[%d][%d] = %v, want %v", trial, n, j, i, k, got.At(i, k), want.At(i, k))
-				}
-			}
-		}
-	}
-}
-
-// A delete followed by an append (the budgeted surrogate's eviction cycle)
-// must keep tracking the batch factorization across many rounds.
-func TestCholDeleteAppendCycle(t *testing.T) {
-	rng := simrand.New(910)
-	const n, dim = 12, 3
-	xs := make([][]float64, n)
-	for i := range xs {
-		xs[i] = []float64{rng.Float64(), rng.Float64(), rng.Float64()}
-	}
-	kern := func(a, b []float64) float64 {
-		var s float64
-		for d := 0; d < dim; d++ {
-			diff := (a[d] - b[d]) / 0.4
-			s += diff * diff
-		}
-		return math.Exp(-0.5 * s)
-	}
-	gram := func(pts [][]float64) *Matrix {
-		m := NewMatrix(len(pts), len(pts))
-		for i := range pts {
-			for j := range pts {
-				m.Set(i, j, kern(pts[i], pts[j]))
-			}
-		}
-		m.AddDiag(1e-4)
-		return m
-	}
-	l, err := Cholesky(gram(xs))
-	if err != nil {
-		t.Fatal(err)
-	}
-	pts := append([][]float64(nil), xs...)
-	for round := 0; round < 40; round++ {
-		j := rng.Intn(len(pts))
-		l = CholDeleteRowCol(l, j, nil)
-		pts = append(pts[:j], pts[j+1:]...)
-		nx := []float64{rng.Float64(), rng.Float64(), rng.Float64()}
-		k := make([]float64, len(pts))
-		for i := range pts {
-			k[i] = kern(nx, pts[i])
-		}
-		l, err = CholAppendRow(l, k, kern(nx, nx)+1e-4)
-		if err != nil {
-			t.Fatalf("round %d: %v", round, err)
-		}
-		pts = append(pts, nx)
-	}
-	want, err := Cholesky(gram(pts))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < n; i++ {
-		for j := 0; j <= i; j++ {
-			if !almostEq(l.At(i, j), want.At(i, j), 1e-7) {
-				t.Fatalf("after cycles: L[%d][%d] = %v, want %v", i, j, l.At(i, j), want.At(i, j))
-			}
-		}
-	}
-}

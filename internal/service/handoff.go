@@ -145,9 +145,18 @@ func BuildHandoff(snap *store.Snapshot, events []store.Event, node string) (Hand
 // (draining, closed, MaxSessions, duplicate or tombstoned ID → ErrExists)
 // and the same single create record, which carries the whole snapshot, so
 // this node's followers and its own recovery replay it like any other
-// session. A refused adopt leaves nothing behind. Auto sessions go back on
-// the worker pool.
+// session. A refused adopt leaves nothing behind; a snapshot whose history
+// or warm start is longer than maxHistory is refused first. Auto sessions
+// go back on the worker pool.
 func (m *Manager) Adopt(ss store.SessionSnapshot) (Status, error) {
+	if err := checkBound("session "+ss.ID, len(ss.History)); err != nil {
+		return Status{}, err
+	}
+	if ss.Warm != nil {
+		if err := checkBound("the warm start of session "+ss.ID, len(ss.Warm.Points)); err != nil {
+			return Status{}, err
+		}
+	}
 	if !resumable(ss.State) {
 		return Status{}, fmt.Errorf("service: cannot adopt session %q in state %q", ss.ID, ss.State)
 	}

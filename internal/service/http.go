@@ -75,7 +75,7 @@ type CreateRequest struct {
 	DefaultRuntimeSec float64        `json:"default_runtime_sec,omitempty"`
 
 	// Surrogate configures the BO/GBO response-surface model (kernel,
-	// active-set budget, refit schedule).
+	// refit schedule).
 	Surrogate *SurrogateSpec `json:"surrogate,omitempty"`
 }
 
@@ -182,7 +182,6 @@ var scalars = []scalar{
 	{"warm_starts", "relm_warm_starts_total", "Repository-seeded sessions.", counter, true, nil, func(mt *Metrics) float64 { return float64(mt.WarmStarts) }},
 	{"surrogate_fits", "relm_surrogate_fits_total", "Full surrogate hyperparameter selections.", counter, false, nil, func(mt *Metrics) float64 { return float64(mt.SurrogateFits) }},
 	{"surrogate_appends", "relm_surrogate_appends_total", "O(n²) surrogate appends between hyperparameter selections.", counter, false, nil, func(mt *Metrics) float64 { return float64(mt.SurrogateAppends) }},
-	{"surrogate_compactions", "relm_surrogate_compactions_total", "Surrogate evict-or-reject decisions at the active-set cap.", counter, false, nil, func(mt *Metrics) float64 { return float64(mt.SurrogateCompactions) }},
 	{"repo_entries", "relm_repo_entries", "Model repository entries.", gauge, true, nil, func(mt *Metrics) float64 { return float64(mt.RepoEntries) }},
 	{"repo_capacity", "", "", gauge, false, nil, func(mt *Metrics) float64 { return float64(mt.RepoCapacity) }},
 	{"repo_hits", "relm_repo_hits_total", "Warm-start repository matches.", counter, false, nil, func(mt *Metrics) float64 { return float64(mt.RepoHits) }},

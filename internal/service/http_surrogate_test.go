@@ -1,14 +1,16 @@
 package service
 
 import (
+	"bytes"
 	"io"
 	"net/http"
+	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
 
 	"relm/internal/conf"
-	"relm/internal/gp"
 	"relm/internal/store"
 )
 
@@ -26,7 +28,6 @@ func TestHTTPSurrogateRoundTrip(t *testing.T) {
 			Seed:     31,
 			Surrogate: &SurrogateSpec{
 				Kernel:     "matern52",
-				Budget:     8,
 				RefitEvery: 3,
 			},
 		}, 25)
@@ -36,21 +37,16 @@ func TestHTTPSurrogateRoundTrip(t *testing.T) {
 		if final.Surrogate.Kind != "matern52" {
 			t.Fatalf("surrogate kind = %q, want matern52", final.Surrogate.Kind)
 		}
-		if final.Surrogate.Budget != 8 {
-			t.Fatalf("surrogate budget = %d, want 8", final.Surrogate.Budget)
-		}
 		if final.Surrogate.Fits == 0 {
 			t.Fatal("surrogate recorded no fits after a full session")
 		}
-		if final.Evals > 8 && final.Surrogate.Compactions == 0 {
-			t.Fatalf("%d evals against budget 8 recorded no compactions", final.Evals)
-		}
 	})
 
-	// The pre-object spellings are gone, and an old client must hear about
-	// it: an unknown field is a 400, never a silently defaulted surrogate.
+	// The pre-object spellings are gone, and so is the active-set budget;
+	// an old client must hear about it: an unknown field is a 400, never a
+	// silently defaulted surrogate.
 	t.Run("deprecated flat fields", func(t *testing.T) {
-		for _, field := range []string{`"kernel":"matern52"`, `"surrogate_budget":8`, `"refit_every":3`, `"refit_drift":0.1`, `"prior_points":[]`} {
+		for _, field := range []string{`"kernel":"matern52"`, `"surrogate_budget":8`, `"refit_every":3`, `"refit_drift":0.1`, `"prior_points":[]`, `"surrogate":{"budget":8}`} {
 			body := `{"backend":"bo","workload":"K-means",` + field + `}`
 			if code := doRaw(t, http.MethodPost, srv.URL+"/v1/sessions", body); code != http.StatusBadRequest {
 				t.Fatalf("create with removed field %s: status %d, want 400", field, code)
@@ -66,8 +62,8 @@ func TestHTTPSurrogateRoundTrip(t *testing.T) {
 		if code != http.StatusCreated {
 			t.Fatalf("create: status %d", code)
 		}
-		if created.Surrogate == nil || created.Surrogate.Kind != "rbf" || created.Surrogate.Budget != gp.DefaultSparseBudget {
-			t.Fatalf("default surrogate should be rbf, exact up to the default cap: %+v", created.Surrogate)
+		if created.Surrogate == nil || created.Surrogate.Kind != "rbf" {
+			t.Fatalf("default surrogate should be rbf: %+v", created.Surrogate)
 		}
 	})
 
@@ -95,48 +91,21 @@ func TestHTTPSurrogateRoundTrip(t *testing.T) {
 	})
 }
 
-// budget means one thing, a positive active-set cap: unset, 0 and negative
-// all resolve to the default, an explicit cap wins.
-func TestSurrogateSpecBudgetDefaults(t *testing.T) {
-	m := NewManager(Options{Workers: 1})
-	t.Cleanup(m.Close)
-
-	for _, tc := range []struct{ budget, want int }{
-		{0, gp.DefaultSparseBudget},
-		{-1, gp.DefaultSparseBudget},
-		{16, 16},
-	} {
-		st, err := m.Create(Spec{Backend: "bo", Workload: "K-means", Surrogate: SurrogateSpec{Budget: tc.budget}})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if st.Surrogate == nil || st.Surrogate.Budget != tc.want {
-			t.Fatalf("spec budget %d resolved to %+v, want %d", tc.budget, st.Surrogate, tc.want)
-		}
-	}
-}
-
 // Cumulative surrogate counters surface in /v1/metrics (JSON) and the
-// Prometheus exposition, including the new compactions counter.
+// Prometheus exposition.
 func TestHTTPMetricsSurrogateCounters(t *testing.T) {
 	srv := newTestServer(t)
-	driveHTTPSession(t, srv.URL, CreateRequest{
-		Backend: "bo", Workload: "K-means", Seed: 7,
-		Surrogate: &SurrogateSpec{Budget: 6},
-	}, 25)
+	driveHTTPSession(t, srv.URL, CreateRequest{Backend: "bo", Workload: "K-means", Seed: 7}, 25)
 
 	var mt struct {
-		SurrogateFits        int64 `json:"surrogate_fits"`
-		SurrogateCompactions int64 `json:"surrogate_compactions"`
+		SurrogateFits    int64 `json:"surrogate_fits"`
+		SurrogateAppends int64 `json:"surrogate_appends"`
 	}
 	if code := doJSON(t, http.MethodGet, srv.URL+"/v1/metrics", nil, &mt); code != http.StatusOK {
 		t.Fatalf("metrics: status %d", code)
 	}
-	if mt.SurrogateFits == 0 {
-		t.Fatal("metrics report no surrogate fits")
-	}
-	if mt.SurrogateCompactions == 0 {
-		t.Fatal("metrics report no surrogate compactions for a budget-6 session")
+	if mt.SurrogateFits == 0 || mt.SurrogateAppends == 0 {
+		t.Fatalf("metrics report %d surrogate fits and %d appends after a whole session", mt.SurrogateFits, mt.SurrogateAppends)
 	}
 
 	resp, err := http.Get(srv.URL + "/metrics")
@@ -148,13 +117,15 @@ func TestHTTPMetricsSurrogateCounters(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(string(body), "relm_surrogate_compactions_total") {
-		t.Fatal("Prometheus exposition lacks relm_surrogate_compactions_total")
+	for _, name := range []string{"relm_surrogate_fits_total", "relm_surrogate_appends_total"} {
+		if !strings.Contains(string(body), name) {
+			t.Fatalf("Prometheus exposition lacks %s", name)
+		}
 	}
 }
 
-// The surrogate spec must survive the WAL: a budgeted session restored
-// from the journal keeps its resolved configuration.
+// The surrogate spec must survive the WAL: a session restored from the
+// journal keeps its resolved configuration.
 func TestSurrogateSpecSurvivesRestart(t *testing.T) {
 	dir := t.TempDir()
 	fs, err := store.OpenFile(dir)
@@ -166,7 +137,7 @@ func TestSurrogateSpecSurvivesRestart(t *testing.T) {
 		t.Fatal(err)
 	}
 	st, err := m.Create(Spec{Backend: "bo", Workload: "K-means",
-		Surrogate: SurrogateSpec{Kernel: "matern52", Budget: 48, RefitEvery: 5}})
+		Surrogate: SurrogateSpec{Kernel: "matern52", RefitEvery: 5}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,17 +156,16 @@ func TestSurrogateSpecSurvivesRestart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st2.Surrogate == nil || st2.Surrogate.Kind != "matern52" || st2.Surrogate.Budget != 48 {
+	if st2.Surrogate == nil || st2.Surrogate.Kind != "matern52" {
 		t.Fatalf("surrogate spec lost across restart: %+v", st2.Surrogate)
 	}
 }
 
-// A journaled budget of -1 (the old "force exact"), an absent block (the old
-// "inherit the node default") and an explicit cap all replay onto the one
-// model: crashed after 10 observations with a suggestion outstanding, the
-// restored session continues with exactly the suggestions an uninterrupted
-// manager makes — and, while the stream fits the cap, the three are the
-// same session.
+// A journaled budget of -1 (the old "force exact"), an explicit cap of 48
+// and an absent block (the old "inherit the node default") all replay onto
+// the one exact model: raw create records spelled each way, crashed after
+// 10 observations with a suggestion outstanding, reopen to a session that
+// continues with exactly the suggestions an uninterrupted manager makes.
 func TestJournaledBudgetsReplayOntoOneModel(t *testing.T) {
 	const crashAt = 10
 	// drive steps a session to completion (or to stop observations),
@@ -218,64 +188,48 @@ func TestJournaledBudgetsReplayOntoOneModel(t *testing.T) {
 			}
 		}
 	}
+	spec := Spec{ID: "s-1", Backend: "gbo", Workload: "K-means", Seed: 3, MaxIterations: 14}
 
-	var first []conf.Config
-	for _, tc := range []struct {
-		name   string
-		budget int
-		want   store.SurrogateSpec // the create event's journaled block
-	}{
-		{"budget -1", -1, store.SurrogateSpec{Budget: -1}},
-		{"block absent", 0, store.SurrogateSpec{}},
-		{"budget 48", 48, store.SurrogateSpec{Budget: 48}},
+	ref := newTestManager(t, Options{Workers: 1})
+	if _, err := ref.Create(spec); err != nil {
+		t.Fatal(err)
+	}
+	want := drive(ref, spec.ID, 0, -1)
+	if len(want) < crashAt+3 {
+		t.Fatalf("uninterrupted session made only %d suggestions; the crash point needs more", len(want))
+	}
+
+	m1, dir := fileStoreManager(t, store.FileOptions{})
+	if _, err := m1.Create(spec); err != nil {
+		t.Fatal(err)
+	}
+	got := drive(m1, spec.ID, 0, crashAt)
+	crash(m1)
+	log, err := os.ReadFile(filepath.Join(dir, "wal-000001.jsonl"))
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	const bare = `"max_iterations":14}`
+	if bytes.Count(log, []byte(bare)) != 1 {
+		t.Fatalf("the log does not spell the create record's spec once as %s:\n%s", bare, log)
+	}
+	for _, tc := range []struct{ name, block string }{
+		{"budget -1", `,"surrogate":{"budget":-1}`},
+		{"block absent", ``},
+		{"budget 48", `,"surrogate":{"budget":48}`},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			spec := Spec{Backend: "gbo", Workload: "K-means", Seed: 3, MaxIterations: 14,
-				Surrogate: SurrogateSpec{Budget: tc.budget}}
-
-			ref := newTestManager(t, Options{Workers: 1})
-			st, err := ref.Create(spec)
-			if err != nil {
+			spelled := bytes.Replace(log, []byte(bare), []byte(`"max_iterations":14`+tc.block+`}`), 1)
+			d := t.TempDir()
+			if err := os.WriteFile(filepath.Join(d, "wal-000001.jsonl"), spelled, 0o644); err != nil {
 				t.Fatal(err)
 			}
-			want := drive(ref, st.ID, 0, -1)
-			if len(want) < crashAt+3 {
-				t.Fatalf("uninterrupted session made only %d suggestions; the crash point needs more", len(want))
-			}
-
-			mem := store.NewMem()
-			m1, err := Open(Options{Workers: 1, Store: mem})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if st, err = m1.Create(spec); err != nil {
-				t.Fatal(err)
-			}
-			got := drive(m1, st.ID, 0, crashAt)
-			crash(m1)
-
-			_, events, err := mem.Load()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if ev := events[0]; ev.Type != store.EventCreate || ev.Session == nil || !reflect.DeepEqual(ev.Session.Spec.Surrogate, tc.want) {
-				t.Fatalf("create event journaled %+v, want a session with surrogate %+v", ev, tc.want)
-			}
-
-			m2, err := Open(Options{Workers: 1, Store: mem})
-			if err != nil {
-				t.Fatal(err)
-			}
-			t.Cleanup(m2.Close)
+			m2 := reopen(t, d)
 			// The outstanding suggestion is re-served, then the run goes on.
-			got = append(got[:crashAt], drive(m2, st.ID, crashAt, -1)...)
+			got := append(got[:crashAt:crashAt], drive(m2, spec.ID, crashAt, -1)...)
 			if !reflect.DeepEqual(got, want) {
 				t.Fatalf("restored session diverged from the uninterrupted one:\n got %+v\nwant %+v", got, want)
-			}
-			if first == nil {
-				first = want
-			} else if !reflect.DeepEqual(want, first) {
-				t.Fatalf("budget %d tuned differently from budget -1 with the stream under both caps", tc.budget)
 			}
 		})
 	}

@@ -47,7 +47,6 @@ const promNames = `# HELP relm_draining 1 while the node is draining.
 # HELP relm_snapshots_total Compacted snapshots written.
 # HELP relm_stage_latency_seconds Per-stage latency distribution.
 # HELP relm_surrogate_appends_total O(n²) surrogate appends between hyperparameter selections.
-# HELP relm_surrogate_compactions_total Surrogate evict-or-reject decisions at the active-set cap.
 # HELP relm_surrogate_fits_total Full surrogate hyperparameter selections.
 # HELP relm_wal_appended_bytes_total Log bytes appended by this process.
 # HELP relm_wal_batched_events_total Records flushed through group commit.
@@ -80,7 +79,6 @@ const promNames = `# HELP relm_draining 1 while the node is draining.
 # TYPE relm_snapshots_total counter
 # TYPE relm_stage_latency_seconds histogram
 # TYPE relm_surrogate_appends_total counter
-# TYPE relm_surrogate_compactions_total counter
 # TYPE relm_surrogate_fits_total counter
 # TYPE relm_wal_appended_bytes_total counter
 # TYPE relm_wal_batched_events_total counter
@@ -98,7 +96,7 @@ const promNames = `# HELP relm_draining 1 while the node is draining.
 const (
 	primaryKeys  = "evictions node observations persistence replica_followers replica_last_ack_age_sec replica_ships replication repo_capacity repo_entries sessions sessions_by_state stage_hist stages wal_appended_bytes wal_bytes wal_events wal_segments warm_starts"
 	followerKeys = "evictions node observations persistence replica_ingest_bytes replica_ingests replica_primaries replication repo_capacity repo_entries sessions sessions_by_state stage_hist stages wal_segments warm_starts"
-	allKeys      = "batched_events commit_batches draining evictions journal_error last_compaction node observations persistence pruned_segments replica_bytes_behind replica_followers replica_ingest_bytes replica_ingests replica_last_ack_age_sec replica_primaries replica_promotions replica_segments_behind replica_ship_errors replica_ships replication repo_capacity repo_entries repo_evictions repo_hits sessions sessions_by_state snapshot_bytes snapshot_bytes_written snapshots stage_hist stages surrogate_appends surrogate_compactions surrogate_fits wal_appended_bytes wal_bytes wal_degraded wal_degraded_reason wal_events wal_segments warm_starts"
+	allKeys      = "batched_events commit_batches draining evictions journal_error last_compaction node observations persistence pruned_segments replica_bytes_behind replica_followers replica_ingest_bytes replica_ingests replica_last_ack_age_sec replica_primaries replica_promotions replica_segments_behind replica_ship_errors replica_ships replication repo_capacity repo_entries repo_evictions repo_hits sessions sessions_by_state snapshot_bytes snapshot_bytes_written snapshots stage_hist stages surrogate_appends surrogate_fits wal_appended_bytes wal_bytes wal_degraded wal_degraded_reason wal_events wal_segments warm_starts"
 )
 
 func sortedKeys(t *testing.T, body []byte) string {
@@ -194,7 +192,7 @@ func TestMetricsWireNames(t *testing.T) {
 	// Every key there is: nothing about this snapshot is zero.
 	full := Metrics{
 		Node: "a", Draining: true, Sessions: 1, SessionsByState: map[string]int{StateActive: 1},
-		Observations: 1, Evictions: 1, WarmStarts: 1, SurrogateFits: 1, SurrogateAppends: 1, SurrogateCompactions: 1,
+		Observations: 1, Evictions: 1, WarmStarts: 1, SurrogateFits: 1, SurrogateAppends: 1,
 		RepoEntries: 1, RepoCapacity: 1, RepoHits: 1, RepoEvictions: 1,
 		Persistence: true, JournalError: "x", Replication: true,
 		Store: store.Metrics{

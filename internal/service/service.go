@@ -197,15 +197,10 @@ type SurrogateSpec = store.SurrogateSpec
 type SurrogateStatus struct {
 	// Kind is the resolved kernel family ("rbf" or "matern52").
 	Kind string `json:"kind"`
-	// Budget is the resolved active-set cap; the GP is exact below it.
-	Budget int `json:"budget,omitempty"`
 	// Fits counts full hyperparameter selections (grid + ARD, O(n³)).
 	Fits int `json:"fits"`
 	// Appends counts O(n²) incremental absorptions.
 	Appends int `json:"appends"`
-	// Compactions counts evict-or-reject decisions the surrogate made to
-	// stay within its cap (0 while the session fits it).
-	Compactions int `json:"compactions,omitempty"`
 }
 
 // Observation is one measured experiment reported to a session — the
@@ -273,8 +268,7 @@ type Session struct {
 
 // surrogateStatser is implemented by the bo/gbo tuners: the session
 // surrogate's cumulative work counters (full hyperparameter selections,
-// incremental appends, budget compactions), surfaced through Metrics and
-// session status.
+// incremental appends), surfaced through Metrics and session status.
 type surrogateStatser interface {
 	SurrogateInfo() gp.SurrogateStats
 }
@@ -295,9 +289,22 @@ type shard struct {
 const tombstoneKept = ^uint64(0)
 
 const (
-	numShards    = 16  // lock stripes of the session map
-	maxAutoEvals = 200 // experiments one auto session may run: a guard against non-terminating tuners
+	numShards = 16 // lock stripes of the session map
+	// maxHistory bounds a session's history, auto or remote, and a
+	// repository entry's points: an auto session stops there, and an
+	// observe, import or adopt past it is refused. It guards against
+	// non-terminating tuners and keeps a session's GP exact at bounded
+	// cost, at most one prior entry and one history, each this long.
+	maxHistory = 200
 )
+
+// checkBound refuses what, n points long, when n is past maxHistory.
+func checkBound(what string, n int) error {
+	if n > maxHistory {
+		return fmt.Errorf("service: %s would hold %d points, more than the %d a session may", what, n, maxHistory)
+	}
+	return nil
+}
 
 // Manager multiplexes concurrent tuning sessions.
 type Manager struct {
@@ -547,9 +554,8 @@ func resolve(spec Spec) (cluster.Spec, workload.Spec, error) {
 }
 
 // resolveSurrogate validates a session's surrogate spec and returns the
-// bo-layer configuration: the kernel family normalized to
-// "rbf"/"matern52" and the active-set budget, where anything but a
-// positive cap means gp.DefaultSparseBudget.
+// bo-layer configuration, the kernel family normalized to
+// "rbf"/"matern52".
 func resolveSurrogate(ss SurrogateSpec) (bo.SurrogateConfig, error) {
 	kernel := strings.ToLower(ss.Kernel)
 	switch kernel {
@@ -559,13 +565,8 @@ func resolveSurrogate(ss SurrogateSpec) (bo.SurrogateConfig, error) {
 	default:
 		return bo.SurrogateConfig{}, fmt.Errorf("service: unknown surrogate kernel %q (want rbf or matern52)", ss.Kernel)
 	}
-	budget := ss.Budget
-	if budget <= 0 {
-		budget = gp.DefaultSparseBudget
-	}
 	return bo.SurrogateConfig{
 		Kernel:     kernel,
-		Budget:     budget,
 		RefitEvery: ss.RefitEvery,
 		RefitDrift: ss.RefitDrift,
 	}, nil
@@ -803,7 +804,7 @@ func (m *Manager) Suggest(id string) (conf.Config, bool, error) {
 }
 
 // Observe reports one measured experiment to the session and returns its
-// refreshed status.
+// refreshed status. One past maxHistory is refused and journals nothing.
 func (m *Manager) Observe(id string, obs Observation) (Status, error) {
 	start := time.Now()
 	s, err := m.get(id)
@@ -832,6 +833,9 @@ func (m *Manager) Observe(id string, obs Observation) (Status, error) {
 		// Zero, negative, NaN, or infinite runtimes would corrupt the
 		// incumbent, the surrogate, and the stopping rule.
 		return Status{}, fmt.Errorf("service: runtime_sec must be a positive finite number, got %v", obs.RuntimeSec)
+	}
+	if err := checkBound("session "+id, len(s.history)+1); err != nil {
+		return Status{}, err
 	}
 
 	if err := m.observeLocked(s, obs, nil); err != nil {
@@ -970,8 +974,14 @@ func (m *Manager) Advertise() string { return m.opts.Advertise }
 // default runtime, and size — are skipped, so imports are idempotent and a
 // mesh of nodes cross-importing converges. Returns how many entries were
 // added; on a refused append it stops there with ErrJournal, and a retry of
-// the whole import completes it.
+// the whole import completes it. A body with any entry longer than
+// maxHistory points is refused whole, before anything is journaled.
 func (m *Manager) ImportRepository(entries []bo.RepoEntry) (int, error) {
+	for i := range entries {
+		if err := checkBound(fmt.Sprintf("model %d (%s)", i, entries[i].Workload), len(entries[i].Points)); err != nil {
+			return 0, err
+		}
+	}
 	added := 0
 	now := m.opts.Now()
 	for i := range entries {
@@ -1053,9 +1063,6 @@ type Metrics struct {
 	// far more than it fits.
 	SurrogateFits    int64
 	SurrogateAppends int64
-	// SurrogateCompactions counts evict-or-reject decisions surrogates
-	// made to stay within their active-set caps.
-	SurrogateCompactions int64
 	// RepoEntries is the size of the shared model repository; RepoCapacity
 	// is its eviction bound (<= 0 unbounded). RepoHits counts warm-start
 	// matches served; RepoEvictions counts entries evicted past capacity
@@ -1099,7 +1106,6 @@ func (m *Manager) Metrics() Metrics {
 			st := ss.SurrogateInfo()
 			mt.SurrogateFits += int64(st.Fits)
 			mt.SurrogateAppends += int64(st.Appends)
-			mt.SurrogateCompactions += int64(st.Compactions)
 		}
 		s.mu.Unlock()
 		mt.Sessions++
@@ -1380,11 +1386,9 @@ func (m *Manager) statusLocked(s *Session) Status {
 	if ss, ok := s.tuner.(surrogateStatser); ok {
 		info := ss.SurrogateInfo()
 		st.Surrogate = &SurrogateStatus{
-			Kind:        s.sur.Kernel,
-			Budget:      s.sur.Budget,
-			Fits:        info.Fits,
-			Appends:     info.Appends,
-			Compactions: info.Compactions,
+			Kind:    s.sur.Kernel,
+			Fits:    info.Fits,
+			Appends: info.Appends,
 		}
 	}
 	return st
@@ -1461,7 +1465,7 @@ func (m *Manager) drive(s *Session) {
 			s.mu.Unlock()
 			return
 		}
-		if s.tuner.Done() || len(s.history) >= maxAutoEvals {
+		if s.tuner.Done() || len(s.history) >= maxHistory {
 			m.refreshStateLocked(s)
 			if s.state == StateRunning { // eval cap hit before the tuner stopped
 				s.state = StateDone
@@ -1479,6 +1483,10 @@ func (m *Manager) drive(s *Session) {
 		if s.state == StateClosed {
 			s.mu.Unlock()
 			return
+		}
+		if len(s.history) >= maxHistory { // a client's observation filled it meanwhile
+			s.mu.Unlock()
+			continue
 		}
 		if err := m.observeLocked(s, rec, nil); err != nil {
 			s.state, s.err = StateFailed, err

@@ -53,13 +53,11 @@ const (
 // SurrogateSpec configures a session's surrogate model (BO and GBO
 // backends; ignored by relm and ddpg): the durable form, and — aliased as
 // service.SurrogateSpec — the `surrogate` JSON object on the HTTP wire.
+// Records from older builds may also carry a `budget` (a cap the GP once
+// had); decoding drops it, and the session replays onto the exact GP.
 type SurrogateSpec struct {
 	// Kernel selects the kernel family: "rbf" (default) or "matern52".
 	Kernel string `json:"kernel,omitempty"`
-	// Budget caps the GP's active set at this many points; the GP is exact
-	// below the cap. Anything but a positive value means the default
-	// (gp.DefaultSparseBudget, 256).
-	Budget int `json:"budget,omitempty"`
 	// RefitEvery throttles hyperparameter re-selection to once per this
 	// many observations (0 = paper default of 8).
 	RefitEvery int `json:"refit_every,omitempty"`
@@ -120,7 +118,7 @@ type SessionSpec struct {
 	DefaultRuntimeSec float64 `json:"default_sec,omitempty"`
 
 	// Surrogate configures the BO/GBO response-surface model. The zero
-	// value selects the defaults (RBF kernel, gp.DefaultSparseBudget cap)
+	// value selects the defaults (RBF kernel, refit every 8 observations)
 	// and is not journaled, as in records written before the field
 	// existed.
 	Surrogate SurrogateSpec `json:"surrogate,omitzero"`
