@@ -179,8 +179,6 @@ func (c *constSurrogate) PredictBatch(xs [][]float64, means, vars []float64, _ *
 	}
 }
 
-func (c *constSurrogate) LogMarginalLikelihood() float64 { return math.NaN() }
-
 func (c *constSurrogate) Stats() gp.SurrogateStats { return c.stats }
 
 func avg(xs []float64) float64 {

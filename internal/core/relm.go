@@ -98,7 +98,7 @@ func (t *Tuner) Initialize(st profile.Stats, n int) Pools {
 	// Eq 2: shuffle memory per task, scaled by the spillage fraction.
 	ms := 0.0
 	if st.MsMB > 0 {
-		p := float64(maxInt(st.P, 1))
+		p := float64(max(st.P, 1))
 		ms = math.Min(st.MsMB/(1-st.S/p), (1-delta)*mh)
 	}
 
@@ -135,7 +135,7 @@ func (t *Tuner) gcPools(mh float64, nr int) (mo, me float64) {
 // concurrencyFor is Eq 4.
 func (t *Tuner) concurrencyFor(st profile.Stats, n int, mh float64) int {
 	delta := t.Opts.Delta
-	pProf := float64(maxInt(st.P, 1))
+	pProf := float64(max(st.P, 1))
 	perTaskCPU := st.CPUAvg / pProf
 	perTaskDisk := st.DiskAvg / pProf
 
@@ -225,7 +225,7 @@ func (t *Tuner) Arbitrate(st profile.Stats, pools Pools) (Candidate, bool) {
 	}
 
 	// Line 11: bound shuffle memory by half the per-task Eden share.
-	pools.MsMB = math.Min(pools.MsMB, 0.5*pools.MeMB/float64(maxInt(pools.P, 1)))
+	pools.MsMB = math.Min(pools.MsMB, 0.5*pools.MeMB/float64(max(pools.P, 1)))
 
 	// Line 13: utility — fraction of heap put to productive use.
 	cand.Pools = pools
@@ -293,11 +293,4 @@ func clampInt(v, lo, hi int) int {
 		return hi
 	}
 	return v
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

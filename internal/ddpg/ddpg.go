@@ -88,13 +88,6 @@ func (o *OUNoise) Sample() []float64 {
 	return out
 }
 
-// Reset zeroes the process state.
-func (o *OUNoise) Reset() {
-	for i := range o.state {
-		o.state[i] = 0
-	}
-}
-
 // Options configures the agent; zero values select CDBTune-style defaults.
 type Options struct {
 	StateDim  int

@@ -62,12 +62,6 @@ func TestOUNoiseMeanReverts(t *testing.T) {
 	if math.Abs(mean) > 0.25 {
 		t.Fatalf("OU mean = %v, expected near 0", mean)
 	}
-	n.Reset()
-	for _, v := range n.state {
-		if v != 0 {
-			t.Fatal("reset failed")
-		}
-	}
 }
 
 func TestCDBTuneRewardSigns(t *testing.T) {

@@ -153,10 +153,6 @@ func (t *Tuner) Best() (tune.Sample, bool) { return t.best, t.found }
 // Done reports whether the step budget is exhausted.
 func (t *Tuner) Done() bool { return t.done }
 
-// Agent exposes the trained agent for persistence and cross-environment
-// re-use (Figure 27).
-func (t *Tuner) Agent() *Agent { return t.agent }
-
 // Result assembles the batch-style report from the steps taken so far.
 func (t *Tuner) Result() TuneResult {
 	return TuneResult{

@@ -42,8 +42,8 @@ func TestStepperMatchesBatchTune(t *testing.T) {
 			t.Fatalf("experiment %d diverged: %v vs %v", i, hb[i].Config, hs[i].Config)
 		}
 	}
-	if st.Agent() == nil || st.Agent().ReplayLen() != opts.MaxSteps {
-		t.Fatalf("agent replay: %d, want %d", st.Agent().ReplayLen(), opts.MaxSteps)
+	if st.agent == nil || st.agent.ReplayLen() != opts.MaxSteps {
+		t.Fatalf("agent replay: %d, want %d", st.agent.ReplayLen(), opts.MaxSteps)
 	}
 }
 

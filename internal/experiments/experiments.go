@@ -121,13 +121,6 @@ func separators(widths []int) []string {
 	return out
 }
 
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
 func f2(v float64) string { return fmt.Sprintf("%.2f", v) }
 func f1(v float64) string { return fmt.Sprintf("%.1f", v) }
 func f0(v float64) string { return fmt.Sprintf("%.0f", v) }

@@ -231,18 +231,6 @@ func Register(name string) *Failpoint {
 	return f
 }
 
-// Points lists the registered failpoint names, sorted.
-func Points() []string {
-	reg.mu.Lock()
-	defer reg.mu.Unlock()
-	out := make([]string, 0, len(reg.points))
-	for name := range reg.points {
-		out = append(out, name)
-	}
-	sort.Strings(out)
-	return out
-}
-
 // Apply compiles a schedule and arms it, replacing any previous schedule
 // wholesale (points without rules in the new schedule are disarmed). Every
 // rule is validated before anything is armed, so a bad schedule changes

@@ -40,7 +40,7 @@ func (m *Model) requirements(mh float64) (mcReq, msReq float64) {
 		mcReq = mh * math.Min(frac, 1-m.Delta)
 	}
 	if st.MsMB > 0 {
-		p := float64(maxInt(st.P, 1))
+		p := float64(max(st.P, 1))
 		msReq = math.Min(st.MsMB/(1-st.S/p), (1-m.Delta)*mh)
 	}
 	return mcReq, msReq
@@ -52,7 +52,7 @@ func (m *Model) Metrics(c conf.Config) [3]float64 {
 	st := &m.Stats
 	mh := m.Cluster.HeapPerContainer(c.ContainersPerNode)
 	mcX := c.CacheCapacity * mh
-	msX := c.ShuffleCapacity * mh / float64(maxInt(c.TaskConcurrency, 1))
+	msX := c.ShuffleCapacity * mh / float64(max(c.TaskConcurrency, 1))
 	moX := mh * float64(c.NewRatio) / float64(c.NewRatio+1)
 	sr := float64(c.SurvivorRatio)
 	if sr < 1 {
@@ -153,11 +153,4 @@ func Run(ev *tune.Evaluator, opts bo.Options) (bo.Result, *Model) {
 		}
 	}
 	return res, t.Model()
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

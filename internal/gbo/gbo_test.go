@@ -160,3 +160,16 @@ func TestExtraFeatureDimensionStable(t *testing.T) {
 		t.Fatal("guide features must be 3-dimensional")
 	}
 }
+
+// The guide features are Q squashed into [0, 1.5), on the scale of the
+// normalized knobs, whatever the configuration.
+func TestFeaturesVector(t *testing.T) {
+	m := model()
+	for _, cfg := range tune.NewSpace(cluster.A(), workload.KMeans()).Grid() {
+		for _, v := range m.ExtraFeatures(cfg) {
+			if v < 0 || v >= 1.5 {
+				t.Fatalf("%+v: squashed feature %v outside [0, 1.5)", cfg, v)
+			}
+		}
+	}
+}

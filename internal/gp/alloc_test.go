@@ -43,7 +43,7 @@ func TestPredictAllocations(t *testing.T) {
 	if err := sp.SetData(xs[:big], ys[:big]); err != nil {
 		t.Fatal(err)
 	}
-	if got := sp.Model().N(); got != big {
+	if got := sp.gp.N(); got != big {
 		t.Fatalf("the scheduled model holds %d points, want %d", got, big)
 	}
 	var sc Scratch

@@ -127,7 +127,7 @@ func BenchmarkGPScheduled(b *testing.B) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			m := s.Model().N()
+			m := s.gp.N()
 			if m == len(xs) {
 				b.StopTimer()
 				s, m = build(b), n

@@ -311,7 +311,7 @@ func TestIncrementalSchedule(t *testing.T) {
 	if st := inc.Stats(); st.Fits != 3 {
 		t.Fatalf("prefix change did not force a re-selection: fits = %d, want 3", st.Fits)
 	}
-	if got := inc.Model().N(); got != 10 {
+	if got := inc.gp.N(); got != 10 {
 		t.Fatalf("model holds %d points, want 10", got)
 	}
 }
@@ -328,7 +328,7 @@ func TestIncrementalRefitMatchesBatchSelection(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	got := inc.Model()
+	got := inc.gp
 	// 24 points with RefitEvery=4: the final SetData lands exactly on a
 	// scheduled re-selection, so the model must match batch selection.
 	want, err := FitBestARD("rbf", xs, ys, 3, 0)

@@ -1,7 +1,6 @@
 package gp
 
 import (
-	"math"
 	"slices"
 	"time"
 
@@ -125,18 +124,6 @@ func (s *Scheduled) PredictBatch(xs [][]float64, means, vars []float64, sc *Scra
 	}
 	s.gp.PredictBatch(xs, means, vars, sc)
 }
-
-// LogMarginalLikelihood reports the selection objective (-Inf before the
-// first fit).
-func (s *Scheduled) LogMarginalLikelihood() float64 {
-	if s.gp == nil {
-		return math.Inf(-1)
-	}
-	return s.gp.LogMarginalLikelihood()
-}
-
-// Model returns the current GP (nil before the first successful SetData).
-func (s *Scheduled) Model() *GP { return s.gp }
 
 // Stats reports the cumulative work counters.
 func (s *Scheduled) Stats() SurrogateStats { return s.stats }

@@ -60,12 +60,12 @@ func TestSparseMatchesExactUnderBudget(t *testing.T) {
 						trial, i, x, sm, sv, em, ev)
 				}
 			}
-			if el, sl := ref.LogMarginalLikelihood(), s.LogMarginalLikelihood(); math.Abs(el-sl) > 1e-9 {
+			if el, sl := ref.LogMarginalLikelihood(), s.gp.LogMarginalLikelihood(); math.Abs(el-sl) > 1e-9 {
 				t.Fatalf("trial %d prefix %d: LML diverges: exact %v vs scheduled %v", trial, i, el, sl)
 			}
 		}
-		if s.Model().N() != n {
-			t.Fatalf("trial %d: the model holds %d of %d points", trial, s.Model().N(), n)
+		if s.gp.N() != n {
+			t.Fatalf("trial %d: the model holds %d of %d points", trial, s.gp.N(), n)
 		}
 	}
 }
@@ -86,7 +86,7 @@ func TestSparseTracksExactPosterior(t *testing.T) {
 	if err := s.SetData(xs, ys); err != nil {
 		t.Fatal(err)
 	}
-	if got := s.Model().N(); got != n {
+	if got := s.gp.N(); got != n {
 		t.Fatalf("the model holds %d of %d points", got, n)
 	}
 	var se, ss Scratch
@@ -121,7 +121,7 @@ func TestSparseRebuildsOnPrefixChange(t *testing.T) {
 	if s.Stats().Fits <= fitsBefore {
 		t.Fatalf("prefix change did not force a re-selection: fits %d -> %d", fitsBefore, s.Stats().Fits)
 	}
-	if got := s.Model().N(); got != 35 {
+	if got := s.gp.N(); got != 35 {
 		t.Fatalf("the model holds %d points after the rebuild, want 35", got)
 	}
 }
@@ -145,7 +145,7 @@ func TestSparseProtectsIncumbent(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	g := s.Model()
+	g := s.gp
 	if !slices.Equal(g.ys, ys) || !slices.EqualFunc(g.xs, xs, slices.Equal[[]float64]) {
 		t.Fatalf("the model's %d rows are not the %d streamed", g.N(), len(xs))
 	}

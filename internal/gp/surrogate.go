@@ -22,14 +22,13 @@ type SurrogateStats struct {
 //
 // Prediction is allocation-free through a caller-owned Scratch; a Surrogate
 // must support concurrent PredictInto/PredictBatch calls with distinct
-// scratches. LogMarginalLikelihood reports the model-selection objective
-// (NaN for models without a likelihood). Stats exposes the cumulative work
-// counters for metrics and tests.
+// scratches. Stats exposes the cumulative work counters for metrics and
+// tests. Hyperparameter selection is the GP's own business: it reads
+// (*GP).LogMarginalLikelihood directly, so the seam does not carry it.
 type Surrogate interface {
 	SetData(xs [][]float64, ys []float64) error
 	PredictInto(x []float64, s *Scratch) (mean, variance float64)
 	PredictBatch(xs [][]float64, means, vars []float64, s *Scratch)
-	LogMarginalLikelihood() float64
 	Stats() SurrogateStats
 }
 

@@ -337,53 +337,3 @@ func LogDetFromChol(l *Matrix) float64 {
 	}
 	return 2 * s
 }
-
-// Scale multiplies every element in place.
-func (m *Matrix) Scale(a float64) {
-	for i := range m.Data {
-		m.Data[i] *= a
-	}
-}
-
-// Add returns m + b as a new matrix.
-func (m *Matrix) Add(b *Matrix) *Matrix {
-	if m.Rows != b.Rows || m.Cols != b.Cols {
-		panic("linalg: Add dimension mismatch")
-	}
-	out := m.Clone()
-	for i := range out.Data {
-		out.Data[i] += b.Data[i]
-	}
-	return out
-}
-
-// Sub returns a - b element-wise for vectors.
-func Sub(a, b []float64) []float64 {
-	if len(a) != len(b) {
-		panic("linalg: Sub length mismatch")
-	}
-	out := make([]float64, len(a))
-	for i := range a {
-		out[i] = a[i] - b[i]
-	}
-	return out
-}
-
-// AXPY computes y += a·x in place.
-func AXPY(a float64, x, y []float64) {
-	if len(x) != len(y) {
-		panic("linalg: AXPY length mismatch")
-	}
-	for i := range x {
-		y[i] += a * x[i]
-	}
-}
-
-// Norm2 returns the Euclidean norm of v.
-func Norm2(v []float64) float64 {
-	var s float64
-	for _, x := range v {
-		s += x * x
-	}
-	return math.Sqrt(s)
-}

@@ -92,9 +92,6 @@ func NewNet(rng *simrand.Rand, sizes []int, hidden, output Activation) *Net {
 	return n
 }
 
-// Sizes returns the layer sizes.
-func (n *Net) Sizes() []int { return append([]int(nil), n.sizes...) }
-
 // ParamCount returns the number of trainable parameters.
 func (n *Net) ParamCount() int {
 	c := 0

@@ -1,9 +1,6 @@
 package obs
 
-import (
-	"sort"
-	"sync"
-)
+import "sync"
 
 // Registry is a named collection of histograms — one per pipeline stage.
 // A nil *Registry is valid and hands out nil histograms, which record
@@ -53,19 +50,4 @@ func (r *Registry) Snapshots() map[string]Snapshot {
 	}
 	r.mu.RUnlock()
 	return out
-}
-
-// Names returns the registered stage names, sorted.
-func (r *Registry) Names() []string {
-	if r == nil {
-		return nil
-	}
-	r.mu.RLock()
-	names := make([]string, 0, len(r.hists))
-	for name := range r.hists {
-		names = append(names, name)
-	}
-	r.mu.RUnlock()
-	sort.Strings(names)
-	return names
 }

@@ -99,8 +99,6 @@ type Options struct {
 	// Interval is the ship poll period (default 500ms): the active
 	// segment's tail is shipped at most this stale.
 	Interval time.Duration
-	// ChunkBytes caps one ship request's body (default 1 MiB).
-	ChunkBytes int
 	// Logf, when non-nil, receives replication log lines.
 	Logf func(format string, args ...any)
 	// ShipHist, when set, records the latency of each ship cycle (one
@@ -116,9 +114,6 @@ func (o *Options) fill() {
 	}
 	if o.Interval <= 0 {
 		o.Interval = 500 * time.Millisecond
-	}
-	if o.ChunkBytes <= 0 {
-		o.ChunkBytes = 1 << 20
 	}
 }
 

@@ -249,7 +249,7 @@ func (s *Set) shipDelta(ctx context.Context, f *followerState, trace string) err
 	for _, seg := range local {
 		off := remote[seg.Index]
 		for off < seg.Bytes {
-			n := int64(s.opts.ChunkBytes)
+			n := int64(chunkBytes)
 			if rest := seg.Bytes - off; rest < n {
 				n = rest
 			}
@@ -347,6 +347,9 @@ func (s *Set) ingest(ctx context.Context, f *followerState, trace, pathQuery str
 
 // exchangeTimeout bounds one request of a ship cycle; Close cuts it shorter.
 const exchangeTimeout = 10 * time.Second
+
+// chunkBytes caps one ship request's body.
+const chunkBytes = 1 << 20
 
 // exchange sends one request of a ship cycle to the follower (Handler is
 // the other end) and reads the answer the way the protocol means it: 200

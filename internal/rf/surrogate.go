@@ -1,10 +1,6 @@
 package rf
 
-import (
-	"math"
-
-	"relm/internal/gp"
-)
+import "relm/internal/gp"
 
 // Surrogate adapts the Random Forest onto the gp.Surrogate interface, so the
 // Figure 26 ablation plugs into the Bayesian-optimization tuners through the
@@ -50,9 +46,6 @@ func (s *Surrogate) PredictBatch(xs [][]float64, means, vars []float64, _ *gp.Sc
 		means[i], vars[i] = s.PredictInto(x, nil)
 	}
 }
-
-// LogMarginalLikelihood is NaN: forests have no likelihood.
-func (s *Surrogate) LogMarginalLikelihood() float64 { return math.NaN() }
 
 // Stats reports the cumulative work counters.
 func (s *Surrogate) Stats() gp.SurrogateStats { return s.stats }

@@ -109,10 +109,11 @@ type Options struct {
 	// SnapshotEvery is how often, in journaled events, the node considers
 	// compacting the log into a snapshot (default 1024); it does when the
 	// log appended since the last one outweighs it (see snapshotter).
-	// Ignored without a Store.
+	// Ignored without a Store; Open refuses a negative one.
 	SnapshotEvery int
 	// WarmMaxDistance is the default fingerprint-distance threshold for
-	// warm-start matching (default 0.25; per-session Spec overrides it).
+	// warm-start matching (default 0.25; per-session Spec overrides it;
+	// Open refuses a negative one).
 	// Re-profiles of one workload land within ~0.05 of each other;
 	// different workload classes differ by 0.5 or more.
 	WarmMaxDistance float64
@@ -371,8 +372,16 @@ func Open(opts Options) (*Manager, error) {
 	if opts.NodeID != "" && !validIdent(opts.NodeID) {
 		return nil, fmt.Errorf("service: bad node ID %q (want letters, digits, '.', '_', '-')", opts.NodeID)
 	}
-	if opts.TTL < 0 || opts.MaxSessions < 0 || opts.Workers < 0 {
-		return nil, fmt.Errorf("service: negative option: ttl %v, max sessions %d, workers %d", opts.TTL, opts.MaxSessions, opts.Workers)
+	for _, o := range []struct {
+		name string
+		neg  bool
+	}{
+		{"TTL", opts.TTL < 0}, {"MaxSessions", opts.MaxSessions < 0}, {"Workers", opts.Workers < 0},
+		{"SnapshotEvery", opts.SnapshotEvery < 0}, {"WarmMaxDistance", opts.WarmMaxDistance < 0},
+	} {
+		if o.neg {
+			return nil, fmt.Errorf("service: negative option %s", o.name)
+		}
 	}
 	m := newManager(opts)
 	var autos []*Session

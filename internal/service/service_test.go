@@ -3,6 +3,7 @@ package service
 import (
 	"fmt"
 	"math"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -346,8 +347,10 @@ func TestSessionLimit(t *testing.T) {
 
 // TestOpenRefusesNegativeOptions: a negative TTL would evict every session
 // within a second, a negative session limit refuse every create, a negative
-// worker pool never run an auto session; Open refuses each. A negative
-// RepoCapacity stays legal: it means unbounded.
+// worker pool never run an auto session, a negative SnapshotEvery signal the
+// snapshotter on every append and a negative WarmMaxDistance turn every warm
+// start off; Open refuses each, naming it. A negative RepoCapacity stays
+// legal: it means unbounded.
 func TestOpenRefusesNegativeOptions(t *testing.T) {
 	for _, tt := range []struct {
 		name string
@@ -356,12 +359,17 @@ func TestOpenRefusesNegativeOptions(t *testing.T) {
 		{"TTL", Options{TTL: -time.Minute}},
 		{"MaxSessions", Options{MaxSessions: -1}},
 		{"Workers", Options{Workers: -1}},
+		{"SnapshotEvery", Options{SnapshotEvery: -1}},
+		{"WarmMaxDistance", Options{WarmMaxDistance: -0.1}},
 	} {
 		t.Run(tt.name, func(t *testing.T) {
 			m, err := Open(tt.opts)
 			if err == nil {
 				m.Close()
 				t.Fatalf("Open accepted a negative %s", tt.name)
+			}
+			if !strings.Contains(err.Error(), tt.name) {
+				t.Fatalf("refusal %q does not name %s", err, tt.name)
 			}
 		})
 	}

@@ -320,12 +320,3 @@ func (h *Heap) SimulateWave(load WaveLoad) WaveResult {
 
 	return res
 }
-
-// ReleaseOld removes long-lived data from Old (cache eviction between
-// application phases).
-func (h *Heap) ReleaseOld(mb float64) {
-	h.OldUsedMB -= mb
-	if h.OldUsedMB < 0 {
-		h.OldUsedMB = 0
-	}
-}

@@ -84,15 +84,6 @@ func TestTenureCapsAtOld(t *testing.T) {
 	}
 }
 
-func TestReleaseOldFloorsAtZero(t *testing.T) {
-	h := New(defaultLayout(), DefaultCostModel())
-	h.Tenure(100)
-	h.ReleaseOld(1e9)
-	if h.OldUsedMB != 0 {
-		t.Fatal("ReleaseOld should floor at 0")
-	}
-}
-
 func TestYoungGCCountScalesWithAllocation(t *testing.T) {
 	h := New(defaultLayout(), DefaultCostModel())
 	small := h.SimulateWave(WaveLoad{Duration: 10, AllocMB: 500, LiveShortMB: 100, Tasks: 2})

@@ -21,14 +21,3 @@ type Result = exec.Result
 func Run(cl cluster.Spec, wl workload.Spec, cfg conf.Config, seed uint64) (Result, *profile.Profile) {
 	return exec.Run(cl, wl, cfg, seed)
 }
-
-// RunN executes n independent runs with derived seeds and returns all
-// results, mirroring the paper's repeated executions of a setup (Figure 5).
-func RunN(cl cluster.Spec, wl workload.Spec, cfg conf.Config, seed uint64, n int) []Result {
-	out := make([]Result, 0, n)
-	for i := 0; i < n; i++ {
-		r, _ := Run(cl, wl, cfg, seed+uint64(i)*7919)
-		out = append(out, r)
-	}
-	return out
-}

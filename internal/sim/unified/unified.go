@@ -10,94 +10,12 @@
 //     evicted as soon as execution asks for its memory back;
 //   - execution memory, once granted, is never revoked (tasks would
 //     deadlock), so storage requests only get what execution left behind.
+//
+// The simulator plans each task's shuffle grant with ExecutionShare
+// (internal/sim/exec); it keeps no pool state of its own.
 package unified
 
 import "relm/internal/units"
-
-// Manager arbitrates one container's unified memory pool.
-type Manager struct {
-	// PoolMB is the unified pool size (fraction of heap × heap).
-	PoolMB float64
-	// ProtectedMB is the storage region execution cannot evict
-	// (storageFraction × pool).
-	ProtectedMB float64
-
-	storageUsed   float64
-	executionUsed float64
-	evicted       float64
-}
-
-// New returns a manager over a pool with the given protected storage region.
-func New(poolMB, protectedMB float64) *Manager {
-	poolMB = units.MaxF(poolMB, 0)
-	return &Manager{
-		PoolMB:      poolMB,
-		ProtectedMB: units.Clamp(protectedMB, 0, poolMB),
-	}
-}
-
-// NewSparkDefault mirrors Spark's default storageFraction of 0.5.
-func NewSparkDefault(poolMB float64) *Manager {
-	return New(poolMB, 0.5*poolMB)
-}
-
-// StorageUsed returns the cached bytes currently held.
-func (m *Manager) StorageUsed() float64 { return m.storageUsed }
-
-// ExecutionUsed returns the execution bytes currently held.
-func (m *Manager) ExecutionUsed() float64 { return m.executionUsed }
-
-// EvictedMB returns the cumulative storage evicted on execution's behalf.
-func (m *Manager) EvictedMB() float64 { return m.evicted }
-
-// Free returns the unallocated pool space.
-func (m *Manager) Free() float64 {
-	return units.MaxF(m.PoolMB-m.storageUsed-m.executionUsed, 0)
-}
-
-// AcquireStorage grants up to mb of storage. Storage may fill any free
-// space (including unused execution territory) but cannot displace granted
-// execution memory; the grant may be partial or zero.
-func (m *Manager) AcquireStorage(mb float64) float64 {
-	if mb <= 0 {
-		return 0
-	}
-	granted := units.MinF(mb, m.Free())
-	m.storageUsed += granted
-	return granted
-}
-
-// AcquireExecution grants up to mb of execution memory, evicting cached
-// blocks above the protected region if needed. The grant may be partial.
-func (m *Manager) AcquireExecution(mb float64) float64 {
-	if mb <= 0 {
-		return 0
-	}
-	granted := units.MinF(mb, m.Free())
-	m.executionUsed += granted
-	mb -= granted
-
-	if mb > 0 {
-		// Evict storage above the protected region.
-		evictable := units.MaxF(m.storageUsed-m.ProtectedMB, 0)
-		take := units.MinF(mb, evictable)
-		m.storageUsed -= take
-		m.evicted += take
-		m.executionUsed += take
-		granted += take
-	}
-	return granted
-}
-
-// ReleaseExecution returns execution memory to the pool.
-func (m *Manager) ReleaseExecution(mb float64) {
-	m.executionUsed = units.Clamp(m.executionUsed-mb, 0, m.PoolMB)
-}
-
-// ReleaseStorage drops cached bytes (block eviction or unpersist).
-func (m *Manager) ReleaseStorage(mb float64) {
-	m.storageUsed = units.Clamp(m.storageUsed-mb, 0, m.PoolMB)
-}
 
 // ExecutionShare answers the planning question the execution engine asks:
 // with storageMB currently cached, how much execution memory can each of p

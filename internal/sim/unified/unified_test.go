@@ -5,64 +5,18 @@ import (
 	"testing/quick"
 )
 
-func TestStorageFillsFreePool(t *testing.T) {
-	m := NewSparkDefault(1000)
-	if got := m.AcquireStorage(800); got != 800 {
-		t.Fatalf("granted %v", got)
-	}
-	if got := m.AcquireStorage(400); got != 200 {
-		t.Fatalf("overflow grant %v, want the remaining 200", got)
-	}
-	if m.Free() != 0 {
-		t.Fatal("pool should be full")
-	}
-}
-
 func TestExecutionEvictsAboveProtected(t *testing.T) {
-	m := NewSparkDefault(1000) // protected = 500
-	m.AcquireStorage(900)
-	// Execution wants 600: 100 free + evict 400 (down to the protected 500).
-	if got := m.AcquireExecution(600); got != 500 {
-		t.Fatalf("execution granted %v, want 500", got)
-	}
-	if m.StorageUsed() != 500 {
-		t.Fatalf("storage after eviction = %v, want the protected 500", m.StorageUsed())
-	}
-	if m.EvictedMB() != 400 {
-		t.Fatalf("evicted = %v", m.EvictedMB())
+	// 900 cached against a protected 500: execution may evict the 400
+	// above the protected region, so a lone task gets the other 500.
+	if got := ExecutionShare(1000, 500, 900, 1); got != 500 {
+		t.Fatalf("share = %v, want 500", got)
 	}
 }
 
 func TestExecutionNeverEvictsProtected(t *testing.T) {
-	m := New(1000, 600)
-	m.AcquireStorage(600)
-	if got := m.AcquireExecution(900); got != 400 {
-		t.Fatalf("execution granted %v, want only the 400 outside protection", got)
-	}
-	if m.StorageUsed() != 600 {
-		t.Fatal("protected storage was evicted")
-	}
-}
-
-func TestStorageCannotDisplaceExecution(t *testing.T) {
-	m := NewSparkDefault(1000)
-	m.AcquireExecution(700)
-	if got := m.AcquireStorage(500); got != 300 {
-		t.Fatalf("storage granted %v, want 300 (execution is never revoked)", got)
-	}
-}
-
-func TestRelease(t *testing.T) {
-	m := NewSparkDefault(1000)
-	m.AcquireExecution(400)
-	m.ReleaseExecution(150)
-	if m.ExecutionUsed() != 250 {
-		t.Fatalf("execution after release = %v", m.ExecutionUsed())
-	}
-	m.AcquireStorage(700)
-	m.ReleaseStorage(1e9) // over-release floors at zero
-	if m.StorageUsed() != 0 {
-		t.Fatal("storage release floor")
+	// All 600 cached are protected: only the 400 outside stay for execution.
+	if got := ExecutionShare(1000, 600, 600, 1); got != 400 {
+		t.Fatalf("share = %v, want only the 400 outside protection", got)
 	}
 }
 
@@ -82,35 +36,13 @@ func TestExecutionShare(t *testing.T) {
 	}
 }
 
-// Property: the accounting invariant storage+execution ≤ pool always holds,
-// and grants are never negative.
+// Property: the p shares never exceed the pool, and a share is never
+// negative, whatever is cached or protected.
 func TestInvariantProperty(t *testing.T) {
-	f := func(ops [8]uint16) bool {
-		m := NewSparkDefault(1 << 12)
-		for i, raw := range ops {
-			mb := float64(raw % 3000)
-			switch i % 4 {
-			case 0:
-				if m.AcquireStorage(mb) < 0 {
-					return false
-				}
-			case 1:
-				if m.AcquireExecution(mb) < 0 {
-					return false
-				}
-			case 2:
-				m.ReleaseExecution(mb)
-			case 3:
-				m.ReleaseStorage(mb)
-			}
-			if m.StorageUsed()+m.ExecutionUsed() > m.PoolMB+1e-9 {
-				return false
-			}
-			if m.StorageUsed() < 0 || m.ExecutionUsed() < 0 || m.Free() < 0 {
-				return false
-			}
-		}
-		return true
+	f := func(pool, protected, storage uint16, p uint8) bool {
+		tasks := int(p%16) + 1
+		s := ExecutionShare(float64(pool), float64(protected), float64(storage), tasks)
+		return s >= 0 && s*float64(tasks) <= float64(pool)+1e-9
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
@@ -118,8 +50,7 @@ func TestInvariantProperty(t *testing.T) {
 }
 
 func TestZeroPool(t *testing.T) {
-	m := NewSparkDefault(0)
-	if m.AcquireStorage(10) != 0 || m.AcquireExecution(10) != 0 {
-		t.Fatal("zero pool must grant nothing")
+	if s := ExecutionShare(0, 0, 10, 2); s != 0 {
+		t.Fatalf("zero pool must grant nothing, got %v", s)
 	}
 }

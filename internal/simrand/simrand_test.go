@@ -167,20 +167,6 @@ func TestBoolProbability(t *testing.T) {
 	}
 }
 
-func TestShuffle(t *testing.T) {
-	r := New(12)
-	xs := []int{0, 1, 2, 3, 4, 5, 6, 7}
-	orig := append([]int(nil), xs...)
-	r.Shuffle(len(xs), func(i, j int) { xs[i], xs[j] = xs[j], xs[i] })
-	sum := 0
-	for _, v := range xs {
-		sum += v
-	}
-	if sum != 28 {
-		t.Fatalf("shuffle lost elements: %v (orig %v)", xs, orig)
-	}
-}
-
 // Property: seeded streams are pure functions of the seed.
 func TestSeedPurity(t *testing.T) {
 	f := func(seed uint64) bool {

@@ -92,9 +92,6 @@ func HashHex(data []byte) string {
 	return fmt.Sprintf("%016x", x)
 }
 
-// Dir returns the directory the store is rooted at.
-func (s *File) Dir() string { return s.dir }
-
 // ListSegmentFiles returns the WAL segments present in dir (any store or
 // replica directory) in index order with their current on-disk sizes. A
 // missing directory is an empty log, not an error.

@@ -78,8 +78,8 @@ func TestInjectedFsyncDegradesStore(t *testing.T) {
 	if err := s.Compact(&Snapshot{Fence: s.Seq()}); !errors.Is(err, ErrDegraded) {
 		t.Fatalf("compact on degraded store: %v, want ErrDegraded", err)
 	}
-	if reason, ok := s.Degraded(); !ok || reason == "" {
-		t.Fatal("Degraded() accessor disagrees with Metrics")
+	if m2 := s.Metrics(); !m2.Degraded || m2.DegradedReason != m.DegradedReason {
+		t.Fatalf("refused writes changed the degraded state: %+v, was %+v", m2, m)
 	}
 	_, events, err := s.Load()
 	if err != nil {

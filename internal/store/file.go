@@ -47,8 +47,9 @@ type FileOptions struct {
 	// write+fsync batch (see groupcommit.go).
 	SyncEachAppend bool
 	// SegmentBytes rotates the active segment once it reaches this size
-	// (default 4 MiB). Sealed segments are immutable, so compaction only
-	// ever deletes them whole — it never rewrites log data.
+	// (default 4 MiB; OpenFile refuses a negative one). Sealed segments are
+	// immutable, so compaction only ever deletes them whole — it never
+	// rewrites log data.
 	SegmentBytes int64
 	// CommitInterval is an additional coalescing delay before a batch is
 	// flushed. The default (0) flushes a batch as soon as the committer
@@ -149,6 +150,9 @@ func OpenFile(dir string, opts ...FileOptions) (*File, error) {
 	var o FileOptions
 	if len(opts) > 0 {
 		o = opts[0]
+	}
+	if o.SegmentBytes < 0 {
+		return nil, fmt.Errorf("store: negative option SegmentBytes %d", o.SegmentBytes)
 	}
 	o.fill()
 	if err := os.MkdirAll(dir, 0o755); err != nil {
@@ -402,14 +406,6 @@ func (s *File) rotateLocked() error {
 func (s *File) degrade(reason string) {
 	r := reason
 	s.degraded.CompareAndSwap(nil, &r)
-}
-
-// Degraded reports whether the WAL has flipped read-only, and why.
-func (s *File) Degraded() (string, bool) {
-	if r := s.degraded.Load(); r != nil {
-		return *r, true
-	}
-	return "", false
 }
 
 // Seq returns the last assigned sequence number.

@@ -146,6 +146,28 @@ func TestMixedLayoutRefused(t *testing.T) {
 	}
 }
 
+// TestOpenFileRefusesNegativeSegmentBytes: a negative rotation size would
+// seal a segment after every append, each with an fsync, a file create and
+// a directory sync. OpenFile refuses it by name and touches no directory;
+// zero still means the default.
+func TestOpenFileRefusesNegativeSegmentBytes(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "wal")
+	if _, err := OpenFile(dir, FileOptions{SegmentBytes: -1}); err == nil || !strings.Contains(err.Error(), "SegmentBytes") {
+		t.Fatalf("open with SegmentBytes -1: err=%v, want a refusal naming SegmentBytes", err)
+	}
+	if _, err := os.Stat(dir); !os.IsNotExist(err) {
+		t.Fatalf("refused open created its directory: %v", err)
+	}
+	s, err := OpenFile(dir, FileOptions{SegmentBytes: 0})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	if s.opts.SegmentBytes != 4<<20 {
+		t.Fatalf("SegmentBytes 0 filled to %d, want the 4 MiB default", s.opts.SegmentBytes)
+	}
+}
+
 // TestCompactPrunesOnlySealedSegments: compaction deletes sealed segments
 // wholly at or below the fence and leaves everything else byte-identical.
 func TestCompactPrunesOnlySealedSegments(t *testing.T) {

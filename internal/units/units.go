@@ -4,29 +4,12 @@
 // unless a name says otherwise.
 package units
 
-import "fmt"
-
 // Common memory sizes in MB.
 const (
 	KB = 1.0 / 1024.0
 	MB = 1.0
 	GB = 1024.0
 )
-
-// MBString renders a quantity of MB in a human-friendly unit.
-func MBString(mb float64) string {
-	switch {
-	case mb >= GB:
-		return fmt.Sprintf("%.2fGB", mb/GB)
-	case mb >= 1:
-		return fmt.Sprintf("%.0fMB", mb)
-	default:
-		return fmt.Sprintf("%.0fKB", mb*1024)
-	}
-}
-
-// Minutes converts seconds to minutes.
-func Minutes(sec float64) float64 { return sec / 60 }
 
 // Clamp bounds v into [lo, hi].
 func Clamp(v, lo, hi float64) float64 {
@@ -53,14 +36,6 @@ func ClampInt(v, lo, hi int) int {
 // MaxF returns the larger of a and b.
 func MaxF(a, b float64) float64 {
 	if a > b {
-		return a
-	}
-	return b
-}
-
-// MinF returns the smaller of a and b.
-func MinF(a, b float64) float64 {
-	if a < b {
 		return a
 	}
 	return b

@@ -5,30 +5,6 @@ import (
 	"testing/quick"
 )
 
-func TestMBString(t *testing.T) {
-	cases := []struct {
-		mb   float64
-		want string
-	}{
-		{2048, "2.00GB"},
-		{1024, "1.00GB"},
-		{512, "512MB"},
-		{1, "1MB"},
-		{0.5, "512KB"},
-	}
-	for _, c := range cases {
-		if got := MBString(c.mb); got != c.want {
-			t.Errorf("MBString(%v) = %q, want %q", c.mb, got, c.want)
-		}
-	}
-}
-
-func TestMinutes(t *testing.T) {
-	if got := Minutes(120); got != 2 {
-		t.Fatalf("Minutes(120) = %v", got)
-	}
-}
-
 func TestClamp(t *testing.T) {
 	if got := Clamp(5, 0, 1); got != 1 {
 		t.Errorf("Clamp above = %v", got)
@@ -56,9 +32,6 @@ func TestClampInt(t *testing.T) {
 func TestMaxMinF(t *testing.T) {
 	if MaxF(2, 3) != 3 || MaxF(3, 2) != 3 {
 		t.Error("MaxF wrong")
-	}
-	if MinF(2, 3) != 2 || MinF(3, 2) != 2 {
-		t.Error("MinF wrong")
 	}
 }
 
