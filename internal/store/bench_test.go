@@ -1,6 +1,7 @@
 package store
 
 import (
+	"encoding/json"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -8,6 +9,7 @@ import (
 	"time"
 
 	"relm/internal/conf"
+	"relm/internal/profile"
 )
 
 // BenchmarkStoreAppendParallel measures WAL append throughput across
@@ -111,5 +113,36 @@ func BenchmarkOpenAndLoad(b *testing.B) {
 		if err := s.Close(); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkDecodeEvent prices one observe record with stats, as json.Marshal
+// writes it, through the log's reader and through json.Unmarshal.
+func BenchmarkDecodeEvent(b *testing.B) {
+	line, err := json.Marshal(&Event{Seq: 2, Type: EventObserve, ID: "sess-1", Time: time.Unix(1000, 0).UTC(), N: 3, Obs: &Observation{
+		Config:     conf.Config{ContainersPerNode: 2, TaskConcurrency: 2, CacheCapacity: 0.6513305230104615, ShuffleCapacity: 0.1, NewRatio: 7, SurvivorRatio: 8},
+		RuntimeSec: 737.2529482783447, GCOverhead: 0.0625,
+		Stats: &profile.Stats{N: 2, MhMB: 2202, CPUAvg: 0.375, DiskAvg: 0.0670653293398664, MiMB: 96.92645626050263, McMB: 1258.94, MsMB: 7.2, MuMB: 353.34204269608165, P: 2, H: 0.828125, HadFullGC: true, CoresPerNode: 8},
+	}})
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, c := range []struct {
+		name   string
+		decode func([]byte, *Event) error
+	}{
+		{"reader", decodeEvent},
+		{"json.Unmarshal", func(line []byte, ev *Event) error { return json.Unmarshal(line, ev) }},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			b.SetBytes(int64(len(line)))
+			b.ReportAllocs()
+			var ev Event
+			for b.Loop() {
+				if err := c.decode(line, &ev); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

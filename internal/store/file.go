@@ -535,10 +535,10 @@ func decodeSegment(buf []byte, tolerateTail bool) ([]Event, int64, error) {
 	return kept, size, nil
 }
 
-// decodeLines unmarshals every non-blank line, lines[i] into events[i] or
-// its error into errs[i], on as many workers as there are cores, each
-// taking every workers-th line so that long and short records spread
-// evenly. A line decodes alone, so no answer depends on the worker.
+// decodeLines decodes every non-blank line with decodeEvent, lines[i] into
+// events[i] or its error into errs[i], on as many workers as there are
+// cores, each taking every workers-th line so that long and short records
+// spread evenly. A line decodes alone, so no answer depends on the worker.
 func decodeLines(lines [][]byte) (events []Event, errs []error) {
 	events, errs = make([]Event, len(lines)), make([]error, len(lines))
 	workers := min(runtime.GOMAXPROCS(0), len(lines))
@@ -549,7 +549,7 @@ func decodeLines(lines [][]byte) (events []Event, errs []error) {
 			defer wg.Done()
 			for i := w; i < len(lines); i += workers {
 				if !blank(lines[i]) {
-					errs[i] = json.Unmarshal(lines[i], &events[i])
+					errs[i] = decodeEvent(lines[i], &events[i])
 				}
 			}
 		}()

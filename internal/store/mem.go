@@ -9,10 +9,12 @@ import (
 )
 
 // Mem is the in-memory Store: the same WAL + snapshot semantics as File
-// with no disk underneath. Events and snapshots pass through the JSON
-// codec, so Mem exercises the exact on-disk schema — tests that pass
-// against Mem behave identically against File. State dies with the
-// process; use it for tests and ephemeral servers.
+// with no disk underneath. Events and snapshots are encoded with
+// json.Marshal, and events decoded with File's own reader (decodeEvent,
+// its fast path and its json.Unmarshal fallback), so Mem exercises the
+// exact on-disk schema and read path — tests that pass against Mem behave
+// identically against File. State dies with the process; use it for tests
+// and ephemeral servers.
 type Mem struct {
 	mu          sync.Mutex
 	closed      bool
@@ -72,7 +74,7 @@ func (s *Mem) Load() (*Snapshot, []Event, error) {
 	events := make([]Event, 0, len(s.log))
 	for _, line := range s.log {
 		var ev Event
-		if err := json.Unmarshal(line, &ev); err != nil {
+		if err := decodeEvent(line, &ev); err != nil {
 			return nil, nil, fmt.Errorf("store: decode event: %w", err)
 		}
 		events = append(events, ev)
@@ -102,7 +104,7 @@ func (s *Mem) Compact(snap *Snapshot) error {
 		var bytes int64
 		for _, line := range s.log {
 			var ev Event
-			if err := json.Unmarshal(line, &ev); err != nil {
+			if err := decodeEvent(line, &ev); err != nil {
 				return fmt.Errorf("store: decode event: %w", err)
 			}
 			if ev.Seq <= snap.Fence {

@@ -24,8 +24,12 @@
 // it never rewrites log data — and, with SyncEachAppend, group-commits
 // concurrent appends into shared fsync batches (see groupcommit.go).
 // Recovery decodes the log once: OpenFile reads each segment whole and
-// unmarshals its records across the cores, and keeps what it decoded for
-// the first Load, which costs no second read.
+// decodes its records across the cores, and keeps what it decoded for
+// the first Load, which costs no second read. Observe, close and local
+// harvest records are read in the exact layout json.Marshal writes them,
+// without reflection; every other line goes to json.Unmarshal, so either
+// way a line decodes to the same Event (decode.go). The writer is
+// json.Marshal, unchanged.
 package store
 
 import (
