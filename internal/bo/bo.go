@@ -38,10 +38,6 @@ type SurrogateConfig struct {
 	// per-point log marginal likelihood has dropped this much since the
 	// last selection (default 0.25; negative disables the drift trigger).
 	RefitDrift float64
-	// ARDIters bounds the per-dimension length-scale gradient ascent run on
-	// top of the grid at each re-selection (default gp.DefaultARDIters;
-	// negative disables ARD and restores the pure grid).
-	ARDIters int
 }
 
 // bootstrapSamples is the LHS bootstrap size: the space's dimensionality,

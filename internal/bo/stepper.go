@@ -92,7 +92,6 @@ func NewTuner(sp tune.Space, opts Options, extra Extra, penalty Penalty) *Tuner 
 			BaseDims:   sp.Dim(),
 			RefitEvery: sc.RefitEvery,
 			LMLDrift:   sc.RefitDrift,
-			ARDIters:   sc.ARDIters,
 			AppendHist: opts.SurrogateAppendHist,
 			RefitHist:  opts.SurrogateRefitHist,
 		}

@@ -21,51 +21,46 @@ import (
 	"relm/internal/wire"
 )
 
-// Options configures a Driver. Zero values select the documented
-// defaults.
+// Options configures a Driver. The load itself — its sessions, worker
+// pool and request deadline — is the Scenario handed to Run.
 type Options struct {
 	// Target is the base URL of the tier under test — a relm-router front
 	// door or a single relm-serve node.
 	Target string
 	// RunID namespaces this run's session IDs ("lg-<RunID>-<index>"), so
-	// the same trace can be replayed repeatedly against a durable cluster
+	// the same scenario can be driven repeatedly against a durable cluster
 	// without ID collisions. Default: 6 random hex bytes.
 	RunID string
-	// Concurrency bounds the session worker pool (default 32).
-	Concurrency int
-	// RequestTimeout is the per-request deadline (default 10s).
-	RequestTimeout time.Duration
-	// SlowKeep is how many slowest requests are kept with their trace IDs
-	// (default 8).
-	SlowKeep int
-	// Stats is the canned workload profile attached to relm observations
-	// and warm-start creates (default: a representative Table 6 profile).
-	Stats *profile.Stats
 	// Logf, when non-nil, receives progress lines during the run.
 	Logf func(format string, args ...any)
 }
 
-// cannedStats is a representative Table 6 profile: plausible cache/shuffle
-// footprints with full-GC evidence, so relm sessions complete their
-// analytic pipeline and warm-start creates carry a matchable fingerprint.
-func cannedStats() *profile.Stats {
-	return &profile.Stats{
-		N: 1, MhMB: 8192, CPUAvg: 0.62, DiskAvg: 0.18,
-		MiMB: 310, McMB: 2400, MsMB: 180, MuMB: 420,
-		P: 2, H: 0.85, S: 0.04, HadFullGC: true, CoresPerNode: 8,
-	}
+// slowKeep is how many slowest requests a report keeps with their trace
+// IDs.
+const slowKeep = 8
+
+// cannedStats is the workload profile attached to relm observations and
+// warm-start creates: a representative Table 6 profile with plausible
+// cache/shuffle footprints and full-GC evidence, so relm sessions complete
+// their analytic pipeline and warm-start creates carry a matchable
+// fingerprint.
+var cannedStats = &profile.Stats{
+	N: 1, MhMB: 8192, CPUAvg: 0.62, DiskAvg: 0.18,
+	MiMB: 310, McMB: 2400, MsMB: 180, MuMB: 420,
+	P: 2, H: 0.85, S: 0.04, HadFullGC: true, CoresPerNode: 8,
 }
 
 // errKey indexes the error breakdown.
 type errKey struct{ stage, kind string }
 
-// Driver replays a Trace against a target over HTTP. One Driver runs one
-// trace; build a fresh one per run.
+// Driver drives a scenario's load against a target over HTTP. One Driver
+// runs one scenario; build a fresh one per run.
 type Driver struct {
-	opts   Options
-	base   *url.URL // opts.Target as wire.ParseBase read it
-	client wire.Client
-	hists  map[string]*obs.Histogram
+	opts    Options
+	base    *url.URL // opts.Target as wire.ParseBase read it
+	client  wire.Client
+	timeout time.Duration // the scenario's per-request deadline
+	hists   map[string]*obs.Histogram
 
 	ops      atomic.Int64
 	errCount atomic.Int64
@@ -96,18 +91,6 @@ func NewDriver(opts Options) (*Driver, error) {
 		}
 		opts.RunID = fmt.Sprintf("%x", b)
 	}
-	if opts.Concurrency <= 0 {
-		opts.Concurrency = 32
-	}
-	if opts.RequestTimeout <= 0 {
-		opts.RequestTimeout = 10 * time.Second
-	}
-	if opts.SlowKeep == 0 {
-		opts.SlowKeep = 8
-	}
-	if opts.Stats == nil {
-		opts.Stats = cannedStats()
-	}
 	d := &Driver{
 		opts:  opts,
 		base:  base,
@@ -126,17 +109,23 @@ func (d *Driver) logf(format string, args ...any) {
 	}
 }
 
-// Run replays the trace: an open-loop dispatcher releases sessions at
-// their recorded offsets into a bounded worker pool. It returns the
-// assembled report; the error is non-nil only when the context was
-// canceled before the trace finished (the partial report is still
-// returned).
-func (d *Driver) Run(ctx context.Context, tr *Trace) (*Report, error) {
+// Run generates the scenario's sessions and drives them: an open-loop
+// dispatcher releases each at its arrival offset into a worker pool of
+// sc.Concurrency, every request under sc's deadline. It returns the
+// assembled report; the error is non-nil when the scenario is invalid
+// (no report) or the context was canceled before the run finished (the
+// partial report is still returned).
+func (d *Driver) Run(ctx context.Context, sc *Scenario) (*Report, error) {
+	sessions, err := Generate(sc)
+	if err != nil {
+		return nil, err
+	}
 	defer d.client.Close()
+	d.timeout = sc.RequestTimeout()
 	start := time.Now()
-	jobs := make(chan TraceSession, len(tr.Sessions))
+	jobs := make(chan TraceSession, len(sessions))
 	var wg sync.WaitGroup
-	for w := 0; w < d.opts.Concurrency; w++ {
+	for w := 0; w < sc.Concurrency; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -166,20 +155,20 @@ func (d *Driver) Run(ctx context.Context, tr *Trace) (*Report, error) {
 				return
 			case <-tick.C:
 				d.logf("loadgen: t=+%ds dispatched %d/%d finished %d errors %d",
-					int(time.Since(start).Seconds()), d.dispatched.Load(), len(tr.Sessions),
+					int(time.Since(start).Seconds()), d.dispatched.Load(), len(sessions),
 					d.finished.Load(), d.errCount.Load())
 			}
 		}
 	}()
 
-	// Open-loop dispatch: arrivals follow the trace clock, never the
-	// completion rate. The jobs channel is deep enough to hold the whole
-	// trace, so a saturated worker pool delays session starts (visible as
-	// sched.lag) without distorting the arrival schedule of later
+	// Open-loop dispatch: arrivals follow the generated clock, never the
+	// completion rate. The jobs channel is deep enough to hold every
+	// session, so a saturated worker pool delays session starts (visible
+	// as sched.lag) without distorting the arrival schedule of later
 	// sessions.
 	var runErr error
 dispatch:
-	for _, s := range tr.Sessions {
+	for _, s := range sessions {
 		if wait := time.Until(start.Add(time.Duration(s.AtNs))); wait > 0 {
 			select {
 			case <-ctx.Done():
@@ -198,10 +187,10 @@ dispatch:
 	if runErr == nil && ctx.Err() != nil {
 		runErr = ctx.Err()
 	}
-	return d.report(tr, start, wall), runErr
+	return d.report(sc, start, wall), runErr
 }
 
-// runSession drives one traced session's full lifecycle. Any unexpected
+// runSession drives one generated session's full lifecycle. Any unexpected
 // error fails the session and ends its loop early; a close is still
 // attempted when the create succeeded, so failed sessions do not linger
 // on the cluster.
@@ -222,7 +211,7 @@ func (d *Driver) runSession(ctx context.Context, s TraceSession) {
 	}
 	if s.Warm {
 		create.WarmStart = true
-		create.Stats = d.opts.Stats
+		create.Stats = cannedStats
 		create.DefaultRuntimeSec = 240
 	}
 	ok := true
@@ -250,7 +239,7 @@ func (d *Driver) runSession(ctx context.Context, s TraceSession) {
 			RuntimeSec: 180 + 60*rng.Float64() - 3*float64(i),
 		}
 		if s.Backend == "relm" {
-			obsReq.Stats = d.opts.Stats
+			obsReq.Stats = cannedStats
 		}
 		if _, k := d.do(ctx, StageObserve, http.MethodPost, "/v1/sessions/"+id+"/observe", id, &obsReq, nil, http.StatusOK); !k {
 			ok = false
@@ -286,7 +275,7 @@ func (d *Driver) do(ctx context.Context, stage, method, path, session string, in
 		}
 	}
 	t0 := time.Now()
-	status, hdr, buf, err := d.client.Do(ctx, t0.Add(d.opts.RequestTimeout), method, d.base.Host, d.base.Path+path, "", "application/json", body, 8<<20)
+	status, hdr, buf, err := d.client.Do(ctx, t0.Add(d.timeout), method, d.base.Host, d.base.Path+path, "", "application/json", body, 8<<20)
 	elapsed := time.Since(t0)
 	traceID := hdr.Get(obs.TraceHeader)
 	if err != nil {
@@ -339,12 +328,12 @@ func (d *Driver) recordError(stage, kind, sample, traceID string) {
 	e.Count++
 }
 
-// trackSlow keeps the SlowKeep slowest successful requests.
+// trackSlow keeps the slowKeep slowest successful requests.
 func (d *Driver) trackSlow(stage, session string, elapsed time.Duration, traceID string) {
 	ms := float64(elapsed) / 1e6
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if len(d.slow) < d.opts.SlowKeep {
+	if len(d.slow) < slowKeep {
 		d.slow = append(d.slow, SlowOp{Stage: stage, Session: session, Ms: ms, Trace: traceID})
 		return
 	}
@@ -360,16 +349,16 @@ func (d *Driver) trackSlow(stage, session string, elapsed time.Duration, traceID
 }
 
 // report assembles the run's Report.
-func (d *Driver) report(tr *Trace, start time.Time, wall time.Duration) *Report {
+func (d *Driver) report(sc *Scenario, start time.Time, wall time.Duration) *Report {
 	r := &Report{
-		Scenario:  tr.Header.Scenario,
-		Seed:      tr.Header.Seed,
+		Scenario:  sc.Name,
+		Seed:      sc.Seed,
 		Target:    d.opts.Target,
 		RunID:     d.opts.RunID,
 		StartedAt: start.UTC(),
 		WallSec:   wall.Seconds(),
 		Sessions: SessionCounts{
-			Total:     len(tr.Sessions),
+			Total:     sc.Sessions,
 			Completed: int(d.completed.Load()),
 			Failed:    int(d.failed.Load()),
 			DoneEarly: int(d.doneEarly.Load()),

@@ -1,11 +1,13 @@
 package loadgen
 
 import (
-	"bytes"
 	"context"
+	"crypto/sha256"
+	"fmt"
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"testing"
 	"time"
 
@@ -66,7 +68,7 @@ func TestScenarioValidateRejects(t *testing.T) {
 }
 
 // TestPoissonInterArrivalMean: with a fixed seed, the empirical mean
-// inter-arrival of a Poisson trace must sit within a few percent of
+// inter-arrival of a Poisson load must sit within a few percent of
 // 1/rate.
 func TestPoissonInterArrivalMean(t *testing.T) {
 	sc := &Scenario{
@@ -75,12 +77,12 @@ func TestPoissonInterArrivalMean(t *testing.T) {
 		Sessions: 5000,
 		Arrival:  Arrival{Process: ArrivalPoisson, RatePerSec: 50},
 	}
-	tr, err := Generate(sc)
+	sessions, err := Generate(sc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	n := len(tr.Sessions)
-	meanNs := float64(tr.Sessions[n-1].AtNs) / float64(n-1)
+	n := len(sessions)
+	meanNs := float64(sessions[n-1].AtNs) / float64(n-1)
 	wantNs := 1e9 / 50
 	if rel := math.Abs(meanNs-wantNs) / wantNs; rel > 0.05 {
 		t.Fatalf("poisson mean inter-arrival %.0fns, want %.0fns ±5%% (off by %.1f%%)", meanNs, wantNs, rel*100)
@@ -89,7 +91,7 @@ func TestPoissonInterArrivalMean(t *testing.T) {
 	// This guards against accidentally wiring Poisson to the constant path.
 	var sum, sumSq float64
 	prev := int64(0)
-	for _, s := range tr.Sessions[1:] {
+	for _, s := range sessions[1:] {
 		gap := float64(s.AtNs - prev)
 		prev = s.AtNs
 		sum += gap
@@ -102,8 +104,8 @@ func TestPoissonInterArrivalMean(t *testing.T) {
 	}
 }
 
-// TestRampArrivalAccelerates: a ramp trace's second half must arrive
-// faster than its first half.
+// TestRampArrivalAccelerates: a ramp's second half must arrive faster
+// than its first half.
 func TestRampArrivalAccelerates(t *testing.T) {
 	sc := &Scenario{
 		Name:     "ramp",
@@ -111,76 +113,70 @@ func TestRampArrivalAccelerates(t *testing.T) {
 		Sessions: 1000,
 		Arrival:  Arrival{Process: ArrivalRamp, RatePerSec: 10, RampToPerSec: 100},
 	}
-	tr, err := Generate(sc)
+	sessions, err := Generate(sc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	mid := tr.Sessions[len(tr.Sessions)/2].AtNs
-	last := tr.Sessions[len(tr.Sessions)-1].AtNs
+	mid := sessions[len(sessions)/2].AtNs
+	last := sessions[len(sessions)-1].AtNs
 	if firstHalf, secondHalf := mid, last-mid; secondHalf >= firstHalf {
 		t.Fatalf("ramp second half took %dns >= first half %dns", secondHalf, firstHalf)
 	}
 }
 
-// TestTraceByteForByteReplay: the same scenario + seed must serialize to
-// identical bytes, and a read-back trace must re-serialize to the same
-// bytes again.
-func TestTraceByteForByteReplay(t *testing.T) {
+// generatedDigests are SHA-256 digests of the checked-in scenarios'
+// sessions, one fixed-format line each, as the generator has always
+// derived them. A change here means every load those scenarios describe
+// has changed.
+var generatedDigests = map[string]string{
+	"smoke": "3e93ce013710b3e688f9ec99dfff751bec5ceac9d69737f85ae5d24dcfa73f01",
+	"soak":  "ba11daaea51ae75417f3d99efc354a4d2d46b8c96b4803fa037cc2f631f55ee4",
+}
+
+// TestGenerateIsDeterministic: the scenario is the whole record of a load,
+// so the same scenario + seed must generate the same sessions, another
+// seed other sessions, and the checked-in scenarios the sessions they
+// always have.
+func TestGenerateIsDeterministic(t *testing.T) {
 	sc := testScenario("rt")
 	sc.Arrival = Arrival{Process: ArrivalPoisson, RatePerSec: 100}
 	sc.Lifetime = Lifetime{Dist: LifetimeGeometric, MeanIterations: 5}
 	sc.Backends = map[string]float64{"relm": 1, "bo": 2, "gbo": 1, "ddpg": 0.5}
 	sc.WarmFraction = 0.5
 	sc.Clusters = []string{"A", "B"}
-
-	gen := func() []byte {
+	gen := func(seed uint64) []TraceSession {
 		cp := *sc
-		tr, err := Generate(&cp)
+		cp.Seed = seed
+		sessions, err := Generate(&cp)
 		if err != nil {
 			t.Fatal(err)
 		}
-		var buf bytes.Buffer
-		if _, err := tr.WriteTo(&buf); err != nil {
-			t.Fatal(err)
-		}
-		return buf.Bytes()
+		return sessions
 	}
-	first, second := gen(), gen()
-	if !bytes.Equal(first, second) {
+	first := gen(sc.Seed)
+	if !reflect.DeepEqual(first, gen(sc.Seed)) {
 		t.Fatal("two generations from the same scenario+seed differ")
 	}
-
-	tr, err := ReadTrace(bytes.NewReader(first))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var again bytes.Buffer
-	if _, err := tr.WriteTo(&again); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(first, again.Bytes()) {
-		t.Fatal("read-back trace re-serialized to different bytes")
+	if reflect.DeepEqual(first, gen(sc.Seed+1)) {
+		t.Fatal("a different seed generated identical sessions")
 	}
 
-	// A different seed must actually change the bytes.
-	sc.Seed++
-	if bytes.Equal(first, gen()) {
-		t.Fatal("different seed produced identical trace")
-	}
-}
-
-func TestReadTraceRejects(t *testing.T) {
-	if _, err := ReadTrace(bytes.NewReader(nil)); err == nil {
-		t.Fatal("empty trace accepted")
-	}
-	bad := []byte(`{"format":"not-a-trace/9","scenario":"x","seed":1,"sessions":0}` + "\n")
-	if _, err := ReadTrace(bytes.NewReader(bad)); err == nil {
-		t.Fatal("unknown format accepted")
-	}
-	short := []byte(`{"format":"` + TraceFormat + `","scenario":"x","seed":1,"sessions":2}` + "\n" +
-		`{"i":0,"at_ns":0,"backend":"bo","workload":"SVM","cluster":"A","seed":1,"iters":1}` + "\n")
-	if _, err := ReadTrace(bytes.NewReader(short)); err == nil {
-		t.Fatal("truncated trace accepted")
+	for name, want := range generatedDigests {
+		sc, err := LoadScenario("../../scripts/scenarios/" + name + ".json")
+		if err != nil {
+			t.Fatal(err)
+		}
+		sessions, err := Generate(sc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		h := sha256.New()
+		for _, s := range sessions {
+			fmt.Fprintf(h, "%d %d %s %s %s %d %d %t\n", s.Index, s.AtNs, s.Backend, s.Workload, s.Cluster, s.Seed, s.Iters, s.Warm)
+		}
+		if got := fmt.Sprintf("%x", h.Sum(nil)); got != want {
+			t.Errorf("%s.json generates %d sessions digesting to %s, want %s", name, len(sessions), got, want)
+		}
 	}
 }
 
@@ -251,7 +247,7 @@ func startService(t testing.TB) *httptest.Server {
 	return srv
 }
 
-// TestDriverEndToEnd replays a mixed-backend trace against a real
+// TestDriverEndToEnd drives a mixed-backend scenario against a real
 // service.Manager over httptest and expects a clean report: every
 // session completed, zero errors, and per-stage histograms populated.
 func TestDriverEndToEnd(t *testing.T) {
@@ -259,19 +255,21 @@ func TestDriverEndToEnd(t *testing.T) {
 	sc := testScenario("e2e")
 	sc.Backends = map[string]float64{"relm": 1, "bo": 1, "gbo": 1, "ddpg": 1}
 	sc.WarmFraction = 0.5
-	tr, err := Generate(sc)
+	sc.Concurrency, sc.RequestTimeoutMS = 16, 5000
+	sessions, err := Generate(sc)
 	if err != nil {
 		t.Fatal(err)
+	}
+	fullOps := 0 // every session's create, Iters suggests and observes, and close
+	for _, s := range sessions {
+		fullOps += 2 + 2*s.Iters
 	}
 
-	d, err := NewDriver(Options{
-		Target: srv.URL, RunID: "t1", Concurrency: 16,
-		RequestTimeout: 5 * time.Second,
-	})
+	d, err := NewDriver(Options{Target: srv.URL, RunID: "t1"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := d.Run(context.Background(), tr)
+	rep, err := d.Run(context.Background(), sc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -281,13 +279,13 @@ func TestDriverEndToEnd(t *testing.T) {
 	if rep.Sessions.Completed != sc.Sessions || rep.Sessions.Failed != 0 {
 		t.Fatalf("sessions = %+v, want all %d completed", rep.Sessions, sc.Sessions)
 	}
-	// relm's analytic pipeline finishes before the traced 3 iterations, so
-	// a mixed trace must show early-done sessions.
+	// relm's analytic pipeline finishes before the generated 3 iterations,
+	// so a mixed load must show early-done sessions.
 	if rep.Sessions.DoneEarly == 0 {
 		t.Fatal("expected some relm sessions to report done early")
 	}
-	if rep.Ops.Total > tr.Ops() || rep.Ops.Total < 2*sc.Sessions {
-		t.Fatalf("ops total %d outside [%d, %d]", rep.Ops.Total, 2*sc.Sessions, tr.Ops())
+	if rep.Ops.Total > fullOps || rep.Ops.Total < 2*sc.Sessions {
+		t.Fatalf("ops total %d outside [%d, %d]", rep.Ops.Total, 2*sc.Sessions, fullOps)
 	}
 	for _, stage := range []string{StageCreate, StageSuggest, StageObserve, StageClose, SchedLagStage} {
 		if rep.Stages[stage].Count == 0 {
@@ -319,15 +317,12 @@ func TestDriverErrorAccounting(t *testing.T) {
 
 	sc := testScenario("err")
 	sc.Sessions = 10
-	tr, err := Generate(sc)
+	sc.Concurrency, sc.RequestTimeoutMS = 4, 1000
+	d, err := NewDriver(Options{Target: srv.URL, RunID: "t2"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	d, err := NewDriver(Options{Target: srv.URL, RunID: "t2", Concurrency: 4, RequestTimeout: time.Second})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep, err := d.Run(context.Background(), tr)
+	rep, err := d.Run(context.Background(), sc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -361,15 +356,12 @@ func TestDriverTimeoutKind(t *testing.T) {
 
 	sc := testScenario("timeout")
 	sc.Sessions = 3
-	tr, err := Generate(sc)
+	sc.Concurrency, sc.RequestTimeoutMS = 3, 50
+	d, err := NewDriver(Options{Target: srv.URL, RunID: "t3"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	d, err := NewDriver(Options{Target: srv.URL, RunID: "t3", Concurrency: 3, RequestTimeout: 50 * time.Millisecond})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep, err := d.Run(context.Background(), tr)
+	rep, err := d.Run(context.Background(), sc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -378,29 +370,26 @@ func TestDriverTimeoutKind(t *testing.T) {
 	}
 }
 
-// BenchmarkLoadgenDrive replays sessions end-to-end (create →
+// BenchmarkLoadgenDrive drives sessions end-to-end (create →
 // suggest/observe ×2 → close) against an in-process service over
 // loopback HTTP — the harness's own overhead plus the service hot path.
 func BenchmarkLoadgenDrive(b *testing.B) {
 	srv := startService(b)
 	sc := &Scenario{
-		Name:     "bench",
-		Seed:     1,
-		Sessions: b.N,
-		Arrival:  Arrival{Process: ArrivalConstant, RatePerSec: 1e6},
-		Lifetime: Lifetime{Dist: LifetimeFixed, MeanIterations: 2},
+		Name:        "bench",
+		Seed:        1,
+		Sessions:    b.N,
+		Arrival:     Arrival{Process: ArrivalConstant, RatePerSec: 1e6},
+		Lifetime:    Lifetime{Dist: LifetimeFixed, MeanIterations: 2},
+		Concurrency: 8,
 	}
-	tr, err := Generate(sc)
-	if err != nil {
-		b.Fatal(err)
-	}
-	d, err := NewDriver(Options{Target: srv.URL, RunID: "bench", Concurrency: 8})
+	d, err := NewDriver(Options{Target: srv.URL, RunID: "bench"})
 	if err != nil {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
-	rep, err := d.Run(context.Background(), tr)
+	rep, err := d.Run(context.Background(), sc)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -410,7 +399,7 @@ func BenchmarkLoadgenDrive(b *testing.B) {
 	}
 }
 
-// BenchmarkLoadgenDriveGenerate measures pure trace generation.
+// BenchmarkLoadgenDriveGenerate measures pure session generation.
 func BenchmarkLoadgenDriveGenerate(b *testing.B) {
 	sc := &Scenario{
 		Name:     "gen",
@@ -422,11 +411,11 @@ func BenchmarkLoadgenDriveGenerate(b *testing.B) {
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
-	tr, err := Generate(sc)
+	sessions, err := Generate(sc)
 	if err != nil {
 		b.Fatal(err)
 	}
-	if len(tr.Sessions) != b.N {
-		b.Fatal("short trace")
+	if len(sessions) != b.N {
+		b.Fatal("short load")
 	}
 }

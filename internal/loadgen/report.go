@@ -13,7 +13,7 @@ import (
 )
 
 // Stage names of the session lifecycle, in lifecycle order. SchedLagStage
-// additionally times dispatch lag: how far behind its trace offset a
+// additionally times dispatch lag: how far behind its arrival offset a
 // session actually started (worker-pool queueing under overload).
 const (
 	StageCreate  = "create"
@@ -31,12 +31,12 @@ var reportStages = []string{StageCreate, StageSuggest, StageObserve, StageClose,
 type SessionCounts struct {
 	Total int `json:"total"`
 	// Completed sessions ran create → loop → close without an unexpected
-	// error (a backend reporting done before the trace's iteration count
+	// error (a backend reporting done before the generated iteration count
 	// still completes).
 	Completed int `json:"completed"`
 	Failed    int `json:"failed"`
 	// DoneEarly counts completed sessions whose backend reported done
-	// before the traced iteration count (expected for relm's 2–3-step
+	// before the generated iteration count (expected for relm's 2–3-step
 	// pipeline).
 	DoneEarly int `json:"done_early,omitempty"`
 }

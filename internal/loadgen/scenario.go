@@ -1,34 +1,31 @@
-// Package loadgen is the trace-driven load harness of the tuning service:
-// it turns a declarative scenario (arrival process, session-lifetime
-// distribution, backend mix, warm-start fraction) into a reproducible
-// session-lifecycle trace, replays that trace open-loop against a router
-// or single node over the ordinary HTTP API, and reports bucket-exact
-// percentiles per stage (create / suggest / observe / close) plus
-// sustained sessions/sec, ops/sec, and an error breakdown.
+// Package loadgen is the scenario-driven load harness of the tuning
+// service: it turns a declarative scenario (arrival process,
+// session-lifetime distribution, backend mix, warm-start fraction) into a
+// reproducible set of session lifecycles, drives them open-loop against a
+// router or single node over the ordinary HTTP API, and reports
+// bucket-exact percentiles per stage (create / suggest / observe / close)
+// plus sustained sessions/sec, ops/sec, and an error breakdown.
 //
-// The pipeline has three deliberately separable parts:
+// The pipeline has two parts:
 //
-//   - Generate(Scenario) derives a Trace — every session's start offset,
-//     backend, workload, iteration count, and seed — deterministically
-//     from the scenario seed. The same scenario + seed always produces a
-//     byte-for-byte identical trace file, so a benchmark run is
-//     reproducible from two small JSON documents.
-//   - Trace is the on-disk JSONL form (WriteTo / ReadTrace): one header
-//     line, then one line per session in start order. Traces can also be
-//     captured once and replayed forever, decoupling "what traffic shape"
-//     from "which build handled it".
-//   - Driver replays a trace: an open-loop dispatcher releases sessions
-//     at their recorded offsets (arrivals never wait for completions —
-//     the generator does not slow down when the system does), a bounded
-//     worker pool drives each session's create → suggest/observe loop →
-//     close against Target, every request carries a deadline, and
-//     latencies land in obs.Histogram stage buckets so the report's
-//     p50/p99/p999 are exact to bucket resolution. Slow requests keep
-//     their X-Relm-Trace IDs, so any p999 outlier is explainable via
-//     GET /v1/traces on the serving tier.
+//   - Generate(Scenario) derives the sessions — every session's start
+//     offset, backend, workload, iteration count, and seed —
+//     deterministically from the scenario seed. The same scenario + seed
+//     always yields the same sessions, so the scenario file is the whole
+//     record of a run's load.
+//   - Driver.Run(Scenario) drives them: an open-loop dispatcher releases
+//     sessions at their arrival offsets (arrivals never wait for
+//     completions — the generator does not slow down when the system
+//     does), a worker pool of Scenario.Concurrency drives each session's
+//     create → suggest/observe loop → close against Target, every request
+//     carries the scenario's deadline, and latencies land in
+//     obs.Histogram stage buckets so the report's p50/p99/p999 are exact
+//     to bucket resolution. Slow requests keep their X-Relm-Trace IDs, so
+//     any p999 outlier is explainable via GET /v1/traces on the serving
+//     tier.
 //
 // cmd/relm-loadgen is the CLI; docs/LOADGEN.md documents the scenario
-// schema, the trace format, and an annotated report.
+// schema and an annotated report.
 package loadgen
 
 import (
@@ -80,12 +77,12 @@ type Lifetime struct {
 // values select the defaults documented per field; Validate fills them
 // in.
 type Scenario struct {
-	// Name labels the trace and the report.
+	// Name labels the report.
 	Name string `json:"name"`
-	// Seed drives every random choice in trace generation. Same scenario
-	// + same seed = byte-identical trace.
+	// Seed drives every random choice in generation. Same scenario + same
+	// seed = identical sessions.
 	Seed uint64 `json:"seed"`
-	// Sessions is the total number of sessions in the trace.
+	// Sessions is the total number of sessions in the load.
 	Sessions int `json:"sessions"`
 	// Arrival is the arrival process (default: constant at 10/sec).
 	Arrival Arrival `json:"arrival"`
@@ -221,7 +218,7 @@ func (s *Scenario) RequestTimeout() time.Duration {
 
 // backendKinds returns the scenario's backend kinds in sorted order with
 // cumulative normalized weights — map iteration order must never leak
-// into trace bytes.
+// into the generated sessions.
 func (s *Scenario) backendKinds() ([]string, []float64) {
 	kinds := make([]string, 0, len(s.Backends))
 	for k := range s.Backends {

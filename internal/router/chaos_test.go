@@ -93,7 +93,7 @@ func chaosSoak(t *testing.T, seed uint64) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr, err := loadgen.Generate(sc)
+	load, err := loadgen.Generate(sc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +102,7 @@ func chaosSoak(t *testing.T, seed uint64) {
 	if err := fault.Apply(chaosSchedule(seed)); err != nil {
 		t.Fatal(err)
 	}
-	sessions := d.soak(tr.Sessions)
+	sessions := d.soak(load)
 	if t.Failed() {
 		t.FailNow() // a non-retriable answer: check 3
 	}
@@ -281,9 +281,9 @@ func (d *chaosDriver) ack(op, session string, n int) {
 	d.mu.Unlock()
 }
 
-// soak runs the trace's sessions, chaosWorkers at a time and in trace
+// soak runs the generated sessions, chaosWorkers at a time and in arrival
 // order, until every armed rule has traversed its window, a worker sees a
-// non-retriable answer, or the trace runs out. It returns how many
+// non-retriable answer, or the sessions run out. It returns how many
 // sessions it started.
 func (d *chaosDriver) soak(sessions []loadgen.TraceSession) int {
 	var (
@@ -319,7 +319,7 @@ func windowsTraversed() bool {
 	return true
 }
 
-// session drives one traced session as relm-loadgen does: create, then
+// session drives one generated session as relm-loadgen does: create, then
 // suggest → observe rounds, then close. A refused request ends the rounds.
 // Every fourth session is left open, so check 1 has histories that no
 // acked close exempts. It reports false on a non-retriable answer.

@@ -3,6 +3,7 @@ package service
 import (
 	"bytes"
 	"encoding/json"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -207,5 +208,105 @@ func TestSnapshotTornByAHarvestReplaysOneEntry(t *testing.T) {
 		if ev.Type == store.EventHarvest {
 			t.Fatalf("Open journaled a harvest record for %s, which the snapshot already holds", ev.ID)
 		}
+	}
+}
+
+// gatedStore holds the first harvest record in Append until release is
+// closed, so another session can finish in the meantime.
+type gatedStore struct {
+	store.Store
+	gated   atomic.Bool
+	held    chan struct{} // closed when the first harvest record reaches Append
+	release chan struct{}
+}
+
+func (g *gatedStore) Append(ev *store.Event) (uint64, error) {
+	if ev.Type == store.EventHarvest && g.gated.CompareAndSwap(false, true) {
+		close(g.held)
+		<-g.release
+	}
+	return g.Store.Append(ev)
+}
+
+// TestHarvestsJournalInRepositoryOrder: two sessions finish concurrently,
+// and the first one's harvest record is slow to reach the log. The log must
+// still hold the harvests in the order the live repository does, or a
+// restart rebuilds the repository reordered — and with it Match's ties, the
+// export order and a drain's report.
+func TestHarvestsJournalInRepositoryOrder(t *testing.T) {
+	mem := store.NewMem()
+	g := &gatedStore{Store: mem, held: make(chan struct{}), release: make(chan struct{})}
+	m, err := Open(Options{Workers: 1, Store: g, SnapshotEvery: 1 << 30})
+	if err != nil {
+		t.Fatal(err)
+	}
+	specs := []Spec{
+		{Backend: "bo", Workload: "K-means", Seed: 1, MaxIterations: 2},
+		{Backend: "gbo", Workload: "SVM", Seed: 2, MaxIterations: 2},
+	}
+	ids := make([]string, len(specs))
+	for i, spec := range specs {
+		st, err := m.Create(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids[i] = st.ID
+	}
+	// finish runs session i to done on its own goroutine.
+	finish := func(i int) <-chan struct{} {
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			for n := uint64(0); ; n++ {
+				cfg, stop, err := m.Suggest(ids[i])
+				if err != nil || stop {
+					if err != nil {
+						t.Error(err)
+					}
+					return
+				}
+				if _, err := m.Observe(ids[i], measure(t, "", specs[i].Workload, Observation{Config: cfg}, specs[i].Seed*100+n)); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+		return done
+	}
+	first := finish(0)
+	select {
+	case <-g.held:
+	case <-first:
+		t.Fatal("the first session finished without journaling a harvest record")
+	}
+	second := finish(1)
+	// The second session finishes while the first's record is held, unless
+	// its harvest waits for that record; give it the time to either.
+	select {
+	case <-second:
+	case <-time.After(250 * time.Millisecond):
+	}
+	close(g.release)
+	<-first
+	<-second
+	if t.Failed() {
+		t.FailNow()
+	}
+	workloads := func(r bo.Repository) []string {
+		var ws []string
+		for _, e := range r.Entries {
+			ws = append(ws, e.Workload)
+		}
+		return ws
+	}
+	live := workloads(m.Repository())
+	crash(m)
+	m2, err := Open(Options{Workers: 1, Store: mem, SnapshotEvery: 1 << 30})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer crash(m2)
+	if got := workloads(m2.Repository()); len(live) != 2 || !slices.Equal(got, live) {
+		t.Fatalf("replay rebuilt the repository as %v, the live one was %v", got, live)
 	}
 }

@@ -1291,25 +1291,24 @@ func (m *Manager) harvestLocked(s *Session) {
 		return
 	}
 	s.harvested = true
+	// Journaled under repoMu, as an import is, so the log holds harvests in
+	// the order the repository does: replay rebuilds it in record order.
+	// The record is advisory — a failed append still adds the entry, and
+	// its ID stays kept.
 	m.repoMu.Lock()
+	defer m.repoMu.Unlock()
+	seq, err := m.journal(&store.Event{Type: store.EventHarvest, ID: s.id, Time: now})
+	if err != nil || seq == 0 {
+		seq = tombstoneKept
+	}
 	m.repo.Entries = append(m.repo.Entries, entry)
 	if m.opts.Store != nil { // without one no log is ever folded back
-		m.harvested[s.id] = tombstoneKept
+		m.harvested[s.id] = seq
 	}
 	// Capacity eviction: drop the least-recently-matched entries. Their
 	// session IDs stay in m.harvested until a compaction's fence covers the
 	// harvest event, so replay cannot resurrect them.
 	m.repoEvictions.Add(int64(len(m.repo.EvictDown(m.opts.RepoCapacity))))
-	m.repoMu.Unlock()
-	seq, err := m.journal(&store.Event{Type: store.EventHarvest, ID: s.id, Time: now})
-	if err != nil || seq == 0 {
-		return // no store or append failed: the ID stays kept
-	}
-	m.repoMu.Lock()
-	if m.harvested[s.id] == tombstoneKept {
-		m.harvested[s.id] = seq
-	}
-	m.repoMu.Unlock()
 }
 
 // repoEntry derives the repository entry a session's history stands for,

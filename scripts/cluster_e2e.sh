@@ -16,7 +16,7 @@
 #            the router's trace of the drain
 #   phase 4  corrupt a sealed WAL segment on a scratch node: restart must
 #            fail loudly ("corrupt"), never serve silently shortened data
-#   phase 5  loadgen soak: replay scripts/scenarios/soak.json (~35s of
+#   phase 5  loadgen soak: drive scripts/scenarios/soak.json (~35s of
 #            Poisson arrivals, all four backends) through a fresh router +
 #            2-backend cluster with relm-loadgen; zero unexpected errors
 #            and a p99 ceiling on every request stage. The JSON report
@@ -406,7 +406,7 @@ done
 
 SOAK_REPORT=${LOADGEN_OUT:-$WORK/LOAD.json}
 "$WORK/bin/relm-loadgen" -scenario "$ROOT/scripts/scenarios/soak.json" \
-    -target "$SR" -trace "$WORK/soak.trace" -out "$SOAK_REPORT" \
+    -target "$SR" -out "$SOAK_REPORT" \
     || fail "loadgen soak run failed"
 
 SOAK_WALL=$(jq -r '.wall_sec' "$SOAK_REPORT")
