@@ -14,6 +14,7 @@ import (
 	"testing"
 
 	"relm"
+	"relm/internal/service"
 )
 
 // benchExperiment runs one registered experiment per iteration.
@@ -158,12 +159,15 @@ func BenchmarkDDPGStep(b *testing.B) {
 // observations so the surrogate-fit cost stays representative of a live
 // session rather than growing cubically with history length.
 func BenchmarkServiceSuggestObserve(b *testing.B) {
-	m := relm.NewServiceManager(relm.ServiceOptions{Workers: 1})
+	m, err := service.Open(service.Options{Workers: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
 	defer m.Close()
 
 	var id string
 	newSession := func() {
-		st, err := m.Create(relm.SessionSpec{Backend: "bo", Workload: "SVM", Seed: 1, MaxIterations: 1 << 20})
+		st, err := m.Create(service.Spec{Backend: "bo", Workload: "SVM", Seed: 1, MaxIterations: 1 << 20})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -182,7 +186,7 @@ func BenchmarkServiceSuggestObserve(b *testing.B) {
 			continue
 		}
 		rt := 100 + 10*math.Sin(float64(i))
-		if _, err := m.Observe(id, relm.SessionObservation{Config: cfg, RuntimeSec: rt}); err != nil {
+		if _, err := m.Observe(id, service.Observation{Config: cfg, RuntimeSec: rt}); err != nil {
 			b.Fatal(err)
 		}
 		if (i+1)%16 == 0 {

@@ -142,9 +142,6 @@ func main() {
 
 // parseBackends splits "a=http://host:port,b=..." into Backend specs.
 func parseBackends(s string) ([]router.Backend, error) {
-	if strings.TrimSpace(s) == "" {
-		return nil, errors.New("no backends given (want -backends 'name=url,name=url')")
-	}
 	var out []router.Backend
 	for _, part := range strings.Split(s, ",") {
 		part = strings.TrimSpace(part)
@@ -156,6 +153,9 @@ func parseBackends(s string) ([]router.Backend, error) {
 			return nil, fmt.Errorf("bad backend %q (want 'name=url')", part)
 		}
 		out = append(out, router.Backend{Name: name, URL: u})
+	}
+	if len(out) == 0 {
+		return nil, errors.New("no backends given (want -backends 'name=url,name=url')")
 	}
 	return out, nil
 }

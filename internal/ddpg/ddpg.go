@@ -88,46 +88,24 @@ func (o *OUNoise) Sample() []float64 {
 	return out
 }
 
-// Options configures the agent; zero values select CDBTune-style defaults.
+// The agent's hyperparameters are CDBTune's; the paper runs DDPG at them
+// alone.
+const (
+	hiddenWidth = 64   // width of both hidden layers, actor and critic
+	discount    = 0.9  // γ
+	softUpdate  = 0.01 // τ, the target networks' soft-update rate
+	actorLR     = 1e-3
+	criticLR    = 1e-3
+	minibatch   = 16
+	replayCap   = 1024
+	ouSigma     = 0.3 // exploration noise
+)
+
+// Options sizes and seeds the agent.
 type Options struct {
 	StateDim  int
 	ActionDim int
-	Hidden    int     // hidden width (default 64)
-	Gamma     float64 // discount (default 0.9)
-	Tau       float64 // target soft-update rate (default 0.01)
-	ActorLR   float64 // default 1e-3
-	CriticLR  float64 // default 1e-3
-	Batch     int     // default 16
-	ReplayCap int     // default 1024
-	Noise     float64 // OU sigma (default 0.3)
 	Seed      uint64
-}
-
-func (o *Options) fill() {
-	if o.Hidden == 0 {
-		o.Hidden = 64
-	}
-	if o.Gamma == 0 {
-		o.Gamma = 0.9
-	}
-	if o.Tau == 0 {
-		o.Tau = 0.01
-	}
-	if o.ActorLR == 0 {
-		o.ActorLR = 1e-3
-	}
-	if o.CriticLR == 0 {
-		o.CriticLR = 1e-3
-	}
-	if o.Batch == 0 {
-		o.Batch = 16
-	}
-	if o.ReplayCap == 0 {
-		o.ReplayCap = 1024
-	}
-	if o.Noise == 0 {
-		o.Noise = 0.3
-	}
 }
 
 // Agent is a DDPG learner.
@@ -148,15 +126,14 @@ type Agent struct {
 
 // NewAgent builds an agent for the given state/action dimensions.
 func NewAgent(opts Options) *Agent {
-	opts.fill()
 	rng := simrand.New(opts.Seed ^ 0x6a09e667f3bcc909)
 	a := &Agent{
 		Opts:   opts,
 		rng:    rng,
-		replay: NewReplay(opts.ReplayCap),
-		noise:  NewOUNoise(rng.Fork(1), opts.ActionDim, 0.15, opts.Noise),
+		replay: NewReplay(replayCap),
+		noise:  NewOUNoise(rng.Fork(1), opts.ActionDim, 0.15, ouSigma),
 	}
-	h := opts.Hidden
+	h := hiddenWidth
 	a.actor = nn.NewNet(rng.Fork(2), []int{opts.StateDim, h, h, opts.ActionDim}, nn.ReLU, nn.Tanh)
 	a.criticRng = rng.Fork(3)
 	return a
@@ -167,7 +144,7 @@ func NewAgent(opts Options) *Agent {
 // is the clone construction would have taken.
 func (a *Agent) learner() {
 	if a.critic == nil {
-		o, h := a.Opts, a.Opts.Hidden
+		o, h := a.Opts, hiddenWidth
 		a.critic = nn.NewNet(a.criticRng, []int{o.StateDim + o.ActionDim, h, h, 1}, nn.ReLU, nn.Linear)
 		a.actorTarget = a.actor.Clone()
 		a.criticTarget = a.critic.Clone()
@@ -195,8 +172,11 @@ func (a *Agent) ReplayLen() int { return a.replay.Len() }
 
 // Train runs one minibatch update of the critic and actor plus the soft
 // target updates. It is a no-op until the replay holds a minibatch.
-func (a *Agent) Train() {
-	batch := a.Opts.Batch
+func (a *Agent) Train() { a.train(minibatch) }
+
+// train is Train on a minibatch of batch transitions; a test pins the
+// weights an 8-transition minibatch trains.
+func (a *Agent) train(batch int) {
 	if a.replay.Len() < batch {
 		return
 	}
@@ -212,7 +192,7 @@ func (a *Agent) Train() {
 		if !t.Done {
 			a2 := a.actorTarget.Forward(t.NextState, nil)
 			q2 := a.criticTarget.Forward(concat(t.NextState, a2), nil)[0]
-			y += a.Opts.Gamma * q2
+			y += discount * q2
 		}
 		// --- Critic loss: (Q(s,a) − y)². ---
 		var tape nn.Tape
@@ -234,10 +214,10 @@ func (a *Agent) Train() {
 		a.actor.Backward(&atape, neg, actorGrads)
 	}
 
-	a.critic.AdamStep(criticGrads, a.Opts.CriticLR, batch)
-	a.actor.AdamStep(actorGrads, a.Opts.ActorLR, batch)
-	a.criticTarget.SoftUpdate(a.critic, a.Opts.Tau)
-	a.actorTarget.SoftUpdate(a.actor, a.Opts.Tau)
+	a.critic.AdamStep(criticGrads, criticLR, batch)
+	a.actor.AdamStep(actorGrads, actorLR, batch)
+	a.criticTarget.SoftUpdate(a.critic, softUpdate)
+	a.actorTarget.SoftUpdate(a.actor, softUpdate)
 }
 
 // ModelSizeBytes approximates the persisted model size (float32 weights), the

@@ -104,7 +104,7 @@ func TestActBoundsAndDeterminism(t *testing.T) {
 }
 
 func TestTrainNoopUntilBatch(t *testing.T) {
-	agent := NewAgent(Options{StateDim: 3, ActionDim: 2, Batch: 8, Seed: 4})
+	agent := NewAgent(Options{StateDim: 3, ActionDim: 2, Seed: 4})
 	agent.Train() // must not panic with an empty replay
 	if agent.ReplayLen() != 0 {
 		t.Fatal("replay should be empty")
@@ -112,7 +112,7 @@ func TestTrainNoopUntilBatch(t *testing.T) {
 }
 
 func TestTrainKeepsWeightsFinite(t *testing.T) {
-	agent := NewAgent(Options{StateDim: 4, ActionDim: 2, Batch: 8, Seed: 5})
+	agent := NewAgent(Options{StateDim: 4, ActionDim: 2, Seed: 5})
 	rng := simrand.New(5)
 	for i := 0; i < 64; i++ {
 		s := []float64{rng.Float64(), rng.Float64(), rng.Float64(), rng.Float64()}
@@ -134,7 +134,7 @@ func TestTrainKeepsWeightsFinite(t *testing.T) {
 // equals the first action coordinate. After training, the actor should
 // prefer high first coordinates.
 func TestAgentLearnsTrivialPolicy(t *testing.T) {
-	agent := NewAgent(Options{StateDim: 2, ActionDim: 1, Batch: 16, Seed: 6, ActorLR: 3e-3, CriticLR: 3e-3})
+	agent := NewAgent(Options{StateDim: 2, ActionDim: 1, Seed: 6})
 	rng := simrand.New(6)
 	state := []float64{0.5, 0.5}
 	for i := 0; i < 400; i++ {
@@ -199,20 +199,20 @@ func TestStateDimMatches(t *testing.T) {
 // waits for its first minibatch must act alike, bit for bit,
 // before the learner exists and after training has used it.
 func TestLateLearnerIsTheEarlyOne(t *testing.T) {
-	opts := Options{StateDim: 3, ActionDim: 2, Hidden: 8, Batch: 4, Seed: 21}
+	opts := Options{StateDim: 3, ActionDim: 2, Seed: 21}
 	early, late := NewAgent(opts), NewAgent(opts)
 	early.learner()
 	env := simrand.New(5)
 	state := []float64{0.1, -0.2, 0.3}
-	for step := 0; step < 12; step++ {
+	for step := 0; step < 2*minibatch; step++ {
 		a, b := early.Act(state, true), late.Act(state, true)
 		for i := range a {
 			if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
 				t.Fatalf("step %d: action %v built early, %v built late", step, a, b)
 			}
 		}
-		if step < opts.Batch-1 && late.critic != nil {
-			t.Fatalf("step %d: learner built with %d of %d transitions", step, late.ReplayLen(), opts.Batch)
+		if step < minibatch-1 && late.critic != nil {
+			t.Fatalf("step %d: learner built with %d of %d transitions", step, late.ReplayLen(), minibatch)
 		}
 		next := []float64{env.Float64(), env.Float64(), env.Float64()}
 		tr := Transition{State: state, Action: a, Reward: env.Float64(), NextState: next}
@@ -230,7 +230,7 @@ func TestLateLearnerIsTheEarlyOne(t *testing.T) {
 // TestTrainedWeightsDigest pins a trained agent's four networks bit for
 // bit, so where and when Adam's state is allocated cannot move a weight.
 func TestTrainedWeightsDigest(t *testing.T) {
-	agent := NewAgent(Options{StateDim: 4, ActionDim: 2, Batch: 8, Seed: 5})
+	agent := NewAgent(Options{StateDim: 4, ActionDim: 2, Seed: 5})
 	rng := simrand.New(5)
 	for i := 0; i < 64; i++ {
 		s := []float64{rng.Float64(), rng.Float64(), rng.Float64(), rng.Float64()}
@@ -238,7 +238,7 @@ func TestTrainedWeightsDigest(t *testing.T) {
 		agent.Observe(Transition{State: s, Action: a, Reward: rng.Norm(0, 1), NextState: s})
 	}
 	for i := 0; i < 24; i++ {
-		agent.Train()
+		agent.train(8)
 	}
 	h := sha256.New()
 	for _, n := range []*nn.Net{agent.actor, agent.actorTarget, agent.critic, agent.criticTarget} {

@@ -59,7 +59,7 @@ func TestLoadRejectsGarbage(t *testing.T) {
 }
 
 func TestLoadedAgentContinuesTraining(t *testing.T) {
-	agent := NewAgent(Options{StateDim: 4, ActionDim: 2, Batch: 8, Seed: 3})
+	agent := NewAgent(Options{StateDim: 4, ActionDim: 2, Seed: 3})
 	var buf bytes.Buffer
 	if err := agent.Save(&buf); err != nil {
 		t.Fatal(err)

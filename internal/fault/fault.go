@@ -178,12 +178,8 @@ func (p *program) eval(tag string) *Fire {
 // Failpoint is one named injection site. The zero-cost contract: while
 // disarmed, Eval is one atomic load and a nil check.
 type Failpoint struct {
-	name string
 	prog atomic.Pointer[program]
 }
-
-// Name returns the failpoint's registered name.
-func (f *Failpoint) Name() string { return f.name }
 
 // Eval returns the action to apply on this hit, or nil (the common case:
 // disarmed, or armed but this hit is not scheduled to fire).
@@ -226,7 +222,7 @@ func Register(name string) *Failpoint {
 	if f, ok := reg.points[name]; ok {
 		return f
 	}
-	f := &Failpoint{name: name}
+	f := &Failpoint{}
 	reg.points[name] = f
 	return f
 }

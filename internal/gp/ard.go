@@ -6,27 +6,23 @@ import (
 	"relm/internal/linalg"
 )
 
-// DefaultARDIters is the default gradient-ascent budget of FitBestARD: how
-// many accepted-or-backtracked steps the per-dimension length-scale
-// refinement may take per re-selection.
-const DefaultARDIters = 6
+// ardIters is the gradient-ascent budget of FitBestARD: how many
+// accepted-or-backtracked steps the per-dimension length-scale refinement
+// may take per re-selection.
+const ardIters = 6
 
 // FitBestARD selects hyperparameters in two stages: the coarse two-group
 // grid of FitBestGrouped locates the right order of magnitude, then ARD
 // gradient ascent refines every dimension's length scale independently by
-// maximizing the log marginal likelihood (iters steps; 0 selects
-// DefaultARDIters, negative disables refinement and returns the pure grid
-// result). Steps are only ever accepted when they improve the likelihood,
-// so the result is never worse than the grid starting point.
-func FitBestARD(kind string, xs [][]float64, ys []float64, baseDims, iters int) (*GP, error) {
-	if iters == 0 {
-		iters = DefaultARDIters
-	}
+// maximizing the log marginal likelihood (ardIters steps). Steps are only
+// ever accepted when they improve the likelihood, so the result is never
+// worse than the grid starting point.
+func FitBestARD(kind string, xs [][]float64, ys []float64, baseDims int) (*GP, error) {
 	g, err := FitBestGrouped(kind, xs, ys, baseDims)
-	if err != nil || iters < 0 {
+	if err != nil {
 		return g, err
 	}
-	return ardRefine(g, kind, xs, ys, iters), nil
+	return ardRefine(g, kind, xs, ys, ardIters), nil
 }
 
 // ARD length scales are clamped to this range (in length space) so a noisy

@@ -17,11 +17,11 @@ func TestARDNeverBelowGrid(t *testing.T) {
 		n := 12 + rng.Intn(28)
 		xs, ys := synth(rng, n, dim)
 		for _, kind := range []string{"rbf", "matern52"} {
-			grid, err := FitBestARD(kind, xs, ys, dim, -1) // pure grid
+			grid, err := FitBestGrouped(kind, xs, ys, dim)
 			if err != nil {
 				t.Fatalf("trial %d %s: grid: %v", trial, kind, err)
 			}
-			ard, err := FitBestARD(kind, xs, ys, dim, 0) // default ascent budget
+			ard, err := FitBestARD(kind, xs, ys, dim)
 			if err != nil {
 				t.Fatalf("trial %d %s: ard: %v", trial, kind, err)
 			}
@@ -30,23 +30,6 @@ func TestARDNeverBelowGrid(t *testing.T) {
 				t.Fatalf("trial %d %s: ARD returned LML %v below grid %v", trial, kind, al, gl)
 			}
 		}
-	}
-}
-
-// Negative iters must return the untouched grid selection.
-func TestARDNegativeItersIsPureGrid(t *testing.T) {
-	rng := simrand.New(88)
-	xs, ys := synth(rng, 20, 3)
-	grid, err := FitBestGrouped("rbf", xs, ys, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pure, err := FitBestARD("rbf", xs, ys, 3, -1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if gl, pl := grid.LogMarginalLikelihood(), pure.LogMarginalLikelihood(); gl != pl {
-		t.Fatalf("iters<0 should be the grid result: LML %v vs %v", pl, gl)
 	}
 }
 
@@ -62,14 +45,11 @@ func TestARDImprovesAnisotropicFit(t *testing.T) {
 		xs = append(xs, x)
 		ys = append(ys, math.Sin(9*x[0])+rng.Norm(0, 0.01))
 	}
-	grid, err := FitBestARD("rbf", xs, ys, 2, -1)
+	grid, err := FitBestGrouped("rbf", xs, ys, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ard, err := FitBestARD("rbf", xs, ys, 2, 12)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ard := ardRefine(grid, "rbf", xs, ys, 12)
 	if ard.LogMarginalLikelihood() <= grid.LogMarginalLikelihood() {
 		t.Fatalf("ARD did not improve an anisotropic fit: %v vs grid %v",
 			ard.LogMarginalLikelihood(), grid.LogMarginalLikelihood())

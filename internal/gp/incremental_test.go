@@ -176,7 +176,7 @@ func predictBatchIsPredictInto(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				ard, err := FitBestARD(kind, xs, ys, 4, 0)
+				ard, err := FitBestARD(kind, xs, ys, 4)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -331,7 +331,7 @@ func TestIncrementalRefitMatchesBatchSelection(t *testing.T) {
 	got := inc.gp
 	// 24 points with RefitEvery=4: the final SetData lands exactly on a
 	// scheduled re-selection, so the model must match batch selection.
-	want, err := FitBestARD("rbf", xs, ys, 3, 0)
+	want, err := FitBestARD("rbf", xs, ys, 3)
 	if err != nil {
 		t.Fatal(err)
 	}

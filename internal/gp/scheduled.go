@@ -36,9 +36,6 @@ type Scheduled struct {
 	// drops this much since the last selection (default 0.25; ≤0
 	// disables).
 	LMLDrift float64
-	// ARDIters bounds the ARD gradient ascent per re-selection (0 =
-	// DefaultARDIters; negative disables ARD).
-	ARDIters int
 	// AppendHist/RefitHist, when set, record absorb vs. re-selection
 	// latency, so a slow observe can be attributed to the right half of
 	// the surrogate.
@@ -152,7 +149,7 @@ func (s *Scheduled) reselect(xs [][]float64, ys []float64) error {
 	if s.RefitHist != nil {
 		start = time.Now()
 	}
-	g, err := FitBestARD(s.Kind, xs, ys, s.BaseDims, s.ARDIters)
+	g, err := FitBestARD(s.Kind, xs, ys, s.BaseDims)
 	if !start.IsZero() {
 		s.RefitHist.Record(time.Since(start))
 	}

@@ -37,7 +37,7 @@ func TestSparseMatchesExactUnderBudget(t *testing.T) {
 			var ref *GP
 			if s.Stats().Fits > fits {
 				var err error
-				if selected, err = FitBestARD("rbf", pxs[:i], pys[:i], dim, 0); err != nil {
+				if selected, err = FitBestARD("rbf", pxs[:i], pys[:i], dim); err != nil {
 					t.Fatalf("trial %d: batch selection on prefix %d: %v", trial, i, err)
 				}
 				ref = selected
@@ -78,7 +78,7 @@ func TestSparseTracksExactPosterior(t *testing.T) {
 	const n = 300
 	xs, ys := synth(rng, n, 2)
 
-	exact, err := FitBestARD("rbf", xs, ys, 2, 0)
+	exact, err := FitBestARD("rbf", xs, ys, 2)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -238,7 +238,10 @@ func TestReportPercentilesMatchHistogram(t *testing.T) {
 
 func startService(t testing.TB) *httptest.Server {
 	t.Helper()
-	m := service.NewManager(service.Options{NodeID: "lg-test", Workers: 2, TTL: time.Hour})
+	m, err := service.Open(service.Options{NodeID: "lg-test", Workers: 2, TTL: time.Hour})
+	if err != nil {
+		t.Fatal(err)
+	}
 	srv := httptest.NewServer(service.NewHandler(m))
 	t.Cleanup(func() {
 		srv.Close()

@@ -15,16 +15,13 @@ import (
 type PromWriter struct {
 	w    io.Writer
 	seen map[string]bool
-	err  error
+	err  error // the first write error; it stops every later write
 }
 
 // NewPromWriter wraps w.
 func NewPromWriter(w io.Writer) *PromWriter {
 	return &PromWriter{w: w, seen: make(map[string]bool)}
 }
-
-// Err returns the first write error, if any.
-func (p *PromWriter) Err() error { return p.err }
 
 func (p *PromWriter) printf(format string, args ...any) {
 	if p.err != nil {

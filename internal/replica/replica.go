@@ -88,7 +88,7 @@ type Options struct {
 	// score on Self's name.
 	Peers []Peer
 	// Factor is how many followers receive this node's log (default 1,
-	// capped at len(Peers) after removing Self).
+	// capped at len(Peers) after removing Self; New refuses a negative one).
 	Factor int
 	// Dir is the replica root this node ingests other primaries' logs
 	// into (one subdirectory per primary). Empty disables the follower
@@ -96,8 +96,9 @@ type Options struct {
 	Dir string
 	// Source is the local log to ship. Nil disables the shipper role.
 	Source Source
-	// Interval is the ship poll period (default 500ms): the active
-	// segment's tail is shipped at most this stale.
+	// Interval is the ship poll period (default 500ms; New refuses a
+	// negative one): the active segment's tail is shipped at most this
+	// stale.
 	Interval time.Duration
 	// Logf, when non-nil, receives replication log lines.
 	Logf func(format string, args ...any)
@@ -109,10 +110,10 @@ type Options struct {
 }
 
 func (o *Options) fill() {
-	if o.Factor <= 0 {
+	if o.Factor == 0 {
 		o.Factor = 1
 	}
-	if o.Interval <= 0 {
+	if o.Interval == 0 {
 		o.Interval = 500 * time.Millisecond
 	}
 }
@@ -172,6 +173,12 @@ type primaryState struct {
 // starts the shipper loop when a Source and at least one follower are
 // configured. Call Close to stop shipping.
 func New(opts Options) (*Set, error) {
+	if opts.Factor < 0 {
+		return nil, fmt.Errorf("replica: negative option Factor %d", opts.Factor)
+	}
+	if opts.Interval < 0 {
+		return nil, fmt.Errorf("replica: negative option Interval %v", opts.Interval)
+	}
 	opts.fill()
 	s := &Set{opts: opts, primaries: make(map[string]*primaryState)}
 	if opts.Dir != "" {

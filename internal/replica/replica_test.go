@@ -8,6 +8,7 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	"relm/internal/store"
 )
@@ -174,6 +175,30 @@ func TestRestartAdoptsReplicaDirs(t *testing.T) {
 	// shipper's first status fetch does not re-ship an unchanged snapshot.
 	if st.Primaries[0].SnapshotHash != store.HashHex(snap) {
 		t.Fatalf("adopted snapshot hash %q", st.Primaries[0].SnapshotHash)
+	}
+}
+
+// TestNegativeOptionsRefused: a negative Factor would ship to one follower
+// and a negative Interval poll every 500 ms, each without a word; New
+// refuses each, naming it.
+func TestNegativeOptionsRefused(t *testing.T) {
+	for _, tt := range []struct {
+		name string
+		opts Options
+	}{
+		{"Factor", Options{Self: "a", Factor: -1}},
+		{"Interval", Options{Self: "a", Interval: -time.Second}},
+	} {
+		t.Run(tt.name, func(t *testing.T) {
+			s, err := New(tt.opts)
+			if err == nil {
+				s.Close()
+				t.Fatalf("New accepted a negative %s", tt.name)
+			}
+			if !strings.Contains(err.Error(), tt.name) {
+				t.Fatalf("refusal %q does not name %s", err, tt.name)
+			}
+		})
 	}
 }
 

@@ -12,28 +12,20 @@ import (
 	"relm/internal/simrand"
 )
 
-// Options configures training.
-type Options struct {
-	Trees       int     // number of trees (default 64)
-	MinLeaf     int     // minimum samples per leaf (default 2)
-	MaxDepth    int     // maximum tree depth (default 12)
-	FeatureFrac float64 // fraction of features tried per split (default 1/√d heuristic via 0 → auto)
-	Seed        uint64
-}
+// Figure 26's forest, at the one setting the paper runs it.
+const (
+	trees    = 64 // ensemble size
+	minLeaf  = 2  // a node this small is a leaf
+	maxDepth = 12
+)
 
-func (o *Options) fill(dim int) {
-	if o.Trees == 0 {
-		o.Trees = 64
-	}
-	if o.MinLeaf == 0 {
-		o.MinLeaf = 2
-	}
-	if o.MaxDepth == 0 {
-		o.MaxDepth = 12
-	}
-	if o.FeatureFrac == 0 {
-		o.FeatureFrac = math.Max(0.34, 1/math.Sqrt(float64(dim)))
-	}
+// featureFrac is the fraction of a dim-dimensional input's features a split
+// tries: the 1/√d rule, at least a third.
+func featureFrac(dim int) float64 { return math.Max(0.34, 1/math.Sqrt(float64(dim))) }
+
+// Options seeds training.
+type Options struct {
+	Seed uint64
 }
 
 type node struct {
@@ -56,28 +48,26 @@ func Train(xs [][]float64, ys []float64, opts Options) *Forest {
 	if len(xs) == 0 || len(xs) != len(ys) {
 		panic("rf: bad training data")
 	}
-	dim := len(xs[0])
-	opts.fill(dim)
 	rng := simrand.New(opts.Seed ^ 0xda3e39cb94b95bdb)
-	f := &Forest{dim: dim}
+	f := &Forest{dim: len(xs[0])}
 	n := len(xs)
-	for t := 0; t < opts.Trees; t++ {
+	for t := 0; t < trees; t++ {
 		// Bootstrap sample.
 		idx := make([]int, n)
 		for i := range idx {
 			idx[i] = rng.Intn(n)
 		}
-		f.trees = append(f.trees, buildTree(xs, ys, idx, 0, opts, rng))
+		f.trees = append(f.trees, buildTree(xs, ys, idx, 0, rng))
 	}
 	return f
 }
 
-func buildTree(xs [][]float64, ys []float64, idx []int, depth int, opts Options, rng *simrand.Rand) *node {
-	if len(idx) <= opts.MinLeaf || depth >= opts.MaxDepth || constantTargets(ys, idx) {
+func buildTree(xs [][]float64, ys []float64, idx []int, depth int, rng *simrand.Rand) *node {
+	if len(idx) <= minLeaf || depth >= maxDepth || constantTargets(ys, idx) {
 		return &node{leaf: true, value: meanAt(ys, idx)}
 	}
 	dim := len(xs[0])
-	nFeat := int(math.Ceil(opts.FeatureFrac * float64(dim)))
+	nFeat := int(math.Ceil(featureFrac(dim) * float64(dim)))
 	if nFeat < 1 {
 		nFeat = 1
 	}
@@ -101,7 +91,7 @@ func buildTree(xs [][]float64, ys []float64, idx []int, depth int, opts Options,
 			if vals[pos] == vals[pos+1] {
 				continue
 			}
-			if score, ok := splitScore(xs, ys, idx, d, thr, opts.MinLeaf); ok && score < bestScore {
+			if score, ok := splitScore(xs, ys, idx, d, thr); ok && score < bestScore {
 				bestScore, bestFeat, bestThr = score, d, thr
 			}
 		}
@@ -121,13 +111,13 @@ func buildTree(xs [][]float64, ys []float64, idx []int, depth int, opts Options,
 	return &node{
 		feature:   bestFeat,
 		threshold: bestThr,
-		left:      buildTree(xs, ys, li, depth+1, opts, rng),
-		right:     buildTree(xs, ys, ri, depth+1, opts, rng),
+		left:      buildTree(xs, ys, li, depth+1, rng),
+		right:     buildTree(xs, ys, ri, depth+1, rng),
 	}
 }
 
 // splitScore returns the summed squared error of the two sides.
-func splitScore(xs [][]float64, ys []float64, idx []int, d int, thr float64, minLeaf int) (float64, bool) {
+func splitScore(xs [][]float64, ys []float64, idx []int, d int, thr float64) (float64, bool) {
 	var nl, nr int
 	var sl, sr, ql, qr float64
 	for _, i := range idx {

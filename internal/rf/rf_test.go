@@ -12,7 +12,7 @@ import (
 func TestFitsConstant(t *testing.T) {
 	xs := [][]float64{{0}, {0.5}, {1}}
 	ys := []float64{7, 7, 7}
-	f := Train(xs, ys, Options{Trees: 8, Seed: 1})
+	f := Train(xs, ys, Options{Seed: 1})
 	mean, variance := f.Predict([]float64{0.3})
 	if math.Abs(mean-7) > 1e-9 {
 		t.Fatalf("constant prediction = %v", mean)

@@ -9,7 +9,7 @@ import "relm/internal/gp"
 // full matrix; Stats therefore counts one Fit per change, the honest cost of
 // this surrogate.
 type Surrogate struct {
-	// Opts configures ensemble training (zero value = package defaults).
+	// Opts seeds ensemble training.
 	Opts Options
 
 	forest *Forest

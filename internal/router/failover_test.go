@@ -123,7 +123,7 @@ func newSlowCheckCluster(t *testing.T, names ...string) *testCluster {
 	}
 	var backends []Backend
 	for _, name := range names {
-		m := service.NewManager(service.Options{NodeID: name, Workers: 1, TTL: time.Hour})
+		m := openManager(t, service.Options{NodeID: name, Workers: 1, TTL: time.Hour})
 		srv := httptest.NewServer(service.NewHandler(m))
 		tc.managers[name] = m
 		tc.servers[name] = srv
@@ -211,7 +211,7 @@ func newBlackholeCluster(t *testing.T) *blackholeCluster {
 	t.Helper()
 	bc := &blackholeCluster{}
 	bc.blackhole.Store(true)
-	mb := service.NewManager(service.Options{NodeID: "b", Workers: 1, TTL: time.Hour})
+	mb := openManager(t, service.Options{NodeID: "b", Workers: 1, TTL: time.Hour})
 	t.Cleanup(mb.Close)
 	realB := service.NewHandler(mb)
 	srvB := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
@@ -225,7 +225,7 @@ func newBlackholeCluster(t *testing.T) *blackholeCluster {
 	}))
 	t.Cleanup(srvB.Close)
 
-	ma := service.NewManager(service.Options{NodeID: "a", Workers: 1, TTL: time.Hour})
+	ma := openManager(t, service.Options{NodeID: "a", Workers: 1, TTL: time.Hour})
 	t.Cleanup(ma.Close)
 	srvA := httptest.NewServer(service.NewHandler(ma))
 	t.Cleanup(srvA.Close)

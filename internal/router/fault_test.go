@@ -89,7 +89,7 @@ func TestSessionWalkPrefersRetriable503Over404(t *testing.T) {
 func TestCreateWalksPastRetriable503(t *testing.T) {
 	refusing := fakeBackend(t, "refusing", retriable503)
 
-	m := service.NewManager(service.Options{NodeID: "good", Workers: 1, TTL: time.Hour})
+	m := openManager(t, service.Options{NodeID: "good", Workers: 1, TTL: time.Hour})
 	t.Cleanup(m.Close)
 	srv := httptest.NewServer(service.NewHandler(m))
 	t.Cleanup(srv.Close)
@@ -156,7 +156,7 @@ func TestInjectedPartitionHoldsNodeOutNotPromotion(t *testing.T) {
 	}
 	var backends []Backend
 	for _, name := range []string{"a", "b"} {
-		m := service.NewManager(service.Options{NodeID: name, Workers: 1, TTL: time.Hour})
+		m := openManager(t, service.Options{NodeID: name, Workers: 1, TTL: time.Hour})
 		srv := httptest.NewServer(service.NewHandler(m))
 		tc.managers[name] = m
 		tc.servers[name] = srv

@@ -64,9 +64,9 @@ type Options struct {
 	CheckInterval time.Duration
 	BackoffMax    time.Duration
 	// FailAfter is how many consecutive health-check failures mark a node
-	// unhealthy (default 2). One successful check marks it healthy again; a
-	// failed call counts as FailAfter failures, so one failed probe after
-	// it is a death.
+	// unhealthy (default 2; New refuses a negative one). One successful
+	// check marks it healthy again; a failed call counts as FailAfter
+	// failures, so one failed probe after it is a death.
 	FailAfter int
 	// Timeout bounds each backend request (default 15s). Drain, adopt,
 	// import and promote calls get 4x this: they close, rebuild or replay
@@ -228,9 +228,16 @@ func New(opts Options) (*Router, error) {
 	if len(opts.Backends) == 0 {
 		return nil, fmt.Errorf("router: no backends configured")
 	}
-	if opts.RetryBudget < 0 || opts.Timeout < 0 || opts.CheckInterval < 0 || opts.BackoffMax < 0 {
-		return nil, fmt.Errorf("router: negative option: retry budget %d, timeout %v, check interval %v, backoff max %v",
-			opts.RetryBudget, opts.Timeout, opts.CheckInterval, opts.BackoffMax)
+	for _, o := range []struct {
+		name string
+		neg  bool
+	}{
+		{"RetryBudget", opts.RetryBudget < 0}, {"Timeout", opts.Timeout < 0}, {"CheckInterval", opts.CheckInterval < 0},
+		{"BackoffMax", opts.BackoffMax < 0}, {"FailAfter", opts.FailAfter < 0},
+	} {
+		if o.neg {
+			return nil, fmt.Errorf("router: negative option %s", o.name)
+		}
 	}
 	r := &Router{opts: opts, quit: make(chan struct{})}
 	seen := make(map[string]bool)

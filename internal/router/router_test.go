@@ -40,6 +40,17 @@ func newTestCluster(t *testing.T, names ...string) *testCluster {
 	return newTestClusterStores(t, nil, names...)
 }
 
+// openManager opens a service manager for a test backend; the caller
+// closes it.
+func openManager(t *testing.T, opts service.Options) *service.Manager {
+	t.Helper()
+	m, err := service.Open(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m
+}
+
 // newTestClusterStores is newTestCluster with a journal under the nodes
 // stores names (the others run without one).
 func newTestClusterStores(t *testing.T, stores map[string]store.Store, names ...string) *testCluster {
@@ -50,7 +61,7 @@ func newTestClusterStores(t *testing.T, stores map[string]store.Store, names ...
 	}
 	var backends []Backend
 	for _, name := range names {
-		m := service.NewManager(service.Options{NodeID: name, Workers: 1, TTL: time.Hour, Store: stores[name]})
+		m := openManager(t, service.Options{NodeID: name, Workers: 1, TTL: time.Hour, Store: stores[name]})
 		srv := httptest.NewServer(service.NewHandler(m))
 		tc.managers[name] = m
 		tc.servers[name] = srv
@@ -303,7 +314,7 @@ func TestMergePartialFailure(t *testing.T) {
 	}))
 	defer broken.Close()
 
-	m := service.NewManager(service.Options{NodeID: "a", Workers: 1, TTL: time.Hour})
+	m := openManager(t, service.Options{NodeID: "a", Workers: 1, TTL: time.Hour})
 	defer m.Close()
 	good := httptest.NewServer(service.NewHandler(m))
 	defer good.Close()
@@ -482,7 +493,8 @@ func TestClientSuppliedIDAndConflict(t *testing.T) {
 
 // TestNegativeOptionsRefused: a negative retry budget, timeout or health
 // period would turn every request away, every node suspect, or the health
-// loop into a spin; New refuses each.
+// loop into a spin, and a negative FailAfter would declare a node down on
+// its first failed probe; New refuses each, naming it.
 func TestNegativeOptionsRefused(t *testing.T) {
 	for _, tt := range []struct {
 		name string
@@ -492,6 +504,7 @@ func TestNegativeOptionsRefused(t *testing.T) {
 		{"Timeout", func(o *Options) { o.Timeout = -time.Second }},
 		{"CheckInterval", func(o *Options) { o.CheckInterval = -time.Second }},
 		{"BackoffMax", func(o *Options) { o.BackoffMax = -time.Second }},
+		{"FailAfter", func(o *Options) { o.FailAfter = -1 }},
 	} {
 		t.Run(tt.name, func(t *testing.T) {
 			opts := Options{Backends: []Backend{{Name: "a", URL: "http://127.0.0.1:1"}}}
@@ -500,6 +513,9 @@ func TestNegativeOptionsRefused(t *testing.T) {
 			if err == nil {
 				r.Close()
 				t.Fatalf("New accepted a negative %s", tt.name)
+			}
+			if !strings.Contains(err.Error(), tt.name) {
+				t.Fatalf("refusal %q does not name %s", err, tt.name)
 			}
 		})
 	}

@@ -145,8 +145,7 @@ func TestPromotionReplayBitMatch(t *testing.T) {
 	if len(rep.Sessions) != len(ids) {
 		t.Fatalf("hand-off recovered %d sessions, want %d", len(rep.Sessions), len(ids))
 	}
-	m2 := NewManager(Options{Workers: 1, NodeID: "b"})
-	defer m2.Close()
+	m2 := newTestManager(t, Options{Workers: 1, NodeID: "b"})
 	adoptAll(t, m2, rep)
 	requireSuccessor(t, m2, ids, histories, nextSuggest)
 

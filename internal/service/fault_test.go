@@ -48,8 +48,7 @@ func fileStoreManager(t *testing.T, o store.FileOptions) (*Manager, string) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := NewManager(Options{Workers: 1, Store: fs})
-	t.Cleanup(m.Close)
+	m := newTestManager(t, Options{Workers: 1, Store: fs})
 	return m, dir
 }
 
@@ -243,8 +242,7 @@ func TestHTTPJournalFaultMapsTo503RetryAfter(t *testing.T) {
 // fault is a retriable 503, for drop as for error — service.observe does
 // not handle drop, so it fails like error.
 func TestHTTPInjectedObserveFaultIsRetriable(t *testing.T) {
-	m := NewManager(Options{Workers: 1})
-	t.Cleanup(m.Close)
+	m := newTestManager(t, Options{Workers: 1})
 	srv := httptest.NewServer(NewHandler(m))
 	defer srv.Close()
 

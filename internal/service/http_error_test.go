@@ -195,8 +195,7 @@ func TestHTTPNodeIdentityAndDrain(t *testing.T) {
 
 	// The snapshot is the adopt body, verbatim: a successor takes it over
 	// HTTP with its history, and refuses a second copy.
-	succ := NewManager(Options{NodeID: "node-b", Workers: 1, TTL: time.Hour})
-	t.Cleanup(succ.Close)
+	succ := newTestManager(t, Options{NodeID: "node-b", Workers: 1, TTL: time.Hour})
 	succSrv := httptest.NewServer(NewHandler(succ))
 	t.Cleanup(succSrv.Close)
 	var adopted StatusResponse
@@ -233,12 +232,10 @@ func TestHTTPNodeIdentityAndDrain(t *testing.T) {
 // TestHTTPRepositoryTransfer moves models from one node to another over
 // export/import and checks the receiver warm-starts from them.
 func TestHTTPRepositoryTransfer(t *testing.T) {
-	a := NewManager(Options{NodeID: "a", Workers: 1, TTL: time.Hour})
-	t.Cleanup(a.Close)
+	a := newTestManager(t, Options{NodeID: "a", Workers: 1, TTL: time.Hour})
 	srvA := httptest.NewServer(NewHandler(a))
 	t.Cleanup(srvA.Close)
-	b := NewManager(Options{NodeID: "b", Workers: 1, TTL: time.Hour})
-	t.Cleanup(b.Close)
+	b := newTestManager(t, Options{NodeID: "b", Workers: 1, TTL: time.Hour})
 	srvB := httptest.NewServer(NewHandler(b))
 	t.Cleanup(srvB.Close)
 

@@ -18,8 +18,7 @@ import (
 
 func newTestServer(t *testing.T) *httptest.Server {
 	t.Helper()
-	m := NewManager(Options{Workers: 2})
-	t.Cleanup(m.Close)
+	m := newTestManager(t, Options{Workers: 2})
 	srv := httptest.NewServer(NewHandler(m))
 	t.Cleanup(srv.Close)
 	return srv
@@ -184,8 +183,7 @@ func TestHTTPListAndHealth(t *testing.T) {
 // persistent manager: session counts by state, observation totals, and the
 // store's WAL counters.
 func TestHTTPMetrics(t *testing.T) {
-	m := NewManager(Options{Workers: 2, Store: store.NewMem()})
-	t.Cleanup(m.Close)
+	m := newTestManager(t, Options{Workers: 2, Store: store.NewMem()})
 	srv := httptest.NewServer(NewHandler(m))
 	t.Cleanup(srv.Close)
 
@@ -233,8 +231,7 @@ func mustWorkload(t *testing.T, name string) workload.Spec {
 // entries, fingerprints, and lifecycle counters; WAL segmentation counters
 // show up under /v1/metrics.
 func TestHTTPRepository(t *testing.T) {
-	m := NewManager(Options{Workers: 2, RepoCapacity: 8, Store: store.NewMem()})
-	t.Cleanup(m.Close)
+	m := newTestManager(t, Options{Workers: 2, RepoCapacity: 8, Store: store.NewMem()})
 	srv := httptest.NewServer(NewHandler(m))
 	t.Cleanup(srv.Close)
 

@@ -63,8 +63,7 @@ func TestReplicaWireBytes(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer set.Close()
-	m := NewManager(Options{NodeID: "b", Workers: 1, Replica: set})
-	defer m.Close()
+	m := newTestManager(t, Options{NodeID: "b", Workers: 1, Replica: set})
 	h := NewHandler(m)
 
 	seg := "/v1/replica/segments?primary=a&segment=1&min=0&offset="
@@ -98,8 +97,7 @@ func TestReplicaWireBytes(t *testing.T) {
 
 	// Replication off is not an error to a shipper probing a peer: an empty
 	// status reads as "holds nothing of mine". Ingest has nowhere to go.
-	off := NewManager(Options{NodeID: "c", Workers: 1})
-	defer off.Close()
+	off := newTestManager(t, Options{NodeID: "c", Workers: 1})
 	runWireCases(t, NewHandler(off), []wireCase{
 		{"GET", "/v1/replica/status?primary=a", "", 200, `{"node":"c","primaries":null,"followers":null}`},
 		{"POST", seg + "0", "hello ", 503, `{"size":0,"error":"replication not configured"}`},
@@ -109,8 +107,7 @@ func TestReplicaWireBytes(t *testing.T) {
 
 func TestTracesWireBytes(t *testing.T) {
 	const rec = `"method":"GET","path":"/healthz","start":"T","total_us":"T","spans":[]}`
-	node := NewManager(Options{NodeID: "b", Workers: 1})
-	defer node.Close()
+	node := newTestManager(t, Options{NodeID: "b", Workers: 1})
 	runWireCases(t, NewHandler(node), []wireCase{
 		{"GET", "/healthz", "", 200, `{"node":"b","ok":true,"sessions":0}`},
 		{"GET", "/v1/traces?id=t-pin", "", 200, `{"node":"b","traces":[{"id":"t-pin","node":"b",` + rec + `]}`},
@@ -120,8 +117,7 @@ func TestTracesWireBytes(t *testing.T) {
 	})
 
 	// A single node has no ID to label the body with; its records say "serve".
-	single := NewManager(Options{Workers: 1})
-	defer single.Close()
+	single := newTestManager(t, Options{Workers: 1})
 	runWireCases(t, NewHandler(single), []wireCase{
 		{"GET", "/healthz", "", 200, `{"ok":true,"sessions":0}`},
 		{"GET", "/v1/traces", "", 200, `{"traces":[{"id":"t-pin","node":"serve",` + rec + `]}`},

@@ -344,7 +344,6 @@ func TestRestoredAutoMatchesCrashMatrix(t *testing.T) {
 		fopts := store.FileOptions{
 			SyncEachAppend: true,
 			CommitInterval: 200 * time.Microsecond,
-			CommitBatch:    4,
 		}
 		testRestoredAutoMatchesStore(t, spec, fopts, func(t *testing.T, dir string) {
 			truncateActiveSegmentTail(t, dir, 12)

@@ -38,9 +38,9 @@ const (
 func TestRepositoryWireBytes(t *testing.T) {
 	now := time.Date(2026, 1, 2, 3, 4, 5, 0, time.UTC)
 	open := func() string {
-		m := NewManager(Options{Workers: 1, RepoCapacity: 8, Now: func() time.Time { return now }})
+		m := newTestManager(t, Options{Workers: 1, RepoCapacity: 8, Now: func() time.Time { return now }})
 		srv := httptest.NewServer(NewHandler(m))
-		t.Cleanup(func() { srv.Close(); m.Close() })
+		t.Cleanup(srv.Close)
 		return srv.URL
 	}
 	do := func(method, url, body string) string {

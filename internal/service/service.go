@@ -352,17 +352,6 @@ type Manager struct {
 	wg     sync.WaitGroup
 }
 
-// NewManager starts a manager with its worker pool and TTL janitor. It is
-// the store-less constructor: for a persistent manager use Open, which can
-// report a recovery failure — NewManager panics on one.
-func NewManager(opts Options) *Manager {
-	m, err := Open(opts)
-	if err != nil {
-		panic(fmt.Sprintf("service: NewManager: %v (use Open with a Store)", err))
-	}
-	return m
-}
-
 // Open starts a manager, restoring every session journaled in opts.Store:
 // it loads the latest snapshot, folds the write-ahead log on top (see
 // persist.go), rebuilds each still-open session's tuner by re-observing its
@@ -1148,9 +1137,6 @@ func (m *Manager) StoreDegraded() (string, bool) {
 	mt := m.opts.Store.Metrics()
 	return mt.DegradedReason, mt.Degraded
 }
-
-// Obs returns the manager's stage-histogram registry.
-func (m *Manager) Obs() *obs.Registry { return m.opts.Obs }
 
 // Tracer returns the manager's request tracer; NewHandler wraps the API
 // mux in its middleware.

@@ -17,7 +17,10 @@ import (
 
 func newTestManager(t *testing.T, opts Options) *Manager {
 	t.Helper()
-	m := NewManager(opts)
+	m, err := Open(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
 	t.Cleanup(m.Close)
 	return m
 }

@@ -60,9 +60,6 @@ type FileOptions struct {
 	// trading single-append latency for fewer fsyncs. Ignored unless
 	// SyncEachAppend is set.
 	CommitInterval time.Duration
-	// CommitBatch is the group-commit size cap: a batch this large is
-	// flushed without waiting out the interval (default 64).
-	CommitBatch int
 	// AppendHist, when set, records the end-to-end latency of every
 	// Append (marshal through durable return); FlushWaitHist records just
 	// the time spent waiting on the group-commit flush, so fsync stalls
@@ -77,9 +74,6 @@ func (o *FileOptions) fill() {
 	}
 	if o.CommitInterval < 0 {
 		o.CommitInterval = 0
-	}
-	if o.CommitBatch == 0 {
-		o.CommitBatch = 64
 	}
 }
 

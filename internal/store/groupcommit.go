@@ -14,9 +14,13 @@ import (
 // appends arriving during the previous flush coalesce naturally — batch
 // size tracks arrival rate × fsync latency with no added wait. An optional
 // CommitInterval (the latency cap, ~1–2ms) holds each batch open to build
-// bigger batches; either way a batch of CommitBatch records is flushed
+// bigger batches; either way a batch of commitBatchCap records is flushed
 // immediately. Under heavy observe traffic many records share one fsync
 // while a lone appender pays at most interval + one flush.
+
+// commitBatchCap is the group-commit size cap: a batch this large is
+// flushed without waiting out the interval.
+const commitBatchCap = 64
 
 // commitBatch is one group of appends flushed by a single write+fsync.
 type commitBatch struct {
@@ -62,7 +66,7 @@ func (c *committer) join(s *File, rec []byte) *commitBatch {
 	}
 	b.buf = append(b.buf, rec...)
 	b.n++
-	if b.n == s.opts.CommitBatch {
+	if b.n == commitBatchCap {
 		close(b.full) // size cap hit: commit without waiting out the window
 	}
 	return b

@@ -484,19 +484,22 @@ func TestRecoveryMidRotation(t *testing.T) {
 
 // TestGroupCommitConcurrentAppends hammers the group-commit path and
 // verifies every acknowledged append is durable, uniquely sequenced, and
-// ordered on disk.
+// ordered on disk. An appender waits out its batch, so each batch holds one
+// append of each of commitBatchCap appenders: every batch is flushed by the
+// size cap, long before the coalescing interval ends.
 func TestGroupCommitConcurrentAppends(t *testing.T) {
 	dir := t.TempDir()
+	const interval = 10 * time.Second
 	s, err := OpenFile(dir, FileOptions{
 		SyncEachAppend: true,
-		CommitInterval: 200 * time.Microsecond,
-		CommitBatch:    8,
+		CommitInterval: interval,
 		SegmentBytes:   4096, // force rotations under load too
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	const goroutines, each = 16, 8
+	const goroutines, each = commitBatchCap, 2
+	start := time.Now()
 	var wg sync.WaitGroup
 	errs := make(chan error, goroutines)
 	for g := 0; g < goroutines; g++ {
@@ -516,12 +519,15 @@ func TestGroupCommitConcurrentAppends(t *testing.T) {
 	for err := range errs {
 		t.Fatal(err)
 	}
+	if took := time.Since(start); took >= interval {
+		t.Fatalf("appends took %v: a full batch waited out the interval", took)
+	}
 	m := s.Metrics()
 	if m.BatchedEvents != goroutines*each {
 		t.Fatalf("batched %d events, want %d", m.BatchedEvents, goroutines*each)
 	}
-	if m.Batches == 0 || m.Batches >= m.BatchedEvents {
-		t.Fatalf("no batching happened: %d batches for %d events", m.Batches, m.BatchedEvents)
+	if m.Batches != each {
+		t.Fatalf("%d batches for %d events, want %d full ones", m.Batches, m.BatchedEvents, each)
 	}
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
@@ -558,7 +564,7 @@ func TestGroupCommitConcurrentAppends(t *testing.T) {
 // prefix and continue cleanly.
 func TestGroupCommitPartialBatchRecovered(t *testing.T) {
 	dir := t.TempDir()
-	s, err := OpenFile(dir, FileOptions{SyncEachAppend: true, CommitInterval: time.Millisecond, CommitBatch: 32})
+	s, err := OpenFile(dir, FileOptions{SyncEachAppend: true, CommitInterval: time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -620,7 +626,7 @@ func TestGroupCommitPartialBatchRecovered(t *testing.T) {
 // coalescing batch — it commits the open batch before tearing down.
 func TestCloseFlushesOpenBatch(t *testing.T) {
 	dir := t.TempDir()
-	s, err := OpenFile(dir, FileOptions{SyncEachAppend: true, CommitInterval: 10 * time.Second, CommitBatch: 1 << 20})
+	s, err := OpenFile(dir, FileOptions{SyncEachAppend: true, CommitInterval: 10 * time.Second})
 	if err != nil {
 		t.Fatal(err)
 	}

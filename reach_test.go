@@ -35,6 +35,7 @@ var reachAllowlist = map[string]string{
 	"relm/internal/linalg.SolveUpperT":        "TestSolveIntoVariantsAliasSafe checks SolveUpperTInto, which the GP runs, against it",
 	"relm/internal/linalg.CholSolve":          "TestSolveIntoVariantsAliasSafe checks CholSolveInto, which the GP runs, against it",
 	"(relm/internal/sim/jvm.Layout).Validate": "TestLayoutProperty checks the pool arithmetic over every layout it accepts",
+	"relm/internal/store.NewMem":              "the tests' in-memory store: service, router and replica tests journal to it, and a crash-stop store.Mem is where a deterministic cluster simulation starts",
 }
 
 // reachCalledByStd are the methods the standard library calls through an
@@ -49,37 +50,24 @@ var reachCalledByStd = []string{"String", "Error", "ServeHTTP", "MarshalJSON", "
 // functions and every exported method of a type it aliases, every function
 // of the benchmark module, and the methods in reachCalledByStd. A reference
 // to a function reaches it (called or not); a call through an interface
-// method reaches every method of that name.
+// method reaches that method of every module type that implements the
+// interface.
 func TestEveryFunctionIsReached(t *testing.T) {
 	l := newReachLoader(t)
-	var pkgs []*reachPkg
-	err := filepath.WalkDir(l.root, func(path string, d os.DirEntry, err error) error {
-		if err != nil || !d.IsDir() {
-			return err
-		}
-		if name := d.Name(); path != l.root && (name == "testdata" || strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_")) {
-			return filepath.SkipDir
-		}
-		if bp, err := l.ctxt.ImportDir(path, 0); err != nil || len(bp.GoFiles) == 0 {
-			return nil
-		}
-		rel, _ := filepath.Rel(l.root, path)
-		p, err := l.own(filepath.ToSlash(filepath.Join("relm", rel)))
-		if err != nil {
-			return err
-		}
-		pkgs = append(pkgs, p)
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	pkgs := l.module(t)
 
-	r := &reacher{decls: map[*types.Func]reachNode{}, seen: map[*types.Func]bool{}, named: map[string]bool{}, byName: map[string][]*types.Func{}}
+	r := &reacher{decls: map[*types.Func]reachNode{}, seen: map[*types.Func]bool{}, named: map[string]bool{},
+		byName: map[string][]*types.Func{}, through: map[*types.Func]bool{}}
 	var roots []*types.Func
 	var inits []reachNode
 	for _, p := range pkgs {
 		bench := p.pkg.Path() == "relm/benchmark"
+		scope := p.pkg.Scope()
+		for _, name := range scope.Names() {
+			if tn, ok := scope.Lookup(name).(*types.TypeName); ok && !tn.IsAlias() && !types.IsInterface(tn.Type()) {
+				r.types = append(r.types, tn.Type())
+			}
+		}
 		for _, f := range p.files {
 			for _, d := range f.Decls {
 				switch d := d.(type) {
@@ -163,6 +151,125 @@ func TestEveryFunctionIsReached(t *testing.T) {
 	}
 }
 
+// knobAllowlist names the option fields that only their type's fill and
+// tests set and that stay anyway, each with its reason. An entry that names
+// no knob, or one that code sets, fails the test.
+var knobAllowlist = map[string]string{}
+
+// TestEveryKnobIsSet fails on an exported field of a struct type with a
+// fill method (an options type whose zero fields select defaults) that no
+// non-test code of module relm or of the benchmark writes, short of the
+// type's own fill: a knob only tests turn is a constant spelled as an
+// option. A write is a composite-literal key, an assignment, an increment
+// or taking the field's address. Types the facade aliases are public API
+// and exempt.
+func TestEveryKnobIsSet(t *testing.T) {
+	l := newReachLoader(t)
+	pkgs := l.module(t)
+	public := map[types.Type]bool{}
+	facade := l.mine["relm"].pkg.Scope()
+	for _, name := range facade.Names() {
+		if tn, ok := facade.Lookup(name).(*types.TypeName); ok && tn.IsAlias() {
+			public[types.Unalias(tn.Type())] = true
+		}
+	}
+
+	type knob struct {
+		name  string // "path.Type.Field"
+		owner *types.Named
+	}
+	knobs := map[*types.Var]knob{}
+	for _, p := range pkgs {
+		for _, f := range p.files {
+			for _, d := range f.Decls {
+				named := fillReceiver(d, p)
+				if named == nil || public[named] {
+					continue
+				}
+				st := named.Underlying().(*types.Struct)
+				for i := range st.NumFields() {
+					if fd := st.Field(i); fd.Exported() {
+						knobs[fd] = knob{named.Obj().Pkg().Path() + "." + named.Obj().Name() + "." + fd.Name(), named}
+					}
+				}
+			}
+		}
+	}
+
+	set := map[*types.Var]bool{}
+	for _, p := range pkgs {
+		for _, f := range p.files {
+			for _, d := range f.Decls {
+				own := fillReceiver(d, p) // a fill's writes to its own fields are the defaults
+				write := func(e ast.Expr) {
+					if sel, ok := e.(*ast.SelectorExpr); ok {
+						e = sel.Sel
+					}
+					if id, ok := e.(*ast.Ident); ok {
+						if v, ok := p.info.Uses[id].(*types.Var); ok && knobs[v].owner != nil && knobs[v].owner != own {
+							set[v] = true
+						}
+					}
+				}
+				ast.Inspect(d, func(n ast.Node) bool {
+					switch n := n.(type) {
+					case *ast.KeyValueExpr:
+						write(n.Key)
+					case *ast.AssignStmt:
+						for _, lhs := range n.Lhs {
+							write(lhs)
+						}
+					case *ast.IncDecStmt:
+						write(n.X)
+					case *ast.UnaryExpr:
+						if n.Op == token.AND {
+							write(n.X)
+						}
+					}
+					return true
+				})
+			}
+		}
+	}
+
+	names := map[string]bool{}
+	var unset []string
+	for fd, k := range knobs {
+		names[k.name] = true
+		_, allowed := knobAllowlist[k.name]
+		if allowed && set[fd] {
+			t.Errorf("%s is on knobAllowlist but code sets it: delete its entry", k.name)
+		}
+		if !allowed && !set[fd] {
+			unset = append(unset, k.name+" ("+l.fset.Position(fd.Pos()).String()+")")
+		}
+	}
+	for name := range knobAllowlist {
+		if !names[name] {
+			t.Errorf("knobAllowlist entry %s names no knob", name)
+		}
+	}
+	sort.Strings(unset)
+	if len(unset) > 0 {
+		t.Errorf("%d option fields only their type's fill and tests set; make each a constant, or put it on knobAllowlist with a reason:\n\t%s",
+			len(unset), strings.Join(unset, "\n\t"))
+	}
+}
+
+// fillReceiver returns the type d is the fill method of, or nil.
+func fillReceiver(d ast.Decl, p *reachPkg) *types.Named {
+	fd, ok := d.(*ast.FuncDecl)
+	if !ok || fd.Recv == nil || fd.Name.Name != "fill" {
+		return nil
+	}
+	recv := p.info.Defs[fd.Name].(*types.Func).Signature().Recv().Type()
+	if ptr, ok := recv.(*types.Pointer); ok {
+		recv = ptr.Elem()
+	}
+	named, _ := recv.(*types.Named)
+	return named
+}
+
 // reachPkg is one package of module relm, type-checked with its bodies.
 type reachPkg struct {
 	pkg   *types.Package
@@ -177,17 +284,19 @@ type reachNode struct {
 }
 
 type reacher struct {
-	decls  map[*types.Func]reachNode
-	seen   map[*types.Func]bool
-	named  map[string]bool // method names called through an interface
-	byName map[string][]*types.Func
-	queue  []reachNode
+	decls   map[*types.Func]reachNode
+	seen    map[*types.Func]bool
+	named   map[string]bool // method names the standard library calls
+	byName  map[string][]*types.Func
+	through map[*types.Func]bool // interface methods called
+	types   []types.Type         // the module's non-interface named types
+	queue   []reachNode
 }
 
 func (r *reacher) reach(fn *types.Func) {
 	fn = fn.Origin()
 	if recv := fn.Signature().Recv(); recv != nil && types.IsInterface(recv.Type()) {
-		r.callByName(fn.Name())
+		r.callThrough(fn)
 		return
 	}
 	if r.seen[fn] {
@@ -205,6 +314,27 @@ func (r *reacher) drain() {
 		n := r.queue[len(r.queue)-1]
 		r.queue = r.queue[:len(r.queue)-1]
 		r.walk(n)
+	}
+}
+
+// callThrough reaches, for a call through interface method fn, the method
+// it dispatches to on every module type whose pointer implements fn's
+// interface (a value's method set is its pointer's, less nothing a call
+// can reach).
+func (r *reacher) callThrough(fn *types.Func) {
+	if r.through[fn] {
+		return
+	}
+	r.through[fn] = true
+	iface := fn.Signature().Recv().Type().Underlying().(*types.Interface)
+	for _, typ := range r.types {
+		ptr := types.NewPointer(typ)
+		if !types.Implements(ptr, iface) {
+			continue
+		}
+		if m, _, _ := types.LookupFieldOrMethod(ptr, false, fn.Pkg(), fn.Name()); m != nil {
+			r.reach(m.(*types.Func))
+		}
 	}
 }
 
@@ -247,6 +377,33 @@ func newReachLoader(t *testing.T) *reachLoader {
 	ctxt := build.Default
 	ctxt.CgoEnabled = false // the pure-Go standard library; nothing here uses cgo
 	return &reachLoader{ctxt: ctxt, fset: token.NewFileSet(), root: root, std: map[string]*types.Package{}, mine: map[string]*reachPkg{}}
+}
+
+// module type-checks every package of module relm and of the benchmark.
+func (l *reachLoader) module(t *testing.T) []*reachPkg {
+	var pkgs []*reachPkg
+	err := filepath.WalkDir(l.root, func(path string, d os.DirEntry, err error) error {
+		if err != nil || !d.IsDir() {
+			return err
+		}
+		if name := d.Name(); path != l.root && (name == "testdata" || strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_")) {
+			return filepath.SkipDir
+		}
+		if bp, err := l.ctxt.ImportDir(path, 0); err != nil || len(bp.GoFiles) == 0 {
+			return nil
+		}
+		rel, _ := filepath.Rel(l.root, path)
+		p, err := l.own(filepath.ToSlash(filepath.Join("relm", rel)))
+		if err != nil {
+			return err
+		}
+		pkgs = append(pkgs, p)
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return pkgs
 }
 
 func (l *reachLoader) Import(path string) (*types.Package, error) {

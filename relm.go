@@ -23,16 +23,20 @@
 // Every experiment of the paper can be regenerated through
 // relm.RunExperiment (see also cmd/experiments).
 //
+// The facade is the paper's library: the simulator, the tuners and the
+// experiments. The tuning service is reached through its binaries,
+// cmd/relm-serve and cmd/relm-router, not through this package.
+//
 // The facade is the library's public API: its exported functions, and every
 // exported method of a type it aliases, count as used. Below it nothing is
 // kept that no binary, figure, example, this facade or the benchmark
-// reaches (TestEveryFunctionIsReached).
+// reaches (TestEveryFunctionIsReached), and no option field that only its
+// type's defaults and tests set (TestEveryKnobIsSet).
 package relm
 
 import (
 	"fmt"
 	"io"
-	"net/http"
 
 	"relm/internal/bo"
 	"relm/internal/conf"
@@ -41,13 +45,9 @@ import (
 	"relm/internal/experiments"
 	"relm/internal/gbo"
 	"relm/internal/profile"
-	"relm/internal/replica"
-	"relm/internal/router"
-	"relm/internal/service"
 	"relm/internal/sim"
 	"relm/internal/sim/cluster"
 	"relm/internal/sim/workload"
-	"relm/internal/store"
 	"relm/internal/tune"
 )
 
@@ -179,8 +179,8 @@ type ModelRepository = bo.Repository
 // it against the repository by fingerprint distance, warm-starts the
 // optimizer on a hit (a confirmation run of the transferred optimum replaces
 // the bootstrap), shows it the profiling run, and records the session — step
-// for step what a ServiceManager auto session with WarmStart does. It
-// reports whether a previous model was re-used.
+// for step what a relm-serve auto session with warm_start does. It reports
+// whether a previous model was re-used.
 func RunBOWithReuse(ev *Evaluator, opts BOOptions, repo *ModelRepository, maxDistance float64) (BOResult, bool) {
 	return bo.RunWithReuse(ev, opts, repo, maxDistance)
 }
@@ -241,136 +241,4 @@ func NewRelMStepTuner(cl Cluster, wl Workload) Tuner {
 // (batch mode). maxSteps <= 0 selects a safety default.
 func DriveTuner(t Tuner, ev *Evaluator, maxSteps int) (Sample, bool) {
 	return tune.Drive(t, ev, maxSteps)
-}
-
-// ServiceManager multiplexes many concurrent tuning sessions — remote
-// clients reporting real measurements and worker-pool-driven simulator
-// sessions — behind the tuning-as-a-service subsystem.
-type ServiceManager = service.Manager
-
-// ServiceOptions configures the session manager (TTL, worker pool size,
-// session limits).
-type ServiceOptions = service.Options
-
-// SessionSpec describes one tuning session to create.
-type SessionSpec = service.Spec
-
-// SessionObservation is one measured experiment reported to a session.
-type SessionObservation = service.Observation
-
-// SessionStatus is a point-in-time snapshot of one session.
-type SessionStatus = service.Status
-
-// ServiceMetrics is the service's observability snapshot (session counts
-// by state, observation/eviction/warm-start counters, WAL size and
-// segmentation, group-commit batching, repository hit/evict counters).
-type ServiceMetrics = service.Metrics
-
-// ServiceRepositoryReport is the inspection snapshot of the service's
-// model repository (entries with fingerprints and lifecycle counters),
-// as served by GET /v1/repository.
-type ServiceRepositoryReport = service.RepositoryReport
-
-// SessionStore is the durable knowledge store of the tuning service: a
-// segmented append-only write-ahead log of session events with periodic
-// compacted snapshots, carrying both session state and the shared model
-// repository.
-type SessionStore = store.Store
-
-// SessionStoreOptions tunes a file-backed session store: segment rotation
-// size, per-append durability, and the group-commit latency/size caps.
-type SessionStoreOptions = store.FileOptions
-
-// OpenFileSessionStore opens (creating if needed) a directory-backed
-// session store: <dir>/snapshot.json plus a segmented log
-// (<dir>/wal-000001.jsonl, …). A pre-segmentation directory holding a
-// single wal.jsonl is refused with an error naming the file.
-func OpenFileSessionStore(dir string) (SessionStore, error) { return store.OpenFile(dir) }
-
-// OpenFileSessionStoreOptions is OpenFileSessionStore with explicit store
-// options (segment size, fsync-per-append with group commit, commit
-// interval and batch caps).
-func OpenFileSessionStoreOptions(dir string, opts SessionStoreOptions) (SessionStore, error) {
-	return store.OpenFile(dir, opts)
-}
-
-// NewMemSessionStore returns an in-memory session store with the same
-// semantics as the file-backed one (tests, ephemeral servers).
-func NewMemSessionStore() SessionStore { return store.NewMem() }
-
-// NewServiceManager starts a session manager with its worker pool and TTL
-// janitor. Call Close to stop it. For a durable manager pass a Store via
-// OpenServiceManager instead.
-func NewServiceManager(opts ServiceOptions) *ServiceManager {
-	return service.NewManager(opts)
-}
-
-// OpenServiceManager starts a session manager backed by a durable store:
-// it replays the write-ahead log, resumes every open session with its
-// replayed tuner state, re-queues interrupted auto sessions, and loads the
-// persisted model repository for §6.6 warm starts. The manager takes
-// ownership of the store and closes it on Close.
-func OpenServiceManager(opts ServiceOptions) (*ServiceManager, error) {
-	return service.Open(opts)
-}
-
-// NewServiceHandler exposes a session manager over the HTTP/JSON tuning
-// API (POST /v1/sessions, .../suggest, .../observe, GET /v1/sessions/{id});
-// cmd/relm-serve is the ready-made server binary.
-func NewServiceHandler(m *ServiceManager) http.Handler {
-	return service.NewHandler(m)
-}
-
-// ClusterRouter is the stateless front door of a multi-node deployment:
-// it partitions sessions across relm-serve backends by rendezvous hashing
-// on the session ID, proxies the session lifecycle, merges cluster-wide
-// reads, health-checks backends with exponential backoff, and orchestrates
-// node drain/hand-off. It is an http.Handler; cmd/relm-router is the
-// ready-made binary.
-type ClusterRouter = router.Router
-
-// ClusterRouterOptions configures a ClusterRouter (backends, health-check
-// cadence and backoff, per-request timeout).
-type ClusterRouterOptions = router.Options
-
-// ClusterBackend names one relm-serve node behind a ClusterRouter.
-type ClusterBackend = router.Backend
-
-// NewClusterRouter builds a router over the given backends and starts its
-// health checkers; call Close to stop them.
-func NewClusterRouter(opts ClusterRouterOptions) (*ClusterRouter, error) {
-	return router.New(opts)
-}
-
-// ReplicaSet is one node's replication role: shipping its own write-ahead
-// log to rendezvous-chosen follower peers, and ingesting other primaries'
-// logs into local replica directories that a router can promote when a
-// primary dies without draining. Pass it to a ServiceManager via
-// ServiceOptions.Replica; cmd/relm-serve wires it from -replicate-to.
-type ReplicaSet = replica.Set
-
-// ReplicaOptions configures a ReplicaSet (peers, follower factor, replica
-// directory, ship interval).
-type ReplicaOptions = replica.Options
-
-// ReplicaPeer names one replication peer (same identity as the router's
-// ClusterBackend).
-type ReplicaPeer = replica.Peer
-
-// NewReplicaSet starts a node's replication role; call Close to stop the
-// shipper.
-func NewReplicaSet(opts ReplicaOptions) (*ReplicaSet, error) {
-	return replica.New(opts)
-}
-
-// ServiceHandoffReport is what a leaving node hands over — returned by
-// ServiceManager.Drain and by promoting a dead node's replica alike: a
-// snapshot of every non-terminal session it held, which a successor's
-// ServiceManager.Adopt rebuilds bit-exact, plus its model repository.
-type ServiceHandoffReport = service.HandoffReport
-
-// ExtractServiceHandoff replays a promoted (fenced) replica directory into
-// a hand-off report, exactly as POST /v1/replica/promote does.
-func ExtractServiceHandoff(dir, node string) (ServiceHandoffReport, error) {
-	return service.ExtractHandoff(dir, node)
 }

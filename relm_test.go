@@ -5,6 +5,8 @@ import (
 	"testing"
 
 	"relm"
+	"relm/internal/service"
+	"relm/internal/store"
 )
 
 func TestPublicAPISimulate(t *testing.T) {
@@ -146,20 +148,21 @@ func TestPublicAPIExperiments(t *testing.T) {
 	}
 }
 
-// TestPublicAPIDurableService drives the durable tuning service through
-// the facade: a session journaled to a file-backed store survives a
-// manager restart with its history intact.
+// TestPublicAPIDurableService drives the durable tuning service as
+// relm-serve wires it, with the facade's simulator standing in for the
+// cluster: a session journaled to a file-backed store survives a manager
+// restart with its history intact.
 func TestPublicAPIDurableService(t *testing.T) {
 	dir := t.TempDir()
-	st, err := relm.OpenFileSessionStore(dir)
+	st, err := store.OpenFile(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := relm.OpenServiceManager(relm.ServiceOptions{Workers: 1, Store: st})
+	m, err := service.Open(service.Options{Workers: 1, Store: st})
 	if err != nil {
 		t.Fatal(err)
 	}
-	created, err := m.Create(relm.SessionSpec{Backend: "bo", Workload: "K-means", Seed: 2, MaxIterations: 4})
+	created, err := m.Create(service.Spec{Backend: "bo", Workload: "K-means", Seed: 2, MaxIterations: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,7 +175,7 @@ func TestPublicAPIDurableService(t *testing.T) {
 			break
 		}
 		res, _ := relm.Simulate(relm.ClusterA(), mustWorkloadFacade(t, "K-means"), cfg, uint64(10+step))
-		if _, err := m.Observe(created.ID, relm.SessionObservation{Config: cfg, RuntimeSec: res.RuntimeSec, Aborted: res.Aborted}); err != nil {
+		if _, err := m.Observe(created.ID, service.Observation{Config: cfg, RuntimeSec: res.RuntimeSec, Aborted: res.Aborted}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -182,11 +185,11 @@ func TestPublicAPIDurableService(t *testing.T) {
 	}
 	m.Close() // snapshots and releases the store
 
-	st2, err := relm.OpenFileSessionStore(dir)
+	st2, err := store.OpenFile(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	m2, err := relm.OpenServiceManager(relm.ServiceOptions{Workers: 1, Store: st2})
+	m2, err := service.Open(service.Options{Workers: 1, Store: st2})
 	if err != nil {
 		t.Fatal(err)
 	}
