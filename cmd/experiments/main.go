@@ -1,5 +1,5 @@
 // Command experiments regenerates the paper's tables and figures on the
-// simulated cluster.
+// simulated cluster. Any refusal or failure exits 2.
 //
 // Usage:
 //
@@ -9,54 +9,67 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"relm/internal/experiments"
 )
 
 func main() {
-	var (
-		id    = flag.String("id", "", "experiment id to run (see -list)")
-		all   = flag.Bool("all", false, "run every registered experiment")
-		list  = flag.Bool("list", false, "list experiment ids")
-		seed  = flag.Uint64("seed", 1, "random seed")
-		reps  = flag.Int("reps", 0, "repetitions (0 = per-experiment default)")
-		quick = flag.Bool("quick", false, "reduced budgets for a fast pass")
-		chart = flag.Bool("chart", false, "also render ASCII charts where available")
-	)
-	flag.Parse()
-
-	cfg := experiments.Config{Seed: *seed, Reps: *reps, Quick: *quick}
-	switch {
-	case *list:
-		for _, id := range experiments.IDs() {
-			fmt.Printf("%-20s %s\n", id, experiments.Describe(id))
-		}
-	case *all:
-		for _, id := range experiments.IDs() {
-			run(id, cfg, *chart)
-		}
-	case *id != "":
-		run(*id, cfg, *chart)
-	default:
-		flag.Usage()
+	if err := run(os.Args[1:], os.Stdout); err != nil && !errors.Is(err, flag.ErrHelp) {
+		fmt.Fprintln(os.Stderr, "experiments:", err)
 		os.Exit(2)
 	}
 }
 
+func run(args []string, w io.Writer) error {
+	fs := flag.NewFlagSet("experiments", flag.ContinueOnError)
+	var (
+		id    = fs.String("id", "", "experiment id to run (see -list)")
+		all   = fs.Bool("all", false, "run every registered experiment")
+		list  = fs.Bool("list", false, "list experiment ids")
+		seed  = fs.Uint64("seed", 1, "random seed")
+		reps  = fs.Int("reps", 0, "repetitions (0 = per-experiment default)")
+		quick = fs.Bool("quick", false, "reduced budgets for a fast pass")
+		chart = fs.Bool("chart", false, "also render ASCII charts where available")
+	)
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
+	if *reps < 0 {
+		return fmt.Errorf("-reps %d: want >= 0", *reps)
+	}
+
+	cfg := experiments.Config{Seed: *seed, Reps: *reps, Quick: *quick}
+	var ids []string
+	switch {
+	case *list:
+		for _, id := range experiments.IDs() {
+			fmt.Fprintf(w, "%-20s %s\n", id, experiments.Describe(id))
+		}
+	case *all:
+		ids = experiments.IDs()
+	case *id != "":
+		ids = []string{*id}
+	default:
+		fs.Usage()
+		return errors.New("want -list, -all or -id")
+	}
+	for _, id := range ids {
+		res, err := experiments.Run(id, cfg)
+		if err != nil {
+			return err
+		}
+		fmt.Fprintln(w, res)
+		if c, ok := res.(charter); ok && *chart {
+			fmt.Fprintln(w, c.Chart())
+		}
+	}
+	return nil
+}
+
 // charter is implemented by results that can render an ASCII figure.
 type charter interface{ Chart() string }
-
-func run(id string, cfg experiments.Config, chart bool) {
-	res, err := experiments.Run(id, cfg)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
-	fmt.Println(res)
-	if c, ok := res.(charter); ok && chart {
-		fmt.Println(c.Chart())
-	}
-}

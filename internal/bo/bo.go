@@ -19,27 +19,6 @@ import (
 	"relm/internal/tune"
 )
 
-// SurrogateConfig groups everything that shapes the response-surface model:
-// the kernel family, the re-selection schedule, and the full-model
-// override. The zero value selects the paper's settings (RBF-kernel GP,
-// exact over every observation).
-type SurrogateConfig struct {
-	// Kernel selects the kernel family: "rbf" (default) or "matern52".
-	Kernel string
-	// Model overrides the surrogate entirely (e.g. the Random-Forest
-	// adapter in internal/rf); when nil a hyperparameter-tuned GP is used.
-	Model gp.Surrogate
-	// RefitEvery throttles hyperparameter re-selection (grid + ARD) to once
-	// per this many incremental observations; between selections a new
-	// sample is absorbed by an O(n²) GP append instead of an O(n³) refit.
-	// Default 8; 1 restores the legacy re-selection on every observation.
-	RefitEvery int
-	// RefitDrift re-selects hyperparameters early when the surrogate's
-	// per-point log marginal likelihood has dropped this much since the
-	// last selection (default 0.25; negative disables the drift trigger).
-	RefitDrift float64
-}
-
 // bootstrapSamples is the LHS bootstrap size: the space's dimensionality,
 // as in §6.1.
 const bootstrapSamples = 4
@@ -54,8 +33,10 @@ type Options struct {
 	EIFraction float64
 	// MaxIterations caps the adaptive samples (default 25).
 	MaxIterations int
-	// Surrogate configures the response-surface model.
-	Surrogate SurrogateConfig
+	// Surrogate overrides the response-surface model (the Random-Forest
+	// adapter in internal/rf); when nil the tuner uses the paper's
+	// RBF-kernel GP, exact over every observation (gp.Scheduled).
+	Surrogate gp.Surrogate
 	// UsePaperLHS bootstraps with the exact Table 7 samples instead of a
 	// seeded random Latin hypercube.
 	UsePaperLHS bool
@@ -78,9 +59,6 @@ func (o *Options) fill() {
 	}
 	if o.MaxIterations == 0 {
 		o.MaxIterations = 25
-	}
-	if o.Surrogate.Kernel == "" {
-		o.Surrogate.Kernel = "rbf"
 	}
 }
 

@@ -137,14 +137,14 @@ func TestPenaltyShapesAcquisition(t *testing.T) {
 }
 
 // TestRFSurrogateDropIn: a full-model override (the Random-Forest ablation
-// in internal/rf is the real one) plugs in through Surrogate.Model; here a
+// in internal/rf is the real one) plugs in through Options.Surrogate; here a
 // trivial constant surrogate is accepted and consulted.
 func TestRFSurrogateDropIn(t *testing.T) {
 	ev := tune.NewEvaluator(cluster.A(), workload.WordCount(), 7)
 	model := &constSurrogate{}
 	res := Run(ev, Options{
 		Seed: 7, MaxIterations: 3, MinNewSamples: 1,
-		Surrogate: SurrogateConfig{Model: model},
+		Surrogate: model,
 	}, nil)
 	if !res.Found {
 		t.Fatal("custom surrogate run found nothing")

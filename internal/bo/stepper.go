@@ -81,17 +81,13 @@ func NewTuner(sp tune.Space, opts Options, extra Extra, penalty Penalty) *Tuner 
 		}
 	}
 
-	t.sur = opts.Surrogate.Model
+	t.sur = opts.Surrogate
 	if t.sur == nil {
 		// Default surrogate: a hyperparameter-tuned GP (grid + ARD gradient
 		// ascent) absorbing new observations through O(n²) appends, with
-		// re-selection throttled to the RefitEvery/RefitDrift schedule.
-		sc := opts.Surrogate
+		// re-selection throttled to gp.Scheduled's schedule.
 		t.sur = &gp.Scheduled{
-			Kind:       sc.Kernel,
 			BaseDims:   sp.Dim(),
-			RefitEvery: sc.RefitEvery,
-			LMLDrift:   sc.RefitDrift,
 			AppendHist: opts.SurrogateAppendHist,
 			RefitHist:  opts.SurrogateRefitHist,
 		}

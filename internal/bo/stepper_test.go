@@ -157,36 +157,19 @@ func TestWarmStartSeedsStepper(t *testing.T) {
 
 // TestIncrementalSurrogateSchedule: on the default path the surrogate
 // absorbs most observations through O(n²) appends, re-selecting
-// hyperparameters only on the RefitEvery schedule — while RefitEvery=1
-// restores a grid selection on every observation (and therefore records no
-// net savings).
+// hyperparameters only on gp.Scheduled's schedule.
 func TestIncrementalSurrogateSchedule(t *testing.T) {
-	cl := cluster.A()
 	wl, _ := workload.ByName("SVM")
-
-	drive := func(opts Options, steps int) (fits, appends int) {
-		ev := tune.NewEvaluator(cl, wl, 3)
-		tn := NewTuner(ev.Space, opts, nil, nil)
-		for i := 0; i < steps && !tn.Done(); i++ {
-			tn.Observe(ev.Eval(tn.Suggest()))
-		}
-		st := tn.SurrogateInfo()
-		return st.Fits, st.Appends
+	ev := tune.NewEvaluator(cluster.A(), wl, 3)
+	tn := NewTuner(ev.Space, Options{Seed: 7, MaxIterations: 30, MinNewSamples: 30, EIFraction: -1}, nil, nil)
+	for i := 0; i < 24 && !tn.Done(); i++ {
+		tn.Observe(ev.Eval(tn.Suggest()))
 	}
-
-	fits, appends := drive(Options{Seed: 7, MaxIterations: 30, MinNewSamples: 30, EIFraction: -1}, 24)
-	if appends == 0 {
+	st := tn.SurrogateInfo()
+	if st.Appends == 0 {
 		t.Fatal("scheduled path recorded no incremental appends")
 	}
-	if fits >= appends {
-		t.Fatalf("scheduled path: %d full fits vs %d appends — appends should dominate", fits, appends)
-	}
-
-	fits1, appends1 := drive(Options{Seed: 7, MaxIterations: 30, MinNewSamples: 30, EIFraction: -1, Surrogate: SurrogateConfig{RefitEvery: 1}}, 24)
-	if appends1 != 0 {
-		t.Fatalf("RefitEvery=1 must re-select every observation, got %d appends (%d fits)", appends1, fits1)
-	}
-	if fits1 == 0 {
-		t.Fatal("RefitEvery=1 recorded no fits")
+	if st.Fits >= st.Appends {
+		t.Fatalf("scheduled path: %d full fits vs %d appends — appends should dominate", st.Fits, st.Appends)
 	}
 }

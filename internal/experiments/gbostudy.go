@@ -168,7 +168,7 @@ func Figure25(c Config) *Figure25Result {
 }
 
 func fitGP(xs [][]float64, ys []float64, baseDims int) (bo.Surrogate, error) {
-	return fitGPKind("rbf", xs, ys, baseDims)
+	return gp.FitBestGrouped(xs, ys, baseDims)
 }
 
 // Figure26Result compares surrogate choices.
@@ -203,7 +203,7 @@ func Figure26(c Config) *Figure26Result {
 				seed := c.seed() + uint64(rep*31+len(variant))
 				opts := bo.Options{Seed: seed, UsePaperLHS: rep == 0}
 				if strings.HasSuffix(variant, "-RF") {
-					opts.Surrogate.Model = &rf.Surrogate{Opts: rf.Options{Seed: seed}}
+					opts.Surrogate = &rf.Surrogate{Opts: rf.Options{Seed: seed}}
 				}
 				ev := tune.NewEvaluator(cl, wl, seed)
 				var run bo.Result
@@ -425,8 +425,8 @@ func Table10(c Config) *Table10Result {
 
 	// Model fitting.
 	var boModel, gboModel bo.Surrogate
-	boFit := timeIt(func() { boModel, _ = fitGPKind("rbf", xs, ys, sp.Dim()) })
-	gboFit := timeIt(func() { gboModel, _ = fitGPKind("rbf", gboXs, ys, sp.Dim()) })
+	boFit := timeIt(func() { boModel, _ = fitGP(xs, ys, sp.Dim()) })
+	gboFit := timeIt(func() { gboModel, _ = fitGP(gboXs, ys, sp.Dim()) })
 	agent := ddpg.NewAgent(ddpg.Options{StateDim: ddpg.StateDim, ActionDim: 4, Seed: c.seed()})
 	for i := 0; i < 32; i++ {
 		agent.Observe(ddpg.Transition{
@@ -496,10 +496,6 @@ type padded struct {
 
 func (p padded) Predict(x []float64) (float64, float64) {
 	return p.inner.Predict(append(append([]float64(nil), x...), make([]float64, p.extra)...))
-}
-
-func fitGPKind(kind string, xs [][]float64, ys []float64, baseDims int) (bo.Surrogate, error) {
-	return gp.FitBestGrouped(kind, xs, ys, baseDims)
 }
 
 func ms(d time.Duration) string {

@@ -39,7 +39,7 @@ func TestPredictAllocations(t *testing.T) {
 		t.Errorf("GP.PredictBatch over %d GBO rows: %v allocs/op, want 0", len(gpool), got)
 	}
 
-	sp := &Scheduled{Kind: "rbf", BaseDims: dim, RefitEvery: 1 << 30, LMLDrift: -1}
+	sp := &Scheduled{BaseDims: dim, refitEvery: 1 << 30, lmlDrift: -1}
 	if err := sp.SetData(xs[:big], ys[:big]); err != nil {
 		t.Fatal(err)
 	}

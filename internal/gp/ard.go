@@ -17,12 +17,12 @@ const ardIters = 6
 // maximizing the log marginal likelihood (ardIters steps). Steps are only
 // ever accepted when they improve the likelihood, so the result is never
 // worse than the grid starting point.
-func FitBestARD(kind string, xs [][]float64, ys []float64, baseDims int) (*GP, error) {
-	g, err := FitBestGrouped(kind, xs, ys, baseDims)
+func FitBestARD(xs [][]float64, ys []float64, baseDims int) (*GP, error) {
+	g, err := FitBestGrouped(xs, ys, baseDims)
 	if err != nil {
 		return g, err
 	}
-	return ardRefine(g, kind, xs, ys, ardIters), nil
+	return ardRefine(g, xs, ys, ardIters), nil
 }
 
 // ARD length scales are clamped to this range (in length space) so a noisy
@@ -38,15 +38,12 @@ const (
 // a backtracking line search accepts a step only when the refitted marginal
 // likelihood improves, so the returned model's LML is monotonically ≥ the
 // starting point's.
-func ardRefine(g *GP, kind string, xs [][]float64, ys []float64, iters int) *GP {
+func ardRefine(g *GP, xs [][]float64, ys []float64, iters int) *GP {
 	if len(xs) == 0 {
 		return g
 	}
 	dim := len(xs[0])
-	lengths, ok := kernelLengths(g.Kernel, dim)
-	if !ok {
-		return g
-	}
+	lengths := kernelLengths(g.Kernel.(RBF), dim)
 	theta := make([]float64, dim)
 	for d := range theta {
 		theta[d] = math.Log(lengths[d])
@@ -79,13 +76,7 @@ func ardRefine(g *GP, kind string, xs [][]float64, ys []float64, iters int) *GP 
 			trial[d] = t
 			trialLen[d] = math.Exp(t)
 		}
-		var k Kernel
-		if kind == "matern52" {
-			k = Matern52{Variance: 1, Length: append([]float64(nil), trialLen...)}
-		} else {
-			k = RBF{Variance: 1, Length: append([]float64(nil), trialLen...)}
-		}
-		cand := New(k, cur.Noise)
+		cand := New(RBF{Variance: 1, Length: append([]float64(nil), trialLen...)}, cur.Noise)
 		if err := cand.Fit(xs, ys); err != nil {
 			step /= 2
 			continue
@@ -107,26 +98,16 @@ func ardRefine(g *GP, kind string, xs [][]float64, ys []float64, iters int) *GP 
 
 // kernelLengths expands the fitted kernel's length scales to dense
 // per-dimension values (the "missing or non-positive means 1" convention).
-// ok is false for kernel types ARD does not understand.
-func kernelLengths(k Kernel, dim int) ([]float64, bool) {
-	var raw []float64
-	switch kk := k.(type) {
-	case RBF:
-		raw = kk.Length
-	case Matern52:
-		raw = kk.Length
-	default:
-		return nil, false
-	}
+func kernelLengths(k RBF, dim int) []float64 {
 	ls := make([]float64, dim)
 	for d := range ls {
-		if d < len(raw) && raw[d] > 0 {
-			ls[d] = raw[d]
+		if d < len(k.Length) && k.Length[d] > 0 {
+			ls[d] = k.Length[d]
 		} else {
 			ls[d] = 1
 		}
 	}
-	return ls, true
+	return ls
 }
 
 // ardGradient computes ∂LML/∂θ_d for θ_d = log l_d into grad, reading the
@@ -142,23 +123,8 @@ func ardGradient(g *GP, grad []float64) {
 	if n == 0 {
 		return
 	}
-	lengths, ok := kernelLengths(g.Kernel, dim)
-	if !ok {
-		return
-	}
-	variance := 1.0
-	matern := false
-	switch kk := g.Kernel.(type) {
-	case RBF:
-		variance = kk.Variance
-	case Matern52:
-		variance = kk.Variance
-		matern = true
-	}
-	inv := make([]float64, dim)
-	for d := range inv {
-		inv[d] = 1 / lengths[d]
-	}
+	k := g.Kernel.(RBF)
+	inv, variance := invLengths(k.Length, dim), k.Variance
 
 	// K⁻¹ column by column through the cached factor.
 	kinv := linalg.NewMatrix(n, n)
@@ -190,13 +156,7 @@ func ardGradient(g *GP, grad []float64) {
 				s += ud
 			}
 			// dk/ds of the kernel value at squared scaled distance s.
-			var base float64
-			if matern {
-				c := math.Sqrt(5 * s)
-				base = -(5.0 / 6.0) * variance * math.Exp(-c) * (1 + c)
-			} else {
-				base = -0.5 * variance * math.Exp(-0.5*s)
-			}
+			base := -0.5 * variance * math.Exp(-0.5*s)
 			// ∂s/∂θ_d = −2·u_d; symmetry doubles the pair, the ½ in the
 			// trace halves it back.
 			coef := (ai*g.alpha[j] - kinv.At(i, j)) * base * -2

@@ -9,26 +9,24 @@ import (
 
 // Satellite acceptance: ARD refinement accepts a step only when the log
 // marginal likelihood improves, so FitBestARD never returns a model below
-// the grid starting point — for either kernel family.
+// the grid starting point.
 func TestARDNeverBelowGrid(t *testing.T) {
 	rng := simrand.New(77)
 	for trial := 0; trial < 6; trial++ {
 		dim := 2 + rng.Intn(3)
 		n := 12 + rng.Intn(28)
 		xs, ys := synth(rng, n, dim)
-		for _, kind := range []string{"rbf", "matern52"} {
-			grid, err := FitBestGrouped(kind, xs, ys, dim)
-			if err != nil {
-				t.Fatalf("trial %d %s: grid: %v", trial, kind, err)
-			}
-			ard, err := FitBestARD(kind, xs, ys, dim)
-			if err != nil {
-				t.Fatalf("trial %d %s: ard: %v", trial, kind, err)
-			}
-			gl, al := grid.LogMarginalLikelihood(), ard.LogMarginalLikelihood()
-			if al < gl-1e-9 {
-				t.Fatalf("trial %d %s: ARD returned LML %v below grid %v", trial, kind, al, gl)
-			}
+		grid, err := FitBestGrouped(xs, ys, dim)
+		if err != nil {
+			t.Fatalf("trial %d: grid: %v", trial, err)
+		}
+		ard, err := FitBestARD(xs, ys, dim)
+		if err != nil {
+			t.Fatalf("trial %d: ard: %v", trial, err)
+		}
+		gl, al := grid.LogMarginalLikelihood(), ard.LogMarginalLikelihood()
+		if al < gl-1e-9 {
+			t.Fatalf("trial %d: ARD returned LML %v below grid %v", trial, al, gl)
 		}
 	}
 }
@@ -45,11 +43,11 @@ func TestARDImprovesAnisotropicFit(t *testing.T) {
 		xs = append(xs, x)
 		ys = append(ys, math.Sin(9*x[0])+rng.Norm(0, 0.01))
 	}
-	grid, err := FitBestGrouped("rbf", xs, ys, 2)
+	grid, err := FitBestGrouped(xs, ys, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ard := ardRefine(grid, "rbf", xs, ys, 12)
+	ard := ardRefine(grid, xs, ys, 12)
 	if ard.LogMarginalLikelihood() <= grid.LogMarginalLikelihood() {
 		t.Fatalf("ARD did not improve an anisotropic fit: %v vs grid %v",
 			ard.LogMarginalLikelihood(), grid.LogMarginalLikelihood())

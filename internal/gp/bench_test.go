@@ -34,7 +34,7 @@ func BenchmarkGPFitPredict(b *testing.B) {
 		b.Run(fmt.Sprintf("observe=refit/n=%d", n), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := FitBestGrouped("rbf", xs[:n], ys[:n], 4); err != nil {
+				if _, err := FitBestGrouped(xs[:n], ys[:n], 4); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -108,7 +108,7 @@ func BenchmarkGPFitPredict(b *testing.B) {
 //   - predict: one allocation-free posterior evaluation
 //     (TestPredictAllocations holds it at 0 allocs/op).
 //
-// Re-selection is suppressed (huge RefitEvery, drift disabled) so the
+// Re-selection is suppressed (huge refitEvery, drift disabled) so the
 // timings isolate the steady-state paths from the scheduled O(n³)
 // hyperparameter searches.
 func BenchmarkGPScheduled(b *testing.B) {
@@ -119,7 +119,7 @@ func BenchmarkGPScheduled(b *testing.B) {
 		if err := g.Fit(xs[:n], ys[:n]); err != nil {
 			b.Fatal(err)
 		}
-		return &Scheduled{Kind: "rbf", BaseDims: dim, RefitEvery: 1 << 30, LMLDrift: -1, gp: g}
+		return &Scheduled{BaseDims: dim, refitEvery: 1 << 30, lmlDrift: -1, gp: g}
 	}
 
 	b.Run(fmt.Sprintf("append/n=%d", n), func(b *testing.B) {

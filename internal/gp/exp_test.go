@@ -91,7 +91,7 @@ func FuzzExp(f *testing.F) {
 	})
 }
 
-// evalOnly hides a prepared kernel's type, so the GP computes every kernel
+// evalOnly hides a kernel's type, so the GP computes every kernel
 // value through Eval, one math.Exp at a time.
 type evalOnly struct{ k Kernel }
 

@@ -1,7 +1,7 @@
 // Package gp implements Gaussian Process regression — the surrogate model of
-// the paper's Bayesian Optimization (§5.1, Equation 6): kernels (ARD RBF and
-// Matérn-5/2), exact inference via Cholesky factorization, posterior mean and
-// variance, and a small marginal-likelihood grid search for the kernel
+// the paper's Bayesian Optimization (§5.1, Equation 6): the ARD RBF kernel,
+// exact inference via Cholesky factorization, posterior mean and variance,
+// and a small marginal-likelihood grid search for the kernel
 // hyperparameters.
 //
 // The regressor supports two training paths. Fit is the batch path: it
@@ -57,29 +57,6 @@ func (k RBF) Eval(a, b []float64) float64 {
 	return k.Variance * math.Exp(-0.5*s)
 }
 
-// Matern52 is the Matérn kernel with ν = 5/2, a standard choice for
-// response surfaces that are less smooth than the RBF assumes.
-type Matern52 struct {
-	Variance float64
-	Length   []float64
-}
-
-// Eval implements Kernel.
-func (k Matern52) Eval(a, b []float64) float64 {
-	var s float64
-	for d := range a {
-		l := 1.0
-		if d < len(k.Length) && k.Length[d] > 0 {
-			l = k.Length[d]
-		}
-		diff := (a[d] - b[d]) / l
-		s += diff * diff
-	}
-	r := math.Sqrt(s)
-	c := math.Sqrt(5) * r
-	return k.Variance * (1 + c + 5.0/3.0*s) * math.Exp(-c)
-}
-
 // preparedRBF is RBF with the length-scale normalization hoisted out of the
 // inner loop: inverse length scales are materialized per dimension at
 // construction, so Eval does one fused multiply per dimension with no
@@ -115,22 +92,9 @@ func (k preparedRBF) row(x []float64, xs [][]float64, out []float64) {
 	}
 }
 
-// preparedMatern52 is Matern52 with hoisted inverse length scales.
-type preparedMatern52 struct {
-	variance float64
-	inv      []float64
-}
-
-func (k preparedMatern52) Eval(a, b []float64) float64 {
-	s := sqdist(k.inv, a, b)
-	r := math.Sqrt(s)
-	c := math.Sqrt(5) * r
-	return k.variance * (1 + c + 5.0/3.0*s) * math.Exp(-c)
-}
-
 // invLengths expands a (possibly short or zero-filled) length-scale slice
 // into dense per-dimension inverse scales, applying the same "missing or
-// non-positive means 1" convention as the public kernels.
+// non-positive means 1" convention as the public kernel.
 func invLengths(length []float64, dim int) []float64 {
 	inv := make([]float64, dim)
 	for d := range inv {
@@ -147,15 +111,12 @@ func invLengths(length []float64, dim int) []float64 {
 // per-call normalization work into construction. Unknown kernel types pass
 // through unchanged.
 //
-// Note the prepared forms multiply by precomputed reciprocals where the
+// Note the prepared form multiplies by precomputed reciprocals where the
 // public Eval divides; the results can differ in the last ULP, which is far
 // inside every tolerance this package guarantees.
 func prepareKernel(k Kernel, dim int) Kernel {
-	switch kk := k.(type) {
-	case RBF:
+	if kk, ok := k.(RBF); ok {
 		return preparedRBF{variance: kk.Variance, inv: invLengths(kk.Length, dim)}
-	case Matern52:
-		return preparedMatern52{variance: kk.Variance, inv: invLengths(kk.Length, dim)}
 	}
 	return k
 }
@@ -439,9 +400,8 @@ func (g *GP) LogMarginalLikelihood() float64 {
 
 // FitBestGrouped grid-searches two length-scale groups — the first baseDims
 // dimensions (the configuration knobs) and the remainder (guide features) —
-// keeping the model with the highest marginal likelihood. The kind selects
-// RBF ("rbf") or Matérn-5/2 ("matern52").
-func FitBestGrouped(kind string, xs [][]float64, ys []float64, baseDims int) (*GP, error) {
+// keeping the RBF model with the highest marginal likelihood.
+func FitBestGrouped(xs [][]float64, ys []float64, baseDims int) (*GP, error) {
 	if len(xs) == 0 {
 		return nil, ErrNoData
 	}
@@ -467,14 +427,8 @@ func FitBestGrouped(kind string, xs [][]float64, ys []float64, baseDims int) (*G
 					ls[d] = le
 				}
 			}
-			var k Kernel
-			if kind == "matern52" {
-				k = Matern52{Variance: 1, Length: ls}
-			} else {
-				k = RBF{Variance: 1, Length: ls}
-			}
 			for _, noise := range noises {
-				cand := New(k, noise)
+				cand := New(RBF{Variance: 1, Length: ls}, noise)
 				if err := cand.Fit(xs, ys); err != nil {
 					continue
 				}

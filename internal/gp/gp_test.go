@@ -23,17 +23,7 @@ func TestKernelBasics(t *testing.T) {
 	}
 }
 
-func TestMatern52Basics(t *testing.T) {
-	k := Matern52{Variance: 1, Length: []float64{0.5}}
-	if got := k.Eval([]float64{1}, []float64{1}); math.Abs(got-1) > 1e-12 {
-		t.Fatalf("k(x,x) = %v", got)
-	}
-	if k.Eval([]float64{0}, []float64{3}) >= k.Eval([]float64{0}, []float64{0.2}) {
-		t.Fatal("Matérn must decay with distance")
-	}
-}
-
-// Property: kernels are symmetric and produce PSD Gram matrices (their
+// Property: the kernel is symmetric and produces PSD Gram matrices (their
 // Cholesky succeeds with jitter).
 func TestKernelPSDProperty(t *testing.T) {
 	rng := simrand.New(5)
@@ -43,23 +33,19 @@ func TestKernelPSDProperty(t *testing.T) {
 		for i := range xs {
 			xs[i] = []float64{rng.Float64(), rng.Float64(), rng.Float64()}
 		}
-		for _, k := range []Kernel{
-			RBF{Variance: 1, Length: []float64{0.3, 0.3, 0.3}},
-			Matern52{Variance: 1, Length: []float64{0.3, 0.3, 0.3}},
-		} {
-			gram := linalg.NewMatrix(n, n)
-			for i := 0; i < n; i++ {
-				for j := 0; j < n; j++ {
-					v := k.Eval(xs[i], xs[j])
-					if math.Abs(v-k.Eval(xs[j], xs[i])) > 1e-12 {
-						t.Fatal("kernel asymmetric")
-					}
-					gram.Set(i, j, v)
+		k := RBF{Variance: 1, Length: []float64{0.3, 0.3, 0.3}}
+		gram := linalg.NewMatrix(n, n)
+		for i := 0; i < n; i++ {
+			for j := 0; j < n; j++ {
+				v := k.Eval(xs[i], xs[j])
+				if math.Abs(v-k.Eval(xs[j], xs[i])) > 1e-12 {
+					t.Fatal("kernel asymmetric")
 				}
+				gram.Set(i, j, v)
 			}
-			if _, err := linalg.CholeskyJitter(gram); err != nil {
-				t.Fatalf("Gram not PSD: %v", err)
-			}
+		}
+		if _, err := linalg.CholeskyJitter(gram); err != nil {
+			t.Fatalf("Gram not PSD: %v", err)
 		}
 	}
 }
@@ -69,7 +55,7 @@ func TestFitEmptyFails(t *testing.T) {
 	if err := g.Fit(nil, nil); err == nil {
 		t.Fatal("empty fit should fail")
 	}
-	if _, err := FitBestGrouped("rbf", nil, nil, 0); err == nil {
+	if _, err := FitBestGrouped(nil, nil, 0); err == nil {
 		t.Fatal("empty FitBestGrouped should fail")
 	}
 }
@@ -126,7 +112,7 @@ func TestFitBestLearnsSmoothFunction(t *testing.T) {
 		xs = append(xs, x)
 		ys = append(ys, f(x))
 	}
-	g, err := FitBestGrouped("rbf", xs, ys, len(xs[0]))
+	g, err := FitBestGrouped(xs, ys, len(xs[0]))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,7 +138,7 @@ func TestFitBestGroupedHandlesExtraDims(t *testing.T) {
 		xs = append(xs, []float64{base, rng.Float64(), base * base})
 		ys = append(ys, 5*base)
 	}
-	g, err := FitBestGrouped("rbf", xs, ys, 2)
+	g, err := FitBestGrouped(xs, ys, 2)
 	if err != nil {
 		t.Fatal(err)
 	}

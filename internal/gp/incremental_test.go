@@ -126,10 +126,13 @@ func TestPredictIntoConcurrent(t *testing.T) {
 	wg.Wait()
 }
 
+// TestPredictBatchMatchesPredict: under a kernel PredictBatch does not pack
+// (the RBF kernel seen only through Eval), every candidate takes the
+// one-at-a-time path and gets Predict's answer.
 func TestPredictBatchMatchesPredict(t *testing.T) {
 	rng := simrand.New(17)
 	xs, ys := synth(rng, 25, 2)
-	g := New(Matern52{Variance: 1, Length: []float64{0.4, 0.4}}, 1e-4)
+	g := New(evalOnly{RBF{Variance: 1, Length: []float64{0.4, 0.4}}}, 1e-4)
 	if err := g.Fit(xs, ys); err != nil {
 		t.Fatal(err)
 	}
@@ -151,7 +154,7 @@ func TestPredictBatchMatchesPredict(t *testing.T) {
 // one-candidate path gives, at every model size the sessions reach, at BO's
 // 4 and GBO's 7 input dimensions, for pools shorter than a packed block and
 // pools that end on a remainder past one, under grid- and ARD-selected
-// length scales, for both kernel families, through one Scratch reused across all of them. The pool
+// length scales, through one Scratch reused across all of them. The pool
 // holds training rows (variance at the clamp) and a far point (kernel
 // column underflowing to 0) besides random candidates. It runs on both exp
 // paths, packed and math.Exp.
@@ -171,31 +174,29 @@ func predictBatchIsPredictInto(t *testing.T) {
 				far[d] = 40
 			}
 			pool[len(pool)-2] = far
-			for _, kind := range []string{"rbf", "matern52"} {
-				grid, err := FitBestGrouped(kind, xs, ys, 4)
-				if err != nil {
-					t.Fatal(err)
-				}
-				ard, err := FitBestARD(kind, xs, ys, 4)
-				if err != nil {
-					t.Fatal(err)
-				}
-				for _, fitted := range []struct {
-					fit string
-					g   *GP
-				}{{"grid", grid}, {"ard", ard}} {
-					g := fitted.g
-					for _, m := range []int{1, 3, 4, 5, 255, 256, 259} {
-						means := make([]float64, m)
-						vars := make([]float64, m)
-						g.PredictBatch(pool[:m], means, vars, &s)
-						for i, x := range pool[:m] {
-							mean, variance := g.PredictInto(x, &s)
-							if math.Float64bits(means[i]) != math.Float64bits(mean) ||
-								math.Float64bits(vars[i]) != math.Float64bits(variance) {
-								t.Fatalf("dim %d n %d %s/%s pool %d: batch[%d] = (%v, %v), PredictInto = (%v, %v)",
-									dim, n, kind, fitted.fit, m, i, means[i], vars[i], mean, variance)
-							}
+			grid, err := FitBestGrouped(xs, ys, 4)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ard, err := FitBestARD(xs, ys, 4)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, fitted := range []struct {
+				fit string
+				g   *GP
+			}{{"grid", grid}, {"ard", ard}} {
+				g := fitted.g
+				for _, m := range []int{1, 3, 4, 5, 255, 256, 259} {
+					means := make([]float64, m)
+					vars := make([]float64, m)
+					g.PredictBatch(pool[:m], means, vars, &s)
+					for i, x := range pool[:m] {
+						mean, variance := g.PredictInto(x, &s)
+						if math.Float64bits(means[i]) != math.Float64bits(mean) ||
+							math.Float64bits(vars[i]) != math.Float64bits(variance) {
+							t.Fatalf("dim %d n %d %s pool %d: batch[%d] = (%v, %v), PredictInto = (%v, %v)",
+								dim, n, fitted.fit, m, i, means[i], vars[i], mean, variance)
 						}
 					}
 				}
@@ -235,7 +236,7 @@ func TestPredictBatch16IsPredictInto(t *testing.T) {
 			for _, p := range [][]float64{pool[17], xs[11]} {
 				p[0] += 13.2
 			}
-			sp := &Scheduled{Kind: "rbf", BaseDims: 4}
+			sp := &Scheduled{BaseDims: 4}
 			means, vars := make([]float64, len(pool)), make([]float64, len(pool))
 			for n := 1; n <= len(xs); n++ {
 				g := New(RBF{Variance: 1.3, Length: constLengths(dim, 0.35)}, 1e-4)
@@ -269,13 +270,13 @@ func TestPredictBatch16IsPredictInto(t *testing.T) {
 	}
 }
 
-// The scheduler must append between selections, re-select on the RefitEvery
+// The scheduler must append between selections, re-select on the refitEvery
 // schedule, and fall back to a full selection when the data prefix changes
 // retroactively (e.g. a guide model maturing rewrites every feature row).
 func TestIncrementalSchedule(t *testing.T) {
 	rng := simrand.New(23)
 	xs, ys := synth(rng, 30, 3)
-	inc := &Scheduled{Kind: "rbf", BaseDims: 3, RefitEvery: 4, LMLDrift: -1}
+	inc := &Scheduled{BaseDims: 3, refitEvery: 4, lmlDrift: -1}
 
 	if err := inc.SetData(xs[:5], ys[:5]); err != nil {
 		t.Fatal(err)
@@ -322,16 +323,16 @@ func TestIncrementalSchedule(t *testing.T) {
 func TestIncrementalRefitMatchesBatchSelection(t *testing.T) {
 	rng := simrand.New(31)
 	xs, ys := synth(rng, 24, 3)
-	inc := &Scheduled{Kind: "rbf", BaseDims: 3, RefitEvery: 4, LMLDrift: -1}
+	inc := &Scheduled{BaseDims: 3, refitEvery: 4, lmlDrift: -1}
 	for i := 4; i <= len(xs); i++ {
 		if err := inc.SetData(xs[:i], ys[:i]); err != nil {
 			t.Fatal(err)
 		}
 	}
 	got := inc.gp
-	// 24 points with RefitEvery=4: the final SetData lands exactly on a
+	// 24 points with refitEvery=4: the final SetData lands exactly on a
 	// scheduled re-selection, so the model must match batch selection.
-	want, err := FitBestARD("rbf", xs, ys, 3)
+	want, err := FitBestARD(xs, ys, 3)
 	if err != nil {
 		t.Fatal(err)
 	}

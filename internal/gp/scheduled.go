@@ -12,10 +12,10 @@ import (
 //
 // New observations are absorbed through O(n²) GP.Append, and the O(n³)
 // hyperparameter selection (the coarse grid of FitBestGrouped refined by ARD
-// gradient ascent, FitBestARD) is throttled to a schedule: every RefitEvery
-// absorbed observations, or earlier when the per-point log marginal
-// likelihood drifts down by more than LMLDrift — the signal that the length
-// scales selected a few observations ago no longer explain the data. Each
+// gradient ascent, FitBestARD) is throttled to a schedule: every 8 absorbed
+// observations, or earlier when the per-point log marginal likelihood
+// drifts down by more than 0.25 — the signal that the length scales
+// selected a few observations ago no longer explain the data. Each
 // scheduled re-selection equals batch FitBestARD on the same rows.
 //
 // The model's own rows are the record of what it absorbed: SetData compares
@@ -25,22 +25,20 @@ import (
 // bounds a session's history, so a model holds at most its priors and that
 // history.
 type Scheduled struct {
-	// Kind selects the kernel family ("rbf" or "matern52").
-	Kind string
 	// BaseDims is the grouped-length-scale split passed to the grid stage.
 	BaseDims int
-	// RefitEvery re-selects hyperparameters after this many absorbed
-	// observations (default 8; 1 re-selects on every observation).
-	RefitEvery int
-	// LMLDrift re-selects early when the per-point log marginal likelihood
-	// drops this much since the last selection (default 0.25; ≤0
-	// disables).
-	LMLDrift float64
 	// AppendHist/RefitHist, when set, record absorb vs. re-selection
 	// latency, so a slow observe can be attributed to the right half of
 	// the surrogate.
 	AppendHist *obs.Histogram
 	RefitHist  *obs.Histogram
+
+	// refitEvery re-selects hyperparameters after this many absorbed
+	// observations (default 8); lmlDrift re-selects early when the
+	// per-point log marginal likelihood drops this much since the last
+	// selection (default 0.25; negative disables). Only tests set them.
+	refitEvery int
+	lmlDrift   float64
 
 	gp      *GP
 	appends int
@@ -50,11 +48,11 @@ type Scheduled struct {
 }
 
 func (s *Scheduled) fill() {
-	if s.RefitEvery == 0 {
-		s.RefitEvery = 8
+	if s.refitEvery == 0 {
+		s.refitEvery = 8
 	}
-	if s.LMLDrift == 0 {
-		s.LMLDrift = 0.25
+	if s.lmlDrift == 0 {
+		s.lmlDrift = 0.25
 	}
 }
 
@@ -68,9 +66,8 @@ func (s *Scheduled) SetData(xs [][]float64, ys []float64) error {
 	}
 	n := s.gp.N()
 	// When the tail lands on the schedule, re-select on every row directly
-	// instead of appending work the refit discards (RefitEvery=1 therefore
-	// never appends).
-	if s.appends+len(xs)-n >= s.RefitEvery {
+	// instead of appending work the refit discards.
+	if s.appends+len(xs)-n >= s.refitEvery {
 		return s.reselect(xs, ys)
 	}
 	var appendStart time.Time
@@ -91,12 +88,12 @@ func (s *Scheduled) SetData(xs [][]float64, ys []float64) error {
 }
 
 // maybeRefit applies the re-selection schedule after an append: refit when
-// RefitEvery appends have accrued or the per-point likelihood has drifted
+// refitEvery appends have accrued or the per-point likelihood has drifted
 // below the level at the last selection.
 func (s *Scheduled) maybeRefit() error {
 	g := s.gp
-	if s.appends >= s.RefitEvery ||
-		s.LMLDrift > 0 && s.selLML-g.LogMarginalLikelihood()/float64(g.N()) > s.LMLDrift {
+	if s.appends >= s.refitEvery ||
+		s.lmlDrift > 0 && s.selLML-g.LogMarginalLikelihood()/float64(g.N()) > s.lmlDrift {
 		return s.reselect(g.xs, g.ys)
 	}
 	return nil
@@ -149,7 +146,7 @@ func (s *Scheduled) reselect(xs [][]float64, ys []float64) error {
 	if s.RefitHist != nil {
 		start = time.Now()
 	}
-	g, err := FitBestARD(s.Kind, xs, ys, s.BaseDims)
+	g, err := FitBestARD(xs, ys, s.BaseDims)
 	if !start.IsZero() {
 		s.RefitHist.Record(time.Since(start))
 	}

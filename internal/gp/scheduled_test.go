@@ -27,7 +27,7 @@ func TestSparseMatchesExactUnderBudget(t *testing.T) {
 			pxs[i], pys[i] = xs[j], ys[j]
 		}
 
-		s := &Scheduled{Kind: "rbf", BaseDims: dim, RefitEvery: 4}
+		s := &Scheduled{BaseDims: dim, refitEvery: 4}
 		var selected *GP
 		for i := 1 + rng.Intn(n); i <= n; i++ {
 			fits := s.Stats().Fits
@@ -37,7 +37,7 @@ func TestSparseMatchesExactUnderBudget(t *testing.T) {
 			var ref *GP
 			if s.Stats().Fits > fits {
 				var err error
-				if selected, err = FitBestARD("rbf", pxs[:i], pys[:i], dim); err != nil {
+				if selected, err = FitBestARD(pxs[:i], pys[:i], dim); err != nil {
 					t.Fatalf("trial %d: batch selection on prefix %d: %v", trial, i, err)
 				}
 				ref = selected
@@ -78,11 +78,11 @@ func TestSparseTracksExactPosterior(t *testing.T) {
 	const n = 300
 	xs, ys := synth(rng, n, 2)
 
-	exact, err := FitBestARD("rbf", xs, ys, 2)
+	exact, err := FitBestARD(xs, ys, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := &Scheduled{Kind: "rbf", BaseDims: 2}
+	s := &Scheduled{BaseDims: 2}
 	if err := s.SetData(xs, ys); err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +105,7 @@ func TestSparseTracksExactPosterior(t *testing.T) {
 func TestSparseRebuildsOnPrefixChange(t *testing.T) {
 	rng := simrand.New(404)
 	xs, ys := synth(rng, 40, 3)
-	s := &Scheduled{Kind: "rbf", BaseDims: 3, RefitEvery: 8, LMLDrift: -1}
+	s := &Scheduled{BaseDims: 3, refitEvery: 8, lmlDrift: -1}
 	if err := s.SetData(xs[:30], ys[:30]); err != nil {
 		t.Fatal(err)
 	}
@@ -131,7 +131,7 @@ func TestSparseRebuildsOnPrefixChange(t *testing.T) {
 // the incumbent among them — copies, so the caller may reuse its buffers.
 func TestSparseProtectsIncumbent(t *testing.T) {
 	rng := simrand.New(505)
-	s := &Scheduled{Kind: "rbf", BaseDims: 2, RefitEvery: 64, LMLDrift: -1}
+	s := &Scheduled{BaseDims: 2, refitEvery: 64, lmlDrift: -1}
 
 	xs, ys := synth(rng, 16, 2)
 	ys[3] = -50

@@ -73,10 +73,6 @@ type CreateRequest struct {
 	WarmMaxDistance   float64        `json:"warm_max_distance,omitempty"`
 	Stats             *profile.Stats `json:"stats,omitempty"`
 	DefaultRuntimeSec float64        `json:"default_runtime_sec,omitempty"`
-
-	// Surrogate configures the BO/GBO response-surface model (kernel,
-	// refit schedule).
-	Surrogate *SurrogateSpec `json:"surrogate,omitempty"`
 }
 
 // ObserveRequest is the body of POST /v1/sessions/{id}/observe.
@@ -121,8 +117,7 @@ type StatusResponse struct {
 	WarmSource   string  `json:"warm_source,omitempty"`
 	WarmDistance float64 `json:"warm_distance,omitempty"`
 
-	// Surrogate is the resolved surrogate configuration and its work
-	// counters (BO/GBO sessions only).
+	// Surrogate is the surrogate's work counters (BO/GBO sessions only).
 	Surrogate *SurrogateStatus `json:"surrogate,omitempty"`
 }
 
@@ -364,9 +359,6 @@ func NewHandler(m *Manager) http.Handler {
 			WarmMaxDistance:   req.WarmMaxDistance,
 			Stats:             req.Stats,
 			DefaultRuntimeSec: req.DefaultRuntimeSec,
-		}
-		if req.Surrogate != nil {
-			spec.Surrogate = *req.Surrogate
 		}
 		spanStart := time.Now()
 		st, err := m.Create(spec)

@@ -2,78 +2,82 @@ package service
 
 import (
 	"bytes"
+	"encoding/json"
 	"io"
 	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
+	"time"
 
 	"relm/internal/conf"
 	"relm/internal/store"
 )
 
-// Satellite acceptance: the surrogate configuration round-trips through the
-// HTTP API as the nested `surrogate` object, and the session status reports
-// the resolved configuration plus live work counters.
+// TestHTTPSurrogateRoundTrip: every BO and GBO session runs the one
+// surrogate, the exact RBF-kernel GP on its fixed refit schedule, and the
+// session status reports its work counters. Nothing configures it: a create
+// or adopt body that carries a `surrogate` object, or any of the fields it
+// once held, is a 400 that names the field and journals nothing.
 func TestHTTPSurrogateRoundTrip(t *testing.T) {
-	srv := newTestServer(t)
+	tp := &tape{Store: store.NewMem()}
+	srv := httptest.NewServer(NewHandler(newTestManager(t, Options{Workers: 2, Store: tp})))
+	t.Cleanup(srv.Close)
+	refused := func(t *testing.T, path, body, field string) {
+		t.Helper()
+		lines := len(tp.lines)
+		var e errorJSON
+		if code := doJSON(t, http.MethodPost, srv.URL+path, json.RawMessage(body), &e); code != http.StatusBadRequest || !strings.Contains(e.Error, `"`+field+`"`) {
+			t.Fatalf("POST %s %s: status %d %q, want 400 naming %q", path, body, code, e.Error, field)
+		}
+		if n := len(tp.lines) - lines; n != 0 {
+			t.Fatalf("POST %s %s: the refusal journaled %d records", path, body, n)
+		}
+	}
 
 	t.Run("nested object", func(t *testing.T) {
-		final := driveHTTPSession(t, srv.URL, CreateRequest{
-			Backend:  "bo",
-			Workload: "K-means",
-			Cluster:  "A",
-			Seed:     31,
-			Surrogate: &SurrogateSpec{
-				Kernel:     "matern52",
-				RefitEvery: 3,
-			},
-		}, 25)
-		if final.Surrogate == nil {
-			t.Fatal("status carries no surrogate object")
-		}
-		if final.Surrogate.Kind != "matern52" {
-			t.Fatalf("surrogate kind = %q, want matern52", final.Surrogate.Kind)
-		}
-		if final.Surrogate.Fits == 0 {
-			t.Fatal("surrogate recorded no fits after a full session")
+		for _, obj := range []string{`{}`, `{"kernel":"rbf"}`, `{"refit_every":-3}`, `{"budget":8}`} {
+			refused(t, "/v1/sessions", `{"backend":"bo","workload":"K-means","surrogate":`+obj+`}`, "surrogate")
 		}
 	})
 
-	// The pre-object spellings are gone, and so is the active-set budget;
-	// an old client must hear about it: an unknown field is a 400, never a
-	// silently defaulted surrogate.
+	// The pre-object spellings are gone too; an old client must hear about
+	// it: an unknown field is a 400, never a silently defaulted surrogate.
 	t.Run("deprecated flat fields", func(t *testing.T) {
-		for _, field := range []string{`"kernel":"matern52"`, `"surrogate_budget":8`, `"refit_every":3`, `"refit_drift":0.1`, `"prior_points":[]`, `"surrogate":{"budget":8}`} {
-			body := `{"backend":"bo","workload":"K-means",` + field + `}`
-			if code := doRaw(t, http.MethodPost, srv.URL+"/v1/sessions", body); code != http.StatusBadRequest {
-				t.Fatalf("create with removed field %s: status %d, want 400", field, code)
-			}
+		for _, field := range []string{`"kernel":"rbf"`, `"surrogate_budget":8`, `"refit_every":3`, `"refit_drift":0.1`, `"prior_points":[]`} {
+			refused(t, "/v1/sessions", `{"backend":"bo","workload":"K-means",`+field+`}`, strings.Split(field, `"`)[1])
 		}
+	})
+
+	// A drain from an older node hands over a session created with the
+	// object: its adopt is refused, and the same snapshot without it adopts.
+	t.Run("adopt", func(t *testing.T) {
+		now := time.Date(2026, 1, 2, 3, 4, 5, 0, time.UTC)
+		body, err := json.Marshal(store.SessionSnapshot{ID: "handed", Spec: Spec{Backend: "bo", Workload: "K-means"},
+			State: StateActive, Created: now, LastUsed: now})
+		if err != nil {
+			t.Fatal(err)
+		}
+		old := bytes.Replace(body, []byte(`"workload":"K-means"`), []byte(`"workload":"K-means","surrogate":{"kernel":"rbf"}`), 1)
+		refused(t, "/v1/handoff/adopt", string(old), "surrogate")
+		if code := doJSON(t, http.MethodPost, srv.URL+"/v1/handoff/adopt", json.RawMessage(body), nil); code != http.StatusCreated {
+			t.Fatalf("adopt without the object: status %d, want 201", code)
+		}
+	})
+
+	// A kernel the GP never had is refused the same way as one it has: the
+	// object itself is the unknown field, so the 400 names it.
+	t.Run("unknown kernel rejected", func(t *testing.T) {
+		refused(t, "/v1/sessions", `{"backend":"bo","workload":"K-means","surrogate":{"kernel":"periodic"}}`, "surrogate")
 	})
 
 	t.Run("default is exact rbf", func(t *testing.T) {
-		var created StatusResponse
-		code := doJSON(t, http.MethodPost, srv.URL+"/v1/sessions", CreateRequest{
-			Backend: "bo", Workload: "K-means",
-		}, &created)
-		if code != http.StatusCreated {
-			t.Fatalf("create: status %d", code)
-		}
-		if created.Surrogate == nil || created.Surrogate.Kind != "rbf" {
-			t.Fatalf("default surrogate should be rbf: %+v", created.Surrogate)
-		}
-	})
-
-	t.Run("unknown kernel rejected", func(t *testing.T) {
-		code := doJSON(t, http.MethodPost, srv.URL+"/v1/sessions", CreateRequest{
-			Backend: "bo", Workload: "K-means",
-			Surrogate: &SurrogateSpec{Kernel: "periodic"},
-		}, nil)
-		if code != http.StatusBadRequest {
-			t.Fatalf("unknown kernel: status %d, want 400", code)
+		final := driveHTTPSession(t, srv.URL, CreateRequest{Backend: "bo", Workload: "K-means", Seed: 31}, 25)
+		if final.Surrogate == nil || final.Surrogate.Fits == 0 || final.Surrogate.Appends == 0 {
+			t.Fatalf("status after a full session reports surrogate %+v, want fits and appends", final.Surrogate)
 		}
 	})
 
@@ -124,48 +128,13 @@ func TestHTTPMetricsSurrogateCounters(t *testing.T) {
 	}
 }
 
-// The surrogate spec must survive the WAL: a session restored from the
-// journal keeps its resolved configuration.
-func TestSurrogateSpecSurvivesRestart(t *testing.T) {
-	dir := t.TempDir()
-	fs, err := store.OpenFile(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m, err := Open(Options{Workers: 1, Store: fs})
-	if err != nil {
-		t.Fatal(err)
-	}
-	st, err := m.Create(Spec{Backend: "bo", Workload: "K-means",
-		Surrogate: SurrogateSpec{Kernel: "matern52", RefitEvery: 5}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	m.Close()
-
-	fs2, err := store.OpenFile(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m2, err := Open(Options{Workers: 1, Store: fs2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(m2.Close)
-	st2, err := m2.Get(st.ID)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st2.Surrogate == nil || st2.Surrogate.Kind != "matern52" {
-		t.Fatalf("surrogate spec lost across restart: %+v", st2.Surrogate)
-	}
-}
-
-// A journaled budget of -1 (the old "force exact"), an explicit cap of 48
-// and an absent block (the old "inherit the node default") all replay onto
-// the one exact model: raw create records spelled each way, crashed after
-// 10 observations with a suggestion outstanding, reopen to a session that
-// continues with exactly the suggestions an uninterrupted manager makes.
+// A journaled budget of -1 (the old "force exact"), an explicit cap of 48,
+// an absent block (the old "inherit the node default"), the old defaults
+// spelled out and a Matérn kernel with its own refit period all replay onto
+// the one model: raw create records spelled each way, crashed after 10
+// observations with a suggestion outstanding, reopen to a session that
+// continues with exactly the suggestions an uninterrupted manager makes, to
+// its stopping rule.
 func TestJournaledBudgetsReplayOntoOneModel(t *testing.T) {
 	const crashAt = 10
 	// drive steps a session to completion (or to stop observations),
@@ -218,6 +187,8 @@ func TestJournaledBudgetsReplayOntoOneModel(t *testing.T) {
 		{"budget -1", `,"surrogate":{"budget":-1}`},
 		{"block absent", ``},
 		{"budget 48", `,"surrogate":{"budget":48}`},
+		{"old defaults", `,"surrogate":{"kernel":"rbf","refit_every":8,"refit_drift":0.25}`},
+		{"matern52", `,"surrogate":{"kernel":"matern52","refit_every":3}`},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			spelled := bytes.Replace(log, []byte(bare), []byte(`"max_iterations":14`+tc.block+`}`), 1)

@@ -369,12 +369,8 @@ func (m *Manager) buildSession(id string, spec Spec, created time.Time) (*Sessio
 	default:
 		return nil, fmt.Errorf("service: unknown mode %q (want remote or auto)", spec.Mode)
 	}
-	sur, err := resolveSurrogate(spec.Surrogate)
-	if err != nil {
-		return nil, err
-	}
 	sp := tune.NewSpace(cl, wl)
-	t, err := m.newTuner(spec, sur, cl, sp)
+	t, err := m.newTuner(spec, cl, sp)
 	if err != nil {
 		return nil, err
 	}
@@ -382,7 +378,6 @@ func (m *Manager) buildSession(id string, spec Spec, created time.Time) (*Sessio
 		id:       id,
 		spec:     spec,
 		tuner:    t,
-		sur:      sur,
 		space:    sp,
 		state:    StateActive,
 		created:  created,

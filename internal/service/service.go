@@ -188,16 +188,10 @@ func (o *Options) fill() {
 // create journals it uncopied.
 type Spec = store.SessionSpec
 
-// SurrogateSpec configures a session's surrogate model — the store's
-// record, which doubles as the `surrogate` JSON object on the HTTP wire.
-type SurrogateSpec = store.SurrogateSpec
-
-// SurrogateStatus is the live surrogate picture of one BO/GBO session:
-// the resolved configuration plus the cumulative work counters. Doubles as
-// the `surrogate` JSON object in session status responses.
+// SurrogateStatus is the live surrogate picture of one BO/GBO session: its
+// cumulative work counters. Doubles as the `surrogate` JSON object in
+// session status responses.
 type SurrogateStatus struct {
-	// Kind is the resolved kernel family ("rbf" or "matern52").
-	Kind string `json:"kind"`
 	// Fits counts full hyperparameter selections (grid + ARD, O(n³)).
 	Fits int `json:"fits"`
 	// Appends counts O(n²) incremental absorptions.
@@ -238,8 +232,8 @@ type Status struct {
 	WarmSource   string
 	WarmDistance float64
 
-	// Surrogate is the session's surrogate configuration and work counters
-	// (BO/GBO backends; nil otherwise).
+	// Surrogate is the session's surrogate work counters (BO/GBO backends;
+	// nil otherwise).
 	Surrogate *SurrogateStatus
 }
 
@@ -254,7 +248,6 @@ type Session struct {
 	id    string
 	spec  Spec
 	tuner tune.Tuner
-	sur   bo.SurrogateConfig // resolved surrogate settings (BO/GBO status)
 	space tune.Space
 
 	history   []HistoryEntry
@@ -551,32 +544,12 @@ func resolve(spec Spec) (cluster.Spec, workload.Spec, error) {
 	return cl, wl, nil
 }
 
-// resolveSurrogate validates a session's surrogate spec and returns the
-// bo-layer configuration, the kernel family normalized to
-// "rbf"/"matern52".
-func resolveSurrogate(ss SurrogateSpec) (bo.SurrogateConfig, error) {
-	kernel := strings.ToLower(ss.Kernel)
-	switch kernel {
-	case "":
-		kernel = "rbf"
-	case "rbf", "matern52":
-	default:
-		return bo.SurrogateConfig{}, fmt.Errorf("service: unknown surrogate kernel %q (want rbf or matern52)", ss.Kernel)
-	}
-	return bo.SurrogateConfig{
-		Kernel:     kernel,
-		RefitEvery: ss.RefitEvery,
-		RefitDrift: ss.RefitDrift,
-	}, nil
-}
-
 // newTuner builds the incremental tuner for a session spec, wiring the
 // manager's surrogate/acquisition histograms into BO-family backends.
-func (m *Manager) newTuner(spec Spec, sur bo.SurrogateConfig, cl cluster.Spec, sp tune.Space) (tune.Tuner, error) {
+func (m *Manager) newTuner(spec Spec, cl cluster.Spec, sp tune.Space) (tune.Tuner, error) {
 	boOpts := bo.Options{
 		Seed:                spec.Seed,
 		MaxIterations:       spec.MaxIterations,
-		Surrogate:           sur,
 		SurrogateAppendHist: m.opts.Obs.Histogram("surrogate.append"),
 		SurrogateRefitHist:  m.opts.Obs.Histogram("surrogate.refit"),
 		AcquisitionHist:     m.opts.Obs.Histogram("acquisition"),
@@ -1379,11 +1352,7 @@ func (m *Manager) statusLocked(s *Session) Status {
 	}
 	if ss, ok := s.tuner.(surrogateStatser); ok {
 		info := ss.SurrogateInfo()
-		st.Surrogate = &SurrogateStatus{
-			Kind:    s.sur.Kernel,
-			Fits:    info.Fits,
-			Appends: info.Appends,
-		}
+		st.Surrogate = &SurrogateStatus{Fits: info.Fits, Appends: info.Appends}
 	}
 	return st
 }

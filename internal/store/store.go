@@ -54,26 +54,13 @@ const (
 	EventHarvest = "harvest" // a completed session fed the model repository (payload: Repo on imports and old logs only)
 )
 
-// SurrogateSpec configures a session's surrogate model (BO and GBO
-// backends; ignored by relm and ddpg): the durable form, and — aliased as
-// service.SurrogateSpec — the `surrogate` JSON object on the HTTP wire.
-// Records from older builds may also carry a `budget` (a cap the GP once
-// had); decoding drops it, and the session replays onto the exact GP.
-type SurrogateSpec struct {
-	// Kernel selects the kernel family: "rbf" (default) or "matern52".
-	Kernel string `json:"kernel,omitempty"`
-	// RefitEvery throttles hyperparameter re-selection to once per this
-	// many observations (0 = paper default of 8).
-	RefitEvery int `json:"refit_every,omitempty"`
-	// RefitDrift re-selects early on per-point log-marginal-likelihood
-	// drift (0 = default 0.25; negative disables).
-	RefitDrift float64 `json:"refit_drift,omitempty"`
-}
-
 // SessionSpec describes one tuning session to create — aliased as
 // service.Spec — and is the durable form of that request: a create record
 // journals it inside the SessionSnapshot. Zero fields are left out of the
 // record, so a session on the defaults journals only what was asked.
+// Records from older builds may also carry a `surrogate` object (a kernel,
+// a refit schedule, a budget); decoding drops it, and the session replays
+// onto the one surrogate every BO and GBO session runs.
 type SessionSpec struct {
 	// ID optionally assigns the session's ID instead of the manager's
 	// "sess-N" counter. A cluster router uses it to place sessions by
@@ -120,12 +107,6 @@ type SessionSpec struct {
 	// Stats; matched prior observations are rescaled by the ratio of
 	// default runtimes before seeding the optimizer.
 	DefaultRuntimeSec float64 `json:"default_sec,omitempty"`
-
-	// Surrogate configures the BO/GBO response-surface model. The zero
-	// value selects the defaults (RBF kernel, refit every 8 observations)
-	// and is not journaled, as in records written before the field
-	// existed.
-	Surrogate SurrogateSpec `json:"surrogate,omitzero"`
 }
 
 // Observation is the durable form of one measured experiment. Objectives
