@@ -9,15 +9,19 @@
 // The scenario is the whole load: its seed fixes every session, and its
 // concurrency and request_timeout_ms fields size the worker pool and the
 // per-request deadline. The report is written as JSON to -out (default
-// LOAD.json) and printed as a human table on stdout. Exit status is
-// non-zero when the run saw any unexpected error, so CI can gate on it
+// LOAD.json) and printed as a human table on stdout. An invocation it
+// refuses before sending anything — a missing -scenario or -target, a
+// positional argument, a scenario it cannot read — exits 2; a run that
+// aborted or saw any unexpected error exits 1, so CI can gate on it
 // directly. docs/LOADGEN.md documents the scenario schema and the report.
 package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"os"
 	"os/signal"
@@ -27,22 +31,47 @@ import (
 )
 
 func main() {
-	var (
-		scenarioPath = flag.String("scenario", "", "scenario JSON to generate the load from")
-		target       = flag.String("target", "", "base URL of the router or node under test")
-		out          = flag.String("out", "LOAD.json", "report JSON output path")
-		runID        = flag.String("run-id", "", "session-ID namespace for this run (default: random)")
-		quiet        = flag.Bool("quiet", false, "suppress progress logging")
-	)
-	flag.Parse()
 	log.SetFlags(0)
+	err := run(os.Args[1:], os.Stdout)
+	var refused refusal
+	switch {
+	case err == nil || errors.Is(err, flag.ErrHelp):
+	case errors.As(err, &refused):
+		log.Print("relm-loadgen: ", err)
+		os.Exit(2)
+	default:
+		log.Print("relm-loadgen: ", err)
+		os.Exit(1)
+	}
+}
 
-	if *scenarioPath == "" || *target == "" {
-		log.Fatal("relm-loadgen: need -scenario and -target")
+// refusal is an invocation refused before any load was sent.
+type refusal struct{ error }
+
+func run(args []string, w io.Writer) error {
+	fs := flag.NewFlagSet("relm-loadgen", flag.ContinueOnError)
+	var (
+		scenarioPath = fs.String("scenario", "", "scenario JSON to generate the load from")
+		target       = fs.String("target", "", "base URL of the router or node under test")
+		out          = fs.String("out", "LOAD.json", "report JSON output path")
+		runID        = fs.String("run-id", "", "session-ID namespace for this run (default: random)")
+		quiet        = fs.Bool("quiet", false, "suppress progress logging")
+	)
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return err
+		}
+		return refusal{err}
+	}
+	switch {
+	case *scenarioPath == "" || *target == "":
+		return refusal{errors.New("need -scenario and -target")}
+	case fs.NArg() > 0:
+		return refusal{fmt.Errorf("unexpected argument %q", fs.Arg(0))}
 	}
 	sc, err := loadgen.LoadScenario(*scenarioPath)
 	if err != nil {
-		log.Fatalf("relm-loadgen: %v", err)
+		return refusal{err}
 	}
 	opts := loadgen.Options{Target: *target, RunID: *runID}
 	if !*quiet {
@@ -50,7 +79,7 @@ func main() {
 	}
 	d, err := loadgen.NewDriver(opts)
 	if err != nil {
-		log.Fatalf("relm-loadgen: %v", err)
+		return refusal{err}
 	}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
@@ -62,17 +91,18 @@ func main() {
 	rep, runErr := d.Run(ctx, sc)
 	if rep != nil {
 		if err := rep.WriteFile(*out); err != nil {
-			log.Fatalf("relm-loadgen: %v", err)
+			return err
 		}
-		fmt.Print(rep.Table())
+		fmt.Fprint(w, rep.Table())
 		if !*quiet {
 			log.Printf("relm-loadgen: report written to %s", *out)
 		}
 	}
 	if runErr != nil {
-		log.Fatalf("relm-loadgen: run aborted: %v", runErr)
+		return fmt.Errorf("run aborted: %w", runErr)
 	}
 	if rep.UnexpectedErrors() > 0 {
-		log.Fatalf("relm-loadgen: %d unexpected errors", rep.UnexpectedErrors())
+		return fmt.Errorf("%d unexpected errors", rep.UnexpectedErrors())
 	}
+	return nil
 }

@@ -2,6 +2,7 @@ package gp
 
 import (
 	"math"
+	"slices"
 
 	"relm/internal/linalg"
 )
@@ -22,7 +23,7 @@ func FitBestARD(xs [][]float64, ys []float64, baseDims int) (*GP, error) {
 	if err != nil {
 		return g, err
 	}
-	return ardRefine(g, xs, ys, ardIters), nil
+	return ardRefine(g, ardIters), nil
 }
 
 // ARD length scales are clamped to this range (in length space) so a noisy
@@ -37,12 +38,12 @@ const (
 // ∂L/∂θ = ½ tr((ααᵀ − K⁻¹) ∂K/∂θ) through the cached Cholesky factor — and
 // a backtracking line search accepts a step only when the refitted marginal
 // likelihood improves, so the returned model's LML is monotonically ≥ the
-// starting point's.
-func ardRefine(g *GP, xs [][]float64, ys []float64, iters int) *GP {
-	if len(xs) == 0 {
+// starting point's. The candidates are fitted to g's training rows.
+func ardRefine(g *GP, iters int) *GP {
+	if len(g.xs) == 0 {
 		return g
 	}
-	dim := len(xs[0])
+	dim := len(g.xs[0])
 	lengths := kernelLengths(g.Kernel.(RBF), dim)
 	theta := make([]float64, dim)
 	for d := range theta {
@@ -52,6 +53,9 @@ func ardRefine(g *GP, xs [][]float64, ys []float64, iters int) *GP {
 	trialLen := make([]float64, dim)
 	grad := make([]float64, dim)
 
+	// The candidates share g's rows, which are xs and ys as g's fit copied
+	// them; g itself stays as it is, its caller's to keep.
+	gr := newGrid(slices.Clip(g.xs), slices.Clip(g.ys))
 	cur, curLML := g, g.LogMarginalLikelihood()
 	step := 0.25
 	logMin, logMax := math.Log(ardMinLength), math.Log(ardMaxLength)
@@ -76,18 +80,22 @@ func ardRefine(g *GP, xs [][]float64, ys []float64, iters int) *GP {
 			trial[d] = t
 			trialLen[d] = math.Exp(t)
 		}
-		cand := New(RBF{Variance: 1, Length: append([]float64(nil), trialLen...)}, cur.Noise)
-		if err := cand.Fit(xs, ys); err != nil {
+		cand, ok := gr.fit(RBF{Variance: 1, Length: append([]float64(nil), trialLen...)}, cur.Noise)
+		if !ok {
 			step /= 2
 			continue
 		}
 		if ml := cand.LogMarginalLikelihood(); ml > curLML {
 			copy(theta, trial)
+			if cur != g {
+				gr.lose(cur)
+			}
 			cur, curLML = cand, ml
 			if step *= 1.3; step > 1 {
 				step = 1
 			}
 		} else {
+			gr.lose(cand)
 			if step /= 2; step < 1e-3 {
 				break
 			}

@@ -47,7 +47,7 @@ func TestARDImprovesAnisotropicFit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ard := ardRefine(grid, xs, ys, 12)
+	ard := ardRefine(grid, 12)
 	if ard.LogMarginalLikelihood() <= grid.LogMarginalLikelihood() {
 		t.Fatalf("ARD did not improve an anisotropic fit: %v vs grid %v",
 			ard.LogMarginalLikelihood(), grid.LogMarginalLikelihood())

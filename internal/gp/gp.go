@@ -26,6 +26,7 @@ package gp
 import (
 	"errors"
 	"math"
+	"slices"
 
 	"relm/internal/linalg"
 )
@@ -176,16 +177,28 @@ func (g *GP) Fit(xs [][]float64, ys []float64) error {
 	if len(xs) == 0 || len(xs) != len(ys) {
 		return ErrNoData
 	}
-	n := len(xs)
-	cx := make([][]float64, n)
-	for i, x := range xs {
-		cx[i] = append([]float64(nil), x...)
-	}
-	cy := append([]float64(nil), ys...)
-	eval := prepareKernel(g.Kernel, len(cx[0]))
+	cx, cy := copyRows(xs, ys)
+	return g.fitRows(cx, cy, linalg.NewMatrix(len(cx), len(cx)))
+}
 
-	// Gram matrix + noise.
-	gram := linalg.NewMatrix(n, n)
+// copyRows copies the training rows and targets, each slice at exactly its
+// length, so that the first Append to a model holding them reallocates
+// rather than write into an array other models share.
+func copyRows(xs [][]float64, ys []float64) ([][]float64, []float64) {
+	cx := make([][]float64, len(xs))
+	for i, x := range xs {
+		cx[i] = slices.Clone(x)
+	}
+	return cx, slices.Clip(slices.Clone(ys))
+}
+
+// fitRows is Fit on rows and targets the model takes as they are, with
+// gram (n×n) as the Gram matrix's storage. The factor goes into g.chol's
+// storage when it has the size (a factor of n rows) and the dual weights
+// into g's vectors.
+func (g *GP) fitRows(cx [][]float64, cy []float64, gram *linalg.Matrix) error {
+	n := len(cx)
+	eval := prepareKernel(g.Kernel, len(cx[0]))
 	for i := 0; i < n; i++ {
 		row := gram.Row(i)[i:]
 		kernelRow(eval, cx[i], cx[i:], row)
@@ -194,7 +207,7 @@ func (g *GP) Fit(xs [][]float64, ys []float64) error {
 		}
 	}
 	gram.AddDiag(g.Noise)
-	l, err := linalg.CholeskyJitter(gram)
+	l, err := linalg.CholeskyJitter(gram, g.chol)
 	if err != nil {
 		return err
 	}
@@ -405,18 +418,44 @@ func FitBestGrouped(xs [][]float64, ys []float64, baseDims int) (*GP, error) {
 	if len(xs) == 0 {
 		return nil, ErrNoData
 	}
-	dim := len(xs[0])
-	if baseDims > dim {
-		baseDims = dim
+	var best *GP
+	if len(xs) == len(ys) {
+		gr := newGrid(copyRows(xs, ys))
+		bestML := math.Inf(-1)
+		for _, c := range groupedCells(len(xs[0]), baseDims) {
+			cand, ok := gr.fit(c.kernel, c.noise)
+			if !ok {
+				continue
+			}
+			if ml := cand.LogMarginalLikelihood(); ml > bestML {
+				cand, best, bestML = best, cand, ml
+			}
+			gr.lose(cand)
+		}
 	}
+	if best == nil {
+		return nil, errors.New("gp: no hyperparameter setting produced a valid fit")
+	}
+	return best, nil
+}
+
+// cell is one kernel and noise level of a hyperparameter grid.
+type cell struct {
+	kernel RBF
+	noise  float64
+}
+
+// groupedCells is FitBestGrouped's grid over rows of dim dimensions, in the
+// order it is searched: the base length scale outermost, the noise level
+// innermost.
+func groupedCells(dim, baseDims int) []cell {
+	baseDims = min(baseDims, dim)
 	baseLengths := []float64{0.1, 0.2, 0.35, 0.6, 1.0}
 	extraLengths := []float64{1.0}
 	if dim > baseDims {
 		extraLengths = []float64{0.15, 0.35, 0.8}
 	}
-	noises := []float64{1e-4, 1e-2}
-	var best *GP
-	bestML := math.Inf(-1)
+	var cells []cell
 	for _, lb := range baseLengths {
 		for _, le := range extraLengths {
 			ls := make([]float64, dim)
@@ -427,19 +466,49 @@ func FitBestGrouped(xs [][]float64, ys []float64, baseDims int) (*GP, error) {
 					ls[d] = le
 				}
 			}
-			for _, noise := range noises {
-				cand := New(RBF{Variance: 1, Length: ls}, noise)
-				if err := cand.Fit(xs, ys); err != nil {
-					continue
-				}
-				if ml := cand.LogMarginalLikelihood(); ml > bestML {
-					best, bestML = cand, ml
-				}
+			for _, noise := range []float64{1e-4, 1e-2} {
+				cells = append(cells, cell{RBF{Variance: 1, Length: ls}, noise})
 			}
 		}
 	}
-	if best == nil {
-		return nil, errors.New("gp: no hyperparameter setting produced a valid fit")
+	return cells
+}
+
+// grid fits candidate kernels to one set of training rows, which every
+// candidate shares: the rows are copied once, one Gram matrix is rebuilt
+// in place for each fit, and the factor and vectors of a candidate that
+// lost serve the next. Each fit is New(k, noise).Fit on the rows, bit for
+// bit.
+type grid struct {
+	xs    [][]float64
+	ys    []float64
+	gram  *linalg.Matrix
+	spare *GP // a losing candidate, nil when there is none
+}
+
+// newGrid fits over rows and targets the grid's models take as they are.
+func newGrid(xs [][]float64, ys []float64) *grid {
+	return &grid{xs: xs, ys: ys, gram: linalg.NewMatrix(len(xs), len(xs))}
+}
+
+// fit fits one candidate and reports whether the factorization succeeded.
+func (gr *grid) fit(k RBF, noise float64) (*GP, bool) {
+	g := New(k, noise)
+	if s := gr.spare; s != nil {
+		g.chol, g.yn, g.alpha = s.chol, s.yn, s.alpha
+		gr.spare = nil
 	}
-	return best, nil
+	if err := g.fitRows(gr.xs, gr.ys, gr.gram); err != nil {
+		gr.lose(g)
+		return nil, false
+	}
+	return g, true
+}
+
+// lose hands a candidate the caller drops, if any, to the next fit. The
+// caller must hold no other reference to it.
+func (gr *grid) lose(g *GP) {
+	if g != nil {
+		gr.spare = g
+	}
 }

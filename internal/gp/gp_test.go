@@ -44,7 +44,7 @@ func TestKernelPSDProperty(t *testing.T) {
 				gram.Set(i, j, v)
 			}
 		}
-		if _, err := linalg.CholeskyJitter(gram); err != nil {
+		if _, err := linalg.CholeskyJitter(gram, nil); err != nil {
 			t.Fatalf("Gram not PSD: %v", err)
 		}
 	}
@@ -194,5 +194,64 @@ func TestN(t *testing.T) {
 	}
 	if g.N() != 2 {
 		t.Fatal("N after fit")
+	}
+}
+
+// TestGridFitIsFit: a grid's fit over the shared rows, Gram matrix and a
+// losing candidate's factor and vectors is New(k, noise).Fit, bit for bit —
+// factor, dual weights and marginal likelihood — for every cell of
+// FitBestGrouped's grid at every size from 1 to 40 rows, duplicated rows
+// among them. Every third candidate is kept, so fits run both with and
+// without a spare, and is checked again at the end: no later fit may
+// have written into it.
+func TestGridFitIsFit(t *testing.T) {
+	same := func(a, b []float64) bool {
+		if len(a) != len(b) {
+			return false
+		}
+		for i := range a {
+			if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+				return false
+			}
+		}
+		return true
+	}
+	for n := 1; n <= 40; n++ {
+		xs, ys := benchData(n, 5)
+		for i := 3; i < n; i += 4 {
+			xs[i] = xs[i-1]
+		}
+		gr := newGrid(copyRows(xs, ys))
+		type pair struct {
+			cell      int
+			got, want *GP
+		}
+		var kept []pair
+		check := func(i int, got, want *GP) {
+			if !same(got.chol.Data, want.chol.Data) || !same(got.alpha, want.alpha) ||
+				math.Float64bits(got.LogMarginalLikelihood()) != math.Float64bits(want.LogMarginalLikelihood()) {
+				t.Fatalf("n=%d cell %d (%v): the grid's fit differs from Fit", n, i, want.Kernel)
+			}
+		}
+		for i, c := range groupedCells(5, 3) {
+			got, ok := gr.fit(c.kernel, c.noise)
+			want := New(c.kernel, c.noise)
+			err := want.Fit(xs, ys)
+			if ok != (err == nil) {
+				t.Fatalf("n=%d cell %d: grid fit ok=%v, Fit error %v", n, i, ok, err)
+			}
+			if !ok {
+				continue
+			}
+			check(i, got, want)
+			if i%3 != 0 {
+				gr.lose(got)
+			} else {
+				kept = append(kept, pair{i, got, want})
+			}
+		}
+		for _, k := range kept { // no later fit wrote into a kept one
+			check(k.cell, k.got, k.want)
+		}
 	}
 }

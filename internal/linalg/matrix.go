@@ -49,13 +49,6 @@ func (m *Matrix) Set(i, j int, v float64) { m.Data[i*m.Cols+j] = v }
 // Row returns a view of row i (not a copy).
 func (m *Matrix) Row(i int) []float64 { return m.Data[i*m.Cols : (i+1)*m.Cols] }
 
-// Clone deep-copies the matrix.
-func (m *Matrix) Clone() *Matrix {
-	c := NewMatrix(m.Rows, m.Cols)
-	copy(c.Data, m.Data)
-	return c
-}
-
 // T returns the transpose as a new matrix.
 func (m *Matrix) T() *Matrix {
 	t := NewMatrix(m.Cols, m.Rows)
@@ -143,11 +136,20 @@ func Cholesky(m *Matrix) (*Matrix, error) {
 	if m.Rows != m.Cols {
 		panic("linalg: Cholesky on non-square matrix")
 	}
+	return choleskyInto(m, 0, NewMatrix(m.Rows, m.Rows))
+}
+
+// choleskyInto factors m + jitter·I into l, an n×n matrix whose upper
+// triangle is zero, reading m's lower triangle only. Every entry it reads
+// of l it has written first, so l may hold an earlier factor.
+func choleskyInto(m *Matrix, jitter float64, l *Matrix) (*Matrix, error) {
 	n := m.Rows
-	l := NewMatrix(n, n)
 	for i := 0; i < n; i++ {
 		for j := 0; j <= i; j++ {
 			sum := m.At(i, j)
+			if i == j && jitter != 0 {
+				sum += jitter
+			}
 			li, lj := l.Row(i), l.Row(j)
 			for k := 0; k < j; k++ {
 				sum -= li[k] * lj[k]
@@ -167,16 +169,19 @@ func Cholesky(m *Matrix) (*Matrix, error) {
 
 // CholeskyJitter is Cholesky with progressively larger diagonal jitter, the
 // standard trick to stabilize Gram matrices built from nearly-duplicate
-// sample points. It mutates a copy, never its argument.
-func CholeskyJitter(m *Matrix) (*Matrix, error) {
+// sample points. It writes the factor into l when l is a factor this
+// package made of an n×n matrix (its upper triangle is zero), into a new
+// matrix otherwise, with the same bits either way, and never changes m.
+func CholeskyJitter(m, l *Matrix) (*Matrix, error) {
+	if m.Rows != m.Cols {
+		panic("linalg: Cholesky on non-square matrix")
+	}
+	if l == nil || l.Rows != m.Rows || l.Cols != m.Cols {
+		l = NewMatrix(m.Rows, m.Cols)
+	}
 	jitter := 0.0
 	for attempt := 0; attempt < 8; attempt++ {
-		c := m.Clone()
-		if jitter > 0 {
-			c.AddDiag(jitter)
-		}
-		l, err := Cholesky(c)
-		if err == nil {
+		if _, err := choleskyInto(m, jitter, l); err == nil {
 			return l, nil
 		}
 		if jitter == 0 {

@@ -166,7 +166,7 @@ func TestLogDetFromChol(t *testing.T) {
 func TestCholeskyJitterRecovers(t *testing.T) {
 	// Nearly singular Gram matrix (duplicate rows).
 	a := FromRows([][]float64{{1, 1}, {1, 1}})
-	l, err := CholeskyJitter(a)
+	l, err := CholeskyJitter(a, nil)
 	if err != nil {
 		t.Fatalf("jitter should recover: %v", err)
 	}
@@ -175,15 +175,37 @@ func TestCholeskyJitterRecovers(t *testing.T) {
 	}
 }
 
-func TestAddScaleClone(t *testing.T) {
-	a := FromRows([][]float64{{1, 2}})
-	clone := a.Clone()
-	if clone.Rows != 1 || clone.Cols != 2 || clone.At(0, 1) != 2 {
-		t.Fatal("Clone wrong")
+// TestCholeskyJitterReusesAFactor: factoring into the storage of an
+// earlier factor of the same size gives the bits of a factor into new
+// storage, on a matrix that needs jitter and on one that does not, and
+// leaves the input as it was.
+func TestCholeskyJitterReusesAFactor(t *testing.T) {
+	singular := FromRows([][]float64{{1, 1, 0.5}, {1, 1, 0.5}, {0.5, 0.5, 2}})
+	regular := FromRows([][]float64{{4, 2, 0.4}, {2, 3, 0.5}, {0.4, 0.5, 2}})
+	before := append([]float64(nil), singular.Data...)
+	prev, err := CholeskyJitter(regular, nil)
+	if err != nil {
+		t.Fatal(err)
 	}
-	clone.Set(0, 0, 3)
-	if a.At(0, 0) != 1 {
-		t.Fatal("Clone aliases original")
+	for _, m := range []*Matrix{singular, regular} {
+		want, err := CholeskyJitter(m, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := CholeskyJitter(m, prev)
+		if err != nil || got != prev {
+			t.Fatalf("CholeskyJitter: %v, factor in the earlier one's storage %v", err, got == prev)
+		}
+		for i, v := range want.Data {
+			if math.Float64bits(got.Data[i]) != math.Float64bits(v) {
+				t.Fatalf("entry %d: %v, into new storage %v", i, got.Data[i], v)
+			}
+		}
+	}
+	for i, v := range before {
+		if singular.Data[i] != v {
+			t.Fatal("CholeskyJitter changed its input")
+		}
 	}
 }
 

@@ -3,8 +3,10 @@ package service
 import (
 	"encoding/json"
 	"io"
+	"maps"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"sort"
 	"strings"
 	"sync/atomic"
@@ -99,6 +101,11 @@ const (
 	allKeys      = "batched_events commit_batches draining evictions journal_error last_compaction node observations persistence pruned_segments replica_bytes_behind replica_followers replica_ingest_bytes replica_ingests replica_last_ack_age_sec replica_primaries replica_promotions replica_segments_behind replica_ship_errors replica_ships replication repo_capacity repo_entries repo_evictions repo_hits sessions sessions_by_state snapshot_bytes snapshot_bytes_written snapshots stage_hist stages surrogate_appends surrogate_fits wal_appended_bytes wal_bytes wal_degraded wal_degraded_reason wal_events wal_segments warm_starts"
 )
 
+// The stage histograms of the shipping node below. The restore.* three are
+// its start-up: the fold of snapshot and log, the tuners' rebuild and the
+// settle pass (persist.go, restore), recorded by every Open with a store.
+const primaryStages = "acquisition restore.fold restore.rebuild restore.settle service.create service.observe service.suggest surrogate.append surrogate.refit"
+
 func sortedKeys(t *testing.T, body []byte) string {
 	t.Helper()
 	var mt map[string]json.RawMessage
@@ -177,6 +184,15 @@ func TestMetricsWireNames(t *testing.T) {
 	}
 	if got := sortedKeys(t, get(srvB.URL+"/v1/metrics")); got != followerKeys {
 		t.Errorf("follower /v1/metrics keys:\n got %s\nwant %s", got, followerKeys)
+	}
+	var stages struct {
+		Stages map[string]json.RawMessage `json:"stages"`
+	}
+	if err := json.Unmarshal(get(srvA.URL+"/v1/metrics"), &stages); err != nil {
+		t.Fatal(err)
+	}
+	if got := strings.Join(slices.Sorted(maps.Keys(stages.Stages)), " "); got != primaryStages {
+		t.Errorf("primary stage histograms:\n got %s\nwant %s", got, primaryStages)
 	}
 	var comments []string
 	for _, line := range strings.Split(string(get(srvA.URL+"/metrics")), "\n") {

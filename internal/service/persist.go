@@ -226,9 +226,14 @@ func sessionSnapshot(s *Session) store.SessionSnapshot {
 // BO session costs ~40x a RelM one, so fixed stripes would idle). What
 // touches the Manager — registering, settling, which may harvest and
 // journal — then runs in one pass in session-ID order, so the repository,
-// the log and a hand-over report come out the same on every replay.
+// the log and a hand-over report come out the same on every replay. The
+// three phases' wall times are the restore.fold, restore.rebuild and
+// restore.settle stage histograms.
 func (m *Manager) restore(snap *store.Snapshot, events []store.Event) ([]*Session, error) {
+	t0 := time.Now()
 	live := m.fold(snap, events)
+	t1 := time.Now()
+	m.opts.Obs.Histogram("restore.fold").Record(t1.Sub(t0))
 	ids := slices.Sorted(maps.Keys(live))
 	built := make([]*Session, len(ids))
 	errs := make([]error, len(ids))
@@ -244,6 +249,8 @@ func (m *Manager) restore(snap *store.Snapshot, events []store.Event) ([]*Sessio
 		}()
 	}
 	wg.Wait()
+	t2 := time.Now()
+	m.opts.Obs.Histogram("restore.rebuild").Record(t2.Sub(t1))
 	var autos []*Session
 	for i, s := range built {
 		if errs[i] != nil {
@@ -259,6 +266,7 @@ func (m *Manager) restore(snap *store.Snapshot, events []store.Event) ([]*Sessio
 			autos = append(autos, s)
 		}
 	}
+	m.opts.Obs.Histogram("restore.settle").Record(time.Since(t2))
 	return autos, nil
 }
 

@@ -11,7 +11,11 @@
 // behaviour, which is all the paper's tuners observe.
 package workload
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+	"sync"
+)
 
 // StageSpec describes one stage of computation.
 type StageSpec struct {
@@ -344,17 +348,21 @@ func Benchmarks() []Spec {
 	return []Spec{WordCount(), SortByKey(), KMeans(), SVM(), PageRank()}
 }
 
-// ByName looks up a benchmark (including "TPC-H Qn" names) by name.
+// ByName looks up a benchmark (including "TPC-H Qn" names) by name. The
+// returned Spec's Stages are its own: changing them changes no later
+// lookup.
 func ByName(name string) (Spec, bool) {
-	for _, w := range Benchmarks() {
-		if w.Name == name {
-			return w, true
-		}
-	}
-	for _, w := range TPCH() {
-		if w.Name == name {
-			return w, true
-		}
-	}
-	return Spec{}, false
+	w, ok := byName()[name]
+	w.Stages = slices.Clone(w.Stages)
+	return w, ok
 }
+
+// byName is every workload ByName knows, built on first use.
+var byName = sync.OnceValue(func() map[string]Spec {
+	all := append(Benchmarks(), TPCH()...)
+	m := make(map[string]Spec, len(all))
+	for _, w := range all {
+		m[w.Name] = w
+	}
+	return m
+})

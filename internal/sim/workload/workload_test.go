@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -136,6 +137,18 @@ func TestByName(t *testing.T) {
 	}
 	if _, ok := ByName("nope"); ok {
 		t.Error("unknown name should not resolve")
+	}
+}
+
+// TestByNameReturnsACopy: ByName's table is built once, and a caller that
+// changes a returned spec's stages changes nothing a later lookup returns.
+func TestByNameReturnsACopy(t *testing.T) {
+	w, _ := ByName("K-means")
+	w.Stages[0].Tasks = -1
+	w.Stages[0].Name = "changed"
+	again, ok := ByName("K-means")
+	if !ok || !reflect.DeepEqual(again, KMeans()) {
+		t.Errorf("ByName after a caller changed a returned stage = %+v, want %+v", again, KMeans())
 	}
 }
 

@@ -469,7 +469,7 @@ func (s *File) readSnapshot() (*Snapshot, []byte, error) {
 		return nil, nil, err
 	}
 	var snap Snapshot
-	if err := json.Unmarshal(raw, &snap); err != nil {
+	if err := decodeSnapshot(raw, &snap); err != nil {
 		return nil, nil, fmt.Errorf("store: decode snapshot: %w", err)
 	}
 	return &snap, raw, nil

@@ -10,11 +10,11 @@ import (
 
 // Mem is the in-memory Store: the same WAL + snapshot semantics as File
 // with no disk underneath. Events and snapshots are encoded with
-// json.Marshal, and events decoded with File's own reader (decodeEvent,
-// its fast path and its json.Unmarshal fallback), so Mem exercises the
-// exact on-disk schema and read path — tests that pass against Mem behave
-// identically against File. State dies with the process; use it for tests
-// and ephemeral servers.
+// json.Marshal and decoded with File's own reader (decodeEvent and
+// decodeSnapshot, the fast path and its json.Unmarshal fallback), so Mem
+// exercises the exact on-disk schema and read path — tests that pass
+// against Mem behave identically against File. State dies with the
+// process; use it for tests and ephemeral servers.
 type Mem struct {
 	mu          sync.Mutex
 	closed      bool
@@ -67,7 +67,7 @@ func (s *Mem) Load() (*Snapshot, []Event, error) {
 	var snap *Snapshot
 	if s.snap != nil {
 		snap = new(Snapshot)
-		if err := json.Unmarshal(s.snap, snap); err != nil {
+		if err := decodeSnapshot(s.snap, snap); err != nil {
 			return nil, nil, fmt.Errorf("store: decode snapshot: %w", err)
 		}
 	}

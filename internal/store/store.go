@@ -25,11 +25,11 @@
 // concurrent appends into shared fsync batches (see groupcommit.go).
 // Recovery decodes the log once: OpenFile reads each segment whole and
 // decodes its records across the cores, and keeps what it decoded for
-// the first Load, which costs no second read. Observe, close and local
-// harvest records are read in the exact layout json.Marshal writes them,
-// without reflection; every other line goes to json.Unmarshal, so either
-// way a line decodes to the same Event (decode.go). The writer is
-// json.Marshal, unchanged.
+// the first Load, which costs no second read. Every record a current
+// node writes, and snapshot.json, are read in the exact layout
+// json.Marshal writes them, without encoding/json; any other input goes to
+// json.Unmarshal, so either way it decodes to the same Event or Snapshot
+// (decode.go). The writer is json.Marshal, unchanged.
 package store
 
 import (

@@ -28,6 +28,7 @@ var reachAllowlist = map[string]string{
 	"(*relm/internal/simrand.Rand).Range":     "the rf, gp and ddpg tests draw their inputs with it",
 	"relm/internal/obs.MergeHists":            "the loadgen and router tests merge digests with it",
 	"relm/internal/linalg.FromRows":           "linalg's tests build their fixture matrices with it",
+	"relm/internal/linalg.Cholesky":           "linalg's tests check the factor without jitter with it (known values, an indefinite matrix refused, L·Lᵀ round trips); CholeskyJitter, which the GP runs, is the same loop",
 	"(*relm/internal/linalg.Matrix).Mul":      "linalg's tests build B·Bᵀ fixtures and check Cholesky's L·Lᵀ with it",
 	"(*relm/internal/linalg.Matrix).T":        "linalg's tests build B·Bᵀ fixtures and check Cholesky's L·Lᵀ with it",
 	"(*relm/internal/linalg.Matrix).MulVec":   "TestCholSolveProperty builds A·x with it (MulVecInto, its body, stays with it)",
