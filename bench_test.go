@@ -131,8 +131,7 @@ func BenchmarkBOIteration(b *testing.B) {
 	wl, _ := relm.WorkloadByName("SVM")
 	for i := 0; i < b.N; i++ {
 		ev := relm.NewEvaluator(cl, wl, uint64(i))
-		res := relm.RunBO(ev, relm.BOOptions{Seed: uint64(i), MaxIterations: 4, MinNewSamples: 2})
-		if !res.Found {
+		if _, found := relm.DriveTuner(relm.NewBOTuner(cl, wl, relm.BOOptions{Seed: uint64(i), MaxIterations: 4, MinNewSamples: 2}), ev); !found {
 			b.Fatal("BO found nothing")
 		}
 	}
@@ -145,8 +144,7 @@ func BenchmarkDDPGStep(b *testing.B) {
 	wl, _ := relm.WorkloadByName("SVM")
 	for i := 0; i < b.N; i++ {
 		ev := relm.NewEvaluator(cl, wl, uint64(i))
-		res := relm.RunDDPG(ev, nil, relm.DDPGOptions{MaxSteps: 2, Seed: uint64(i)})
-		if !res.Found {
+		if _, found := relm.DriveTuner(relm.NewDDPGTuner(cl, wl, nil, relm.DDPGOptions{MaxSteps: 2, Seed: uint64(i)}), ev); !found {
 			b.Fatal("DDPG found nothing")
 		}
 	}

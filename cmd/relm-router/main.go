@@ -56,11 +56,11 @@ import (
 	_ "net/http/pprof"
 	"os"
 	"os/signal"
-	"strings"
 	"syscall"
 	"time"
 
 	"relm/internal/obs"
+	"relm/internal/replica"
 	"relm/internal/router"
 )
 
@@ -92,7 +92,7 @@ func main() {
 		}()
 	}
 
-	bs, err := parseBackends(*backends)
+	bs, err := replica.ParsePeers(*backends)
 	if err != nil {
 		log.Fatalf("parse -backends: %v", err)
 	}
@@ -138,24 +138,4 @@ func main() {
 			log.Fatalf("serve: %v", err)
 		}
 	}
-}
-
-// parseBackends splits "a=http://host:port,b=..." into Backend specs.
-func parseBackends(s string) ([]router.Backend, error) {
-	var out []router.Backend
-	for _, part := range strings.Split(s, ",") {
-		part = strings.TrimSpace(part)
-		if part == "" {
-			continue
-		}
-		name, u, ok := strings.Cut(part, "=")
-		if !ok || name == "" || u == "" {
-			return nil, fmt.Errorf("bad backend %q (want 'name=url')", part)
-		}
-		out = append(out, router.Backend{Name: name, URL: u})
-	}
-	if len(out) == 0 {
-		return nil, errors.New("no backends given (want -backends 'name=url,name=url')")
-	}
-	return out, nil
 }

@@ -76,7 +76,6 @@ import (
 	"os"
 	"os/signal"
 	"path/filepath"
-	"strings"
 	"syscall"
 	"time"
 
@@ -161,7 +160,7 @@ func main() {
 		if *dataDir == "" || *nodeID == "" {
 			log.Fatalf("-replicate-to requires -data-dir and -node-id")
 		}
-		peers, err := parsePeers(*replicateTo)
+		peers, err := replica.ParsePeers(*replicateTo)
 		if err != nil {
 			log.Fatalf("parse -replicate-to: %v", err)
 		}
@@ -229,24 +228,4 @@ func main() {
 			log.Fatalf("serve: %v", err)
 		}
 	}
-}
-
-// parsePeers splits "a=http://host:port,b=..." into replication peers.
-func parsePeers(s string) ([]replica.Peer, error) {
-	var out []replica.Peer
-	for _, part := range strings.Split(s, ",") {
-		part = strings.TrimSpace(part)
-		if part == "" {
-			continue
-		}
-		name, u, ok := strings.Cut(part, "=")
-		if !ok || name == "" || u == "" {
-			return nil, fmt.Errorf("bad peer %q (want 'name=url')", part)
-		}
-		out = append(out, replica.Peer{Name: name, URL: u})
-	}
-	if len(out) == 0 {
-		return nil, errors.New("no peers given")
-	}
-	return out, nil
 }

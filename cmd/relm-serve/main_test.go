@@ -6,37 +6,10 @@ import (
 	"errors"
 	"os/exec"
 	"path/filepath"
-	"reflect"
 	"strings"
 	"testing"
 	"time"
-
-	"relm/internal/replica"
 )
-
-// TestParsePeers: -replicate-to takes comma-separated name=url pairs,
-// blanks around and between them ignored, and refuses a pair missing its
-// name, its URL or its '=', and a list that names no peer.
-func TestParsePeers(t *testing.T) {
-	for _, tt := range []struct {
-		in   string
-		want []replica.Peer
-	}{
-		{"b=http://127.0.0.1:8081", []replica.Peer{{Name: "b", URL: "http://127.0.0.1:8081"}}},
-		{" b=http://h:1 , c=http://h:2,", []replica.Peer{{Name: "b", URL: "http://h:1"}, {Name: "c", URL: "http://h:2"}}},
-		{"b=http://h:1?x=y", []replica.Peer{{Name: "b", URL: "http://h:1?x=y"}}},
-	} {
-		got, err := parsePeers(tt.in)
-		if err != nil || !reflect.DeepEqual(got, tt.want) {
-			t.Errorf("parsePeers(%q) = %v, %v, want %v", tt.in, got, err, tt.want)
-		}
-	}
-	for _, in := range []string{"", "  ", ",", " , ", "b", "b=", "=http://h:1", "b=http://h:1,c"} {
-		if got, err := parsePeers(in); err == nil {
-			t.Errorf("parsePeers(%q) = %v, want an error", in, got)
-		}
-	}
-}
 
 // TestReplicationNeedsDataDirAndNodeID: the built command exits non-zero
 // with its message, before it listens, when -replicate-to comes without

@@ -40,13 +40,14 @@ func ExampleNewRelM() {
 	// Output: profiling runs: 1, concurrency: 1
 }
 
-// ExampleRunBO runs Bayesian Optimization with the paper's Table 7 bootstrap.
-func ExampleRunBO() {
+// ExampleDriveTuner runs Bayesian Optimization with the paper's Table 7
+// bootstrap to its stopping rule.
+func ExampleDriveTuner() {
 	cl := relm.ClusterA()
 	wl, _ := relm.WorkloadByName("WordCount")
 	ev := relm.NewEvaluator(cl, wl, 1)
-	res := relm.RunBO(ev, relm.BOOptions{Seed: 1, UsePaperLHS: true, MaxIterations: 3, MinNewSamples: 1})
-	fmt.Printf("found=%v evals>=4: %v\n", res.Found, ev.Evals() >= 4)
+	_, found := relm.DriveTuner(relm.NewBOTuner(cl, wl, relm.BOOptions{Seed: 1, UsePaperLHS: true, MaxIterations: 3, MinNewSamples: 1}), ev)
+	fmt.Printf("found=%v evals>=4: %v\n", found, ev.Evals() >= 4)
 	// Output: found=true evals>=4: true
 }
 

@@ -48,18 +48,18 @@ func main() {
 	}
 	report("RelM", rec, ev.Evals(), ev.TotalRuntime())
 
-	// BO.
-	ev = relm.NewEvaluator(cl, wl, 300)
-	boRes := relm.RunBO(ev, relm.BOOptions{Seed: 300, UsePaperLHS: true})
-	report("BO", boRes.Best.Config, ev.Evals(), ev.TotalRuntime())
-
-	// GBO.
-	ev = relm.NewEvaluator(cl, wl, 400)
-	gboRes, _ := relm.RunGBO(ev, relm.BOOptions{Seed: 400, UsePaperLHS: true})
-	report("GBO", gboRes.Best.Config, ev.Evals(), ev.TotalRuntime())
-
-	// DDPG.
-	ev = relm.NewEvaluator(cl, wl, 500)
-	ddRes := relm.RunDDPG(ev, nil, relm.DDPGOptions{Seed: 500})
-	report("DDPG", ddRes.Best.Config, ev.Evals(), ev.TotalRuntime())
+	// BO, GBO and DDPG: each steppable tuner driven to its stopping rule.
+	for _, p := range []struct {
+		policy string
+		seed   uint64
+		tuner  relm.Tuner
+	}{
+		{"BO", 300, relm.NewBOTuner(cl, wl, relm.BOOptions{Seed: 300, UsePaperLHS: true})},
+		{"GBO", 400, relm.NewGBOTuner(cl, wl, relm.BOOptions{Seed: 400, UsePaperLHS: true})},
+		{"DDPG", 500, relm.NewDDPGTuner(cl, wl, nil, relm.DDPGOptions{Seed: 500})},
+	} {
+		ev := relm.NewEvaluator(cl, wl, p.seed)
+		best, _ := relm.DriveTuner(p.tuner, ev)
+		report(p.policy, best.Config, ev.Evals(), ev.TotalRuntime())
+	}
 }

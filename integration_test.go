@@ -56,12 +56,12 @@ func TestHeadlineClaimsAcrossSeeds(t *testing.T) {
 
 			// BO must also beat the default, using more experiments.
 			evBO := relm.NewEvaluator(cl, wl, seed+7)
-			bo := relm.RunBO(evBO, relm.BOOptions{Seed: seed + 7, UsePaperLHS: true})
-			if !bo.Found {
+			best, found := relm.DriveTuner(relm.NewBOTuner(cl, wl, relm.BOOptions{Seed: seed + 7, UsePaperLHS: true}), evBO)
+			if !found {
 				t.Fatalf("seed %d %s: BO found nothing", seed, name)
 			}
-			if bo.Best.Objective >= def {
-				t.Errorf("seed %d %s: BO best %v not faster than default %v", seed, name, bo.Best.Objective, def)
+			if best.Objective >= def {
+				t.Errorf("seed %d %s: BO best %v not faster than default %v", seed, name, best.Objective, def)
 			}
 			if evBO.Evals() <= ev.Evals() {
 				t.Errorf("seed %d %s: BO should need more experiments than RelM", seed, name)

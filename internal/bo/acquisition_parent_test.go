@@ -124,7 +124,9 @@ func BenchmarkMaximizeEI(b *testing.B) {
 				if backend == "gbo" {
 					tun = gbo.NewTuner(ev.Cluster, ev.Space, opts)
 				}
-				tune.Drive(tun, ev, n)
+				for i := 0; i < n && !tun.Done(); i++ {
+					tun.Observe(ev.Eval(tun.Suggest()))
+				}
 				if inner == nil || tun.Done() {
 					b.Fatalf("no acquisition at n=%d", n)
 				}

@@ -16,7 +16,6 @@ import (
 	"relm/internal/conf"
 	"relm/internal/gp"
 	"relm/internal/obs"
-	"relm/internal/tune"
 )
 
 // bootstrapSamples is the LHS bootstrap size: the space's dimensionality,
@@ -77,40 +76,6 @@ type Extra func(x []float64, cfg conf.Config) []float64
 // which is exact only because such a penalty never raises a non-negative
 // value.
 type Penalty func(x []float64, cfg conf.Config) float64
-
-// Surrogate is the minimal Predict-only view of a response-surface model
-// (the model-quality study in internal/experiments compares several). The
-// tuner itself drives the richer gp.Surrogate interface.
-type Surrogate interface {
-	Predict(x []float64) (mean, variance float64)
-}
-
-// Result reports one optimization run.
-type Result struct {
-	Best       tune.Sample
-	Found      bool
-	Iterations int       // adaptive samples taken after bootstrap
-	Curve      []float64 // best objective so far, one entry per evaluation
-}
-
-// Run optimizes the evaluator's workload by driving the incremental Tuner
-// to completion. Each Eval is one stress-test experiment on the (simulated)
-// cluster. extra and penalty may be nil.
-func Run(ev *tune.Evaluator, opts Options, extra Extra, penalty ...Penalty) Result {
-	var pen Penalty
-	if len(penalty) > 0 {
-		pen = penalty[0]
-	}
-	t := NewTuner(ev.Space, opts, extra, pen)
-	tune.Drive(t, ev, 0)
-	res := t.Result()
-	if !res.Found {
-		if best, ok := ev.Best(); ok {
-			res.Best, res.Found = best, true
-		}
-	}
-	return res
-}
 
 func bestObjective(ys []float64) float64 {
 	best := math.Inf(1)

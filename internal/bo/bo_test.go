@@ -50,8 +50,7 @@ func nz(v float64) float64 {
 
 func TestRunBootstrapsWithPaperLHS(t *testing.T) {
 	ev := tune.NewEvaluator(cluster.A(), workload.SVM(), 1)
-	res := Run(ev, Options{Seed: 1, UsePaperLHS: true, MaxIterations: 2, MinNewSamples: 1}, nil)
-	if !res.Found {
+	if _, found := tune.Drive(NewTuner(ev.Space, Options{Seed: 1, UsePaperLHS: true, MaxIterations: 2, MinNewSamples: 1}, nil, nil), ev); !found {
 		t.Fatal("no best found")
 	}
 	if ev.Evals() < 4 {
@@ -69,36 +68,18 @@ func TestRunBootstrapsWithPaperLHS(t *testing.T) {
 func TestRunImprovesOnDefault(t *testing.T) {
 	ev := tune.NewEvaluator(cluster.A(), workload.SVM(), 2)
 	def := ev.Eval(ev.Space.Default())
-	res := Run(ev, Options{Seed: 2, UsePaperLHS: true}, nil)
-	if !res.Found {
+	best, found := tune.Drive(NewTuner(ev.Space, Options{Seed: 2, UsePaperLHS: true}, nil, nil), ev)
+	if !found {
 		t.Fatal("no best")
 	}
-	if res.Best.Objective > def.Objective {
-		t.Fatalf("BO best %v worse than default %v", res.Best.Objective, def.Objective)
-	}
-}
-
-func TestCurveIsMonotone(t *testing.T) {
-	ev := tune.NewEvaluator(cluster.A(), workload.WordCount(), 3)
-	res := Run(ev, Options{Seed: 3}, nil)
-	prev := math.Inf(1)
-	for i, v := range res.Curve {
-		if v > prev+1e-9 {
-			t.Fatalf("best-so-far curve rose at %d: %v > %v", i, v, prev)
-		}
-		prev = v
-	}
-	if len(res.Curve) != ev.Evals() {
-		t.Fatalf("curve length %d != evals %d", len(res.Curve), ev.Evals())
+	if best.Objective > def.Objective {
+		t.Fatalf("BO best %v worse than default %v", best.Objective, def.Objective)
 	}
 }
 
 func TestStoppingRuleBoundsIterations(t *testing.T) {
 	ev := tune.NewEvaluator(cluster.A(), workload.SVM(), 4)
-	res := Run(ev, Options{Seed: 4, MaxIterations: 6, MinNewSamples: 2}, nil)
-	if res.Iterations > 6 {
-		t.Fatalf("iteration cap exceeded: %d", res.Iterations)
-	}
+	tune.Drive(NewTuner(ev.Space, Options{Seed: 4, MaxIterations: 6, MinNewSamples: 2}, nil, nil), ev)
 	if ev.Evals() > 4+6 {
 		t.Fatalf("evaluations exceeded bootstrap+cap: %d", ev.Evals())
 	}
@@ -107,15 +88,15 @@ func TestStoppingRuleBoundsIterations(t *testing.T) {
 func TestExtraFeaturesAreConsulted(t *testing.T) {
 	ev := tune.NewEvaluator(cluster.A(), workload.KMeans(), 5)
 	calls := 0
-	res := Run(ev, Options{Seed: 5, MaxIterations: 3, MinNewSamples: 1},
+	_, found := tune.Drive(NewTuner(ev.Space, Options{Seed: 5, MaxIterations: 3, MinNewSamples: 1},
 		func(x []float64, cfg conf.Config) []float64 {
 			calls++
 			return []float64{cfg.CacheCapacity}
-		})
+		}, nil), ev)
 	if calls == 0 {
 		t.Fatal("Extra hook never consulted")
 	}
-	if !res.Found {
+	if !found {
 		t.Fatal("run with extra features found nothing")
 	}
 }
@@ -124,14 +105,14 @@ func TestPenaltyShapesAcquisition(t *testing.T) {
 	// A penalty that forbids most of the space should still leave the
 	// optimizer functional.
 	ev := tune.NewEvaluator(cluster.A(), workload.SVM(), 6)
-	res := Run(ev, Options{Seed: 6, MaxIterations: 4, MinNewSamples: 1}, nil,
+	_, found := tune.Drive(NewTuner(ev.Space, Options{Seed: 6, MaxIterations: 4, MinNewSamples: 1}, nil,
 		func(x []float64, _ conf.Config) float64 {
 			if x[0] > 0.5 {
 				return 0.01
 			}
 			return 1
-		})
-	if !res.Found {
+		}), ev)
+	if !found {
 		t.Fatal("penalized run found nothing")
 	}
 }
@@ -142,11 +123,11 @@ func TestPenaltyShapesAcquisition(t *testing.T) {
 func TestRFSurrogateDropIn(t *testing.T) {
 	ev := tune.NewEvaluator(cluster.A(), workload.WordCount(), 7)
 	model := &constSurrogate{}
-	res := Run(ev, Options{
+	_, found := tune.Drive(NewTuner(ev.Space, Options{
 		Seed: 7, MaxIterations: 3, MinNewSamples: 1,
 		Surrogate: model,
-	}, nil)
-	if !res.Found {
+	}, nil, nil), ev)
+	if !found {
 		t.Fatal("custom surrogate run found nothing")
 	}
 	if model.stats.Fits == 0 || model.predicts == 0 {

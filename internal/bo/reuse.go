@@ -184,8 +184,9 @@ func (r *Repository) Match(clusterName string, fp profile.Stats, maxDistance flo
 // hit (Tuner.WarmStart, with the entry's observations rescaled by the ratio
 // of default runtimes), show it the fingerprinting run — a real experiment
 // — and drive it to its stopping rule. The completed session is added to
-// the repository either way; the flag reports whether a model was re-used.
-func RunWithReuse(ev *tune.Evaluator, opts Options, repo *Repository, maxDistance float64) (Result, bool) {
+// the repository either way. It returns the session's best run (the zero
+// Sample when every run aborted) and whether a model was re-used.
+func RunWithReuse(ev *tune.Evaluator, opts Options, repo *Repository, maxDistance float64) (tune.Sample, bool) {
 	s := ev.Eval(ev.Space.Default())
 	// An aborted default run still fingerprints the workload: its profile
 	// covers the portion that ran.
@@ -197,8 +198,8 @@ func RunWithReuse(ev *tune.Evaluator, opts Options, repo *Repository, maxDistanc
 		t.WarmStart(entry.RescaledPoints(s.RuntimeSec))
 	}
 	t.Observe(s)
-	tune.Drive(t, ev, 0)
+	best, _ := tune.Drive(t, ev)
 
 	repo.Add(ev.Workload.Name, ev.Cluster.Name, fp, s.RuntimeSec, ev.History())
-	return t.Result(), reused
+	return best, reused
 }

@@ -64,22 +64,22 @@ func TestRunWithReuseWarmStart(t *testing.T) {
 
 	// Session 1: cold start fills the repository.
 	ev1 := tune.NewEvaluator(cluster.A(), wl, 10)
-	res1, reused1 := RunWithReuse(ev1, Options{Seed: 10, MaxIterations: 6, MinNewSamples: 2}, repo, 0.3)
+	best1, reused1 := RunWithReuse(ev1, Options{Seed: 10, MaxIterations: 6, MinNewSamples: 2}, repo, 0.3)
 	if reused1 {
 		t.Fatal("first session cannot re-use")
 	}
-	if !res1.Found || len(repo.Entries) != 1 {
+	if best1.RuntimeSec <= 0 || len(repo.Entries) != 1 {
 		t.Fatal("session not recorded")
 	}
 	coldEvals := ev1.Evals()
 
 	// Session 2: the same workload matches and warm-starts.
 	ev2 := tune.NewEvaluator(cluster.A(), wl, 11)
-	res2, reused2 := RunWithReuse(ev2, Options{Seed: 11, MaxIterations: 6, MinNewSamples: 2}, repo, 0.3)
+	best2, reused2 := RunWithReuse(ev2, Options{Seed: 11, MaxIterations: 6, MinNewSamples: 2}, repo, 0.3)
 	if !reused2 {
 		t.Fatal("second session should re-use the model")
 	}
-	if !res2.Found {
+	if best2.RuntimeSec <= 0 {
 		t.Fatal("warm-started session found nothing")
 	}
 	// Warm start replaces the 4-sample bootstrap with a single confirmation
@@ -104,12 +104,11 @@ func TestPriorPointsNeverBecomeIncumbent(t *testing.T) {
 	}}
 	tn := NewTuner(ev.Space, Options{Seed: 12, MaxIterations: 2, MinNewSamples: 1}, nil, nil)
 	tn.WarmStart(prior)
-	tune.Drive(tn, ev, 0)
-	res := tn.Result()
-	if !res.Found {
+	best, found := tune.Drive(tn, ev)
+	if !found {
 		t.Fatal("no best")
 	}
-	if res.Best.Objective <= 0.01 {
+	if best.Objective <= 0.01 {
 		t.Fatal("a prior point leaked into the incumbent")
 	}
 }

@@ -1,7 +1,6 @@
 package bo
 
 import (
-	"math"
 	"time"
 
 	"relm/internal/conf"
@@ -10,14 +9,13 @@ import (
 	"relm/internal/tune"
 )
 
-// Tuner is the incremental (steppable) form of Bayesian Optimization: the
-// Run loop inverted behind the unified tune.Tuner interface. The caller
-// drives the suggest/observe cycle, so observations may come from the
-// simulator, from a remote client reporting real measurements, or from a
-// replayed history. The next suggestion and the stopping decision are
-// computed eagerly after each observation, reproducing Run's exact
-// fit/acquisition sequence (and therefore its results) when driven in
-// lockstep.
+// Tuner is Bayesian Optimization behind the unified tune.Tuner interface.
+// The caller drives the suggest/observe cycle (tune.Drive offline), so
+// observations may come from the simulator, from a remote client reporting
+// real measurements, or from a replayed history. The next suggestion and
+// the stopping decision are computed eagerly after each observation, so
+// the same observations always yield the same fits, acquisitions and
+// suggestions.
 type Tuner struct {
 	sp    tune.Space
 	opts  Options
@@ -36,7 +34,6 @@ type Tuner struct {
 
 	best  tune.Sample
 	found bool
-	curve []float64
 
 	// Reusable per-session buffers: the feature matrix rebuilt each round
 	// and the acquisition scratch. Sessions own their Tuner exclusively, so
@@ -178,9 +175,9 @@ func (t *Tuner) buildFeatures() ([][]float64, []float64) {
 func (t *Tuner) SurrogateInfo() gp.SurrogateStats { return t.sur.Stats() }
 
 // advance computes the next suggestion or fires the stopping rule. It is
-// called from the constructor and after every observation, mirroring one
-// head-of-loop pass of the batch driver: bound the adaptive samples, fit
-// the surrogate, maximize the acquisition, and apply the CherryPick rule.
+// called from the constructor and after every observation, one round of
+// the search: bound the adaptive samples, fit the surrogate, maximize the
+// acquisition, and apply the CherryPick rule.
 func (t *Tuner) advance() {
 	if t.done || t.pending != nil {
 		return
@@ -278,11 +275,6 @@ func (t *Tuner) Observe(s tune.Sample) {
 	if !s.Result.Aborted && (!t.found || s.Objective < t.best.Objective) {
 		t.best, t.found = s, true
 	}
-	cur := math.Inf(1)
-	if t.found {
-		cur = t.best.Objective
-	}
-	t.curve = append(t.curve, cur)
 	if wasAdaptive {
 		t.newSamples++
 	}
@@ -294,13 +286,3 @@ func (t *Tuner) Best() (tune.Sample, bool) { return t.best, t.found }
 
 // Done reports whether the stopping rule has fired.
 func (t *Tuner) Done() bool { return t.done }
-
-// Result assembles the batch-style report from the steps taken so far.
-func (t *Tuner) Result() Result {
-	return Result{
-		Best:       t.best,
-		Found:      t.found,
-		Iterations: t.newSamples,
-		Curve:      append([]float64(nil), t.curve...),
-	}
-}

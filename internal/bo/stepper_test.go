@@ -9,58 +9,6 @@ import (
 	"relm/internal/tune"
 )
 
-// TestStepperMatchesBatchRun drives the incremental Tuner by hand and
-// checks it reproduces Run exactly — same evaluation sequence, same best,
-// same curve.
-func TestStepperMatchesBatchRun(t *testing.T) {
-	cl := cluster.A()
-	wl, _ := workload.ByName("K-means")
-	opts := Options{Seed: 5, MaxIterations: 4, MinNewSamples: 2}
-
-	evBatch := tune.NewEvaluator(cl, wl, 9)
-	batch := Run(evBatch, opts, nil)
-
-	evStep := tune.NewEvaluator(cl, wl, 9)
-	st := NewTuner(evStep.Space, opts, nil, nil)
-	for !st.Done() {
-		cfg := st.Suggest()
-		if again := st.Suggest(); again != cfg {
-			t.Fatalf("Suggest not stable: %v then %v", cfg, again)
-		}
-		st.Observe(evStep.Eval(cfg))
-	}
-	inc := st.Result()
-
-	if !inc.Found || !batch.Found {
-		t.Fatalf("found: inc=%v batch=%v", inc.Found, batch.Found)
-	}
-	if inc.Best.Config != batch.Best.Config {
-		t.Fatalf("best diverged: %v vs %v", inc.Best.Config, batch.Best.Config)
-	}
-	if inc.Iterations != batch.Iterations {
-		t.Fatalf("iterations: %d vs %d", inc.Iterations, batch.Iterations)
-	}
-	if len(inc.Curve) != len(batch.Curve) {
-		t.Fatalf("curve lengths: %d vs %d", len(inc.Curve), len(batch.Curve))
-	}
-	for i := range inc.Curve {
-		if inc.Curve[i] != batch.Curve[i] && !(math.IsInf(inc.Curve[i], 1) && math.IsInf(batch.Curve[i], 1)) {
-			t.Fatalf("curve[%d]: %v vs %v", i, inc.Curve[i], batch.Curve[i])
-		}
-	}
-
-	// Histories must match experiment by experiment.
-	hb, hs := evBatch.History(), evStep.History()
-	if len(hb) != len(hs) {
-		t.Fatalf("history lengths: %d vs %d", len(hb), len(hs))
-	}
-	for i := range hb {
-		if hb[i].Config != hs[i].Config {
-			t.Fatalf("experiment %d diverged: %v vs %v", i, hb[i].Config, hs[i].Config)
-		}
-	}
-}
-
 // TestStepperUnsolicitedObserveKeepsSuggestion: an observation that doesn't
 // match the outstanding suggestion joins the data but must not consume the
 // suggestion — bootstrap design points are never dropped.

@@ -10,7 +10,8 @@ import (
 // profile with the §4.1 heuristics when it contains no full-GC events
 // (decrease heap size, increase task concurrency, increase NewRatio — all
 // of which raise GC pressure), then recommend analytically. RelM's entire
-// stress-testing overhead is the one or two profiling runs.
+// stress-testing overhead is the one or two profiling runs: it stops at the
+// recommendation, before the verification run tune.Drive would take.
 func (t *Tuner) TuneWorkload(ev *tune.Evaluator) (conf.Config, []Candidate, error) {
 	inc := t.Incremental(ev.Space)
 	for !inc.Done() && !inc.HasRecommendation() {

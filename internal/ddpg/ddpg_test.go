@@ -158,38 +158,38 @@ func TestModelSizeBytes(t *testing.T) {
 
 func TestTuneEndToEnd(t *testing.T) {
 	ev := tune.NewEvaluator(cluster.A(), workload.SVM(), 8)
-	res := Tune(ev, nil, TuneOptions{MaxSteps: 5, Seed: 8})
-	if !res.Found {
+	tn := NewTuner(ev.Cluster, ev.Space, nil, TuneOptions{MaxSteps: 5, Seed: 8})
+	if _, found := tune.Drive(tn, ev); !found {
 		t.Fatal("tuning found nothing")
 	}
 	if ev.Evals() != 6 { // initial default + 5 steps
 		t.Fatalf("evals = %d, want 6", ev.Evals())
 	}
-	if len(res.Curve) != 6 {
-		t.Fatalf("curve length = %d", len(res.Curve))
-	}
-	if res.Agent == nil {
-		t.Fatal("agent must be returned for re-use")
+	if a := tn.Agent(); a == nil || a.ReplayLen() != 5 {
+		t.Fatalf("the trained agent must be returned for re-use, holding one transition a step: %v", a)
 	}
 }
 
 func TestTuneAgentReuse(t *testing.T) {
 	evA := tune.NewEvaluator(cluster.A(), workload.SVM(), 9)
-	first := Tune(evA, nil, TuneOptions{MaxSteps: 4, Seed: 9})
+	first := NewTuner(evA.Cluster, evA.Space, nil, TuneOptions{MaxSteps: 4, Seed: 9})
+	tune.Drive(first, evA)
 	evB := tune.NewEvaluator(cluster.B(), workload.SVM(), 10)
-	second := Tune(evB, first.Agent, TuneOptions{MaxSteps: 3, Seed: 10})
-	if second.Agent != first.Agent {
+	second := NewTuner(evB.Cluster, evB.Space, first.Agent(), TuneOptions{MaxSteps: 3, Seed: 10})
+	_, found := tune.Drive(second, evB)
+	if second.Agent() != first.Agent() {
 		t.Fatal("agent must be carried through")
 	}
-	if !second.Found {
+	if !found {
 		t.Fatal("re-used agent found nothing")
 	}
 }
 
 func TestStateDimMatches(t *testing.T) {
 	ev := tune.NewEvaluator(cluster.A(), workload.KMeans(), 11)
-	res := Tune(ev, nil, TuneOptions{MaxSteps: 1, Seed: 11})
-	if res.Agent.Opts.StateDim != StateDim {
+	tn := NewTuner(ev.Cluster, ev.Space, nil, TuneOptions{MaxSteps: 1, Seed: 11})
+	tune.Drive(tn, ev)
+	if tn.Agent().Opts.StateDim != StateDim {
 		t.Fatal("agent state dimension mismatch")
 	}
 }

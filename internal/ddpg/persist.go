@@ -19,8 +19,9 @@ type SavedAgent struct {
 	Critic nn.Snapshot
 }
 
-// Save serializes the agent (Table 10's "Model Size" is the size of this
-// stream).
+// Save serializes the agent. Table 10's "Model Size" is the float32 weight
+// count of ModelSizeBytes, not this gob stream; SavedSizeBytes measures the
+// stream.
 func (a *Agent) Save(w io.Writer) error {
 	a.learner()
 	s := SavedAgent{

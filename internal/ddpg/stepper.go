@@ -13,8 +13,8 @@ import (
 // subsequent one is the actor's action on the latest state, drawn when the
 // observation that produced that state arrives, so Suggest is a pure read.
 // Each solicited observation forms a transition, feeds the replay buffer,
-// and trains the agent, reproducing Tune's exact agent-interaction sequence
-// when driven in lockstep.
+// and trains the agent, so the same observations always train the same
+// weights.
 type Tuner struct {
 	cl    cluster.Spec
 	sp    tune.Space
@@ -37,7 +37,6 @@ type Tuner struct {
 
 	best  tune.Sample
 	found bool
-	curve []float64
 	done  bool
 }
 
@@ -140,11 +139,6 @@ func (t *Tuner) record(s tune.Sample) {
 	if !s.Result.Aborted && (!t.found || s.Objective < t.best.Objective) {
 		t.best, t.found = s, true
 	}
-	cur := s.Objective
-	if t.found {
-		cur = t.best.Objective
-	}
-	t.curve = append(t.curve, cur)
 }
 
 // Best returns the incumbent non-aborted sample.
@@ -153,13 +147,6 @@ func (t *Tuner) Best() (tune.Sample, bool) { return t.best, t.found }
 // Done reports whether the step budget is exhausted.
 func (t *Tuner) Done() bool { return t.done }
 
-// Result assembles the batch-style report from the steps taken so far.
-func (t *Tuner) Result() TuneResult {
-	return TuneResult{
-		Best:       t.best,
-		Found:      t.found,
-		Iterations: t.steps,
-		Curve:      append([]float64(nil), t.curve...),
-		Agent:      t.agent,
-	}
-}
+// Agent returns the agent the tuner trains: after a run, a model to re-use
+// on a new environment (§6.6, Figure 27).
+func (t *Tuner) Agent() *Agent { return t.agent }

@@ -26,15 +26,6 @@ func (o *TuneOptions) fill() {
 	}
 }
 
-// TuneResult reports one RL tuning run.
-type TuneResult struct {
-	Best       tune.Sample
-	Found      bool
-	Iterations int
-	Curve      []float64 // best objective so far per evaluation
-	Agent      *Agent    // reusable across environments (Figure 27)
-}
-
 // StateDim is the dimensionality of the environment state: the Table 6
 // statistics (normalized) plus the three Q guide metrics and two run
 // outcomes (heap utilization, GC overhead).
@@ -83,19 +74,4 @@ func actionToConfig(sp tune.Space, a []float64) conf.Config {
 		x[i] = (v + 1) / 2
 	}
 	return sp.Decode(x)
-}
-
-// Tune runs the DDPG loop against an evaluator by driving the incremental
-// Tuner to completion, optionally continuing with a pre-trained agent
-// (model re-use across clusters or datasets, §6.6).
-func Tune(ev *tune.Evaluator, agent *Agent, opts TuneOptions) TuneResult {
-	t := NewTuner(ev.Cluster, ev.Space, agent, opts)
-	tune.Drive(t, ev, 0)
-	res := t.Result()
-	if !res.Found {
-		if best, ok := ev.Best(); ok {
-			res.Best, res.Found = best, true
-		}
-	}
-	return res
 }

@@ -69,12 +69,7 @@ func gboVariant(ev *tune.Evaluator, seed uint64, features, penalty bool) {
 			return 1
 		}
 	}
-	opts := bo.Options{Seed: seed, UsePaperLHS: true}
-	if pen != nil {
-		bo.Run(ev, opts, extra, pen)
-	} else {
-		bo.Run(ev, opts, extra)
-	}
+	tune.Drive(bo.NewTuner(ev.Space, bo.Options{Seed: seed, UsePaperLHS: true}, extra, pen), ev)
 }
 
 // AblationGBO isolates GBO's two mechanisms — the Q-derived surrogate
@@ -202,9 +197,9 @@ func AblationReuse(c Config) *AblationReuseResult {
 	for rep := 0; rep < reps; rep++ {
 		// Cold session.
 		ev1 := tune.NewEvaluator(cl, wl, c.seed()+uint64(rep)*71)
-		r1, reused1 := bo.RunWithReuse(ev1, bo.Options{Seed: c.seed() + uint64(rep)*71}, &bo.Repository{}, 0.25)
+		best1, reused1 := bo.RunWithReuse(ev1, bo.Options{Seed: c.seed() + uint64(rep)*71}, &bo.Repository{}, 0.25)
 		coldIters = append(coldIters, float64(ev1.Evals()))
-		coldBest = append(coldBest, r1.Best.RuntimeSec/60)
+		coldBest = append(coldBest, best1.RuntimeSec/60)
 		if reused1 {
 			res.Lines = append(res.Lines, "unexpected re-use in cold session")
 		}
@@ -213,9 +208,9 @@ func AblationReuse(c Config) *AblationReuseResult {
 		seedEv := tune.NewEvaluator(cl, wl, c.seed()+5000+uint64(rep))
 		bo.RunWithReuse(seedEv, bo.Options{Seed: c.seed() + 5000 + uint64(rep)}, repo, 0.25)
 		ev2 := tune.NewEvaluator(cl, wl, c.seed()+9000+uint64(rep))
-		r2, reused2 := bo.RunWithReuse(ev2, bo.Options{Seed: c.seed() + 9000 + uint64(rep)}, repo, 0.25)
+		best2, reused2 := bo.RunWithReuse(ev2, bo.Options{Seed: c.seed() + 9000 + uint64(rep)}, repo, 0.25)
 		warmIters = append(warmIters, float64(ev2.Evals()))
-		warmBest = append(warmBest, r2.Best.RuntimeSec/60)
+		warmBest = append(warmBest, best2.RuntimeSec/60)
 		if !reused2 {
 			res.Lines = append(res.Lines, "warm session failed to match")
 		}

@@ -5,6 +5,7 @@ import (
 	"math"
 	"strings"
 
+	"relm/internal/bo"
 	"relm/internal/sim/cluster"
 	"relm/internal/sim/workload"
 	"relm/internal/simrand"
@@ -243,7 +244,7 @@ func Table9(c Config) *Table9Result {
 	cl := cluster.A()
 	wl := workload.SVM()
 	ev := tune.NewEvaluator(cl, wl, c.seed())
-	boRun(ev, c.seed())
+	tune.Drive(bo.NewTuner(ev.Space, bo.Options{Seed: c.seed(), UsePaperLHS: true}, nil, nil), ev)
 	res := &Table9Result{}
 	for i, s := range ev.History() {
 		label := fmt.Sprint(i - 3)

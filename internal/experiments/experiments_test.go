@@ -1,8 +1,12 @@
 package experiments
 
 import (
+	"math"
 	"strings"
 	"testing"
+
+	"relm/internal/sim/cluster"
+	"relm/internal/sim/workload"
 )
 
 func quickCfg() Config { return Config{Seed: 1, Quick: true} }
@@ -26,6 +30,27 @@ func TestRegistryComplete(t *testing.T) {
 		}
 		if Describe(id) == "" {
 			t.Errorf("experiment %q has no description", id)
+		}
+	}
+}
+
+// TestCurveIsMonotone: the best-so-far curve Figure 20 plots has one entry
+// per experiment, never rises, and is finite from the first completed run.
+func TestCurveIsMonotone(t *testing.T) {
+	for _, policy := range []string{"BO", "GBO", "DDPG"} {
+		run := trainPolicy(policy, cluster.A(), workload.WordCount(), 3, 0)
+		if len(run.Curve) != run.Iterations {
+			t.Fatalf("%s: curve length %d != evals %d", policy, len(run.Curve), run.Iterations)
+		}
+		prev := math.Inf(1)
+		for i, v := range run.Curve {
+			if v > prev {
+				t.Fatalf("%s: best-so-far curve rose at %d: %v > %v", policy, i, v, prev)
+			}
+			prev = v
+		}
+		if math.IsInf(prev, 1) {
+			t.Fatalf("%s: no run completed in %d experiments", policy, run.Iterations)
 		}
 	}
 }

@@ -125,7 +125,7 @@ func Figure25(c Config) *Figure25Result {
 			continue
 		}
 		r2 := func(xs [][]float64, encode func(conf.Config) []float64, baseDims int) float64 {
-			model, err := fitGP(xs, ys, baseDims)
+			model, err := gp.FitBestGrouped(xs, ys, baseDims)
 			if err != nil {
 				return 0
 			}
@@ -167,10 +167,6 @@ func Figure25(c Config) *Figure25Result {
 	return res
 }
 
-func fitGP(xs [][]float64, ys []float64, baseDims int) (bo.Surrogate, error) {
-	return gp.FitBestGrouped(xs, ys, baseDims)
-}
-
 // Figure26Result compares surrogate choices.
 type Figure26Result struct {
 	Rows []struct {
@@ -206,13 +202,11 @@ func Figure26(c Config) *Figure26Result {
 					opts.Surrogate = &rf.Surrogate{Opts: rf.Options{Seed: seed}}
 				}
 				ev := tune.NewEvaluator(cl, wl, seed)
-				var run bo.Result
+				var tuner tune.Tuner = bo.NewTuner(ev.Space, opts, nil, nil)
 				if strings.HasPrefix(variant, "GBO") {
-					run, _ = gbo.Run(ev, opts)
-				} else {
-					run = bo.Run(ev, opts, nil)
+					tuner = gbo.NewTuner(cl, ev.Space, opts)
 				}
-				_ = run
+				tune.Drive(tuner, ev)
 				iters, stress := timeToTop5(ev, base.Top5Sec)
 				iterSum += float64(iters)
 				minSum += stress / 60
@@ -278,28 +272,30 @@ func Figure27(c Config) *Figure27Result {
 
 	// Train on Cluster A.
 	evA := tune.NewEvaluator(cluster.A(), workload.SVM(), c.seed())
-	trained := ddpg.Tune(evA, nil, ddpg.TuneOptions{Seed: c.seed()})
+	trained := ddpg.NewTuner(evA.Cluster, evA.Space, nil, ddpg.TuneOptions{Seed: c.seed()})
+	tune.Drive(trained, evA)
 
 	// Cross-test on Cluster B with 5 samples, reusing the agent (noise off
 	// would be pure exploitation; the paper allows light exploration).
 	evB := tune.NewEvaluator(cluster.B(), workload.SVM(), c.seed()+11)
-	cross := ddpg.Tune(evB, trained.Agent, ddpg.TuneOptions{MaxSteps: 5, Seed: c.seed() + 11})
-	add("DDPG^B_A (A-trained, 5 samples on B)", cross.Best, evB.Evals())
+	cross, _ := tune.Drive(ddpg.NewTuner(evB.Cluster, evB.Space, trained.Agent(), ddpg.TuneOptions{MaxSteps: 5, Seed: c.seed() + 11}), evB)
+	add("DDPG^B_A (A-trained, 5 samples on B)", cross, evB.Evals())
 
 	// From scratch on B.
 	evB2 := tune.NewEvaluator(cluster.B(), workload.SVM(), c.seed()+12)
-	scratch := ddpg.Tune(evB2, nil, ddpg.TuneOptions{Seed: c.seed() + 12})
-	add("DDPG^B_B (trained on B)", scratch.Best, evB2.Evals())
+	scratch, _ := tune.Drive(ddpg.NewTuner(evB2.Cluster, evB2.Space, nil, ddpg.TuneOptions{Seed: c.seed() + 12}), evB2)
+	add("DDPG^B_B (trained on B)", scratch, evB2.Evals())
 
 	// Dataset scale change s1 → s2 on B.
 	evS1 := tune.NewEvaluator(cluster.B(), scaledSVM(1), c.seed()+13)
-	s1 := ddpg.Tune(evS1, nil, ddpg.TuneOptions{Seed: c.seed() + 13})
+	s1 := ddpg.NewTuner(evS1.Cluster, evS1.Space, nil, ddpg.TuneOptions{Seed: c.seed() + 13})
+	tune.Drive(s1, evS1)
 	evS2 := tune.NewEvaluator(cluster.B(), scaledSVM(2), c.seed()+14)
-	s2cross := ddpg.Tune(evS2, s1.Agent, ddpg.TuneOptions{MaxSteps: 5, Seed: c.seed() + 14})
-	add("DDPG^s2_s1 (s1-trained, 5 samples on s2)", s2cross.Best, evS2.Evals())
+	s2cross, _ := tune.Drive(ddpg.NewTuner(evS2.Cluster, evS2.Space, s1.Agent(), ddpg.TuneOptions{MaxSteps: 5, Seed: c.seed() + 14}), evS2)
+	add("DDPG^s2_s1 (s1-trained, 5 samples on s2)", s2cross, evS2.Evals())
 	evS2b := tune.NewEvaluator(cluster.B(), scaledSVM(2), c.seed()+15)
-	s2 := ddpg.Tune(evS2b, nil, ddpg.TuneOptions{Seed: c.seed() + 15})
-	add("DDPG^s2_s2 (trained on s2)", s2.Best, evS2b.Evals())
+	s2, _ := tune.Drive(ddpg.NewTuner(evS2b.Cluster, evS2b.Space, nil, ddpg.TuneOptions{Seed: c.seed() + 15}), evS2b)
+	add("DDPG^s2_s2 (trained on s2)", s2, evS2b.Evals())
 	return res
 }
 
@@ -424,9 +420,9 @@ func Table10(c Config) *Table10Result {
 	}
 
 	// Model fitting.
-	var boModel, gboModel bo.Surrogate
-	boFit := timeIt(func() { boModel, _ = fitGP(xs, ys, sp.Dim()) })
-	gboFit := timeIt(func() { gboModel, _ = fitGP(gboXs, ys, sp.Dim()) })
+	var boModel, gboModel *gp.GP
+	boFit := timeIt(func() { boModel, _ = gp.FitBestGrouped(xs, ys, sp.Dim()) })
+	gboFit := timeIt(func() { gboModel, _ = gp.FitBestGrouped(gboXs, ys, sp.Dim()) })
 	agent := ddpg.NewAgent(ddpg.Options{StateDim: ddpg.StateDim, ActionDim: 4, Seed: c.seed()})
 	for i := 0; i < 32; i++ {
 		agent.Observe(ddpg.Transition{
@@ -440,8 +436,9 @@ func Table10(c Config) *Table10Result {
 	tuner := core.New(cl)
 	relmFit := timeIt(func() { _ = tuner.Initialize(st, 1) })
 
-	// Model probing.
-	probe := func(model bo.Surrogate) func() {
+	// Model probing: a model fitted on extra guide features takes probes of
+	// the knobs zero-padded to its width (overhead measurement only).
+	probe := func(model *gp.GP, extra int) func() {
 		return func() {
 			rng := simrandFor(c.seed() + 97)
 			for i := 0; i < 256; i++ {
@@ -449,12 +446,12 @@ func Table10(c Config) *Table10Result {
 				for d := range x {
 					x[d] = rng.Float64()
 				}
-				model.Predict(x)
+				model.Predict(append(x, make([]float64, extra)...))
 			}
 		}
 	}
-	boProbe := timeIt(probe(padding(boModel, 0)))
-	gboProbe := timeIt(probe(padding(gboModel, 3)))
+	boProbe := timeIt(probe(boModel, 0))
+	gboProbe := timeIt(probe(gboModel, 3))
 	ddpgProbe := timeIt(func() { agent.Act(make([]float64, ddpg.StateDim), false) })
 	relmProbe := timeIt(func() { _, _, _ = tuner.Recommend(st) })
 
@@ -478,24 +475,6 @@ func Table10(c Config) *Table10Result {
 	add("Model Probing", ms(ddpgProbe), ms(boProbe), ms(gboProbe), ms(relmProbe))
 	add("Model Size", fmt.Sprintf("%.1fKb", float64(ddpgSize)/1024), fmt.Sprintf("%.1fKb", float64(boSize)/1024), fmt.Sprintf("%.1fKb", float64(gboSize)/1024), "-")
 	return res
-}
-
-// padding adapts a surrogate trained on base+extra dims to probes of base
-// dims by zero-padding (overhead measurement only).
-func padding(model bo.Surrogate, extra int) bo.Surrogate {
-	if extra == 0 || model == nil {
-		return model
-	}
-	return padded{model, extra}
-}
-
-type padded struct {
-	inner bo.Surrogate
-	extra int
-}
-
-func (p padded) Predict(x []float64) (float64, float64) {
-	return p.inner.Predict(append(append([]float64(nil), x...), make([]float64, p.extra)...))
 }
 
 func ms(d time.Duration) string {

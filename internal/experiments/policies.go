@@ -1,6 +1,8 @@
 package experiments
 
 import (
+	"math"
+
 	"relm/internal/bo"
 	"relm/internal/conf"
 	"relm/internal/core"
@@ -80,11 +82,6 @@ func baselineFor(cl cluster.Spec, wl workload.Spec, seed uint64) Baseline {
 	return b
 }
 
-// boRun executes one vanilla BO run on an evaluator (Table 9's log).
-func boRun(ev *tune.Evaluator, seed uint64) bo.Result {
-	return bo.Run(ev, bo.Options{Seed: seed, UsePaperLHS: true}, nil)
-}
-
 // trainPolicy runs one policy on a fresh evaluator and fills a PolicyRun.
 // top5 (seconds) marks the quality bar for the time-to-quality metrics.
 func trainPolicy(policy string, cl cluster.Spec, wl workload.Spec, seed uint64, top5 float64) PolicyRun {
@@ -100,17 +97,14 @@ func trainPolicy(policy string, cl cluster.Spec, wl workload.Spec, seed uint64, 
 		}
 		run.Config = cfg
 	case "BO":
-		res := bo.Run(ev, bo.Options{Seed: seed, UsePaperLHS: true}, nil)
-		run.Config = res.Best.Config
-		run.Curve = res.Curve
+		best, _ := tune.Drive(bo.NewTuner(ev.Space, bo.Options{Seed: seed, UsePaperLHS: true}, nil, nil), ev)
+		run.Config = best.Config
 	case "GBO":
-		res, _ := gbo.Run(ev, bo.Options{Seed: seed, UsePaperLHS: true})
-		run.Config = res.Best.Config
-		run.Curve = res.Curve
+		best, _ := tune.Drive(gbo.NewTuner(cl, ev.Space, bo.Options{Seed: seed, UsePaperLHS: true}), ev)
+		run.Config = best.Config
 	case "DDPG":
-		res := ddpg.Tune(ev, nil, ddpg.TuneOptions{Seed: seed})
-		run.Config = res.Best.Config
-		run.Curve = res.Curve
+		best, _ := tune.Drive(ddpg.NewTuner(cl, ev.Space, nil, ddpg.TuneOptions{Seed: seed}), ev)
+		run.Config = best.Config
 	case "RRS":
 		rng := simrandFor(seed)
 		best, _ := tune.RecursiveRandomSearch(ev, rng, 12)
@@ -124,14 +118,20 @@ func trainPolicy(policy string, cl cluster.Spec, wl workload.Spec, seed uint64, 
 	run.Iterations = ev.Evals()
 	run.StressSec = ev.TotalRuntime()
 
-	// Time-to-quality against the exhaustive top-5% bar.
+	// Time-to-quality against the exhaustive top-5% bar, and the
+	// best-so-far curve (+Inf until a run completes).
 	var acc float64
+	bestSoFar := math.Inf(1)
 	for i, s := range ev.History() {
 		acc += s.RuntimeSec
-		if top5 > 0 && !s.Result.Aborted && s.RuntimeSec <= top5 && run.IterToTop5 == 0 {
-			run.IterToTop5 = i + 1
-			run.StressToTop5 = acc
+		if !s.Result.Aborted {
+			bestSoFar = min(bestSoFar, s.Objective)
+			if top5 > 0 && s.RuntimeSec <= top5 && run.IterToTop5 == 0 {
+				run.IterToTop5 = i + 1
+				run.StressToTop5 = acc
+			}
 		}
+		run.Curve = append(run.Curve, bestSoFar)
 	}
 
 	// Verify the recommendation with fresh runs; report the median so a

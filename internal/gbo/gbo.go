@@ -11,11 +11,9 @@ package gbo
 import (
 	"math"
 
-	"relm/internal/bo"
 	"relm/internal/conf"
 	"relm/internal/profile"
 	"relm/internal/sim/cluster"
-	"relm/internal/tune"
 )
 
 // Model is the guiding white-box model Q.
@@ -136,21 +134,4 @@ func penaltyOf(q [3]float64) float64 {
 		p *= 0.7
 	}
 	return p
-}
-
-// Run executes guided Bayesian optimization by driving the incremental
-// Tuner to completion. The guide model Q is built from the first bootstrap
-// sample's profile (§5.2: the profiled statistics may come from a prior
-// execution with any configuration), so GBO pays no extra profiling run
-// over BO.
-func Run(ev *tune.Evaluator, opts bo.Options) (bo.Result, *Model) {
-	t := NewTuner(ev.Cluster, ev.Space, opts)
-	tune.Drive(t, ev, 0)
-	res := t.Result()
-	if !res.Found {
-		if best, ok := ev.Best(); ok {
-			res.Best, res.Found = best, true
-		}
-	}
-	return res, t.Model()
 }

@@ -128,11 +128,13 @@ func TestSquash(t *testing.T) {
 
 func TestRunBuildsModelFromFirstSample(t *testing.T) {
 	ev := tune.NewEvaluator(cluster.A(), workload.KMeans(), 1)
-	res, m := Run(ev, bo.Options{Seed: 1, UsePaperLHS: true, MaxIterations: 3, MinNewSamples: 1})
+	tn := NewTuner(ev.Cluster, ev.Space, bo.Options{Seed: 1, UsePaperLHS: true, MaxIterations: 3, MinNewSamples: 1})
+	_, found := tune.Drive(tn, ev)
+	m := tn.Model()
 	if m == nil {
 		t.Fatal("guide model missing")
 	}
-	if !res.Found {
+	if !found {
 		t.Fatal("no best found")
 	}
 	// The model must be derived from the first bootstrap sample.
@@ -145,10 +147,10 @@ func TestRunBuildsModelFromFirstSample(t *testing.T) {
 
 func TestGBOBeatsDefault(t *testing.T) {
 	ev := tune.NewEvaluator(cluster.A(), workload.SVM(), 2)
-	res, _ := Run(ev, bo.Options{Seed: 2, UsePaperLHS: true})
+	best, _ := tune.Drive(NewTuner(ev.Cluster, ev.Space, bo.Options{Seed: 2, UsePaperLHS: true}), ev)
 	def, _ := sim.Run(cluster.A(), workload.SVM(), conf.Default(), 999)
-	if res.Best.RuntimeSec >= def.RuntimeSec {
-		t.Fatalf("GBO best %v should beat default %v", res.Best.RuntimeSec, def.RuntimeSec)
+	if best.RuntimeSec >= def.RuntimeSec {
+		t.Fatalf("GBO best %v should beat default %v", best.RuntimeSec, def.RuntimeSec)
 	}
 }
 

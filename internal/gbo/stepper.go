@@ -88,6 +88,3 @@ func (t *Tuner) Model() *Model { return t.model }
 // every feature row, which the surrogate answers with one full
 // re-selection.
 func (t *Tuner) SurrogateInfo() gp.SurrogateStats { return t.inner.SurrogateInfo() }
-
-// Result assembles the batch-style report from the steps taken so far.
-func (t *Tuner) Result() bo.Result { return t.inner.Result() }

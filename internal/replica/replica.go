@@ -57,10 +57,33 @@ import (
 // the follower's last ack, so the replica stays consistent — just behind.
 var fpIngest = fault.Register("replica.ingest")
 
-// Peer names one node of the replication mesh.
+// Peer names one relm-serve node: a replication peer, or a router's
+// backend.
 type Peer struct {
 	Name string
 	URL  string
+}
+
+// ParsePeers splits "a=http://host:port,b=..." into peers, blanks around
+// and between the pairs ignored: relm-serve's -replicate-to and
+// relm-router's -backends are both such a list.
+func ParsePeers(s string) ([]Peer, error) {
+	var out []Peer
+	for _, part := range strings.Split(s, ",") {
+		part = strings.TrimSpace(part)
+		if part == "" {
+			continue
+		}
+		name, u, ok := strings.Cut(part, "=")
+		if !ok || name == "" || u == "" {
+			return nil, fmt.Errorf("bad peer %q (want 'name=url')", part)
+		}
+		out = append(out, Peer{Name: name, URL: u})
+	}
+	if len(out) == 0 {
+		return nil, errors.New("no peers given (want 'name=url,name=url')")
+	}
+	return out, nil
 }
 
 // Source is the local log a Set ships from; *store.File implements it.

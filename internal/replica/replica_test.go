@@ -6,12 +6,38 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
 
 	"relm/internal/store"
 )
+
+// TestParsePeers: relm-serve's -replicate-to and relm-router's -backends
+// take comma-separated name=url pairs, blanks around and between them
+// ignored, and refuse a pair missing its name, its URL or its '=', and a
+// list that names no peer.
+func TestParsePeers(t *testing.T) {
+	for _, tt := range []struct {
+		in   string
+		want []Peer
+	}{
+		{"b=http://127.0.0.1:8081", []Peer{{Name: "b", URL: "http://127.0.0.1:8081"}}},
+		{" b=http://h:1 , c=http://h:2,", []Peer{{Name: "b", URL: "http://h:1"}, {Name: "c", URL: "http://h:2"}}},
+		{"b=http://h:1?x=y", []Peer{{Name: "b", URL: "http://h:1?x=y"}}},
+	} {
+		got, err := ParsePeers(tt.in)
+		if err != nil || !reflect.DeepEqual(got, tt.want) {
+			t.Errorf("ParsePeers(%q) = %v, %v, want %v", tt.in, got, err, tt.want)
+		}
+	}
+	for _, in := range []string{"", "  ", ",", " , ", "b", "b=", "=http://h:1", "b=http://h:1,c"} {
+		if got, err := ParsePeers(in); err == nil {
+			t.Errorf("ParsePeers(%q) = %v, want an error", in, got)
+		}
+	}
+}
 
 func TestFollowersPlacement(t *testing.T) {
 	peers := []Peer{{Name: "a"}, {Name: "b"}, {Name: "c"}, {Name: "d"}}

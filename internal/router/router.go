@@ -49,10 +49,7 @@ import (
 // was started with (-node-id); the health check cross-verifies it against
 // the identity the node reports, catching a router pointed at the wrong
 // process.
-type Backend struct {
-	Name string
-	URL  string
-}
+type Backend = replica.Peer
 
 // Options configures a Router. Zero values select sensible defaults.
 type Options struct {

@@ -36,9 +36,9 @@ func TestRunWithReuseIsAnAutoSession(t *testing.T) {
 		}
 
 		ev := tune.NewEvaluator(cl, wl, tc.seed)
-		res, reused := bo.RunWithReuse(ev, bo.Options{Seed: tc.seed}, repo, maxDistance)
-		if reused != tc.reused || !res.Found {
-			t.Fatalf("%s: offline reused=%v found=%v", tc.name, reused, res.Found)
+		best, reused := bo.RunWithReuse(ev, bo.Options{Seed: tc.seed}, repo, maxDistance)
+		if reused != tc.reused || best.RuntimeSec <= 0 {
+			t.Fatalf("%s: offline reused=%v best %+v", tc.name, reused, best)
 		}
 
 		st, err := m.Create(Spec{Backend: "bo", Workload: wl.Name, Mode: ModeAuto, Seed: tc.seed,
@@ -64,8 +64,8 @@ func TestRunWithReuseIsAnAutoSession(t *testing.T) {
 		if !reflect.DeepEqual(served, offline) {
 			t.Fatalf("%s: experiments differ\n served  %+v\n offline %+v", tc.name, served, offline)
 		}
-		if final.Best == nil || final.Best.Config != res.Best.Config || final.Best.RuntimeSec != res.Best.RuntimeSec {
-			t.Fatalf("%s: served best %+v, offline best %+v", tc.name, final.Best, res.Best)
+		if final.Best == nil || final.Best.Config != best.Config || final.Best.RuntimeSec != best.RuntimeSec {
+			t.Fatalf("%s: served best %+v, offline best %+v", tc.name, final.Best, best)
 		}
 		entries := m.Repository().Entries
 		harvested, added := entries[len(entries)-1], repo.Entries[len(repo.Entries)-1]

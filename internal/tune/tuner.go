@@ -4,10 +4,10 @@ import "relm/internal/conf"
 
 // Tuner is the unified incremental tuning interface implemented by every
 // policy in the repository (RelM, BO, GBO, DDPG). It inverts the control of
-// the batch drivers: instead of a policy pulling evaluations out of a
-// simulator-bound Evaluator, a caller — the batch driver, the tuning
-// service, or a remote client reporting real measurements — drives the
-// suggest/observe loop one step at a time:
+// a batch loop: instead of a policy pulling evaluations out of a
+// simulator-bound Evaluator, a caller — Drive, the tuning service, or a
+// remote client reporting real measurements — drives the suggest/observe
+// loop one step at a time:
 //
 //	for !t.Done() {
 //		cfg := t.Suggest()
@@ -38,13 +38,12 @@ type Tuner interface {
 	Done() bool
 }
 
-// Drive runs a Tuner to completion against an evaluator — the batch mode
-// shared by all policies. Every Tuner implementation carries its own
-// stopping bound, so the loop runs until Done; pass maxSteps > 0 to cap
-// the evaluations regardless (the service uses its own cap for auto
-// sessions), or <= 0 for no cap.
-func Drive(t Tuner, ev *Evaluator, maxSteps int) (Sample, bool) {
-	for steps := 0; !t.Done() && (maxSteps <= 0 || steps < maxSteps); steps++ {
+// Drive runs a Tuner to completion against an evaluator — the one batch
+// mode of every policy. Every Tuner implementation carries its own
+// stopping bound, so the loop runs until Done. It returns the tuner's
+// Best; the evaluator holds every run it took.
+func Drive(t Tuner, ev *Evaluator) (Sample, bool) {
+	for !t.Done() {
 		t.Observe(ev.Eval(t.Suggest()))
 	}
 	return t.Best()

@@ -16,9 +16,9 @@
 //	tuner := relm.NewRelM(cl)
 //	cfg, candidates, err := tuner.TuneWorkload(ev)
 //
-// or, for black-box tuning:
+// or, for black-box tuning, any incremental tuner run to its stopping rule:
 //
-//	res := relm.RunBO(ev, relm.BOOptions{Seed: 1}) // or RunGBO / RunDDPG
+//	best, ok := relm.DriveTuner(relm.NewBOTuner(cl, wl, relm.BOOptions{Seed: 1}), ev) // or NewGBOTuner / NewDDPGTuner
 //
 // Every experiment of the paper can be regenerated through
 // relm.RunExperiment (see also cmd/experiments).
@@ -132,37 +132,14 @@ func NewRelM(cl Cluster) *RelMTuner { return core.New(cl) }
 // BOOptions configures Bayesian Optimization (§5.1).
 type BOOptions = bo.Options
 
-// BOResult reports one optimization run.
-type BOResult = bo.Result
-
-// RunBO runs vanilla Bayesian Optimization against an evaluator.
-func RunBO(ev *Evaluator, opts BOOptions) BOResult {
-	return bo.Run(ev, opts, nil)
-}
-
 // GBOModel is the white-box guide model Q of §5.2.
 type GBOModel = gbo.Model
-
-// RunGBO runs Guided Bayesian Optimization; the guide model is built from
-// the first bootstrap sample's profile.
-func RunGBO(ev *Evaluator, opts BOOptions) (BOResult, *GBOModel) {
-	return gbo.Run(ev, opts)
-}
 
 // DDPGAgent is the deep reinforcement-learning agent of §5.3.
 type DDPGAgent = ddpg.Agent
 
 // DDPGOptions configures the RL tuning loop.
 type DDPGOptions = ddpg.TuneOptions
-
-// DDPGResult reports one RL tuning run.
-type DDPGResult = ddpg.TuneResult
-
-// RunDDPG runs DDPG tuning; pass a previously returned agent to re-use a
-// trained model on a new environment (§6.6), or nil to start fresh.
-func RunDDPG(ev *Evaluator, agent *DDPGAgent, opts DDPGOptions) DDPGResult {
-	return ddpg.Tune(ev, agent, opts)
-}
 
 // ExhaustiveSearch runs the full 192-configuration grid (§6.1's baseline).
 func ExhaustiveSearch(ev *Evaluator) (Sample, []Sample) {
@@ -179,9 +156,10 @@ type ModelRepository = bo.Repository
 // it against the repository by fingerprint distance, warm-starts the
 // optimizer on a hit (a confirmation run of the transferred optimum replaces
 // the bootstrap), shows it the profiling run, and records the session — step
-// for step what a relm-serve auto session with warm_start does. It reports
-// whether a previous model was re-used.
-func RunBOWithReuse(ev *Evaluator, opts BOOptions, repo *ModelRepository, maxDistance float64) (BOResult, bool) {
+// for step what a relm-serve auto session with warm_start does. It returns
+// the best run (the zero Sample when every run aborted) and whether a
+// previous model was re-used.
+func RunBOWithReuse(ev *Evaluator, opts BOOptions, repo *ModelRepository, maxDistance float64) (Sample, bool) {
 	return bo.RunWithReuse(ev, opts, repo, maxDistance)
 }
 
@@ -219,15 +197,23 @@ func NewBOTuner(cl Cluster, wl Workload, opts BOOptions) Tuner {
 	return bo.NewTuner(tune.NewSpace(cl, wl), opts, nil, nil)
 }
 
+// GBOTuner is the incremental Guided Bayesian optimizer; its Model is the
+// guide model Q once an observation carried profile statistics.
+type GBOTuner = gbo.Tuner
+
 // NewGBOTuner returns an incremental Guided Bayesian optimizer; the guide
 // model Q is built from the first observation carrying profile statistics.
-func NewGBOTuner(cl Cluster, wl Workload, opts BOOptions) Tuner {
+func NewGBOTuner(cl Cluster, wl Workload, opts BOOptions) *GBOTuner {
 	return gbo.NewTuner(cl, tune.NewSpace(cl, wl), opts)
 }
 
+// DDPGTuner is the incremental DDPG tuner; its Agent is the model it
+// trains, to re-use on a new environment (§6.6).
+type DDPGTuner = ddpg.Tuner
+
 // NewDDPGTuner returns an incremental DDPG tuner; pass a previously trained
 // agent to re-use its model on a new environment, or nil to start fresh.
-func NewDDPGTuner(cl Cluster, wl Workload, agent *DDPGAgent, opts DDPGOptions) Tuner {
+func NewDDPGTuner(cl Cluster, wl Workload, agent *DDPGAgent, opts DDPGOptions) *DDPGTuner {
 	return ddpg.NewTuner(cl, tune.NewSpace(cl, wl), agent, opts)
 }
 
@@ -237,8 +223,9 @@ func NewRelMStepTuner(cl Cluster, wl Workload) Tuner {
 	return core.New(cl).Incremental(tune.NewSpace(cl, wl))
 }
 
-// DriveTuner runs an incremental tuner to completion against an evaluator
-// (batch mode). maxSteps <= 0 selects a safety default.
-func DriveTuner(t Tuner, ev *Evaluator, maxSteps int) (Sample, bool) {
-	return tune.Drive(t, ev, maxSteps)
+// DriveTuner runs an incremental tuner to its stopping rule against an
+// evaluator (batch mode) and returns its best run; the evaluator holds
+// every run it took.
+func DriveTuner(t Tuner, ev *Evaluator) (Sample, bool) {
+	return tune.Drive(t, ev)
 }

@@ -57,22 +57,22 @@ func TestPublicAPIRelMPipeline(t *testing.T) {
 }
 
 func TestPublicAPIBlackBoxTuners(t *testing.T) {
+	cl := relm.ClusterA()
 	wl, _ := relm.WorkloadByName("SVM")
-	ev := relm.NewEvaluator(relm.ClusterA(), wl, 2)
-	bo := relm.RunBO(ev, relm.BOOptions{Seed: 2, MaxIterations: 3, MinNewSamples: 1})
-	if !bo.Found {
+	ev := relm.NewEvaluator(cl, wl, 2)
+	if _, found := relm.DriveTuner(relm.NewBOTuner(cl, wl, relm.BOOptions{Seed: 2, MaxIterations: 3, MinNewSamples: 1}), ev); !found {
 		t.Fatal("BO found nothing")
 	}
 
-	ev2 := relm.NewEvaluator(relm.ClusterA(), wl, 3)
-	gboRes, model := relm.RunGBO(ev2, relm.BOOptions{Seed: 3, MaxIterations: 3, MinNewSamples: 1})
-	if !gboRes.Found || model == nil {
+	ev2 := relm.NewEvaluator(cl, wl, 3)
+	gbo := relm.NewGBOTuner(cl, wl, relm.BOOptions{Seed: 3, MaxIterations: 3, MinNewSamples: 1})
+	if _, found := relm.DriveTuner(gbo, ev2); !found || gbo.Model() == nil {
 		t.Fatal("GBO failed")
 	}
 
-	ev3 := relm.NewEvaluator(relm.ClusterA(), wl, 4)
-	dd := relm.RunDDPG(ev3, nil, relm.DDPGOptions{MaxSteps: 3, Seed: 4})
-	if !dd.Found || dd.Agent == nil {
+	ev3 := relm.NewEvaluator(cl, wl, 4)
+	dd := relm.NewDDPGTuner(cl, wl, nil, relm.DDPGOptions{MaxSteps: 3, Seed: 4})
+	if _, found := relm.DriveTuner(dd, ev3); !found || dd.Agent() == nil {
 		t.Fatal("DDPG failed")
 	}
 }
