@@ -1,32 +1,42 @@
 package main
 
 import (
-	"reflect"
+	"bytes"
+	"context"
+	"errors"
+	"os/exec"
+	"path/filepath"
+	"strings"
 	"testing"
-
-	"relm/internal/router"
+	"time"
 )
 
-// TestParseBackends: -backends takes comma-separated name=url pairs,
-// blanks around and between them ignored, and refuses a pair missing its
-// name, its URL or its '=', and a list that names no backend.
+// TestParseBackends: the built command exits non-zero, before it listens,
+// naming its flag, when -backends holds a pair missing its name, its URL or
+// its '=', or names no backend. The pairs it accepts are
+// replica.TestParsePeers' table: -backends parses through replica.ParsePeers.
 func TestParseBackends(t *testing.T) {
-	for _, tt := range []struct {
-		in   string
-		want []router.Backend
-	}{
-		{"a=http://127.0.0.1:8080", []router.Backend{{Name: "a", URL: "http://127.0.0.1:8080"}}},
-		{" a=http://h:1 , b=http://h:2,", []router.Backend{{Name: "a", URL: "http://h:1"}, {Name: "b", URL: "http://h:2"}}},
-		{"a=http://h:1?x=y", []router.Backend{{Name: "a", URL: "http://h:1?x=y"}}},
-	} {
-		got, err := parseBackends(tt.in)
-		if err != nil || !reflect.DeepEqual(got, tt.want) {
-			t.Errorf("parseBackends(%q) = %v, %v, want %v", tt.in, got, err, tt.want)
-		}
+	dir := t.TempDir()
+	bin := filepath.Join(dir, "relm-router")
+	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
+		t.Fatalf("go build: %v\n%s", err, out)
 	}
+	const msg = "parse -backends: "
 	for _, in := range []string{"", "  ", ",", " , ", "a", "a=", "=http://h:1", "a=http://h:1,b"} {
-		if got, err := parseBackends(in); err == nil {
-			t.Errorf("parseBackends(%q) = %v, want an error", in, got)
+		args := []string{"-addr", "127.0.0.1:0", "-backends", in}
+		ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+		var stderr bytes.Buffer
+		cmd := exec.CommandContext(ctx, bin, args...)
+		cmd.Stderr = &stderr
+		err := cmd.Run()
+		timedOut := ctx.Err() != nil
+		cancel()
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) || exit.ExitCode() == 0 || timedOut {
+			t.Errorf("relm-router -backends %q: %v, want a non-zero exit", in, err)
+		}
+		if !strings.Contains(stderr.String(), msg) {
+			t.Errorf("relm-router -backends %q said %q, want %q", in, stderr.String(), msg)
 		}
 	}
 }
