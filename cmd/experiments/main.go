@@ -34,7 +34,6 @@ func run(args []string, w io.Writer) error {
 		seed  = fs.Uint64("seed", 1, "random seed")
 		reps  = fs.Int("reps", 0, "repetitions (0 = per-experiment default)")
 		quick = fs.Bool("quick", false, "reduced budgets for a fast pass")
-		chart = fs.Bool("chart", false, "also render ASCII charts where available")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -64,12 +63,6 @@ func run(args []string, w io.Writer) error {
 			return err
 		}
 		fmt.Fprintln(w, res)
-		if c, ok := res.(charter); ok && *chart {
-			fmt.Fprintln(w, c.Chart())
-		}
 	}
 	return nil
 }
-
-// charter is implemented by results that can render an ASCII figure.
-type charter interface{ Chart() string }

@@ -3,6 +3,7 @@ package core
 import (
 	"relm/internal/conf"
 	"relm/internal/tune"
+	"relm/internal/units"
 )
 
 // TuneWorkload runs the complete RelM workflow against an evaluator:
@@ -29,7 +30,7 @@ func reprofileConfig(def conf.Config, sp tune.Space) conf.Config {
 		re.ContainersPerNode = 2
 	}
 	maxP := sp.MaxConcurrency(re.ContainersPerNode)
-	re.TaskConcurrency = clampInt(re.TaskConcurrency*2, 1, maxP)
-	re.NewRatio = clampInt(re.NewRatio+2, 1, sp.MaxNewRatio)
+	re.TaskConcurrency = units.ClampInt(re.TaskConcurrency*2, 1, maxP)
+	re.NewRatio = units.ClampInt(re.NewRatio+2, 1, sp.MaxNewRatio)
 	return re
 }

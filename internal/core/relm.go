@@ -19,6 +19,7 @@ import (
 	"relm/internal/conf"
 	"relm/internal/profile"
 	"relm/internal/sim/cluster"
+	"relm/internal/units"
 )
 
 // Options configures the tuner.
@@ -120,7 +121,7 @@ func (t *Tuner) newRatioFor(mi, mc, mh float64) int {
 		return t.Opts.MaxNewRatio
 	}
 	nr := int(math.Ceil((mi + mc) / den))
-	return clampInt(nr, 1, t.Opts.MaxNewRatio)
+	return units.ClampInt(nr, 1, t.Opts.MaxNewRatio)
 }
 
 // gcPools returns (Old, Eden) capacities for a NewRatio using the paper's
@@ -153,7 +154,7 @@ func (t *Tuner) concurrencyFor(st profile.Stats, n int, mh float64) int {
 	}
 	p := int(math.Min(pCPU, math.Min(pDisk, pMem)))
 	maxP := t.Cluster.MaxConcurrencyPerContainer(n)
-	return clampInt(p, 1, maxP)
+	return units.ClampInt(p, 1, maxP)
 }
 
 // maxArbitrationSteps bounds Algorithm 1's repair loop: action II shrinks the
@@ -205,7 +206,7 @@ func (t *Tuner) Arbitrate(st profile.Stats, pools Pools) (Candidate, bool) {
 			if pools.MoMB+st.MuMB < (1-delta)*mh {
 				mo := pools.MoMB + st.MuMB
 				nr := int(math.Round(mo / (mh - mo)))
-				nr = clampInt(nr, 1, t.Opts.MaxNewRatio)
+				nr = units.ClampInt(nr, 1, t.Opts.MaxNewRatio)
 				if mo2, _ := t.gcPools(mh, nr); mo2 > pools.MoMB {
 					pools.NewRatio = nr
 					pools.MoMB, pools.MeMB = t.gcPools(mh, pools.NewRatio)
@@ -284,13 +285,3 @@ func (t *Tuner) configFrom(n int, p Pools) conf.Config {
 }
 
 func round2(v float64) float64 { return math.Round(v*100) / 100 }
-
-func clampInt(v, lo, hi int) int {
-	if v < lo {
-		return lo
-	}
-	if v > hi {
-		return hi
-	}
-	return v
-}

@@ -23,13 +23,14 @@ func init() {
 }
 
 // AblationGBOResult compares GBO variants with pieces disabled.
-type AblationGBOResult struct {
-	Rows []struct {
-		App       string
-		Variant   string // full, features-only, penalty-only, none (=BO)
-		MeanIters float64
-		MeanPct   float64 // % of exhaustive stress time to reach top-5%
-	}
+type AblationGBOResult struct{ Rows []AblationGBORow }
+
+// AblationGBORow is one GBO variant's mean training cost on one app.
+type AblationGBORow struct {
+	App       string
+	Variant   string // full, features-only, penalty-only, none (=BO)
+	MeanIters float64
+	MeanPct   float64 // % of exhaustive stress time to reach top-5%
 }
 
 func (r *AblationGBOResult) String() string {
@@ -100,25 +101,21 @@ func AblationGBO(c Config) *AblationGBOResult {
 				iters += float64(it)
 				pct += 100 * stress / base.TotalSec
 			}
-			res.Rows = append(res.Rows, struct {
-				App       string
-				Variant   string
-				MeanIters float64
-				MeanPct   float64
-			}{wl.Name, v.name, iters / float64(reps), pct / float64(reps)})
+			res.Rows = append(res.Rows, AblationGBORow{wl.Name, v.name, iters / float64(reps), pct / float64(reps)})
 		}
 	}
 	return res
 }
 
 // AblationRelMDeltaResult sweeps the safety factor.
-type AblationRelMDeltaResult struct {
-	Rows []struct {
-		Delta      float64
-		RuntimeMin float64 // mean over apps, scaled to default = 1
-		Aborts     int
-		Failures   int
-	}
+type AblationRelMDeltaResult struct{ Rows []AblationRelMDeltaRow }
+
+// AblationRelMDeltaRow is RelM's outcome at one safety factor.
+type AblationRelMDeltaRow struct {
+	Delta      float64
+	RuntimeMin float64 // mean over apps, scaled to default = 1
+	Aborts     int
+	Failures   int
 }
 
 func (r *AblationRelMDeltaResult) String() string {
@@ -159,12 +156,7 @@ func AblationRelMDelta(c Config) *AblationRelMDeltaResult {
 				}
 			}
 		}
-		row := struct {
-			Delta      float64
-			RuntimeMin float64
-			Aborts     int
-			Failures   int
-		}{Delta: delta, Aborts: aborts, Failures: failures}
+		row := AblationRelMDeltaRow{Delta: delta, Aborts: aborts, Failures: failures}
 		if count > 0 {
 			row.RuntimeMin = scaledSum / float64(count)
 		}

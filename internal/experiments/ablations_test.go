@@ -20,21 +20,15 @@ func TestAblationRelMDeltaTradeoff(t *testing.T) {
 	}
 	// Large safety factors must be safe (no aborts) and slower than small
 	// ones; the paper's δ = 0.1 sits before the performance cliff.
-	byDelta := map[float64]struct {
-		runtime float64
-		aborts  int
-	}{}
+	byDelta := map[float64]AblationRelMDeltaRow{}
 	for _, row := range res.Rows {
-		byDelta[row.Delta] = struct {
-			runtime float64
-			aborts  int
-		}{row.RuntimeMin, row.Aborts}
+		byDelta[row.Delta] = row
 	}
-	if byDelta[0.3].aborts > 0 {
+	if byDelta[0.3].Aborts > 0 {
 		t.Error("δ=0.3 must be abort-free")
 	}
-	if byDelta[0.1].runtime > byDelta[0.3].runtime {
-		t.Errorf("δ=0.1 (%v) should be faster than δ=0.3 (%v)", byDelta[0.1].runtime, byDelta[0.3].runtime)
+	if byDelta[0.1].RuntimeMin > byDelta[0.3].RuntimeMin {
+		t.Errorf("δ=0.1 (%v) should be faster than δ=0.3 (%v)", byDelta[0.1].RuntimeMin, byDelta[0.3].RuntimeMin)
 	}
 }
 

@@ -61,9 +61,6 @@ func Table7(Config) *Table7Result {
 	return res
 }
 
-// evalApps returns the five benchmark workloads of the evaluation.
-func evalApps() []workload.Spec { return workload.Benchmarks() }
-
 // PolicyComparison aggregates the policy runs behind Figures 16/17 and
 // Table 8. Building it once serves all three experiments.
 type PolicyComparison struct {
@@ -75,7 +72,7 @@ type PolicyComparison struct {
 func comparePolicies(c Config, policies []string) *PolicyComparison {
 	cl := cluster.A()
 	out := &PolicyComparison{Baselines: map[string]Baseline{}}
-	for ai, wl := range evalApps() {
+	for ai, wl := range workload.Benchmarks() {
 		base := baselineFor(cl, wl, c.seed()+uint64(ai)*101)
 		out.Baselines[wl.Name] = base
 		for pi, p := range policies {
@@ -87,13 +84,14 @@ func comparePolicies(c Config, policies []string) *PolicyComparison {
 }
 
 // Figure16Result reports training overheads as % of exhaustive search.
-type Figure16Result struct {
-	Rows []struct {
-		App        string
-		Policy     string
-		Iterations int
-		PctOfExh   float64
-	}
+type Figure16Result struct{ Rows []Figure16Row }
+
+// Figure16Row is one policy's mean training cost on one app.
+type Figure16Row struct {
+	App        string
+	Policy     string
+	Iterations int
+	PctOfExh   float64
 }
 
 func (r *Figure16Result) String() string {
@@ -112,40 +110,32 @@ func Figure16(c Config) *Figure16Result {
 	cl := cluster.A()
 	res := &Figure16Result{}
 	reps := c.reps(5)
-	for ai, wl := range evalApps() {
+	for ai, wl := range workload.Benchmarks() {
 		base := baselineFor(cl, wl, c.seed()+uint64(ai)*101)
 		for _, policy := range []string{"DDPG", "BO", "GBO", "RelM"} {
 			var iterSum, stressSum float64
 			for rep := 0; rep < reps; rep++ {
 				run := trainPolicy(policy, cl, wl, c.seed()+uint64(ai*100+rep*17+len(policy))*7919, base.Top5Sec)
-				iters, stress := run.IterToTop5, run.StressToTop5
-				if iters == 0 { // never reached the bar: charge the full training
-					iters, stress = run.Iterations, run.StressSec
-				}
-				iterSum += float64(iters)
-				stressSum += stress
+				iterSum += float64(run.IterToTop5)
+				stressSum += run.StressToTop5
 			}
-			res.Rows = append(res.Rows, struct {
-				App        string
-				Policy     string
-				Iterations int
-				PctOfExh   float64
-			}{wl.Name, policy, int(iterSum/float64(reps) + 0.5), 100 * stressSum / float64(reps) / base.TotalSec})
+			res.Rows = append(res.Rows, Figure16Row{wl.Name, policy, int(iterSum/float64(reps) + 0.5), 100 * stressSum / float64(reps) / base.TotalSec})
 		}
 	}
 	return res
 }
 
 // Figure17Result reports recommendation quality scaled to the defaults.
-type Figure17Result struct {
-	Rows []struct {
-		App        string
-		Policy     string
-		Scaled     float64
-		RuntimeMin float64
-		Failures   int
-		Aborted    bool
-	}
+type Figure17Result struct{ Rows []Figure17Row }
+
+// Figure17Row is one recommendation's runtime, scaled to the app's default.
+type Figure17Row struct {
+	App        string
+	Policy     string
+	Scaled     float64
+	RuntimeMin float64
+	Failures   int
+	Aborted    bool
 }
 
 func (r *Figure17Result) String() string {
@@ -163,16 +153,9 @@ func Figure17(c Config) *Figure17Result {
 	res := &Figure17Result{}
 	add := func(app, policy string, runtimeMin float64, failures int, aborted bool) {
 		base := cmp.Baselines[app]
-		res.Rows = append(res.Rows, struct {
-			App        string
-			Policy     string
-			Scaled     float64
-			RuntimeMin float64
-			Failures   int
-			Aborted    bool
-		}{app, policy, runtimeMin / base.DefaultMin, runtimeMin, failures, aborted})
+		res.Rows = append(res.Rows, Figure17Row{app, policy, runtimeMin / base.DefaultMin, runtimeMin, failures, aborted})
 	}
-	for _, wl := range evalApps() {
+	for _, wl := range workload.Benchmarks() {
 		base := cmp.Baselines[wl.Name]
 		add(wl.Name, "MaxResourceAllocation", base.DefaultMin, 0, false)
 		add(wl.Name, "Exhaustive", base.BestMin, 0, false)
@@ -184,12 +167,13 @@ func Figure17(c Config) *Figure17Result {
 }
 
 // Table8Result lists the recommended configurations.
-type Table8Result struct {
-	Rows []struct {
-		App    string
-		Policy string
-		Config string
-	}
+type Table8Result struct{ Rows []Table8Row }
+
+// Table8Row is one policy's recommendation for one app.
+type Table8Row struct {
+	App    string
+	Policy string
+	Config string
 }
 
 func (r *Table8Result) String() string {
@@ -204,31 +188,24 @@ func (r *Table8Result) String() string {
 func Table8(c Config) *Table8Result {
 	cmp := comparePolicies(c, []string{"DDPG", "BO", "GBO", "RelM"})
 	res := &Table8Result{}
-	for _, wl := range evalApps() {
+	for _, wl := range workload.Benchmarks() {
 		base := cmp.Baselines[wl.Name]
-		res.Rows = append(res.Rows, struct {
-			App    string
-			Policy string
-			Config string
-		}{wl.Name, "Exhaustive", base.BestCfg.String()})
+		res.Rows = append(res.Rows, Table8Row{wl.Name, "Exhaustive", base.BestCfg.String()})
 	}
 	for _, run := range cmp.Runs {
-		res.Rows = append(res.Rows, struct {
-			App    string
-			Policy string
-			Config string
-		}{run.App, run.Policy, run.Config.String()})
+		res.Rows = append(res.Rows, Table8Row{run.App, run.Policy, run.Config.String()})
 	}
 	return res
 }
 
 // Table9Result is the BO run log for SVM.
-type Table9Result struct {
-	Rows []struct {
-		Sample     string
-		Config     string
-		RuntimeMin float64
-	}
+type Table9Result struct{ Rows []Table9Row }
+
+// Table9Row is one experiment of the BO run.
+type Table9Row struct {
+	Sample     string
+	Config     string
+	RuntimeMin float64
 }
 
 func (r *Table9Result) String() string {
@@ -251,11 +228,7 @@ func Table9(c Config) *Table9Result {
 		if i < 4 {
 			label = fmt.Sprintf("0.%d", i+1)
 		}
-		res.Rows = append(res.Rows, struct {
-			Sample     string
-			Config     string
-			RuntimeMin float64
-		}{label, s.Config.String(), s.RuntimeSec / 60})
+		res.Rows = append(res.Rows, Table9Row{label, s.Config.String(), s.RuntimeSec / 60})
 	}
 	return res
 }
@@ -288,12 +261,8 @@ func boxesFor(c Config, wl workload.Spec, id string) *BoxesResult {
 		var mins, iters []float64
 		for rep := 0; rep < reps; rep++ {
 			run := trainPolicy(policy, cl, wl, c.seed()+uint64(rep)*4241+uint64(len(policy)), base.Top5Sec)
-			stress, it := run.StressToTop5, run.IterToTop5
-			if it == 0 {
-				stress, it = run.StressSec, run.Iterations
-			}
-			mins = append(mins, stress/60)
-			iters = append(iters, float64(it))
+			mins = append(mins, run.StressToTop5/60)
+			iters = append(iters, float64(run.IterToTop5))
 		}
 		res.Boxes[policy] = stats.Box(mins)
 		res.Iters[policy] = stats.Box(iters)

@@ -1,8 +1,10 @@
 // Package experiments regenerates every table and figure of the paper's
 // empirical study (§3) and evaluation (§6) on the simulated cluster. Each
-// harness returns a typed result that formats itself like the paper's
-// corresponding artifact; the registry maps experiment IDs ("figure4",
-// "table8", ...) to their runners for the CLI and the benchmark suite.
+// harness returns a typed result that prints itself one way, as a text
+// table of the paper's corresponding artifact; the registry maps experiment
+// IDs ("figure4", "table8", ...) to their runners for cmd/experiments.
+// Every tuner is driven by tune.Drive, and a policy's training cost is
+// charged by timeToTop5 alone.
 package experiments
 
 import (

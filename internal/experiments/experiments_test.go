@@ -5,8 +5,10 @@ import (
 	"strings"
 	"testing"
 
+	"relm/internal/conf"
 	"relm/internal/sim/cluster"
 	"relm/internal/sim/workload"
+	"relm/internal/tune"
 )
 
 func quickCfg() Config { return Config{Seed: 1, Quick: true} }
@@ -51,6 +53,40 @@ func TestCurveIsMonotone(t *testing.T) {
 		}
 		if math.IsInf(prev, 1) {
 			t.Fatalf("%s: no run completed in %d experiments", policy, run.Iterations)
+		}
+	}
+}
+
+// TestTimeToTop5Charges: the training cost stops at the first completed run
+// at or under the bar, its own runtime included; an aborted run under the
+// bar does not stop it; a history that never reaches the bar is charged in
+// full.
+func TestTimeToTop5Charges(t *testing.T) {
+	ev := tune.NewEvaluator(cluster.A(), workload.KMeans(), 1)
+	thin := conf.Default()
+	thin.ContainersPerNode, thin.TaskConcurrency = 4, 1 // aborts early on K-means
+	aborted, first, second := ev.Eval(thin), ev.Eval(conf.Default()), ev.Eval(conf.Default())
+	if !aborted.Result.Aborted || first.Result.Aborted || second.Result.Aborted {
+		t.Fatalf("want an abort then two completed runs, got aborted=%v,%v,%v",
+			aborted.Result.Aborted, first.Result.Aborted, second.Result.Aborted)
+	}
+	fastest := min(first.RuntimeSec, second.RuntimeSec)
+	if aborted.RuntimeSec >= fastest {
+		t.Fatalf("aborted run %.0fs is not under the completed runs (%.0fs)", aborted.RuntimeSec, fastest)
+	}
+	for _, c := range []struct {
+		name   string
+		bar    float64
+		iters  int
+		stress float64
+	}{
+		{"first completed run at the bar", first.RuntimeSec, 2, aborted.RuntimeSec + first.RuntimeSec},
+		{"only the aborted run under the bar", aborted.RuntimeSec, ev.Evals(), ev.TotalRuntime()},
+		{"never reached", fastest - 1, ev.Evals(), ev.TotalRuntime()},
+	} {
+		iters, stress := timeToTop5(ev, c.bar)
+		if iters != c.iters || stress != c.stress {
+			t.Errorf("%s (bar %.1fs): charged %d runs, %.1fs; want %d, %.1fs", c.name, c.bar, iters, stress, c.iters, c.stress)
 		}
 	}
 }

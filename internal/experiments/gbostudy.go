@@ -168,13 +168,14 @@ func Figure25(c Config) *Figure25Result {
 }
 
 // Figure26Result compares surrogate choices.
-type Figure26Result struct {
-	Rows []struct {
-		App        string
-		Variant    string // BO-GP, GBO-GP, BO-RF, GBO-RF
-		Iterations int
-		TrainMin   float64
-	}
+type Figure26Result struct{ Rows []Figure26Row }
+
+// Figure26Row is one surrogate variant's mean training cost on one app.
+type Figure26Row struct {
+	App        string
+	Variant    string // BO-GP, GBO-GP, BO-RF, GBO-RF
+	Iterations int
+	TrainMin   float64
 }
 
 func (r *Figure26Result) String() string {
@@ -211,35 +212,20 @@ func Figure26(c Config) *Figure26Result {
 				iterSum += float64(iters)
 				minSum += stress / 60
 			}
-			res.Rows = append(res.Rows, struct {
-				App        string
-				Variant    string
-				Iterations int
-				TrainMin   float64
-			}{wl.Name, variant, int(iterSum/float64(reps) + 0.5), minSum / float64(reps)})
+			res.Rows = append(res.Rows, Figure26Row{wl.Name, variant, int(iterSum/float64(reps) + 0.5), minSum / float64(reps)})
 		}
 	}
 	return res
 }
 
-func timeToTop5(ev *tune.Evaluator, top5 float64) (int, float64) {
-	var acc float64
-	for i, s := range ev.History() {
-		acc += s.RuntimeSec
-		if top5 > 0 && !s.Result.Aborted && s.RuntimeSec <= top5 {
-			return i + 1, acc
-		}
-	}
-	return ev.Evals(), ev.TotalRuntime()
-}
-
 // Figure27Result reports DDPG model re-use.
-type Figure27Result struct {
-	Rows []struct {
-		Scenario   string
-		RuntimeMin float64
-		Samples    int
-	}
+type Figure27Result struct{ Rows []Figure27Row }
+
+// Figure27Row is one training scenario's best runtime and sample count.
+type Figure27Row struct {
+	Scenario   string
+	RuntimeMin float64
+	Samples    int
 }
 
 func (r *Figure27Result) String() string {
@@ -263,11 +249,7 @@ func scaledSVM(factor float64) workload.Spec {
 func Figure27(c Config) *Figure27Result {
 	res := &Figure27Result{}
 	add := func(name string, best tune.Sample, samples int) {
-		res.Rows = append(res.Rows, struct {
-			Scenario   string
-			RuntimeMin float64
-			Samples    int
-		}{name, best.RuntimeSec / 60, samples})
+		res.Rows = append(res.Rows, Figure27Row{name, best.RuntimeSec / 60, samples})
 	}
 
 	// Train on Cluster A.
@@ -301,13 +283,16 @@ func Figure27(c Config) *Figure27Result {
 
 // Figure21Result is the TPC-H study.
 type Figure21Result struct {
-	Rows []struct {
-		Query      string
-		DefaultMin float64
-		RelMMin    float64
-	}
+	Rows         []Figure21Row
 	TotalDefault float64
 	TotalRelM    float64
+}
+
+// Figure21Row is one TPC-H query's runtime under each configuration.
+type Figure21Row struct {
+	Query      string
+	DefaultMin float64
+	RelMMin    float64
 }
 
 func (r *Figure21Result) String() string {
@@ -351,11 +336,7 @@ func Figure21(c Config) *Figure21Result {
 	}
 	for i, q := range queries {
 		r, _ := sim.Run(cl, q, rec, c.seed()+uint64(1000+i))
-		res.Rows = append(res.Rows, struct {
-			Query      string
-			DefaultMin float64
-			RelMMin    float64
-		}{fmt.Sprintf("Q%d", i+1), defaults[i] / 60, r.RuntimeSec / 60})
+		res.Rows = append(res.Rows, Figure21Row{fmt.Sprintf("Q%d", i+1), defaults[i] / 60, r.RuntimeSec / 60})
 		res.TotalDefault += defaults[i] / 60
 		res.TotalRelM += r.RuntimeSec / 60
 	}
@@ -363,14 +344,15 @@ func Figure21(c Config) *Figure21Result {
 }
 
 // Table10Result reports measured per-iteration overheads.
-type Table10Result struct {
-	Rows []struct {
-		Component string
-		DDPG      string
-		BO        string
-		GBO       string
-		RelM      string
-	}
+type Table10Result struct{ Rows []Table10Row }
+
+// Table10Row is one component's cost per policy, formatted.
+type Table10Row struct {
+	Component string
+	DDPG      string
+	BO        string
+	GBO       string
+	RelM      string
 }
 
 func (r *Table10Result) String() string {
@@ -460,21 +442,12 @@ func Table10(c Config) *Table10Result {
 	gboSize := 8 * len(gboXs) * (len(gboXs[0]) + 1)
 	ddpgSize := agent.ModelSizeBytes()
 
-	res := &Table10Result{}
-	add := func(component, d, b, g, r string) {
-		res.Rows = append(res.Rows, struct {
-			Component string
-			DDPG      string
-			BO        string
-			GBO       string
-			RelM      string
-		}{component, d, b, g, r})
-	}
-	add("Statistics Collection", ms(statsDur), "-", ms(statsDur), ms(statsDur))
-	add("Model Fitting", ms(ddpgFit), ms(boFit), ms(gboFit), ms(relmFit))
-	add("Model Probing", ms(ddpgProbe), ms(boProbe), ms(gboProbe), ms(relmProbe))
-	add("Model Size", fmt.Sprintf("%.1fKb", float64(ddpgSize)/1024), fmt.Sprintf("%.1fKb", float64(boSize)/1024), fmt.Sprintf("%.1fKb", float64(gboSize)/1024), "-")
-	return res
+	return &Table10Result{Rows: []Table10Row{
+		{"Statistics Collection", ms(statsDur), "-", ms(statsDur), ms(statsDur)},
+		{"Model Fitting", ms(ddpgFit), ms(boFit), ms(gboFit), ms(relmFit)},
+		{"Model Probing", ms(ddpgProbe), ms(boProbe), ms(gboProbe), ms(relmProbe)},
+		{"Model Size", fmt.Sprintf("%.1fKb", float64(ddpgSize)/1024), fmt.Sprintf("%.1fKb", float64(boSize)/1024), fmt.Sprintf("%.1fKb", float64(gboSize)/1024), "-"},
+	}}
 }
 
 func ms(d time.Duration) string {

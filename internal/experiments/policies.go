@@ -25,10 +25,10 @@ type PolicyRun struct {
 	Aborted    bool
 	FailedCont int
 	// Training cost.
-	Iterations int     // experiments taken (including bootstrap/profiling)
-	StressSec  float64 // total stress-testing time
-	// IterToTop5 is the number of experiments until a run within the top 5
-	// percentile of exhaustive search was observed (0 when never).
+	Iterations int // experiments taken (including bootstrap/profiling)
+	// IterToTop5 and StressToTop5 are the experiments and stress-testing
+	// seconds charged until a run within the top 5 percentile of exhaustive
+	// search was observed: the whole training when the bar is never reached.
 	IterToTop5   int
 	StressToTop5 float64
 	// Curve is the best-so-far objective after each experiment (seconds).
@@ -82,6 +82,21 @@ func baselineFor(cl cluster.Spec, wl workload.Spec, seed uint64) Baseline {
 	return b
 }
 
+// timeToTop5 is the training cost charged against the exhaustive top-5% bar
+// top5 (seconds): the experiments and stress-testing seconds up to and
+// including the first completed run at or under the bar, or the whole
+// history (Evals, TotalRuntime) when no completed run reaches it.
+func timeToTop5(ev *tune.Evaluator, top5 float64) (int, float64) {
+	var acc float64
+	for i, s := range ev.History() {
+		acc += s.RuntimeSec
+		if top5 > 0 && !s.Result.Aborted && s.RuntimeSec <= top5 {
+			return i + 1, acc
+		}
+	}
+	return ev.Evals(), ev.TotalRuntime()
+}
+
 // trainPolicy runs one policy on a fresh evaluator and fills a PolicyRun.
 // top5 (seconds) marks the quality bar for the time-to-quality metrics.
 func trainPolicy(policy string, cl cluster.Spec, wl workload.Spec, seed uint64, top5 float64) PolicyRun {
@@ -116,20 +131,13 @@ func trainPolicy(policy string, cl cluster.Spec, wl workload.Spec, seed uint64, 
 	}
 
 	run.Iterations = ev.Evals()
-	run.StressSec = ev.TotalRuntime()
+	run.IterToTop5, run.StressToTop5 = timeToTop5(ev, top5)
 
-	// Time-to-quality against the exhaustive top-5% bar, and the
-	// best-so-far curve (+Inf until a run completes).
-	var acc float64
+	// The best-so-far curve (+Inf until a run completes).
 	bestSoFar := math.Inf(1)
-	for i, s := range ev.History() {
-		acc += s.RuntimeSec
+	for _, s := range ev.History() {
 		if !s.Result.Aborted {
 			bestSoFar = min(bestSoFar, s.Objective)
-			if top5 > 0 && s.RuntimeSec <= top5 && run.IterToTop5 == 0 {
-				run.IterToTop5 = i + 1
-				run.StressToTop5 = acc
-			}
 		}
 		run.Curve = append(run.Curve, bestSoFar)
 	}

@@ -61,7 +61,6 @@ func Figure13(c Config) *Figure13Result {
 	tuner := core.New(cl)
 	pools := tuner.Initialize(st, 1)
 	cand, _ := tuner.Arbitrate(st, pools)
-	cand.Config = conf.Config{}
 	_, cands, err := tuner.Recommend(st)
 	final := conf.Config{}
 	if err == nil {
@@ -140,13 +139,14 @@ func Figure22(c Config) *Figure22Result {
 }
 
 // Figure23Result reports per-app Mi/Mu estimate spread across profiles.
-type Figure23Result struct {
-	Rows []struct {
-		App                string
-		MiMean, MiStdErr   float64
-		MuMean, MuStdErr   float64
-		ProfilesWithFullGC int
-	}
+type Figure23Result struct{ Rows []Figure23Row }
+
+// Figure23Row is one app's Mi/Mu estimate spread.
+type Figure23Row struct {
+	App                string
+	MiMean, MiStdErr   float64
+	MuMean, MuStdErr   float64
+	ProfilesWithFullGC int
 }
 
 func (r *Figure23Result) String() string {
@@ -163,7 +163,7 @@ func (r *Figure23Result) String() string {
 func Figure23(c Config) *Figure23Result {
 	cl := cluster.A()
 	res := &Figure23Result{}
-	for _, wl := range evalApps() {
+	for _, wl := range workload.Benchmarks() {
 		var mis, mus []float64
 		withFull := 0
 		count := 0
@@ -192,25 +192,21 @@ func Figure23(c Config) *Figure23Result {
 				}
 			}
 		}
-		res.Rows = append(res.Rows, struct {
-			App                string
-			MiMean, MiStdErr   float64
-			MuMean, MuStdErr   float64
-			ProfilesWithFullGC int
-		}{wl.Name, stats.Mean(mis), stats.StdErr(mis), stats.Mean(mus), stats.StdErr(mus), withFull})
+		res.Rows = append(res.Rows, Figure23Row{wl.Name, stats.Mean(mis), stats.StdErr(mis), stats.Mean(mus), stats.StdErr(mus), withFull})
 	}
 	return res
 }
 
 // Figure24Result reports the rank correlation between RelM's utility score
 // and the measured runtime across container counts.
-type Figure24Result struct {
-	Rows []struct {
-		App         string
-		Utilities   []float64 // per container count 1..4 (0 = infeasible)
-		RuntimesMin []float64
-		Spearman    float64 // correlation of U rank vs (negated) runtime rank
-	}
+type Figure24Result struct{ Rows []Figure24Row }
+
+// Figure24Row is one app's utility scores and runtimes per container count.
+type Figure24Row struct {
+	App         string
+	Utilities   []float64 // per container count 1..4 (0 = infeasible)
+	RuntimesMin []float64
+	Spearman    float64 // correlation of U rank vs (negated) runtime rank
 }
 
 func (r *Figure24Result) String() string {
@@ -234,7 +230,7 @@ func Figure24(c Config) *Figure24Result {
 	cl := cluster.A()
 	tuner := core.New(cl)
 	res := &Figure24Result{}
-	for _, wl := range evalApps() {
+	for _, wl := range workload.Benchmarks() {
 		cfg := defaultFor(wl)
 		_, prof := sim.Run(cl, wl, cfg, c.seed())
 		st := profile.Generate(prof)
@@ -252,12 +248,7 @@ func Figure24(c Config) *Figure24Result {
 		if err != nil {
 			continue
 		}
-		row := struct {
-			App         string
-			Utilities   []float64
-			RuntimesMin []float64
-			Spearman    float64
-		}{App: wl.Name}
+		row := Figure24Row{App: wl.Name}
 		var us, negRuntimes []float64
 		for _, cand := range cands {
 			u := 0.0

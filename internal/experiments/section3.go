@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"math"
 	"strings"
 
 	"relm/internal/conf"
@@ -24,7 +25,7 @@ func init() {
 	register("table5", "manual tuning of PageRank (4 configurations)", func(c Config) fmt.Stringer { return Table5(c) })
 }
 
-// sweepConfig builds the default config with the unified pool assigned to
+// defaultFor builds the default config with the unified pool assigned to
 // the app's dominant pool.
 func defaultFor(wl workload.Spec) conf.Config {
 	if wl.UsesCache {
@@ -90,18 +91,22 @@ func medianRun(cl cluster.Spec, wl workload.Spec, cfg conf.Config, seed uint64, 
 	}
 	med := stats.Median(runtimes)
 	for _, r := range ok {
-		if abs(r.RuntimeSec-med) < abs(best.RuntimeSec-med) {
+		if math.Abs(r.RuntimeSec-med) < math.Abs(best.RuntimeSec-med) {
 			best = r
 		}
 	}
 	return best, aborts > len(ok)
 }
 
-func abs(v float64) float64 {
-	if v < 0 {
-		return -v
+// sweepPoint is the measurement r at swept value x, its runtime scaled to
+// the reference runtime ref (seconds).
+func sweepPoint(app string, x float64, r sim.Result, ref float64, failed bool) SweepPoint {
+	return SweepPoint{
+		App: app, X: x,
+		Runtime: r.RuntimeMin(), Scaled: r.RuntimeSec / ref,
+		HeapUtil: r.MaxHeapUtil, CPUUtil: r.CPUAvg, DiskUtil: r.DiskAvg,
+		GCOver: r.GCOverhead, HitRatio: r.CacheHitRatio, Failed: failed,
 	}
-	return v
 }
 
 // Figure4 sweeps Containers per Node from 1 to 4 for the four §3.1 apps
@@ -120,12 +125,7 @@ func Figure4(c Config) *SweepResult {
 			if n == 1 {
 				ref = r.RuntimeSec
 			}
-			res.Points = append(res.Points, SweepPoint{
-				App: wl.Name, X: float64(n),
-				Runtime: r.RuntimeMin(), Scaled: r.RuntimeSec / ref,
-				HeapUtil: r.MaxHeapUtil, CPUUtil: r.CPUAvg, DiskUtil: r.DiskAvg,
-				GCOver: r.GCOverhead, HitRatio: r.CacheHitRatio, Failed: failed,
-			})
+			res.Points = append(res.Points, sweepPoint(wl.Name, float64(n), r, ref, failed))
 		}
 	}
 	return res
@@ -205,12 +205,7 @@ func Figure6(c Config) *SweepResult {
 			if p == 1 {
 				ref = r.RuntimeSec
 			}
-			res.Points = append(res.Points, SweepPoint{
-				App: wl.Name, X: float64(p),
-				Runtime: r.RuntimeMin(), Scaled: r.RuntimeSec / ref,
-				HeapUtil: r.MaxHeapUtil, CPUUtil: r.CPUAvg, DiskUtil: r.DiskAvg,
-				GCOver: r.GCOverhead, HitRatio: r.CacheHitRatio, Failed: failed,
-			})
+			res.Points = append(res.Points, sweepPoint(wl.Name, float64(p), r, ref, failed))
 		}
 	}
 	return res
@@ -240,12 +235,7 @@ func Figure7(c Config) *SweepResult {
 			if ref == 0 {
 				ref = r.RuntimeSec
 			}
-			res.Points = append(res.Points, SweepPoint{
-				App: wl.Name, X: frac,
-				Runtime: r.RuntimeMin(), Scaled: r.RuntimeSec / ref,
-				HeapUtil: r.MaxHeapUtil, CPUUtil: r.CPUAvg, DiskUtil: r.DiskAvg,
-				GCOver: r.GCOverhead, HitRatio: r.CacheHitRatio, Failed: failed,
-			})
+			res.Points = append(res.Points, sweepPoint(wl.Name, frac, r, ref, failed))
 		}
 	}
 	return res

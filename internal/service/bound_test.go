@@ -70,7 +70,7 @@ func TestHistoryBoundRefusals(t *testing.T) {
 		same       func() error // the state the refusal must leave as it was
 	}{
 		{"observe past the bound", "/v1/sessions/full/observe",
-			ObserveRequest{Config: toConfigJSON(conf.Default()), RuntimeSec: 100},
+			ObserveRequest{Config: ConfigJSON(conf.Default()), RuntimeSec: 100},
 			func() error {
 				if h, err := m.History("full"); err != nil || len(h) != maxHistory {
 					return fmt.Errorf("history of %d records (%v), want %d", len(h), err, maxHistory)

@@ -250,7 +250,7 @@ func TestHTTPInjectedObserveFaultIsRetriable(t *testing.T) {
 	if code := doJSON(t, http.MethodPost, srv.URL+"/v1/sessions", CreateRequest{Backend: "bo", Workload: "SVM"}, &created); code != http.StatusCreated {
 		t.Fatalf("create: status %d", code)
 	}
-	body, _ := json.Marshal(ObserveRequest{Config: toConfigJSON(conf.Default()), RuntimeSec: 100})
+	body, _ := json.Marshal(ObserveRequest{Config: ConfigJSON(conf.Default()), RuntimeSec: 100})
 	for _, action := range []string{"error", "drop"} {
 		armServiceFault(t, "service.observe", action, 1)
 		resp, err := http.Post(srv.URL+"/v1/sessions/"+created.ID+"/observe", "application/json", strings.NewReader(string(body)))

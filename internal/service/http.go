@@ -17,7 +17,8 @@ import (
 	"relm/internal/wire"
 )
 
-// ConfigJSON is the wire form of a configuration (Table 1 knobs).
+// ConfigJSON is the wire form of a configuration (Table 1 knobs). It has
+// conf.Config's fields in conf.Config's order, so each converts to the other.
 type ConfigJSON struct {
 	ContainersPerNode int     `json:"containers_per_node"`
 	TaskConcurrency   int     `json:"task_concurrency"`
@@ -27,29 +28,9 @@ type ConfigJSON struct {
 	SurvivorRatio     int     `json:"survivor_ratio"`
 }
 
-func toConfigJSON(c conf.Config) ConfigJSON {
-	return ConfigJSON{
-		ContainersPerNode: c.ContainersPerNode,
-		TaskConcurrency:   c.TaskConcurrency,
-		CacheCapacity:     c.CacheCapacity,
-		ShuffleCapacity:   c.ShuffleCapacity,
-		NewRatio:          c.NewRatio,
-		SurvivorRatio:     c.SurvivorRatio,
-	}
-}
-
-func (cj ConfigJSON) toConfig() conf.Config {
-	return conf.Config{
-		ContainersPerNode: cj.ContainersPerNode,
-		TaskConcurrency:   cj.TaskConcurrency,
-		CacheCapacity:     cj.CacheCapacity,
-		ShuffleCapacity:   cj.ShuffleCapacity,
-		NewRatio:          cj.NewRatio,
-		SurvivorRatio:     cj.SurvivorRatio,
-	}
-}
-
-// CreateRequest is the body of POST /v1/sessions.
+// CreateRequest is the body of POST /v1/sessions. It has Spec's fields in
+// Spec's order, so the handler converts it with Spec(req): a field added to
+// one and not the other fails to compile.
 type CreateRequest struct {
 	// ID optionally assigns the session ID (Spec.ID): a cluster router
 	// mints IDs so it can place sessions by consistent hashing before they
@@ -297,7 +278,7 @@ func toStatusResponse(st Status) StatusResponse {
 	resp.Surrogate = st.Surrogate
 	if st.Best != nil {
 		resp.Best = &BestJSON{
-			Config:     toConfigJSON(st.Best.Config),
+			Config:     ConfigJSON(st.Best.Config),
 			RuntimeSec: st.Best.RuntimeSec,
 			Objective:  st.Best.Objective,
 		}
@@ -346,22 +327,8 @@ func NewHandler(m *Manager) http.Handler {
 		if !decodeJSON(w, r, &req) {
 			return
 		}
-		spec := Spec{
-			ID:                req.ID,
-			Backend:           req.Backend,
-			Workload:          req.Workload,
-			Cluster:           req.Cluster,
-			Mode:              req.Mode,
-			Seed:              req.Seed,
-			MaxIterations:     req.MaxIterations,
-			MaxSteps:          req.MaxSteps,
-			WarmStart:         req.WarmStart,
-			WarmMaxDistance:   req.WarmMaxDistance,
-			Stats:             req.Stats,
-			DefaultRuntimeSec: req.DefaultRuntimeSec,
-		}
 		spanStart := time.Now()
-		st, err := m.Create(spec)
+		st, err := m.Create(Spec(req))
 		obs.TraceFrom(r.Context()).AddSpan("service.create", spanStart)
 		if err != nil {
 			writeError(w, err)
@@ -396,7 +363,7 @@ func NewHandler(m *Manager) http.Handler {
 			writeError(w, err)
 			return
 		}
-		wire.WriteJSON(w, http.StatusOK, SuggestResponse{Config: toConfigJSON(cfg), Done: done})
+		wire.WriteJSON(w, http.StatusOK, SuggestResponse{Config: ConfigJSON(cfg), Done: done})
 	})
 
 	mux.HandleFunc("POST /v1/sessions/{id}/observe", func(w http.ResponseWriter, r *http.Request) {
@@ -406,7 +373,7 @@ func NewHandler(m *Manager) http.Handler {
 		}
 		spanStart := time.Now()
 		st, err := m.Observe(r.PathValue("id"), Observation{
-			Config:     req.Config.toConfig(),
+			Config:     conf.Config(req.Config),
 			RuntimeSec: req.RuntimeSec,
 			Aborted:    req.Aborted,
 			GCOverhead: req.GCOverhead,
@@ -429,7 +396,7 @@ func NewHandler(m *Manager) http.Handler {
 		out := make([]HistoryJSON, 0, len(hist))
 		for _, h := range hist {
 			out = append(out, HistoryJSON{
-				Config:     toConfigJSON(h.Config),
+				Config:     ConfigJSON(h.Config),
 				RuntimeSec: h.RuntimeSec,
 				Objective:  h.Objective,
 				Aborted:    h.Aborted,

@@ -6,9 +6,11 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"sync"
 	"testing"
 
+	"relm/internal/conf"
 	"relm/internal/profile"
 	"relm/internal/sim"
 	"relm/internal/sim/cluster"
@@ -80,7 +82,7 @@ func driveHTTPSession(t *testing.T, base string, create CreateRequest, maxSteps 
 		}
 		// The client "measures" the suggested configuration (simulator
 		// stands in for the real cluster) and reports back.
-		res, prof := sim.Run(cl, wl, sug.Config.toConfig(), uint64(1000+step))
+		res, prof := sim.Run(cl, wl, conf.Config(sug.Config), uint64(1000+step))
 		st := profile.Generate(prof)
 		obs := ObserveRequest{Config: sug.Config, RuntimeSec: res.RuntimeSec, Aborted: res.Aborted, Stats: &st}
 		var after StatusResponse
@@ -191,7 +193,7 @@ func TestHTTPMetrics(t *testing.T) {
 	doJSON(t, http.MethodPost, srv.URL+"/v1/sessions", CreateRequest{Backend: "bo", Workload: "SVM", Seed: 1}, &created)
 	var sug SuggestResponse
 	doJSON(t, http.MethodPost, srv.URL+"/v1/sessions/"+created.ID+"/suggest", nil, &sug)
-	res, prof := sim.Run(cluster.A(), mustWorkload(t, "SVM"), sug.Config.toConfig(), 77)
+	res, prof := sim.Run(cluster.A(), mustWorkload(t, "SVM"), conf.Config(sug.Config), 77)
 	st := profile.Generate(prof)
 	doJSON(t, http.MethodPost, srv.URL+"/v1/sessions/"+created.ID+"/observe",
 		ObserveRequest{Config: sug.Config, RuntimeSec: res.RuntimeSec, Aborted: res.Aborted, Stats: &st}, nil)
@@ -215,6 +217,33 @@ func TestHTTPMetrics(t *testing.T) {
 	}
 	if !mt.Persistence || mt.WALEvents == 0 || mt.WALBytes == 0 {
 		t.Fatalf("store counters missing: %+v", mt)
+	}
+}
+
+// TestCreateJournalsEveryField: a create body with every CreateRequest
+// field set reaches the journaled create record whole, its ID on the record.
+func TestCreateJournalsEveryField(t *testing.T) {
+	tp := &tape{Store: store.NewMem()}
+	srv := httptest.NewServer(NewHandler(newTestManager(t, Options{noPool: true, Store: tp})))
+	t.Cleanup(srv.Close)
+
+	_, prof := sim.Run(cluster.B(), mustWorkload(t, "SVM"), conf.Default(), 5)
+	st := profile.Generate(prof)
+	req := CreateRequest{
+		ID: "client-1", Backend: "gbo", Workload: "SVM", Cluster: "B", Mode: "remote", Seed: 9,
+		MaxIterations: 3, MaxSteps: 4, WarmStart: true, WarmMaxDistance: 0.3, Stats: &st, DefaultRuntimeSec: 321,
+	}
+	if code := doJSON(t, http.MethodPost, srv.URL+"/v1/sessions", req, nil); code != http.StatusCreated {
+		t.Fatalf("create: status %d", code)
+	}
+	if len(tp.events) != 1 || tp.events[0].Type != store.EventCreate || tp.events[0].Session == nil {
+		t.Fatalf("journaled %+v, want one create record", tp.events)
+	}
+	rec := tp.events[0]
+	got := rec.Session.Spec
+	got.ID = rec.ID
+	if !reflect.DeepEqual(got, Spec(req)) {
+		t.Fatalf("journaled spec %+v, want %+v", got, Spec(req))
 	}
 }
 

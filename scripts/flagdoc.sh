@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # Fails when the flags a binary prints with -h and the flag table of its
 # doc (rows starting "| `-flag`") disagree: relm-serve / relm-router against
-# docs/OPERATIONS.md, relm-loadgen against docs/LOADGEN.md, simrun against
-# README.md.
+# docs/OPERATIONS.md, relm-loadgen against docs/LOADGEN.md, simrun and
+# experiments against README.md.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -26,5 +26,5 @@ check() {
 status=0
 check docs/OPERATIONS.md ./cmd/relm-serve ./cmd/relm-router || status=1
 check docs/LOADGEN.md ./cmd/relm-loadgen || status=1
-check README.md ./cmd/simrun || status=1
+check README.md ./cmd/simrun ./cmd/experiments || status=1
 exit $status
